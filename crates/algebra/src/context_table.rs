@@ -14,7 +14,7 @@
 
 use caesar_events::{PartitionId, Time, WindowSpan, TIME_MAX};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 
 /// A context transition produced by a context initiation / termination
 /// operator, applied to the table by the runtime scheduler.
@@ -211,7 +211,7 @@ impl PartitionContexts {
 /// dense vector materializing four billion default states.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ContextTable {
-    partitions: BTreeMap<u32, PartitionContexts>,
+    partitions: HashMap<u32, PartitionContexts>,
     /// Garbage-collection worklist: `(time, partition)` of every
     /// transition applied since the last collection. Windows only close
     /// through transitions, so these are exactly the partitions whose
@@ -220,8 +220,10 @@ pub struct ContextTable {
     /// cardinalities (hundreds of thousands of user keys) would make
     /// each periodic GC run O(partitions).
     expiries: BTreeSet<(Time, u32)>,
-    num_contexts: usize,
-    default_bit: u8,
+    /// The state every partition is in until its first transition
+    /// (default context only) — what reads of an untouched partition
+    /// borrow instead of materializing it.
+    startup: PartitionContexts,
 }
 
 impl ContextTable {
@@ -242,60 +244,52 @@ impl ContextTable {
             "default bit out of range"
         );
         Self {
-            partitions: BTreeMap::new(),
+            partitions: HashMap::new(),
             expiries: BTreeSet::new(),
-            num_contexts,
-            default_bit,
+            startup: PartitionContexts::new(num_contexts, default_bit),
         }
     }
 
     /// Number of context types.
     #[must_use]
     pub fn num_contexts(&self) -> usize {
-        self.num_contexts
+        self.startup.slots.len()
     }
 
     /// Bit of the default context.
     #[must_use]
     pub fn default_bit(&self) -> u8 {
-        self.default_bit
+        self.startup.default_bit
     }
 
     /// The state of one partition (creating it on first touch).
     pub fn partition_mut(&mut self, p: PartitionId) -> &mut PartitionContexts {
-        let (n, d) = (self.num_contexts, self.default_bit);
+        let startup = &self.startup;
         self.partitions
             .entry(p.0)
-            .or_insert_with(|| PartitionContexts::new(n, d))
+            .or_insert_with(|| startup.clone())
     }
 
     /// Read access to one partition's state; partitions never touched
-    /// report the startup state (default context only).
+    /// report the startup state (default context only). Borrowed, not
+    /// copied: context-history maintenance reads it on every closed
+    /// window.
     #[must_use]
-    pub fn partition(&self, p: PartitionId) -> PartitionContexts {
-        self.partitions
-            .get(&p.0)
-            .cloned()
-            .unwrap_or_else(|| PartitionContexts::new(self.num_contexts, self.default_bit))
+    pub fn partition(&self, p: PartitionId) -> &PartitionContexts {
+        self.partitions.get(&p.0).unwrap_or(&self.startup)
     }
 
     /// Whether context `bit` admits an event at `(p, t)` — the `CW_c`
     /// test without materializing the partition.
     #[must_use]
     pub fn admits(&self, p: PartitionId, bit: u8, t: Time) -> bool {
-        match self.partitions.get(&p.0) {
-            Some(pc) => pc.admits(bit, t),
-            None => bit == self.default_bit, // startup default admits all
-        }
+        self.partition(p).admits(bit, t)
     }
 
     /// Whether the window of context `bit` currently holds at `p`.
     #[must_use]
     pub fn holds(&self, p: PartitionId, bit: u8) -> bool {
-        match self.partitions.get(&p.0) {
-            Some(pc) => pc.holds(bit),
-            None => bit == self.default_bit,
-        }
+        self.partition(p).holds(bit)
     }
 
     /// Applies one transition (and enqueues the partition for garbage

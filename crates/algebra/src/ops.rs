@@ -25,9 +25,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FilterOp {
     /// Conjunction of compiled predicates (all must hold). Shared
-    /// across per-partition plan replicas (high-cardinality workloads
-    /// instantiate hundreds of thousands); the optimizer's rewrites
-    /// copy-on-write before execution starts.
+    /// across plan clones (the optimizer's search, the baseline's
+    /// redundant derivers); rewrites copy-on-write before execution
+    /// starts.
     pub predicates: Arc<Vec<CompiledExpr>>,
     /// Evaluation errors (counted as non-matches).
     pub eval_errors: u64,
@@ -166,8 +166,8 @@ impl FilterOp {
 pub struct ProjectOp {
     /// The derived (output) event type.
     pub output_type: TypeId,
-    /// One expression per output attribute. Shared across per-partition
-    /// plan replicas (see [`FilterOp::predicates`]).
+    /// One expression per output attribute. Shared across plan clones
+    /// (see [`FilterOp::predicates`]).
     pub args: Arc<Vec<CompiledExpr>>,
     /// Evaluation errors (events dropped).
     pub eval_errors: u64,
@@ -370,11 +370,8 @@ impl ContextWindowOp {
     }
 
     /// All context bits this window admits (primary first).
-    #[must_use]
-    pub fn all_bits(&self) -> Vec<u8> {
-        let mut bits = vec![self.context_bit];
-        bits.extend(&self.extra_bits);
-        bits
+    pub fn bits(&self) -> impl Iterator<Item = u8> + '_ {
+        std::iter::once(self.context_bit).chain(self.extra_bits.iter().copied())
     }
 }
 

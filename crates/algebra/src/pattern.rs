@@ -102,9 +102,21 @@ struct PartialStore {
     live: usize,
     /// High-water mark of `live`.
     peak: usize,
+    /// Summed `capacity()` of the slots' event vectors — slots keep
+    /// their capacity when freed, so this only grows; it makes the
+    /// slab's heap footprint readable in O(1).
+    event_cap: usize,
 }
 
 impl PartialStore {
+    /// Runs `f` on one slot's event vector, keeping `event_cap` exact.
+    fn grow(&mut self, index: u32, f: impl FnOnce(&mut Vec<Event>)) {
+        let events = &mut self.slots[index as usize].events;
+        let before = events.capacity();
+        f(events);
+        self.event_cap += events.capacity() - before;
+    }
+
     /// Allocates an empty slot, recycling from the free list when
     /// possible.
     fn alloc(&mut self) -> PartialRef {
@@ -135,6 +147,8 @@ impl PartialStore {
     /// Adopts an already-built event list (deserialization path).
     fn adopt(&mut self, events: Vec<Event>) -> PartialRef {
         let r = self.alloc();
+        // Only a fresh store adopts, so the slot is new and holds nothing.
+        self.event_cap += events.capacity();
         self.slots[r.index as usize].events = events;
         r
     }
@@ -172,20 +186,22 @@ impl PartialStore {
 
     /// Appends one event to a live partial.
     fn push_event(&mut self, r: PartialRef, ev: &Event) {
-        let slot = &mut self.slots[r.index as usize];
+        let slot = &self.slots[r.index as usize];
         debug_assert!(slot.live && slot.generation == r.generation);
-        slot.events.push(ev.clone());
+        self.grow(r.index, |events| events.push(ev.clone()));
     }
 
     /// Fills a live slot with a borrowed prefix plus `tail` — the
     /// shared-prefix boundary copies group-owned prefixes into a
     /// member's own slab through this.
     fn fill(&mut self, r: PartialRef, prefix: &[Event], tail: &Event) {
-        let slot = &mut self.slots[r.index as usize];
+        let slot = &self.slots[r.index as usize];
         debug_assert!(slot.live && slot.generation == r.generation);
-        slot.events.reserve(prefix.len() + 1);
-        slot.events.extend_from_slice(prefix);
-        slot.events.push(tail.clone());
+        self.grow(r.index, |events| {
+            events.reserve(prefix.len() + 1);
+            events.extend_from_slice(prefix);
+            events.push(tail.clone());
+        });
     }
 
     /// Fills `dst` with `src`'s events plus `tail` (slot-to-slot copy
@@ -202,9 +218,11 @@ impl PartialStore {
         };
         debug_assert!(src_slot.live && src_slot.generation == src.generation);
         debug_assert!(dst_slot.live && dst_slot.generation == dst.generation);
+        let before = dst_slot.events.capacity();
         dst_slot.events.reserve(src_slot.events.len() + 1);
         dst_slot.events.extend_from_slice(&src_slot.events);
         dst_slot.events.push(tail.clone());
+        self.event_cap += dst_slot.events.capacity() - before;
     }
 }
 
@@ -228,14 +246,6 @@ struct MatchState {
 }
 
 impl MatchState {
-    fn new(levels: usize) -> Self {
-        MatchState {
-            levels: vec![Vec::new(); levels],
-            pending: Vec::new(),
-            store: PartialStore::default(),
-        }
-    }
-
     /// Allocates a copy of `prefix`'s events extended by `tail`.
     fn alloc_extended(&mut self, prefix: PartialRef, tail: &Event) -> PartialRef {
         let r = self.store.alloc();
@@ -307,6 +317,219 @@ impl Deserialize for MatchState {
             });
         }
         Ok(state)
+    }
+}
+
+/// The mutable run state of one stateful operator — a [`PatternOp`] or a
+/// [`SharedGroup`] — in one stream partition: partial matches, parked
+/// trailing-negation matches, negation buffers and their transient
+/// index. Everything else about an operator (compiled program, kernel
+/// caches, counters) is the same for every partition and lives once, in
+/// the operator.
+///
+/// The value is *detachable*: an operator owns one resident run state
+/// (`run_mut`), and the runtime swaps a partition's stored state in
+/// when the partition's turn comes and back out when another's does.
+/// The default value is the empty state of *any* operator — the per-level
+/// and per-negation vectors are sized on first use — so a partition
+/// with no live partial match stores nothing, and an emptied state can
+/// be recycled for another operator or partition.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct RunState {
+    /// Negation buffers, parallel to the program's negation checks.
+    neg_buffers: Vec<VecDeque<Event>>,
+    /// Pooled partial-match state (levels, pending, slab).
+    state: MatchState,
+    /// Per-check incremental negation-index state (sequence base plus
+    /// the persistent index; see [`NegCtx::violates_indexed`]).
+    /// Transient: a restored snapshot rebuilds from the buffers alone.
+    #[serde(skip)]
+    neg_state: Vec<NegState>,
+}
+
+impl RunState {
+    /// Sizes the per-level and per-negation vectors (empty after
+    /// `default()`, a snapshot restore of the transient index, or a
+    /// recycle from another operator) to the operator's shape.
+    fn ensure_shape(&mut self, levels: usize, negations: usize) {
+        if self.state.levels.len() != levels {
+            debug_assert!(!self.has_state(), "reshaping a live run state");
+            self.state.levels.resize_with(levels, Vec::new);
+        }
+        if self.neg_buffers.len() != negations {
+            self.neg_buffers.resize_with(negations, VecDeque::new);
+        }
+        if self.neg_state.len() != negations {
+            self.neg_state.resize_with(negations, NegState::default);
+        }
+    }
+
+    /// Returns `true` if any time-sensitive state is held — a partial,
+    /// a parked match or a buffered negated event. When `false`,
+    /// advancing the watermark is a no-op and the value may be dropped
+    /// or recycled without changing any result.
+    #[must_use]
+    pub fn has_state(&self) -> bool {
+        self.live_partials() > 0 || self.neg_buffers.iter().any(|b| !b.is_empty())
+    }
+
+    /// Live partial matches, parked ones included — O(1): every level
+    /// and pending entry owns exactly one live slab slot
+    /// ([`pool_consistent`](Self::pool_consistent) checks it).
+    #[must_use]
+    pub fn live_partials(&self) -> usize {
+        self.state.store.live
+    }
+
+    /// Capacity-based estimate of the heap bytes behind this value, in
+    /// O(levels + negations): the slab's event capacity is tracked as
+    /// it grows, never summed by a walk.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let MatchState {
+            levels,
+            pending,
+            store,
+        } = &self.state;
+        levels.capacity() * size_of::<Vec<PartialRef>>()
+            + levels.iter().map(Vec::capacity).sum::<usize>() * size_of::<PartialRef>()
+            + pending.capacity() * size_of::<Pending>()
+            + store.slots.capacity() * size_of::<Slot>()
+            + store.free.capacity() * size_of::<u32>()
+            + store.event_cap * size_of::<Event>()
+            + self.neg_buffers.capacity() * size_of::<VecDeque<Event>>()
+            + self
+                .neg_buffers
+                .iter()
+                .map(VecDeque::capacity)
+                .sum::<usize>()
+                * size_of::<Event>()
+            + self.neg_state.capacity() * size_of::<NegState>()
+    }
+
+    /// Slab allocations served from the free list since the last
+    /// [`take_pool_reused`](Self::take_pool_reused).
+    #[must_use]
+    pub fn pool_reused(&self) -> u64 {
+        self.state.store.reused
+    }
+
+    /// Reads and resets [`pool_reused`](Self::pool_reused) (a flow: the
+    /// runtime folds it into one engine-level total).
+    pub fn take_pool_reused(&mut self) -> u64 {
+        std::mem::take(&mut self.state.store.reused)
+    }
+
+    /// High-water mark of live pooled partials.
+    #[must_use]
+    pub fn pool_peak(&self) -> usize {
+        self.state.store.peak
+    }
+
+    /// Prepares an emptied state for reuse by another partition or
+    /// operator: the slab keeps its capacity (that is the point), the
+    /// per-partition high-water mark and the negation index do not
+    /// carry over.
+    pub fn recycle(&mut self) {
+        debug_assert!(!self.has_state(), "recycling a live run state");
+        self.state.store.peak = 0;
+        self.neg_state.clear();
+    }
+
+    /// Verifies the generation-index invariant: every partial ref held
+    /// in a level or pending list resolves to a live slot of matching
+    /// generation, no two refs alias one slot, the live count agrees,
+    /// and every free-list entry is actually free. Test support — never
+    /// called on the hot path.
+    #[must_use]
+    pub fn pool_consistent(&self) -> bool {
+        let store = &self.state.store;
+        let mut seen = vec![false; store.slots.len()];
+        let mut live_refs = 0usize;
+        let mut check = |r: PartialRef| -> bool {
+            match store.get(r) {
+                Some(events) if !events.is_empty() => {
+                    !std::mem::replace(&mut seen[r.index as usize], true)
+                }
+                _ => false,
+            }
+        };
+        for level in &self.state.levels {
+            for &r in level {
+                if !check(r) {
+                    return false;
+                }
+                live_refs += 1;
+            }
+        }
+        for p in &self.state.pending {
+            if !check(p.r) {
+                return false;
+            }
+            live_refs += 1;
+        }
+        live_refs == store.live
+            && store
+                .free
+                .iter()
+                .all(|&i| store.slots.get(i as usize).is_some_and(|s| !s.live))
+    }
+
+    /// Discards all state — the context window the operator belongs to
+    /// ended, so its context history can be "safely discarded" (§6.2).
+    fn reset(&mut self) {
+        let MatchState {
+            levels,
+            pending,
+            store,
+        } = &mut self.state;
+        for level in levels.iter_mut() {
+            for &r in level.iter() {
+                store.free(r);
+            }
+            level.clear();
+        }
+        for pm in pending.iter() {
+            store.free(pm.r);
+        }
+        pending.clear();
+        for buf in &mut self.neg_buffers {
+            buf.clear();
+        }
+        // Nothing is buffered, so the index starts over.
+        self.neg_state.clear();
+    }
+
+    /// Expires partial matches whose first event is at or before `t` —
+    /// used when an *original* context window ends while its grouped
+    /// windows continue (Figure 7: "when the third window begins, the
+    /// partial results within the first window expire").
+    fn expire_started_at_or_before(&mut self, t: Time) {
+        self.retain_levels(|first| first > t);
+        let MatchState { pending, store, .. } = &mut self.state;
+        pending.retain(|pm| {
+            let keep = store.events(pm.r)[0].time() > t;
+            if !keep {
+                store.free(pm.r);
+            }
+            keep
+        });
+    }
+
+    /// Keeps the partials whose first event's time satisfies `keep`,
+    /// freeing the rest.
+    fn retain_levels(&mut self, keep: impl Fn(Time) -> bool) {
+        let MatchState { levels, store, .. } = &mut self.state;
+        for level in levels.iter_mut() {
+            level.retain(|&r| {
+                let keep = keep(store.events(r)[0].time());
+                if !keep {
+                    store.free(r);
+                }
+                keep
+            });
+        }
     }
 }
 
@@ -441,20 +664,20 @@ enum Verdict {
     Park { deadline: Time },
 }
 
-/// The pattern operator: an [`NfaProgram`] plus its mutable match state.
+/// The pattern operator: an [`NfaProgram`], its counters and kernel
+/// cache — one per engine — plus the [`RunState`] of whichever
+/// partition is currently bound (its own, when used standalone).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PatternOp {
     /// The compiled program (steps, negations, horizon, output shape).
-    /// Behind an [`Arc`]: per-partition instantiation clones the
-    /// operator, and high-cardinality workloads (hundreds of thousands
-    /// of user partitions) cannot afford a deep program copy each —
-    /// the program is immutable after optimization, so replicas share
-    /// it and the rare pre-execution mutators copy-on-write.
+    /// Behind an [`Arc`]: the optimizer and the baseline's redundant
+    /// derivers clone operators; the program is immutable after
+    /// optimization, so clones share it and the rare pre-execution
+    /// mutators copy-on-write.
     program: Arc<NfaProgram>,
-    /// Negation buffers, parallel to `program.negations`.
-    neg_buffers: Vec<VecDeque<Event>>,
-    /// Pooled partial-match state (levels, pending, slab).
-    state: MatchState,
+    /// The run state of the bound partition (the operator's own, when
+    /// nothing detaches it).
+    run: RunState,
     /// Number of leading steps owned by a [`SharedGroup`]: this operator
     /// never creates or extends partials below that level — the combined
     /// plan crosses the boundary via
@@ -462,11 +685,6 @@ pub struct PatternOp {
     shared_prefix_len: usize,
     /// Observability counters.
     pub stats: PatternStats,
-    /// Per-check incremental negation-index state (sequence base plus
-    /// the persistent index; see [`NegCtx::violates_indexed`]).
-    /// Transient: a restored snapshot rebuilds from the buffers alone.
-    #[serde(skip)]
-    neg_state: Vec<NegState>,
     /// Compiled element-0 step-predicate kernels, revalidated per batch
     /// against the view's kind signature (see
     /// [`process_batch`](Self::process_batch)).
@@ -822,15 +1040,11 @@ impl PatternOp {
             "pattern needs at least one positive step"
         );
         assert_eq!(program.offsets.len(), program.steps.len());
-        let n = program.steps.len();
-        let neg_buffers = program.negations.iter().map(|_| VecDeque::new()).collect();
         Self {
             program: Arc::new(program),
-            neg_buffers,
-            state: MatchState::new(n),
+            run: RunState::default(),
             shared_prefix_len: 0,
             stats: PatternStats::default(),
-            neg_state: Vec::new(),
             step_kernels: None,
         }
     }
@@ -865,13 +1079,24 @@ impl PatternOp {
         })
     }
 
-    /// Sizes the transient per-check negation-index state (empty after
-    /// construction or a snapshot restore) to the negation checks.
-    fn ensure_neg_scratch(&mut self) {
-        if self.neg_state.len() != self.program.negations.len() {
-            self.neg_state
-                .resize_with(self.program.negations.len(), NegState::default);
-        }
+    /// Sizes the bound run state to this program (see
+    /// [`RunState::ensure_shape`]).
+    fn ensure_shape(&mut self) {
+        self.run
+            .ensure_shape(self.program.steps.len(), self.program.negations.len());
+    }
+
+    /// The bound run state — the runtime's attachment point: it swaps a
+    /// partition's stored state in here when the partition's turn comes
+    /// and back out when another's does.
+    pub fn run_mut(&mut self) -> &mut RunState {
+        &mut self.run
+    }
+
+    /// Read access to the bound run state.
+    #[must_use]
+    pub fn run(&self) -> &RunState {
+        &self.run
     }
 
     /// Event types this pattern consumes (positive and negated).
@@ -1006,59 +1231,26 @@ impl PatternOp {
     /// Number of live partial matches (for memory metrics).
     #[must_use]
     pub fn live_partials(&self) -> usize {
-        self.state.levels.iter().map(Vec::len).sum::<usize>() + self.state.pending.len()
+        self.run.live_partials()
     }
 
     /// Total pool allocations served from the free list — how many
     /// `Vec` allocations the slab saved.
     #[must_use]
     pub fn pool_reused(&self) -> u64 {
-        self.state.store.reused
+        self.run.pool_reused()
     }
 
     /// High-water mark of live pooled partials.
     #[must_use]
     pub fn pool_peak(&self) -> usize {
-        self.state.store.peak
+        self.run.pool_peak()
     }
 
-    /// Verifies the generation-index invariant: every partial ref held
-    /// in a level or pending list resolves to a live slot of matching
-    /// generation, no two refs alias one slot, the live count agrees,
-    /// and every free-list entry is actually free. Test support — never
-    /// called on the hot path.
+    /// The bound run state's [`RunState::pool_consistent`].
     #[must_use]
     pub fn pool_consistent(&self) -> bool {
-        let store = &self.state.store;
-        let mut seen = vec![false; store.slots.len()];
-        let mut live_refs = 0usize;
-        let mut check = |r: PartialRef| -> bool {
-            match store.get(r) {
-                Some(events) if !events.is_empty() => {
-                    !std::mem::replace(&mut seen[r.index as usize], true)
-                }
-                _ => false,
-            }
-        };
-        for level in &self.state.levels {
-            for &r in level {
-                if !check(r) {
-                    return false;
-                }
-                live_refs += 1;
-            }
-        }
-        for p in &self.state.pending {
-            if !check(p.r) {
-                return false;
-            }
-            live_refs += 1;
-        }
-        live_refs == store.live
-            && store
-                .free
-                .iter()
-                .all(|&i| store.slots.get(i as usize).is_some_and(|s| !s.live))
+        self.run.pool_consistent()
     }
 
     /// Returns `true` if the operator holds any time-sensitive state —
@@ -1066,9 +1258,7 @@ impl PatternOp {
     /// idle plans can be skipped entirely.
     #[must_use]
     pub fn has_state(&self) -> bool {
-        !self.state.pending.is_empty()
-            || self.state.levels.iter().any(|l| !l.is_empty())
-            || self.neg_buffers.iter().any(|b| !b.is_empty())
+        self.run.has_state()
     }
 
     /// Processes one input event, appending emitted match events to `out`.
@@ -1167,7 +1357,7 @@ impl PatternOp {
     /// [`process_batch`](Self::process_batch).
     fn process_event<S: MatchSink>(&mut self, event: &Event, step0: Step0, out: &mut S) {
         self.stats.events_processed += 1;
-        self.ensure_neg_scratch();
+        self.ensure_shape();
 
         // 1. Feed negation buffers and check pending (trailing-negation)
         //    matches against the new event.
@@ -1195,9 +1385,12 @@ impl PatternOp {
         let shared_len = self.shared_prefix_len;
         let Self {
             program,
-            neg_buffers,
-            neg_state,
-            state,
+            run:
+                RunState {
+                    neg_buffers,
+                    neg_state,
+                    state,
+                },
             stats,
             ..
         } = self;
@@ -1325,15 +1518,18 @@ impl PatternOp {
         if self.program.steps[i].type_id != event.type_id {
             return;
         }
-        self.ensure_neg_scratch();
+        self.ensure_shape();
         let trailing = self.has_trailing_negation();
         let match_type = self.program.match_type.expect("sequence mode");
         let collect = self.program.collect_provenance;
         let Self {
             program,
-            neg_buffers,
-            neg_state,
-            state,
+            run:
+                RunState {
+                    neg_buffers,
+                    neg_state,
+                    state,
+                },
             stats,
             ..
         } = self;
@@ -1388,7 +1584,7 @@ impl PatternOp {
                 self.reject_pending(i, event);
             }
             let within = self.program.within;
-            let buf = &mut self.neg_buffers[i];
+            let buf = &mut self.run.neg_buffers[i];
             buf.push_back(event.clone());
             // Prune by horizon; advancing the sequence base marks the
             // evicted entries' index records stale.
@@ -1397,7 +1593,7 @@ impl PatternOp {
                 buf.pop_front();
                 evicted += 1;
             }
-            self.neg_state[i].base += evicted;
+            self.run.neg_state[i].base += evicted;
         }
     }
 
@@ -1405,11 +1601,11 @@ impl PatternOp {
     fn reject_pending(&mut self, check: usize, event: &Event) {
         let Self {
             program,
-            state,
+            run,
             stats,
             ..
         } = self;
-        let MatchState { pending, store, .. } = state;
+        let MatchState { pending, store, .. } = &mut run.state;
         let neg = &program.negations[check];
         let t = event.time();
         let mut errors = 0;
@@ -1444,7 +1640,7 @@ impl PatternOp {
         let match_type = self.program.match_type;
         let collect = self.program.collect_provenance;
         {
-            let MatchState { pending, store, .. } = &mut self.state;
+            let MatchState { pending, store, .. } = &mut self.run.state;
             let stats = &mut self.stats;
             pending.retain(|pm| {
                 if pm.deadline < watermark {
@@ -1466,27 +1662,18 @@ impl PatternOp {
             return;
         }
         let within = self.program.within;
-        {
-            let MatchState { levels, store, .. } = &mut self.state;
-            for level in levels.iter_mut() {
-                level.retain(|&r| {
-                    let keep = store.events(r)[0].time() + within >= watermark;
-                    if !keep {
-                        store.free(r);
-                    }
-                    keep
-                });
-            }
-        }
-        self.ensure_neg_scratch();
-        let within = self.program.within;
-        for (i, buf) in self.neg_buffers.iter_mut().enumerate() {
-            let mut evicted = 0;
+        self.run.retain_levels(|first| first + within >= watermark);
+        self.ensure_shape();
+        let RunState {
+            neg_buffers,
+            neg_state,
+            ..
+        } = &mut self.run;
+        for (buf, neg) in neg_buffers.iter_mut().zip(neg_state) {
             while buf.front().is_some_and(|e| e.time() + within < watermark) {
                 buf.pop_front();
-                evicted += 1;
+                neg.base += 1;
             }
-            self.neg_state[i].base += evicted;
         }
     }
 
@@ -1494,27 +1681,7 @@ impl PatternOp {
     /// belongs to ended, so its context history can be "safely
     /// discarded" (§6.2).
     pub fn reset(&mut self) {
-        let MatchState {
-            levels,
-            pending,
-            store,
-        } = &mut self.state;
-        for level in levels.iter_mut() {
-            for &r in level.iter() {
-                store.free(r);
-            }
-            level.clear();
-        }
-        for pm in pending.iter() {
-            store.free(pm.r);
-        }
-        pending.clear();
-        self.ensure_neg_scratch();
-        for (i, buf) in self.neg_buffers.iter_mut().enumerate() {
-            self.neg_state[i].base += buf.len() as u64;
-            buf.clear();
-            self.neg_state[i].index = None;
-        }
+        self.run.reset();
     }
 
     /// Expires partial matches whose first event is at or before `t` —
@@ -1522,27 +1689,7 @@ impl PatternOp {
     /// windows continue (Figure 7: "when the third window begins, the
     /// partial results within the first window expire").
     pub fn expire_started_at_or_before(&mut self, t: Time) {
-        let MatchState {
-            levels,
-            pending,
-            store,
-        } = &mut self.state;
-        for level in levels.iter_mut() {
-            level.retain(|&r| {
-                let keep = store.events(r)[0].time() > t;
-                if !keep {
-                    store.free(r);
-                }
-                keep
-            });
-        }
-        pending.retain(|pm| {
-            let keep = store.events(pm.r)[0].time() > t;
-            if !keep {
-                store.free(pm.r);
-            }
-            keep
-        });
+        self.run.expire_started_at_or_before(t);
     }
 }
 
@@ -1581,8 +1728,9 @@ pub struct SharedGroup {
     /// table before advancing, mirroring the members' gating.
     gated: bool,
     members: Vec<SharedMember>,
-    /// Prefix partials, levels `0..prefix_len`.
-    state: MatchState,
+    /// The bound run state: prefix partials, levels `0..prefix_len`
+    /// (no negations — members own theirs).
+    run: RunState,
     /// Observability counters for the shared prefix work.
     pub stats: PatternStats,
 }
@@ -1593,13 +1741,12 @@ impl SharedGroup {
     pub fn new(steps: Vec<NfaStep>, within: Time, gated: bool, members: Vec<SharedMember>) -> Self {
         assert!(!steps.is_empty(), "shared prefix needs at least one step");
         assert!(members.len() >= 2, "sharing needs at least two members");
-        let n = steps.len();
         SharedGroup {
             steps,
             within,
             gated,
             members,
-            state: MatchState::new(n),
+            run: RunState::default(),
             stats: PatternStats::default(),
         }
     }
@@ -1625,13 +1772,24 @@ impl SharedGroup {
     /// Live prefix partials across all levels.
     #[must_use]
     pub fn live_partials(&self) -> usize {
-        self.state.levels.iter().map(Vec::len).sum()
+        self.run.live_partials()
     }
 
     /// Whether any prefix state is held.
     #[must_use]
     pub fn has_state(&self) -> bool {
-        self.state.levels.iter().any(|l| !l.is_empty())
+        self.run.has_state()
+    }
+
+    /// The bound run state (see [`PatternOp::run_mut`]).
+    pub fn run_mut(&mut self) -> &mut RunState {
+        &mut self.run
+    }
+
+    /// Read access to the bound run state.
+    #[must_use]
+    pub fn run(&self) -> &RunState {
+        &self.run
     }
 
     /// Advances the shared prefix levels with one external event —
@@ -1642,9 +1800,10 @@ impl SharedGroup {
     pub fn advance(&mut self, event: &Event) {
         let t = event.time();
         let within = self.within;
+        self.run.ensure_shape(self.steps.len(), 0);
         let SharedGroup {
             steps,
-            state,
+            run: RunState { state, .. },
             stats,
             ..
         } = self;
@@ -1700,8 +1859,12 @@ impl SharedGroup {
     /// creation order — the boundary feed for
     /// [`PatternOp::extend_from_shared`].
     pub fn full_prefixes(&self) -> impl Iterator<Item = &[Event]> + '_ {
-        let top = &self.state.levels[self.steps.len() - 1];
-        top.iter().map(move |&r| self.state.store.events(r))
+        let state = &self.run.state;
+        // No level exists until the first event sized the state.
+        let top = state.levels.get(self.steps.len() - 1);
+        top.into_iter()
+            .flatten()
+            .map(move |&r| state.store.events(r))
     }
 
     /// Prunes prefixes older than the `within` horizon.
@@ -1710,42 +1873,18 @@ impl SharedGroup {
             return;
         }
         let within = self.within;
-        let MatchState { levels, store, .. } = &mut self.state;
-        for level in levels.iter_mut() {
-            level.retain(|&r| {
-                let keep = store.events(r)[0].time() + within >= watermark;
-                if !keep {
-                    store.free(r);
-                }
-                keep
-            });
-        }
+        self.run.retain_levels(|first| first + within >= watermark);
     }
 
     /// Discards all prefix state (context termination).
     pub fn reset(&mut self) {
-        let MatchState { levels, store, .. } = &mut self.state;
-        for level in levels.iter_mut() {
-            for &r in level.iter() {
-                store.free(r);
-            }
-            level.clear();
-        }
+        self.run.reset();
     }
 
     /// Expires prefixes whose first event is at or before `t` (original
     /// context window ending while grouped windows continue).
     pub fn expire_started_at_or_before(&mut self, t: Time) {
-        let MatchState { levels, store, .. } = &mut self.state;
-        for level in levels.iter_mut() {
-            level.retain(|&r| {
-                let keep = store.events(r)[0].time() > t;
-                if !keep {
-                    store.free(r);
-                }
-                keep
-            });
-        }
+        self.run.expire_started_at_or_before(t);
     }
 }
 
@@ -2024,7 +2163,7 @@ mod tests {
         assert_eq!(live.stats.partials_created, fresh.stats.partials_created);
         assert!(live.stats.negation_rejections > 0, "rejections exercised");
         assert!(
-            live.neg_state.iter().any(|st| st.index.is_some()),
+            live.run.neg_state.iter().any(|st| st.index.is_some()),
             "index path exercised"
         );
     }

@@ -13,7 +13,7 @@ use crate::ops::{
     advance_chain_time, run_chain, run_chain_batch, run_chain_batch_items, ChainOutput,
     ChainScratch, Op,
 };
-use crate::pattern::SharedGroup;
+use crate::pattern::{RunState, SharedGroup};
 use caesar_events::{ColumnarBatch, Event, Time, TypeId};
 use caesar_query::ast::QueryId;
 use caesar_query::queryset::CompiledQuery;
@@ -42,9 +42,7 @@ pub struct QueryPlan {
     /// `true` for context-deriving queries.
     pub is_deriving: bool,
     /// The source query (kept for re-optimization and sharing
-    /// analysis). Pure metadata shared by every per-partition replica
-    /// of the plan — high-cardinality workloads cannot afford a deep
-    /// AST copy per partition.
+    /// analysis). Pure metadata, shared by every clone of the plan.
     pub source: Arc<CompiledQuery>,
 }
 
@@ -130,6 +128,29 @@ impl QueryPlan {
         self.context_window_position() == Some(0)
     }
 
+    /// The resident run state of the pattern operator at chain slot
+    /// `op` — where the runtime binds a partition's stored state for
+    /// the duration of one transaction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops[op]` is not a pattern.
+    pub fn run_state_mut(&mut self, op: usize) -> &mut RunState {
+        match &mut self.ops[op] {
+            Op::Pattern(p) => p.run_mut(),
+            other => panic!("{} holds no run state", other.tag()),
+        }
+    }
+
+    /// Read access to [`run_state_mut`](Self::run_state_mut)'s value.
+    #[must_use]
+    pub fn run_state(&self, op: usize) -> &RunState {
+        match &self.ops[op] {
+            Op::Pattern(p) => p.run(),
+            other => panic!("{} holds no run state", other.tag()),
+        }
+    }
+
     /// Discards all partial state of the plan's stateful operators —
     /// called when the plan's context window ends (§6.2).
     pub fn reset_state(&mut self) {
@@ -173,16 +194,6 @@ impl QueryPlan {
                 _ => 0,
             })
             .sum()
-    }
-
-    /// Partial-pool efficacy over the plan's stateful operators:
-    /// `(slots reused from the free list, peak live partials)`.
-    #[must_use]
-    pub fn pool_stats(&self) -> (u64, usize) {
-        self.ops.iter().fold((0, 0), |(r, p), op| match op {
-            Op::Pattern(pat) => (r + pat.pool_reused(), p + pat.pool_peak()),
-            _ => (r, p),
-        })
     }
 }
 
@@ -292,6 +303,18 @@ impl CombinedPlan {
     #[must_use]
     pub fn shared_groups(&self) -> &[SharedGroup] {
         &self.shared
+    }
+
+    /// The resident run state of shared-prefix group `group` (see
+    /// [`QueryPlan::run_state_mut`]).
+    pub fn group_run_mut(&mut self, group: usize) -> &mut RunState {
+        self.shared[group].run_mut()
+    }
+
+    /// Read access to [`group_run_mut`](Self::group_run_mut)'s value.
+    #[must_use]
+    pub fn group_run(&self, group: usize) -> &RunState {
+        self.shared[group].run()
     }
 
     /// Returns `true` if the combined plan consumes `type_id` from the

@@ -14,10 +14,14 @@
 //!    partials into a *differently laid out* slab, exactly like a
 //!    speculative splice — changes nothing observable: outputs stay
 //!    equal to a never-snapshotted twin, so no match can ever assemble
-//!    from a stale (freed-and-reused) partial.
+//!    from a stale (freed-and-reused) partial, and
+//! 3. the same holds when one operator serves several partitions by
+//!    swapping their detached [`RunState`]s in and out, with emptied
+//!    states (slab capacity and bumped generations included) recycled
+//!    from one partition to the next.
 
 use caesar_algebra::nfa::PatternBuilder;
-use caesar_algebra::pattern::PatternOp;
+use caesar_algebra::pattern::{PatternOp, RunState};
 use caesar_events::{AttrType, Event, PartitionId, Schema, SchemaRegistry, Time, TypeId, Value};
 use proptest::prelude::*;
 
@@ -124,5 +128,60 @@ proptest! {
         live.reset();
         prop_assert!(live.pool_consistent());
         prop_assert_eq!(live.live_partials(), 0);
+    }
+
+    /// One shared operator, three partitions bound one at a time the way
+    /// the runtime does it (swap in, run, swap out; a state that emptied
+    /// goes to a free list the next new state is taken from), against
+    /// one private never-swapped operator per partition.
+    #[test]
+    fn recycled_run_states_never_leak_across_partitions(
+        script in prop::collection::vec((0usize..3, 0u8..=4, 0u64..8), 1..120)
+    ) {
+        let reg = registry();
+        let a = reg.lookup("A").unwrap();
+        let b = reg.lookup("B").unwrap();
+        let mut shared = pattern(&reg);
+        let mut held: Vec<Option<Box<RunState>>> = vec![None, None, None];
+        let mut spare: Vec<Box<RunState>> = Vec::new();
+        let mut twins = [pattern(&reg), pattern(&reg), pattern(&reg)];
+        let mut out_shared: [Vec<Event>; 3] = Default::default();
+        let mut out_twins: [Vec<Event>; 3] = Default::default();
+        let mut t: Time = 1;
+        for (step, &(p, kind, arg)) in script.iter().enumerate() {
+            if let Some(state) = &mut held[p] {
+                std::mem::swap(shared.run_mut(), &mut **state);
+            }
+            for (op, out) in [(&mut shared, &mut out_shared[p]), (&mut twins[p], &mut out_twins[p])] {
+                match kind {
+                    0 | 1 => {
+                        let ty = if kind == 0 { a } else { b };
+                        op.process(&event(ty, t + arg % 2, arg as i64), out);
+                    }
+                    2 => op.advance_time(t + arg, out),
+                    3 => op.expire_started_at_or_before(t.saturating_sub(arg)),
+                    _ => op.reset(),
+                }
+            }
+            t += if kind == 2 { arg } else { arg % 2 };
+            prop_assert!(shared.pool_consistent(), "bound state, step {}", step);
+            match (shared.has_state(), held[p].take()) {
+                (true, state) => {
+                    let mut state = state.or_else(|| spare.pop()).unwrap_or_default();
+                    std::mem::swap(shared.run_mut(), &mut *state);
+                    held[p] = Some(state);
+                }
+                (false, state) => {
+                    shared.run_mut().recycle();
+                    spare.extend(state);
+                }
+            }
+            prop_assert!(!shared.has_state(), "operator is empty between transactions");
+            prop_assert!(held.iter().flatten().all(|s| s.pool_consistent() && s.has_state()));
+            prop_assert!(spare.iter().all(|s| s.pool_consistent() && !s.has_state()));
+            prop_assert_eq!(&out_shared, &out_twins, "outputs diverged at step {}", step);
+            let live: usize = held[p].as_ref().map_or(0, |s| s.live_partials());
+            prop_assert_eq!(live, twins[p].live_partials());
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic            b"CAESNAP\0"
-//!      8     4  version          u32 LE, currently 1
+//!      8     4  version          u32 LE, [`SNAPSHOT_VERSION`]
 //!     12     4  flags            u32 LE, reserved (0)
 //!     16     8  stream_position  u64 LE — events ingested when taken
 //!     24     8  payload_len      u64 LE
@@ -33,8 +33,12 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CAESNAP\0";
 /// Version history:
 /// * 1 — initial format;
 /// * 2 — `EngineConfig` gained the batch policy and the router gained
-///   the `events_routed` counter, changing the payload encoding.
-pub const SNAPSHOT_VERSION: u32 = 2;
+///   the `events_routed` counter, changing the payload encoding;
+/// * 3 — `EngineState.partitions` holds thin per-partition run state
+///   (the state of stateful operators that have any, plus feedback)
+///   instead of a clone of every plan per partition; the operator
+///   counters moved into the one program in `EngineState.template`.
+pub const SNAPSHOT_VERSION: u32 = 3;
 /// Fixed header length in bytes.
 const HEADER_LEN: usize = 40;
 

@@ -182,7 +182,7 @@ fn corrupt_snapshot_is_a_checksum_error() {
 }
 
 #[test]
-fn future_snapshot_version_is_a_version_error() {
+fn foreign_snapshot_version_is_a_version_error() {
     let events = stream();
     let dir = temp_dir("version");
     let mut manager = CheckpointManager::create(&dir, 0).expect("create");
@@ -196,18 +196,21 @@ fn future_snapshot_version_is_a_version_error() {
 
     let snap = snapshot_path(&dir);
     let mut data = fs::read(&snap).expect("snapshot exists");
-    let future = caesar_recovery::SNAPSHOT_VERSION + 1;
-    data[8..12].copy_from_slice(&future.to_le_bytes());
-    fs::write(&snap, &data).expect("rewrite");
+    // A future format, and the previous one (v2: per-partition cloned
+    // programs, which this build's payload decoder cannot read).
+    for foreign in [caesar_recovery::SNAPSHOT_VERSION + 1, 2] {
+        data[8..12].copy_from_slice(&foreign.to_le_bytes());
+        fs::write(&snap, &data).expect("rewrite");
 
-    match read_snapshot(&snap) {
-        Err(RecoveryError::VersionMismatch {
-            found, expected, ..
-        }) => {
-            assert_eq!(found, future);
-            assert_eq!(expected, caesar_recovery::SNAPSHOT_VERSION);
+        match read_snapshot(&snap) {
+            Err(RecoveryError::VersionMismatch {
+                found, expected, ..
+            }) => {
+                assert_eq!(found, foreign);
+                assert_eq!(expected, caesar_recovery::SNAPSHOT_VERSION);
+            }
+            other => panic!("expected VersionMismatch, got {other:?}"),
         }
-        other => panic!("expected VersionMismatch, got {other:?}"),
     }
     let _ = fs::remove_dir_all(&dir);
 }

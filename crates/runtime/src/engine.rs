@@ -5,7 +5,7 @@
 
 use crate::metrics::{ArrivalClock, LatencyTracker};
 use crate::obs::{CounterId, MetricsRegistry, MetricsSnapshot, ObservabilityLevel, Stage};
-use crate::programs::{Mode, PartitionPrograms, ProgramTemplate};
+use crate::programs::{Mode, PartitionRun, ProgramTemplate};
 use crate::router::Router;
 use crate::scheduler::TimeDrivenScheduler;
 use crate::stats::Observations;
@@ -345,7 +345,7 @@ pub struct EngineState {
     table: ContextTable,
     template: ProgramTemplate,
     default_bit: u8,
-    partitions: BTreeMap<u32, PartitionPrograms>,
+    partitions: BTreeMap<u32, PartitionRun>,
     scheduler: TimeDrivenScheduler,
     router: Router,
     clock: ArrivalClock,
@@ -424,12 +424,27 @@ impl std::error::Error for RestoreError {}
 pub struct Engine {
     config: EngineConfig,
     table: ContextTable,
+    /// The one executing program: plans, kernel caches, operator
+    /// counters, router gates. Its stateful operators hold the run
+    /// state of the `bound` partition and of no other.
     template: ProgramTemplate,
     default_bit: u8,
-    /// Per-partition cloned programs, keyed by (sparse) partition id.
-    /// Iteration is in ascending id order, which every partition walk
-    /// below relies on for deterministic output and snapshot bytes.
-    partitions: BTreeMap<u32, PartitionPrograms>,
+    /// Run state of the partitions that hold any (a live partial, a
+    /// parked match, a buffered negated event, queued feedback), keyed
+    /// by (sparse) partition id; a partition without is absent, and so
+    /// is the `bound` one. Iteration is in ascending id order, which
+    /// every partition walk below relies on for deterministic output
+    /// and snapshot bytes.
+    partitions: BTreeMap<u32, PartitionRun>,
+    /// The partition whose run state is bound into `template` — the
+    /// last one that executed a transaction — with its record. It
+    /// stays bound until another partition's turn, so a run of
+    /// transactions in one partition binds once.
+    bound: Option<(u32, PartitionRun)>,
+    /// Sum of the stored records' [`PartitionRun::bytes`].
+    run_state_bytes: usize,
+    /// The router's selection buffer, reused across transactions.
+    active: Vec<usize>,
     scheduler: TimeDrivenScheduler,
     router: Router,
     clock: ArrivalClock,
@@ -496,8 +511,7 @@ impl Engine {
         };
         if config.provenance {
             // Flip every pattern into timestamp-collecting mode before
-            // the template is built (per-partition programs are cloned
-            // from it, so the flag propagates everywhere).
+            // the template is built.
             for combined in &mut program.translation.combined {
                 for plan in &mut combined.plans {
                     for op in &mut plan.ops {
@@ -529,6 +543,9 @@ impl Engine {
             template,
             default_bit,
             partitions: BTreeMap::new(),
+            bound: None,
+            run_state_bytes: 0,
+            active: Vec::new(),
             scheduler: TimeDrivenScheduler::new(),
             router: Router::new(),
             latency: LatencyTracker::new(),
@@ -595,12 +612,13 @@ impl Engine {
             self.speculation_settled(),
             "snapshot of a speculative engine requires settle() first"
         );
+        let (template, partitions) = self.unbound_program();
         EngineState {
             config: self.config,
             table: self.table.clone(),
-            template: self.template.clone(),
+            template,
             default_bit: self.default_bit,
-            partitions: self.partitions.clone(),
+            partitions,
             scheduler: self.scheduler.clone(),
             router: self.router.clone(),
             clock: self.clock,
@@ -649,6 +667,12 @@ impl Engine {
         self.template = state.template;
         self.default_bit = state.default_bit;
         self.partitions = state.partitions;
+        self.bound = None;
+        self.run_state_bytes = self
+            .partitions
+            .values_mut()
+            .map(PartitionRun::refresh_bytes)
+            .sum();
         self.scheduler = state.scheduler;
         self.router = state.router;
         self.clock = state.clock;
@@ -677,8 +701,70 @@ impl Engine {
         Ok(())
     }
 
-    /// The statistics gatherer (Figure 8): folds every partition's
-    /// operator counters into [`Observations`], from which
+    /// Partitions the engine currently holds run state for, and the
+    /// capacity-based size of that state — O(stateful operators): the
+    /// stored records are counted and summed as they change, only the
+    /// bound partition is looked at.
+    fn state_size(&self) -> (usize, usize) {
+        let bound = self.bound.as_ref();
+        let bound_bytes = bound.and_then(|(_, run)| self.template.bound_bytes(run));
+        (
+            self.partitions.len() + usize::from(bound_bytes.is_some()),
+            self.run_state_bytes + bound_bytes.unwrap_or(0),
+        )
+    }
+
+    /// Partitions the engine currently holds run state for.
+    #[must_use]
+    pub fn partitions_with_state(&self) -> usize {
+        self.state_size().0
+    }
+
+    /// Copies of the program and the per-partition run state with
+    /// nothing bound: what a snapshot stores and a fork starts from.
+    pub(crate) fn unbound_program(&self) -> (ProgramTemplate, BTreeMap<u32, PartitionRun>) {
+        let mut template = self.template.clone();
+        let mut partitions = self.partitions.clone();
+        if let Some((id, run)) = &self.bound {
+            let mut run = run.clone();
+            template.unbind(&mut run);
+            if !run.is_empty() {
+                partitions.insert(*id, run);
+            }
+        }
+        (template, partitions)
+    }
+
+    /// Makes `id` the bound partition, unless it already is. A
+    /// partition that holds no run state starts from the empty record,
+    /// which allocates nothing and is only stored if something is left
+    /// in it when another partition's turn comes.
+    fn bind(&mut self, id: u32) {
+        if self.bound.as_ref().is_some_and(|(bound, _)| *bound == id) {
+            return;
+        }
+        self.unbind();
+        let mut run = self.partitions.remove(&id).unwrap_or_default();
+        self.run_state_bytes -= run.bytes();
+        self.template.bind(&mut run);
+        self.bound = Some((id, run));
+    }
+
+    /// Moves the bound partition's run state out of the program and
+    /// stores what is left of it.
+    fn unbind(&mut self) {
+        if let Some((id, mut run)) = self.bound.take() {
+            self.template.unbind(&mut run);
+            if !run.is_empty() {
+                self.run_state_bytes += run.bytes();
+                self.partitions.insert(id, run);
+            }
+        }
+    }
+
+    /// The statistics gatherer (Figure 8): folds the program's operator
+    /// counters — accumulated over every partition — into
+    /// [`Observations`], from which
     /// [`Observations::to_stats`] produces cost-model statistics for
     /// re-optimization with observed rates, activities and
     /// selectivities.
@@ -689,15 +775,9 @@ impl Engine {
             progress: self.scheduler.progress(),
             ..Observations::default()
         };
-        for programs in self.partitions.values() {
-            for plan in &programs.deriving {
-                obs.visit_plan(plan);
-            }
-            for combined in &programs.processing {
-                for plan in &combined.plans {
-                    obs.visit_plan(plan);
-                }
-            }
+        let processing = self.template.processing.iter().flat_map(|c| &c.plans);
+        for plan in self.template.deriving.iter().chain(processing) {
+            obs.visit_plan(plan);
         }
         obs
     }
@@ -911,10 +991,17 @@ impl Engine {
             self.execute(txn);
         }
         // Final watermark push: flush matured trailing negations, prune.
+        // Only partitions holding run state have anything to flush.
         let final_mark = self.scheduler.progress().saturating_add(1_000_000);
         let mut out = PlanOutput::default();
-        for programs in self.partitions.values_mut() {
-            programs.advance_time(final_mark, &self.table, &mut out);
+        self.unbind();
+        for (id, mut run) in std::mem::take(&mut self.partitions) {
+            self.run_state_bytes -= run.bytes();
+            self.template.bind(&mut run);
+            self.bound = Some((id, run));
+            self.template
+                .advance_time(final_mark, &self.table, &mut out);
+            self.unbind();
         }
         self.account_outputs(&out);
         self.report()
@@ -945,13 +1032,11 @@ impl Engine {
         let t = txn.time;
         let partition = txn.partition;
 
-        // Detach this partition's programs for the duration of the
-        // transaction (they need `&mut` alongside reads of the context
-        // table); re-inserted below after the watermark advance.
-        let mut programs = self
-            .partitions
-            .remove(&partition.0)
-            .unwrap_or_else(|| PartitionPrograms::from_template(&self.template));
+        // The program executes with this partition's run state bound
+        // (a no-op when the previous transaction was this partition's).
+        self.bind(partition.0);
+        let run = &mut self.bound.as_mut().expect("bound above").1;
+        let programs = &mut self.template;
 
         let mut out = PlanOutput::default();
         // Transactions below the policy's size floor take the per-event
@@ -980,9 +1065,9 @@ impl Engine {
         // Phase 1: context derivation (before any processing at t).
         let span = self.obs.span_start();
         let transitions = if batched {
-            programs.run_derivation_batch(&mut cols, &self.table)
+            programs.run_derivation_batch(&mut cols, &self.table, run)
         } else {
-            programs.run_derivation(&txn.batch.events, &self.table, &mut out)
+            programs.run_derivation(&txn.batch.events, &self.table, run)
         };
         self.obs.span_end(Stage::Derivation, span);
         let span = self.obs.span_start();
@@ -1014,17 +1099,19 @@ impl Engine {
         // decision per transaction in either mode; the batch path also
         // evaluates each active plan once over the whole event slice.
         let span = self.obs.span_start();
-        let active =
-            self.router
-                .select_batch(&programs, partition, t, &self.table, txn.batch.len() as u64);
+        let mut active = std::mem::take(&mut self.active);
+        let events = txn.batch.len() as u64;
+        self.router
+            .select(programs, partition, t, &self.table, events, &mut active);
         self.obs.span_end(Stage::Router, span);
         self.obs.tick_contexts(&active, programs.processing.len());
         let span = self.obs.span_start();
         if batched {
-            programs.run_processing_batch(&mut cols, &self.table, &active, &mut out);
+            programs.run_processing_batch(&mut cols, &self.table, &active, run, &mut out);
         } else {
-            programs.run_processing(&txn.batch.events, &self.table, &active, &mut out);
+            programs.run_processing(&txn.batch.events, &self.table, &active, run, &mut out);
         }
+        self.active = active;
         self.obs.span_end(Stage::Processing, span);
 
         // Deferred context-history maintenance for windows that closed
@@ -1041,7 +1128,6 @@ impl Engine {
         self.obs.span_end(Stage::AdvanceTime, span);
 
         self.peak_partials = self.peak_partials.max(programs.live_partials());
-        self.partitions.insert(partition.0, programs);
 
         // Storage-layer garbage collection.
         if t.saturating_sub(self.last_gc) >= self.config.gc_every {
@@ -1074,12 +1160,13 @@ impl Engine {
     }
 
     /// The current observability snapshot: the registry's counters and
-    /// histograms, the scheduler's peak queue depth, and a walk of
-    /// every partition's operator counters into per-operator, per-query
-    /// and per-context-window accounting. The operator walk is always
-    /// populated (operators count unconditionally); counters,
-    /// histograms, ticks and spans honour the configured
-    /// [`ObservabilityLevel`].
+    /// histograms, the scheduler's peak queue depth, and a walk of the
+    /// program's operator counters — one set per engine, accumulated
+    /// over every partition, so the walk is O(plans) — into
+    /// per-operator, per-query and per-context-window accounting. The
+    /// operator walk is always populated (operators count
+    /// unconditionally); counters, gauges, histograms, ticks and spans
+    /// honour the configured [`ObservabilityLevel`].
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.obs.snapshot();
@@ -1100,44 +1187,42 @@ impl Engine {
                 .get(&bit)
                 .map_or_else(|| format!("bit{bit}"), ToString::to_string)
         };
-        for programs in self.partitions.values() {
-            let processing = programs.processing.iter().flat_map(|c| c.plans.iter());
-            for plan in programs.deriving.iter().chain(processing) {
-                let query = plan.query_id.to_string();
-                let mut chain_in: Option<u64> = None;
-                let mut chain_out = 0;
-                let mut kernel_rows = 0;
-                let mut fallback_rows = 0;
-                for (i, op) in plan.ops.iter().enumerate() {
-                    let Some(o) = op.observation() else { continue };
-                    let m = snap
-                        .operators
-                        .entry(format!("{query}/{i}:{}", o.kind))
+        let processing = self.template.processing.iter().flat_map(|c| &c.plans);
+        for plan in self.template.deriving.iter().chain(processing) {
+            let query = plan.query_id.to_string();
+            let mut chain_in: Option<u64> = None;
+            let mut chain_out = 0;
+            let mut kernel_rows = 0;
+            let mut fallback_rows = 0;
+            for (i, op) in plan.ops.iter().enumerate() {
+                let Some(o) = op.observation() else { continue };
+                let m = snap
+                    .operators
+                    .entry(format!("{query}/{i}:{}", o.kind))
+                    .or_default();
+                m.events_in += o.events_in;
+                m.events_out += o.events_out;
+                m.kernel_rows += o.kernel_rows;
+                m.fallback_rows += o.fallback_rows;
+                m.errors += o.errors;
+                chain_in.get_or_insert(o.events_in);
+                chain_out = o.events_out;
+                kernel_rows += o.kernel_rows;
+                fallback_rows += o.fallback_rows;
+                if let caesar_algebra::ops::Op::ContextWindow(cw) = op {
+                    let c = snap
+                        .contexts
+                        .entry(context_name(cw.context_bit))
                         .or_default();
-                    m.events_in += o.events_in;
-                    m.events_out += o.events_out;
-                    m.kernel_rows += o.kernel_rows;
-                    m.fallback_rows += o.fallback_rows;
-                    m.errors += o.errors;
-                    chain_in.get_or_insert(o.events_in);
-                    chain_out = o.events_out;
-                    kernel_rows += o.kernel_rows;
-                    fallback_rows += o.fallback_rows;
-                    if let caesar_algebra::ops::Op::ContextWindow(cw) = op {
-                        let c = snap
-                            .contexts
-                            .entry(context_name(cw.context_bit))
-                            .or_default();
-                        c.events_admitted += cw.admitted;
-                        c.events_dropped += cw.dropped;
-                    }
+                    c.events_admitted += cw.admitted;
+                    c.events_dropped += cw.dropped;
                 }
-                let q = snap.queries.entry(query).or_default();
-                q.events_in += chain_in.unwrap_or(0);
-                q.matches_out += chain_out;
-                q.kernel_rows += kernel_rows;
-                q.fallback_rows += fallback_rows;
             }
+            let q = snap.queries.entry(query).or_default();
+            q.events_in += chain_in.unwrap_or(0);
+            q.matches_out += chain_out;
+            q.kernel_rows += kernel_rows;
+            q.fallback_rows += fallback_rows;
         }
         // Suspended-vs-active ticks from the router accounting, indexed
         // like the template's combined plans.
@@ -1151,15 +1236,26 @@ impl Engine {
         // Partial-pool efficacy (the slabs count unconditionally; the
         // counters honour the level like every other counter): total
         // free-list reuses and the partial-slab high-water mark across
-        // all partitions.
+        // all partitions. Then the state-size gauges: partitions with a
+        // context vector, partitions with run state, and the
+        // capacity-based size of that run state — maintained as
+        // partitions take turns, never computed by a walk over them.
         if self.obs.counters_enabled() {
-            let (reused, peak) = self
-                .partitions
-                .values()
-                .map(crate::programs::PartitionPrograms::pool_stats)
-                .fold((0u64, 0usize), |(r, p), (pr, pp)| (r + pr, p.max(pp)));
-            snap.counters.insert("spec_pool_reuse".into(), reused);
-            snap.counters.insert("partials_peak".into(), peak as u64);
+            let (reused, peak) = self.template.pool_stats();
+            let (with_state, bytes) = self.state_size();
+            let gauges = [
+                ("spec_pool_reuse", reused),
+                ("partials_peak", peak as u64),
+                (
+                    "partitions_materialized",
+                    self.table.materialized_partitions() as u64,
+                ),
+                ("partitions_with_state", with_state as u64),
+                ("run_state_bytes", bytes as u64),
+            ];
+            for (name, value) in gauges {
+                snap.counters.insert(name.into(), value);
+            }
         }
         snap
     }

@@ -55,6 +55,7 @@
 
 use super::{Consistency as C, Engine, EngineConfig};
 use crate::obs::{CounterId, MetricsRegistry, ObservabilityLevel, Stage};
+use crate::programs::PartitionRun;
 use caesar_events::{Event, EventError, OutputRecord, ReorderBuffer, Time};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -154,6 +155,7 @@ impl Engine {
     /// non-semantic machinery (no reorder buffer — it is fed in settled
     /// order; outputs collected so emission deltas can be drained).
     fn fork_core(&self) -> Box<Engine> {
+        let (template, partitions) = self.unbound_program();
         Box::new(Engine {
             config: EngineConfig {
                 consistency: C::Strict,
@@ -163,9 +165,12 @@ impl Engine {
                 ..self.config
             },
             table: self.table.clone(),
-            template: self.template.clone(),
+            template,
             default_bit: self.default_bit,
-            partitions: self.partitions.clone(),
+            run_state_bytes: partitions.values().map(PartitionRun::bytes).sum(),
+            partitions,
+            bound: None,
+            active: Vec::new(),
             scheduler: self.scheduler.clone(),
             router: self.router.clone(),
             clock: self.clock,
@@ -755,19 +760,9 @@ mod tests {
     /// Every partial-slab slot of the settled core satisfies the
     /// generation-index invariants.
     fn pools_consistent(engine: &Engine) -> bool {
-        engine.partitions.values().all(|programs| {
-            programs
-                .deriving
-                .iter()
-                .chain(programs.processing.iter().flat_map(|c| c.plans.iter()))
-                .chain(programs.redundant.iter())
-                .all(|plan| {
-                    plan.ops.iter().all(|op| match op {
-                        caesar_algebra::ops::Op::Pattern(pat) => pat.pool_consistent(),
-                        _ => true,
-                    })
-                })
-        })
+        let (_, partitions) = engine.unbound_program();
+        let mut states = partitions.values().flat_map(PartitionRun::states);
+        states.all(|state| state.pool_consistent())
     }
 
     /// Hand-computed pool accounting across a speculative splice+replay.

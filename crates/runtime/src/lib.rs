@@ -10,10 +10,11 @@
 //! * [`router`] — the context-aware stream router: batches flow only to
 //!   the query plans of currently active contexts; suspended plans
 //!   receive nothing (no busy waiting).
-//! * [`programs`] — per-partition instantiation of the optimized plans,
-//!   including the context-independent baseline construction (every
-//!   query always active, each processing query re-deriving its context)
-//!   and shared-workload execution.
+//! * [`programs`] — the engine's one executing program and the thin
+//!   per-partition run state bound to it per transaction, including the
+//!   context-independent baseline construction (every query always
+//!   active, each processing query re-deriving its context) and
+//!   shared-workload execution.
 //! * [`engine`] — the full engine: distributor → scheduler → derivation →
 //!   transition application → routing → processing, with context-history
 //!   maintenance and garbage collection.
@@ -48,7 +49,7 @@ pub use engine::{
 pub use metrics::{ArrivalClock, LatencyTracker};
 pub use obs::{CounterId, Histogram, MetricsRegistry, MetricsSnapshot, ObservabilityLevel, Stage};
 pub use parallel::{merge_reports, run_sharded, run_sharded_full, run_sharded_with_outputs};
-pub use programs::PartitionPrograms;
+pub use programs::PartitionRun;
 pub use router::Router;
 pub use scheduler::TimeDrivenScheduler;
 pub use stats::Observations;

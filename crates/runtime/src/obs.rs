@@ -115,7 +115,7 @@ pub enum Stage {
     Derivation,
     /// Context-table transition application and history maintenance.
     Transitions,
-    /// The context-aware routing decision (`Router::select_batch`).
+    /// The context-aware routing decision (`Router::select`).
     Router,
     /// Processing-plan execution over the transaction's events.
     Processing,

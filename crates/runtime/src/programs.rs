@@ -1,9 +1,17 @@
-//! Per-partition program instantiation.
+//! The engine's one executing program and the per-partition run state.
 //!
 //! Context state is partition-scoped (one context bit vector per road
 //! segment, §6.2), and so is all pattern state: a sequence must not mix
-//! events of different road segments. The engine therefore clones a
-//! [`ProgramTemplate`] into per-partition [`PartitionPrograms`] lazily.
+//! events of different road segments. The paper keeps *one* set of
+//! query plans and, per partition, only the context bit vector and the
+//! context history; so does the engine: a [`ProgramTemplate`] holds the
+//! plans — compiled data, kernel caches, every operator counter, the
+//! router gates — once, and a [`PartitionRun`] holds what one partition
+//! keeps between transactions: the [`RunState`] of each stateful
+//! operator that has live state there, and the derived-event feedback
+//! queue. The engine binds a partition's run state into the program
+//! when the partition's turn comes ([`ProgramTemplate::bind`]) and
+//! unbinds it when another's does.
 //!
 //! The template construction also realizes two execution-strategy
 //! decisions:
@@ -17,10 +25,11 @@
 //!   carries private clones of its context's deriving queries — the
 //!   re-derivation work a context-unaware engine performs per query.
 
-use caesar_algebra::context_table::{ContextTable, Transition};
+use caesar_algebra::context_table::{ContextTable, PartitionContexts, Transition};
 use caesar_algebra::ops::{ChainScratch, Op};
+use caesar_algebra::pattern::RunState;
 use caesar_algebra::plan::{CombinedPlan, PlanOutput, QueryPlan};
-use caesar_events::{ColumnarBatch, Event, PartitionId, Time};
+use caesar_events::{ColumnarBatch, Event, PartitionId, Time, TypeId};
 use caesar_optimizer::mqo::SharedWorkload;
 use caesar_query::ast::QueryId;
 use serde::{Deserialize, Serialize};
@@ -37,7 +46,8 @@ pub enum Mode {
     ContextIndependent,
 }
 
-/// The blueprint cloned into each partition.
+/// The program every partition's transactions execute (see the module
+/// docs): built once per engine, never cloned per partition.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProgramTemplate {
     /// Context-deriving plans (flattened across contexts).
@@ -53,6 +63,36 @@ pub struct ProgramTemplate {
     pub redundant: Vec<QueryPlan>,
     /// Execution mode.
     pub mode: Mode,
+    /// Router gates: per processing plan, the union of its members'
+    /// context window bits (the router's per-transaction lookup is then
+    /// O(active bits)).
+    gates: Vec<Vec<u8>>,
+    /// Derived types some deriving plan consumes — the only derived
+    /// events worth queueing as feedback.
+    feedback_types: Vec<TypeId>,
+    /// The stateful operators, in the order a non-empty
+    /// [`PartitionRun`]'s state vector lists them.
+    stateful: Vec<StatefulOp>,
+    /// Slab allocations served from a free list, over all partitions.
+    #[serde(skip)]
+    pool_reused: u64,
+    /// Largest per-partition sum of slab high-water marks seen.
+    #[serde(skip)]
+    pool_peak: usize,
+    /// Free list of emptied run states (slabs keep their capacity).
+    /// Boxed: a box moves between here and a [`PartitionRun`] slot as a
+    /// pointer, its allocation reused.
+    #[serde(skip)]
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<RunState>>,
+    /// Reusable output sink of the run methods (always empty between
+    /// calls).
+    #[serde(skip)]
+    sink: PlanOutput,
+    /// Reusable chain-traversal buffers shared by the deriving and
+    /// redundant plans (the combined plans carry their own).
+    #[serde(skip)]
+    scratch: ChainScratch,
 }
 
 impl ProgramTemplate {
@@ -169,12 +209,47 @@ impl ProgramTemplate {
             }
         }
 
+        let gates = processing
+            .iter()
+            .map(|c| {
+                let windows = c
+                    .plans
+                    .iter()
+                    .flat_map(|p| &p.ops)
+                    .filter_map(|op| match op {
+                        Op::ContextWindow(cw) => Some(cw),
+                        _ => None,
+                    });
+                let mut bits: Vec<u8> = windows.flat_map(|cw| cw.bits()).collect();
+                bits.sort_unstable();
+                bits.dedup();
+                bits
+            })
+            .collect();
+        let mut feedback_types: Vec<TypeId> = processing
+            .iter()
+            .flat_map(|c| &c.plans)
+            .filter_map(|p| p.output_type)
+            .filter(|&t| deriving.iter().any(|d| d.consumes(t)))
+            .collect();
+        feedback_types.sort_unstable();
+        feedback_types.dedup();
+        let stateful = StatefulOp::index(&deriving, &processing, &redundant);
+
         Self {
             deriving,
             processing,
             fanout,
             redundant,
             mode,
+            gates,
+            feedback_types,
+            stateful,
+            pool_reused: 0,
+            pool_peak: 0,
+            spare: Vec::new(),
+            sink: PlanOutput::default(),
+            scratch: ChainScratch::default(),
         }
     }
 
@@ -197,68 +272,282 @@ fn widen_context_window(plan: &mut QueryPlan, extra: &[u8]) {
     }
 }
 
-/// The executing program of one stream partition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PartitionPrograms {
-    /// Deriving plans (run first in every transaction).
-    pub deriving: Vec<QueryPlan>,
-    /// Processing combined plans, one per context.
-    pub processing: Vec<CombinedPlan>,
-    /// Baseline re-derivation clones.
-    pub redundant: Vec<QueryPlan>,
+/// Cap on the engine-level free list of emptied run states: enough to
+/// absorb the churn of windows closing and reopening, small enough
+/// that a burst of short-lived partitions does not pin its slabs.
+const SPARE_RUN_STATES: usize = 1024;
+
+/// The mutable run state of one stream partition: per stateful
+/// operator of the program (in [`ProgramTemplate`] binding order) its
+/// detached [`RunState`], if it holds any, plus the derived-event
+/// feedback queue. The engine keeps a record only for partitions where
+/// one of the two is non-empty — a partition with no live partial
+/// match costs nothing here.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct PartitionRun {
+    /// Empty, or one entry per stateful operator.
+    states: Vec<Option<Box<RunState>>>,
     /// Derived events awaiting the next transaction's derivation pass
     /// (deriving queries over derived event types see producer outputs
     /// one transaction later, which keeps transactions acyclic).
     feedback: Vec<Event>,
-    /// Cached router gates: per processing plan, the union of its
-    /// members' context window bits (computed once — the router's
-    /// per-batch lookup is then O(active bits)).
-    gates: Vec<Vec<u8>>,
-    mode: Mode,
-    /// Reusable output sink of the run methods (always empty between
-    /// calls; excluded from snapshots).
+    /// Heap estimate as of the last unbind — the partition's share of
+    /// the engine's `run_state_bytes` gauge.
     #[serde(skip)]
-    sink: PlanOutput,
-    /// Reusable chain-traversal buffers shared by the deriving and
-    /// redundant plans (the combined plans carry their own).
-    #[serde(skip)]
-    scratch: ChainScratch,
+    bytes: usize,
 }
 
-impl PartitionPrograms {
-    /// Instantiates the template for one partition.
+impl PartitionRun {
+    /// True when nothing is held: the record can be dropped.
     #[must_use]
-    pub fn from_template(template: &ProgramTemplate) -> Self {
-        let gates = template
-            .processing
-            .iter()
-            .map(|c| {
-                let mut bits: Vec<u8> = c
-                    .plans
-                    .iter()
-                    .flat_map(|p| {
-                        p.ops.iter().filter_map(|op| match op {
-                            Op::ContextWindow(cw) => Some(cw.all_bits()),
-                            _ => None,
-                        })
-                    })
-                    .flatten()
-                    .collect();
-                bits.sort_unstable();
-                bits.dedup();
-                bits
-            })
-            .collect();
-        Self {
-            deriving: template.deriving.clone(),
-            processing: template.processing.clone(),
-            redundant: template.redundant.clone(),
-            feedback: Vec::new(),
-            gates,
-            mode: template.mode,
-            sink: PlanOutput::default(),
-            scratch: ChainScratch::default(),
+    pub fn is_empty(&self) -> bool {
+        self.states.is_empty() && self.feedback.is_empty()
+    }
+
+    /// The detached run states held (test and introspection support).
+    pub fn states(&self) -> impl Iterator<Item = &RunState> {
+        self.states.iter().flatten().map(|b| &**b)
+    }
+
+    /// The partition's share of the `run_state_bytes` gauge, as of the
+    /// last unbind (or [`refresh_bytes`](Self::refresh_bytes)).
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// Recomputes the capacity-based heap estimate — O(stateful ops),
+    /// each operator's slab footprint being tracked as it grows.
+    pub fn refresh_bytes(&mut self) -> usize {
+        self.bytes = if self.is_empty() {
+            0
+        } else {
+            Self::record_bytes(self.states.capacity(), &self.feedback, self.states())
+        };
+        self.bytes
+    }
+
+    /// Heap estimate of a non-empty record with `slots` state slots
+    /// holding `states`.
+    fn record_bytes<'a>(
+        slots: usize,
+        feedback: &Vec<Event>,
+        states: impl Iterator<Item = &'a RunState>,
+    ) -> usize {
+        use std::mem::size_of;
+        size_of::<Self>()
+            + slots * size_of::<Option<Box<RunState>>>()
+            + feedback.capacity() * size_of::<Event>()
+            + states
+                .map(|s| size_of::<RunState>() + s.heap_bytes())
+                .sum::<usize>()
+    }
+}
+
+/// Where one stateful operator sits in the program. The template
+/// indexes them once, so a transaction's bind and unbind touch the
+/// stateful operators alone instead of walking every chain.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+enum StatefulOp {
+    /// Pattern at `deriving[plan].ops[op]`.
+    Deriving { plan: usize, op: usize },
+    /// Shared-prefix group `group` of `processing[combined]`.
+    Group { combined: usize, group: usize },
+    /// Pattern at `processing[combined].plans[plan].ops[op]`.
+    Member {
+        combined: usize,
+        plan: usize,
+        op: usize,
+    },
+    /// Pattern at `redundant[plan].ops[op]`.
+    Redundant { plan: usize, op: usize },
+}
+
+impl StatefulOp {
+    /// Every stateful operator of a program, in binding order.
+    fn index(
+        deriving: &[QueryPlan],
+        processing: &[CombinedPlan],
+        redundant: &[QueryPlan],
+    ) -> Vec<Self> {
+        fn patterns(plan: &QueryPlan) -> impl Iterator<Item = usize> + '_ {
+            let ops = plan.ops.iter().enumerate();
+            ops.filter(|(_, op)| op.is_pattern()).map(|(i, _)| i)
         }
+        let mut index = Vec::new();
+        for (plan, p) in deriving.iter().enumerate() {
+            index.extend(patterns(p).map(|op| Self::Deriving { plan, op }));
+        }
+        for (combined, c) in processing.iter().enumerate() {
+            let groups = 0..c.shared_groups().len();
+            index.extend(groups.map(|group| Self::Group { combined, group }));
+            for (plan, p) in c.plans.iter().enumerate() {
+                index.extend(patterns(p).map(|op| Self::Member { combined, plan, op }));
+            }
+        }
+        for (plan, p) in redundant.iter().enumerate() {
+            index.extend(patterns(p).map(|op| Self::Redundant { plan, op }));
+        }
+        index
+    }
+
+    /// The operator's resident run state.
+    fn resident<'a>(
+        self,
+        deriving: &'a mut [QueryPlan],
+        processing: &'a mut [CombinedPlan],
+        redundant: &'a mut [QueryPlan],
+    ) -> &'a mut RunState {
+        match self {
+            Self::Deriving { plan, op } => deriving[plan].run_state_mut(op),
+            Self::Group { combined, group } => processing[combined].group_run_mut(group),
+            Self::Member { combined, plan, op } => {
+                processing[combined].plans[plan].run_state_mut(op)
+            }
+            Self::Redundant { plan, op } => redundant[plan].run_state_mut(op),
+        }
+    }
+
+    /// Read access to the operator's resident run state.
+    fn resident_ref(self, program: &ProgramTemplate) -> &RunState {
+        match self {
+            Self::Deriving { plan, op } => program.deriving[plan].run_state(op),
+            Self::Group { combined, group } => program.processing[combined].group_run(group),
+            Self::Member { combined, plan, op } => {
+                program.processing[combined].plans[plan].run_state(op)
+            }
+            Self::Redundant { plan, op } => program.redundant[plan].run_state(op),
+        }
+    }
+
+    /// The shared-prefix slabs stay out of the pool counters, as when
+    /// every partition owned a copy of the plans.
+    fn counts_in_pool(self) -> bool {
+        !matches!(self, Self::Group { .. })
+    }
+}
+
+/// Execution: the template *is* the engine's one executing program.
+/// A stream transaction runs the phases below against the shared
+/// operators, with its partition's [`PartitionRun`] bound.
+impl ProgramTemplate {
+    /// Swaps the partition's stored run states into their operators.
+    /// The partition stays bound — consecutive transactions of one
+    /// partition pay nothing — until [`unbind`](Self::unbind), which
+    /// must come before any other partition binds.
+    pub fn bind(&mut self, run: &mut PartitionRun) {
+        let Self {
+            deriving,
+            processing,
+            redundant,
+            stateful,
+            ..
+        } = self;
+        for (at, held) in stateful.iter().zip(&mut run.states) {
+            if let Some(held) = held {
+                std::mem::swap(at.resident(deriving, processing, redundant), &mut **held);
+            }
+        }
+    }
+
+    /// Moves every operator's live run state back into the partition's
+    /// record, leaving the operators empty. A state that emptied during
+    /// the transaction is not stored: its slab goes to the free list
+    /// the next new state is taken from, so steady-state churn (windows
+    /// closing and reopening, sessions ending and starting) allocates
+    /// nothing. Folds the slabs' reuse counts and high-water marks into
+    /// the engine-level pool counters.
+    pub fn unbind(&mut self, run: &mut PartitionRun) {
+        let Self {
+            deriving,
+            processing,
+            redundant,
+            stateful,
+            spare,
+            pool_reused,
+            pool_peak,
+            ..
+        } = self;
+        let mut peak = 0;
+        let mut any_held = false;
+        for (i, at) in stateful.iter().enumerate() {
+            let resident = at.resident(deriving, processing, redundant);
+            let stored = run.states.get_mut(i).and_then(Option::take);
+            // The common case: nothing was bound here and the operator
+            // allocated and buffered nothing since its last recycle.
+            if stored.is_none() && resident.pool_peak() == 0 && !resident.has_state() {
+                continue;
+            }
+            if at.counts_in_pool() {
+                *pool_reused += resident.take_pool_reused();
+                peak += resident.pool_peak();
+            }
+            if resident.has_state() {
+                let mut stored = stored.or_else(|| spare.pop()).unwrap_or_default();
+                std::mem::swap(resident, &mut *stored);
+                if run.states.is_empty() {
+                    run.states.resize_with(stateful.len(), || None);
+                }
+                run.states[i] = Some(stored);
+                any_held = true;
+            } else {
+                resident.recycle();
+                // `stored` is what was resident at bind time: empty too.
+                if spare.len() < SPARE_RUN_STATES {
+                    spare.extend(stored);
+                }
+            }
+        }
+        *pool_peak = (*pool_peak).max(peak);
+        if !any_held {
+            run.states.clear();
+        }
+        run.refresh_bytes();
+    }
+
+    /// Live partial matches of the bound partition (the memory metric:
+    /// those of the deriving and processing plans, not the shared
+    /// prefixes' or the baseline's clones').
+    #[must_use]
+    pub fn live_partials(&self) -> usize {
+        let counted = self
+            .stateful
+            .iter()
+            .filter(|at| matches!(at, StatefulOp::Deriving { .. } | StatefulOp::Member { .. }));
+        counted
+            .map(|at| at.resident_ref(self).live_partials())
+            .sum()
+    }
+
+    /// Heap estimate of the bound partition's record as
+    /// [`unbind`](Self::unbind) would leave it, `None` if it would be
+    /// empty — what the state-size gauges add for the one partition
+    /// that is not in the engine's map.
+    #[must_use]
+    pub fn bound_bytes(&self, run: &PartitionRun) -> Option<usize> {
+        let live = || {
+            let residents = self.stateful.iter().map(|at| at.resident_ref(self));
+            residents.filter(|r| r.has_state())
+        };
+        if live().next().is_none() && run.feedback.is_empty() {
+            return None;
+        }
+        let slots = self.stateful.len();
+        Some(PartitionRun::record_bytes(slots, &run.feedback, live()))
+    }
+
+    /// Partial-pool efficacy across all partitions so far, the bound
+    /// one included: `(slab slots reused from a free list, largest
+    /// per-partition sum of the operators' slab high-water marks)`.
+    #[must_use]
+    pub fn pool_stats(&self) -> (u64, usize) {
+        let pooled = self.stateful.iter().filter(|at| at.counts_in_pool());
+        let (reused, peak) = pooled
+            .map(|at| at.resident_ref(self))
+            .fold((0, 0), |(reused, peak), r| {
+                (reused + r.pool_reused(), peak + r.pool_peak())
+            });
+        (self.pool_reused + reused, self.pool_peak.max(peak))
     }
 
     /// Phase 1 of a transaction: context derivation. All input events run
@@ -269,23 +558,18 @@ impl PartitionPrograms {
         &mut self,
         events: &[Event],
         table: &ContextTable,
-        _out: &mut PlanOutput,
+        run: &mut PartitionRun,
     ) -> Vec<Transition> {
-        let Self {
-            deriving,
-            feedback,
-            sink,
-            ..
-        } = self;
+        let Self { deriving, sink, .. } = self;
         sink.clear();
-        let pending: Vec<Event> = std::mem::take(feedback);
         for plan in deriving.iter_mut() {
-            for ev in pending.iter().chain(events.iter()) {
+            for ev in run.feedback.iter().chain(events.iter()) {
                 if plan.consumes(ev.type_id) {
                     plan.process(ev, table, sink);
                 }
             }
         }
+        run.feedback.clear();
         // Deriving queries have no DERIVE clause: their chain output is
         // just the pass-through trigger match, not an output-stream
         // event — only the transitions matter.
@@ -303,24 +587,24 @@ impl PartitionPrograms {
         &mut self,
         cols: &mut ColumnarBatch<'_>,
         table: &ContextTable,
+        run: &mut PartitionRun,
     ) -> Vec<Transition> {
         let Self {
             deriving,
-            feedback,
             sink,
             scratch,
             ..
         } = self;
         sink.clear();
-        let pending: Vec<Event> = std::mem::take(feedback);
         for plan in deriving.iter_mut() {
-            for ev in &pending {
+            for ev in &run.feedback {
                 if plan.consumes(ev.type_id) {
                     plan.process(ev, table, sink);
                 }
             }
             plan.process_batch(cols, table, sink, scratch);
         }
+        run.feedback.clear();
         std::mem::take(&mut sink.transitions)
     }
 
@@ -365,33 +649,26 @@ impl PartitionPrograms {
     /// Phase 2 of a transaction: context processing. In context-aware
     /// mode the router has already selected active plans (`active` holds
     /// indices into `processing`); in the baseline every plan runs.
-    /// Derived events are also queued as feedback for the next
-    /// derivation pass.
+    /// Derived events a deriving plan consumes are also queued as
+    /// feedback for the partition's next derivation pass.
     pub fn run_processing(
         &mut self,
         events: &[Event],
         table: &ContextTable,
         active: &[usize],
+        run: &mut PartitionRun,
         out: &mut PlanOutput,
     ) {
-        let Self {
-            processing,
-            feedback,
-            sink,
-            ..
-        } = self;
-        sink.clear();
+        self.sink.clear();
         for &idx in active {
-            let plan = &mut processing[idx];
+            let plan = &mut self.processing[idx];
             for ev in events {
                 if plan.consumes_external(ev.type_id) {
-                    plan.process(ev, table, sink);
+                    plan.process(ev, table, &mut self.sink);
                 }
             }
         }
-        feedback.extend(sink.events.iter().cloned());
-        out.events.append(&mut sink.events);
-        out.transitions.append(&mut sink.transitions);
+        self.emit_processed(run, out);
     }
 
     /// Batched [`run_processing`](Self::run_processing): one batch call
@@ -404,52 +681,61 @@ impl PartitionPrograms {
         cols: &mut ColumnarBatch<'_>,
         table: &ContextTable,
         active: &[usize],
+        run: &mut PartitionRun,
         out: &mut PlanOutput,
     ) {
+        self.sink.clear();
+        for &idx in active {
+            self.processing[idx].process_batch(cols, table, &mut self.sink);
+        }
+        self.emit_processed(run, out);
+    }
+
+    /// Moves the processing phase's sink into `out`, queueing as
+    /// feedback the derived events some deriving plan consumes (the
+    /// others would be skipped by every plan of the next derivation
+    /// pass, and would keep an otherwise stateless partition's record
+    /// alive until then).
+    fn emit_processed(&mut self, run: &mut PartitionRun, out: &mut PlanOutput) {
         let Self {
-            processing,
-            feedback,
             sink,
+            feedback_types,
             ..
         } = self;
-        sink.clear();
-        for &idx in active {
-            processing[idx].process_batch(cols, table, sink);
-        }
-        feedback.extend(sink.events.iter().cloned());
+        let consumed = sink
+            .events
+            .iter()
+            .filter(|e| feedback_types.contains(&e.type_id));
+        run.feedback.extend(consumed.cloned());
         out.events.append(&mut sink.events);
         out.transitions.append(&mut sink.transitions);
     }
 
     /// Context-history maintenance after a window of `bit` terminated in
-    /// this partition (§6.2 "Context Processing"):
+    /// the bound partition (§6.2 "Context Processing"):
     /// * plans scoped to `bit` alone discard their partial matches;
     /// * shared plans spanning other still-open member windows only
     ///   expire partials that started before every still-open member
     ///   window began (Figure 7's grouped-window expiry).
     pub fn on_context_terminated(&mut self, bit: u8, partition: PartitionId, table: &ContextTable) {
-        fn reset_or_expire(
-            plan: &mut QueryPlan,
-            bit: u8,
-            pc: &caesar_algebra::context_table::PartitionContexts,
-        ) {
+        fn reset_or_expire(plan: &mut QueryPlan, bit: u8, pc: &PartitionContexts) {
             let Some(Op::ContextWindow(cw)) = plan.ops.iter().find(|o| o.is_context_window())
             else {
                 return;
             };
-            let bits = cw.all_bits();
-            if !bits.contains(&bit) {
+            if !cw.bits().any(|b| b == bit) {
                 return;
             }
-            // Member windows still open (other than the terminated one).
-            let still_open_starts: Vec<Time> = bits
-                .iter()
-                .filter(|&&b| b != bit && pc.holds(b))
-                .filter_map(|&b| pc.open_span(b).map(|w| w.initiated))
-                .collect();
-            match still_open_starts.iter().min() {
+            // Earliest start among the member windows still open
+            // (other than the terminated one).
+            let earliest: Option<Time> = cw
+                .bits()
+                .filter(|&b| b != bit && pc.holds(b))
+                .filter_map(|b| pc.open_span(b).map(|w| w.initiated))
+                .min();
+            match earliest {
                 None => plan.reset_state(),
-                Some(&earliest) => plan.expire_history(earliest),
+                Some(earliest) => plan.expire_history(earliest),
             }
         }
         let pc = table.partition(partition);
@@ -460,11 +746,11 @@ impl PartitionPrograms {
                 c.reset_shared_gated();
             }
             for plan in &mut c.plans {
-                reset_or_expire(plan, bit, &pc);
+                reset_or_expire(plan, bit, pc);
             }
         }
         for plan in &mut self.deriving {
-            reset_or_expire(plan, bit, &pc);
+            reset_or_expire(plan, bit, pc);
         }
     }
 
@@ -487,51 +773,28 @@ impl PartitionPrograms {
         }
     }
 
-    /// Indices of the processing plans whose gate admits time `t` at
-    /// `partition` — the context-aware router's batch-level selection.
+    /// Fills `active` with the indices of the processing plans whose
+    /// gate admits time `t` at `partition` — the context-aware router's
+    /// batch-level selection, one context-table lookup per transaction.
     /// In baseline mode every plan is selected.
-    #[must_use]
     pub fn active_processing(
         &self,
         partition: PartitionId,
         t: Time,
         table: &ContextTable,
-    ) -> Vec<usize> {
+        active: &mut Vec<usize>,
+    ) {
+        active.clear();
         if self.mode == Mode::ContextIndependent {
-            return (0..self.processing.len()).collect();
+            active.extend(0..self.processing.len());
+            return;
         }
-        self.gates
-            .iter()
-            .enumerate()
-            .filter(|(_, bits)| bits.iter().any(|&b| table.admits(partition, b, t)))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Live partial matches across all plans (memory metric).
-    #[must_use]
-    pub fn live_partials(&self) -> usize {
-        self.deriving
-            .iter()
-            .map(QueryPlan::live_partials)
-            .chain(
-                self.processing
-                    .iter()
-                    .flat_map(|c| c.plans.iter().map(QueryPlan::live_partials)),
-            )
-            .sum()
-    }
-
-    /// Partial-pool efficacy across all plans (including the baseline's
-    /// redundant clones): `(slots reused, peak live partials)`.
-    #[must_use]
-    pub fn pool_stats(&self) -> (u64, usize) {
-        self.deriving
-            .iter()
-            .chain(self.processing.iter().flat_map(|c| c.plans.iter()))
-            .chain(self.redundant.iter())
-            .map(QueryPlan::pool_stats)
-            .fold((0, 0), |(r, p), (pr, pp)| (r + pr, p + pp))
+        let pc = table.partition(partition);
+        for (idx, bits) in self.gates.iter().enumerate() {
+            if bits.iter().any(|&b| pc.admits(b, t)) {
+                active.push(idx);
+            }
+        }
     }
 }
 
@@ -625,7 +888,7 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        assert_eq!(cw.all_bits().len(), 2);
+        assert_eq!(cw.bits().count(), 2);
         assert_eq!(template.fanout.len(), 1);
     }
 
@@ -648,27 +911,26 @@ mod tests {
     #[test]
     fn router_selects_only_active_contexts() {
         let (template, _reg, names, default_bit) = setup(false, Mode::ContextAware);
-        let programs = PartitionPrograms::from_template(&template);
         let table = ContextTable::new(names.len(), default_bit);
-        let active = programs.active_processing(PartitionId(0), 5, &table);
+        let mut active = Vec::new();
+        template.active_processing(PartitionId(0), 5, &table, &mut active);
         // Only the idle (default) context's combined plan is active.
         assert_eq!(active.len(), 1);
-        assert_eq!(programs.processing[active[0]].context, "idle");
+        assert_eq!(template.processing[active[0]].context, "idle");
     }
 
     #[test]
     fn baseline_router_selects_everything() {
         let (template, _reg, names, default_bit) = setup(false, Mode::ContextIndependent);
-        let programs = PartitionPrograms::from_template(&template);
         let table = ContextTable::new(names.len(), default_bit);
-        let active = programs.active_processing(PartitionId(0), 5, &table);
-        assert_eq!(active.len(), programs.processing.len());
+        let mut active = vec![7];
+        template.active_processing(PartitionId(0), 5, &table, &mut active);
+        assert_eq!(active.len(), template.processing.len());
     }
 
     #[test]
     fn derivation_produces_transitions() {
-        let (template, reg, names, default_bit) = setup(false, Mode::ContextAware);
-        let mut programs = PartitionPrograms::from_template(&template);
+        let (mut template, reg, names, default_bit) = setup(false, Mode::ContextAware);
         let table = ContextTable::new(names.len(), default_bit);
         let spike = Event::simple(
             reg.lookup("Spike").unwrap(),
@@ -676,39 +938,47 @@ mod tests {
             PartitionId(0),
             vec![Value::Int(1)],
         );
-        let mut out = PlanOutput::default();
-        let transitions = programs.run_derivation(&[spike], &table, &mut out);
+        let mut run = PartitionRun::default();
+        let transitions = template.run_derivation(&[spike], &table, &mut run);
         assert_eq!(transitions.len(), 2, "switch = terminate + initiate");
     }
 
     #[test]
     fn processing_respects_active_selection() {
-        let (template, reg, names, default_bit) = setup(false, Mode::ContextAware);
-        let mut programs = PartitionPrograms::from_template(&template);
+        let (mut template, reg, names, default_bit) = setup(false, Mode::ContextAware);
         let table = ContextTable::new(names.len(), default_bit);
         let mut out = PlanOutput::default();
-        let active = programs.active_processing(PartitionId(0), 5, &table);
-        programs.run_processing(&[reading(&reg, 5, 3)], &table, &active, &mut out);
+        let mut active = Vec::new();
+        template.active_processing(PartitionId(0), 5, &table, &mut active);
+        let mut run = PartitionRun::default();
+        template.run_processing(&[reading(&reg, 5, 3)], &table, &active, &mut run, &mut out);
         // Ping fires in idle; Heavy (busy) suspended.
         let ping = reg.lookup("Ping").unwrap();
         assert!(out.events.iter().all(|e| e.type_id == ping));
         assert_eq!(out.events.len(), 1);
+        // No deriving plan consumes Ping: nothing queues as feedback,
+        // and these stateless plans leave nothing to store.
+        template.unbind(&mut run);
+        assert!(run.is_empty());
     }
 
     #[test]
     fn context_termination_resets_plain_plans() {
-        let (template, reg, names, default_bit) = setup(false, Mode::ContextAware);
-        let mut programs = PartitionPrograms::from_template(&template);
+        let (mut template, reg, names, default_bit) = setup(false, Mode::ContextAware);
         let mut table = ContextTable::new(names.len(), default_bit);
         let busy_bit = names.iter().position(|n| n == "busy").unwrap() as u8;
         table.partition_mut(PartitionId(0)).initiate(busy_bit, 0);
         // Feed an event so plans in busy could build state, then
         // terminate busy and confirm reset.
         let mut out = PlanOutput::default();
-        let active = programs.active_processing(PartitionId(0), 5, &table);
-        programs.run_processing(&[reading(&reg, 5, 50)], &table, &active, &mut out);
+        let mut active = Vec::new();
+        template.active_processing(PartitionId(0), 5, &table, &mut active);
+        let mut run = PartitionRun::default();
+        template.run_processing(&[reading(&reg, 5, 50)], &table, &active, &mut run, &mut out);
         table.partition_mut(PartitionId(0)).terminate(busy_bit, 6);
-        programs.on_context_terminated(busy_bit, PartitionId(0), &table);
-        assert_eq!(programs.live_partials(), 0);
+        template.on_context_terminated(busy_bit, PartitionId(0), &table);
+        assert_eq!(template.live_partials(), 0);
+        template.unbind(&mut run);
+        assert!(run.is_empty());
     }
 }

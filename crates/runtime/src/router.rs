@@ -7,9 +7,10 @@
 //! do not receive any input. They are suspended to avoid busy waiting."
 //!
 //! Routing is batch-level and O(active contexts): one bit-vector lookup
-//! selects the combined plans fed for a whole transaction.
+//! against the program's gates selects the combined plans fed for a
+//! whole transaction.
 
-use crate::programs::PartitionPrograms;
+use crate::programs::ProgramTemplate;
 use caesar_algebra::context_table::ContextTable;
 use caesar_events::{PartitionId, Time};
 use serde::{Deserialize, Serialize};
@@ -36,34 +37,24 @@ impl Router {
         Self::default()
     }
 
-    /// Selects the active processing plans for one transaction,
-    /// updating the suspension counters.
+    /// Selects the active processing plans for one transaction of
+    /// `events` events into `active` (a caller-owned buffer, so routing
+    /// allocates nothing), updating the suspension and amortization
+    /// counters.
     pub fn select(
         &mut self,
-        programs: &PartitionPrograms,
-        partition: PartitionId,
-        t: Time,
-        table: &ContextTable,
-    ) -> Vec<usize> {
-        let active = programs.active_processing(partition, t, table);
-        self.batches_routed += 1;
-        self.plans_fed += active.len() as u64;
-        self.plans_suspended += (programs.processing.len() - active.len()) as u64;
-        active
-    }
-
-    /// [`select`](Self::select) for a transaction of `events` events:
-    /// same single routing decision, plus amortization accounting.
-    pub fn select_batch(
-        &mut self,
-        programs: &PartitionPrograms,
+        program: &ProgramTemplate,
         partition: PartitionId,
         t: Time,
         table: &ContextTable,
         events: u64,
-    ) -> Vec<usize> {
+        active: &mut Vec<usize>,
+    ) {
+        program.active_processing(partition, t, table, active);
         self.events_routed += events;
-        self.select(programs, partition, t, table)
+        self.batches_routed += 1;
+        self.plans_fed += active.len() as u64;
+        self.plans_suspended += (program.processing.len() - active.len()) as u64;
     }
 
     /// Mean events per routing decision — how far one context lookup

@@ -122,3 +122,55 @@ fn sharded_execution_matches_oracle() {
         assert_eq!(report.outputs_of("TollNotification_1"), oracle.real_tolls);
     }
 }
+
+/// The statistics gatherer reports the *stream's* selectivity and match
+/// rate, not those of whichever partition has the highest id: partition
+/// 0 passes every reading and pairs up every mark, partition 9 passes
+/// no reading and sees a single mark.
+#[test]
+fn gathered_stats_aggregate_over_partitions() {
+    let mut sys = caesar_testkit::fixture::system(
+        &[
+            ("Reading", &[("v", AttrType::Int)]),
+            ("Mark", &[("v", AttrType::Int)]),
+        ],
+        50,
+        r#"
+            MODEL m DEFAULT on
+            CONTEXT on {
+                DERIVE Hot(r.v) PATTERN Reading r WHERE r.v > 10
+                DERIVE Pair(a.v, b.v) PATTERN SEQ(Mark a, Mark b)
+            }
+        "#,
+        EngineConfig::default(),
+    );
+    let mut events = Vec::new();
+    let mut push = |sys: &CaesarSystem, ty: &str, t: Time, partition: u32, v: i64| {
+        let event = sys.event(ty, t).unwrap().partition(PartitionId(partition));
+        events.push(event.attr("v", v).unwrap().build().unwrap());
+    };
+    for t in 1..=10u64 {
+        push(&sys, "Reading", t, 0, 50);
+        push(&sys, "Mark", t, 0, 1);
+        for _ in 0..3 {
+            push(&sys, "Reading", t, 9, 1);
+        }
+        if t == 1 {
+            push(&sys, "Mark", t, 9, 1);
+        }
+    }
+    sys.run_stream(&mut VecStream::new(events)).unwrap();
+    sys.finish();
+    let obs = sys.engine.gather_stats();
+
+    // 10 of 40 readings pass `v > 10` (partition 9 alone: 0 of 30).
+    let selectivities: Vec<f64> = obs.filter_selectivities.values().copied().collect();
+    assert_eq!(selectivities, [0.25]);
+    // Partition 0's k-th mark completes k − 1 pairs, 45 in all, over
+    // its 10 marks and partition 9's one (partition 9 alone: 0 of 1).
+    let rates: Vec<f64> = obs.pattern_match_rates.values().copied().collect();
+    assert!(
+        rates.contains(&(45.0 / 11.0)),
+        "pattern match rates {rates:?}: 45 pairs over 11 marks"
+    );
+}

@@ -3,12 +3,17 @@
 //!
 //! * sharded output ≡ sequential output, byte for byte (canonical
 //!   per-event encodings — shards interleave emission order, which is
-//!   not part of the contract), and
+//!   not part of the contract),
 //! * per-partition pattern state is reclaimed after sessions close:
 //!   the engine's peak live-partials watermark stays orders of
 //!   magnitude below both the partition count and the event count, and
 //!   the partial-slab pool reports reuse (freed slots recycled rather
-//!   than state accumulating per partition).
+//!   than state accumulating per partition), and
+//! * the engine holds run state only for the partitions where some
+//!   operator has a live partial, parked match or buffered negated
+//!   event: the partitions whose last session left one mid-stream,
+//!   none once the stream drains, and none for a partition that only
+//!   saw events no pattern retains.
 //!
 //! This is also the regression test for the sparse partition
 //! structures: scattered ids near `u32::MAX` would OOM any
@@ -16,14 +21,15 @@
 //! must spread structured id sets across all shards.
 
 use caesar::clickstream::{
-    clickstream_model, clickstream_registry, generate, output_types, ClickConfig, DEFAULT_WITHIN,
+    clickstream_model, clickstream_registry, generate, output_types, ClickConfig, ClickSummary,
+    DEFAULT_WITHIN,
 };
 use caesar::prelude::*;
-use caesar_runtime::{run_mode_full, ModeSpec};
+use caesar_runtime::{run_mode_full, Engine, ModeSpec};
 use caesar_testkit::{build_programs, canonical, Workload};
 
-#[test]
-fn sharded_equals_sequential_at_100k_partitions() {
+/// ≥ 100k scattered user partitions, one short session each for most.
+fn scale_workload() -> (Workload, ClickSummary) {
     let config = ClickConfig {
         users: 1_000_000,
         sessions: 105_000,
@@ -61,6 +67,12 @@ fn sharded_equals_sequential_at_100k_partitions() {
         reorder_slack: 0,
         output_types: output_types(1),
     };
+    (workload, summary)
+}
+
+#[test]
+fn sharded_equals_sequential_at_100k_partitions() {
+    let (workload, summary) = scale_workload();
     let (optimized, _, registry) = build_programs(&workload).expect("build");
     let engine_config = EngineConfig::builder()
         .batch(BatchPolicy::default())
@@ -122,4 +134,59 @@ fn sharded_equals_sequential_at_100k_partitions() {
         seq_report.metrics.counters.get("spec_pool_reuse").copied() > Some(0),
         "partial-slab pool never reused a freed slot"
     );
+}
+
+#[test]
+fn run_state_is_held_only_where_state_is_live() {
+    let (workload, summary) = scale_workload();
+    let (optimized, _, registry) = build_programs(&workload).expect("build");
+    let mut engine = Engine::new(optimized, &registry, EngineConfig::default());
+    for event in &workload.events {
+        engine.ingest(event.clone()).expect("in-order stream");
+    }
+    // An event of the named type (payload borrowed from the stream) for
+    // a partition the stream never touched.
+    let fresh = PartitionId(77);
+    assert!(workload.events.iter().all(|e| e.partition != fresh));
+    let lone = |name: &str, t: Time| {
+        let ty = registry.lookup(name).expect("clickstream input type");
+        let like = workload.events.iter().find(|e| e.type_id == ty);
+        let attrs = like.expect("type occurs in the stream").attrs.to_vec();
+        Event::simple(ty, t, fresh, attrs)
+    };
+    let end = summary.max_time;
+
+    // Every transaction of the generated stream has executed once the
+    // watermark passes `end`. A browse session leaves its views behind
+    // as open BrowsePath partials (nothing advances an idle partition's
+    // watermark before `finish`); every other kind of session ends on a
+    // context switch that discards what it built. So run state is held
+    // for exactly the partitions whose last session browsed: at most
+    // one per browse session, and at least that minus the sessions that
+    // share their partition with another one.
+    engine.ingest(lone("CaptchaOk", end + 1)).unwrap();
+    let held = engine.partitions_with_state();
+    let shared = summary.sessions - summary.partitions_touched;
+    assert!(
+        summary.browse_sessions - shared <= held && held <= summary.browse_sessions,
+        "{held} of {} partitions hold run state, {} sessions browsed, {shared} share a partition",
+        summary.partitions_touched,
+        summary.browse_sessions
+    );
+
+    // In the default `browsing` context nothing retains a CaptchaOk,
+    // a SessionEnd or a Purchase (their consumers are suspended)...
+    engine.ingest(lone("SessionEnd", end + 2)).unwrap();
+    engine.ingest(lone("Purchase", end + 3)).unwrap();
+    engine.ingest(lone("View", end + 4)).unwrap();
+    assert_eq!(engine.partitions_with_state(), held);
+    // ...while a View opens a BrowsePath partial.
+    engine.ingest(lone("CaptchaOk", end + 5)).unwrap();
+    assert_eq!(engine.partitions_with_state(), held + 1);
+
+    // Draining: every pattern has a WITHIN horizon, so the final
+    // watermark flushes the last partial, and with it the last record.
+    let report = engine.finish();
+    assert_eq!(report.events_in, summary.events as u64 + 5);
+    assert_eq!(engine.partitions_with_state(), 0);
 }

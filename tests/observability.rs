@@ -215,6 +215,23 @@ fn counters_level_records_live_counters() {
         );
     }
 
+    // State-size gauges: mid-stream, partition 0 is `busy` with an open
+    // `SEQ(Mark, Mark)` partial; the final watermark of `finish` flushes
+    // it, and with it the last run state the engine holds.
+    let mut live = build(ObservabilityLevel::Counters, BatchPolicy::default(), true);
+    for event in events(&live) {
+        live.ingest(event).unwrap();
+    }
+    let gauges = live.engine.metrics_snapshot().counters;
+    assert_eq!(gauges["partitions_materialized"], 3);
+    assert_eq!(
+        gauges["partitions_with_state"],
+        live.engine.partitions_with_state() as u64
+    );
+    assert!(gauges["partitions_with_state"] >= 1 && gauges["run_state_bytes"] > 0);
+    assert_eq!(m.counters["partitions_with_state"], 0);
+    assert_eq!(m.counters["run_state_bytes"], 0);
+
     let off = run(ObservabilityLevel::Off, BatchPolicy::default(), true);
     assert!(off.report.metrics.counters.is_empty());
     assert!(off.report.metrics.stages.is_empty());
@@ -266,4 +283,129 @@ fn histogram_buckets_round_trip_through_serde() {
     assert_eq!(sizes, back);
     assert_eq!(back.count, 3);
     assert_eq!(back.max, 100_000);
+}
+
+/// One line per metric family: full per-key rows where the family is
+/// small (contexts, outputs), key count + column sums + an FNV-1a hash
+/// of the per-key rows where it is not (operators, queries).
+fn pinned(report: &RunReport) -> Vec<String> {
+    fn digest<'a>(rows: impl Iterator<Item = (&'a String, Vec<u64>)>) -> String {
+        let (mut n, mut sums, mut fnv) = (0, Vec::new(), 0xcbf2_9ce4_8422_2325u64);
+        for (key, row) in rows {
+            n += 1;
+            sums.resize(row.len(), 0);
+            for (sum, v) in sums.iter_mut().zip(&row) {
+                *sum += v;
+            }
+            for byte in format!("{key}{row:?}").bytes() {
+                fnv = (fnv ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        format!("n={n} sums={sums:?} fnv={fnv:016x}")
+    }
+    let m = &report.metrics;
+    let operators = m.operators.iter().map(|(k, o)| {
+        let row = vec![
+            o.events_in,
+            o.events_out,
+            o.kernel_rows,
+            o.fallback_rows,
+            o.errors,
+        ];
+        (k, row)
+    });
+    let queries = m.queries.iter().map(|(k, q)| {
+        let row = vec![q.events_in, q.matches_out, q.kernel_rows, q.fallback_rows];
+        (k, row)
+    });
+    let contexts: Vec<String> = m
+        .contexts
+        .iter()
+        .map(|(k, c)| {
+            format!(
+                "{k}={}/{}/{}/{}",
+                c.active_ticks, c.suspended_ticks, c.events_admitted, c.events_dropped
+            )
+        })
+        .collect();
+    let outputs: Vec<String> = report
+        .outputs_by_type
+        .iter()
+        .map(|(k, n)| format!("{k}={n}"))
+        .collect();
+    vec![
+        format!("operators {}", digest(operators)),
+        format!("queries {}", digest(queries)),
+        format!("contexts {}", contexts.join(" ")),
+        format!("outputs {}", outputs.join(" ")),
+    ]
+}
+
+/// Operator counters accumulate once per engine, per (plan, operator);
+/// before the program / run-state split every partition carried its own
+/// set and the snapshot summed them. The totals must not have moved:
+/// the literals below were captured from the per-partition-clone engine
+/// (commit 44883b6) on a multi-partition Linear Road run and a
+/// clickstream run.
+#[test]
+fn metric_totals_match_the_per_partition_counter_engine() {
+    use caesar::clickstream::{clickstream_builder, generate, ClickConfig};
+    use caesar::linear_road::{lr_model, lr_registry, LinearRoadConfig, TrafficSim};
+
+    let config = EngineConfig::builder()
+        .observability(ObservabilityLevel::Counters)
+        .build();
+
+    let mut sim = TrafficSim::new(LinearRoadConfig {
+        segments_per_road: 4,
+        duration: 300,
+        seed: 3,
+        base_cars: 150.0,
+        peak_cars: 250.0,
+        ..Default::default()
+    });
+    let events = sim.generate();
+    let mut lr = Caesar::builder().model(lr_model(2)).within(60);
+    for (_, schema) in lr_registry().iter() {
+        let attrs: Vec<(&str, AttrType)> = schema.attrs.iter().map(|a| (&*a.name, a.ty)).collect();
+        lr = lr.schema(&schema.name, &attrs);
+    }
+    let mut lr = lr.engine_config(config).build().unwrap();
+    lr.run_stream(&mut VecStream::new(events)).unwrap();
+    assert_eq!(
+        pinned(&lr.finish()),
+        [
+            "operators n=38 sums=[75382, 63698, 3656, 0, 0] fnv=f014ca1ea97145fb",
+            "queries n=12 sums=[25174, 13490, 3656, 0] fnv=e24effb4e919cae8",
+            "contexts accident=130/1056/2450/0 clear=331/855/5592/0 congestion=725/461/17132/0",
+            "outputs AccidentWarning=1052 AccidentWarning_1=1052 NewTravelingCar=1910 \
+             NewTravelingCar_1=1910 TollNotification=1910 TollNotification_1=1910 \
+             ZeroToll=1867 ZeroToll_1=1867",
+        ]
+    );
+
+    let mut clicks = clickstream_builder(2)
+        .engine_config(config)
+        .build()
+        .unwrap();
+    let click_config = ClickConfig {
+        users: 50_000,
+        sessions: 4_000,
+        ..ClickConfig::default()
+    };
+    let (events, summary) = generate(&click_config, &clicks.registry);
+    assert!(summary.partitions_touched > 1_000);
+    clicks.run_stream(&mut VecStream::new(events)).unwrap();
+    assert_eq!(
+        pinned(&clicks.finish()),
+        [
+            "operators n=58 sums=[147610, 123340, 0, 0, 0] fnv=c06b2cd2113aa2ae",
+            "queries n=19 sums=[55066, 30796, 0, 0] fnv=0a0f204c96553fef",
+            "contexts abandoning=1213/19812/2324/7484 bot_suspect=1227/19798/3376/0 \
+             browsing=14619/6406/20940/1932 engaged=3966/17059/14702/4308",
+            "outputs BotBurst=1396 BotBurst_1=1396 BrowsePath=9460 BrowsePath_1=9146 \
+             CartAbandoned=729 CartAbandoned_1=729 Conversion=1013 Conversion_1=1013 \
+             WinBack=281 WinBack_1=281",
+        ]
+    );
 }
