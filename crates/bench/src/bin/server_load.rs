@@ -5,7 +5,10 @@
 //! connection per tenant with windowed pipelined `INGEST` frames and
 //! measures sustained acknowledged throughput. Every tenant is
 //! `FINISH`ed at the end and its report must account for every event
-//! sent — an ack that outruns processing would show up here.
+//! sent — an ack that outruns processing would show up here. After the
+//! soak `/metrics` is scraped once: a tenant that handed its shards more
+//! runs than `frames × shards` has gone back to per-event hand-offs, and
+//! the run fails.
 //!
 //! Defaults: 8 tenants × 2 shards, 128 partitions per tenant (1024
 //! concurrent partitions), 150k events per tenant (1.2M total), frames
@@ -175,6 +178,40 @@ fn expect_ack(client: &mut Client, tenant: &str) {
     }
 }
 
+/// Scrapes `/metrics` and fails if any tenant's `hand_offs` entry shows
+/// more shard runs than `ingest_frames × shards`.
+fn check_hand_offs(addr: std::net::SocketAddr, tenants: usize) {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect /metrics");
+    stream
+        .write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
+        .expect("request /metrics");
+    let mut doc = String::new();
+    stream.read_to_string(&mut doc).expect("read /metrics");
+    let (_, hand_offs) = doc
+        .split_once("\"hand_offs\":{")
+        .expect("/metrics has a hand_offs section");
+    for i in 0..tenants {
+        let (_, rest) = hand_offs
+            .split_once(&format!("\"t{i}\":{{"))
+            .expect("every tenant has a hand_offs entry");
+        let entry = rest.split_once('}').expect("entry closes").0;
+        let field = |key: &str| -> u64 {
+            entry
+                .split(',')
+                .find_map(|pair| pair.strip_prefix(&format!("\"{key}\":")))
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("t{i}: no {key} in {entry}"))
+        };
+        let (runs, frames, shards) = (field("shard_runs"), field("ingest_frames"), field("shards"));
+        assert!(
+            runs <= frames * shards,
+            "t{i}: {runs} shard runs for {frames} frames on {shards} shards"
+        );
+    }
+    println!("hand-offs: shard_runs <= ingest_frames x shards on all {tenants} tenants");
+}
+
 fn main() {
     let tenants = env_usize("CAESAR_LOAD_TENANTS", 8).max(1);
     let shards = env_usize("CAESAR_LOAD_SHARDS", 2).max(1);
@@ -193,6 +230,7 @@ fn main() {
     }
     let handle = Server::start(ServerConfig {
         tenants: configs,
+        metrics_listen: Some("127.0.0.1:0".into()),
         ..ServerConfig::default()
     })
     .expect("server starts");
@@ -204,11 +242,17 @@ fn main() {
         tenants as u32 * partitions
     );
 
+    // Streams first, clock second: the wall time is the server's, not
+    // the generator's.
+    let streams: Vec<Vec<Event>> = (0..tenants)
+        .map(|i| gen_events(events_per_tenant, partitions, 0x9E37 * (i as u64 + 1)))
+        .collect();
     let start = Instant::now();
-    let threads: Vec<_> = (0..tenants)
-        .map(|i| {
+    let threads: Vec<_> = streams
+        .into_iter()
+        .enumerate()
+        .map(|(i, events)| {
             let tenant = format!("t{i}");
-            let events = gen_events(events_per_tenant, partitions, 0x9E37 * (i as u64 + 1));
             std::thread::spawn(move || drive(addr, tenant, events, frame, window))
         })
         .collect();
@@ -218,6 +262,7 @@ fn main() {
         .collect();
     let wall_s = start.elapsed().as_secs_f64();
 
+    check_hand_offs(handle.metrics_addr().expect("metrics listener"), tenants);
     handle.shutdown();
     let summary = handle.join();
     assert!(summary.clean(), "{:?}", summary.tenants);

@@ -274,11 +274,8 @@ impl CaesarSystem {
     }
 
     /// Ingests one event or a whole same-timestamp batch (anything
-    /// convertible into an [`caesar_events::EventBatch`]).
-    pub fn ingest(
-        &mut self,
-        input: impl Into<caesar_events::EventBatch>,
-    ) -> Result<(), CaesarError> {
+    /// convertible into a [`caesar_events::Ingest`]).
+    pub fn ingest(&mut self, input: impl Into<caesar_events::Ingest>) -> Result<(), CaesarError> {
         Ok(self.engine.ingest(input)?)
     }
 

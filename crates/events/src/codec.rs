@@ -131,65 +131,107 @@ pub fn encode_all(events: &[Event]) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes one event from the front of `buf`, advancing it.
-/// Returns `Ok(None)` when the buffer is empty.
+/// Decodes one event from the front of `buf`, advancing it past the
+/// event (not at all on error). Returns `Ok(None)` when the buffer is
+/// empty.
 pub fn decode(buf: &mut Bytes) -> Result<Option<Event>, CodecError> {
+    advancing(buf, |rest| decode_event(rest, &mut None))
+}
+
+/// Decodes every event in the buffer.
+pub fn decode_all(buf: Bytes) -> Result<Vec<Event>, CodecError> {
+    decode_slice(&buf)
+}
+
+/// Decodes every event in `buf` — a frame payload as it came off the
+/// socket. Equal string attributes of the frame's events share one
+/// allocation, so comparing two of them usually ends at the pointer.
+pub fn decode_slice(mut buf: &[u8]) -> Result<Vec<Event>, CodecError> {
+    let mut strings = Some(RecentStrings::default());
+    // As many bytes as the payload has: bounded by the frame, and a
+    // frame of small events (three attributes, 59 bytes on the wire)
+    // still fits without regrowing.
+    let mut out = Vec::with_capacity(buf.len() / std::mem::size_of::<Event>());
+    while let Some(e) = decode_event(&mut buf, &mut strings)? {
+        out.push(e);
+    }
+    Ok(out)
+}
+
+/// Runs a slice decoder over the unread part of `buf` and advances
+/// `buf` past what it consumed.
+fn advancing<T>(
+    buf: &mut Bytes,
+    parse: impl FnOnce(&mut &[u8]) -> Result<T, CodecError>,
+) -> Result<T, CodecError> {
+    let mut rest: &[u8] = buf;
+    let value = parse(&mut rest)?;
+    let used = buf.len() - rest.len();
+    buf.advance(used);
+    Ok(value)
+}
+
+/// The last few distinct string attributes decoded, newest overwriting
+/// oldest. A low-cardinality attribute (`lane`) decodes to clones of
+/// one `Arc<str>` instead of an allocation per event.
+#[derive(Default)]
+struct RecentStrings {
+    seen: [Option<Arc<str>>; 4],
+    next: usize,
+}
+
+impl RecentStrings {
+    fn intern(&mut self, raw: &[u8]) -> Result<Arc<str>, CodecError> {
+        if let Some(hit) = self.seen.iter().flatten().find(|s| s.as_bytes() == raw) {
+            return Ok(Arc::clone(hit));
+        }
+        let fresh = decode_str(raw)?;
+        self.seen[self.next] = Some(Arc::clone(&fresh));
+        self.next = (self.next + 1) % self.seen.len();
+        Ok(fresh)
+    }
+}
+
+fn decode_str(raw: &[u8]) -> Result<Arc<str>, CodecError> {
+    std::str::from_utf8(raw)
+        .map(Arc::from)
+        .map_err(|_| CodecError::BadUtf8)
+}
+
+/// Decodes one event from the front of `buf`, leaving `buf` at the
+/// next event.
+fn decode_event(
+    buf: &mut &[u8],
+    strings: &mut Option<RecentStrings>,
+) -> Result<Option<Event>, CodecError> {
     if buf.is_empty() {
         return Ok(None);
     }
-    if buf.remaining() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(CodecError::Truncated);
-    }
-    let mut body = buf.split_to(len);
-    let type_id = TypeId(read_u32(&mut body)?);
-    let start = read_u64(&mut body)?;
-    let end = read_u64(&mut body)?;
+    let len = read_u32(buf)? as usize;
+    let mut body = take(buf, len)?;
+    let body = &mut body;
+    let type_id = TypeId(read_u32(body)?);
+    let start = read_u64(body)?;
+    let end = read_u64(body)?;
     if start > end {
         return Err(CodecError::BadInterval);
     }
-    let partition = PartitionId(read_u32(&mut body)?);
-    let count = read_u16(&mut body)? as usize;
+    let partition = PartitionId(read_u32(body)?);
+    let count = read_u16(body)? as usize;
     let mut attrs = Vec::with_capacity(count);
     for _ in 0..count {
-        let tag = read_u8(&mut body)?;
-        attrs.push(match tag {
-            0 => Value::Null,
-            1 => {
-                ensure(&body, 8)?;
-                Value::Int(body.get_i64_le())
-            }
-            2 => {
-                ensure(&body, 8)?;
-                Value::Float(body.get_f64_le())
-            }
-            3 => {
-                ensure(&body, 1)?;
-                Value::Bool(body.get_u8() != 0)
-            }
-            4 => {
-                let len = read_u32(&mut body)? as usize;
-                ensure(&body, len)?;
-                let raw = body.split_to(len);
-                let s = std::str::from_utf8(&raw).map_err(|_| CodecError::BadUtf8)?;
-                Value::str(s)
-            }
-            other => return Err(CodecError::BadTag(other)),
-        });
+        attrs.push(decode_value(body, strings)?);
     }
     let mut event = Event::complex(type_id, Interval::new(start, end), partition, attrs);
-    if body.has_remaining() {
-        let steps = read_u16(&mut body)? as usize;
+    if !body.is_empty() {
+        let steps = read_u16(body)? as usize;
         let mut prov = Provenance {
             steps: Vec::with_capacity(steps),
         };
         for _ in 0..steps {
-            let step_type = TypeId(read_u32(&mut body)?);
-            let s = read_u64(&mut body)?;
-            let e = read_u64(&mut body)?;
+            let step_type = TypeId(read_u32(body)?);
+            let s = read_u64(body)?;
+            let e = read_u64(body)?;
             if s > e {
                 return Err(CodecError::BadInterval);
             }
@@ -203,13 +245,25 @@ pub fn decode(buf: &mut Bytes) -> Result<Option<Event>, CodecError> {
     Ok(Some(event))
 }
 
-/// Decodes every event in the buffer.
-pub fn decode_all(mut buf: Bytes) -> Result<Vec<Event>, CodecError> {
-    let mut out = Vec::new();
-    while let Some(e) = decode(&mut buf)? {
-        out.push(e);
-    }
-    Ok(out)
+fn decode_value(
+    body: &mut &[u8],
+    strings: &mut Option<RecentStrings>,
+) -> Result<Value, CodecError> {
+    Ok(match read_u8(body)? {
+        0 => Value::Null,
+        1 => Value::Int(i64::from_le_bytes(take_array(body)?)),
+        2 => Value::Float(f64::from_le_bytes(take_array(body)?)),
+        3 => Value::Bool(read_u8(body)? != 0),
+        4 => {
+            let len = read_u32(body)? as usize;
+            let raw = take(body, len)?;
+            Value::Str(match strings {
+                Some(recent) => recent.intern(raw)?,
+                None => decode_str(raw)?,
+            })
+        }
+        other => return Err(CodecError::BadTag(other)),
+    })
 }
 
 /// Tag byte of an [`OutputRecord::Emit`] frame.
@@ -245,11 +299,29 @@ pub fn encode_records(records: &[OutputRecord]) -> Bytes {
 /// Decodes one output record from the front of `buf`, advancing it.
 /// Returns `Ok(None)` when the buffer is empty.
 pub fn decode_record(buf: &mut Bytes) -> Result<Option<OutputRecord>, CodecError> {
+    advancing(buf, |rest| decode_record_at(rest, &mut None))
+}
+
+/// Decodes every output record in the buffer.
+pub fn decode_records(buf: Bytes) -> Result<Vec<OutputRecord>, CodecError> {
+    let mut rest: &[u8] = &buf;
+    let mut strings = Some(RecentStrings::default());
+    let mut out = Vec::new();
+    while let Some(r) = decode_record_at(&mut rest, &mut strings)? {
+        out.push(r);
+    }
+    Ok(out)
+}
+
+fn decode_record_at(
+    buf: &mut &[u8],
+    strings: &mut Option<RecentStrings>,
+) -> Result<Option<OutputRecord>, CodecError> {
     if buf.is_empty() {
         return Ok(None);
     }
     let tag = read_u8(buf)?;
-    let event = decode(buf)?.ok_or(CodecError::Truncated)?;
+    let event = decode_event(buf, strings)?.ok_or(CodecError::Truncated)?;
     match tag {
         RECORD_EMIT => Ok(Some(OutputRecord::Emit(event))),
         RECORD_RETRACT => Ok(Some(OutputRecord::Retract(event))),
@@ -257,41 +329,34 @@ pub fn decode_record(buf: &mut Bytes) -> Result<Option<OutputRecord>, CodecError
     }
 }
 
-/// Decodes every output record in the buffer.
-pub fn decode_records(mut buf: Bytes) -> Result<Vec<OutputRecord>, CodecError> {
-    let mut out = Vec::new();
-    while let Some(r) = decode_record(&mut buf)? {
-        out.push(r);
+/// Splits `n` bytes off the front of `buf`.
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
+    if buf.len() < n {
+        return Err(CodecError::Truncated);
     }
-    Ok(out)
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
 }
 
-fn ensure(buf: &Bytes, n: usize) -> Result<(), CodecError> {
-    if buf.remaining() < n {
-        Err(CodecError::Truncated)
-    } else {
-        Ok(())
-    }
+fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], CodecError> {
+    take(buf, N).map(|head| head.try_into().expect("take returned N bytes"))
 }
 
-fn read_u8(buf: &mut Bytes) -> Result<u8, CodecError> {
-    ensure(buf, 1)?;
-    Ok(buf.get_u8())
+fn read_u8(buf: &mut &[u8]) -> Result<u8, CodecError> {
+    take_array::<1>(buf).map(|[b]| b)
 }
 
-fn read_u16(buf: &mut Bytes) -> Result<u16, CodecError> {
-    ensure(buf, 2)?;
-    Ok(buf.get_u16_le())
+fn read_u16(buf: &mut &[u8]) -> Result<u16, CodecError> {
+    take_array(buf).map(u16::from_le_bytes)
 }
 
-fn read_u32(buf: &mut Bytes) -> Result<u32, CodecError> {
-    ensure(buf, 4)?;
-    Ok(buf.get_u32_le())
+fn read_u32(buf: &mut &[u8]) -> Result<u32, CodecError> {
+    take_array(buf).map(u32::from_le_bytes)
 }
 
-fn read_u64(buf: &mut Bytes) -> Result<u64, CodecError> {
-    ensure(buf, 8)?;
-    Ok(buf.get_u64_le())
+fn read_u64(buf: &mut &[u8]) -> Result<u64, CodecError> {
+    take_array(buf).map(u64::from_le_bytes)
 }
 
 #[cfg(test)]

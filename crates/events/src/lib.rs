@@ -41,8 +41,8 @@ pub mod value;
 
 pub use batch::{BatchPolicy, BatchedStream, Batcher};
 pub use codec::{
-    decode, decode_all, decode_record, decode_records, encode, encode_all, encode_record,
-    encode_records, encode_to_vec, CodecError,
+    decode, decode_all, decode_record, decode_records, decode_slice, encode, encode_all,
+    encode_record, encode_records, encode_to_vec, CodecError,
 };
 pub use columnar::{Column, ColumnKind, ColumnarBatch, ColumnarView, StrColumn};
 pub use error::EventError;
@@ -52,6 +52,6 @@ pub use queue::{EventQueue, PartitionedQueues};
 pub use record::OutputRecord;
 pub use reorder::{max_lateness, ReorderBuffer};
 pub use schema::{AttrId, AttrType, Schema, SchemaRegistry, Symbol, SymbolTable, TypeId};
-pub use stream::{EventBatch, EventStream, MergedStream, VecStream};
+pub use stream::{EventBatch, EventStream, Ingest, MergedStream, VecStream};
 pub use time::{Interval, Time, WindowSpan, TIME_MAX};
 pub use value::Value;

@@ -40,15 +40,26 @@ impl EventBatch {
     }
 }
 
-/// A single event is a one-event batch at its own timestamp — this is
-/// what lets `Engine::ingest` accept events and batches uniformly.
-impl From<Event> for EventBatch {
+/// What one `Engine::ingest` call takes: a single event or a
+/// same-timestamp batch. Both convert into it, so call sites pass either
+/// directly and a single event never pays for a one-element `Vec`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Ingest {
+    /// One event at its own timestamp.
+    Event(Event),
+    /// A same-timestamp batch.
+    Batch(EventBatch),
+}
+
+impl From<Event> for Ingest {
     fn from(event: Event) -> Self {
-        let time = event.time();
-        Self {
-            time,
-            events: vec![event],
-        }
+        Ingest::Event(event)
+    }
+}
+
+impl From<EventBatch> for Ingest {
+    fn from(batch: EventBatch) -> Self {
+        Ingest::Batch(batch)
     }
 }
 

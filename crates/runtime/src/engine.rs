@@ -13,7 +13,7 @@ use crate::txn::StreamTransaction;
 use caesar_algebra::context_table::{ContextTable, TransitionKind};
 use caesar_algebra::plan::PlanOutput;
 use caesar_events::{
-    BatchPolicy, ColumnarBatch, Event, EventBatch, EventError, EventStream, OutputRecord,
+    BatchPolicy, ColumnarBatch, Event, EventBatch, EventError, EventStream, Ingest, OutputRecord,
     ReorderBuffer, SchemaRegistry, Time, TypeId,
 };
 use caesar_optimizer::optimizer::OptimizedProgram;
@@ -783,7 +783,7 @@ impl Engine {
     }
 
     /// Ingests an event or a same-timestamp batch — the canonical
-    /// entrypoint; anything `Into<EventBatch>` (an [`Event`], an
+    /// entrypoint; anything `Into<Ingest>` (an [`Event`], an
     /// [`EventBatch`]) is accepted. Transactions whose timestamp the
     /// progress watermark passed are executed immediately.
     ///
@@ -798,32 +798,20 @@ impl Engine {
     /// A multi-event batch must be same-timestamp (its events form one
     /// stream transaction per partition); batching never changes
     /// results, only dispatch granularity.
-    pub fn ingest(&mut self, input: impl Into<EventBatch>) -> Result<(), EventError> {
-        let mut batch: EventBatch = input.into();
-        match batch.events.len() {
-            0 => Ok(()),
-            // A one-event batch takes the per-event path: same
-            // semantics, no batch bookkeeping.
-            1 => {
-                let event = batch.events.pop().expect("len checked");
-                self.ingest_event(event)
-            }
-            _ => self.ingest_batch_impl(batch),
+    pub fn ingest(&mut self, input: impl Into<Ingest>) -> Result<(), EventError> {
+        match input.into() {
+            Ingest::Event(event) => self.ingest_event(event),
+            Ingest::Batch(mut batch) => match batch.events.len() {
+                0 => Ok(()),
+                // A one-event batch takes the per-event path: same
+                // semantics, no batch bookkeeping.
+                1 => {
+                    let event = batch.events.pop().expect("len checked");
+                    self.ingest_event(event)
+                }
+                _ => self.ingest_batch_impl(batch),
+            },
         }
-    }
-
-    /// Deprecated alias of [`ingest`](Self::ingest), which now accepts
-    /// batches directly.
-    #[deprecated(note = "use `ingest`, which accepts any `Into<EventBatch>`")]
-    pub fn ingest_batch(&mut self, batch: EventBatch) -> Result<(), EventError> {
-        self.ingest(batch)
-    }
-
-    /// Deprecated alias of [`ingest`](Self::ingest), which handles
-    /// in-order and reorder-buffered input alike.
-    #[deprecated(note = "use `ingest`; ordering is enforced (or repaired) there")]
-    pub fn ingest_ordered(&mut self, event: Event) -> Result<(), EventError> {
-        self.ingest(event)
     }
 
     fn ingest_event(&mut self, event: Event) -> Result<(), EventError> {

@@ -13,7 +13,7 @@
 //! client observes a hard disconnect, never silent gaps inside an
 //! acknowledged stream).
 
-use crate::protocol::Response;
+use crate::protocol::{push_events, OUTPUTS, RETRACT};
 use crate::queue::{BoundedQueue, PushError};
 use caesar_events::Event;
 use parking_lot::Mutex;
@@ -85,6 +85,10 @@ pub(crate) struct OutputHub {
     subscribers: Mutex<Vec<Subscriber>>,
     next_id: AtomicU64,
     publish_timeout: Duration,
+    /// `OUTPUTS` + `RETRACT` frames published, and the events in them
+    /// (`/metrics`).
+    frames: AtomicU64,
+    events: AtomicU64,
 }
 
 impl OutputHub {
@@ -93,7 +97,17 @@ impl OutputHub {
             subscribers: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
             publish_timeout,
+            frames: AtomicU64::new(0),
+            events: AtomicU64::new(0),
         }
+    }
+
+    /// `(frames, events)` published so far.
+    pub(crate) fn published(&self) -> (u64, u64) {
+        (
+            self.frames.load(Ordering::Relaxed),
+            self.events.load(Ordering::Relaxed),
+        )
     }
 
     /// Registers a connection; the returned id unsubscribes it.
@@ -110,30 +124,40 @@ impl OutputHub {
 
     /// Sends one `OUTPUTS` frame to every live subscriber; subscribers
     /// that stay full past the publish timeout are dropped.
-    pub(crate) fn publish(&self, events: &[Event]) {
-        if events.is_empty() {
-            return;
-        }
-        self.publish_body(Response::Outputs(events.to_vec()).encode());
+    pub(crate) fn publish<'a>(&self, events: impl ExactSizeIterator<Item = &'a Event>) {
+        self.publish_frame(OUTPUTS, events);
     }
 
     /// Sends one `RETRACT` frame to every live subscriber — speculative
     /// tenants cancelling previously published outputs. Travels the
     /// same per-connection FIFO as `publish`, so a subscriber always
     /// sees a retraction after the emission it cancels.
-    pub(crate) fn publish_retractions(&self, events: &[Event]) {
-        if events.is_empty() {
-            return;
-        }
-        self.publish_body(Response::Retractions(events.to_vec()).encode());
+    pub(crate) fn publish_retractions<'a>(&self, events: impl ExactSizeIterator<Item = &'a Event>) {
+        self.publish_frame(RETRACT, events);
     }
 
-    /// Fans one pre-encoded frame body out to every live subscriber.
+    /// Encodes the borrowed events once and fans the frame out.
+    fn publish_frame<'a>(&self, kind: u8, events: impl ExactSizeIterator<Item = &'a Event>) {
+        if events.len() == 0 {
+            return;
+        }
+        self.frames.fetch_add(1, Ordering::Relaxed);
+        self.events
+            .fetch_add(events.len() as u64, Ordering::Relaxed);
+        self.publish_body(push_events(vec![kind], events));
+    }
+
+    /// Fans one pre-encoded frame body out to every live subscriber:
+    /// cloned for all but the last, which takes the body itself.
     fn publish_body(&self, body: Vec<u8>) {
-        // Encoded once by the caller, cloned per subscriber.
         let mut subs = self.subscribers.lock();
+        let mut left = subs.len();
+        let mut body = Some(body);
         subs.retain(|s| {
-            if s.out.send_timeout(body.clone(), self.publish_timeout) {
+            left -= 1;
+            let frame = if left == 0 { body.take() } else { body.clone() }
+                .expect("only the last subscriber takes the body");
+            if s.out.send_timeout(frame, self.publish_timeout) {
                 true
             } else {
                 s.out.mark_dead();

@@ -29,7 +29,7 @@
 //! and malformed bodies produce a typed [`ErrorCode`] — the accept loop
 //! never panics on wire input.
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use caesar_events::{codec, Event};
 use std::io::{self, Read, Write};
 
@@ -262,8 +262,26 @@ fn take_name(body: &[u8], at: usize) -> Result<(String, usize), FrameError> {
 }
 
 fn decode_events(payload: &[u8]) -> Result<Vec<Event>, FrameError> {
-    codec::decode_all(Bytes::copy_from_slice(payload))
-        .map_err(|e| FrameError::Malformed(format!("event codec: {e}")))
+    codec::decode_slice(payload).map_err(|e| FrameError::Malformed(format!("event codec: {e}")))
+}
+
+/// Kind byte of an `OUTPUTS` frame.
+pub(crate) const OUTPUTS: u8 = 0x83;
+/// Kind byte of a `RETRACT` frame.
+pub(crate) const RETRACT: u8 = 0x88;
+
+/// Appends the encodings of borrowed events to a frame body whose head
+/// (kind byte, tenant name) is already written.
+pub(crate) fn push_events<'a>(
+    head: Vec<u8>,
+    events: impl ExactSizeIterator<Item = &'a Event>,
+) -> Vec<u8> {
+    let mut buf = BytesMut::from(head);
+    buf.reserve(events.len() * 64);
+    for event in events {
+        codec::encode(event, &mut buf);
+    }
+    buf.into()
 }
 
 impl Request {
@@ -275,7 +293,7 @@ impl Request {
             Request::Ingest { tenant, events } => {
                 body.push(0x01);
                 push_name(&mut body, tenant);
-                body.extend_from_slice(&codec::encode_all(events));
+                body = push_events(body, events.iter());
             }
             Request::Subscribe { tenant } => {
                 body.push(0x02);
@@ -351,14 +369,7 @@ impl Response {
         match self {
             Response::Ack => body.push(0x81),
             Response::FlushOk => body.push(0x82),
-            Response::Outputs(events) => {
-                body.push(0x83);
-                let mut buf = BytesMut::new();
-                for event in events {
-                    codec::encode(event, &mut buf);
-                }
-                body.extend_from_slice(&buf);
-            }
+            Response::Outputs(events) => body = push_events(vec![OUTPUTS], events.iter()),
             Response::Report(report) => {
                 body.push(0x84);
                 body.extend_from_slice(&report.events_in.to_le_bytes());
@@ -379,14 +390,7 @@ impl Response {
             }
             Response::Pong => body.push(0x86),
             Response::ShutdownOk => body.push(0x87),
-            Response::Retractions(events) => {
-                body.push(0x88);
-                let mut buf = BytesMut::new();
-                for event in events {
-                    codec::encode(event, &mut buf);
-                }
-                body.extend_from_slice(&buf);
-            }
+            Response::Retractions(events) => body = push_events(vec![RETRACT], events.iter()),
         }
         body
     }
@@ -399,7 +403,7 @@ impl Response {
         match kind {
             0x81 => Ok(Response::Ack),
             0x82 => Ok(Response::FlushOk),
-            0x83 => Ok(Response::Outputs(decode_events(&body[1..])?)),
+            OUTPUTS => Ok(Response::Outputs(decode_events(&body[1..])?)),
             0x84 => {
                 let take_u64 = |at: usize| -> Result<u64, FrameError> {
                     body.get(at..at + 8)
@@ -438,7 +442,7 @@ impl Response {
             }
             0x86 => Ok(Response::Pong),
             0x87 => Ok(Response::ShutdownOk),
-            0x88 => Ok(Response::Retractions(decode_events(&body[1..])?)),
+            RETRACT => Ok(Response::Retractions(decode_events(&body[1..])?)),
             other => Err(FrameError::Malformed(format!(
                 "unknown response kind {other:#04x}"
             ))),

@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Why a push did not enqueue.
 #[derive(Debug, PartialEq, Eq)]
@@ -84,10 +84,13 @@ impl<T> BoundedQueue<T> {
     /// queue still at capacity.
     pub fn push_timeout(&self, item: T, timeout: Duration) -> Result<(), PushError<T>> {
         let mut state = self.state.lock().expect("queue poisoned");
-        let deadline = std::time::Instant::now() + timeout;
+        // The clock is read only once the queue is found full: a push
+        // that finds space costs no `Instant::now()`.
+        let mut deadline = None;
         while !state.closed && state.items.len() >= self.capacity {
-            let now = std::time::Instant::now();
+            let now = Instant::now();
             let Some(left) = deadline
+                .get_or_insert(now + timeout)
                 .checked_duration_since(now)
                 .filter(|d| !d.is_zero())
             else {

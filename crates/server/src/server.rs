@@ -153,6 +153,26 @@ impl Shared {
                 tenant.queue_high_water()
             ));
         }
+        // The hand-off granularity, per tenant: work units that crossed
+        // the router, the shard queues and the output hub.
+        s.push_str("},\"hand_offs\":{");
+        for (i, tenant) in self.tenants.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            let h = tenant.hand_offs();
+            s.push_str(&format!(
+                "\"{}\":{{\"shards\":{},\"ingest_frames\":{},\"ingest_events\":{},\
+                 \"shard_runs\":{},\"output_frames\":{},\"output_events\":{}}}",
+                json_escape(&tenant.name),
+                h.shards,
+                h.ingest_frames,
+                h.ingest_events,
+                h.shard_runs,
+                h.output_frames,
+                h.output_events
+            ));
+        }
         s.push_str("}},\"tenants\":{");
         for (i, tenant) in self.tenants.iter().enumerate() {
             if i > 0 {

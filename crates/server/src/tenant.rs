@@ -3,34 +3,42 @@
 //!
 //! ```text
 //!  connections ──▶ BoundedQueue<TenantMsg> ──▶ router thread
-//!                  (admission control)           │ partition-hash + per-shard Batcher
-//!                                ┌───────────────┼───────────────┐
-//!                                ▼               ▼               ▼
-//!                           shard worker    shard worker    shard worker
-//!                           (own Engine)    (own Engine)    (own Engine)
-//!                                └───────────────┴───────────────┘
-//!                                        OutputHub ──▶ subscribers
+//!      one INGEST frame per message             │ splits the frame by partition hash:
+//!      (admission control)                      │ one run per shard that got events
+//!                                ┌──────────────┼───────────────┐
+//!                                ▼              ▼               ▼
+//!                           shard worker   shard worker    shard worker
+//!                           (own Engine)   (own Engine)    (own Engine)
+//!                                └──────────────┴───────────────┘
+//!                          one publish per run ──▶ OutputHub ──▶ subscribers
 //! ```
 //!
-//! The router preserves the tenant's total admission order, then hashes
-//! each event onto `partition.shard(shards)` exactly like
-//! [`caesar_runtime::run_sharded`]; each shard worker owns a private
+//! The unit that crosses every boundary is the frame. The router
+//! preserves the tenant's total admission order and splits each frame
+//! by `partition.shard(shards)` exactly like
+//! [`caesar_runtime::run_sharded`]; each shard owns a private
 //! [`Engine`] (partitions are disjoint across shards, so results are
-//! the disjoint union). Control messages (flush barriers, finish,
-//! snapshot, metrics) travel the same queues as data, so they order
-//! naturally behind every admitted event.
+//! the disjoint union), feeds it the run in arrival order and publishes
+//! what the run derived once. A one-shard tenant has nothing to route
+//! and no second thread: the router executes the shard itself and the
+//! frame's vector reaches the engine untouched. Grouping same-timestamp
+//! events into stream transactions is the engine's job (its scheduler
+//! does it per partition); the server does not regroup in front of it.
+//! Control messages (flush barriers, finish, snapshot, metrics) travel
+//! the same queues as data, so they order naturally behind every
+//! admitted event.
 
 use crate::hub::OutputHub;
 use crate::protocol::TenantReport;
 use crate::queue::{BoundedQueue, PushError};
-use caesar_events::{Batcher, Event, EventBatch, SchemaRegistry};
+use caesar_events::{Event, OutputRecord, SchemaRegistry};
 use caesar_optimizer::OptimizedProgram;
 use caesar_runtime::{
     merge_reports, Consistency, Engine, EngineConfig, EngineState, MetricsSnapshot, RunReport,
 };
 use parking_lot::Mutex;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -126,8 +134,15 @@ enum TenantMsg {
     },
 }
 
+/// Runs a shard queue holds before the router blocks: enough to route
+/// the next frame while the shard executes this one. What is admitted
+/// but not yet executed stays bounded by the tenant queue.
+const SHARD_QUEUE_RUNS: usize = 4;
+
 enum ShardMsg {
-    Batch(EventBatch),
+    /// The events of one frame that hash to this shard, in arrival
+    /// order.
+    Run(Vec<Event>),
     Barrier(mpsc::Sender<()>),
     Finish(mpsc::Sender<ShardFinish>),
     Snapshot {
@@ -145,12 +160,37 @@ struct ShardFinish {
 struct TenantInner {
     queue: BoundedQueue<TenantMsg>,
     failure: Mutex<Option<String>>,
+    /// Written by the router alone; `/metrics` reads them.
+    ingest_frames: AtomicU64,
+    ingest_events: AtomicU64,
+    shard_runs: AtomicU64,
+}
+
+/// Work units that crossed each boundary of one tenant so far — the
+/// hand-off granularity as numbers: a tenant whose `shard_runs` or
+/// `output_frames` grow with its events rather than its frames is
+/// paying a thread hand-off per event.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HandOffs {
+    /// Shards of the tenant.
+    pub(crate) shards: usize,
+    /// `INGEST` frames routed.
+    pub(crate) ingest_frames: u64,
+    /// Events in those frames.
+    pub(crate) ingest_events: u64,
+    /// Runs handed to shards (≤ `ingest_frames × shards`).
+    pub(crate) shard_runs: u64,
+    /// `OUTPUTS` and `RETRACT` frames published.
+    pub(crate) output_frames: u64,
+    /// Events in those frames.
+    pub(crate) output_events: u64,
 }
 
 /// A running tenant: admission-controlled handle over the router +
 /// shard threads.
 pub(crate) struct Tenant {
     pub(crate) name: String,
+    shards: usize,
     inner: Arc<TenantInner>,
     hub: Arc<OutputHub>,
     router: Mutex<Option<JoinHandle<()>>>,
@@ -158,7 +198,8 @@ pub(crate) struct Tenant {
 }
 
 impl Tenant {
-    /// Spawns the tenant's router and shard workers. `resume` holds one
+    /// Spawns the tenant's router and, with more than one shard, the
+    /// shard workers. `resume` holds one
     /// restored [`EngineState`] per shard (all or nothing — validated
     /// by the caller).
     pub(crate) fn start(
@@ -170,9 +211,11 @@ impl Tenant {
         let inner = Arc::new(TenantInner {
             queue: BoundedQueue::new(config.queue_capacity),
             failure: Mutex::new(None),
+            ingest_frames: AtomicU64::new(0),
+            ingest_events: AtomicU64::new(0),
+            shard_runs: AtomicU64::new(0),
         });
         let hub = Arc::new(OutputHub::new(publish_timeout));
-        let registry = Arc::new(config.registry.clone());
         let mut engine_config = config.engine_config;
         engine_config.collect_outputs = true;
 
@@ -183,46 +226,43 @@ impl Tenant {
         debug_assert_eq!(resume_states.len(), shards);
         resume_states.resize_with(shards, || None);
 
-        let mut shard_queues = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for state in resume_states.into_iter().take(shards) {
-            // Shard queues are sized like the tenant queue: the router
-            // blocks (backpressure, not loss) once a shard falls this
-            // far behind.
-            let queue = Arc::new(BoundedQueue::<ShardMsg>::new(config.queue_capacity));
-            let rx = Arc::clone(&queue);
-            let program = config.program.clone();
-            let registry = Arc::clone(&registry);
-            let hub = Arc::clone(&hub);
-            let failure = Arc::clone(&inner);
-            workers.push(std::thread::spawn(move || {
-                shard_loop(
-                    program,
-                    &registry,
-                    engine_config,
-                    state,
-                    &rx,
-                    &hub,
-                    &failure,
-                );
-            }));
-            shard_queues.push(queue);
-        }
-
         let name = config.name.clone();
         let router_inner = Arc::clone(&inner);
+        let router_hub = Arc::clone(&hub);
         let router = std::thread::spawn(move || {
-            router_loop(
-                &config,
-                engine_config,
-                &router_inner,
-                &shard_queues,
-                workers,
-            );
+            let registry = Arc::new(config.registry);
+            let mut links = Vec::with_capacity(shards);
+            let mut workers = Vec::new();
+            for state in resume_states {
+                let program = config.program.clone();
+                let (hub, inner) = (Arc::clone(&router_hub), Arc::clone(&router_inner));
+                if shards == 1 {
+                    // Nothing to route, so no thread to hand over to:
+                    // the router executes the one shard itself.
+                    let shard = Shard::new(program, &registry, engine_config, state, hub, inner);
+                    links.push(ShardLink::Inline(Box::new(shard)));
+                    continue;
+                }
+                // The router blocks (backpressure, not loss) once a
+                // shard falls this far behind.
+                let queue = Arc::new(BoundedQueue::<ShardMsg>::new(SHARD_QUEUE_RUNS));
+                let rx = Arc::clone(&queue);
+                let registry = Arc::clone(&registry);
+                workers.push(std::thread::spawn(move || {
+                    let mut shard =
+                        Shard::new(program, &registry, engine_config, state, hub, inner);
+                    while let Some(msg) = rx.pop() {
+                        shard.handle(msg);
+                    }
+                }));
+                links.push(ShardLink::Worker(queue));
+            }
+            router_loop(config.ingest_hold, &router_inner, &mut links, workers);
         });
 
         Self {
             name,
+            shards,
             inner,
             hub,
             router: Mutex::new(Some(router)),
@@ -327,6 +367,22 @@ impl Tenant {
         self.inner.queue.high_water()
     }
 
+    /// Hand-off counters (server `/metrics`). Runs are read before
+    /// frames, so a scrape racing the router never sees a run whose
+    /// frame it has not counted.
+    pub(crate) fn hand_offs(&self) -> HandOffs {
+        let shard_runs = self.inner.shard_runs.load(Ordering::Acquire);
+        let (output_frames, output_events) = self.hub.published();
+        HandOffs {
+            shards: self.shards,
+            ingest_frames: self.inner.ingest_frames.load(Ordering::Relaxed),
+            ingest_events: self.inner.ingest_events.load(Ordering::Relaxed),
+            shard_runs,
+            output_frames,
+            output_events,
+        }
+    }
+
     /// Drains the tenant: processes everything already admitted, then
     /// either snapshots every shard into `checkpoint_dir` (leaving the
     /// stream resumable) or — without a directory — finishes the
@@ -361,98 +417,119 @@ impl Tenant {
     }
 }
 
+/// The router's end of one shard.
+enum ShardLink {
+    /// The only shard of a one-shard tenant, executed by the router
+    /// thread itself.
+    Inline(Box<Shard>),
+    /// A shard with its own worker thread, behind its run queue.
+    Worker(Arc<BoundedQueue<ShardMsg>>),
+}
+
+impl ShardLink {
+    /// Delivers one message — the same [`Shard::handle`] runs it either
+    /// way; `false` when the worker's queue is closed.
+    fn send(&mut self, msg: ShardMsg) -> bool {
+        match self {
+            ShardLink::Inline(shard) => {
+                shard.handle(msg);
+                true
+            }
+            ShardLink::Worker(queue) => queue.push(msg).is_ok(),
+        }
+    }
+}
+
+/// Sends every shard the message `make` builds around a reply channel
+/// and collects the replies, in shard order.
+fn ask_shards<T>(
+    shards: &mut [ShardLink],
+    make: impl Fn(usize, mpsc::Sender<T>) -> ShardMsg,
+) -> Vec<Result<T, String>> {
+    let receivers: Vec<_> = shards
+        .iter_mut()
+        .enumerate()
+        .map(|(i, shard)| {
+            let (tx, rx) = mpsc::channel();
+            shard.send(make(i, tx)).then_some(rx)
+        })
+        .collect();
+    receivers
+        .into_iter()
+        .map(|rx| match rx {
+            None => Err("shard queue closed".to_string()),
+            Some(rx) => rx.recv().map_err(|_| "shard worker exited".to_string()),
+        })
+        .collect()
+}
+
+fn finish_shards(shards: &mut [ShardLink]) -> Result<TenantReport, String> {
+    let mut reports = Vec::with_capacity(shards.len());
+    let mut late_dropped = 0;
+    for fin in ask_shards(shards, |_, tx| ShardMsg::Finish(tx)) {
+        let fin = fin?;
+        late_dropped += fin.late_dropped;
+        reports.push(fin.report);
+    }
+    let merged = merge_reports(reports);
+    Ok(TenantReport {
+        events_in: merged.events_in,
+        events_out: merged.events_out,
+        transitions_applied: merged.transitions_applied,
+        late_dropped,
+        outputs_by_type: merged.outputs_by_type.into_iter().collect(),
+    })
+}
+
 fn router_loop(
-    config: &TenantConfig,
-    engine_config: EngineConfig,
+    ingest_hold: Duration,
     inner: &TenantInner,
-    shards: &[Arc<BoundedQueue<ShardMsg>>],
+    shards: &mut [ShardLink],
     workers: Vec<JoinHandle<()>>,
 ) {
     let n = shards.len();
-    let mut batchers: Vec<Batcher> = (0..n).map(|_| Batcher::new(engine_config.batch)).collect();
-    let flush_batchers = |batchers: &mut Vec<Batcher>| {
-        for (shard, batcher) in batchers.iter_mut().enumerate() {
-            if let Some(batch) = batcher.flush() {
-                let _ = shards[shard].push(ShardMsg::Batch(batch));
-            }
-        }
-    };
-    let finish_shards = |batchers: &mut Vec<Batcher>| -> Result<TenantReport, String> {
-        flush_batchers(batchers);
-        let mut receivers = Vec::with_capacity(n);
-        for shard in shards {
-            let (tx, rx) = mpsc::channel();
-            if shard.push(ShardMsg::Finish(tx)).is_err() {
-                return Err("shard queue closed".into());
-            }
-            receivers.push(rx);
-        }
-        let mut reports = Vec::with_capacity(n);
-        let mut late_dropped = 0;
-        for rx in receivers {
-            let fin = rx.recv().map_err(|_| "shard worker exited".to_string())?;
-            late_dropped += fin.late_dropped;
-            reports.push(fin.report);
-        }
-        let merged = merge_reports(reports);
-        Ok(TenantReport {
-            events_in: merged.events_in,
-            events_out: merged.events_out,
-            transitions_applied: merged.transitions_applied,
-            late_dropped,
-            outputs_by_type: merged.outputs_by_type.into_iter().collect(),
-        })
-    };
-
     let mut pending_drain: Option<(Option<PathBuf>, mpsc::Sender<DrainOutcome>)> = None;
     while let Some(msg) = inner.queue.pop() {
         match msg {
             TenantMsg::Ingest(events) => {
-                if !config.ingest_hold.is_zero() {
-                    std::thread::sleep(config.ingest_hold);
+                if !ingest_hold.is_zero() {
+                    std::thread::sleep(ingest_hold);
                 }
-                for event in events {
-                    let shard = event.partition.shard(n);
-                    if engine_config.batch.enabled {
-                        if let Some(batch) = batchers[shard].offer(event) {
-                            let _ = shards[shard].push(ShardMsg::Batch(batch));
-                        }
-                    } else {
-                        let batch = EventBatch::new(event.time(), vec![event]);
-                        let _ = shards[shard].push(ShardMsg::Batch(batch));
+                inner.ingest_frames.fetch_add(1, Ordering::Relaxed);
+                inner
+                    .ingest_events
+                    .fetch_add(events.len() as u64, Ordering::Relaxed);
+                // One shard: the frame's vector is the run.
+                let runs = if n == 1 {
+                    vec![events]
+                } else {
+                    let mut runs = vec![Vec::new(); n];
+                    for event in events {
+                        runs[event.partition.shard(n)].push(event);
+                    }
+                    runs
+                };
+                for (shard, run) in shards.iter_mut().zip(runs) {
+                    if !run.is_empty() {
+                        inner.shard_runs.fetch_add(1, Ordering::Release);
+                        shard.send(ShardMsg::Run(run));
                     }
                 }
             }
             TenantMsg::Flush(ack) => {
-                flush_batchers(&mut batchers);
-                let mut receivers = Vec::with_capacity(n);
-                for shard in shards {
-                    let (tx, rx) = mpsc::channel();
-                    if shard.push(ShardMsg::Barrier(tx)).is_ok() {
-                        receivers.push(rx);
-                    }
-                }
-                for rx in receivers {
-                    let _ = rx.recv();
-                }
+                ask_shards(shards, |_, tx| ShardMsg::Barrier(tx));
                 let _ = ack.send(());
             }
             TenantMsg::Finish(ack) => {
-                let _ = ack.send(finish_shards(&mut batchers));
+                let _ = ack.send(finish_shards(shards));
             }
             TenantMsg::Metrics(ack) => {
-                let mut receivers = Vec::with_capacity(n);
-                for shard in shards {
-                    let (tx, rx) = mpsc::channel();
-                    if shard.push(ShardMsg::Metrics(tx)).is_ok() {
-                        receivers.push(rx);
-                    }
-                }
                 let mut merged = MetricsSnapshot::default();
-                for rx in receivers {
-                    if let Ok(snap) = rx.recv() {
-                        merged.merge(&snap);
-                    }
+                for snap in ask_shards(shards, |_, tx| ShardMsg::Metrics(tx))
+                    .iter()
+                    .flatten()
+                {
+                    merged.merge(snap);
                 }
                 let _ = ack.send(merged);
             }
@@ -471,7 +548,7 @@ fn router_loop(
     }
     if let Some((checkpoint_dir, done)) = pending_drain {
         let outcome = match checkpoint_dir {
-            None => match finish_shards(&mut batchers) {
+            None => match finish_shards(shards) {
                 Ok(report) => DrainOutcome {
                     events_in: report.events_in,
                     events_out: report.events_out,
@@ -484,7 +561,6 @@ fn router_loop(
                 },
             },
             Some(dir) => {
-                flush_batchers(&mut batchers);
                 let mut outcome = DrainOutcome {
                     checkpointed: true,
                     ..DrainOutcome::default()
@@ -493,24 +569,16 @@ fn router_loop(
                     outcome.checkpointed = false;
                     outcome.error = Some(format!("{}: {e}", dir.display()));
                 } else {
-                    let mut receivers = Vec::with_capacity(n);
-                    for (i, shard) in shards.iter().enumerate() {
-                        let (tx, rx) = mpsc::channel();
-                        let path = shard_snapshot_path(&dir, i);
-                        if shard.push(ShardMsg::Snapshot { path, done: tx }).is_ok() {
-                            receivers.push(rx);
-                        }
-                    }
-                    for rx in receivers {
-                        match rx.recv() {
-                            Ok(Ok(events_in)) => outcome.events_in += events_in,
-                            Ok(Err(e)) => {
+                    let snapshots = ask_shards(shards, |i, done| ShardMsg::Snapshot {
+                        path: shard_snapshot_path(&dir, i),
+                        done,
+                    });
+                    for snapshot in snapshots {
+                        match snapshot.and_then(|written| written) {
+                            Ok(events_in) => outcome.events_in += events_in,
+                            Err(e) => {
                                 outcome.checkpointed = false;
                                 outcome.error.get_or_insert(e);
-                            }
-                            Err(_) => {
-                                outcome.checkpointed = false;
-                                outcome.error.get_or_insert("shard worker exited".into());
                             }
                         }
                     }
@@ -520,8 +588,10 @@ fn router_loop(
         };
         let _ = done.send(outcome);
     }
-    for shard in shards {
-        shard.close();
+    for shard in shards.iter() {
+        if let ShardLink::Worker(queue) = shard {
+            queue.close();
+        }
     }
     for worker in workers {
         let _ = worker.join();
@@ -533,60 +603,110 @@ pub(crate) fn shard_snapshot_path(dir: &std::path::Path, shard: usize) -> PathBu
     dir.join(format!("shard-{shard}.caesnap"))
 }
 
-fn shard_loop(
-    program: OptimizedProgram,
-    registry: &SchemaRegistry,
-    config: EngineConfig,
-    resume: Option<EngineState>,
-    rx: &BoundedQueue<ShardMsg>,
-    hub: &OutputHub,
-    inner: &TenantInner,
-) {
-    let speculative = config.consistency == Consistency::Speculative;
-    let mut engine = Engine::new(program, registry, config);
-    if let Some(state) = resume {
-        if let Err(e) = engine.restore_state(state) {
-            let mut failure = inner.failure.lock();
-            failure.get_or_insert_with(|| format!("resume failed: {e}"));
+/// One shard: a private engine and where its outputs and failures go.
+struct Shard {
+    engine: Engine,
+    speculative: bool,
+    /// Set by the first `FINISH`; later runs are ignored and later
+    /// finishes answered from it.
+    finish_report: Option<RunReport>,
+    hub: Arc<OutputHub>,
+    inner: Arc<TenantInner>,
+}
+
+impl Shard {
+    fn new(
+        program: OptimizedProgram,
+        registry: &SchemaRegistry,
+        config: EngineConfig,
+        resume: Option<EngineState>,
+        hub: Arc<OutputHub>,
+        inner: Arc<TenantInner>,
+    ) -> Self {
+        let mut engine = Engine::new(program, registry, config);
+        if let Some(state) = resume {
+            if let Err(e) = engine.restore_state(state) {
+                let mut failure = inner.failure.lock();
+                failure.get_or_insert_with(|| format!("resume failed: {e}"));
+            }
+            // Outputs collected before the snapshot were already delivered
+            // by the previous incarnation; never replay them.
+            let _ = std::mem::take(&mut engine.collected_outputs);
         }
-        // Outputs collected before the snapshot were already delivered
-        // by the previous incarnation; never replay them.
-        let _ = std::mem::take(&mut engine.collected_outputs);
+        Self {
+            engine,
+            speculative: config.consistency == Consistency::Speculative,
+            finish_report: None,
+            hub,
+            inner,
+        }
     }
-    let mut finish_report: Option<RunReport> = None;
-    while let Some(msg) = rx.pop() {
+
+    /// Publishes what the engine derived since the last call. Strict
+    /// engines stream their collected outputs as one `OUTPUTS` frame.
+    /// Speculative engines stream the revision ledger instead —
+    /// emission runs as `OUTPUTS`, retraction runs as `RETRACT`,
+    /// preserving record order — and discard the settled outputs: they
+    /// are the fold of the ledger, so sending both would deliver every
+    /// confirmed event twice.
+    fn publish(&mut self) {
+        // Cleared, not taken: the engine keeps its buffers from run to
+        // run.
+        let engine = &mut self.engine;
+        if !self.speculative {
+            self.hub.publish(engine.collected_outputs.iter());
+            engine.collected_outputs.clear();
+            return;
+        }
+        engine.collected_outputs.clear();
+        let mut rest = engine.collected_records.as_slice();
+        while let Some(first) = rest.first() {
+            let retract = first.is_retraction();
+            let len = rest
+                .iter()
+                .position(|r| r.is_retraction() != retract)
+                .unwrap_or(rest.len());
+            let (run, tail) = rest.split_at(len);
+            let events = run.iter().map(OutputRecord::event);
+            if retract {
+                self.hub.publish_retractions(events);
+            } else {
+                self.hub.publish(events);
+            }
+            rest = tail;
+        }
+        engine.collected_records.clear();
+    }
+
+    fn handle(&mut self, msg: ShardMsg) {
         match msg {
-            ShardMsg::Batch(batch) => {
-                if finish_report.is_some() || inner.failure.lock().is_some() {
-                    continue;
+            ShardMsg::Run(events) => {
+                if self.finish_report.is_some() || self.inner.failure.lock().is_some() {
+                    return;
                 }
-                let result = if config.batch.enabled {
-                    engine.ingest(batch)
-                } else {
-                    batch
-                        .events
-                        .into_iter()
-                        .try_for_each(|event| engine.ingest(event))
-                };
-                match result {
-                    Ok(()) => publish_step(&mut engine, hub, speculative),
-                    Err(e) => {
-                        inner.failure.lock().get_or_insert_with(|| e.to_string());
-                    }
+                let engine = &mut self.engine;
+                let result = events
+                    .into_iter()
+                    .try_for_each(|event| engine.ingest(event));
+                // Also after a failure: what the events before the
+                // failing one derived is still delivered.
+                self.publish();
+                if let Err(e) = result {
+                    let mut failure = self.inner.failure.lock();
+                    failure.get_or_insert_with(|| e.to_string());
                 }
             }
             ShardMsg::Barrier(ack) => {
                 let _ = ack.send(());
             }
             ShardMsg::Finish(ack) => {
-                let report = finish_report.get_or_insert_with(|| {
-                    let report = engine.finish();
-                    publish_step(&mut engine, hub, speculative);
-                    report
-                });
+                if self.finish_report.is_none() {
+                    self.finish_report = Some(self.engine.finish());
+                    self.publish();
+                }
                 let _ = ack.send(ShardFinish {
-                    report: report.clone(),
-                    late_dropped: engine.late_dropped,
+                    report: self.finish_report.clone().expect("set above"),
+                    late_dropped: self.engine.late_dropped,
                 });
             }
             ShardMsg::Snapshot { path, done } => {
@@ -594,47 +714,18 @@ fn shard_loop(
                 // engine confirms or retracts everything in flight
                 // before the state is serialized, and the retraction
                 // frames go out before the checkpoint completes.
-                engine.settle();
-                publish_step(&mut engine, hub, speculative);
-                let state = engine.snapshot_state();
-                let result = caesar_recovery::write_snapshot(&path, engine.events_in(), &state)
-                    .map(|()| engine.events_in())
+                self.engine.settle();
+                self.publish();
+                let state = self.engine.snapshot_state();
+                let events_in = self.engine.events_in();
+                let result = caesar_recovery::write_snapshot(&path, events_in, &state)
+                    .map(|()| events_in)
                     .map_err(|e| e.to_string());
                 let _ = done.send(result);
             }
             ShardMsg::Metrics(ack) => {
-                let _ = ack.send(engine.metrics_snapshot());
+                let _ = ack.send(self.engine.metrics_snapshot());
             }
         }
-    }
-}
-
-/// Publishes what one engine step produced. Strict engines stream
-/// their collected outputs as `OUTPUTS` frames. Speculative engines
-/// stream the revision ledger instead — emission runs as `OUTPUTS`,
-/// retraction runs as `RETRACT`, preserving record order — and discard
-/// the settled outputs: they are the fold of the ledger, so sending
-/// both would deliver every confirmed event twice.
-fn publish_step(engine: &mut Engine, hub: &OutputHub, speculative: bool) {
-    let outputs = std::mem::take(&mut engine.collected_outputs);
-    if !speculative {
-        hub.publish(&outputs);
-        return;
-    }
-    let records = std::mem::take(&mut engine.collected_records);
-    let mut at = 0;
-    while at < records.len() {
-        let retract = records[at].is_retraction();
-        let end = records[at..]
-            .iter()
-            .position(|r| r.is_retraction() != retract)
-            .map_or(records.len(), |n| at + n);
-        let run: Vec<Event> = records[at..end].iter().map(|r| r.event().clone()).collect();
-        if retract {
-            hub.publish_retractions(&run);
-        } else {
-            hub.publish(&run);
-        }
-        at = end;
     }
 }

@@ -127,3 +127,16 @@ pub fn scratch_dir(tag: &str) -> std::path::PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
+
+/// `GET path` against the `/metrics` listener (HTTP/1.0, so the
+/// response ends when the server closes): status line, headers, body.
+pub fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .write_all(format!("GET {path} HTTP/1.0\r\nHost: localhost\r\n\r\n").as_bytes())
+        .unwrap();
+    let mut body = String::new();
+    stream.read_to_string(&mut body).unwrap();
+    body
+}

@@ -272,7 +272,7 @@ fn metrics_endpoint_serves_json_and_healthz() {
         Response::FlushOk
     );
 
-    let body = http_get(metrics_addr, "/metrics");
+    let body = common::http_get(metrics_addr, "/metrics");
     assert!(body.starts_with("HTTP/1.0 200"), "{body}");
     assert!(body.contains("\"connections_accepted\":1"), "{body}");
     assert!(body.contains("\"frames_in\""), "{body}");
@@ -280,24 +280,13 @@ fn metrics_endpoint_serves_json_and_healthz() {
     assert!(body.contains("\"beta\""), "{body}");
     assert!(body.contains("\"queue_high_water\""), "{body}");
 
-    let health = http_get(metrics_addr, "/healthz");
+    let health = common::http_get(metrics_addr, "/healthz");
     assert!(health.starts_with("HTTP/1.0 200"), "{health}");
     assert!(health.ends_with("ok"), "{health}");
 
-    let missing = http_get(metrics_addr, "/nope");
+    let missing = common::http_get(metrics_addr, "/nope");
     assert!(missing.starts_with("HTTP/1.0 404"), "{missing}");
 
     handle.shutdown();
     assert!(handle.join().clean());
-}
-
-fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
-    use std::io::Read;
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(format!("GET {path} HTTP/1.0\r\nHost: localhost\r\n\r\n").as_bytes())
-        .unwrap();
-    let mut body = String::new();
-    stream.read_to_string(&mut body).unwrap();
-    body
 }
