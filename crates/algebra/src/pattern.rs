@@ -65,7 +65,9 @@ pub struct PatternStats {
     pub negation_rejections: u64,
     /// Expression evaluation errors (counted as non-matches).
     pub eval_errors: u64,
-    /// Events processed.
+    /// Inputs processed: events through the operator's chain, plus —
+    /// for a member of a [`SharedGroup`] — `(prefix, event)` candidates
+    /// tried at the shared-prefix boundary.
     pub events_processed: u64,
 }
 
@@ -681,7 +683,7 @@ pub struct PatternOp {
     /// Number of leading steps owned by a [`SharedGroup`]: this operator
     /// never creates or extends partials below that level — the combined
     /// plan crosses the boundary via
-    /// [`extend_from_shared`](Self::extend_from_shared). `0` ⇒ unshared.
+    /// [`cross_boundary`](Self::cross_boundary). `0` ⇒ unshared.
     shared_prefix_len: usize,
     /// Observability counters.
     pub stats: PatternStats,
@@ -1166,9 +1168,9 @@ impl PatternOp {
     }
 
     /// Delegates the leading `len` steps to a [`SharedGroup`]: the
-    /// operator stops creating or extending partials below level `len`
-    /// and expects boundary crossings via
-    /// [`extend_from_shared`](Self::extend_from_shared). Must only be
+    /// operator stops creating or extending partials at or below level
+    /// `len` and expects boundary crossings via
+    /// [`cross_boundary`](Self::cross_boundary). Must only be
     /// set on a sequence pattern with `1 <= len < arity`, before any
     /// event was processed.
     pub fn set_shared_prefix_len(&mut self, len: usize) {
@@ -1398,10 +1400,10 @@ impl PatternOp {
         let negations = &program.negations;
         let n = steps.len();
         for i in (0..n).rev() {
-            // Levels below the shared prefix live in the group's state;
-            // the owning `SharedGroup` creates and extends them, and
-            // crossings arrive via `extend_from_shared`.
-            if i < shared_len {
+            // Levels below the shared prefix live in the group's state:
+            // the owning `SharedGroup` creates and extends them, and the
+            // boundary step is taken by `cross_boundary` alone.
+            if shared_len > 0 && i <= shared_len {
                 break;
             }
             if steps[i].type_id != event.type_id {
@@ -1499,23 +1501,35 @@ impl PatternOp {
         }
     }
 
-    /// Crosses the shared-prefix boundary: attempts to extend one full
-    /// prefix held by the owning [`SharedGroup`] with `event` at step
-    /// `shared_prefix_len`, emitting completed matches to `out` or
-    /// storing the new partial in this operator's own state. Mirrors
-    /// the corresponding arm of `process_event` exactly — same guards,
-    /// predicates, counters, and verdict handling — so shared execution
-    /// reproduces unshared outputs byte for byte.
-    pub fn extend_from_shared(&mut self, prefix: &[Event], event: &Event, out: &mut Vec<Event>) {
+    /// Crosses the shared-prefix boundary: tries `event` — whose type is
+    /// that of step `shared_prefix_len`, which the combined plan's
+    /// routing table guarantees — against every full prefix `group`
+    /// holds, emitting completed matches to `out` or storing the new
+    /// partials in this operator's own state. The operator's input here
+    /// is the `(prefix, event)` candidate: each one tried counts as one
+    /// unit of `events_processed` and yields at most one match.
+    pub fn cross_boundary(&mut self, group: &SharedGroup, event: &Event, out: &mut Vec<Event>) {
+        debug_assert_eq!(
+            self.program.steps[self.shared_prefix_len].type_id, event.type_id,
+            "routed by the boundary step's type"
+        );
+        for prefix in group.full_prefixes() {
+            self.stats.events_processed += 1;
+            self.extend_from_shared(prefix, event, out);
+        }
+    }
+
+    /// One boundary extension. Mirrors the extension arm of
+    /// `process_event` exactly — same guards, predicates, counters, and
+    /// verdict handling — so shared execution reproduces unshared
+    /// outputs byte for byte.
+    fn extend_from_shared(&mut self, prefix: &[Event], event: &Event, out: &mut Vec<Event>) {
         let i = self.shared_prefix_len;
         debug_assert!(i >= 1 && prefix.len() == i, "boundary needs a full prefix");
         let t = event.time();
         let within = self.program.within;
         let last_t = prefix.last().expect("non-empty prefix").time();
         if !(last_t < t && t.saturating_sub(prefix[0].time()) <= within) {
-            return;
-        }
-        if self.program.steps[i].type_id != event.type_id {
             return;
         }
         self.ensure_shape();
@@ -1709,10 +1723,10 @@ pub struct SharedMember {
 ///
 /// The optimizer groups sequence patterns of one combined plan whose
 /// leading steps agree on event type and interned step predicates (see
-/// `shared_prefix_groups`); the group builds prefix partials *once* on
+/// `prefix_sharing`); the group builds prefix partials *once* on
 /// its own `MatchState` slab, and each full prefix crosses into a
 /// member's private state through
-/// [`PatternOp::extend_from_shared`] — after which the member's own
+/// [`PatternOp::cross_boundary`] — after which the member's own
 /// levels, negations, and emission logic run unchanged, so shared
 /// execution is output-identical to unshared execution.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -1731,8 +1745,17 @@ pub struct SharedGroup {
     /// The bound run state: prefix partials, levels `0..prefix_len`
     /// (no negations — members own theirs).
     run: RunState,
-    /// Observability counters for the shared prefix work.
+    /// Counters of the shared prefix work: `events_processed` counts
+    /// [`advance`](Self::advance) calls, `matches` full prefixes built.
     pub stats: PatternStats,
+    /// Events a gated group's window probe admitted — one count per
+    /// event routed to the group, whether it advanced the prefix, was
+    /// tried at members' boundaries, or both. The members' own context
+    /// windows never see these events, so the context's observed
+    /// activity needs the group's verdicts (always 0 when ungated).
+    pub admitted: u64,
+    /// Events the probe dropped because the context did not hold.
+    pub dropped: u64,
 }
 
 impl SharedGroup {
@@ -1748,7 +1771,15 @@ impl SharedGroup {
             members,
             run: RunState::default(),
             stats: PatternStats::default(),
+            admitted: 0,
+            dropped: 0,
         }
+    }
+
+    /// The shared steps, in sequence order.
+    #[must_use]
+    pub fn steps(&self) -> &[NfaStep] {
+        &self.steps
     }
 
     /// Number of shared steps.
@@ -1767,6 +1798,24 @@ impl SharedGroup {
     #[must_use]
     pub fn gated(&self) -> bool {
         self.gated
+    }
+
+    /// Records the context-window probe's verdict for one event routed
+    /// to this group (ungated groups count nothing).
+    pub fn record_probe(&mut self, window_holds: bool) {
+        if self.gated {
+            if window_holds {
+                self.admitted += 1;
+            } else {
+                self.dropped += 1;
+            }
+        }
+    }
+
+    /// Whether the group may see an event given the probe's verdict.
+    #[must_use]
+    pub fn open(&self, window_holds: bool) -> bool {
+        !self.gated || window_holds
     }
 
     /// Live prefix partials across all levels.
@@ -1800,6 +1849,7 @@ impl SharedGroup {
     pub fn advance(&mut self, event: &Event) {
         let t = event.time();
         let within = self.within;
+        self.stats.events_processed += 1;
         self.run.ensure_shape(self.steps.len(), 0);
         let SharedGroup {
             steps,
@@ -1825,6 +1875,7 @@ impl SharedGroup {
                     continue;
                 }
                 stats.partials_created += 1;
+                stats.matches += u64::from(l == 1);
                 let r = state.alloc_single(event);
                 state.levels[0].push(r);
             } else {
@@ -1847,6 +1898,7 @@ impl SharedGroup {
                         continue;
                     }
                     stats.partials_created += 1;
+                    stats.matches += u64::from(i + 1 == l);
                     let r = state.alloc_extended(pr, event);
                     state.levels[i].push(r);
                 }
@@ -1856,9 +1908,9 @@ impl SharedGroup {
     }
 
     /// The full prefixes (level `prefix_len − 1`) currently held, in
-    /// creation order — the boundary feed for
-    /// [`PatternOp::extend_from_shared`].
-    pub fn full_prefixes(&self) -> impl Iterator<Item = &[Event]> + '_ {
+    /// creation order — the boundary feed of
+    /// [`PatternOp::cross_boundary`].
+    fn full_prefixes(&self) -> impl Iterator<Item = &[Event]> + '_ {
         let state = &self.run.state;
         // No level exists until the first event sized the state.
         let top = state.levels.get(self.steps.len() - 1);
@@ -1879,12 +1931,6 @@ impl SharedGroup {
     /// Discards all prefix state (context termination).
     pub fn reset(&mut self) {
         self.run.reset();
-    }
-
-    /// Expires prefixes whose first event is at or before `t` (original
-    /// context window ending while grouped windows continue).
-    pub fn expire_started_at_or_before(&mut self, t: Time) {
-        self.run.expire_started_at_or_before(t);
     }
 }
 

@@ -9,6 +9,7 @@
 //! queries in a combined query plan belong to the same context."
 
 use crate::context_table::{ContextTable, Transition};
+use crate::nfa::NfaStep;
 use crate::ops::{
     advance_chain_time, run_chain, run_chain_batch, run_chain_batch_items, ChainOutput,
     ChainScratch, Op,
@@ -17,7 +18,7 @@ use crate::pattern::{RunState, SharedGroup};
 use caesar_events::{ColumnarBatch, Event, Time, TypeId};
 use caesar_query::ast::QueryId;
 use caesar_query::queryset::CompiledQuery;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize};
 use std::sync::Arc;
 
 /// Re-export: the output sink of plan execution.
@@ -199,7 +200,30 @@ impl QueryPlan {
 
 /// The combined query plan of one context: individual plans wired so
 /// derived events flow to downstream consumers in the same context.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// # Dispatch
+///
+/// An event reaches only the operators that can use it. The plan keeps
+/// one routing table, `TypeId →` route, derived from the member
+/// plans and the installed [`SharedGroup`]s (rebuilt whenever those
+/// change and after deserialization; never part of the serialized
+/// form). Every traversal — the external pass, the derived-event
+/// cascade, both batch paths and the watermark flush — reads it:
+///
+/// * a member plan's chain runs for the types its *own* operators
+///   mention; for a member of a shared-prefix group those are the steps
+///   above the boundary step and the negations, not the delegated
+///   prefix;
+/// * a member's boundary step is tried against the group's full
+///   prefixes exactly when the event carries that step's type;
+/// * a group advances exactly when one of its steps has the type, and
+///   a gated group's window probe runs once per event.
+///
+/// Emission order is that of feeding every consumer every event:
+/// members in ascending plan index, a member's own chain before its
+/// boundary crossings, derived events cascading LIFO to later members,
+/// groups advancing last.
+#[derive(Debug, Clone, Serialize)]
 pub struct CombinedPlan {
     /// The shared context.
     pub context: String,
@@ -211,13 +235,65 @@ pub struct CombinedPlan {
     /// a member plan).
     pub external_inputs: Vec<TypeId>,
     /// Shared pattern-prefix groups installed by the optimizer (§5
-    /// workload sharing, extended to sequence prefixes). Empty unless
-    /// prefix sharing is enabled and an eligible group was found.
+    /// workload sharing, extended to sequence prefixes). Empty when the
+    /// engine does not share or no eligible group was found.
     shared: Vec<SharedGroup>,
+    /// The routing table, indexed by [`TypeId::index`].
+    #[serde(skip)]
+    routes: Vec<Route>,
     /// Reusable execution buffers (always empty between calls; not part
     /// of the plan's persistent state).
     #[serde(skip)]
     scratch: CombinedScratch,
+}
+
+/// Where events of one type go in a [`CombinedPlan`].
+#[derive(Debug, Clone, Default)]
+struct Route {
+    /// The type arrives on the external input stream (no member plan
+    /// produces it).
+    external: bool,
+    /// A transaction carrying this type may execute plan-major. That
+    /// runs each member plan over the *whole* run before any
+    /// member-produced event is offered downstream, which is
+    /// unobservable unless a member fed this type also consumes a type
+    /// produced by a member plan — it would see its two input streams
+    /// in a different interleaving than per-event execution (stateful
+    /// patterns and negation buffers observe input order) — or the type
+    /// reaches a shared group, whose state interleaves with its
+    /// members' per event.
+    plan_major: bool,
+    /// Whether a gated group is among `groups`: the event needs the
+    /// context-window probe.
+    gated: bool,
+    /// Member plans that use the type, in ascending plan index.
+    members: Vec<MemberRoute>,
+    /// Shared groups the type reaches.
+    groups: Vec<GroupRoute>,
+}
+
+/// One member plan's use of an event type.
+#[derive(Debug, Clone, Copy)]
+struct MemberRoute {
+    /// Index into [`CombinedPlan::plans`].
+    plan: usize,
+    /// Run the member's chain from the bottom: one of its own steps
+    /// (above a delegated prefix's boundary step) or negations has the
+    /// type.
+    feed: bool,
+    /// `(group, pattern position)`: the member's boundary step has the
+    /// type — try the group's full prefixes at the member's pattern.
+    boundary: Option<(usize, usize)>,
+}
+
+/// One shared group's use of an event type.
+#[derive(Debug, Clone, Copy)]
+struct GroupRoute {
+    /// Index into the plan's shared groups.
+    group: usize,
+    /// One of the group's prefix steps has the type (otherwise the
+    /// type only crosses members' boundaries).
+    advance: bool,
 }
 
 /// Reusable per-transaction buffers of a [`CombinedPlan`]. Every buffer
@@ -229,8 +305,8 @@ struct CombinedScratch {
     chain: ChainScratch,
     /// Distinct externally consumed types of the transaction.
     types: Vec<TypeId>,
-    /// Per-member selection vector of the plan-major pass.
-    sel: Vec<u32>,
+    /// Per-member selection vectors of the plan-major pass.
+    sels: Vec<Vec<u32>>,
     /// Per-member row-tagged outputs of the plan-major pass.
     plan_outs: Vec<Vec<(u32, Event)>>,
     /// Per-member row-tagged transitions of the plan-major pass.
@@ -239,13 +315,118 @@ struct CombinedScratch {
     cursors: Vec<usize>,
     /// Per-member cursors into `plan_trans`.
     tcursors: Vec<usize>,
-    /// Worklist of derived events cascading to downstream members.
+    /// Worklist of derived events cascading to downstream members:
+    /// `(producer plan index + 1, event)` — derived events are only
+    /// offered to later plans (topological order prevents cycles).
     work: Vec<(usize, Event)>,
-    /// Sink for member-plan cascade processing.
+    /// Sink for member-plan chain runs.
     inner: ChainOutput,
     /// Matches produced by shared-prefix boundary crossings, before they
     /// resume the member chain above the pattern.
     boundary: Vec<Event>,
+}
+
+impl CombinedScratch {
+    /// Runs `event` through `ops[start..]` of member `plan`: the
+    /// chain's transitions and derived events move to `out`, and the
+    /// derived events queue for the members after `plan`.
+    fn run_member(
+        &mut self,
+        ops: &mut [Op],
+        start: usize,
+        event: Event,
+        plan: usize,
+        table: &ContextTable,
+        out: &mut PlanOutput,
+    ) {
+        self.inner.clear();
+        self.chain
+            .run_one(ops, start, event, table, &mut self.inner);
+        out.transitions.append(&mut self.inner.transitions);
+        for derived in self.inner.events.drain(..) {
+            out.events.push(derived.clone());
+            self.work.push((plan + 1, derived));
+        }
+    }
+}
+
+impl Route {
+    /// Notes that the type reaches `group`, to advance it or only to
+    /// cross members' boundaries.
+    fn reach(&mut self, group: usize, advance: bool) {
+        match self.groups.iter_mut().find(|r| r.group == group) {
+            Some(r) => r.advance |= advance,
+            None => self.groups.push(GroupRoute { group, advance }),
+        }
+    }
+}
+
+/// Builds the routing table of a combined plan (see [`CombinedPlan`]).
+/// Every group member must point at a pattern that delegates the
+/// group's prefix (`install_shared_prefixes` and `deserialize` see to
+/// that).
+fn build_routes(plans: &[QueryPlan], external: &[TypeId], shared: &[SharedGroup]) -> Vec<Route> {
+    let types = plans.iter().flat_map(|p| p.input_types.iter());
+    let len = types.map(|t| t.index() + 1).max().unwrap_or(0);
+    let mut routes = vec![
+        Route {
+            plan_major: true,
+            ..Route::default()
+        };
+        len
+    ];
+    for t in external {
+        routes[t.index()].external = true;
+    }
+    // (group, pattern position) of the plans that are group members.
+    let mut member_of: Vec<Option<(usize, usize)>> = vec![None; plans.len()];
+    for (g, group) in shared.iter().enumerate() {
+        for m in group.members() {
+            member_of[m.plan] = Some((g, m.pattern_pos));
+        }
+        for step in group.steps() {
+            routes[step.type_id.index()].reach(g, true);
+        }
+    }
+    let produced: Vec<TypeId> = plans.iter().filter_map(|p| p.output_type).collect();
+    for (idx, plan) in plans.iter().enumerate() {
+        let consumes_derived = produced.iter().any(|&t| plan.consumes(t));
+        for &t in &plan.input_types {
+            // A member's delegated prefix and boundary step are not its
+            // chain's business; everything else it lists is.
+            let (feed, boundary) = match member_of[idx] {
+                None => (true, None),
+                Some((g, pos)) => {
+                    let Op::Pattern(p) = &plan.ops[pos] else {
+                        unreachable!("group members point at patterns");
+                    };
+                    let (delegated, own) = p.steps().split_at(p.shared_prefix_len() + 1);
+                    let has = |steps: &[NfaStep]| steps.iter().any(|s| s.type_id == t);
+                    let own = has(own) || p.negations().iter().any(|n| n.type_id == t);
+                    let boundary = delegated.last().is_some_and(|s| s.type_id == t);
+                    (own || !has(delegated), boundary.then_some((g, pos)))
+                }
+            };
+            let route = &mut routes[t.index()];
+            if feed || boundary.is_some() {
+                route.members.push(MemberRoute {
+                    plan: idx,
+                    feed,
+                    boundary,
+                });
+            }
+            route.plan_major &= !(feed && consumes_derived);
+            if let Some((group, _)) = boundary {
+                route.reach(group, false);
+            }
+        }
+    }
+    for route in &mut routes {
+        route.groups.sort_unstable_by_key(|g| g.group);
+        route.gated = route.groups.iter().any(|g| shared[g.group].gated());
+        route.plan_major &= route.groups.is_empty();
+    }
+    routes
 }
 
 impl CombinedPlan {
@@ -260,12 +441,14 @@ impl CombinedPlan {
             .collect();
         external.sort_unstable();
         external.dedup();
+        let routes = build_routes(&plans, &external, &[]);
         Self {
             context,
             context_bit,
             plans,
             external_inputs: external,
             shared: Vec::new(),
+            routes,
             scratch: CombinedScratch::default(),
         }
     }
@@ -291,12 +474,7 @@ impl CombinedPlan {
             }
         }
         self.shared = groups;
-    }
-
-    /// Whether any shared-prefix group is installed.
-    #[must_use]
-    pub fn has_shared(&self) -> bool {
-        !self.shared.is_empty()
+        self.routes = build_routes(&self.plans, &self.external_inputs, &self.shared);
     }
 
     /// The installed shared-prefix groups.
@@ -321,7 +499,7 @@ impl CombinedPlan {
     /// external input stream.
     #[must_use]
     pub fn consumes_external(&self, type_id: TypeId) -> bool {
-        self.external_inputs.binary_search(&type_id).is_ok()
+        self.routes.get(type_id.index()).is_some_and(|r| r.external)
     }
 
     /// Feeds one external event through the combined plan. Derived events
@@ -331,24 +509,36 @@ impl CombinedPlan {
         let Self {
             plans,
             shared,
+            routes,
             context_bit,
             scratch,
             ..
         } = self;
-        Self::process_one(plans, shared, *context_bit, event, table, out, scratch);
+        Self::process_one(
+            plans,
+            shared,
+            routes,
+            *context_bit,
+            event,
+            table,
+            out,
+            scratch,
+        );
     }
 
     /// The per-event traversal behind [`process`](Self::process) and the
-    /// event-major batch path: each member plan consumes the external
-    /// event (in topological order) and immediately receives its
-    /// shared-prefix boundary crossings — the exact chain position where
+    /// event-major batch path, in the order the type's [`Route`] lists:
+    /// each member plan that uses the event runs its chain and then
+    /// tries its shared-prefix boundary — the exact chain position where
     /// unshared execution would have completed those matches — then the
-    /// derived events cascade LIFO to downstream members, and finally
-    /// the shared prefixes advance (after the members, so a prefix
-    /// completed by this event is never also extended by it).
+    /// derived events cascade to downstream members, and finally the
+    /// shared prefixes advance (after the members, so a prefix completed
+    /// by this event is never also extended by it).
+    #[allow(clippy::too_many_arguments)] // split borrows of `self`, so batch loops can hold the event slice
     fn process_one(
         plans: &mut [QueryPlan],
         shared: &mut [SharedGroup],
+        routes: &[Route],
         context_bit: u8,
         event: &Event,
         table: &ContextTable,
@@ -356,108 +546,58 @@ impl CombinedPlan {
         scratch: &mut CombinedScratch,
     ) {
         debug_assert!(scratch.work.is_empty());
-        for idx in 0..plans.len() {
-            if plans[idx].consumes(event.type_id) {
-                scratch.inner.clear();
-                scratch.chain.run_one(
-                    &mut plans[idx].ops,
-                    0,
-                    event.clone(),
-                    table,
-                    &mut scratch.inner,
-                );
-                out.transitions.append(&mut scratch.inner.transitions);
-                for derived in scratch.inner.events.drain(..) {
-                    out.events.push(derived.clone());
-                    scratch.work.push((idx + 1, derived));
-                }
-            }
-            if !shared.is_empty() {
-                Self::boundary_crossings(
-                    plans,
-                    shared,
-                    idx,
-                    context_bit,
-                    event,
-                    table,
-                    out,
-                    scratch,
-                );
-            }
+        let Some(route) = routes.get(event.type_id.index()) else {
+            return;
+        };
+        // One window probe per event decides for every gated group.
+        let holds = !route.gated || table.admits(event.partition, context_bit, event.time());
+        for g in &route.groups {
+            shared[g.group].record_probe(holds);
         }
-        // Cascade derived events. The worklist holds (producer plan
-        // index + 1, event): derived events are only offered to later
-        // plans (topological order prevents cycles).
-        while let Some((start, ev)) = scratch.work.pop() {
-            for (idx, plan) in plans.iter_mut().enumerate().skip(start) {
-                if !plan.consumes(ev.type_id) {
-                    continue;
-                }
-                scratch.inner.clear();
-                scratch
-                    .chain
-                    .run_one(&mut plan.ops, 0, ev.clone(), table, &mut scratch.inner);
-                out.transitions.append(&mut scratch.inner.transitions);
-                for derived in scratch.inner.events.drain(..) {
-                    out.events.push(derived.clone());
-                    scratch.work.push((idx + 1, derived));
-                }
+        for m in &route.members {
+            let plan = &mut plans[m.plan];
+            if m.feed {
+                scratch.run_member(&mut plan.ops, 0, event.clone(), m.plan, table, out);
             }
-        }
-        for group in shared.iter_mut() {
-            if group.gated() && !table.admits(event.partition, context_bit, event.time()) {
+            let Some((g, pos)) = m.boundary else { continue };
+            if !shared[g].open(holds) {
                 continue;
             }
-            group.advance(event);
+            let mut crossed = std::mem::take(&mut scratch.boundary);
+            debug_assert!(crossed.is_empty());
+            if let Op::Pattern(p) = &mut plan.ops[pos] {
+                p.cross_boundary(&shared[g], event, &mut crossed);
+            }
+            for matched in crossed.drain(..) {
+                scratch.run_member(&mut plan.ops, pos + 1, matched, m.plan, table, out);
+            }
+            scratch.boundary = crossed;
+        }
+        Self::cascade(plans, routes, table, out, scratch);
+        for g in &route.groups {
+            let group = &mut shared[g.group];
+            if g.advance && group.open(holds) {
+                group.advance(event);
+            }
         }
     }
 
-    /// Feeds each shared group's full prefixes to member `idx`'s
-    /// pattern for boundary extension by `event`, resuming completed
-    /// matches through the member chain above the pattern. Runs in the
-    /// member's own slot of the external pass so emissions land exactly
-    /// where unshared execution would put them.
-    #[allow(clippy::too_many_arguments)] // split-borrow helper of process_one: its params plus the member index
-    fn boundary_crossings(
+    /// Drains the worklist of derived events: each goes to the later
+    /// members whose chains use its type, whose own derived events join
+    /// the worklist (LIFO).
+    fn cascade(
         plans: &mut [QueryPlan],
-        shared: &[SharedGroup],
-        idx: usize,
-        context_bit: u8,
-        event: &Event,
+        routes: &[Route],
         table: &ContextTable,
         out: &mut PlanOutput,
         scratch: &mut CombinedScratch,
     ) {
-        for group in shared {
-            if group.gated() && !table.admits(event.partition, context_bit, event.time()) {
+        while let Some((start, ev)) = scratch.work.pop() {
+            let Some(route) = routes.get(ev.type_id.index()) else {
                 continue;
-            }
-            for member in group.members() {
-                if member.plan != idx {
-                    continue;
-                }
-                let plan = &mut plans[idx];
-                debug_assert!(scratch.boundary.is_empty());
-                if let Op::Pattern(p) = &mut plan.ops[member.pattern_pos] {
-                    for prefix in group.full_prefixes() {
-                        p.extend_from_shared(prefix, event, &mut scratch.boundary);
-                    }
-                }
-                for m in scratch.boundary.drain(..) {
-                    scratch.inner.clear();
-                    scratch.chain.run_one(
-                        &mut plan.ops,
-                        member.pattern_pos + 1,
-                        m,
-                        table,
-                        &mut scratch.inner,
-                    );
-                    out.transitions.append(&mut scratch.inner.transitions);
-                    for d in scratch.inner.events.drain(..) {
-                        out.events.push(d.clone());
-                        scratch.work.push((idx + 1, d));
-                    }
-                }
+            };
+            for m in route.members.iter().filter(|m| m.plan >= start && m.feed) {
+                scratch.run_member(&mut plans[m.plan].ops, 0, ev.clone(), m.plan, table, out);
             }
         }
     }
@@ -467,12 +607,14 @@ impl CombinedPlan {
     /// the combined plan. Equivalent to calling [`process`] once per
     /// consumed event in slice order — member plans see the exact same
     /// event sequence and `out` receives the exact same outputs — but
-    /// executed *plan-major* where legal: each member plan consumes the
-    /// whole run batch-at-a-time (vectorized kernels, pooled pattern
-    /// state, one context-window probe per run), and the per-plan
-    /// outputs are merged back into per-event order by their input-row
-    /// tags. All buffers come from the plan's scratch, so the steady
-    /// state allocates nothing.
+    /// executed *plan-major* where that is unobservable (no member fed
+    /// the run also consumes member-produced events, no shared group is
+    /// reached):
+    /// each member plan consumes the whole run batch-at-a-time
+    /// (vectorized kernels, pooled pattern state, one context-window
+    /// probe per run), and the per-plan outputs are merged back into
+    /// per-event order by their input-row tags. All buffers come from
+    /// the plan's scratch, so the steady state allocates nothing.
     ///
     /// [`process`]: CombinedPlan::process
     pub fn process_batch(
@@ -494,33 +636,12 @@ impl CombinedPlan {
             self.scratch.types = types;
             return;
         }
-        // Shared-prefix groups interleave member and group state per
-        // event, so sharing always takes the event-major path.
-        if self.shared.is_empty() && self.plan_major_applies(&types) {
+        if types.iter().all(|t| self.routes[t.index()].plan_major) {
             self.process_batch_plan_major(cols, &types, table, out);
         } else {
             self.process_batch_event_major(cols, &types, table, out);
         }
         self.scratch.types = types;
-    }
-
-    /// Plan-major execution runs each member plan over the *whole* run
-    /// before any member-produced event is offered downstream. That is
-    /// unobservable unless some member consumes both a type present in
-    /// this transaction's external input *and* a type produced by a
-    /// member plan — such a plan would see its two input streams in a
-    /// different interleaving than the per-event path (stateful patterns
-    /// and negation buffers observe input order). Those transactions
-    /// take the event-major path instead.
-    fn plan_major_applies(&self, types: &[TypeId]) -> bool {
-        self.plans.iter().all(|plan| {
-            !types.iter().any(|&t| plan.consumes(t))
-                || !self
-                    .plans
-                    .iter()
-                    .filter_map(|p| p.output_type)
-                    .any(|t| plan.consumes(t))
-        })
     }
 
     /// The batched hot path: each member plan consumes its selection of
@@ -540,28 +661,34 @@ impl CombinedPlan {
         table: &ContextTable,
         out: &mut PlanOutput,
     ) {
-        let Self { plans, scratch, .. } = self;
+        let Self {
+            plans,
+            routes,
+            scratch,
+            ..
+        } = self;
         let n = plans.len();
+        scratch.sels.resize_with(n, Vec::new);
         scratch.plan_outs.resize_with(n, Vec::new);
         scratch.plan_trans.resize_with(n, Vec::new);
         let events = cols.events();
+        scratch.sels.iter_mut().for_each(Vec::clear);
+        for (row, e) in events.iter().enumerate() {
+            if types.contains(&e.type_id) {
+                for m in &routes[e.type_id.index()].members {
+                    scratch.sels[m.plan].push(row as u32);
+                }
+            }
+        }
         for (idx, plan) in plans.iter_mut().enumerate() {
             let outs = &mut scratch.plan_outs[idx];
             let trans = &mut scratch.plan_trans[idx];
             outs.clear();
             trans.clear();
-            scratch.sel.clear();
-            scratch.sel.extend(
-                events
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| types.contains(&e.type_id) && plan.consumes(e.type_id))
-                    .map(|(i, _)| i as u32),
-            );
             run_chain_batch_items(
                 &mut plan.ops,
                 cols,
-                &mut scratch.sel,
+                &mut scratch.sels[idx],
                 table,
                 &mut scratch.chain,
                 outs,
@@ -596,25 +723,10 @@ impl CombinedPlan {
                 }
             }
             // Cascade this row's derived events to downstream members —
-            // the qualifier guarantees no member consuming them also
-            // consumed the external run, so their state still sees
+            // plan-major legality guarantees no member consuming them
+            // also consumed the external run, so their state still sees
             // inputs in per-event order.
-            while let Some((start, ev)) = scratch.work.pop() {
-                for (j, plan) in plans.iter_mut().enumerate().skip(start) {
-                    if !plan.consumes(ev.type_id) {
-                        continue;
-                    }
-                    scratch.inner.clear();
-                    scratch
-                        .chain
-                        .run_one(&mut plan.ops, 0, ev.clone(), table, &mut scratch.inner);
-                    out.transitions.append(&mut scratch.inner.transitions);
-                    for d in scratch.inner.events.drain(..) {
-                        out.events.push(d.clone());
-                        scratch.work.push((j + 1, d));
-                    }
-                }
-            }
+            Self::cascade(plans, routes, table, out, scratch);
         }
         // Cursor walks must have drained every sink: each output's row
         // tag is a selected row of `types`-membership, all visited.
@@ -622,7 +734,7 @@ impl CombinedPlan {
         debug_assert!((0..n).all(|i| scratch.tcursors[i] == scratch.plan_trans[i].len()));
     }
 
-    /// Event-major fallback for the (rare) transactions where plan-major
+    /// Event-major execution for the transactions where plan-major
     /// reordering would be observable — identical traversal to
     /// [`process`] per event, but reusing the plan's scratch buffers.
     ///
@@ -637,6 +749,7 @@ impl CombinedPlan {
         let Self {
             plans,
             shared,
+            routes,
             context_bit,
             scratch,
             ..
@@ -646,7 +759,16 @@ impl CombinedPlan {
             if !types.contains(&event.type_id) {
                 continue;
             }
-            Self::process_one(plans, shared, *context_bit, event, table, out, scratch);
+            Self::process_one(
+                plans,
+                shared,
+                routes,
+                *context_bit,
+                event,
+                table,
+                out,
+                scratch,
+            );
         }
     }
 
@@ -657,7 +779,12 @@ impl CombinedPlan {
         for group in &mut self.shared {
             group.advance_time(watermark);
         }
-        let Self { plans, scratch, .. } = self;
+        let Self {
+            plans,
+            routes,
+            scratch,
+            ..
+        } = self;
         let mut matured = PlanOutput::default();
         for idx in 0..plans.len() {
             if !plans[idx].needs_advance() {
@@ -672,26 +799,7 @@ impl CombinedPlan {
                 out.events.push(derived.clone());
                 debug_assert!(scratch.work.is_empty());
                 scratch.work.push((idx + 1, derived));
-                while let Some((start, ev)) = scratch.work.pop() {
-                    for (j, plan) in plans.iter_mut().enumerate().skip(start) {
-                        if !plan.consumes(ev.type_id) {
-                            continue;
-                        }
-                        scratch.inner.clear();
-                        scratch.chain.run_one(
-                            &mut plan.ops,
-                            0,
-                            ev.clone(),
-                            table,
-                            &mut scratch.inner,
-                        );
-                        out.transitions.append(&mut scratch.inner.transitions);
-                        for d in scratch.inner.events.drain(..) {
-                            out.events.push(d.clone());
-                            scratch.work.push((j + 1, d));
-                        }
-                    }
-                }
+                Self::cascade(plans, routes, table, out, scratch);
             }
         }
     }
@@ -702,14 +810,6 @@ impl CombinedPlan {
         for p in &mut self.plans {
             p.reset_state();
         }
-        for g in &mut self.shared {
-            g.reset();
-        }
-    }
-
-    /// Resets only the shared-prefix groups (used when the owning code
-    /// resets member plans individually).
-    pub fn reset_shared(&mut self) {
         for g in &mut self.shared {
             g.reset();
         }
@@ -728,14 +828,6 @@ impl CombinedPlan {
         }
     }
 
-    /// Expires shared-prefix partials started at or before `t`
-    /// (original-window expiry for grouped windows, Figure 7).
-    pub fn expire_shared_history(&mut self, t: Time) {
-        for g in &mut self.shared {
-            g.expire_started_at_or_before(t);
-        }
-    }
-
     /// Total number of queries in the combined plan.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -748,7 +840,8 @@ impl CombinedPlan {
         self.plans.is_empty()
     }
 
-    /// Multi-line explain output.
+    /// Multi-line explain output: the member plans, then every
+    /// installed shared-prefix group.
     #[must_use]
     pub fn explain(&self) -> String {
         let mut s = format!("CombinedPlan[{}] ({} queries)\n", self.context, self.len());
@@ -757,7 +850,73 @@ impl CombinedPlan {
             s.push_str(&p.explain());
             s.push('\n');
         }
+        s.push_str(&self.explain_shared());
         s
+    }
+
+    /// One explain line per installed shared-prefix group: the shared
+    /// steps, the prefix length, whether the group gates on the context
+    /// window, and the member queries.
+    #[must_use]
+    pub fn explain_shared(&self) -> String {
+        let mut s = String::new();
+        for (g, group) in self.shared.iter().enumerate() {
+            let steps: Vec<String> = group
+                .steps()
+                .iter()
+                .map(|s| s.type_id.to_string())
+                .collect();
+            let members: Vec<String> = group
+                .members()
+                .iter()
+                .map(|m| self.plans[m.plan].query_id.to_string())
+                .collect();
+            s.push_str(&format!(
+                "  shared prefix {g}: SEQ({}), length {}, {}, members {}\n",
+                steps.join(", "),
+                group.prefix_len(),
+                if group.gated() { "gated" } else { "ungated" },
+                members.join(", ")
+            ));
+        }
+        s
+    }
+}
+
+// The routing table is derived data: absent from the bytes, rebuilt
+// here. Snapshots come from disk, so the group members are checked
+// before anything indexes by them.
+impl Deserialize for CombinedPlan {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, serde::Error> {
+        let context = String::deserialize(de)?;
+        let context_bit = u8::deserialize(de)?;
+        let plans = Vec::<QueryPlan>::deserialize(de)?;
+        let external_inputs = Vec::<TypeId>::deserialize(de)?;
+        let shared = Vec::<SharedGroup>::deserialize(de)?;
+        for group in &shared {
+            for m in group.members() {
+                let op = plans.get(m.plan).and_then(|p| p.ops.get(m.pattern_pos));
+                let delegated = match op {
+                    Some(Op::Pattern(p)) if p.arity() > group.prefix_len() => p.shared_prefix_len(),
+                    _ => 0,
+                };
+                if delegated != group.prefix_len() {
+                    return Err(serde::Error::custom(
+                        "shared-prefix member does not point at a pattern delegating the group's prefix",
+                    ));
+                }
+            }
+        }
+        let routes = build_routes(&plans, &external_inputs, &shared);
+        Ok(Self {
+            context,
+            context_bit,
+            plans,
+            external_inputs,
+            shared,
+            routes,
+            scratch: CombinedScratch::default(),
+        })
     }
 }
 
@@ -929,6 +1088,96 @@ mod tests {
             explain.contains("ContextWindow -> Pattern -> Project"),
             "{explain}"
         );
+    }
+
+    /// `SEQ(In, tail)` deriving `out`, pattern at the chain bottom.
+    fn seq_plan(reg: &SchemaRegistry, id: u32, tail: &str, out: &str) -> QueryPlan {
+        let types = [reg.lookup("In").unwrap(), reg.lookup(tail).unwrap()];
+        let out_ty = reg.lookup(out).unwrap();
+        let seq = crate::nfa::PatternBuilder::new(out_ty)
+            .then(types[0])
+            .then(types[1])
+            .within(1000)
+            .offsets(vec![0, 1])
+            .build();
+        QueryPlan {
+            query_id: QueryId(id),
+            context: "c".into(),
+            context_bit: 0,
+            ops: vec![Op::Pattern(seq)],
+            input_types: types.to_vec(),
+            output_type: Some(out_ty),
+            is_deriving: false,
+            source: dummy_source(id).into(),
+        }
+    }
+
+    #[test]
+    fn routing_table_is_rebuilt_not_serialized() {
+        use crate::pattern::SharedMember;
+        use serde::Serializer;
+        let mut reg = registry();
+        for name in ["OutMid", "OutFinal"] {
+            reg.register(Schema::new(name, &[("v", AttrType::Int)]))
+                .unwrap();
+        }
+        let plans = vec![
+            seq_plan(&reg, 0, "Mid", "OutMid"),
+            seq_plan(&reg, 1, "Final", "OutFinal"),
+        ];
+        let prefix = match &plans[0].ops[0] {
+            Op::Pattern(p) => p.steps()[..1].to_vec(),
+            _ => unreachable!(),
+        };
+        let member = |plan| SharedMember {
+            plan,
+            pattern_pos: 0,
+        };
+        let mut combined = CombinedPlan::new("c".into(), 0, plans);
+        combined.install_shared_prefixes(vec![SharedGroup::new(
+            prefix,
+            1000,
+            false,
+            vec![member(0), member(1)],
+        )]);
+
+        // The bytes are the five persistent fields and nothing else.
+        let bytes = serde::to_bytes(&combined);
+        let mut fields = Serializer::new();
+        combined.context.serialize(&mut fields);
+        combined.context_bit.serialize(&mut fields);
+        combined.plans.serialize(&mut fields);
+        combined.external_inputs.serialize(&mut fields);
+        combined.shared.serialize(&mut fields);
+        assert_eq!(bytes, fields.into_bytes());
+
+        // A deserialized plan routes like the one it was written from.
+        let mut restored: CombinedPlan = serde::from_bytes(&bytes).unwrap();
+        let table = ContextTable::new(1, 0);
+        let stream: Vec<Event> = [("In", 1), ("Mid", 2), ("In", 3), ("Final", 4)]
+            .into_iter()
+            .map(|(ty, t)| {
+                Event::simple(
+                    reg.lookup(ty).unwrap(),
+                    t,
+                    PartitionId(0),
+                    vec![Value::Int(t as i64)],
+                )
+            })
+            .collect();
+        let (mut out_a, mut out_b) = (PlanOutput::default(), PlanOutput::default());
+        for e in &stream {
+            assert!(restored.consumes_external(e.type_id));
+            combined.process(e, &table, &mut out_a);
+            restored.process(e, &table, &mut out_b);
+        }
+        assert_eq!(out_a.events.len(), 3, "(1,2), (1,4), (3,4)");
+        assert_eq!(out_a.events, out_b.events);
+
+        // A member reference that points nowhere is refused, not indexed.
+        let mut broken = combined.clone();
+        broken.plans.pop();
+        assert!(serde::from_bytes::<CombinedPlan>(&serde::to_bytes(&broken)).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Clickstream funnel benchmark: context-aware vs context-insensitive
-//! plans and prefix-shared vs unshared query sets over a Zipf-skewed
+//! execution and a sharing vs non-sharing engine over a Zipf-skewed
 //! session-state workload with ≥ 100k user partitions.
 //!
 //! The workload is the `caesar-clickstream` substrate: per-user web
@@ -9,20 +9,21 @@
 //! registered per state. Two axes are compared, each sequentially and
 //! hash-sharded:
 //!
-//! * **CA vs CI** — the same prefix-shared plan run context-aware
-//!   (queries suspended outside their session state) vs
-//!   context-independent (every query always active, contexts privately
-//!   re-derived). The CAESAR claim: suspension pays exactly when most
-//!   partitions sit in states most queries don't watch.
-//! * **shared vs unshared** — context-aware execution of the
-//!   prefix-shared plan vs per-query pattern state. Replicated funnel
-//!   queries differ only in a predicate on the last pattern variable,
-//!   so the `SEQ` prefixes stay identical and sharing deduplicates the
-//!   dominant step-0/step-1 admission work.
+//! * **CA vs CI** — the same program run context-aware (queries
+//!   suspended outside their session state) vs context-independent
+//!   (every query always active, contexts privately re-derived). The
+//!   CAESAR claim: suspension pays exactly when most partitions sit in
+//!   states most queries don't watch.
+//! * **shared vs unshared** — context-aware execution with
+//!   `EngineConfig::sharing` on (the default: every eligible
+//!   shared-prefix group installed) vs off (per-query pattern state).
+//!   Replicated funnel queries differ only in a predicate on the last
+//!   pattern variable, so the `SEQ` prefixes stay identical and sharing
+//!   deduplicates the dominant step-0/step-1 admission work.
 //!
 //! Both sides of each pair run in this process over the same pre-built
 //! stream, in back-to-back pairs that alternate which side goes first
-//! (the `nfa` bench methodology); the reported speedup is the median
+//! (the `hotpath` bench methodology); the reported speedup is the median
 //! per-pair ratio. Warmup runs double as the correctness pin: every
 //! variant must emit the same number of outputs.
 //!
@@ -41,7 +42,7 @@ use caesar_clickstream::{
     QUERIES_PER_REPLICATION,
 };
 use caesar_core::prelude::*;
-use caesar_optimizer::{OptimizedProgram, Optimizer, OptimizerConfig};
+use caesar_optimizer::{OptimizedProgram, Optimizer};
 use caesar_query::QuerySet;
 use caesar_runtime::{run_mode_full, ModeSpec};
 use std::time::Instant;
@@ -83,7 +84,7 @@ fn stream(registry: &SchemaRegistry) -> (Vec<Event>, ClickSummary) {
     (events, summary)
 }
 
-fn build(replication: usize, share: bool) -> (OptimizedProgram, SchemaRegistry) {
+fn build(replication: usize) -> (OptimizedProgram, SchemaRegistry) {
     let model = clickstream_model(replication);
     let qs = QuerySet::from_model(&model).expect("query set");
     let mut reg = clickstream_registry();
@@ -91,14 +92,7 @@ fn build(replication: usize, share: bool) -> (OptimizedProgram, SchemaRegistry) 
         default_within: DEFAULT_WITHIN,
     };
     let t = translate_query_set(&qs, &mut reg, &options).expect("translate");
-    let program = Optimizer {
-        config: OptimizerConfig {
-            share_prefixes: share,
-            ..OptimizerConfig::default()
-        },
-        ..Optimizer::default()
-    }
-    .optimize(t, &reg);
+    let program = Optimizer::default().optimize(t, &reg);
     (program, reg)
 }
 
@@ -108,11 +102,13 @@ fn timed_run(
     program: &OptimizedProgram,
     reg: &SchemaRegistry,
     mode: ExecutionMode,
+    sharing: bool,
     shards: usize,
     events: &[Event],
 ) -> (u64, f64) {
     let config = EngineConfig::builder()
         .mode(mode)
+        .sharing(sharing)
         .batch(BatchPolicy::default())
         .build();
     let spec = ModeSpec {
@@ -176,43 +172,18 @@ struct Row {
 }
 
 fn bench_fleet(replication: usize, events: &[Event], summary: &ClickSummary) -> Vec<Row> {
-    let (shared_prog, shared_reg) = build(replication, true);
-    let (plain_prog, plain_reg) = build(replication, false);
+    let (program, reg) = build(replication);
+    let run = |mode, sharing, shards| timed_run(&program, &reg, mode, sharing, shards, events);
 
     // Warmup — and the correctness pin: neither context-aware
-    // suspension, prefix sharing, nor sharding may change what comes
-    // out. (The scale test pins byte-identical outputs; counts suffice
-    // here.)
-    let (ca_out, _) = timed_run(
-        &shared_prog,
-        &shared_reg,
-        ExecutionMode::ContextAware,
-        0,
-        events,
-    );
-    let (ci_out, _) = timed_run(
-        &shared_prog,
-        &shared_reg,
-        ExecutionMode::ContextIndependent,
-        0,
-        events,
-    );
-    let (plain_out, _) = timed_run(
-        &plain_prog,
-        &plain_reg,
-        ExecutionMode::ContextAware,
-        0,
-        events,
-    );
-    let (sharded_out, _) = timed_run(
-        &shared_prog,
-        &shared_reg,
-        ExecutionMode::ContextAware,
-        SHARDS,
-        events,
-    );
+    // suspension, sharing, nor sharding may change what comes out. (The
+    // scale test pins byte-identical outputs; counts suffice here.)
+    let (ca_out, _) = run(ExecutionMode::ContextAware, true, 0);
+    let (ci_out, _) = run(ExecutionMode::ContextIndependent, true, 0);
+    let (plain_out, _) = run(ExecutionMode::ContextAware, false, 0);
+    let (sharded_out, _) = run(ExecutionMode::ContextAware, true, SHARDS);
     assert_eq!(ca_out, ci_out, "CI mode changed the output count");
-    assert_eq!(ca_out, plain_out, "prefix sharing changed the output count");
+    assert_eq!(ca_out, plain_out, "sharing changed the output count");
     assert_eq!(ca_out, sharded_out, "sharding changed the output count");
     assert!(ca_out > 0, "workload produced no outputs");
 
@@ -220,33 +191,9 @@ fn bench_fleet(replication: usize, events: &[Event], summary: &ClickSummary) -> 
     [0usize, SHARDS]
         .into_iter()
         .map(|shards| {
-            let ca = || {
-                timed_run(
-                    &shared_prog,
-                    &shared_reg,
-                    ExecutionMode::ContextAware,
-                    shards,
-                    events,
-                )
-            };
-            let ci = || {
-                timed_run(
-                    &shared_prog,
-                    &shared_reg,
-                    ExecutionMode::ContextIndependent,
-                    shards,
-                    events,
-                )
-            };
-            let plain = || {
-                timed_run(
-                    &plain_prog,
-                    &plain_reg,
-                    ExecutionMode::ContextAware,
-                    shards,
-                    events,
-                )
-            };
+            let ca = || run(ExecutionMode::ContextAware, true, shards);
+            let ci = || run(ExecutionMode::ContextIndependent, true, shards);
+            let plain = || run(ExecutionMode::ContextAware, false, shards);
             let (ci_evs, ca_evs, ca_ci_speedup) = paired(n, &ci, &ca);
             let (unshared_evs, shared_evs, sharing_speedup) = paired(n, &plain, &ca);
             Row {
@@ -297,7 +244,7 @@ fn write_json(rows: &[Row]) {
         .collect();
     let json = format!(
         "{{\n\"benchmark\": \"clickstream funnel: context-aware vs context-independent, \
-         prefix-shared vs unshared, over 1M-user Zipf sessions\",\n\
+         EngineConfig::sharing on vs off, over 1M-user Zipf sessions\",\n\
          \"unit\": \"events per second of wall time; median of interleaved back-to-back \
          pairs, speedup = median per-pair ratio\",\n\
          \"zipf_s\": 1.2,\n\

@@ -22,6 +22,7 @@ use caesar_events::{Time, TypeId};
 use caesar_query::ast::QueryId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::fmt;
 
 /// A user-defined context window with compile-time-ordered bounds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -221,11 +222,63 @@ struct PrefixCandidate {
     sig: Vec<(TypeId, Vec<PredicateId>)>,
 }
 
+/// The eligibility rule that keeps a sequence pattern out of every
+/// shared-prefix group (see [`prefix_sharing`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PrefixExclusion {
+    /// A context window sits above the pattern: it resets the member's
+    /// state on termination, which a group below it would not mirror.
+    WindowAbovePattern,
+    /// The window below the pattern was widened to other contexts by
+    /// workload sharing (§5.3); a group gates on its own context alone.
+    WidenedWindow,
+    /// No other sequence under the same window starts with the same
+    /// step (event type and pushed-down predicates).
+    DifferingFirstStep,
+    /// Sequences with the same first step exist, but none with the same
+    /// `WITHIN` horizon (the span guard would prune differently).
+    DifferingWithin,
+    /// A prefix or boundary step's type is produced by a member plan:
+    /// groups advance, and boundaries cross, on external events only.
+    NonExternalPrefix,
+}
+
+impl fmt::Display for PrefixExclusion {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Self::WindowAbovePattern => "context window above the pattern",
+            Self::WidenedWindow => "context window widened by workload sharing",
+            Self::DifferingFirstStep => "no other sequence with the same first step",
+            Self::DifferingWithin => "differing WITHIN",
+            Self::NonExternalPrefix => "prefix or boundary type is derived by a member plan",
+        })
+    }
+}
+
+/// The prefix-sharing decision for one combined plan: the groups to
+/// install, and why each remaining multi-step sequence runs privately.
+#[derive(Debug, Clone)]
+pub struct PrefixSharing {
+    /// The groups every eligible bucket forms.
+    pub groups: Vec<SharedGroup>,
+    /// `(plan index, rule)` of the sequence patterns left private, in
+    /// plan order.
+    pub private: Vec<(usize, PrefixExclusion)>,
+}
+
 /// Extends §5 workload sharing from context windows to *pattern
 /// prefixes*: sequence patterns of one combined plan whose leading
 /// steps agree on event type and (interned) step predicates build those
 /// prefix partials once, in a [`SharedGroup`], instead of once per
 /// query.
+///
+/// Eligibility *is* the decision — every group found here is installed
+/// whenever the engine shares at all. With type-indexed dispatch in the
+/// combined plan a prefix event costs one group advance instead of one
+/// chain run per member, and a tail event one boundary attempt, so a
+/// group of two already does less work per event than two private
+/// patterns on every shape measured (EXPERIMENTS.md, "Prefix sharing
+/// by eligibility"); there is no cost inequality to evaluate.
 ///
 /// Eligibility is deliberately conservative — sharing must be
 /// output-invariant, byte for byte:
@@ -248,9 +301,10 @@ struct PrefixCandidate {
 /// across the bucket, capped one below the smallest member arity so
 /// every member keeps at least its final step private.
 #[must_use]
-pub fn shared_prefix_groups(combined: &CombinedPlan) -> Vec<SharedGroup> {
+pub fn prefix_sharing(combined: &CombinedPlan) -> PrefixSharing {
     let mut table = PredicateTable::new();
     let mut cands: Vec<PrefixCandidate> = Vec::new();
+    let mut private: Vec<(usize, PrefixExclusion)> = Vec::new();
     for (pi, plan) in combined.plans.iter().enumerate() {
         let Some(pos) = plan.pattern_position() else {
             continue;
@@ -261,21 +315,22 @@ pub fn shared_prefix_groups(combined: &CombinedPlan) -> Vec<SharedGroup> {
         if p.is_passthrough() || p.arity() < 2 {
             continue;
         }
-        let gated = match pos {
+        let gated = match (pos, plan.ops.first()) {
             // Ungated sharing requires a window-free chain: a context
             // window *above* the pattern still resets the member's state
             // on termination, which a shared group would not mirror.
-            0 if plan.context_window_position().is_none() => false,
-            0 => continue,
-            1 => match &plan.ops[0] {
-                Op::ContextWindow(cw)
-                    if cw.context_bit == combined.context_bit && cw.extra_bits.is_empty() =>
-                {
-                    true
+            (0, _) if plan.context_window_position().is_none() => false,
+            (1, Some(Op::ContextWindow(cw))) if cw.context_bit == combined.context_bit => {
+                if !cw.extra_bits.is_empty() {
+                    private.push((pi, PrefixExclusion::WidenedWindow));
+                    continue;
                 }
-                _ => continue,
-            },
-            _ => continue,
+                true
+            }
+            _ => {
+                private.push((pi, PrefixExclusion::WindowAbovePattern));
+                continue;
+            }
         };
         let sig = p
             .steps()
@@ -311,7 +366,7 @@ pub fn shared_prefix_groups(combined: &CombinedPlan) -> Vec<SharedGroup> {
             continue;
         }
         // Longest common signature prefix, capped one below the
-        // smallest arity.
+        // smallest arity (≥ 1: the bucket agrees on step 0).
         let cap = bucket.iter().map(|&j| cands[j].sig.len()).min().unwrap() - 1;
         let mut l = cap;
         for k in 0..cap {
@@ -319,9 +374,6 @@ pub fn shared_prefix_groups(combined: &CombinedPlan) -> Vec<SharedGroup> {
                 l = k;
                 break;
             }
-        }
-        if l < 1 {
-            continue;
         }
         // External-input constraint: the group advances, and boundaries
         // cross, on the external-event path only.
@@ -361,7 +413,38 @@ pub fn shared_prefix_groups(combined: &CombinedPlan) -> Vec<SharedGroup> {
                 .collect(),
         ));
     }
-    groups
+
+    // Name the rule behind every candidate left over. A peer agreeing
+    // on window, first step and `WITHIN` always shares at least that
+    // step, so only the external-input rule can have kept the two apart.
+    for (i, c) in cands.iter().enumerate().filter(|(i, _)| !used[*i]) {
+        let mut peers = cands
+            .iter()
+            .enumerate()
+            .filter(|(j, o)| *j != i && o.gated == c.gated && o.sig[0] == c.sig[0])
+            .peekable();
+        let why = if peers.peek().is_none() {
+            PrefixExclusion::DifferingFirstStep
+        } else if peers.any(|(_, o)| o.within == c.within) {
+            PrefixExclusion::NonExternalPrefix
+        } else {
+            PrefixExclusion::DifferingWithin
+        };
+        private.push((c.plan, why));
+    }
+    private.sort_unstable_by_key(|(plan, _)| *plan);
+    PrefixSharing { groups, private }
+}
+
+/// Installs every group [`prefix_sharing`] finds on `combined` and
+/// returns the sequences left private, each with the rule that
+/// excluded it.
+pub fn install_prefix_sharing(combined: &mut CombinedPlan) -> Vec<(usize, PrefixExclusion)> {
+    let PrefixSharing { groups, private } = prefix_sharing(combined);
+    if !groups.is_empty() {
+        combined.install_shared_prefixes(groups);
+    }
+    private
 }
 
 #[cfg(test)]
@@ -553,7 +636,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_prefix_groups_find_common_two_step_prefix() {
+    fn prefix_sharing_finds_common_two_step_prefix() {
         // Out1 and Out2 agree on SEQ(A, B, _); predicates sit on the
         // final variable, which predicate push-down leaves alone, so the
         // interned prefix signatures stay equal. Solo starts with E and
@@ -568,7 +651,7 @@ mod tests {
             }
         "#,
         );
-        let groups = shared_prefix_groups(&combined);
+        let PrefixSharing { groups, private } = prefix_sharing(&combined);
         assert_eq!(groups.len(), 1, "one group for the A-B prefix");
         let g = &groups[0];
         assert_eq!(g.prefix_len(), 2);
@@ -580,6 +663,7 @@ mod tests {
             };
             assert_eq!(p.arity(), 3);
         }
+        assert_eq!(private, vec![(2, PrefixExclusion::DifferingFirstStep)]);
     }
 
     #[test]
@@ -593,10 +677,13 @@ mod tests {
             }
         "#,
         );
+        let decision = prefix_sharing(&combined);
         assert!(
-            shared_prefix_groups(&combined).is_empty(),
+            decision.groups.is_empty(),
             "span pruning differs, so the partials are not interchangeable"
         );
+        let why = PrefixExclusion::DifferingWithin;
+        assert_eq!(decision.private, vec![(0, why), (1, why)]);
     }
 
     #[test]
@@ -612,7 +699,40 @@ mod tests {
             }
         "#,
         );
-        assert!(shared_prefix_groups(&combined).is_empty());
+        let decision = prefix_sharing(&combined);
+        assert!(decision.groups.is_empty());
+        let why = PrefixExclusion::DifferingFirstStep;
+        assert_eq!(decision.private, vec![(0, why), (1, why)]);
+    }
+
+    #[test]
+    fn derived_prefix_types_and_windows_above_the_pattern_stay_private() {
+        // `Mid` is produced by a member plan: the group would have to
+        // advance on the cascade, which it never sees.
+        let src = r#"
+            MODEL m DEFAULT ctx
+            CONTEXT ctx {
+                DERIVE Mid(c.v) PATTERN C c
+                DERIVE Out1(a.v) PATTERN SEQ(A a, Mid m, D d)
+                DERIVE Out2(a.v) PATTERN SEQ(A a, Mid m, E e)
+            }
+        "#;
+        let decision = prefix_sharing(&prefix_combined(src));
+        assert!(decision.groups.is_empty());
+        let why = PrefixExclusion::NonExternalPrefix;
+        assert_eq!(decision.private, vec![(1, why), (2, why)]);
+
+        // Unoptimized chains keep the context window above the pattern.
+        let mut combined = prefix_combined(src);
+        for plan in &mut combined.plans {
+            let window = plan.ops.remove(0);
+            assert!(window.is_context_window());
+            plan.ops.push(window);
+        }
+        let decision = prefix_sharing(&combined);
+        assert!(decision.groups.is_empty());
+        let why = PrefixExclusion::WindowAbovePattern;
+        assert_eq!(decision.private, vec![(1, why), (2, why)]);
     }
 
     #[test]
@@ -628,7 +748,7 @@ mod tests {
             }
         "#,
         );
-        let groups = shared_prefix_groups(&combined);
+        let groups = prefix_sharing(&combined).groups;
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].prefix_len(), 2);
     }

@@ -35,8 +35,13 @@ pub mod pushdown;
 pub mod search;
 pub mod subsume;
 
-pub use grouping::{group_windows, shared_prefix_groups, GroupedWindow, UserWindow};
-pub use mqo::{bell_number, find_sharing, stirling2, SharedWorkload};
+pub use grouping::{
+    group_windows, install_prefix_sharing, prefix_sharing, GroupedWindow, PrefixExclusion,
+    PrefixSharing, UserWindow,
+};
+pub use mqo::{
+    bell_number, executing_plans, find_sharing, stirling2, ExecutingPlans, SharedWorkload,
+};
 pub use optimizer::{OptimizedProgram, Optimizer, OptimizerConfig};
 pub use pushdown::{
     merge_adjacent_filters, push_down_context_window, push_predicates_into_pattern,

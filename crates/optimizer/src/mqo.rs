@@ -11,6 +11,7 @@
 //! [`search_space_reduction`] computes the factor by which dividing `n`
 //! queries into `m` groups shrinks the grouping search space.
 
+use caesar_algebra::{CombinedPlan, Op, QueryPlan};
 use caesar_query::ast::{EventQuery, QueryId};
 use caesar_query::queryset::CompiledQuery;
 use serde::{Deserialize, Serialize};
@@ -79,6 +80,92 @@ pub fn find_sharing(queries: &[&CompiledQuery]) -> Vec<SharedWorkload> {
         .collect();
     out.sort_by_key(|s| s.representative);
     out
+}
+
+/// The plans of a translated program that execute once workload
+/// sharing is applied: structurally identical queries keep a single
+/// *representative* plan whose context window admits the union of all
+/// member contexts (the grouped windows of Listing 1); the other
+/// members are dropped and accounted as fan-out.
+#[derive(Debug, Clone)]
+pub struct ExecutingPlans {
+    /// Context-deriving plans (flattened across contexts).
+    pub deriving: Vec<QueryPlan>,
+    /// Per-context combined plans of the processing queries, in the
+    /// order of their contexts (contexts without one are skipped).
+    pub processing: Vec<CombinedPlan>,
+    /// Fan-out per representative query id (members sharing its
+    /// execution, including itself).
+    pub fanout: BTreeMap<QueryId, usize>,
+}
+
+/// Applies `sharing` to the translated combined plans (pass an empty
+/// slice to execute every query privately) and splits the deriving
+/// plans from the processing ones.
+#[must_use]
+pub fn executing_plans(combined: Vec<CombinedPlan>, sharing: &[SharedWorkload]) -> ExecutingPlans {
+    // Which queries are dropped in favour of a representative, and
+    // which extra context bits each representative gains.
+    let mut drop: BTreeMap<QueryId, QueryId> = BTreeMap::new();
+    let mut fanout: BTreeMap<QueryId, usize> = BTreeMap::new();
+    for group in sharing {
+        if group.members.len() > 1 {
+            fanout.insert(group.representative, group.members.len());
+            for &m in &group.members {
+                if m != group.representative {
+                    drop.insert(m, group.representative);
+                }
+            }
+        }
+    }
+    // Context bit of each dropped member, keyed by representative.
+    let mut extra_bits: BTreeMap<QueryId, Vec<u8>> = BTreeMap::new();
+    for c in &combined {
+        for p in &c.plans {
+            if let Some(&rep) = drop.get(&p.query_id) {
+                extra_bits.entry(rep).or_default().push(p.context_bit);
+            }
+        }
+    }
+
+    let mut deriving = Vec::new();
+    let mut processing = Vec::new();
+    for c in combined {
+        let mut kept_processing = Vec::new();
+        for mut p in c.plans {
+            if drop.contains_key(&p.query_id) {
+                continue; // executed by its representative
+            }
+            if let Some(bits) = extra_bits.get(&p.query_id) {
+                widen_context_window(&mut p, bits);
+            }
+            if p.is_deriving {
+                deriving.push(p);
+            } else {
+                kept_processing.push(p);
+            }
+        }
+        if !kept_processing.is_empty() {
+            processing.push(CombinedPlan::new(c.context, c.context_bit, kept_processing));
+        }
+    }
+    ExecutingPlans {
+        deriving,
+        processing,
+        fanout,
+    }
+}
+
+fn widen_context_window(plan: &mut QueryPlan, extra: &[u8]) {
+    for op in &mut plan.ops {
+        if let Op::ContextWindow(cw) = op {
+            for &b in extra {
+                if b != cw.context_bit && !cw.extra_bits.contains(&b) {
+                    cw.extra_bits.push(b);
+                }
+            }
+        }
+    }
 }
 
 /// Total executions saved across all sharing groups.

@@ -10,14 +10,15 @@
 //! 5. context window grouping over the subsumption-derived window specs
 //!    of the deriving queries (Listing 1).
 
-use crate::grouping::{group_windows, GroupingResult, UserWindow};
-use crate::mqo::{find_sharing, total_savings, SharedWorkload};
+use crate::grouping::{group_windows, install_prefix_sharing, GroupingResult, UserWindow};
+use crate::mqo::{executing_plans, find_sharing, total_savings, SharedWorkload};
 use crate::pushdown::{
     merge_adjacent_filters, push_down_context_window, push_predicates_into_pattern,
 };
 use crate::subsume::{derive_window_specs, window_relation, WindowRelation, WindowSpec};
 use caesar_algebra::cost::{plan_cost, Stats};
 use caesar_algebra::translate::TranslationOutput;
+use caesar_algebra::{CombinedPlan, Op};
 use caesar_events::SchemaRegistry;
 use caesar_query::ast::QueryId;
 use serde::{Deserialize, Serialize};
@@ -36,13 +37,6 @@ pub struct OptimizerConfig {
     /// Detect structurally identical queries and execute them once
     /// (§5.3).
     pub share_workloads: bool,
-    /// Run queries whose compiled patterns agree on a pattern prefix
-    /// over one shared partial-match store per optimizer group
-    /// ([`crate::grouping::shared_prefix_groups`]). Off by default:
-    /// prefix sharing changes only throughput, never outputs, but the
-    /// runtime must opt in because shared state participates in
-    /// checkpoints.
-    pub share_prefixes: bool,
 }
 
 impl Default for OptimizerConfig {
@@ -52,7 +46,6 @@ impl Default for OptimizerConfig {
             merge_filters: true,
             push_predicates: true,
             share_workloads: true,
-            share_prefixes: false,
         }
     }
 }
@@ -66,7 +59,6 @@ impl OptimizerConfig {
             merge_filters: false,
             push_predicates: false,
             share_workloads: false,
-            share_prefixes: false,
         }
     }
 }
@@ -95,9 +87,6 @@ pub struct OptimizedProgram {
     pub cost_before: f64,
     /// Estimated cost after optimization.
     pub cost_after: f64,
-    /// Whether the runtime should install shared-prefix groups when it
-    /// builds execution state from this program.
-    pub share_prefixes: bool,
 }
 
 impl OptimizedProgram {
@@ -107,7 +96,12 @@ impl OptimizedProgram {
         total_savings(&self.sharing)
     }
 
-    /// Human-readable optimization report.
+    /// Human-readable optimization report: the cost estimate, the
+    /// workload-sharing and window-grouping summary, every translated
+    /// plan, and — for each context that holds two or more multi-step
+    /// sequences — the prefix-sharing decision: each installed group,
+    /// and for each sequence left private the eligibility rule that
+    /// excluded it.
     #[must_use]
     pub fn explain(&self) -> String {
         let mut s = String::new();
@@ -127,6 +121,34 @@ impl OptimizedProgram {
         ));
         for c in &self.translation.combined {
             s.push_str(&c.explain());
+        }
+        // Prefix sharing is a question only where one context holds two
+        // multi-step sequences; answering it takes the plans a sharing,
+        // context-aware engine executes (one built with `sharing` off
+        // runs every translated plan privately).
+        let sequences = |c: &CombinedPlan| {
+            let patterns = c.plans.iter().filter(|p| !p.is_deriving);
+            let patterns = patterns.flat_map(|p| &p.ops).filter_map(|op| match op {
+                Op::Pattern(p) => Some(p),
+                _ => None,
+            });
+            patterns.filter(|p| p.arity() >= 2).count()
+        };
+        if !self.translation.combined.iter().any(|c| sequences(c) >= 2) {
+            return s;
+        }
+        let executing = executing_plans(self.translation.combined.clone(), &self.sharing);
+        for mut combined in executing.processing {
+            let private = install_prefix_sharing(&mut combined);
+            if combined.shared_groups().is_empty() && private.len() < 2 {
+                continue;
+            }
+            s.push_str(&format!("prefix sharing[{}]:\n", combined.context));
+            s.push_str(&combined.explain_shared());
+            for (plan, why) in private {
+                let query = combined.plans[plan].query_id;
+                s.push_str(&format!("  {query} keeps a private pattern: {why}\n"));
+            }
         }
         s
     }
@@ -222,7 +244,6 @@ impl Optimizer {
             window_specs,
             cost_before,
             cost_after,
-            share_prefixes: self.config.share_prefixes,
         }
     }
 
@@ -343,6 +364,39 @@ mod tests {
         assert!(explain.contains("estimated cost"));
         assert!(explain.contains("sharing groups"));
         assert!(explain.contains("grouped windows: 3"));
+        // A lone multi-step sequence raises no sharing question.
+        assert!(!explain.contains("prefix sharing"), "{explain}");
+    }
+
+    #[test]
+    fn explain_lists_installed_prefix_groups() {
+        let model = parse_model(
+            r#"
+            MODEL m DEFAULT ctx
+            CONTEXT ctx {
+                DERIVE Out1(a.x) PATTERN SEQ(Signal a, Reading b, Reading c) WHERE c.v > 1
+                DERIVE Out2(a.x) PATTERN SEQ(Signal a, Reading b, Signal d) WHERE d.x > 2
+                DERIVE Slow(a.x) PATTERN SEQ(Signal a, Reading b) WITHIN 5
+            }
+        "#,
+        )
+        .unwrap();
+        let qs = QuerySet::from_model(&model).unwrap();
+        let mut reg = SchemaRegistry::new();
+        reg.register(Schema::new("Signal", &[("x", AttrType::Int)]))
+            .unwrap();
+        reg.register(Schema::new("Reading", &[("v", AttrType::Int)]))
+            .unwrap();
+        let t = translate_query_set(&qs, &mut reg, &TranslateOptions::default()).unwrap();
+        let explain = Optimizer::default().optimize(t, &reg).explain();
+        assert!(
+            explain.contains(
+                "prefix sharing[ctx]:\n  \
+                 shared prefix 0: SEQ(T0, T1), length 2, gated, members Q0, Q1\n  \
+                 Q2 keeps a private pattern: differing WITHIN\n"
+            ),
+            "{explain}"
+        );
     }
 
     #[test]

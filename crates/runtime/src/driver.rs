@@ -133,13 +133,16 @@ pub fn run_mode_full(
     Ok((report, outputs, records))
 }
 
-/// The standard differential matrix: twelve legs spanning sequential
+/// The standard differential matrix: eleven legs spanning sequential
 /// and sharded execution, per-event and batched policies, vectorized
 /// kernels on/off, every observability level, optimized and
 /// unoptimized programs, both consistency levels (speculative legs are
 /// checked twice: settled outputs byte-identical, and the folded record
 /// stream identical to the settled outputs), plus a mid-stream
-/// snapshot/restore leg.
+/// snapshot/restore leg. Every optimized leg runs with the eligible
+/// shared-prefix groups installed; exactly one leg turns
+/// [`EngineConfig::sharing`] off, which keeps the private-pattern path
+/// under the oracle.
 /// (`caesar-testkit` layers two *served* legs on top — the same
 /// workload round-tripped through a loopback `caesar-server` instance,
 /// strict and speculative — which live there because the runtime cannot
@@ -150,82 +153,69 @@ pub fn run_mode_full(
 #[must_use]
 pub fn standard_matrix(slack: Time, n_events: usize) -> Vec<ModeSpec> {
     let base = || EngineConfig::builder().reorder_slack(slack);
-    let mut specs = vec![
-        ModeSpec::sequential(
-            "seq/per-event/optimized",
-            base().batch(BatchPolicy::per_event()).build(),
-        ),
-        ModeSpec::sequential(
-            "seq/per-event/unoptimized",
-            base().batch(BatchPolicy::per_event()).build(),
-        ),
-        ModeSpec::sequential(
-            "seq/batch/vectorized",
-            base().batch(BatchPolicy::default()).vectorize(true).build(),
-        ),
-        ModeSpec::sequential(
+    let per_event = || base().batch(BatchPolicy::per_event());
+    let seq = ModeSpec::sequential;
+    vec![
+        seq("seq/per-event/optimized", per_event().build()),
+        ModeSpec {
+            optimized: false,
+            ..seq("seq/per-event/unoptimized", per_event().build())
+        },
+        seq("seq/per-event/unshared", per_event().sharing(false).build()),
+        seq(
             "seq/batch/interpreted",
             base()
                 .batch(BatchPolicy::default())
                 .vectorize(false)
                 .build(),
         ),
-        ModeSpec::sequential(
+        seq(
             "seq/batch-bounded3/counters",
             base()
                 .batch(BatchPolicy::bounded(3))
                 .observability(ObservabilityLevel::Counters)
                 .build(),
         ),
-        ModeSpec::sequential(
-            "seq/batch/spans",
+        // The default configuration (batched, vectorized) under the
+        // heaviest instrumentation.
+        seq(
+            "seq/batch/vectorized/spans",
             base()
                 .batch(BatchPolicy::default())
+                .vectorize(true)
                 .observability(ObservabilityLevel::Spans)
                 .build(),
         ),
-        ModeSpec::sequential(
-            "seq/batch/unoptimized",
-            base().batch(BatchPolicy::default()).build(),
+        ModeSpec {
+            optimized: false,
+            ..seq(
+                "seq/batch/unoptimized",
+                base().batch(BatchPolicy::default()).build(),
+            )
+        },
+        ModeSpec {
+            restart_after: Some(n_events / 2),
+            ..seq("seq/restart-midstream", per_event().build())
+        },
+        ModeSpec {
+            shards: 3,
+            ..seq(
+                "sharded3/batch/vectorized",
+                base().batch(BatchPolicy::default()).vectorize(true).build(),
+            )
+        },
+        seq(
+            "seq/speculative",
+            per_event().consistency(Consistency::Speculative).build(),
         ),
-        ModeSpec::sequential(
-            "seq/restart-midstream",
-            base().batch(BatchPolicy::per_event()).build(),
-        ),
-    ];
-    specs[1].optimized = false;
-    specs[6].optimized = false;
-    specs[7].restart_after = Some(n_events / 2);
-    specs.push(ModeSpec {
-        label: "sharded2/per-event".into(),
-        config: base().batch(BatchPolicy::per_event()).build(),
-        shards: 2,
-        optimized: true,
-        restart_after: None,
-    });
-    specs.push(ModeSpec {
-        label: "sharded3/batch/vectorized".into(),
-        config: base().batch(BatchPolicy::default()).vectorize(true).build(),
-        shards: 3,
-        optimized: true,
-        restart_after: None,
-    });
-    specs.push(ModeSpec::sequential(
-        "seq/speculative",
-        base()
-            .batch(BatchPolicy::per_event())
-            .consistency(Consistency::Speculative)
-            .build(),
-    ));
-    specs.push(ModeSpec {
-        label: "sharded2/speculative".into(),
-        config: base()
-            .batch(BatchPolicy::per_event())
-            .consistency(Consistency::Speculative)
-            .build(),
-        shards: 2,
-        optimized: true,
-        restart_after: None,
-    });
-    specs
+        // Per-event on two shards; the settled outputs are the strict
+        // run's, so this leg also stands for the strict two-shard run.
+        ModeSpec {
+            shards: 2,
+            ..seq(
+                "sharded2/speculative",
+                per_event().consistency(Consistency::Speculative).build(),
+            )
+        },
+    ]
 }

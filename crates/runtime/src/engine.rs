@@ -504,11 +504,6 @@ impl Engine {
         registry: &SchemaRegistry,
         config: EngineConfig,
     ) -> Self {
-        let sharing = if config.sharing {
-            program.sharing.clone()
-        } else {
-            Vec::new()
-        };
         if config.provenance {
             // Flip every pattern into timestamp-collecting mode before
             // the template is built.
@@ -524,10 +519,9 @@ impl Engine {
         }
         let template = ProgramTemplate::build_with(
             program.translation.combined,
-            &sharing,
+            config.sharing.then_some(&program.sharing),
             config.mode,
             config.baseline_pushdown,
-            program.share_prefixes,
         );
         let default_bit = program.translation.default_bit;
         let table = ContextTable::new(program.translation.context_names.len(), default_bit);
@@ -778,6 +772,11 @@ impl Engine {
         let processing = self.template.processing.iter().flat_map(|c| &c.plans);
         for plan in self.template.deriving.iter().chain(processing) {
             obs.visit_plan(plan);
+        }
+        for combined in &self.template.processing {
+            for group in combined.shared_groups() {
+                obs.visit_group(combined.context_bit, group);
+            }
         }
         obs
     }
@@ -1151,10 +1150,11 @@ impl Engine {
     /// histograms, the scheduler's peak queue depth, and a walk of the
     /// program's operator counters — one set per engine, accumulated
     /// over every partition, so the walk is O(plans) — into
-    /// per-operator, per-query and per-context-window accounting. The
-    /// operator walk is always populated (operators count
-    /// unconditionally); counters, gauges, histograms, ticks and spans
-    /// honour the configured [`ObservabilityLevel`].
+    /// per-operator (`<query>/<i>:<kind>`, and `<context>/shared<g>:prefix`
+    /// per shared-prefix group), per-query and per-context-window
+    /// accounting. The operator walk is always populated (operators
+    /// count unconditionally); counters, gauges, histograms, ticks and
+    /// spans honour the configured [`ObservabilityLevel`].
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.obs.snapshot();
@@ -1211,6 +1211,22 @@ impl Engine {
             q.matches_out += chain_out;
             q.kernel_rows += kernel_rows;
             q.fallback_rows += fallback_rows;
+        }
+        // Shared-prefix groups: the prefix work their members delegate,
+        // and the window verdicts decided for events no member's own
+        // context window saw.
+        for combined in &self.template.processing {
+            for (g, group) in combined.shared_groups().iter().enumerate() {
+                let m = snap
+                    .operators
+                    .entry(format!("{}/shared{g}:prefix", combined.context))
+                    .or_default();
+                m.events_in += group.stats.events_processed;
+                m.events_out += group.stats.matches;
+                let c = snap.contexts.entry(combined.context.clone()).or_default();
+                c.events_admitted += group.admitted;
+                c.events_dropped += group.dropped;
+            }
         }
         // Suspended-vs-active ticks from the router accounting, indexed
         // like the template's combined plans.

@@ -16,10 +16,10 @@
 //! The template construction also realizes two execution-strategy
 //! decisions:
 //!
-//! * **Workload sharing** (§5.3): structurally identical queries keep a
-//!   single *representative* plan whose context window admits the union
-//!   of all member contexts (the grouped windows of Listing 1); the
-//!   other members are dropped and accounted as fan-out.
+//! * **Workload sharing** (§5.3): the optimizer's
+//!   [`executing_plans`] keeps one *representative* plan per set of
+//!   structurally identical queries, and a sharing context-aware engine
+//!   installs every eligible shared-prefix group on what remains.
 //! * **Context-independent baseline** (§7, state of the art \[34, 5\]):
 //!   every plan stays active all the time, and every processing query
 //!   carries private clones of its context's deriving queries — the
@@ -30,7 +30,8 @@ use caesar_algebra::ops::{ChainScratch, Op};
 use caesar_algebra::pattern::RunState;
 use caesar_algebra::plan::{CombinedPlan, PlanOutput, QueryPlan};
 use caesar_events::{ColumnarBatch, Event, PartitionId, Time, TypeId};
-use caesar_optimizer::mqo::SharedWorkload;
+use caesar_optimizer::install_prefix_sharing;
+use caesar_optimizer::mqo::{executing_plans, ExecutingPlans, SharedWorkload};
 use caesar_query::ast::QueryId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -98,90 +99,53 @@ pub struct ProgramTemplate {
 impl ProgramTemplate {
     /// Builds a template from translated combined plans.
     ///
-    /// `sharing` (from the optimizer) lists the groups whose members
-    /// execute once; pass an empty slice to disable sharing.
+    /// `sharing` is the optimizer's workload-sharing analysis, `None`
+    /// when the engine does not share at all (`EngineConfig::sharing`
+    /// off): every query then keeps a private plan and no shared-prefix
+    /// group is installed.
     #[must_use]
-    pub fn build(combined: Vec<CombinedPlan>, sharing: &[SharedWorkload], mode: Mode) -> Self {
-        Self::build_with(combined, sharing, mode, true, false)
+    pub fn build(
+        combined: Vec<CombinedPlan>,
+        sharing: Option<&[SharedWorkload]>,
+        mode: Mode,
+    ) -> Self {
+        Self::build_with(combined, sharing, mode, true)
     }
 
-    /// [`ProgramTemplate::build`] with control over baseline push-down
-    /// and pattern-prefix sharing:
-    /// * `baseline_pushdown = false` leaves context windows wherever the
-    ///   plans put them, modelling a literal SASE-style busy-waiting
-    ///   engine (see `EngineConfig::baseline_pushdown`);
-    /// * `share_prefixes = true` installs [`shared_prefix_groups`] on
-    ///   each processing combined plan (context-aware mode only — the
-    ///   baseline re-derivation clones would not share state anyway).
+    /// [`ProgramTemplate::build`] with control over baseline push-down:
+    /// `baseline_pushdown = false` leaves context windows wherever the
+    /// plans put them, modelling a literal SASE-style busy-waiting
+    /// engine (see `EngineConfig::baseline_pushdown`).
     ///
-    /// [`shared_prefix_groups`]: caesar_optimizer::shared_prefix_groups
+    /// A sharing, context-aware engine installs every shared-prefix
+    /// group the optimizer finds eligible ([`install_prefix_sharing`]);
+    /// the baseline never does — it models an engine without the §5
+    /// optimizer, and its re-derivation clones share nothing anyway.
     #[must_use]
     pub fn build_with(
-        combined: Vec<CombinedPlan>,
-        sharing: &[SharedWorkload],
+        mut combined: Vec<CombinedPlan>,
+        sharing: Option<&[SharedWorkload]>,
         mode: Mode,
         baseline_pushdown: bool,
-        share_prefixes: bool,
     ) -> Self {
-        // Which queries are dropped in favour of a representative, and
-        // which extra context bits each representative gains.
-        let mut drop: BTreeMap<QueryId, QueryId> = BTreeMap::new();
-        let mut fanout: BTreeMap<QueryId, usize> = BTreeMap::new();
-        for group in sharing {
-            if group.members.len() > 1 {
-                fanout.insert(group.representative, group.members.len());
-                for &m in &group.members {
-                    if m != group.representative {
-                        drop.insert(m, group.representative);
-                    }
-                }
+        // Pattern state is scoped to the context window. In
+        // context-aware mode the batch-level router provides that
+        // scoping even for unoptimized chains; the baseline has no
+        // router, so the context window MUST sit below the pattern —
+        // this is a semantic requirement here, not an optimization.
+        if mode == Mode::ContextIndependent && baseline_pushdown {
+            for p in combined.iter_mut().flat_map(|c| &mut c.plans) {
+                caesar_optimizer::pushdown::push_down_context_window(p);
             }
         }
-        // Context bit of each dropped member, keyed by representative.
-        let mut extra_bits: BTreeMap<QueryId, Vec<u8>> = BTreeMap::new();
-        for c in &combined {
-            for p in &c.plans {
-                if let Some(&rep) = drop.get(&p.query_id) {
-                    extra_bits.entry(rep).or_default().push(p.context_bit);
-                }
-            }
-        }
-
-        let mut deriving = Vec::new();
-        let mut processing = Vec::new();
-        for c in combined {
-            let mut kept_processing = Vec::new();
-            for mut p in c.plans {
-                if drop.contains_key(&p.query_id) {
-                    continue; // executed by its representative
-                }
-                if let Some(bits) = extra_bits.get(&p.query_id) {
-                    widen_context_window(&mut p, bits);
-                }
-                // Pattern state is scoped to the context window. In
-                // context-aware mode the batch-level router provides that
-                // scoping even for unoptimized chains; the baseline has
-                // no router, so the context window MUST sit below the
-                // pattern — this is a semantic requirement here, not an
-                // optimization.
-                if mode == Mode::ContextIndependent && baseline_pushdown {
-                    caesar_optimizer::pushdown::push_down_context_window(&mut p);
-                }
-                if p.is_deriving {
-                    deriving.push(p);
-                } else {
-                    kept_processing.push(p);
-                }
-            }
-            if !kept_processing.is_empty() {
-                let mut cp = CombinedPlan::new(c.context.clone(), c.context_bit, kept_processing);
-                if share_prefixes && mode == Mode::ContextAware {
-                    let groups = caesar_optimizer::shared_prefix_groups(&cp);
-                    if !groups.is_empty() {
-                        cp.install_shared_prefixes(groups);
-                    }
-                }
-                processing.push(cp);
+        let ExecutingPlans {
+            deriving,
+            mut processing,
+            fanout,
+        } = executing_plans(combined, sharing.unwrap_or_default());
+        if sharing.is_some() && mode == Mode::ContextAware {
+            for cp in &mut processing {
+                install_prefix_sharing(cp);
             }
         }
 
@@ -257,18 +221,6 @@ impl ProgramTemplate {
     #[must_use]
     pub fn plan_count(&self) -> usize {
         self.deriving.len() + self.processing.iter().map(CombinedPlan::len).sum::<usize>()
-    }
-}
-
-fn widen_context_window(plan: &mut QueryPlan, extra: &[u8]) {
-    for op in &mut plan.ops {
-        if let Op::ContextWindow(cw) = op {
-            for &b in extra {
-                if b != cw.context_bit && !cw.extra_bits.contains(&b) {
-                    cw.extra_bits.push(b);
-                }
-            }
-        }
     }
 }
 
@@ -419,12 +371,6 @@ impl StatefulOp {
             Self::Redundant { plan, op } => program.redundant[plan].run_state(op),
         }
     }
-
-    /// The shared-prefix slabs stay out of the pool counters, as when
-    /// every partition owned a copy of the plans.
-    fn counts_in_pool(self) -> bool {
-        !matches!(self, Self::Group { .. })
-    }
 }
 
 /// Execution: the template *is* the engine's one executing program.
@@ -478,10 +424,8 @@ impl ProgramTemplate {
             if stored.is_none() && resident.pool_peak() == 0 && !resident.has_state() {
                 continue;
             }
-            if at.counts_in_pool() {
-                *pool_reused += resident.take_pool_reused();
-                peak += resident.pool_peak();
-            }
+            *pool_reused += resident.take_pool_reused();
+            peak += resident.pool_peak();
             if resident.has_state() {
                 let mut stored = stored.or_else(|| spare.pop()).unwrap_or_default();
                 std::mem::swap(resident, &mut *stored);
@@ -506,14 +450,14 @@ impl ProgramTemplate {
     }
 
     /// Live partial matches of the bound partition (the memory metric:
-    /// those of the deriving and processing plans, not the shared
-    /// prefixes' or the baseline's clones').
+    /// those of the deriving plans, the processing plans and their
+    /// shared prefixes — not the baseline's clones').
     #[must_use]
     pub fn live_partials(&self) -> usize {
         let counted = self
             .stateful
             .iter()
-            .filter(|at| matches!(at, StatefulOp::Deriving { .. } | StatefulOp::Member { .. }));
+            .filter(|at| !matches!(at, StatefulOp::Redundant { .. }));
         counted
             .map(|at| at.resident_ref(self).live_partials())
             .sum()
@@ -541,12 +485,10 @@ impl ProgramTemplate {
     /// per-partition sum of the operators' slab high-water marks)`.
     #[must_use]
     pub fn pool_stats(&self) -> (u64, usize) {
-        let pooled = self.stateful.iter().filter(|at| at.counts_in_pool());
-        let (reused, peak) = pooled
-            .map(|at| at.resident_ref(self))
-            .fold((0, 0), |(reused, peak), r| {
-                (reused + r.pool_reused(), peak + r.pool_peak())
-            });
+        let residents = self.stateful.iter().map(|at| at.resident_ref(self));
+        let (reused, peak) = residents.fold((0, 0), |(reused, peak), r| {
+            (reused + r.pool_reused(), peak + r.pool_peak())
+        });
         (self.pool_reused + reused, self.pool_peak.max(peak))
     }
 
@@ -839,7 +781,7 @@ mod tests {
         };
         let program = Optimizer::new(cfg, Default::default()).optimize(t, &reg);
         let sharing = program.sharing.clone();
-        let template = ProgramTemplate::build(program.translation.combined, &sharing, mode);
+        let template = ProgramTemplate::build(program.translation.combined, Some(&sharing), mode);
         (template, reg, names, default_bit)
     }
 

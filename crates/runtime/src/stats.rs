@@ -11,6 +11,7 @@
 
 use caesar_algebra::cost::Stats;
 use caesar_algebra::ops::Op;
+use caesar_algebra::pattern::SharedGroup;
 use caesar_algebra::plan::QueryPlan;
 use caesar_events::{Time, TypeId};
 use std::collections::BTreeMap;
@@ -27,7 +28,8 @@ pub struct Observations {
     pub window_counts: BTreeMap<u8, (u64, u64)>,
     /// Per query: observed filter selectivity.
     pub filter_selectivities: BTreeMap<String, f64>,
-    /// Per query: pattern matches / events processed.
+    /// Per query: pattern matches / inputs processed (events through
+    /// the chain plus candidates tried at a shared-prefix boundary).
     pub pattern_match_rates: BTreeMap<String, f64>,
     /// Rows evaluated by vectorized kernels across all filter and
     /// projection operators (batch-path coverage observability).
@@ -68,6 +70,16 @@ impl Observations {
                 _ => {}
             }
         }
+    }
+
+    /// Folds one shared-prefix group's window verdicts into the
+    /// observations: its members' context windows never see the events
+    /// the group takes for them, so without these the context's
+    /// activity would be computed from tail events alone.
+    pub fn visit_group(&mut self, context_bit: u8, group: &SharedGroup) {
+        let entry = self.window_counts.entry(context_bit).or_insert((0, 0));
+        entry.0 += group.admitted;
+        entry.1 += group.dropped;
     }
 
     /// Converts the observations into cost-model statistics.

@@ -4,11 +4,11 @@
 //! Every leg of [`standard_matrix`] runs the workload's event stream
 //! through the real engine — sequential and sharded, per-event and
 //! batched, vectorized and interpreted, each observability level,
-//! optimized and unoptimized plans, plus a mid-stream snapshot/restore
-//! leg — and must reproduce the oracle's outputs *byte for byte* (after
-//! canonical ordering; shards and watermark phases interleave emission
-//! order, which is not part of the contract) along with its
-//! deterministic counters. On mismatch the harness reports the seed,
+//! optimized and unoptimized plans, shared and (one leg) unshared, plus
+//! a mid-stream snapshot/restore leg — and must reproduce the oracle's
+//! outputs *byte for byte* (after canonical ordering; shards and
+//! watermark phases interleave emission order, which is not part of
+//! the contract) along with its deterministic counters. On mismatch the harness reports the seed,
 //! the failing leg and the pretty-printed model, and [`shrink_workload`]
 //! greedily minimizes the reproducer.
 
@@ -93,30 +93,6 @@ pub fn build_programs(
     }
     .optimize(t_unopt, &reg_unopt);
     Ok((optimized, unoptimized, reg_opt))
-}
-
-/// The optimized program with pattern-prefix sharing enabled, plus its
-/// registry. Translation is deterministic over clones of the same input
-/// registry, so type ids (and canonical output encodings) line up with
-/// [`build_programs`]' legs and the oracle.
-pub fn build_shared_program(
-    workload: &Workload,
-) -> Result<(OptimizedProgram, SchemaRegistry), String> {
-    let qs = QuerySet::from_model(&workload.model).map_err(|e| e.to_string())?;
-    let options = TranslateOptions {
-        default_within: workload.default_within,
-    };
-    let mut reg = workload.registry.clone();
-    let t = translate_query_set(&qs, &mut reg, &options).map_err(|e| e.to_string())?;
-    let shared = Optimizer {
-        config: OptimizerConfig {
-            share_prefixes: true,
-            ..OptimizerConfig::default()
-        },
-        ..Optimizer::default()
-    }
-    .optimize(t, &reg);
-    Ok((shared, reg))
 }
 
 /// Canonical form of an output multiset: per-event codec encodings,
@@ -266,29 +242,6 @@ pub fn check_workload_against(
         compare_leg(workload, &spec, &report, &outputs, &records, oracle_run)
             .map_err(|detail| fail(&spec.label, detail))?;
     }
-    // The NFA-vs-legacy leg: the same optimized plan with pattern-prefix
-    // sharing enabled. Whether groups form or not, shared-state
-    // execution must reproduce the oracle byte for byte, under both
-    // dispatch paths (the batched path routes shared plans event-major).
-    let (shared, shared_reg) =
-        build_shared_program(workload).map_err(|e| fail("build/shared-prefix", e))?;
-    let base = || EngineConfig::builder().reorder_slack(workload.reorder_slack);
-    for spec in [
-        ModeSpec::sequential(
-            "seq/shared-prefix/per-event",
-            base().batch(BatchPolicy::per_event()).build(),
-        ),
-        ModeSpec::sequential(
-            "seq/shared-prefix/batch",
-            base().batch(BatchPolicy::default()).build(),
-        ),
-    ] {
-        let (report, outputs, records) =
-            run_mode_full(&shared, &shared_reg, &spec, &workload.events)
-                .map_err(|e| fail(&spec.label, format!("engine error: {e}")))?;
-        compare_leg(workload, &spec, &report, &outputs, &records, oracle_run)
-            .map_err(|detail| fail(&spec.label, detail))?;
-    }
     Ok(())
 }
 
@@ -296,7 +249,8 @@ pub fn check_workload_against(
 /// against the oracle with provenance attached. Provenance participates
 /// in the wire encoding, so the canonical byte comparison pins every
 /// collected `(type, occurrence)` step exactly — across per-event,
-/// batched, unoptimized and shared-prefix legs.
+/// batched and unoptimized legs (the optimized ones run with every
+/// eligible shared-prefix group installed).
 pub fn check_workload_provenance(workload: &Workload) -> Result<(), DiffFailure> {
     let fail = |leg: &str, detail: String| DiffFailure {
         seed: workload.seed,
@@ -307,8 +261,6 @@ pub fn check_workload_provenance(workload: &Workload) -> Result<(), DiffFailure>
     };
     let (optimized, unoptimized, registry) =
         build_programs(workload).map_err(|e| fail("build", e))?;
-    let (shared, shared_reg) =
-        build_shared_program(workload).map_err(|e| fail("build/shared-prefix", e))?;
     let oracle = Oracle::build(&workload.model, &registry, workload.default_within)
         .map_err(|e| fail("oracle", e.to_string()))?
         .with_provenance(true);
@@ -341,14 +293,6 @@ pub fn check_workload_provenance(workload: &Workload) -> Result<(), DiffFailure>
             &registry,
         ),
         (unopt_spec, &unoptimized, &registry),
-        (
-            ModeSpec::sequential(
-                "prov/shared-prefix",
-                base().batch(BatchPolicy::per_event()).build(),
-            ),
-            &shared,
-            &shared_reg,
-        ),
     ];
     for (spec, program, reg) in legs {
         let (report, outputs, records) = run_mode_full(program, reg, &spec, &workload.events)

@@ -54,6 +54,11 @@ const USAGE: &str = "usage:
                  [--observability off|counters|spans]
                  [--consistency strict|speculative]
 
+explain prints the optimized plans, the workload-sharing groups, every
+shared pattern-prefix group the engine installs and, for each multi-step
+SEQ kept private, the eligibility rule that excluded it. --no-sharing
+runs every query privately; otherwise every eligible group is shared.
+
 serve hosts every --tenant as an independent model behind one framed
 TCP endpoint (default 127.0.0.1:7470; port 0 picks a free port) and
 serves GET /metrics + /healthz on --metrics-listen if given. The run

@@ -347,6 +347,18 @@ fn pinned(report: &RunReport) -> Vec<String> {
 /// the literals below were captured from the per-partition-clone engine
 /// (commit 44883b6) on a multi-partition Linear Road run and a
 /// clickstream run.
+///
+/// The clickstream `operators`, `queries` and `contexts` lines were
+/// re-pinned when prefix sharing became a property of the program and
+/// the combined plan started routing by event type; its `outputs` line
+/// and the whole Linear Road block (no eligible group) did not move.
+/// What moved, and why: five `<context>/shared<g>:prefix` operator rows
+/// appear; a member query's context window, pattern and chain
+/// `events_in` no longer count the prefix events its group takes for it
+/// (the pattern counts the candidates it tries at the boundary
+/// instead); and a context's admitted count holds one verdict per
+/// prefix event — the group's — where every member's window used to add
+/// its own. Ticks, drops and the queries' `matches_out` are as before.
 #[test]
 fn metric_totals_match_the_per_partition_counter_engine() {
     use caesar::clickstream::{clickstream_builder, generate, ClickConfig};
@@ -399,10 +411,10 @@ fn metric_totals_match_the_per_partition_counter_engine() {
     assert_eq!(
         pinned(&clicks.finish()),
         [
-            "operators n=58 sums=[147610, 123340, 0, 0, 0] fnv=c06b2cd2113aa2ae",
-            "queries n=19 sums=[55066, 30796, 0, 0] fnv=0a0f204c96553fef",
-            "contexts abandoning=1213/19812/2324/7484 bot_suspect=1227/19798/3376/0 \
-             browsing=14619/6406/20940/1932 engaged=3966/17059/14702/4308",
+            "operators n=63 sums=[126624, 105126, 0, 0, 0] fnv=ecfb19e8bd0a98e0",
+            "queries n=19 sums=[21102, 30796, 0, 0] fnv=00125a886a2bb3e1",
+            "contexts abandoning=1213/19812/1403/7484 bot_suspect=1227/19798/1841/0 \
+             browsing=14619/6406/11640/1932 engaged=3966/17059/9476/4308",
             "outputs BotBurst=1396 BotBurst_1=1396 BrowsePath=9460 BrowsePath_1=9146 \
              CartAbandoned=729 CartAbandoned_1=729 Conversion=1013 Conversion_1=1013 \
              WinBack=281 WinBack_1=281",

@@ -4,8 +4,11 @@
 //! [`SharedGroup`], and member completions extend from the group's
 //! partials.
 //!
-//! Sharing is a pure throughput optimization — it must never change
-//! outputs, counters or even emission order. These tests pin that:
+//! Sharing is a property of the program — every eligible group is
+//! installed whenever the engine shares at all — and a pure throughput
+//! optimization: it must never change outputs. The unshared arm of
+//! every comparison here is the same program run with
+//! `EngineConfig::sharing(false)`. These tests pin that:
 //!
 //! * groups actually *form* for the workloads the tests run (otherwise
 //!   the equivalence assertions would vacuously compare the unshared
@@ -15,17 +18,24 @@
 //!   context termination mid-prefix, `WITHIN` expiry) produces a
 //!   byte-identical output multiset with sharing on and off;
 //! * a randomized sweep (proptest) holds the same equivalence over
-//!   arbitrary interleavings of signal and pattern events.
+//!   arbitrary interleavings of signal and pattern events;
+//! * the dispatch edges: a member whose negation or private suffix
+//!   names a prefix type, a derived type in the suffix, and a
+//!   snapshot/restore mid-prefix (the routing table is rebuilt, not
+//!   stored);
+//! * dispatch cost as a work-unit bound: per event, the operators' own
+//!   counters show one group advance or one member, whatever the
+//!   number of members.
 //!
 //! [`SharedGroup`]: caesar::algebra::pattern::SharedGroup
 
 use caesar::algebra::translate::{translate_query_set, TranslateOptions};
 use caesar::events::{AttrType, Event, PartitionId, Schema, SchemaRegistry, Value};
-use caesar::optimizer::{OptimizedProgram, Optimizer, OptimizerConfig};
+use caesar::optimizer::{OptimizedProgram, Optimizer};
 use caesar::prelude::*;
 use caesar::query::QuerySet;
 use caesar::runtime::programs::{Mode, ProgramTemplate};
-use caesar::runtime::{run_mode_full, ModeSpec, RunReport};
+use caesar::runtime::{run_mode_full, Engine, ModeSpec, RunReport};
 use caesar_testkit::canonical;
 use proptest::prelude::*;
 
@@ -72,34 +82,26 @@ fn input_registry() -> SchemaRegistry {
     reg
 }
 
-/// Translates `src` and optimizes with prefix sharing on or off.
-/// Translation over clones of the same input registry assigns identical
-/// type ids, so outputs compare byte-for-byte across the two programs.
-fn build(src: &str, share: bool) -> (OptimizedProgram, SchemaRegistry) {
+/// Translates and optimizes `src` over `reg`'s input types.
+fn build_over(src: &str, mut reg: SchemaRegistry) -> (OptimizedProgram, SchemaRegistry) {
     let model = caesar::query::parser::parse_model(src).unwrap();
     let qs = QuerySet::from_model(&model).unwrap();
-    let mut reg = input_registry();
     let t = translate_query_set(&qs, &mut reg, &TranslateOptions::default()).unwrap();
-    let program = Optimizer {
-        config: OptimizerConfig {
-            share_prefixes: share,
-            ..OptimizerConfig::default()
-        },
-        ..Optimizer::default()
-    }
-    .optimize(t, &reg);
+    let program = Optimizer::default().optimize(t, &reg);
     (program, reg)
 }
 
-/// `(prefix_len, member_count, gated)` of every shared group the
-/// runtime template would install for `program`.
-fn installed_groups(program: &OptimizedProgram) -> Vec<(usize, usize, bool)> {
-    let template = ProgramTemplate::build_with(
+fn build(src: &str) -> (OptimizedProgram, SchemaRegistry) {
+    build_over(src, input_registry())
+}
+
+/// `(prefix_len, member_count, gated)` of every shared group an engine
+/// with `EngineConfig::sharing == sharing` installs for `program`.
+fn installed_groups(program: &OptimizedProgram, sharing: bool) -> Vec<(usize, usize, bool)> {
+    let template = ProgramTemplate::build(
         program.translation.combined.clone(),
-        &program.sharing,
+        sharing.then_some(&program.sharing),
         Mode::ContextAware,
-        true,
-        program.share_prefixes,
     );
     template
         .processing
@@ -130,7 +132,7 @@ fn run_leg(
     (report, outputs)
 }
 
-/// Runs the same stream with sharing on and off under `config` and
+/// Runs the same stream shared and unshared under `config` and
 /// demands byte-identical outputs in canonical (sorted per-event
 /// encoding) form, plus equal counters. Canonical, not emission-order:
 /// when one event completes several partials of the same query, they
@@ -139,15 +141,24 @@ fn run_leg(
 /// shared and unshared stores — the multiset is the contract (the
 /// differential harness compares the same way).
 fn assert_equivalent(src: &str, events: &[Event], config: EngineConfig) -> (RunReport, Vec<Event>) {
-    let (shared_prog, shared_reg) = build(src, true);
-    let (plain_prog, plain_reg) = build(src, false);
+    let (program, reg) = build(src);
+    assert_equivalent_program(&program, &reg, events, config)
+}
+
+fn assert_equivalent_program(
+    program: &OptimizedProgram,
+    reg: &SchemaRegistry,
+    events: &[Event],
+    config: EngineConfig,
+) -> (RunReport, Vec<Event>) {
     assert!(
-        !installed_groups(&shared_prog).is_empty(),
+        !installed_groups(program, true).is_empty(),
         "no shared group formed — the equivalence check would be vacuous"
     );
-    assert!(installed_groups(&plain_prog).is_empty());
-    let (shared_report, shared_out) = run_leg(&shared_prog, &shared_reg, events, config);
-    let (plain_report, plain_out) = run_leg(&plain_prog, &plain_reg, events, config);
+    assert!(installed_groups(program, false).is_empty());
+    let unshared = config.to_builder().sharing(false).build();
+    let (shared_report, shared_out) = run_leg(program, reg, events, config);
+    let (plain_report, plain_out) = run_leg(program, reg, events, unshared);
     assert_eq!(
         canonical(&shared_out),
         canonical(&plain_out),
@@ -164,24 +175,22 @@ fn assert_equivalent(src: &str, events: &[Event], config: EngineConfig) -> (RunR
 
 #[test]
 fn groups_form_with_expected_shape() {
-    let (two, _) = build(TWO_QUERY_MODEL, true);
+    let (two, _) = build(TWO_QUERY_MODEL);
     assert_eq!(
-        installed_groups(&two),
+        installed_groups(&two, true),
         vec![(2, 2, true)],
         "LongC/LongD share SEQ(A, B) behind the busy context window"
     );
 
-    let (three, _) = build(THREE_QUERY_MODEL, true);
+    let (three, _) = build(THREE_QUERY_MODEL);
     assert_eq!(
-        installed_groups(&three),
+        installed_groups(&three, true),
         vec![(1, 3, true)],
         "adding arity-2 Short caps the common prefix at min(arity) - 1 = 1"
     );
 
-    // The flag is honoured end to end: without it the same workload
-    // installs nothing.
-    let (off, _) = build(TWO_QUERY_MODEL, false);
-    assert!(installed_groups(&off).is_empty());
+    // An engine that does not share installs nothing.
+    assert!(installed_groups(&two, false).is_empty());
 }
 
 /// One crafted stream per tricky edge, all in one pass:
@@ -317,4 +326,207 @@ proptest! {
             EngineConfig::builder().batch(BatchPolicy::default()).build(),
         );
     }
+}
+
+/// The busy-context model around `queries`, over the standard types.
+fn busy_model(queries: &str) -> String {
+    format!(
+        "MODEL m DEFAULT idle
+        CONTEXT idle {{ INITIATE CONTEXT busy PATTERN Go }}
+        CONTEXT busy {{
+            TERMINATE CONTEXT busy PATTERN Stop
+            {queries}
+        }}"
+    )
+}
+
+fn per_event() -> EngineConfig {
+    EngineConfig::builder()
+        .batch(BatchPolicy::per_event())
+        .build()
+}
+
+/// A member whose negation names a prefix type: `Guarded` delegates
+/// `SEQ(A, B)` to the group, yet its chain must still see every `A` —
+/// the negation buffer is the member's own.
+#[test]
+fn negation_naming_a_prefix_type_still_buffers_every_a() {
+    let model = busy_model(
+        "DERIVE Guarded(a.v, c.v) PATTERN SEQ(A a, B b, NOT A x, C c) WITHIN 12
+         DERIVE LongD(a.v, d.v) PATTERN SEQ(A a, B b, D d) WITHIN 12",
+    );
+    let (program, reg) = build(&model);
+    assert_eq!(installed_groups(&program, true), vec![(2, 2, true)]);
+    let events = vec![
+        event(&reg, "Go", 1, 0, 0),
+        event(&reg, "A", 2, 0, 1),
+        event(&reg, "B", 3, 0, 1),
+        event(&reg, "A", 4, 0, 2), // between B@3 and C@5: blocks (A@2, B@3)
+        event(&reg, "C", 5, 0, 1),
+        event(&reg, "A", 6, 0, 3),
+        event(&reg, "B", 7, 0, 1),
+        // No A in (7, 8): one Guarded per A before B@7. The (A@2, B@3)
+        // prefix stays blocked by A@4 and A@6.
+        event(&reg, "C", 8, 0, 1),
+    ];
+    let (report, _) = assert_equivalent_program(&program, &reg, &events, per_event());
+    assert_eq!(report.outputs_by_type.get("Guarded"), Some(&3));
+}
+
+/// Members whose *private* steps reuse a prefix type: `Again`'s
+/// boundary step is an `A` (an `A` both advances the group and crosses
+/// `Again`'s boundary — with the prefixes held before it), and
+/// `Again4`'s last step is an `A` above its boundary (its chain is fed
+/// `A`s although its prefix delegates them).
+#[test]
+fn private_suffix_reusing_a_prefix_type() {
+    let model = busy_model(
+        "DERIVE Again(a.v, c.v) PATTERN SEQ(A a, B b, A c) WITHIN 20
+         DERIVE Again4(a.v, d.v) PATTERN SEQ(A a, B b, C c, A d) WITHIN 20
+         DERIVE LongD(a.v, d.v) PATTERN SEQ(A a, B b, D d) WITHIN 20",
+    );
+    let (program, reg) = build(&model);
+    assert_eq!(installed_groups(&program, true), vec![(2, 3, true)]);
+    let events = vec![
+        event(&reg, "Go", 1, 0, 0),
+        event(&reg, "A", 2, 0, 1),
+        event(&reg, "B", 3, 0, 1),
+        event(&reg, "A", 4, 0, 2), // Again (A@2, B@3, A@4)
+        event(&reg, "B", 5, 0, 1),
+        event(&reg, "C", 6, 0, 1),
+        // Again ×3: (2,3), (2,5), (4,5). Again4 ×3: same prefixes + C@6.
+        event(&reg, "A", 7, 0, 3),
+    ];
+    let (report, _) = assert_equivalent_program(&program, &reg, &events, per_event());
+    assert_eq!(report.outputs_by_type.get("Again"), Some(&4));
+    assert_eq!(report.outputs_by_type.get("Again4"), Some(&3));
+}
+
+/// A derived (non-external) type above the boundary still reaches the
+/// member through the cascade: `Late`'s last step consumes `Mid`, which
+/// another member of the same combined plan produces.
+#[test]
+fn derived_type_in_the_suffix_still_cascades() {
+    let model = busy_model(
+        "DERIVE Mid(c.v) PATTERN C c
+         DERIVE Late(a.v, m.v) PATTERN SEQ(A a, B b, D d, Mid m) WITHIN 12
+         DERIVE LongD(a.v, d.v) PATTERN SEQ(A a, B b, D d) WITHIN 12",
+    );
+    let (program, reg) = build(&model);
+    assert_eq!(installed_groups(&program, true), vec![(2, 2, true)]);
+    let events = vec![
+        event(&reg, "Go", 1, 0, 0),
+        event(&reg, "A", 2, 0, 1),
+        event(&reg, "B", 3, 0, 1),
+        event(&reg, "D", 4, 0, 1),
+        event(&reg, "C", 5, 0, 9), // Mid@5 → Late (A@2, B@3, D@4, Mid@5)
+    ];
+    let (report, _) = assert_equivalent_program(&program, &reg, &events, per_event());
+    assert_eq!(report.outputs_by_type.get("Late"), Some(&1));
+}
+
+/// Snapshot → bytes → `restore_state` with a prefix half built: the
+/// routing table is not in the bytes (the algebra crate pins that), so
+/// the restored plan must have rebuilt it to dispatch the rest of the
+/// stream exactly like the uninterrupted run.
+#[test]
+fn restore_mid_prefix_dispatches_identically() {
+    let (program, reg) = build(TWO_QUERY_MODEL);
+    let events = crafted_stream(&reg);
+    let config = EngineConfig::builder()
+        .batch(BatchPolicy::per_event())
+        .collect_outputs(true)
+        .build();
+    let (_, uninterrupted) = run_leg(&program, &reg, &events, config);
+
+    // Cut after A@2, B@3 and the same-timestamp C@3: the group holds a
+    // full prefix no member has extended yet.
+    let mut engine = Engine::new(program.clone(), &reg, config);
+    for e in &events[..4] {
+        engine.ingest(e.clone()).unwrap();
+    }
+    let bytes = serde::to_bytes(&engine.snapshot_state());
+    let mut resumed = Engine::new(program, &reg, config);
+    resumed
+        .restore_state(serde::from_bytes(&bytes).expect("snapshot decodes"))
+        .expect("same program, same config");
+    assert_eq!(
+        serde::to_bytes(&resumed.snapshot_state()),
+        bytes,
+        "restore is lossless"
+    );
+    for e in &events[4..] {
+        resumed.ingest(e.clone()).unwrap();
+    }
+    resumed.finish();
+    assert_eq!(
+        canonical(&resumed.collected_outputs),
+        canonical(&uninterrupted)
+    );
+    assert_eq!(uninterrupted.len(), 4);
+}
+
+/// Dispatch cost as a work-unit bound, from the operators' own
+/// counters: over `SEQ(A a, B b, T_i t)` × N, an `A` or `B` costs one
+/// group advance and no member chain run, a `T_i` costs the candidates
+/// of one member's boundary and nothing else — whatever N is. Feeding
+/// every consumer every event again (N chain runs per `A`) fails this.
+#[test]
+fn dispatch_work_per_event_is_independent_of_the_member_count() {
+    const ROUNDS: u64 = 40;
+    let work: Vec<[u64; 4]> = [2usize, 12, 48]
+        .into_iter()
+        .map(|n| {
+            let mut reg = SchemaRegistry::new();
+            let names = ["A".to_string(), "B".to_string()]
+                .into_iter()
+                .chain((0..n).map(|i| format!("T{i}")));
+            for name in names {
+                reg.register(Schema::new(name, &[("v", AttrType::Int)]))
+                    .unwrap();
+            }
+            let mut model = String::from("MODEL fleet DEFAULT main\nCONTEXT main {\n");
+            for i in 0..n {
+                model.push_str(&format!(
+                    "DERIVE Out{i}(a.v, t.v) PATTERN SEQ(A a, B b, T{i} t) WITHIN 2\n"
+                ));
+            }
+            model.push_str("}\n");
+            let (program, reg) = build_over(&model, reg);
+            assert_eq!(installed_groups(&program, true), vec![(2, n, true)]);
+
+            // A@3r+1, B@3r+2, T@3r+3: WITHIN 2 leaves exactly the
+            // round's own (A, B) as the full prefix each T sees.
+            let mut engine = Engine::new(program, &reg, EngineConfig::default());
+            for r in 0..ROUNDS {
+                let tail = format!("T{}", r as usize % n);
+                for (k, name) in ["A", "B", tail.as_str()].into_iter().enumerate() {
+                    engine
+                        .ingest(event(&reg, name, 3 * r + 1 + k as u64, 0, 1))
+                        .unwrap();
+                }
+            }
+            let report = engine.finish();
+            let rows = |suffix: &str| -> u64 {
+                let ops = report.metrics.operators.iter();
+                ops.filter(|(key, _)| key.ends_with(suffix))
+                    .map(|(_, m)| m.events_in)
+                    .sum()
+            };
+            // No member's window saw an event, so the context's observed
+            // activity rests on the group's verdicts: one per event.
+            let main = &report.metrics.contexts["main"];
+            assert_eq!((main.events_admitted, main.events_dropped), (3 * ROUNDS, 0));
+            [
+                rows(":ContextWindow"),
+                rows(":Pattern"),
+                rows(":prefix"),
+                report.events_out,
+            ]
+        })
+        .collect();
+    // [member chain runs, boundary candidates, group advances, matches]
+    assert_eq!(work[0], [0, ROUNDS, 2 * ROUNDS, ROUNDS]);
+    assert_eq!(work[1], work[0], "12 members cost what 2 do");
+    assert_eq!(work[2], work[0], "48 members cost what 2 do");
 }

@@ -23,7 +23,7 @@ use caesar::algebra::translate::{translate_query_set, TranslateOptions};
 use caesar::events::{
     AttrType, Event, Interval, PartitionId, Provenance, Schema, SchemaRegistry, Value,
 };
-use caesar::optimizer::{OptimizedProgram, Optimizer, OptimizerConfig};
+use caesar::optimizer::{OptimizedProgram, Optimizer};
 use caesar::prelude::*;
 use caesar::query::QuerySet;
 use caesar::runtime::{run_mode_full, ModeSpec};
@@ -50,19 +50,12 @@ fn input_registry() -> SchemaRegistry {
     reg
 }
 
-fn build(share: bool) -> (OptimizedProgram, SchemaRegistry) {
+fn build() -> (OptimizedProgram, SchemaRegistry) {
     let model = caesar::query::parser::parse_model(MODEL).unwrap();
     let qs = QuerySet::from_model(&model).unwrap();
     let mut reg = input_registry();
     let t = translate_query_set(&qs, &mut reg, &TranslateOptions::default()).unwrap();
-    let program = Optimizer {
-        config: OptimizerConfig {
-            share_prefixes: share,
-            ..OptimizerConfig::default()
-        },
-        ..Optimizer::default()
-    }
-    .optimize(t, &reg);
+    let program = Optimizer::default().optimize(t, &reg);
     (program, reg)
 }
 
@@ -88,12 +81,20 @@ fn stream(reg: &SchemaRegistry) -> Vec<Event> {
     ]
 }
 
-fn run(program: &OptimizedProgram, reg: &SchemaRegistry, provenance: bool) -> Vec<Event> {
+/// Runs the stream with (`sharing`) or without the shared `SEQ(A, B)`
+/// prefix group of `LongC`/`LongD`.
+fn run(
+    program: &OptimizedProgram,
+    reg: &SchemaRegistry,
+    provenance: bool,
+    sharing: bool,
+) -> Vec<Event> {
     let spec = ModeSpec::sequential(
         "provenance-edges",
         EngineConfig::builder()
             .batch(BatchPolicy::per_event())
             .provenance(provenance)
+            .sharing(sharing)
             .build(),
     );
     let (_report, outputs, _records) =
@@ -155,8 +156,8 @@ fn assert_expected_provenance(outputs: &[Event], reg: &SchemaRegistry) {
 
 #[test]
 fn hand_computed_provenance_unshared() {
-    let (program, reg) = build(false);
-    assert_expected_provenance(&run(&program, &reg, true), &reg);
+    let (program, reg) = build();
+    assert_expected_provenance(&run(&program, &reg, true, false), &reg);
 }
 
 #[test]
@@ -164,14 +165,14 @@ fn hand_computed_provenance_shared_prefix() {
     // Same expectations with the NFA prefix shared between LongC and
     // LongD: completions assembled from the group's partial must carry
     // per-query provenance, not a per-group amalgam.
-    let (program, reg) = build(true);
-    assert_expected_provenance(&run(&program, &reg, true), &reg);
+    let (program, reg) = build();
+    assert_expected_provenance(&run(&program, &reg, true, true), &reg);
 }
 
 #[test]
 fn provenance_is_strictly_opt_in() {
-    let (program, reg) = build(false);
-    let outputs = run(&program, &reg, false);
+    let (program, reg) = build();
+    let outputs = run(&program, &reg, false, true);
     assert_eq!(outputs.len(), 3);
     assert!(
         outputs.iter().all(|e| e.provenance.is_none()),
