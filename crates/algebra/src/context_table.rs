@@ -12,9 +12,9 @@
 //! an *epoch* counter identifying window instances (used by the context
 //! history to expire partial matches, §6.2 "Context Processing").
 
-use caesar_events::{PartitionId, Time, WindowSpan, TIME_MAX};
+use caesar_events::{PartitionId, PartitionMap, Time, WindowSpan, TIME_MAX};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// A context transition produced by a context initiation / termination
 /// operator, applied to the table by the runtime scheduler.
@@ -211,7 +211,7 @@ impl PartitionContexts {
 /// dense vector materializing four billion default states.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ContextTable {
-    partitions: HashMap<u32, PartitionContexts>,
+    partitions: PartitionMap<PartitionContexts>,
     /// Garbage-collection worklist: `(time, partition)` of every
     /// transition applied since the last collection. Windows only close
     /// through transitions, so these are exactly the partitions whose
@@ -244,7 +244,7 @@ impl ContextTable {
             "default bit out of range"
         );
         Self {
-            partitions: HashMap::new(),
+            partitions: PartitionMap::default(),
             expiries: BTreeSet::new(),
             startup: PartitionContexts::new(num_contexts, default_bit),
         }

@@ -51,6 +51,46 @@ impl PartitionId {
     }
 }
 
+/// Hasher of the partition-keyed maps ([`PartitionMap`]): one
+/// multiplication and a fold per lookup.
+///
+/// Partition ids are sparse — a clickstream workload hashes millions of
+/// user keys into the 32-bit id space — so partition state is keyed by
+/// id, and the maps are probed several times per event. The multiplier
+/// is odd (the product is a bijection of the id) and is *not* the
+/// SplitMix gamma [`PartitionId::shard`] starts from: the ids one shard
+/// receives agree on `mix(id) % shards`, and a map hashing them with the
+/// same mix would crowd them into the buckets that share those bits.
+/// Unkeyed, like the shard router: ids crafted to collide cost their own
+/// tenant probe length, which the admission bound caps like any other
+/// slow input.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct PartitionHasher(u64);
+
+impl std::hash::Hasher for PartitionHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u32(u32::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = (self.0 ^ u64::from(id)).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high half is the well-mixed one; the table
+        // indexes buckets by the low bits.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A map keyed by (sparse) partition id, hashed by [`PartitionHasher`].
+/// Iteration order is unspecified: a walk whose order is observable
+/// (emitted outputs, snapshot bytes) sorts the ids first.
+pub type PartitionMap<V> =
+    std::collections::HashMap<u32, V, std::hash::BuildHasherDefault<PartitionHasher>>;
+
 impl fmt::Display for PartitionId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "P{}", self.0)

@@ -14,9 +14,11 @@
 //! * [`Event`] — a timestamped message of a particular type carrying
 //!   attribute values, optionally assigned to a stream *partition*
 //!   (a unidirectional road segment in the traffic use case, §6.2).
-//! * [`EventQueue`] / [`queue::PartitionedQueues`] — per-partition FIFO
-//!   buffers with watermark-based progress tracking, used by the event
-//!   distributor of the storage layer (§6.1).
+//! * [`queue::PartitionedQueues`] — the event distributor's buffer
+//!   (§6.1): the single-timestamp frontier the scheduler releases stream
+//!   transactions from.
+//! * [`PartitionMap`] — the map every partition-keyed state goes
+//!   through, over one cheap hasher of the sparse partition id.
 //! * [`generator`] — seeded synthetic-stream utilities (rate curves and
 //!   window-placement distributions) shared by the workload substrates.
 
@@ -46,9 +48,9 @@ pub use codec::{
 };
 pub use columnar::{Column, ColumnKind, ColumnarBatch, ColumnarView, StrColumn};
 pub use error::EventError;
-pub use event::{Event, EventBuilder, PartitionId};
+pub use event::{Event, EventBuilder, PartitionHasher, PartitionId, PartitionMap};
 pub use provenance::{ProvStep, Provenance};
-pub use queue::{EventQueue, PartitionedQueues};
+pub use queue::PartitionedQueues;
 pub use record::OutputRecord;
 pub use reorder::{max_lateness, ReorderBuffer};
 pub use schema::{AttrId, AttrType, Schema, SchemaRegistry, Symbol, SymbolTable, TypeId};

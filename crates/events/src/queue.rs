@@ -1,48 +1,76 @@
-//! Per-partition event queues with watermark-based progress tracking.
+//! The event distributor's buffer: one single-timestamp frontier.
 //!
 //! The storage layer's event distributor "buffers the incoming events in
-//! the event queues" (§6.1). The time-driven scheduler needs to know, per
-//! partition, up to which application time all events have arrived — the
-//! queue *watermark* — before it may form the stream transaction for a
-//! timestamp (§6.2, "Correct Context Management").
-//!
-//! Partition ids are *sparse*: a clickstream workload hashes millions of
-//! user keys into the 32-bit id space, so the set of queues is keyed by
-//! id (not indexed by it — a dense `Vec` would materialize every id up
-//! to the maximum ever seen), and the scheduler's time-slice extraction
-//! goes through a `(head timestamp, partition)` index instead of a full
-//! scan of every queue per released timestamp.
+//! the event queues" (§6.1), and for each timestamp `t` the time-driven
+//! scheduler "extracts all events with the time stamp t from the event
+//! queues, wraps their processing into transactions (one transaction per
+//! road segment)" (§6.2). The stream is in order and the engine releases
+//! on every progress advance, so what is buffered between two ingest
+//! calls is the events of *one* timestamp (plus, for the instant between
+//! a push and the release it triggers, the first arrivals of the next).
+//! One arrival-ordered vector holds that; grouping it by partition when
+//! it is released is all "one queue per partition" ever bought, and it
+//! costs nothing for the partitions that are not in the current
+//! timestamp — there is no per-partition structure to find, grow, index
+//! or snapshot, however many partition ids the stream has touched.
 
 use crate::error::EventError;
-use crate::event::{Event, PartitionId};
+use crate::event::Event;
 use crate::stream::EventBatch;
 use crate::time::Time;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
+use std::vec::Drain;
 
-/// A FIFO of in-order events for one stream partition.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub struct EventQueue {
-    events: VecDeque<Event>,
-    /// Highest timestamp ever enqueued.
-    watermark: Time,
-    /// Total number of events ever enqueued (for metrics).
-    enqueued: u64,
-    /// Largest number of events ever buffered at once (queue depth
-    /// gauge for the observability layer).
-    peak_len: usize,
+/// Splits a released run — events in `(time, partition, arrival)` order,
+/// as [`PartitionedQueues::pop_time_slice`] and
+/// [`PartitionedQueues::pop_below`] hand them out — into its stream
+/// transactions: the maximal runs sharing a timestamp and a partition.
+pub fn transactions(released: &[Event]) -> impl Iterator<Item = &[Event]> {
+    released.chunk_by(|a, b| a.partition == b.partition && a.time() == b.time())
 }
 
-impl EventQueue {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+/// The distributor's buffer (see the module docs): the events that have
+/// arrived but whose timestamp the progress watermark has not passed, in
+/// arrival order — which, the stream being in order, is timestamp order.
+///
+/// The name is the paper's; the per-partition queues are notional. A
+/// pop sorts the due prefix by `(time, partition id)` — stably, so
+/// arrival order survives inside a transaction — and drains it.
+#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+pub struct PartitionedQueues {
+    /// Buffered events; timestamps are non-decreasing.
+    events: Vec<Event>,
+    /// Highest timestamp ever pushed: all events with smaller
+    /// timestamps have been observed (streams are in-order).
+    watermark: Time,
+    /// Largest transaction — events of one partition at one timestamp —
+    /// ever popped (the queue depth gauge of the observability layer).
+    peak_depth: usize,
+    /// Transactions popped so far.
+    transactions: u64,
+}
+
+impl PartitionedQueues {
+    /// Buffers an event, enforcing the in-order assumption of §6.2.
+    pub fn push(&mut self, event: Event) -> Result<(), EventError> {
+        self.advance(event.time())?;
+        self.events.push(event);
+        Ok(())
     }
 
-    /// Enqueues an event, enforcing the in-order assumption of §6.2.
-    pub fn push(&mut self, event: Event) -> Result<(), EventError> {
-        let t = event.time();
+    /// Buffers a same-timestamp batch with a single watermark check —
+    /// the batched counterpart of repeated [`push`](Self::push) calls.
+    pub fn push_batch(&mut self, mut batch: EventBatch) -> Result<(), EventError> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        self.advance(batch.time)?;
+        self.events.append(&mut batch.events);
+        Ok(())
+    }
+
+    fn advance(&mut self, t: Time) -> Result<(), EventError> {
         if t < self.watermark {
             return Err(EventError::OutOfOrder {
                 watermark: self.watermark,
@@ -50,245 +78,86 @@ impl EventQueue {
             });
         }
         self.watermark = t;
-        self.enqueued += 1;
-        self.events.push_back(event);
-        self.peak_len = self.peak_len.max(self.events.len());
         Ok(())
     }
 
-    /// Enqueues a run of events sharing timestamp `time` with a single
-    /// watermark check — the batched counterpart of repeated [`push`]
-    /// calls.
-    ///
-    /// [`push`]: EventQueue::push
-    pub fn push_run(
-        &mut self,
-        time: Time,
-        events: impl IntoIterator<Item = Event>,
-    ) -> Result<(), EventError> {
-        if time < self.watermark {
-            return Err(EventError::OutOfOrder {
-                watermark: self.watermark,
-                timestamp: time,
-            });
-        }
-        self.watermark = time;
-        for event in events {
-            debug_assert_eq!(event.time(), time);
-            self.enqueued += 1;
-            self.events.push_back(event);
-        }
-        self.peak_len = self.peak_len.max(self.events.len());
-        Ok(())
-    }
-
-    /// Timestamp of the oldest buffered event.
-    #[must_use]
-    pub fn head_time(&self) -> Option<Time> {
-        self.events.front().map(Event::time)
-    }
-
-    /// Highest timestamp ever enqueued. All events with smaller
-    /// timestamps have been observed (streams are in-order).
+    /// Highest timestamp ever pushed — the distributor progress the
+    /// scheduler compares against (§6.2).
     #[must_use]
     pub fn watermark(&self) -> Time {
         self.watermark
     }
 
-    /// Pops every buffered event with timestamp exactly `t`
-    /// (they form one stream transaction).
+    /// Earliest buffered timestamp.
     #[must_use]
-    pub fn pop_batch(&mut self, t: Time) -> EventBatch {
-        let mut events = Vec::new();
-        while self.events.front().is_some_and(|e| e.time() == t) {
-            events.push(self.events.pop_front().expect("front checked"));
-        }
-        EventBatch::new(t, events)
+    pub fn earliest_pending(&self) -> Option<Time> {
+        self.events.first().map(Event::time)
     }
 
-    /// Pops every buffered event with timestamp `<= t`.
-    #[must_use]
-    pub fn pop_up_to(&mut self, t: Time) -> Vec<Event> {
-        let mut events = Vec::new();
-        while self.events.front().is_some_and(|e| e.time() <= t) {
-            events.push(self.events.pop_front().expect("front checked"));
-        }
-        events
+    /// Pops the stream transactions of timestamp `t`: every buffered
+    /// event carrying exactly `t`, partition id ascending, arrival order
+    /// within a partition ([`transactions`] splits the run).
+    pub fn pop_time_slice(&mut self, t: Time) -> Drain<'_, Event> {
+        let start = self.events.partition_point(|e| e.time() < t);
+        let len = self.events[start..].partition_point(|e| e.time() == t);
+        self.pop(start..start + len)
     }
 
-    /// Number of buffered events.
+    /// Pops the stream transactions of every timestamp strictly below
+    /// `up_to`: timestamp ascending, then as
+    /// [`pop_time_slice`](Self::pop_time_slice).
+    pub fn pop_below(&mut self, up_to: Time) -> Drain<'_, Event> {
+        let len = self.events.partition_point(|e| e.time() < up_to);
+        self.pop(0..len)
+    }
+
+    fn pop(&mut self, due: Range<usize>) -> Drain<'_, Event> {
+        let run = &mut self.events[due.clone()];
+        if run.len() > 1 {
+            // Stable, and linear on a run that is already grouped (one
+            // partition, or partition-major arrival).
+            run.sort_by_key(|e| (e.time(), e.partition));
+        }
+        for txn in transactions(run) {
+            self.peak_depth = self.peak_depth.max(txn.len());
+            self.transactions += 1;
+        }
+        self.events.drain(due)
+    }
+
+    /// Partitions with a buffered event (the queues a per-partition
+    /// layout would hold non-empty right now).
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub fn partitions(&self) -> usize {
+        let mut ids: Vec<_> = self.events.iter().map(|e| e.partition).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids.len()
+    }
+
+    /// Buffered events.
+    #[must_use]
+    pub fn buffered(&self) -> usize {
         self.events.len()
     }
 
-    /// Returns `true` when no events are buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Total events ever enqueued.
-    #[must_use]
-    pub fn total_enqueued(&self) -> u64 {
-        self.enqueued
-    }
-
-    /// Largest number of events ever buffered at once.
-    #[must_use]
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-}
-
-/// The set of per-partition queues managed by the event distributor.
-///
-/// Queues are stored sparsely, keyed by partition id: only ids that
-/// actually carried traffic are materialized, so a workload whose ids
-/// are hashed over the whole `u32` space costs memory proportional to
-/// the *touched* partitions, not the largest id. The `heads` index
-/// orders every non-empty queue by its oldest buffered timestamp, which
-/// turns the scheduler's per-timestamp extraction from a full scan of
-/// all partitions into a range lookup over exactly the queues that have
-/// events at that timestamp.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub struct PartitionedQueues {
-    queues: BTreeMap<u32, EventQueue>,
-    /// `(head timestamp, partition id)` for every non-empty queue.
-    /// Invariant: `(t, p) ∈ heads` ⇔ `queues[p].head_time() == Some(t)`.
-    heads: BTreeSet<(Time, u32)>,
-}
-
-impl PartitionedQueues {
-    /// Creates queues for partitions `0..partitions` up front (ids seen
-    /// later are still materialized on demand).
-    #[must_use]
-    pub fn new(partitions: usize) -> Self {
-        Self {
-            queues: (0..partitions as u32)
-                .map(|p| (p, EventQueue::new()))
-                .collect(),
-            heads: BTreeSet::new(),
-        }
-    }
-
-    /// Routes an event to its partition's queue, materializing the queue
-    /// if this partition id is new.
-    pub fn push(&mut self, event: Event) -> Result<(), EventError> {
-        let p = event.partition.0;
-        let queue = self.queues.entry(p).or_default();
-        let was_empty = queue.is_empty();
-        let t = event.time();
-        queue.push(event)?;
-        if was_empty {
-            self.heads.insert((t, p));
-        }
-        Ok(())
-    }
-
-    /// Routes a same-timestamp batch to its partitions' queues, doing one
-    /// watermark check per contiguous partition run instead of one per
-    /// event. Growing and routing also amortize over the run.
-    pub fn push_batch(&mut self, batch: EventBatch) -> Result<(), EventError> {
-        let time = batch.time;
-        let mut events = batch.events.into_iter().peekable();
-        while let Some(first) = events.next() {
-            let partition = first.partition;
-            let p = partition.0;
-            let queue = self.queues.entry(p).or_default();
-            let was_empty = queue.is_empty();
-            let run = std::iter::once(first).chain(std::iter::from_fn(|| {
-                events.next_if(|e| e.partition == partition)
-            }));
-            queue.push_run(time, run)?;
-            if was_empty {
-                self.heads.insert((time, p));
-            }
-        }
-        Ok(())
-    }
-
-    /// The queue of one partition, if it has been materialized.
-    #[must_use]
-    pub fn get(&self, p: PartitionId) -> Option<&EventQueue> {
-        self.queues.get(&p.0)
-    }
-
-    /// The minimum watermark across all materialized partitions: the
-    /// distributor progress the scheduler compares against (§6.2).
-    #[must_use]
-    pub fn progress(&self) -> Time {
-        self.queues
-            .values()
-            .map(EventQueue::watermark)
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Earliest buffered timestamp across all partitions. A head-index
-    /// lookup, not a scan.
-    #[must_use]
-    pub fn earliest_pending(&self) -> Option<Time> {
-        self.heads.first().map(|&(t, _)| t)
-    }
-
-    /// Pops the stream transactions of timestamp `t`: for every queue
-    /// whose oldest event carries `t` (found by head-index range lookup,
-    /// in ascending partition-id order), all its events at `t`.
-    pub fn pop_time_slice(&mut self, t: Time) -> Vec<(PartitionId, EventBatch)> {
-        let due: Vec<u32> = self
-            .heads
-            .range((t, u32::MIN)..=(t, u32::MAX))
-            .map(|&(_, p)| p)
-            .collect();
-        let mut out = Vec::with_capacity(due.len());
-        for p in due {
-            self.heads.remove(&(t, p));
-            let queue = self.queues.get_mut(&p).expect("indexed queue exists");
-            let batch = queue.pop_batch(t);
-            debug_assert!(
-                !batch.is_empty(),
-                "head index pointed at {t} but queue had nothing"
-            );
-            if let Some(head) = queue.head_time() {
-                self.heads.insert((head, p));
-            }
-            out.push((PartitionId(p), batch));
-        }
-        out
-    }
-
-    /// Number of materialized partitions (ids that carried traffic).
-    #[must_use]
-    pub fn partitions(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Total buffered events across all partitions.
-    #[must_use]
-    pub fn buffered(&self) -> usize {
-        self.queues.values().map(EventQueue::len).sum()
-    }
-
-    /// Largest depth any partition queue ever reached (gauge).
+    /// Largest transaction ever popped (gauge).
     #[must_use]
     pub fn peak_depth(&self) -> usize {
-        self.queues
-            .values()
-            .map(EventQueue::peak_len)
-            .max()
-            .unwrap_or(0)
+        self.peak_depth
     }
 
-    /// Iterates `(PartitionId, &EventQueue)` in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (PartitionId, &EventQueue)> {
-        self.queues.iter().map(|(&p, q)| (PartitionId(p), q))
+    /// Transactions popped so far.
+    #[must_use]
+    pub fn transactions_popped(&self) -> u64 {
+        self.transactions
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::PartitionId;
     use crate::schema::TypeId;
     use crate::value::Value;
 
@@ -296,161 +165,118 @@ mod tests {
         Event::simple(TypeId(0), t, PartitionId(p), vec![Value::Int(0)])
     }
 
-    #[test]
-    fn push_updates_watermark() {
-        let mut q = EventQueue::new();
-        q.push(ev(5, 0)).unwrap();
-        q.push(ev(5, 0)).unwrap();
-        q.push(ev(9, 0)).unwrap();
-        assert_eq!(q.watermark(), 9);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.total_enqueued(), 3);
+    /// `(partition, events)` per transaction of a popped run.
+    fn shape(popped: Drain<'_, Event>) -> Vec<(u32, usize)> {
+        let popped: Vec<Event> = popped.collect();
+        transactions(&popped)
+            .map(|txn| (txn[0].partition.0, txn.len()))
+            .collect()
     }
 
     #[test]
-    fn out_of_order_rejected() {
-        let mut q = EventQueue::new();
-        q.push(ev(9, 0)).unwrap();
+    fn push_tracks_watermark_and_rejects_regressions() {
+        let mut pq = PartitionedQueues::default();
+        pq.push(ev(5, 0)).unwrap();
+        pq.push(ev(5, 1)).unwrap();
+        pq.push(ev(9, 0)).unwrap();
+        assert_eq!(pq.watermark(), 9);
+        assert_eq!(pq.buffered(), 3);
+        assert_eq!(pq.earliest_pending(), Some(5));
+        // In-order is a property of the stream, not of one partition.
         assert!(matches!(
-            q.push(ev(5, 0)),
+            pq.push(ev(7, 3)),
             Err(EventError::OutOfOrder {
                 watermark: 9,
-                timestamp: 5
+                timestamp: 7
             })
         ));
+        assert_eq!(pq.buffered(), 3, "a rejected event is not buffered");
     }
 
     #[test]
-    fn pop_batch_takes_exactly_one_timestamp() {
-        let mut q = EventQueue::new();
-        for t in [3, 3, 3, 7] {
-            q.push(ev(t, 0)).unwrap();
-        }
-        let batch = q.pop_batch(3);
-        assert_eq!(batch.len(), 3);
-        assert_eq!(batch.time, 3);
-        assert_eq!(q.head_time(), Some(7));
-        // Popping a timestamp with no events yields an empty batch.
-        assert!(q.pop_batch(5).is_empty());
-    }
-
-    #[test]
-    fn pop_up_to_drains_prefix() {
-        let mut q = EventQueue::new();
-        for t in [1, 2, 3, 10] {
-            q.push(ev(t, 0)).unwrap();
-        }
-        let drained = q.pop_up_to(3);
-        assert_eq!(drained.len(), 3);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn partitioned_progress_is_min_watermark() {
-        let mut pq = PartitionedQueues::new(2);
-        pq.push(ev(10, 0)).unwrap();
-        pq.push(ev(4, 1)).unwrap();
-        assert_eq!(pq.progress(), 4);
-        pq.push(ev(12, 1)).unwrap();
-        assert_eq!(pq.progress(), 10);
-        assert_eq!(pq.buffered(), 3);
-        assert_eq!(pq.earliest_pending(), Some(4));
-    }
-
-    #[test]
-    fn push_run_matches_repeated_push() {
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new();
-        for e in [ev(4, 0), ev(4, 0), ev(4, 0)] {
+    fn push_batch_matches_repeated_push() {
+        let mut a = PartitionedQueues::default();
+        let mut b = PartitionedQueues::default();
+        for e in [ev(4, 0), ev(4, 2), ev(4, 0)] {
             a.push(e).unwrap();
         }
-        b.push_run(4, vec![ev(4, 0), ev(4, 0), ev(4, 0)]).unwrap();
+        b.push_batch(EventBatch::new(4, vec![ev(4, 0), ev(4, 2), ev(4, 0)]))
+            .unwrap();
         assert_eq!(a.watermark(), b.watermark());
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.total_enqueued(), b.total_enqueued());
+        assert_eq!(shape(a.pop_time_slice(4)), shape(b.pop_time_slice(4)));
         assert!(matches!(
-            b.push_run(2, vec![ev(2, 0)]),
+            b.push_batch(EventBatch::new(2, vec![ev(2, 0)])),
             Err(EventError::OutOfOrder { .. })
         ));
+        // An empty batch is a no-op, whatever timestamp it states.
+        b.push_batch(EventBatch::new(0, vec![])).unwrap();
+        assert_eq!(b.watermark(), 4);
     }
 
     #[test]
-    fn push_batch_routes_partition_runs() {
-        let mut pq = PartitionedQueues::new(1);
-        let batch = EventBatch::new(7, vec![ev(7, 0), ev(7, 0), ev(7, 2), ev(7, 0)]);
-        pq.push_batch(batch).unwrap();
-        // Sparse: only ids that exist are materialized — the pre-declared
-        // partition 0 and the batch's partition 2; id 1 costs nothing.
-        assert_eq!(pq.partitions(), 2);
-        assert_eq!(pq.get(PartitionId(0)).unwrap().len(), 3);
-        assert_eq!(pq.get(PartitionId(2)).unwrap().len(), 1);
-        assert!(pq.get(PartitionId(1)).is_none());
-        assert_eq!(pq.buffered(), 4);
-    }
-
-    #[test]
-    fn peak_depth_tracks_high_water_mark() {
-        let mut pq = PartitionedQueues::new(2);
-        pq.push(ev(1, 0)).unwrap();
-        pq.push(ev(1, 0)).unwrap();
-        pq.push(ev(1, 1)).unwrap();
-        assert_eq!(pq.peak_depth(), 2);
-        let popped = pq.pop_time_slice(1);
-        assert_eq!(popped.len(), 2);
-        assert_eq!(pq.buffered(), 0);
-        assert_eq!(pq.peak_depth(), 2, "gauge keeps the high-water mark");
-    }
-
-    #[test]
-    fn sparse_ids_do_not_materialize_the_id_range() {
-        let mut pq = PartitionedQueues::new(0);
-        // Ids spread over the whole u32 space: memory must track the
-        // number of *touched* partitions, never the largest id.
-        for (i, p) in [3u32, 1_000_000, u32::MAX, 42].into_iter().enumerate() {
-            pq.push(ev(i as Time + 1, p)).unwrap();
-        }
-        assert_eq!(pq.partitions(), 4);
-        assert_eq!(pq.get(PartitionId(u32::MAX)).unwrap().len(), 1);
-        assert_eq!(pq.earliest_pending(), Some(1));
-    }
-
-    #[test]
-    fn pop_time_slice_returns_due_partitions_in_id_order() {
-        let mut pq = PartitionedQueues::new(0);
-        for e in [ev(5, 9), ev(5, 2), ev(5, 2), ev(7, 4), ev(9, 2)] {
+    fn pop_time_slice_groups_by_partition_in_id_order() {
+        let mut pq = PartitionedQueues::default();
+        for e in [ev(5, 9), ev(5, 2), ev(5, 9), ev(5, 2), ev(7, 4), ev(9, 2)] {
             pq.push(e).unwrap();
         }
-        let slice = pq.pop_time_slice(5);
-        let pids: Vec<u32> = slice.iter().map(|(p, _)| p.0).collect();
-        assert_eq!(pids, vec![2, 9], "ascending partition id");
-        assert_eq!(slice[0].1.len(), 2, "both t=5 events of partition 2");
-        // Partition 2's next event (t=9) is re-indexed; t=7 now earliest.
+        assert_eq!(pq.partitions(), 3);
+        assert_eq!(shape(pq.pop_time_slice(5)), vec![(2, 2), (9, 2)]);
         assert_eq!(pq.earliest_pending(), Some(7));
-        assert!(pq.pop_time_slice(6).is_empty());
-        assert_eq!(pq.pop_time_slice(7).len(), 1);
-        assert_eq!(pq.pop_time_slice(9).len(), 1);
+        assert!(pq.pop_time_slice(6).next().is_none());
+        // A slice other than the earliest leaves the earlier ones alone.
+        assert_eq!(shape(pq.pop_time_slice(9)), vec![(2, 1)]);
+        assert_eq!(shape(pq.pop_time_slice(7)), vec![(4, 1)]);
         assert_eq!(pq.earliest_pending(), None);
+        assert_eq!(pq.transactions_popped(), 4);
     }
 
     #[test]
-    fn partitioned_queues_grow_on_demand() {
-        let mut pq = PartitionedQueues::new(1);
-        pq.push(ev(1, 5)).unwrap();
-        assert_eq!(pq.partitions(), 2);
-        assert_eq!(pq.get(PartitionId(5)).unwrap().len(), 1);
+    fn arrival_order_survives_inside_a_transaction() {
+        let mut pq = PartitionedQueues::default();
+        let tagged = |t, p, tag| Event::simple(TypeId(0), t, PartitionId(p), vec![Value::Int(tag)]);
+        for e in [tagged(3, 1, 10), tagged(3, 0, 11), tagged(3, 1, 12)] {
+            pq.push(e).unwrap();
+        }
+        let tags: Vec<Value> = pq.pop_time_slice(3).map(|e| e.attrs[0].clone()).collect();
+        assert_eq!(tags, vec![Value::Int(11), Value::Int(10), Value::Int(12)]);
     }
 
     #[test]
-    fn head_index_survives_serde_round_trip() {
-        let mut pq = PartitionedQueues::new(0);
+    fn pop_below_spans_timestamps_in_order() {
+        let mut pq = PartitionedQueues::default();
+        for e in [ev(1, 7), ev(1, 3), ev(2, 9), ev(2, 9), ev(4, 1)] {
+            pq.push(e).unwrap();
+        }
+        let popped: Vec<Event> = pq.pop_below(4).collect();
+        let order: Vec<(Time, u32)> = popped.iter().map(|e| (e.time(), e.partition.0)).collect();
+        assert_eq!(order, vec![(1, 3), (1, 7), (2, 9), (2, 9)]);
+        assert_eq!(pq.buffered(), 1, "events at the bound stay");
+        assert_eq!(pq.peak_depth(), 2);
+    }
+
+    #[test]
+    fn state_does_not_grow_with_partitions_seen() {
+        let mut pq = PartitionedQueues::default();
+        for i in 0..10_000u32 {
+            pq.push(ev(u64::from(i), i.wrapping_mul(0x9e37_79b9)))
+                .unwrap();
+            pq.pop_below(u64::from(i)).for_each(drop);
+        }
+        assert_eq!(pq.buffered(), 1);
+        assert_eq!(pq.partitions(), 1);
+        assert!(serde::to_bytes(&pq).len() < 128);
+    }
+
+    #[test]
+    fn frontier_survives_serde_round_trip() {
+        let mut pq = PartitionedQueues::default();
         for e in [ev(3, 7), ev(4, 1), ev(4, 7)] {
             pq.push(e).unwrap();
         }
-        let bytes = serde::to_bytes(&pq);
-        let mut back: PartitionedQueues = serde::from_bytes(&bytes).unwrap();
-        assert_eq!(back.earliest_pending(), Some(3));
-        assert_eq!(back.pop_time_slice(3).len(), 1);
-        assert_eq!(back.pop_time_slice(4).len(), 2);
+        let mut back: PartitionedQueues = serde::from_bytes(&serde::to_bytes(&pq)).unwrap();
+        assert_eq!(back.watermark(), 4);
+        assert_eq!(shape(back.pop_time_slice(3)), vec![(7, 1)]);
+        assert_eq!(shape(back.pop_time_slice(4)), vec![(1, 1), (7, 1)]);
         assert_eq!(back.buffered(), 0);
     }
 }

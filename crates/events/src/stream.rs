@@ -51,6 +51,17 @@ pub enum Ingest {
     Batch(EventBatch),
 }
 
+impl Ingest {
+    /// The timestamp the input carries; `None` for an empty batch.
+    #[must_use]
+    pub fn time(&self) -> Option<Time> {
+        match self {
+            Ingest::Event(event) => Some(event.time()),
+            Ingest::Batch(batch) => (!batch.is_empty()).then_some(batch.time),
+        }
+    }
+}
+
 impl From<Event> for Ingest {
     fn from(event: Event) -> Self {
         Ingest::Event(event)

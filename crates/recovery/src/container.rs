@@ -37,8 +37,13 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CAESNAP\0";
 /// * 3 — `EngineState.partitions` holds thin per-partition run state
 ///   (the state of stateful operators that have any, plus feedback)
 ///   instead of a clone of every plan per partition; the operator
-///   counters moved into the one program in `EngineState.template`.
-pub const SNAPSHOT_VERSION: u32 = 3;
+///   counters moved into the one program in `EngineState.template`;
+/// * 4 — the scheduler is one single-timestamp frontier (buffered
+///   events, watermark, peak transaction, transaction count) instead
+///   of a queue per partition ever seen plus a head index;
+///   `EngineState.peak_partials` is gone and the program's slab
+///   high-water mark (`pool_peak`) is persisted in its place.
+pub const SNAPSHOT_VERSION: u32 = 4;
 /// Fixed header length in bytes.
 const HEADER_LEN: usize = 40;
 

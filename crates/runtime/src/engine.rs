@@ -10,11 +10,11 @@ use crate::router::Router;
 use crate::scheduler::TimeDrivenScheduler;
 use crate::stats::Observations;
 use crate::txn::StreamTransaction;
-use caesar_algebra::context_table::{ContextTable, TransitionKind};
+use caesar_algebra::context_table::{ContextTable, Transition, TransitionKind};
 use caesar_algebra::plan::PlanOutput;
 use caesar_events::{
     BatchPolicy, ColumnarBatch, Event, EventBatch, EventError, EventStream, Ingest, OutputRecord,
-    ReorderBuffer, SchemaRegistry, Time, TypeId,
+    PartitionMap, ReorderBuffer, SchemaRegistry, Time, TypeId,
 };
 use caesar_optimizer::optimizer::OptimizedProgram;
 use serde::{Deserialize, Serialize};
@@ -299,17 +299,28 @@ pub struct RunReport {
     pub transitions_applied: u64,
     /// Per-derived-type output counts, by type name.
     pub outputs_by_type: BTreeMap<String, u64>,
-    /// Maximum queueing-model latency (ns).
+    /// Maximum queueing-model latency (ns). Fed by the loops that own
+    /// a stream ([`Engine::run_stream`], [`Engine::ingest_timed`] +
+    /// [`Engine::finish_timed`]) and, at `ObservabilityLevel::Counters`
+    /// and above, by every transaction; zero for a host that calls
+    /// [`Engine::ingest`] itself with observability off — that path
+    /// reads no clock.
     pub max_latency_ns: u64,
-    /// Average queueing-model latency (ns).
+    /// Average queueing-model latency (ns); zero where
+    /// [`max_latency_ns`](Self::max_latency_ns) is.
     pub avg_latency_ns: u64,
-    /// Wall-clock processing time of the whole run.
+    /// Wall-clock processing time of the whole run — the sum of the
+    /// service intervals the queueing model was fed; zero where
+    /// [`max_latency_ns`](Self::max_latency_ns) is.
     pub wall_time: Duration,
     /// Combined plans fed / suspended (router accounting).
     pub plans_fed: u64,
     /// Combined plans skipped while their context was inactive.
     pub plans_suspended: u64,
-    /// Peak live partial matches across all partitions (memory proxy).
+    /// Peak live partial matches (memory proxy): the most any one
+    /// operator held in any one partition — the largest high-water mark
+    /// of the partial-match slabs, the same number as the
+    /// `partials_peak` gauge.
     pub peak_partials: usize,
     /// Structured metrics recorded by the observability layer. Mostly
     /// empty when the engine ran with [`ObservabilityLevel::Off`]
@@ -334,10 +345,8 @@ impl RunReport {
 
 /// A snapshot of every live field of an [`Engine`], taken by
 /// [`Engine::snapshot_state`] and applied by [`Engine::restore_state`].
-/// The only runtime field not captured is the wall-clock `started`
-/// instant, which is meaningless across process boundaries; a restored
-/// engine restarts its wall clock on the first post-restore ingest while
-/// keeping the accumulated `busy` time.
+/// No field holds a wall-clock instant: the accumulated `busy` time
+/// carries over, and a restored engine goes on adding to it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineState {
     /// Configuration the snapshot was taken under (checked on restore).
@@ -345,7 +354,7 @@ pub struct EngineState {
     table: ContextTable,
     template: ProgramTemplate,
     default_bit: u8,
-    partitions: BTreeMap<u32, PartitionRun>,
+    partitions: PartitionMap<PartitionRun>,
     scheduler: TimeDrivenScheduler,
     router: Router,
     clock: ArrivalClock,
@@ -356,7 +365,6 @@ pub struct EngineState {
     events_in: u64,
     events_out: u64,
     transitions_applied: u64,
-    peak_partials: usize,
     last_gc: Time,
     busy: Duration,
     reorder: Option<ReorderBuffer>,
@@ -419,6 +427,17 @@ impl fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
+/// The run the scheduler last released, and a transaction's output
+/// sink, requested transitions and closed context bits: all empty
+/// between transactions, kept for their capacity.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    released: Vec<Event>,
+    out: PlanOutput,
+    transitions: Vec<Transition>,
+    closed_bits: Vec<u8>,
+}
+
 /// The CAESAR execution engine.
 #[derive(Debug)]
 pub struct Engine {
@@ -432,10 +451,11 @@ pub struct Engine {
     /// Run state of the partitions that hold any (a live partial, a
     /// parked match, a buffered negated event, queued feedback), keyed
     /// by (sparse) partition id; a partition without is absent, and so
-    /// is the `bound` one. Iteration is in ascending id order, which
-    /// every partition walk below relies on for deterministic output
-    /// and snapshot bytes.
-    partitions: BTreeMap<u32, PartitionRun>,
+    /// is the `bound` one. A hash map — a partition switch is one
+    /// remove and at most one insert — so the one walk whose order is
+    /// observable, `finish`, sorts the ids (a snapshot encodes the map
+    /// key-sorted).
+    partitions: PartitionMap<PartitionRun>,
     /// The partition whose run state is bound into `template` — the
     /// last one that executed a transaction — with its record. It
     /// stays bound until another partition's turn, so a run of
@@ -445,6 +465,9 @@ pub struct Engine {
     run_state_bytes: usize,
     /// The router's selection buffer, reused across transactions.
     active: Vec<usize>,
+    /// Buffers of the release-and-execute path, reused so that a
+    /// steady-state transaction allocates nothing there.
+    scratch: Scratch,
     scheduler: TimeDrivenScheduler,
     router: Router,
     clock: ArrivalClock,
@@ -455,9 +478,7 @@ pub struct Engine {
     events_in: u64,
     events_out: u64,
     transitions_applied: u64,
-    peak_partials: usize,
     last_gc: Time,
-    started: Option<Instant>,
     busy: Duration,
     reorder: Option<ReorderBuffer>,
     /// The observability recorder (gated by `config.observability`).
@@ -536,10 +557,11 @@ impl Engine {
             table,
             template,
             default_bit,
-            partitions: BTreeMap::new(),
+            partitions: PartitionMap::default(),
             bound: None,
             run_state_bytes: 0,
             active: Vec::new(),
+            scratch: Scratch::default(),
             scheduler: TimeDrivenScheduler::new(),
             router: Router::new(),
             latency: LatencyTracker::new(),
@@ -549,9 +571,7 @@ impl Engine {
             events_in: 0,
             events_out: 0,
             transitions_applied: 0,
-            peak_partials: 0,
             last_gc: 0,
-            started: None,
             busy: Duration::ZERO,
             reorder: if config.reorder_slack > 0 {
                 Some(ReorderBuffer::new(config.reorder_slack))
@@ -590,6 +610,14 @@ impl Engine {
         self.events_in
     }
 
+    /// Events the scheduler holds for transactions not yet released:
+    /// on an in-order stream, the events of the newest timestamp — never
+    /// a function of how many partitions the stream has touched.
+    #[must_use]
+    pub fn events_buffered(&self) -> usize {
+        self.scheduler.buffered()
+    }
+
     /// Captures every live field into a serializable [`EngineState`].
     /// Restoring the state into a freshly built engine and replaying the
     /// post-snapshot suffix of the stream reproduces the uninterrupted
@@ -623,7 +651,6 @@ impl Engine {
             events_in: self.events_in,
             events_out: self.events_out,
             transitions_applied: self.transitions_applied,
-            peak_partials: self.peak_partials,
             last_gc: self.last_gc,
             busy: self.busy,
             reorder: self.reorder.clone(),
@@ -677,13 +704,11 @@ impl Engine {
         self.events_in = state.events_in;
         self.events_out = state.events_out;
         self.transitions_applied = state.transitions_applied;
-        self.peak_partials = state.peak_partials;
         self.last_gc = state.last_gc;
         self.busy = state.busy;
         self.reorder = state.reorder;
         self.late_dropped = state.late_dropped;
         self.collected_outputs = state.collected_outputs;
-        self.started = None;
         // Speculative state is never part of a snapshot: the restored
         // engine starts over with an empty overlay forked off the
         // restored (strict) state.
@@ -716,7 +741,7 @@ impl Engine {
 
     /// Copies of the program and the per-partition run state with
     /// nothing bound: what a snapshot stores and a fork starts from.
-    pub(crate) fn unbound_program(&self) -> (ProgramTemplate, BTreeMap<u32, PartitionRun>) {
+    pub(crate) fn unbound_program(&self) -> (ProgramTemplate, PartitionMap<PartitionRun>) {
         let mut template = self.template.clone();
         let mut partitions = self.partitions.clone();
         if let Some((id, run)) = &self.bound {
@@ -814,9 +839,6 @@ impl Engine {
     }
 
     fn ingest_event(&mut self, event: Event) -> Result<(), EventError> {
-        if self.started.is_none() {
-            self.started = Some(Instant::now());
-        }
         let span = self.obs.span_start();
         self.obs.inc(CounterId::EventsIngested);
         if self.speculation.is_some() {
@@ -856,29 +878,44 @@ impl Engine {
         let span = self.obs.span_start();
         let before = self.scheduler.progress();
         self.scheduler.ingest(event)?;
-        let progress = self.scheduler.progress();
-        // Release is strictly-below-progress and the previous ingest
-        // already drained everything below `before`, so mid-run (same
-        // timestamp) the release scan would find nothing — skip it.
-        if progress > before {
-            let ready = self.scheduler.release(progress);
-            self.obs.span_end(Stage::Scheduler, span);
-            for txn in ready {
-                self.execute(txn);
-            }
-        } else {
-            self.obs.span_end(Stage::Scheduler, span);
-        }
+        self.run_released(before, span);
         Ok(())
+    }
+
+    /// The second half of an ordered ingest: when the progress moved
+    /// past `before`, releases the transactions below it and executes
+    /// them; `span` is the scheduler-stage span the ingest opened.
+    ///
+    /// Release is strictly-below-progress and runs on *every* advance,
+    /// so between two calls the scheduler holds the events of the
+    /// progress timestamp and nothing older — the invariant that makes
+    /// its one-timestamp frontier sufficient — and an ingest that joins
+    /// the current timestamp has nothing to release.
+    fn run_released(&mut self, before: Time, span: Option<Instant>) {
+        let progress = self.scheduler.progress();
+        if progress == before {
+            self.obs.span_end(Stage::Scheduler, span);
+            return;
+        }
+        let mut released = std::mem::take(&mut self.scratch.released);
+        released.extend(self.scheduler.release(progress));
+        self.obs.span_end(Stage::Scheduler, span);
+        self.execute_all(&released);
+        released.clear();
+        self.scratch.released = released;
+    }
+
+    /// Executes a released run, transaction by transaction.
+    fn execute_all(&mut self, released: &[Event]) {
+        for txn in StreamTransaction::split(released) {
+            self.execute(txn);
+        }
     }
 
     /// One reorder-buffer lateness check, one scheduler progress check
     /// and — when progress actually advanced — one release scan for the
     /// whole same-timestamp batch.
     fn ingest_batch_impl(&mut self, batch: EventBatch) -> Result<(), EventError> {
-        if self.started.is_none() {
-            self.started = Some(Instant::now());
-        }
         let span = self.obs.span_start();
         self.obs.inc(CounterId::BatchesIngested);
         self.obs.add(CounterId::EventsIngested, batch.len() as u64);
@@ -937,20 +974,7 @@ impl Engine {
         let span = self.obs.span_start();
         let before = self.scheduler.progress();
         self.scheduler.ingest_batch(batch)?;
-        let progress = self.scheduler.progress();
-        // Release is strictly-below-progress and the previous call
-        // already drained everything below `before`, so when progress
-        // did not move the O(partitions) release scan finds nothing —
-        // skip it.
-        if progress > before {
-            let ready = self.scheduler.release(progress);
-            self.obs.span_end(Stage::Scheduler, span);
-            for txn in ready {
-                self.execute(txn);
-            }
-        } else {
-            self.obs.span_end(Stage::Scheduler, span);
-        }
+        self.run_released(before, span);
         Ok(())
     }
 
@@ -960,29 +984,38 @@ impl Engine {
     /// unsettled settles — the report (and `collected_outputs`) is the
     /// strict run's.
     pub fn finish(&mut self) -> RunReport {
-        if self.speculation.is_some() {
-            return self.finish_speculative();
-        }
-        self.finish_strict()
+        self.drain();
+        self.report()
     }
 
-    fn finish_strict(&mut self) -> RunReport {
+    /// Everything `finish` does short of building the report.
+    fn drain(&mut self) {
+        if self.speculation.is_some() {
+            self.finish_speculative();
+        } else {
+            self.finish_strict();
+        }
+    }
+
+    fn finish_strict(&mut self) {
         if let Some(mut reorder) = self.reorder.take() {
             for e in reorder.flush() {
                 let _ = self.ingest_one_ordered(e);
             }
             self.reorder = Some(reorder);
         }
-        let remaining = self.scheduler.flush();
-        for txn in remaining {
-            self.execute(txn);
-        }
+        let remaining: Vec<Event> = self.scheduler.flush().collect();
+        self.execute_all(&remaining);
         // Final watermark push: flush matured trailing negations, prune.
-        // Only partitions holding run state have anything to flush.
+        // Only partitions holding run state have anything to flush —
+        // in ascending id order, which is the order their trailing
+        // outputs are emitted in.
         let final_mark = self.scheduler.progress().saturating_add(1_000_000);
         let mut out = PlanOutput::default();
         self.unbind();
-        for (id, mut run) in std::mem::take(&mut self.partitions) {
+        let mut holding: Vec<(u32, PartitionRun)> = self.partitions.drain().collect();
+        holding.sort_unstable_by_key(|(id, _)| *id);
+        for (id, mut run) in holding {
             self.run_state_bytes -= run.bytes();
             self.template.bind(&mut run);
             self.bound = Some((id, run));
@@ -991,7 +1024,6 @@ impl Engine {
             self.unbind();
         }
         self.account_outputs(&out);
-        self.report()
     }
 
     /// Convenience: runs an entire stream through the engine.
@@ -1006,18 +1038,81 @@ impl Engine {
     /// runs dispatch onto the batch fast paths.
     pub fn run_stream(&mut self, stream: &mut dyn EventStream) -> Result<RunReport, EventError> {
         while let Some(event) = stream.next_event() {
-            self.ingest_event(event)?;
+            self.ingest_timed(event)?;
         }
-        Ok(self.finish())
+        Ok(self.finish_timed())
+    }
+
+    /// [`ingest`](Self::ingest) for a loop that owns its stream and
+    /// wants the §7 queueing model ([`RunReport::max_latency_ns`] and
+    /// friends) fed: a call that advances the stream's timestamp — the
+    /// only kind that releases transactions — is timed as one service
+    /// interval. A call that joins the current timestamp reads no
+    /// clock; `ingest` itself never does with observability off.
+    pub fn ingest_timed(&mut self, input: impl Into<Ingest>) -> Result<(), EventError> {
+        let input = input.into();
+        if input.time().is_some_and(|t| t > self.arrival_watermark()) {
+            self.timed(|engine| engine.ingest(input))
+        } else {
+            self.ingest(input)
+        }
+    }
+
+    /// [`finish`](Self::finish), timed like
+    /// [`ingest_timed`](Self::ingest_timed): the last timestamp's
+    /// transactions run here.
+    pub fn finish_timed(&mut self) -> RunReport {
+        self.timed(Self::drain);
+        self.report()
+    }
+
+    /// The highest timestamp that has arrived (the reorder buffer's
+    /// when there is one: the scheduler's progress trails it by the
+    /// slack) — also the stream position speculative emissions are
+    /// stamped with.
+    fn arrival_watermark(&self) -> Time {
+        self.reorder
+            .as_ref()
+            .map_or_else(|| self.scheduler.progress(), ReorderBuffer::high_watermark)
+    }
+
+    /// Runs `work` as one service interval of the queueing model, if it
+    /// executed any transaction: the oldest of them were the events of
+    /// the progress timestamp, which is the arrival the interval is
+    /// charged against. At `Counters` and above `execute` times every
+    /// transaction itself.
+    fn timed<R>(&mut self, work: impl FnOnce(&mut Self) -> R) -> R {
+        if self.obs.counters_enabled() {
+            return work(self);
+        }
+        let oldest = self.scheduler.progress();
+        let released = self.scheduler.transactions_released();
+        let start = Instant::now();
+        let result = work(self);
+        if self.scheduler.transactions_released() > released {
+            self.record_service(oldest, start.elapsed());
+        }
+        result
+    }
+
+    /// Feeds the queueing model one service interval for work that
+    /// arrived at application time `arrival`; returns its latency (ns).
+    fn record_service(&mut self, arrival: Time, service: Duration) -> u64 {
+        self.busy += service;
+        self.latency
+            .record(self.clock.arrival_ns(arrival), service.as_nanos() as u64)
     }
 
     /// Executes one stream transaction: derivation, transition
     /// application (with context-history maintenance), routing,
     /// processing, watermark advance, GC.
-    fn execute(&mut self, txn: StreamTransaction) {
-        let service_start = Instant::now();
-        let t = txn.time;
-        let partition = txn.partition;
+    fn execute(&mut self, txn: StreamTransaction<'_>) {
+        let service_start = self.obs.counters_enabled().then(Instant::now);
+        let StreamTransaction {
+            time: t,
+            partition,
+            events,
+        } = txn;
 
         // The program executes with this partition's run state bound
         // (a no-op when the previous transaction was this partition's).
@@ -1025,37 +1120,38 @@ impl Engine {
         let run = &mut self.bound.as_mut().expect("bound above").1;
         let programs = &mut self.template;
 
-        let mut out = PlanOutput::default();
+        let mut out = std::mem::take(&mut self.scratch.out);
         // Transactions below the policy's size floor take the per-event
         // operator paths: the batch fast path's setup (selection
         // vectors, columnar views) is pure overhead on sparse streams.
         let batched =
-            self.config.batch.enabled && txn.batch.len() >= self.config.batch.min_events.max(1);
+            self.config.batch.enabled && events.len() >= self.config.batch.min_events.max(1);
         self.obs.inc(CounterId::TransactionsExecuted);
         if batched {
             self.obs.inc(CounterId::BatchedTransactions);
         }
-        self.obs.observe_batch_size(txn.batch.len() as u64);
+        self.obs.observe_batch_size(events.len() as u64);
         // Columnar views over the transaction, built lazily per event
         // type on first kernel use and shared by every plan.
-        let mut cols = ColumnarBatch::new(&txn.batch.events, self.config.vectorize);
+        let mut cols = ColumnarBatch::new(events, self.config.vectorize);
 
         // Baseline overhead: per-query private re-derivation.
         if self.config.mode == Mode::ContextIndependent && self.config.redundant_derivation {
             if batched {
                 programs.run_redundant_derivation_batch(&mut cols, &self.table);
             } else {
-                programs.run_redundant_derivation(&txn.batch.events, &self.table);
+                programs.run_redundant_derivation(events, &self.table);
             }
         }
 
         // Phase 1: context derivation (before any processing at t).
         let span = self.obs.span_start();
-        let transitions = if batched {
-            programs.run_derivation_batch(&mut cols, &self.table, run)
+        let mut transitions = std::mem::take(&mut self.scratch.transitions);
+        if batched {
+            programs.run_derivation_batch(&mut cols, &self.table, run, &mut transitions);
         } else {
-            programs.run_derivation(&txn.batch.events, &self.table, run)
-        };
+            programs.run_derivation(events, &self.table, run, &mut transitions);
+        }
         self.obs.span_end(Stage::Derivation, span);
         let span = self.obs.span_start();
         // Windows closing at time t still admit events carrying exactly
@@ -1063,8 +1159,8 @@ impl Engine {
         // must survive until this transaction's processing phase is
         // done: collect the context bits to reset, apply them after
         // `run_processing`.
-        let mut closed_bits: Vec<u8> = Vec::new();
-        for transition in transitions {
+        let mut closed_bits = std::mem::take(&mut self.scratch.closed_bits);
+        for transition in transitions.drain(..) {
             debug_assert_eq!(transition.partition, partition);
             // CI_c removes the default window as a side effect (§4.1)
             // without emitting a Terminate — the default context's plans
@@ -1080,6 +1176,7 @@ impl Engine {
                 closed_bits.push(self.default_bit);
             }
         }
+        self.scratch.transitions = transitions;
         self.obs.span_end(Stage::Transitions, span);
 
         // Phase 2: context-aware routing + processing. Routing is one
@@ -1087,16 +1184,21 @@ impl Engine {
         // evaluates each active plan once over the whole event slice.
         let span = self.obs.span_start();
         let mut active = std::mem::take(&mut self.active);
-        let events = txn.batch.len() as u64;
-        self.router
-            .select(programs, partition, t, &self.table, events, &mut active);
+        self.router.select(
+            programs,
+            partition,
+            t,
+            &self.table,
+            events.len() as u64,
+            &mut active,
+        );
         self.obs.span_end(Stage::Router, span);
         self.obs.tick_contexts(&active, programs.processing.len());
         let span = self.obs.span_start();
         if batched {
             programs.run_processing_batch(&mut cols, &self.table, &active, run, &mut out);
         } else {
-            programs.run_processing(&txn.batch.events, &self.table, &active, run, &mut out);
+            programs.run_processing(events, &self.table, &active, run, &mut out);
         }
         self.active = active;
         self.obs.span_end(Stage::Processing, span);
@@ -1105,16 +1207,15 @@ impl Engine {
         // in this transaction (their last admissible events were just
         // processed).
         closed_bits.dedup();
-        for bit in closed_bits {
+        for bit in closed_bits.drain(..) {
             programs.on_context_terminated(bit, partition, &self.table);
         }
+        self.scratch.closed_bits = closed_bits;
 
         // Watermark: all events with time < t+1 of this partition seen.
         let span = self.obs.span_start();
         programs.advance_time(t, &self.table, &mut out);
         self.obs.span_end(Stage::AdvanceTime, span);
-
-        self.peak_partials = self.peak_partials.max(programs.live_partials());
 
         // Storage-layer garbage collection.
         if t.saturating_sub(self.last_gc) >= self.config.gc_every {
@@ -1124,13 +1225,13 @@ impl Engine {
         }
 
         self.account_outputs(&out);
+        out.clear();
+        self.scratch.out = out;
 
-        let service = service_start.elapsed();
-        self.busy += service;
-        let latency_ns = self
-            .latency
-            .record(self.clock.arrival_ns(t), service.as_nanos() as u64);
-        self.obs.observe_latency_ns(latency_ns);
+        if let Some(start) = service_start {
+            let latency_ns = self.record_service(t, start.elapsed());
+            self.obs.observe_latency_ns(latency_ns);
+        }
     }
 
     fn account_outputs(&mut self, out: &PlanOutput) {
@@ -1285,10 +1386,10 @@ impl Engine {
                 .collect(),
             max_latency_ns: self.latency.max_latency_ns,
             avg_latency_ns: self.latency.avg_latency_ns(),
-            wall_time: self.started.map_or(Duration::ZERO, |_| self.busy),
+            wall_time: self.busy,
             plans_fed: self.router.plans_fed,
             plans_suspended: self.router.plans_suspended,
-            peak_partials: self.peak_partials,
+            peak_partials: self.template.pool_stats().1,
         }
     }
 }
@@ -1421,6 +1522,48 @@ mod tests {
         assert_eq!(a.transitions_applied, b.transitions_applied);
         assert_eq!(a.outputs_by_type, b.outputs_by_type);
         assert_eq!(a.outputs_of("TollNotification"), 1);
+    }
+
+    #[test]
+    fn snapshot_between_two_events_of_one_timestamp_resumes_identically() {
+        // The snapshot falls inside timestamp 6: the scheduler's
+        // frontier holds two of its events (one per partition), and
+        // partition 0's second one arrives after the restore. Both
+        // engines must form the same transactions (partition 0 before
+        // 1, arrival order inside) and emit the same bytes.
+        let config = EngineConfig::builder().collect_outputs(true).build();
+        let (mut engine, reg) = build_engine_with(Mode::ContextAware, config);
+        for p in 0..2 {
+            engine.ingest(marker(&reg, "ManySlowCars", 5, p)).unwrap();
+        }
+        engine.ingest(pr(&reg, 6, 1, "travel", 0)).unwrap();
+        engine.ingest(pr(&reg, 6, 2, "travel", 1)).unwrap();
+        assert_eq!(engine.events_buffered(), 2);
+
+        let bytes = serde::to_bytes(&engine.snapshot_state());
+        let state: EngineState = serde::from_bytes(&bytes).unwrap();
+        let (mut restored, _) = build_engine_with(Mode::ContextAware, config);
+        restored.restore_state(state).unwrap();
+        assert_eq!(restored.events_buffered(), 2);
+
+        for target in [&mut engine, &mut restored] {
+            target.ingest(pr(&reg, 6, 3, "travel", 0)).unwrap();
+            target.ingest(pr(&reg, 7, 4, "travel", 1)).unwrap();
+        }
+        let a = engine.finish();
+        let b = restored.finish();
+        assert_eq!(a.outputs_of("TollNotification"), 4);
+        assert_eq!(a.outputs_by_type, b.outputs_by_type);
+        assert_eq!(a.peak_partials, b.peak_partials);
+        let vids = |e: &Engine| -> Vec<Value> {
+            let outputs = e.collected_outputs.iter();
+            outputs.map(|o| o.attrs[0].clone()).collect()
+        };
+        assert_eq!(vids(&engine), [1, 3, 2, 4].map(Value::Int));
+        assert_eq!(
+            caesar_events::encode_all(&engine.collected_outputs),
+            caesar_events::encode_all(&restored.collected_outputs),
+        );
     }
 
     #[test]

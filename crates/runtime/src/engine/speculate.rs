@@ -56,7 +56,7 @@
 use super::{Consistency as C, Engine, EngineConfig};
 use crate::obs::{CounterId, MetricsRegistry, ObservabilityLevel, Stage};
 use crate::programs::PartitionRun;
-use caesar_events::{Event, EventError, OutputRecord, ReorderBuffer, Time};
+use caesar_events::{Event, EventError, OutputRecord, Time};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -171,6 +171,7 @@ impl Engine {
             partitions,
             bound: None,
             active: Vec::new(),
+            scratch: Default::default(),
             scheduler: self.scheduler.clone(),
             router: self.router.clone(),
             clock: self.clock,
@@ -181,9 +182,7 @@ impl Engine {
             events_in: self.events_in,
             events_out: self.events_out,
             transitions_applied: self.transitions_applied,
-            peak_partials: self.peak_partials,
             last_gc: self.last_gc,
-            started: None,
             busy: Duration::ZERO,
             reorder: None,
             obs: MetricsRegistry::new(ObservabilityLevel::Off),
@@ -196,13 +195,6 @@ impl Engine {
             spec_retractions: 0,
             spec_rebuilds: 0,
         })
-    }
-
-    /// The stream position new emissions are stamped with.
-    fn emission_watermark(&self) -> Time {
-        self.reorder
-            .as_ref()
-            .map_or_else(|| self.scheduler.progress(), ReorderBuffer::high_watermark)
     }
 
     /// One speculative arrival (the distributor entry point in
@@ -305,7 +297,7 @@ impl Engine {
         if delta.is_empty() {
             return;
         }
-        let high = self.emission_watermark();
+        let high = self.arrival_watermark();
         self.spec_emits += delta.len() as u64;
         self.obs
             .add(CounterId::SpeculativeEmits, delta.len() as u64);
@@ -330,7 +322,7 @@ impl Engine {
     /// Returns the settled outputs that were never emitted — empty on
     /// the append path, revision fodder on the rebuild path.
     fn confirm_settled(&mut self, sp: &mut Speculation, settled: Vec<Event>) -> Vec<Event> {
-        let high = self.emission_watermark();
+        let high = self.arrival_watermark();
         let mut leftover = Vec::new();
         for event in settled {
             let key = record_key(&event);
@@ -359,7 +351,7 @@ impl Engine {
     /// they cause no record traffic.
     fn revise_books(&mut self, sp: &mut Speculation, settled: Vec<Event>, replay: Vec<Event>) {
         let corrected = self.confirm_settled(sp, settled);
-        let high = self.emission_watermark();
+        let high = self.arrival_watermark();
         let old = std::mem::take(&mut sp.books);
         let mut new_books: BTreeMap<Vec<u8>, BookEntry> = BTreeMap::new();
         for event in replay {
@@ -460,14 +452,14 @@ impl Engine {
 
     /// Speculative end-of-stream: the fork finishes first (its trailing
     /// outputs are emitted as records), then the strict core finishes
-    /// and confirms everything outstanding. Returns the strict report.
-    pub(super) fn finish_speculative(&mut self) -> super::RunReport {
+    /// and confirms everything outstanding.
+    pub(super) fn finish_speculative(&mut self) {
         let mut sp = self.speculation.take().expect("speculative mode");
         let _ = sp.spec.finish();
         let delta = std::mem::take(&mut sp.spec.collected_outputs);
         self.emit_outputs(&mut sp, delta);
         self.spec_capture = Some(Vec::new());
-        let report = self.finish_strict();
+        self.finish_strict();
         let settled = self.spec_capture.take().unwrap_or_default();
         let leftover = self.confirm_settled(&mut sp, settled);
         debug_assert!(leftover.is_empty(), "finish outputs were all emitted");
@@ -475,7 +467,6 @@ impl Engine {
         sp.unsettled.clear();
         sp.books.clear();
         self.speculation = Some(sp);
-        report
     }
 }
 

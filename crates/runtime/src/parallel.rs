@@ -87,10 +87,10 @@ pub fn run_sharded_full(
                 for batch in rx {
                     unflushed += batch.len() as u64;
                     if config.batch.enabled {
-                        engine.ingest(batch)?;
+                        engine.ingest_timed(batch)?;
                     } else {
                         for event in batch.events {
-                            engine.ingest(event)?;
+                            engine.ingest_timed(event)?;
                         }
                     }
                     if unflushed >= 1024 {
@@ -99,7 +99,7 @@ pub fn run_sharded_full(
                     }
                 }
                 *progress.lock() += unflushed;
-                let report = engine.finish();
+                let report = engine.finish_timed();
                 let outputs = std::mem::take(&mut engine.collected_outputs);
                 let records = std::mem::take(&mut engine.collected_records);
                 Ok((report, outputs, records))

@@ -77,8 +77,9 @@ pub struct ProgramTemplate {
     /// Slab allocations served from a free list, over all partitions.
     #[serde(skip)]
     pool_reused: u64,
-    /// Largest per-partition sum of slab high-water marks seen.
-    #[serde(skip)]
+    /// Largest slab high-water mark seen: the most partial matches any
+    /// one operator held live in any one partition. Part of the
+    /// snapshot — a recovered run reports the uninterrupted run's peak.
     pool_peak: usize,
     /// Free list of emptied run states (slabs keep their capacity).
     /// Boxed: a box moves between here and a [`PartitionRun`] slot as a
@@ -402,7 +403,8 @@ impl ProgramTemplate {
     /// the next new state is taken from, so steady-state churn (windows
     /// closing and reopening, sessions ending and starting) allocates
     /// nothing. Folds the slabs' reuse counts and high-water marks into
-    /// the engine-level pool counters.
+    /// the engine-level pool counters — here, at partition switch, not
+    /// per transaction.
     pub fn unbind(&mut self, run: &mut PartitionRun) {
         let Self {
             deriving,
@@ -414,7 +416,6 @@ impl ProgramTemplate {
             pool_peak,
             ..
         } = self;
-        let mut peak = 0;
         let mut any_held = false;
         for (i, at) in stateful.iter().enumerate() {
             let resident = at.resident(deriving, processing, redundant);
@@ -425,7 +426,7 @@ impl ProgramTemplate {
                 continue;
             }
             *pool_reused += resident.take_pool_reused();
-            peak += resident.pool_peak();
+            *pool_peak = (*pool_peak).max(resident.pool_peak());
             if resident.has_state() {
                 let mut stored = stored.or_else(|| spare.pop()).unwrap_or_default();
                 std::mem::swap(resident, &mut *stored);
@@ -442,25 +443,10 @@ impl ProgramTemplate {
                 }
             }
         }
-        *pool_peak = (*pool_peak).max(peak);
         if !any_held {
             run.states.clear();
         }
         run.refresh_bytes();
-    }
-
-    /// Live partial matches of the bound partition (the memory metric:
-    /// those of the deriving plans, the processing plans and their
-    /// shared prefixes — not the baseline's clones').
-    #[must_use]
-    pub fn live_partials(&self) -> usize {
-        let counted = self
-            .stateful
-            .iter()
-            .filter(|at| !matches!(at, StatefulOp::Redundant { .. }));
-        counted
-            .map(|at| at.resident_ref(self).live_partials())
-            .sum()
     }
 
     /// Heap estimate of the bound partition's record as
@@ -481,27 +467,30 @@ impl ProgramTemplate {
     }
 
     /// Partial-pool efficacy across all partitions so far, the bound
-    /// one included: `(slab slots reused from a free list, largest
-    /// per-partition sum of the operators' slab high-water marks)`.
+    /// one included: `(slab slots reused from a free list, largest slab
+    /// high-water mark)`. The second is the engine's peak-partials
+    /// figure: a maximum of maxima, so it does not depend on when
+    /// partitions took turns — a run restored from a snapshot that
+    /// carries it reports what the uninterrupted run does.
     #[must_use]
     pub fn pool_stats(&self) -> (u64, usize) {
         let residents = self.stateful.iter().map(|at| at.resident_ref(self));
-        let (reused, peak) = residents.fold((0, 0), |(reused, peak), r| {
-            (reused + r.pool_reused(), peak + r.pool_peak())
-        });
-        (self.pool_reused + reused, self.pool_peak.max(peak))
+        residents.fold((self.pool_reused, self.pool_peak), |(reused, peak), r| {
+            (reused + r.pool_reused(), peak.max(r.pool_peak()))
+        })
     }
 
     /// Phase 1 of a transaction: context derivation. All input events run
     /// through the deriving plans of currently active contexts (their
-    /// pushed-down context windows gate inactive ones); returns the
-    /// requested transitions in plan/chain order.
+    /// pushed-down context windows gate inactive ones); appends the
+    /// requested transitions to `transitions` in plan/chain order.
     pub fn run_derivation(
         &mut self,
         events: &[Event],
         table: &ContextTable,
         run: &mut PartitionRun,
-    ) -> Vec<Transition> {
+        transitions: &mut Vec<Transition>,
+    ) {
         let Self { deriving, sink, .. } = self;
         sink.clear();
         for plan in deriving.iter_mut() {
@@ -515,7 +504,7 @@ impl ProgramTemplate {
         // Deriving queries have no DERIVE clause: their chain output is
         // just the pass-through trigger match, not an output-stream
         // event — only the transitions matter.
-        std::mem::take(&mut sink.transitions)
+        transitions.append(&mut sink.transitions);
     }
 
     /// Batched [`run_derivation`](Self::run_derivation): the
@@ -530,7 +519,8 @@ impl ProgramTemplate {
         cols: &mut ColumnarBatch<'_>,
         table: &ContextTable,
         run: &mut PartitionRun,
-    ) -> Vec<Transition> {
+        transitions: &mut Vec<Transition>,
+    ) {
         let Self {
             deriving,
             sink,
@@ -547,7 +537,7 @@ impl ProgramTemplate {
             plan.process_batch(cols, table, sink, scratch);
         }
         run.feedback.clear();
-        std::mem::take(&mut sink.transitions)
+        transitions.append(&mut sink.transitions);
     }
 
     /// The baseline's redundant derivation work: every processing query
@@ -881,7 +871,8 @@ mod tests {
             vec![Value::Int(1)],
         );
         let mut run = PartitionRun::default();
-        let transitions = template.run_derivation(&[spike], &table, &mut run);
+        let mut transitions = Vec::new();
+        template.run_derivation(&[spike], &table, &mut run, &mut transitions);
         assert_eq!(transitions.len(), 2, "switch = terminate + initiate");
     }
 
@@ -919,7 +910,6 @@ mod tests {
         template.run_processing(&[reading(&reg, 5, 50)], &table, &active, &mut run, &mut out);
         table.partition_mut(PartitionId(0)).terminate(busy_bit, 6);
         template.on_context_terminated(busy_bit, PartitionId(0), &table);
-        assert_eq!(template.live_partials(), 0);
         template.unbind(&mut run);
         assert!(run.is_empty());
     }

@@ -13,22 +13,22 @@
 //! strictly in timestamp order (derivation before processing within each
 //! transaction), which satisfies the conflict-ordering correctness
 //! criterion checked in [`crate::txn`].
+//!
+//! The engine releases on every progress advance, so the scheduler never
+//! holds more than the events of the progress timestamp: its buffer is
+//! the single-timestamp frontier of [`caesar_events::queue`], and its
+//! state (and snapshot) is independent of how many partitions the
+//! stream has touched.
 
-use crate::txn::StreamTransaction;
-use caesar_events::{Event, EventBatch, EventError, PartitionId, PartitionedQueues, Time};
+use caesar_events::{Event, EventBatch, EventError, PartitionedQueues, Time};
 use serde::{Deserialize, Serialize};
+use std::vec::Drain;
 
 /// Buffers in-order events and releases them as per-partition,
 /// per-timestamp stream transactions once the progress watermark passes.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct TimeDrivenScheduler {
-    queues: PartitionedQueues,
-    /// Highest timestamp ever ingested (the distributor progress).
-    progress: Time,
-    /// Total events ingested.
-    pub events_ingested: u64,
-    /// Total transactions released.
-    pub transactions_released: u64,
+    frontier: PartitionedQueues,
 }
 
 impl TimeDrivenScheduler {
@@ -38,117 +38,85 @@ impl TimeDrivenScheduler {
         Self::default()
     }
 
-    /// Ingests one event (the event distributor's enqueue). Rejects
-    /// out-of-order arrivals per partition.
+    /// Ingests one event (the event distributor's enqueue). Rejects an
+    /// arrival older than the progress: the *global* stream must be
+    /// in-order for the progress watermark to be meaningful.
     pub fn ingest(&mut self, event: Event) -> Result<(), EventError> {
-        let t = event.time();
-        if t < self.progress {
-            // The *global* stream must also be in-order for the progress
-            // watermark to be meaningful.
-            return Err(EventError::OutOfOrder {
-                watermark: self.progress,
-                timestamp: t,
-            });
-        }
-        self.progress = t;
-        self.events_ingested += 1;
-        self.queues.push(event)
+        self.frontier.push(event)
     }
 
-    /// Ingests a same-timestamp batch: one progress check for the whole
-    /// batch, then a batched enqueue that routes contiguous partition
-    /// runs together. Equivalent to ingesting the batch's events one by
-    /// one.
+    /// Ingests a same-timestamp batch with one progress check.
+    /// Equivalent to ingesting the batch's events one by one.
     pub fn ingest_batch(&mut self, batch: EventBatch) -> Result<(), EventError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let t = batch.time;
-        if t < self.progress {
-            return Err(EventError::OutOfOrder {
-                watermark: self.progress,
-                timestamp: t,
-            });
-        }
-        self.progress = t;
-        self.events_ingested += batch.len() as u64;
-        self.queues.push_batch(batch)
+        self.frontier.push_batch(batch)
     }
 
-    /// The distributor progress: all events with smaller timestamps have
-    /// arrived.
+    /// The distributor progress — the highest timestamp ingested: all
+    /// events with smaller timestamps have arrived.
     #[must_use]
     pub fn progress(&self) -> Time {
-        self.progress
+        self.frontier.watermark()
     }
 
-    /// Releases every transaction with timestamp strictly below
-    /// `up_to` (events at the watermark itself may still arrive), in
-    /// global timestamp order; ties broken by partition id.
+    /// Releases the events of every transaction with timestamp strictly
+    /// below `up_to` (events at the watermark itself may still arrive):
+    /// timestamp ascending, ties broken by partition id, arrival order
+    /// inside a transaction. [`StreamTransaction::split`] cuts the run
+    /// into its transactions.
     ///
-    /// Each released timestamp costs a head-index range lookup over
-    /// exactly the partitions that have events at it — not a scan of
-    /// every partition ever seen, which at clickstream cardinalities
-    /// (hundreds of thousands of user partitions) would make release
-    /// O(timestamps × partitions).
-    pub fn release(&mut self, up_to: Time) -> Vec<StreamTransaction> {
-        let mut out = Vec::new();
-        while let Some(t) = self.queues.earliest_pending() {
-            if t >= up_to {
-                break;
-            }
-            for (partition, batch) in self.queues.pop_time_slice(t) {
-                out.push(StreamTransaction::new(partition, batch));
-            }
-        }
-        self.transactions_released += out.len() as u64;
-        out
+    /// [`StreamTransaction::split`]: crate::txn::StreamTransaction::split
+    pub fn release(&mut self, up_to: Time) -> Drain<'_, Event> {
+        self.frontier.pop_below(up_to)
     }
 
     /// Releases everything buffered (end of stream).
-    pub fn flush(&mut self) -> Vec<StreamTransaction> {
+    pub fn flush(&mut self) -> Drain<'_, Event> {
         self.release(Time::MAX)
     }
 
     /// Events currently buffered.
     #[must_use]
     pub fn buffered(&self) -> usize {
-        self.queues.buffered()
-    }
-
-    /// Number of partitions seen so far.
-    #[must_use]
-    pub fn partitions(&self) -> usize {
-        self.queues.partitions()
+        self.frontier.buffered()
     }
 
     /// The earliest pending timestamp, if any.
     #[must_use]
     pub fn earliest_pending(&self) -> Option<Time> {
-        self.queues.earliest_pending()
+        self.frontier.earliest_pending()
     }
 
-    /// Direct access to one partition's queue length (metrics).
+    /// Transactions released so far.
     #[must_use]
-    pub fn queue_len(&self, p: PartitionId) -> usize {
-        self.queues.get(p).map_or(0, caesar_events::EventQueue::len)
+    pub fn transactions_released(&self) -> u64 {
+        self.frontier.transactions_popped()
     }
 
-    /// Largest depth any partition queue ever reached (the queue depth
-    /// gauge of the observability layer).
+    /// Largest transaction ever released (the queue depth gauge of the
+    /// observability layer).
     #[must_use]
     pub fn peak_queue_depth(&self) -> usize {
-        self.queues.peak_depth()
+        self.frontier.peak_depth()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caesar_events::{TypeId, Value};
+    use crate::txn::StreamTransaction;
+    use caesar_events::{PartitionId, TypeId, Value};
+    use proptest::prelude::*;
 
     fn ev(t: Time, p: u32) -> Event {
         Event::simple(TypeId(0), t, PartitionId(p), vec![Value::Int(0)])
+    }
+
+    /// `(time, partition, events)` of each released transaction.
+    fn shape(released: Drain<'_, Event>) -> Vec<(Time, u32, usize)> {
+        let released: Vec<Event> = released.collect();
+        StreamTransaction::split(&released)
+            .map(|txn| (txn.time, txn.partition.0, txn.events.len()))
+            .collect()
     }
 
     #[test]
@@ -157,11 +125,10 @@ mod tests {
         for e in [ev(1, 0), ev(1, 1), ev(2, 0), ev(3, 1)] {
             s.ingest(e).unwrap();
         }
-        let released = s.release(2);
         // Both partitions' t=1 transactions released, t≥2 held back.
-        assert_eq!(released.len(), 2);
-        assert!(released.iter().all(|t| t.time == 1));
+        assert_eq!(shape(s.release(2)), vec![(1, 0, 1), (1, 1, 1)]);
         assert_eq!(s.buffered(), 2);
+        assert_eq!(s.earliest_pending(), Some(2));
     }
 
     #[test]
@@ -170,86 +137,45 @@ mod tests {
         for e in [ev(1, 1), ev(2, 0), ev(2, 1), ev(5, 0), ev(5, 1), ev(7, 0)] {
             s.ingest(e).unwrap();
         }
-        let released = s.flush();
-        assert!(StreamTransaction::is_correct_order(&released));
-        let times: Vec<Time> = released.iter().map(|t| t.time).collect();
-        let mut sorted = times.clone();
-        sorted.sort_unstable();
-        assert_eq!(times, sorted, "global timestamp order");
-        assert_eq!(s.transactions_released, released.len() as u64);
+        let released: Vec<Event> = s.flush().collect();
+        let txns: Vec<StreamTransaction<'_>> = StreamTransaction::split(&released).collect();
+        assert!(StreamTransaction::is_correct_order(&txns));
+        assert!(txns.windows(2).all(|w| w[0].time <= w[1].time));
+        assert_eq!(s.transactions_released(), txns.len() as u64);
     }
 
     #[test]
     fn one_transaction_per_partition_per_timestamp() {
         let mut s = TimeDrivenScheduler::new();
-        for e in [ev(4, 0), ev(4, 0), ev(4, 1)] {
+        for e in [ev(4, 0), ev(4, 1), ev(4, 0)] {
             s.ingest(e).unwrap();
         }
-        let released = s.flush();
-        assert_eq!(released.len(), 2);
-        let p0 = released
-            .iter()
-            .find(|t| t.partition == PartitionId(0))
-            .unwrap();
-        assert_eq!(
-            p0.batch.len(),
-            2,
-            "same-timestamp events share a transaction"
-        );
+        // Same-timestamp events of a partition share a transaction,
+        // however the partitions interleave on arrival.
+        assert_eq!(shape(s.flush()), vec![(4, 0, 2), (4, 1, 1)]);
+        assert_eq!(s.peak_queue_depth(), 2);
     }
 
     #[test]
-    fn ingest_batch_matches_per_event_ingest() {
-        let mut per_event = TimeDrivenScheduler::new();
-        let mut batched = TimeDrivenScheduler::new();
-        let groups: &[&[(Time, u32)]] = &[&[(1, 0), (1, 1), (1, 0)], &[(2, 2)], &[(5, 0), (5, 1)]];
-        for &group in groups {
-            for &(t, p) in group {
-                per_event.ingest(ev(t, p)).unwrap();
-            }
-            let batch = EventBatch::new(group[0].0, group.iter().map(|&(t, p)| ev(t, p)).collect());
-            batched.ingest_batch(batch).unwrap();
-        }
-        assert_eq!(per_event.progress(), batched.progress());
-        assert_eq!(per_event.events_ingested, batched.events_ingested);
-        let a = per_event.flush();
-        let b = batched.flush();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.time, y.time);
-            assert_eq!(x.partition, y.partition);
-            assert_eq!(x.batch.len(), y.batch.len());
-        }
-    }
-
-    #[test]
-    fn ingest_batch_rejects_out_of_order() {
+    fn out_of_order_is_rejected_with_the_progress_watermark() {
         let mut s = TimeDrivenScheduler::new();
         s.ingest(ev(10, 0)).unwrap();
-        let err = s
-            .ingest_batch(EventBatch::new(5, vec![ev(5, 0), ev(5, 1)]))
-            .unwrap_err();
-        assert!(matches!(err, EventError::OutOfOrder { .. }));
+        for result in [
+            s.ingest(ev(5, 1)),
+            s.ingest_batch(EventBatch::new(5, vec![ev(5, 0), ev(5, 1)])),
+        ] {
+            assert!(matches!(
+                result,
+                Err(EventError::OutOfOrder {
+                    watermark: 10,
+                    timestamp: 5
+                })
+            ));
+        }
         // An empty batch is a no-op, not an error.
         s.ingest_batch(EventBatch::new(0, vec![])).unwrap();
-        assert_eq!(s.events_ingested, 1);
-    }
-
-    #[test]
-    fn global_out_of_order_rejected() {
-        let mut s = TimeDrivenScheduler::new();
-        s.ingest(ev(10, 0)).unwrap();
-        let err = s.ingest(ev(5, 1)).unwrap_err();
-        assert!(matches!(err, EventError::OutOfOrder { .. }));
-    }
-
-    #[test]
-    fn progress_tracks_latest_ingest() {
-        let mut s = TimeDrivenScheduler::new();
-        assert_eq!(s.progress(), 0);
-        s.ingest(ev(9, 0)).unwrap();
-        assert_eq!(s.progress(), 9);
-        assert_eq!(s.earliest_pending(), Some(9));
+        assert_eq!(s.progress(), 10);
+        assert_eq!(s.buffered(), 1);
     }
 
     #[test]
@@ -258,8 +184,108 @@ mod tests {
         for t in 1..=5 {
             s.ingest(ev(t, 0)).unwrap();
         }
-        assert_eq!(s.flush().len(), 5);
+        assert_eq!(s.flush().count(), 5);
         assert_eq!(s.buffered(), 0);
-        assert!(s.flush().is_empty());
+        assert_eq!(s.flush().count(), 0);
+    }
+
+    /// The reference model of §6.2's extraction: the pending events
+    /// below the bound, grouped by `(time, partition)` ascending,
+    /// arrival order inside a group.
+    #[derive(Default)]
+    struct Model {
+        pending: Vec<Tagged>,
+        progress: Time,
+    }
+
+    /// `(time, partition, arrival tag)` of an event.
+    type Tagged = (Time, u32, i64);
+
+    impl Model {
+        fn release(&mut self, up_to: Time) -> Vec<Vec<Tagged>> {
+            let mut groups = std::collections::BTreeMap::<(Time, u32), Vec<_>>::new();
+            self.pending.retain(|&(t, p, tag)| {
+                if t < up_to {
+                    groups.entry((t, p)).or_default().push((t, p, tag));
+                }
+                t >= up_to
+            });
+            groups.into_values().collect()
+        }
+    }
+
+    proptest! {
+        /// Random interleavings of `ingest` / `ingest_batch` / `release`
+        /// / `flush` — same-time runs across interleaved partitions and
+        /// releases that span several timestamps included — hand out
+        /// exactly the model's transactions, and a stale arrival is
+        /// `OutOfOrder` against the same watermark.
+        #[test]
+        fn frontier_releases_the_models_transactions(
+            script in prop::collection::vec((0u8..8, 0u64..3, 0u32..4, 1usize..5), 1..120)
+        ) {
+            let mut scheduler = TimeDrivenScheduler::new();
+            let mut model = Model::default();
+            let mut tag = 0i64;
+            let mut tagged = |t: Time, p: u32| {
+                tag += 1;
+                (Event::simple(TypeId(0), t, PartitionId(p), vec![Value::Int(tag)]), tag)
+            };
+            for (op, step, p, n) in script {
+                let released: Option<(Vec<Event>, Vec<Vec<Tagged>>)> = match op {
+                    // One event, at the progress or `step` ticks later.
+                    0..=2 => {
+                        let t = model.progress + step;
+                        let (event, tag) = tagged(t, p);
+                        scheduler.ingest(event).unwrap();
+                        model.pending.push((t, p, tag));
+                        model.progress = t;
+                        None
+                    }
+                    // A batch of `n` events over interleaved partitions.
+                    3 | 4 => {
+                        let t = model.progress + step;
+                        let mut events = Vec::new();
+                        for i in 0..n as u32 {
+                            let (event, tag) = tagged(t, (p + i * 3) % 4);
+                            model.pending.push((t, (p + i * 3) % 4, tag));
+                            events.push(event);
+                        }
+                        scheduler.ingest_batch(EventBatch::new(t, events)).unwrap();
+                        model.progress = t;
+                        None
+                    }
+                    // A stale arrival: rejected, nothing buffered.
+                    5 if model.progress > 0 => {
+                        let (event, _) = tagged(model.progress - 1, p);
+                        let rejected = matches!(
+                            scheduler.ingest(event),
+                            Err(EventError::OutOfOrder { watermark, timestamp })
+                                if watermark == model.progress && timestamp == model.progress - 1
+                        );
+                        prop_assert!(rejected);
+                        None
+                    }
+                    // The engine's release: strictly below the progress.
+                    5 | 6 => Some((
+                        scheduler.release(model.progress).collect(),
+                        model.release(model.progress),
+                    )),
+                    _ => Some((scheduler.flush().collect(), model.release(Time::MAX))),
+                };
+                if let Some((released, expected)) = released {
+                    let tags = |e: &Event| match e.attrs[0] {
+                        Value::Int(tag) => (e.time(), e.partition.0, tag),
+                        _ => unreachable!("events carry their arrival tag"),
+                    };
+                    let got: Vec<Vec<_>> = StreamTransaction::split(&released)
+                        .map(|txn| txn.events.iter().map(tags).collect())
+                        .collect();
+                    prop_assert_eq!(got, expected);
+                }
+                prop_assert_eq!(scheduler.progress(), model.progress);
+                prop_assert_eq!(scheduler.buffered(), model.pending.len());
+            }
+        }
     }
 }

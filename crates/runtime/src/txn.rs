@@ -7,7 +7,7 @@
 //! sorted by time stamps." Two operations conflict when they touch the
 //! same context value and at least one writes.
 
-use caesar_events::{EventBatch, PartitionId, Time};
+use caesar_events::{Event, PartitionId, Time};
 
 /// The operations a stream transaction performs on shared context data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,34 +19,44 @@ pub enum ContextOp {
 }
 
 /// One stream transaction: all events of one timestamp in one partition,
-/// wrapped with the operations they trigger.
-#[derive(Debug, Clone)]
-pub struct StreamTransaction {
+/// wrapped with the operations they trigger. A view into the run the
+/// scheduler released — forming a transaction copies and allocates
+/// nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct StreamTransaction<'a> {
     /// Application timestamp shared by every triggering event.
     pub time: Time,
     /// The stream partition (one transaction per road segment in the
     /// traffic use case).
     pub partition: PartitionId,
-    /// The triggering events.
-    pub batch: EventBatch,
+    /// The triggering events, in arrival order. Never empty.
+    pub events: &'a [Event],
 }
 
-impl StreamTransaction {
-    /// Wraps a batch into a transaction.
-    #[must_use]
-    pub fn new(partition: PartitionId, batch: EventBatch) -> Self {
-        Self {
-            time: batch.time,
-            partition,
-            batch,
-        }
+impl<'a> StreamTransaction<'a> {
+    /// Cuts a released run — `(time, partition, arrival)`-ordered, as
+    /// [`TimeDrivenScheduler::release`] hands it out — into its
+    /// transactions.
+    ///
+    /// [`TimeDrivenScheduler::release`]: crate::TimeDrivenScheduler::release
+    pub fn split(released: &'a [Event]) -> impl Iterator<Item = StreamTransaction<'a>> {
+        caesar_events::queue::transactions(released).map(|events| Self {
+            time: events[0].time(),
+            partition: events[0].partition,
+            events,
+        })
     }
 
     /// Conflict test (§6.2 footnote): same partition's context data, at
     /// least one side writing. Derivation writes; routing reads; within
     /// one partition any pair involving derivation conflicts.
     #[must_use]
-    pub fn conflicts_with(&self, other: &StreamTransaction, a: ContextOp, b: ContextOp) -> bool {
+    pub fn conflicts_with(
+        &self,
+        other: &StreamTransaction<'_>,
+        a: ContextOp,
+        b: ContextOp,
+    ) -> bool {
         self.partition == other.partition
             && (a == ContextOp::DeriveWrite || b == ContextOp::DeriveWrite)
     }
@@ -54,7 +64,7 @@ impl StreamTransaction {
     /// Correct schedules process conflicting transactions in timestamp
     /// order; this helper checks a proposed order.
     #[must_use]
-    pub fn is_correct_order(transactions: &[StreamTransaction]) -> bool {
+    pub fn is_correct_order(transactions: &[StreamTransaction<'_>]) -> bool {
         // For each partition, timestamps must be non-decreasing.
         let mut last: std::collections::HashMap<PartitionId, Time> =
             std::collections::HashMap::new();
@@ -73,26 +83,26 @@ impl StreamTransaction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caesar_events::{Event, TypeId, Value};
+    use caesar_events::{TypeId, Value};
 
-    fn txn(p: u32, t: Time) -> StreamTransaction {
-        let batch = EventBatch::new(
-            t,
-            vec![Event::simple(
-                TypeId(0),
-                t,
-                PartitionId(p),
-                vec![Value::Int(0)],
-            )],
-        );
-        StreamTransaction::new(PartitionId(p), batch)
+    fn ev(p: u32, t: Time) -> Event {
+        Event::simple(TypeId(0), t, PartitionId(p), vec![Value::Int(0)])
+    }
+
+    /// One-event transactions over leaked events (test-only).
+    fn txn(p: u32, t: Time) -> StreamTransaction<'static> {
+        let events: &'static [Event] = Box::leak(Box::new([ev(p, t)]));
+        StreamTransaction::split(events).next().unwrap()
     }
 
     #[test]
-    fn transaction_time_matches_batch() {
-        let t = txn(0, 42);
-        assert_eq!(t.time, 42);
-        assert_eq!(t.batch.len(), 1);
+    fn split_cuts_at_time_and_partition_changes() {
+        let released = [ev(0, 42), ev(0, 42), ev(3, 42), ev(3, 43)];
+        let shape: Vec<(Time, u32, usize)> = StreamTransaction::split(&released)
+            .map(|t| (t.time, t.partition.0, t.events.len()))
+            .collect();
+        assert_eq!(shape, vec![(42, 0, 2), (42, 3, 1), (43, 3, 1)]);
+        assert_eq!(StreamTransaction::split(&[]).count(), 0);
     }
 
     #[test]

@@ -69,10 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mk_report(60, 9, "travel", &system),
         mk_report(90, 9, "travel", &system), // not new: no toll
     ];
-    for e in events {
-        system.ingest(e)?;
-    }
-    let report = system.finish();
+    let report = system.run_stream(&mut VecStream::new(events))?;
     println!("--- run report ---");
     println!("events in:            {}", report.events_in);
     println!(

@@ -360,7 +360,7 @@ fn run_checkpointed(
         manager.log_event(&event).map_err(sys_err)?;
         system
             .engine
-            .ingest(event)
+            .ingest_timed(event)
             .map_err(|e| CliError::System(e.to_string()))?;
         // Snapshots capture strict state only: when a checkpoint is due,
         // a speculative engine first confirms or retracts everything in
@@ -374,7 +374,7 @@ fn run_checkpointed(
     // longer) event file resumes here instead of replaying everything.
     system.engine.settle();
     manager.checkpoint(&system.engine).map_err(sys_err)?;
-    let mut report = system.engine.finish();
+    let mut report = system.engine.finish_timed();
     report.metrics.merge(&manager.metrics_snapshot());
     Ok((report, resumed_at))
 }

@@ -13,7 +13,10 @@
 //!   operator has a live partial, parked match or buffered negated
 //!   event: the partitions whose last session left one mid-stream,
 //!   none once the stream drains, and none for a partition that only
-//!   saw events no pattern retains.
+//!   saw events no pattern retains, and
+//! * nothing the engine keeps — scheduler buffer, run state, snapshot
+//!   bytes — grows with the number of partitions the stream has merely
+//!   passed through.
 //!
 //! This is also the regression test for the sparse partition
 //! structures: scattered ids near `u32::MAX` would OOM any
@@ -189,4 +192,39 @@ fn run_state_is_held_only_where_state_is_live() {
     let report = engine.finish();
     assert_eq!(report.events_in, summary.events as u64 + 5);
     assert_eq!(engine.partitions_with_state(), 0);
+}
+
+/// ROADMAP item 6's state bound: `n` events over `n` distinct scattered
+/// partitions, none of which any pattern retains (a `CaptchaOk` in the
+/// default `browsing` context reaches no active consumer), leave the
+/// engine holding nothing per partition — scheduler buffer, run state
+/// and snapshot bytes are the same after 1 000 partitions and 32 000.
+#[test]
+fn engine_state_is_independent_of_partitions_passed_through() {
+    let (workload, _) = scale_workload();
+    let (optimized, _, registry) = build_programs(&workload).expect("build");
+    let ty = registry
+        .lookup("CaptchaOk")
+        .expect("clickstream input type");
+    let like = workload.events.iter().find(|e| e.type_id == ty);
+    let attrs = like.expect("type occurs in the stream").attrs.to_vec();
+    let snapshot_bytes_after = |n: u32| {
+        let mut engine = Engine::new(optimized.clone(), &registry, EngineConfig::default());
+        for i in 0..n {
+            // Two partitions per timestamp, ids spread over the u32 space.
+            let partition = PartitionId(i.wrapping_mul(0x9e37_79b1));
+            let event = Event::simple(ty, Time::from(i / 2), partition, attrs.clone());
+            engine.ingest(event).expect("in-order stream");
+        }
+        // The scheduler holds the last timestamp's two events, not a
+        // queue per partition seen.
+        assert!(engine.events_buffered() <= 2);
+        assert_eq!(engine.partitions_with_state(), 0);
+        serde::to_bytes(&engine.snapshot_state()).len()
+    };
+    let (small, large) = (snapshot_bytes_after(1_000), snapshot_bytes_after(32_000));
+    assert!(
+        small.abs_diff(large) <= 1024,
+        "snapshot grew with partitions passed through: {small} B after 1 000, {large} B after 32 000"
+    );
 }
