@@ -56,7 +56,7 @@ struct Slot {
 }
 
 /// Context window state of one stream partition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct PartitionContexts {
     /// The context bit vector: bit `i` set ⇔ window of context `i` holds.
     bits: u64,
@@ -64,6 +64,22 @@ pub struct PartitionContexts {
     time: Time,
     slots: Vec<Slot>,
     default_bit: u8,
+}
+
+impl Clone for PartitionContexts {
+    fn clone(&self) -> Self {
+        Self {
+            slots: self.slots.clone(),
+            ..*self
+        }
+    }
+
+    /// Keeps the slot vector's allocation
+    /// ([`ContextTable::copy_partition`]).
+    fn clone_from(&mut self, src: &Self) {
+        self.slots.clone_from(&src.slots);
+        (self.bits, self.time, self.default_bit) = (src.bits, src.time, src.default_bit);
+    }
 }
 
 impl PartitionContexts {
@@ -303,6 +319,17 @@ impl ContextTable {
         }
         self.expiries
             .insert((transition.time, transition.partition.0));
+    }
+
+    /// Overwrites partition `p`'s state with what `other` — a table of
+    /// the same context types — holds for it, in place. The
+    /// garbage-collection worklist is not copied: a span it misses is
+    /// collected with the partition's next applied transition.
+    pub fn copy_partition(&mut self, other: &ContextTable, p: PartitionId) {
+        match other.partitions.get(&p.0) {
+            Some(src) => self.partition_mut(p).clone_from(src),
+            None => drop(self.partitions.remove(&p.0)),
+        }
     }
 
     /// Runs the garbage collector: clears expired `recent` spans in

@@ -84,11 +84,28 @@ struct PartialRef {
 }
 
 /// One slab slot of the [`PartialStore`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Slot {
     generation: u32,
     live: bool,
     events: Vec<Event>,
+}
+
+impl Clone for Slot {
+    fn clone(&self) -> Self {
+        Self {
+            generation: self.generation,
+            live: self.live,
+            events: self.events.clone(),
+        }
+    }
+
+    /// Keeps the event vector's allocation ([`RunState::copy_from`]).
+    fn clone_from(&mut self, src: &Self) {
+        self.generation = src.generation;
+        self.live = src.live;
+        self.events.clone_from(&src.events);
+    }
 }
 
 /// Slab allocator for partial-match event vectors. Freed slots keep
@@ -366,6 +383,34 @@ impl RunState {
         }
     }
 
+    /// Overwrites this state with a copy of `src` in place: slot by
+    /// slot and buffer by buffer, down to the slab's event vectors, so
+    /// a state that is overwritten again and again (the speculative
+    /// fork's, on every rewind) settles on its largest shape and then
+    /// allocates nothing. The transient negation index is copied the
+    /// same way: dropping it (a restored snapshot does without one)
+    /// would have the first probe after every copy rebuild it, hash
+    /// table growth included.
+    pub fn copy_from(&mut self, src: &RunState) {
+        self.neg_buffers.clone_from(&src.neg_buffers);
+        self.neg_state
+            .resize_with(src.neg_state.len(), NegState::default);
+        for (state, from) in self.neg_state.iter_mut().zip(&src.neg_state) {
+            state.base = from.base;
+            match (&mut state.index, &from.index) {
+                (Some(index), Some(from)) => index.copy_from(from),
+                (index, from) => index.clone_from(from),
+            }
+        }
+        self.state.levels.clone_from(&src.state.levels);
+        self.state.pending.clone_from(&src.state.pending);
+        let (store, from) = (&mut self.state.store, &src.state.store);
+        store.slots.clone_from(&from.slots);
+        store.free.clone_from(&from.free);
+        (store.reused, store.live, store.peak) = (from.reused, from.live, from.peak);
+        store.event_cap = store.slots.iter().map(|s| s.events.capacity()).sum();
+    }
+
     /// Returns `true` if any time-sensitive state is held — a partial,
     /// a parked match or a buffered negated event. When `false`,
     /// advancing the watermark is a no-op and the value may be dropped
@@ -480,7 +525,8 @@ impl RunState {
 
     /// Discards all state — the context window the operator belongs to
     /// ended, so its context history can be "safely discarded" (§6.2).
-    fn reset(&mut self) {
+    /// In place: the slab and the buffers keep their capacity.
+    pub fn reset(&mut self) {
         let MatchState {
             levels,
             pending,
@@ -745,6 +791,23 @@ struct NegIndex {
     buckets: HashMap<IndexKey, Vec<(u64, Time)>>,
     /// `(seq, time)` of entries whose key failed to evaluate or hash.
     overflow: Vec<(u64, Time)>,
+}
+
+impl NegIndex {
+    /// In-place copy ([`RunState::copy_from`]): the table and the
+    /// buckets of the keys both sides hold keep their allocations.
+    fn copy_from(&mut self, src: &NegIndex) {
+        self.next_seq = src.next_seq;
+        self.swept_base = src.swept_base;
+        self.overflow.clone_from(&src.overflow);
+        self.buckets.retain(|key, _| src.buckets.contains_key(key));
+        for (key, entries) in &src.buckets {
+            match self.buckets.get_mut(key) {
+                Some(bucket) => bucket.clone_from(entries),
+                None => drop(self.buckets.insert(key.clone(), entries.clone())),
+            }
+        }
+    }
 }
 
 /// Splits an equality predicate into `(candidate side, positives side)`

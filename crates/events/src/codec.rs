@@ -112,8 +112,7 @@ pub fn encode(event: &Event, buf: &mut BytesMut) {
 
 /// Encodes a single event into a standalone byte vector. Because the
 /// encoding is deterministic, the bytes double as a canonical equality
-/// key — the differential harness and the speculative revision books
-/// both key multisets of events this way.
+/// key — the differential harness keys multisets of events this way.
 #[must_use]
 pub fn encode_to_vec(event: &Event) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(64);

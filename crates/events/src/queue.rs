@@ -141,6 +141,13 @@ impl PartitionedQueues {
         self.events.len()
     }
 
+    /// The buffered events, in arrival order — between two releases,
+    /// the events of the watermark timestamp.
+    #[must_use]
+    pub fn events(&self) -> &[Event] {
+        &self.events
+    }
+
     /// Largest transaction ever popped (gauge).
     #[must_use]
     pub fn peak_depth(&self) -> usize {

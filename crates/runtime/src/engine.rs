@@ -14,7 +14,7 @@ use caesar_algebra::context_table::{ContextTable, Transition, TransitionKind};
 use caesar_algebra::plan::PlanOutput;
 use caesar_events::{
     BatchPolicy, ColumnarBatch, Event, EventBatch, EventError, EventStream, Ingest, OutputRecord,
-    PartitionMap, ReorderBuffer, SchemaRegistry, Time, TypeId,
+    PartitionId, PartitionMap, ReorderBuffer, SchemaRegistry, Time, TypeId,
 };
 use caesar_optimizer::optimizer::OptimizedProgram;
 use serde::{Deserialize, Serialize};
@@ -438,6 +438,39 @@ pub(crate) struct Scratch {
     closed_bits: Vec<u8>,
 }
 
+/// What an engine derived, by producing transaction: the `(partition,
+/// time, outputs)` of every transaction that derived anything, in
+/// execution order, and the outputs themselves end to end. The
+/// speculative overlay reads the fork's to learn what to emit and the
+/// core's to learn what is confirmed.
+#[derive(Debug, Default)]
+struct Capture {
+    txns: Vec<(PartitionId, Time, usize)>,
+    events: Vec<Event>,
+}
+
+impl Capture {
+    fn push(&mut self, partition: PartitionId, time: Time, events: &[Event]) {
+        self.txns.push((partition, time, events.len()));
+        self.events.extend_from_slice(events);
+    }
+
+    /// The captured transactions with their outputs.
+    fn iter(&self) -> impl Iterator<Item = (PartitionId, Time, &[Event])> {
+        let mut rest = self.events.as_slice();
+        self.txns.iter().map(move |&(partition, time, n)| {
+            let (events, tail) = rest.split_at(n);
+            rest = tail;
+            (partition, time, events)
+        })
+    }
+
+    fn clear(&mut self) {
+        self.txns.clear();
+        self.events.clear();
+    }
+}
+
 /// The CAESAR execution engine.
 #[derive(Debug)]
 pub struct Engine {
@@ -498,10 +531,10 @@ pub struct Engine {
     /// snapshot is always a strict state.
     speculation: Option<Box<Speculation>>,
     /// When `Some`, [`account_outputs`](Self::account_outputs) also
-    /// copies produced outputs here — the speculative overlay installs
-    /// this buffer around settlement to learn which books entries the
-    /// settled core just confirmed.
-    spec_capture: Option<Vec<Event>>,
+    /// copies produced outputs here, by producing transaction — the
+    /// speculative overlay keeps one on its fork (what to emit) and
+    /// installs one here around settlement (what to confirm).
+    spec_capture: Option<Capture>,
     /// Speculative output records (emissions and retractions, in
     /// emission order) retained when `collect_outputs` is set and the
     /// consistency level is [`Consistency::Speculative`]. Folding the
@@ -511,8 +544,12 @@ pub struct Engine {
     pub spec_emits: u64,
     /// Retraction records emitted.
     pub spec_retractions: u64,
-    /// Revision passes forced by late (within-slack) arrivals.
+    /// Revision passes forced by late (within-slack) arrivals: rewinds
+    /// of the late event's partition to its settled state. A late
+    /// transaction the partition's head state can execute is not one.
     pub spec_rebuilds: u64,
+    /// Events executed by those revisions' replays.
+    pub spec_replayed: u64,
 }
 
 impl Engine {
@@ -586,9 +623,58 @@ impl Engine {
             spec_emits: 0,
             spec_retractions: 0,
             spec_rebuilds: 0,
+            spec_replayed: 0,
         };
         engine.init_speculation();
         engine
+    }
+
+    /// A strict fork of the settled core for the speculative overlay:
+    /// same semantic state, fresh non-semantic machinery (no reorder
+    /// buffer — it is fed in settled order; no observability; outputs
+    /// captured by transaction so they can be emitted, not collected).
+    fn fork_core(&self) -> Box<Engine> {
+        let (template, partitions) = self.unbound_program();
+        Box::new(Engine {
+            config: EngineConfig {
+                consistency: Consistency::Strict,
+                reorder_slack: 0,
+                collect_outputs: false,
+                observability: ObservabilityLevel::Off,
+                ..self.config
+            },
+            table: self.table.clone(),
+            template,
+            default_bit: self.default_bit,
+            run_state_bytes: partitions.values().map(PartitionRun::bytes).sum(),
+            partitions,
+            bound: None,
+            active: Vec::new(),
+            scratch: Scratch::default(),
+            scheduler: self.scheduler.clone(),
+            router: self.router.clone(),
+            clock: self.clock,
+            latency: self.latency.clone(),
+            type_names: self.type_names.clone(),
+            outputs_by_type: self.outputs_by_type.clone(),
+            inputs_by_type: self.inputs_by_type.clone(),
+            events_in: self.events_in,
+            events_out: self.events_out,
+            transitions_applied: self.transitions_applied,
+            last_gc: self.last_gc,
+            busy: Duration::ZERO,
+            reorder: None,
+            obs: MetricsRegistry::new(ObservabilityLevel::Off),
+            late_dropped: 0,
+            collected_outputs: Vec::new(),
+            speculation: None,
+            spec_capture: Some(Capture::default()),
+            collected_records: Vec::new(),
+            spec_emits: 0,
+            spec_retractions: 0,
+            spec_rebuilds: 0,
+            spec_replayed: 0,
+        })
     }
 
     /// Read access to the context table (tests, introspection).
@@ -624,8 +710,8 @@ impl Engine {
     /// run exactly (same outputs, same counters) — only wall-clock
     /// metrics differ.
     ///
-    /// Speculative state (the overlay fork, its unsettled suffix, the
-    /// outstanding emitted-output books) is *excluded* by design: call
+    /// Speculative state (the overlay fork, the unsettled events and
+    /// the unconfirmed emissions) is *excluded* by design: call
     /// [`settle`](Self::settle) first so the snapshot is a plain strict
     /// state (the checkpoint protocol does this for you).
     #[must_use]
@@ -716,6 +802,7 @@ impl Engine {
         self.spec_emits = 0;
         self.spec_retractions = 0;
         self.spec_rebuilds = 0;
+        self.spec_replayed = 0;
         self.init_speculation();
         Ok(())
     }
@@ -1022,8 +1109,11 @@ impl Engine {
             self.template
                 .advance_time(final_mark, &self.table, &mut out);
             self.unbind();
+            // The trailing outputs of a partition belong to no
+            // transaction: they are accounted under the end of time.
+            self.account_outputs(PartitionId(id), Time::MAX, &out);
+            out.clear();
         }
-        self.account_outputs(&out);
     }
 
     /// Convenience: runs an entire stream through the engine.
@@ -1224,7 +1314,7 @@ impl Engine {
             self.obs.inc(CounterId::GcRuns);
         }
 
-        self.account_outputs(&out);
+        self.account_outputs(partition, t, &out);
         out.clear();
         self.scratch.out = out;
 
@@ -1234,7 +1324,11 @@ impl Engine {
         }
     }
 
-    fn account_outputs(&mut self, out: &PlanOutput) {
+    /// Accounts what the transaction of `partition` at `time` derived.
+    fn account_outputs(&mut self, partition: PartitionId, time: Time, out: &PlanOutput) {
+        if out.events.is_empty() {
+            return;
+        }
         self.events_out += out.events.len() as u64;
         for e in &out.events {
             *self.outputs_by_type.entry(e.type_id).or_insert(0) += 1;
@@ -1243,8 +1337,32 @@ impl Engine {
             self.collected_outputs.extend(out.events.iter().cloned());
         }
         if let Some(capture) = self.spec_capture.as_mut() {
-            capture.extend(out.events.iter().cloned());
+            capture.push(partition, time, &out.events);
         }
+    }
+
+    /// Overwrites this engine's run state and context row of partition
+    /// `p` with `core`'s — an engine executing the same program — and
+    /// touches nothing else of either: the speculative fork's rewind.
+    /// In place ([`ProgramTemplate::copy_run`],
+    /// [`ContextTable::copy_partition`]).
+    fn copy_partition_from(&mut self, core: &Engine, p: PartitionId) {
+        if self.bound.as_ref().is_some_and(|(id, _)| *id == p.0) {
+            self.unbind();
+        }
+        let mut run = self.partitions.remove(&p.0).unwrap_or_default();
+        self.run_state_bytes -= run.bytes();
+        let empty = PartitionRun::default();
+        let (src, bound) = match &core.bound {
+            Some((id, run)) if *id == p.0 => (run, true),
+            _ => (core.partitions.get(&p.0).unwrap_or(&empty), false),
+        };
+        self.template.copy_run(&core.template, src, bound, &mut run);
+        if !run.is_empty() {
+            self.run_state_bytes += run.bytes();
+            self.partitions.insert(p.0, run);
+        }
+        self.table.copy_partition(&core.table, p);
     }
 
     /// The current observability snapshot: the registry's counters and

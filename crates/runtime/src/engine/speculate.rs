@@ -12,54 +12,53 @@
 //! # The revision ledger
 //!
 //! The engine keeps its strict internals untouched — the reorder buffer
-//! still decides *settlement* (it becomes a revision tracker instead of
-//! a gate), and the settled core still produces the byte-identical
-//! strict output. On top sits a [`Speculation`] overlay:
+//! still decides *settlement*, and the settled core still produces the
+//! byte-identical strict output. On top sits a [`Speculation`] overlay:
 //!
-//! * `spec` — a fork of the settled core, advanced eagerly over the
-//!   arrival stream. Its outputs are emitted immediately as
-//!   [`OutputRecord::Emit`] records.
-//! * `unsettled` — the events released to the fork but not yet past the
-//!   slack, in `(time, arrival)` order (mirroring the reorder heap).
-//! * `books` — the per-window emitted-output index: a multiset, keyed
-//!   by wire encoding, of outputs emitted speculatively but not yet
-//!   confirmed by the settled core.
+//! * `spec` — a fork of the settled core, made once and advanced
+//!   eagerly over the arrival stream; what it derives is emitted at
+//!   once as [`OutputRecord::Emit`] records.
+//! * `pending` — per stream partition, its *unsettled* events (its
+//!   share of the reorder buffer, `(time, arrival)`-ordered) and its
+//!   *unconfirmed* emissions: one entry per producing transaction the
+//!   fork has executed and the core has not, oldest first.
 //!
-//! The invariant after every arrival: *fold(records) = settled outputs
-//! ⊎ books* — cancelling each retraction against a prior emission of
-//! the same event leaves exactly the settled core's outputs so far plus
-//! the outstanding speculative ones. At `finish()` everything settles,
-//! `books` drains to empty, and the fold equals the strict output — the
-//! equality the testkit's differential gate checks byte-for-byte.
+//! After every arrival, *fold(records) = settled outputs ⊎ unconfirmed
+//! emissions*, and a partition's unconfirmed entries are what the core
+//! will derive, transaction by transaction, from the events the fork
+//! has executed there. At `finish()` everything settles, `pending`
+//! drains, and the fold equals the strict output byte for byte.
 //!
-//! An arrival is one of three cases:
+//! An arrival `(p, t)` is one of four cases:
 //!
-//! 1. **Too late** (beyond slack): counted and dropped, exactly like
-//!    strict mode. Nothing was ever speculated on it, so nothing is
-//!    retracted.
-//! 2. **Append** (in arrival order so far): the fork processes it, its
-//!    new outputs are emitted and booked, and whatever the reorder
-//!    buffer released settles into the core (confirming books entries).
-//! 3. **Revision** (late but within slack): the overlay re-forks from
-//!    the settled core and replays the unsettled suffix with the late
-//!    event spliced into its `(time, arrival)` position. The multiset
-//!    difference between the old books and the replay's outputs becomes
-//!    the compensation: retractions for emissions the replay no longer
-//!    produces, then the corrected emissions. Outputs untouched by the
-//!    late event cancel in the diff, so unaffected windows produce no
-//!    record traffic.
+//! 1. **Too late** (beyond slack): counted and dropped, like strict.
+//! 2. **Append** (`t` at or after the fork's frontier timestamp): the
+//!    fork ingests it and emits what that releases.
+//! 3. **Late, head state** (`t` below the frontier, `p` has executed
+//!    nothing at or after `t`): the fork executes `(p, t)` as `p`'s
+//!    next transaction.
+//! 4. **Revision** (`p` has executed at or after `t`): the fork's run
+//!    state and context row *of `p`* are overwritten with the settled
+//!    core's, and `p`'s events the core has not executed — its
+//!    scheduler's frontier events of `p`, then `p`'s unsettled events
+//!    below the fork's frontier — run again. `p`'s emissions from `t`
+//!    on are diffed against the replay's, transaction by transaction:
+//!    retractions for what is no longer derived, then the corrections.
 //!
-//! Correctness leans on engine determinism (same state + same settled
-//! order ⇒ same outputs), the property the batch-equivalence and
-//! snapshot tests already pin down.
+//! In every case the buffer's release settles into the core first, and
+//! what the core derives confirms the oldest entries of the partitions
+//! it executed. Nothing walks another partition: §6.2 orders only
+//! conflicting operations and transactions of different partitions
+//! never conflict, so the fork's schedule — `p` rewound and replayed
+//! while the others stay ahead — is as correct as the strict one, and
+//! determinism makes fork and core agree partition by partition
+//! (DESIGN.md, "The revision ledger").
 
-use super::{Consistency as C, Engine, EngineConfig};
-use crate::obs::{CounterId, MetricsRegistry, ObservabilityLevel, Stage};
-use crate::programs::PartitionRun;
-use caesar_events::{Event, EventError, OutputRecord, Time};
+use super::{Capture, Consistency as C, Engine};
+use crate::obs::{CounterId, Stage};
+use caesar_events::{Event, EventError, OutputRecord, PartitionId, PartitionMap, Time};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::time::Duration;
+use std::collections::VecDeque;
 
 /// When outputs become visible relative to the reorder slack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -99,16 +98,26 @@ impl std::str::FromStr for Consistency {
     }
 }
 
-/// One outstanding entry of the emitted-output books.
-#[derive(Debug)]
-struct BookEntry {
-    /// Emitted-but-unsettled copies of this event.
-    count: u64,
-    /// The event itself (the key is its wire encoding).
-    event: Event,
+/// One unconfirmed producing transaction of a partition.
+#[derive(Debug, Clone, Copy)]
+struct Emitted {
+    time: Time,
+    /// How many of the partition's `outputs` it emitted.
+    count: usize,
     /// Stream high-watermark at first emission — settling at watermark
     /// `h` means speculation led strictness by `h − emit_high` ticks.
     emit_high: Time,
+}
+
+/// What one partition has in flight (see the module docs).
+#[derive(Debug, Default)]
+struct Pending {
+    /// Its events in the reorder buffer, `(time, arrival)`-ordered.
+    events: VecDeque<Event>,
+    /// Its transactions the fork executed and the core has not, by
+    /// time, and what they emitted, end to end.
+    txns: VecDeque<Emitted>,
+    outputs: VecDeque<Event>,
 }
 
 /// The speculative overlay of an [`Engine`] (see the module docs).
@@ -116,30 +125,43 @@ struct BookEntry {
 pub(super) struct Speculation {
     /// Fork of the settled core, advanced eagerly over arrival order.
     spec: Box<Engine>,
-    /// Events released to the fork but not yet settled, `(time,
-    /// arrival)`-ordered — a mirror of the reorder buffer's contents.
-    unsettled: Vec<Event>,
-    /// Emitted-but-unsettled outputs, keyed by wire encoding.
-    books: BTreeMap<Vec<u8>, BookEntry>,
+    /// The partitions with anything in flight.
+    pending: PartitionMap<Pending>,
+    /// What the core derived while the current arrival settled.
+    settled: Capture,
+    /// Buffers of a revision, empty between arrivals: the events to run
+    /// again, the revised partition's emissions from the late event on,
+    /// the corrected emissions, the diff's match marks.
+    replay: Vec<Event>,
+    old: Pending,
+    corrected: Vec<Event>,
+    matched: Vec<bool>,
 }
 
-fn record_key(event: &Event) -> Vec<u8> {
-    caesar_events::encode_to_vec(event)
+/// Drops `p`'s record once nothing of `p` is in flight.
+fn release(pending: &mut PartitionMap<Pending>, p: PartitionId) {
+    let idle = |list: &Pending| list.events.is_empty() && list.txns.is_empty();
+    if pending.get(&p.0).is_some_and(idle) {
+        pending.remove(&p.0);
+    }
 }
 
 impl Engine {
     /// (Re-)creates the speculative overlay to match the configured
-    /// consistency level; called on construction and after a restore.
+    /// consistency level; called on construction and after a restore —
+    /// the only places the core is forked.
     pub(super) fn init_speculation(&mut self) {
-        self.speculation = if self.config.consistency == C::Speculative {
-            Some(Box::new(Speculation {
+        self.speculation = (self.config.consistency == C::Speculative).then(|| {
+            Box::new(Speculation {
                 spec: self.fork_core(),
-                unsettled: Vec::new(),
-                books: BTreeMap::new(),
-            }))
-        } else {
-            None
-        };
+                pending: PartitionMap::default(),
+                settled: Capture::default(),
+                replay: Vec::new(),
+                old: Pending::default(),
+                corrected: Vec::new(),
+                matched: Vec::new(),
+            })
+        });
     }
 
     /// True when no speculative state is outstanding (trivially true in
@@ -148,71 +170,22 @@ impl Engine {
     pub fn speculation_settled(&self) -> bool {
         self.speculation
             .as_ref()
-            .is_none_or(|sp| sp.unsettled.is_empty() && sp.books.is_empty())
-    }
-
-    /// A strict fork of the settled core: same semantic state, fresh
-    /// non-semantic machinery (no reorder buffer — it is fed in settled
-    /// order; outputs collected so emission deltas can be drained).
-    fn fork_core(&self) -> Box<Engine> {
-        let (template, partitions) = self.unbound_program();
-        Box::new(Engine {
-            config: EngineConfig {
-                consistency: C::Strict,
-                reorder_slack: 0,
-                collect_outputs: true,
-                observability: ObservabilityLevel::Off,
-                ..self.config
-            },
-            table: self.table.clone(),
-            template,
-            default_bit: self.default_bit,
-            run_state_bytes: partitions.values().map(PartitionRun::bytes).sum(),
-            partitions,
-            bound: None,
-            active: Vec::new(),
-            scratch: Default::default(),
-            scheduler: self.scheduler.clone(),
-            router: self.router.clone(),
-            clock: self.clock,
-            latency: self.latency.clone(),
-            type_names: self.type_names.clone(),
-            outputs_by_type: self.outputs_by_type.clone(),
-            inputs_by_type: self.inputs_by_type.clone(),
-            events_in: self.events_in,
-            events_out: self.events_out,
-            transitions_applied: self.transitions_applied,
-            last_gc: self.last_gc,
-            busy: Duration::ZERO,
-            reorder: None,
-            obs: MetricsRegistry::new(ObservabilityLevel::Off),
-            late_dropped: 0,
-            collected_outputs: Vec::new(),
-            speculation: None,
-            spec_capture: None,
-            collected_records: Vec::new(),
-            spec_emits: 0,
-            spec_retractions: 0,
-            spec_rebuilds: 0,
-        })
+            .is_none_or(|sp| sp.pending.is_empty())
     }
 
     /// One speculative arrival (the distributor entry point in
     /// speculative mode).
     pub(super) fn ingest_speculative(&mut self, event: Event) -> Result<(), EventError> {
-        // The reorder buffer is now a revision tracker: it still judges
-        // lateness and decides what settles, but visibility no longer
-        // waits for it.
-        let released = if let Some(mut reorder) = self.reorder.take() {
+        // The reorder buffer still judges lateness and decides what
+        // settles, but visibility no longer waits for it.
+        let released = if let Some(reorder) = self.reorder.as_mut() {
             let reorder_span = self.obs.span_start();
-            let result = reorder.push(event.clone());
-            self.obs.span_end(Stage::Reorder, reorder_span);
+            let pushed = reorder.push(event.clone());
             self.late_dropped = reorder.late_dropped;
-            self.reorder = Some(reorder);
-            match result {
+            self.obs.span_end(Stage::Reorder, reorder_span);
+            match pushed {
                 Ok(ready) => ready,
-                // Beyond slack: counted and dropped, like strict mode.
-                // Nothing was speculated on it, so nothing to retract.
+                // Beyond slack: dropped; nothing was speculated on it.
                 Err(_late) => return Ok(()),
             }
         } else {
@@ -230,224 +203,241 @@ impl Engine {
         event: Event,
         released: Vec<Event>,
     ) -> Result<(), EventError> {
-        let t = event.time();
-        // Equal timestamps append (arrival order is the tie-break, so
-        // the newest event sorts after every buffered equal-time one).
-        let in_order = sp.unsettled.last().is_none_or(|last| t >= last.time());
-        if in_order {
-            // Fast path: the fork simply advances; new outputs are
-            // emitted and booked.
-            sp.spec.ingest(event.clone())?;
-            let delta = std::mem::take(&mut sp.spec.collected_outputs);
-            self.emit_outputs(sp, delta);
-            sp.unsettled.push(event);
-            let settled = self.settle_into_core(&released)?;
-            let leftover = self.confirm_settled(sp, settled);
-            debug_assert!(
-                leftover.is_empty(),
-                "append-path settled outputs were all emitted before"
-            );
-            sp.unsettled.drain(..released.len());
-        } else {
-            // Revision: splice the late event into its settled position
-            // and replay the unsettled suffix on a fresh fork.
-            self.spec_rebuilds += 1;
-            self.obs.inc(CounterId::SpeculativeRebuilds);
-            let pos = sp.unsettled.partition_point(|e| e.time() <= t);
-            sp.unsettled.insert(pos, event);
-            // Settle first: `released` is exactly the (time, arrival)
-            // prefix of the spliced list, and may include outputs never
-            // emitted (the late event can release immediately).
-            let settled = self.settle_into_core(&released)?;
-            sp.unsettled.drain(..released.len());
-            let mut spec = self.fork_core();
-            for e in &sp.unsettled {
-                spec.ingest(e.clone())?;
+        let (p, t) = (event.partition, event.time());
+        // The fork has executed every transaction below its frontier
+        // timestamp, so an older arrival is late. Equal timestamps
+        // append: the frontier's transactions have not run.
+        let frontier = sp.spec.scheduler.progress();
+        let late = t < frontier;
+        let mut revise = false;
+        if self.reorder.is_some() {
+            // Mirror the buffer first: whatever fails below, `pending`
+            // holds exactly the buffer's contents. `released` is a
+            // `(time, arrival)` prefix of it, hence of each partition's
+            // share.
+            let list = sp.pending.entry(p.0).or_default();
+            let pos = list.events.partition_point(|e| e.time() <= t);
+            // Has the fork executed `p` at or after `t`? Its unsettled
+            // events below the frontier ran, and so did its settled
+            // ones, which the core holds unexecuted at one timestamp:
+            // its own frontier's.
+            let ran = |e: &Event| e.partition == p && (t..frontier).contains(&e.time());
+            let core = &self.scheduler;
+            revise = late
+                && (list.events.iter().any(ran)
+                    || (core.progress() == t && core.frontier().iter().any(ran)));
+            list.events.insert(pos, event.clone());
+            for e in &released {
+                let settled = sp.pending.get_mut(&e.partition.0);
+                let settled = settled.and_then(|list| list.events.pop_front());
+                debug_assert_eq!(settled.as_ref(), Some(e), "pending mirrors the buffer");
+                release(&mut sp.pending, e.partition);
             }
-            let replay = std::mem::take(&mut spec.collected_outputs);
-            sp.spec = spec;
-            self.revise_books(sp, settled, replay);
         }
+        // Settle before the fork moves: a revision rewinds to the state
+        // the release leaves. The core never passes the fork — what it
+        // executes here the fork executed on an earlier arrival, or
+        // (zero slack) executes below, before `confirm`.
+        let mut released = released.into_iter();
+        self.capturing(sp, |core| {
+            released.try_for_each(|e| core.ingest_one_ordered(e))
+        })?;
+        if !late {
+            sp.spec.ingest_one_ordered(event)?;
+        } else if revise {
+            self.rewind_and_replay(sp, p, t, frontier);
+        } else {
+            sp.spec.execute_all(std::slice::from_ref(&event));
+        }
+        self.publish(sp, revise.then_some((p, t)));
+        self.confirm(sp);
         Ok(())
     }
 
-    /// Feeds released (settled-order) events into the strict core,
-    /// returning every output the core produced while doing so — which
-    /// may include outputs of *earlier*-settled events whose
-    /// transactions only now matured.
-    fn settle_into_core(&mut self, released: &[Event]) -> Result<Vec<Event>, EventError> {
-        if released.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.spec_capture = Some(Vec::new());
-        let mut outcome = Ok(());
-        for e in released {
-            outcome = self.ingest_one_ordered(e.clone());
-            if outcome.is_err() {
-                break;
-            }
-        }
-        let captured = self.spec_capture.take().unwrap_or_default();
-        outcome.map(|()| captured)
+    /// Runs `settle` on the strict core, capturing into `sp.settled`
+    /// what the core derives meanwhile — which may include outputs of
+    /// *earlier*-settled events whose transactions only now matured.
+    fn capturing<R>(&mut self, sp: &mut Speculation, settle: impl FnOnce(&mut Self) -> R) -> R {
+        self.spec_capture = Some(std::mem::take(&mut sp.settled));
+        let result = settle(self);
+        sp.settled = self.spec_capture.take().unwrap_or_default();
+        result
     }
 
-    /// Emits `delta` as speculative output: one `Emit` record each,
-    /// booked as outstanding.
-    fn emit_outputs(&mut self, sp: &mut Speculation, delta: Vec<Event>) {
-        if delta.is_empty() {
-            return;
+    /// The revision step for a late `(p, t)` (see the module docs): the
+    /// fork's state of `p` becomes the settled core's, and `p`'s events
+    /// the core has not executed run again, the late one among them.
+    /// The fork's capture then holds everything `p` derives from `t`
+    /// on: what the core just settled, then the replay.
+    fn rewind_and_replay(&mut self, sp: &mut Speculation, p: PartitionId, t: Time, frontier: Time) {
+        sp.spec.copy_partition_from(self, p);
+        let capture = sp.spec.spec_capture.as_mut().expect("the fork captures");
+        for (q, time, events) in sp.settled.iter() {
+            if q == p && time >= t {
+                capture.push(q, time, events);
+            }
         }
+        let replay = &mut sp.replay;
+        let in_core = self.scheduler.frontier().iter();
+        replay.extend(in_core.filter(|e| e.partition == p).cloned());
+        let unsettled = sp.pending.get(&p.0).into_iter().flat_map(|l| &l.events);
+        let below = unsettled.take_while(|e| e.time() < frontier);
+        replay.extend(below.cloned());
+        let replayed = replay.len() as u64;
+        self.spec_rebuilds += 1;
+        self.spec_replayed += replayed;
+        self.obs.inc(CounterId::SpeculativeRebuilds);
+        self.obs.add(CounterId::SpeculativeReplayedEvents, replayed);
+        sp.spec.execute_all(replay);
+        replay.clear();
+    }
+
+    /// Turns what the fork derived during this arrival into records and
+    /// unconfirmed entries. After a revision of `(p, t)` the capture is
+    /// `p`'s alone and is diffed, transaction by transaction, against
+    /// what `p` had emitted for the same stretch (before `t`, the same
+    /// by determinism). All retractions precede the corrected
+    /// emissions, and both follow execution order, so the record stream
+    /// is deterministic for a given arrival sequence.
+    fn publish(&mut self, sp: &mut Speculation, revised: Option<(PartitionId, Time)>) {
         let high = self.arrival_watermark();
-        self.spec_emits += delta.len() as u64;
+        let capture = sp.spec.spec_capture.as_mut().expect("the fork captures");
+        let (old, corrected) = (&mut sp.old, &mut sp.corrected);
+        // From where the revised partition ran again: the late event,
+        // or — it precedes the settled horizon — the core's frontier.
+        let from = revised.map_or(0, |(_, t)| t.min(self.scheduler.progress()));
+        if let Some(list) = revised.and_then(|(p, _)| sp.pending.get_mut(&p.0)) {
+            let first = list.txns.partition_point(|e| e.time < from);
+            let emitted: usize = list.txns.range(first..).map(|e| e.count).sum();
+            old.txns.extend(list.txns.drain(first..));
+            let kept = list.outputs.len() - emitted;
+            old.outputs.extend(list.outputs.drain(kept..));
+        }
+        let mut rest = &*old.outputs.make_contiguous();
+        let mut take = |e: &Emitted| {
+            let (events, tail) = rest.split_at(e.count);
+            rest = tail;
+            events
+        };
+        let mut old_txns = old.txns.iter().peekable();
+        for (q, time, new) in capture.iter() {
+            let (mut prior, mut emit_high): (&[Event], _) = (&[], high);
+            while let Some(e) = old_txns.next_if(|e| e.time <= time) {
+                if e.time == time {
+                    (prior, emit_high) = (take(e), e.emit_high);
+                } else {
+                    self.retract(take(e));
+                }
+            }
+            debug_assert!(revised.is_none_or(|(_, t)| time >= t) || prior == new);
+            self.diff(prior, new, &mut sp.matched, corrected);
+            let list = sp.pending.entry(q.0).or_default();
+            list.outputs.extend(new.iter().cloned());
+            list.txns.push_back(Emitted {
+                time,
+                count: new.len(),
+                emit_high,
+            });
+        }
+        for e in old_txns {
+            self.retract(take(e));
+        }
+        self.spec_emits += corrected.len() as u64;
         self.obs
-            .add(CounterId::SpeculativeEmits, delta.len() as u64);
-        for event in delta {
-            if self.config.collect_outputs {
-                self.collected_records
-                    .push(OutputRecord::Emit(event.clone()));
-            }
-            sp.books
-                .entry(record_key(&event))
-                .and_modify(|b| b.count += 1)
-                .or_insert(BookEntry {
-                    count: 1,
-                    event,
-                    emit_high: high,
-                });
-        }
-    }
-
-    /// Cancels settled outputs against the books (they are confirmed,
-    /// no longer outstanding), crediting the speculation-lead metric.
-    /// Returns the settled outputs that were never emitted — empty on
-    /// the append path, revision fodder on the rebuild path.
-    fn confirm_settled(&mut self, sp: &mut Speculation, settled: Vec<Event>) -> Vec<Event> {
-        let high = self.arrival_watermark();
-        let mut leftover = Vec::new();
-        for event in settled {
-            let key = record_key(&event);
-            if let Some(entry) = sp.books.get_mut(&key) {
-                self.obs.add(
-                    CounterId::SpeculationLeadTicks,
-                    high.saturating_sub(entry.emit_high),
-                );
-                entry.count -= 1;
-                if entry.count == 0 {
-                    sp.books.remove(&key);
-                }
-            } else {
-                leftover.push(event);
-            }
-        }
-        leftover
-    }
-
-    /// The revision step: reconcile the old books against what the
-    /// settle produced plus what the replay now says the unsettled
-    /// suffix derives. Emissions the replay no longer produces are
-    /// retracted; new ones (including never-emitted settled outputs)
-    /// are emitted after the retractions; the books become the replay's
-    /// outputs. Outputs the late event did not disturb cancel here, so
-    /// they cause no record traffic.
-    fn revise_books(&mut self, sp: &mut Speculation, settled: Vec<Event>, replay: Vec<Event>) {
-        let corrected = self.confirm_settled(sp, settled);
-        let high = self.arrival_watermark();
-        let old = std::mem::take(&mut sp.books);
-        let mut new_books: BTreeMap<Vec<u8>, BookEntry> = BTreeMap::new();
-        for event in replay {
-            new_books
-                .entry(record_key(&event))
-                .and_modify(|b| b.count += 1)
-                .or_insert(BookEntry {
-                    count: 1,
-                    event,
-                    emit_high: high,
-                });
-        }
-        let mut retractions: Vec<(Event, u64)> = Vec::new();
-        let mut emissions: Vec<(Event, u64)> = Vec::new();
-        // BTreeMap order keys both walks, so the record stream is
-        // deterministic for a given arrival sequence.
-        for (key, entry) in &old {
-            let kept = new_books.get(key).map_or(0, |b| b.count);
-            if entry.count > kept {
-                retractions.push((entry.event.clone(), entry.count - kept));
-            }
-        }
-        for (key, entry) in &mut new_books {
-            if let Some(prior) = old.get(key) {
-                // Still outstanding from before the revision: keep the
-                // original emission watermark for the lead metric.
-                entry.emit_high = prior.emit_high;
-                if entry.count > prior.count {
-                    emissions.push((entry.event.clone(), entry.count - prior.count));
-                }
-            } else {
-                emissions.push((entry.event.clone(), entry.count));
-            }
-        }
-        sp.books = new_books;
-        for (event, n) in retractions {
-            self.spec_retractions += n;
-            self.obs.add(CounterId::SpeculativeRetractions, n);
-            if self.config.collect_outputs {
-                for _ in 0..n {
-                    self.collected_records
-                        .push(OutputRecord::Retract(event.clone()));
-                }
-            }
-        }
-        // Corrected output strictly after the retractions it replaces.
-        let emitted = corrected.len() as u64 + emissions.iter().map(|(_, n)| n).sum::<u64>();
-        self.spec_emits += emitted;
-        self.obs.add(CounterId::SpeculativeEmits, emitted);
+            .add(CounterId::SpeculativeEmits, corrected.len() as u64);
         if self.config.collect_outputs {
-            for event in corrected {
-                self.collected_records.push(OutputRecord::Emit(event));
-            }
-            for (event, n) in emissions {
-                for _ in 0..n {
-                    self.collected_records
-                        .push(OutputRecord::Emit(event.clone()));
-                }
+            let records = corrected.drain(..).map(OutputRecord::Emit);
+            self.collected_records.extend(records);
+        }
+        corrected.clear();
+        old.txns.clear();
+        old.outputs.clear();
+        capture.clear();
+    }
+
+    /// One transaction's emissions before (`prior`) and after (`new`) a
+    /// revision: what is no longer derived is retracted, what is newly
+    /// derived joins `corrected` — by event equality and multiplicity.
+    /// Untouched transactions, nearly all, re-derive the same events in
+    /// the same order and cost one comparison per output.
+    fn diff(
+        &mut self,
+        prior: &[Event],
+        new: &[Event],
+        matched: &mut Vec<bool>,
+        corrected: &mut Vec<Event>,
+    ) {
+        let head = prior.iter().zip(new).take_while(|(a, b)| a == b).count();
+        let (prior, new) = (&prior[head..], &new[head..]);
+        let pairs = prior.iter().rev().zip(new.iter().rev());
+        let tail = pairs.take_while(|(a, b)| a == b).count();
+        let (prior, new) = (&prior[..prior.len() - tail], &new[..new.len() - tail]);
+        matched.clear();
+        matched.resize(new.len(), false);
+        for event in prior {
+            let mut candidates = new.iter().zip(matched.iter_mut());
+            match candidates.find(|(n, seen)| !**seen && *n == event) {
+                Some((_, seen)) => *seen = true,
+                None => self.retract(std::slice::from_ref(event)),
             }
         }
+        let unmatched = new.iter().zip(matched.iter()).filter(|(_, seen)| !**seen);
+        corrected.extend(unmatched.map(|(n, _)| n.clone()));
+    }
+
+    /// Retracts emitted events: one `Retract` record each.
+    fn retract(&mut self, events: &[Event]) {
+        self.spec_retractions += events.len() as u64;
+        self.obs
+            .add(CounterId::SpeculativeRetractions, events.len() as u64);
+        if self.config.collect_outputs {
+            let records = events.iter().cloned().map(OutputRecord::Retract);
+            self.collected_records.extend(records);
+        }
+    }
+
+    /// Confirms what the core derived while settling: each of its
+    /// transactions pops its partition's oldest unconfirmed entry —
+    /// which the fork emitted, or a revision corrected, before —
+    /// crediting the speculation-lead metric.
+    fn confirm(&mut self, sp: &mut Speculation) {
+        let high = self.arrival_watermark();
+        for (q, time, events) in sp.settled.iter() {
+            let list = sp.pending.get_mut(&q.0);
+            let list = list.expect("the fork emitted what the core derives");
+            let emitted = list.txns.pop_front().expect("as above");
+            debug_assert!(
+                emitted.time == time && list.outputs.iter().take(emitted.count).eq(events),
+                "the core derives what the fork emitted"
+            );
+            list.outputs.drain(..emitted.count);
+            let lead = high.saturating_sub(emitted.emit_high) * emitted.count as u64;
+            self.obs.add(CounterId::SpeculationLeadTicks, lead);
+            release(&mut sp.pending, q);
+        }
+        sp.settled.clear();
     }
 
     /// Forces full settlement of the speculative overlay: every
-    /// buffered event settles into the strict core and every books
-    /// entry is confirmed. Afterwards the engine's state is a plain
-    /// strict state — the precondition for
-    /// [`snapshot_state`](Self::snapshot_state), which is why the
-    /// checkpoint paths call this first.
-    ///
-    /// No records are emitted (everything settling was already emitted
-    /// speculatively). Note the settlement advances the lateness
-    /// watermark: events arriving after a settle that are older than
-    /// the settled horizon are dropped, exactly as if the slack had
-    /// been waited out. A no-op in strict mode.
+    /// buffered event settles into the strict core and every
+    /// unconfirmed emission is confirmed, leaving a plain strict state —
+    /// the precondition for [`snapshot_state`](Self::snapshot_state),
+    /// which is why the checkpoint paths call this first. No records
+    /// are emitted (everything settling was emitted speculatively), but
+    /// the lateness watermark advances: later arrivals older than the
+    /// settled horizon are dropped, as if the slack had been waited
+    /// out. A no-op in strict mode.
     pub fn settle(&mut self) {
         let Some(mut sp) = self.speculation.take() else {
             return;
         };
-        if let Some(mut reorder) = self.reorder.take() {
-            let flushed = reorder.flush();
-            self.reorder = Some(reorder);
-            self.spec_capture = Some(Vec::new());
-            for e in flushed {
-                let _ = self.ingest_one_ordered(e);
-            }
-            let settled = self.spec_capture.take().unwrap_or_default();
-            let leftover = self.confirm_settled(&mut sp, settled);
-            debug_assert!(leftover.is_empty(), "settle outputs were all emitted");
+        if let Some(reorder) = self.reorder.as_mut() {
+            let flushed = reorder.flush().into_iter();
+            self.capturing(&mut sp, |core| {
+                flushed.for_each(|e| drop(core.ingest_one_ordered(e)));
+            });
         }
-        sp.unsettled.clear();
-        debug_assert!(
-            sp.books.is_empty(),
-            "fork and core agree once everything settled"
-        );
-        sp.books.clear();
-        self.speculation = Some(sp);
+        self.close(sp);
     }
 
     /// Speculative end-of-stream: the fork finishes first (its trailing
@@ -455,17 +445,19 @@ impl Engine {
     /// and confirms everything outstanding.
     pub(super) fn finish_speculative(&mut self) {
         let mut sp = self.speculation.take().expect("speculative mode");
-        let _ = sp.spec.finish();
-        let delta = std::mem::take(&mut sp.spec.collected_outputs);
-        self.emit_outputs(&mut sp, delta);
-        self.spec_capture = Some(Vec::new());
-        self.finish_strict();
-        let settled = self.spec_capture.take().unwrap_or_default();
-        let leftover = self.confirm_settled(&mut sp, settled);
-        debug_assert!(leftover.is_empty(), "finish outputs were all emitted");
-        debug_assert!(sp.books.is_empty(), "books drain to empty at finish");
-        sp.unsettled.clear();
-        sp.books.clear();
+        sp.spec.drain();
+        self.publish(&mut sp, None);
+        self.capturing(&mut sp, Self::finish_strict);
+        self.close(sp);
+    }
+
+    /// Confirms a settlement that left nothing buffered: fork and core
+    /// have executed the same transactions, so nothing stays in flight.
+    fn close(&mut self, mut sp: Box<Speculation>) {
+        self.confirm(&mut sp);
+        let unconfirmed = sp.pending.values().any(|list| !list.txns.is_empty());
+        debug_assert!(!unconfirmed, "fork and core agree once everything settled");
+        sp.pending.clear();
         self.speculation = Some(sp);
     }
 }
@@ -474,8 +466,15 @@ impl Engine {
 mod tests {
     use super::super::tests::{build_engine_with, marker, pr, registry};
     use super::*;
-    use crate::engine::ExecutionMode as Mode;
-    use caesar_events::SchemaRegistry;
+    use crate::engine::{EngineConfig, ExecutionMode as Mode};
+    use crate::obs::ObservabilityLevel;
+    use crate::programs::PartitionRun;
+    use caesar_events::{SchemaRegistry, Value};
+    use std::collections::BTreeMap;
+
+    fn record_key(event: &Event) -> Vec<u8> {
+        caesar_events::encode_to_vec(event)
+    }
 
     fn spec_config(slack: Time) -> EngineConfig {
         EngineConfig::builder()
@@ -614,7 +613,8 @@ mod tests {
     #[test]
     fn unaffected_windows_produce_no_record_traffic() {
         // A straggler that does not change any derivation: the revision
-        // replays, the books diff cancels, and no retraction is emitted.
+        // replays, the diff finds every transaction unchanged, and no
+        // retraction is emitted.
         let (mut engine, reg) = build_engine_with(Mode::ContextAware, spec_config(10));
         engine.ingest(marker(&reg, "ManySlowCars", 5, 0)).unwrap();
         engine.ingest(pr(&reg, 8, 1, "travel", 0)).unwrap();
@@ -768,7 +768,7 @@ mod tests {
     ///   slot. The fork emitted `Pair(2,3)` speculatively.
     /// * t=18 (vid 4): within slack (watermark 22−6 = 16), forces a
     ///   revision; the replay of `18, 20, 22` derives `Pair(4,2)`,
-    ///   `Pair(4,3)` and `Pair(2,3)` — the books diff re-emits the two
+    ///   `Pair(4,3)` and `Pair(2,3)` — the diff re-emits the two
     ///   new pairs and retracts nothing.
     ///
     /// Settled-core slab timeline (strict order `1, 18, 20, 22`): P1 is
@@ -823,5 +823,297 @@ mod tests {
             assert_eq!(counters["spec_pool_reuse"], 1, "P1's slot reused once");
             assert_eq!(counters["partials_peak"], 3, "P18, P20, P22 live at t=22");
         }
+    }
+
+    /// Congested traffic over `parts` partitions, `per_tick` events a
+    /// tick dealt round-robin, a context flip per partition every few
+    /// ticks (so outputs depend on what shares a window with what);
+    /// every event then arrives up to `window` slots late — a stable
+    /// sort by `index + delay`, the ledger's disorder.
+    fn disordered_traffic(
+        reg: &SchemaRegistry,
+        parts: u32,
+        ticks: Time,
+        per_tick: u64,
+        window: u64,
+    ) -> Vec<Event> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |below: u64| {
+            // xorshift64*
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) % below
+        };
+        let mut keyed = Vec::new();
+        for t in 1..=ticks {
+            for i in 0..per_tick {
+                let p = ((t * per_tick + i) % u64::from(parts)) as u32;
+                let event = match next(16) {
+                    0 => marker(reg, "ManySlowCars", t, p),
+                    1 => marker(reg, "FewFastCars", t, p),
+                    k => pr(
+                        reg,
+                        t,
+                        (t * 31 + i) as i64,
+                        ["travel", "exit"][(k == 2) as usize],
+                        p,
+                    ),
+                };
+                keyed.push((keyed.len() as u64 + next(window + 1), event));
+            }
+        }
+        keyed.sort_by_key(|(key, _)| *key);
+        keyed.into_iter().map(|(_, event)| event).collect()
+    }
+
+    /// Runs `arrivals` speculatively at `slack`, checks the fold
+    /// against a strict run, and returns the engine.
+    fn run_speculative(arrivals: &[Event], slack: Time) -> Engine {
+        let (mut strict, _) = build_engine_with(Mode::ContextAware, strict_config(slack));
+        let (mut spec, _) = build_engine_with(Mode::ContextAware, spec_config(slack));
+        for event in arrivals {
+            strict.ingest(event.clone()).unwrap();
+            spec.ingest(event.clone()).unwrap();
+        }
+        strict.finish();
+        spec.finish();
+        assert_eq!(strict.late_dropped, 0, "the slack covers the disorder");
+        assert_eq!(
+            fold(&spec.collected_records),
+            canonical(&strict.collected_outputs)
+        );
+        spec
+    }
+
+    /// Events replayed per rewind.
+    fn replay_per_rebuild(engine: &Engine) -> f64 {
+        assert!(engine.spec_rebuilds > 20, "the stream must force revisions");
+        engine.spec_replayed as f64 / engine.spec_rebuilds as f64
+    }
+
+    /// `p`'s unsettled events and unexecuted settled ones.
+    fn in_flight(engine: &Engine, p: PartitionId) -> usize {
+        let pending = &engine.speculation.as_ref().unwrap().pending;
+        let unsettled = pending.get(&p.0).map_or(0, |list| list.events.len());
+        let in_core = engine.scheduler.frontier().iter();
+        unsettled + in_core.filter(|e| e.partition == p).count()
+    }
+
+    /// Unconfirmed emissions by partition.
+    fn unconfirmed(engine: &Engine) -> BTreeMap<u32, Vec<Event>> {
+        let pending = &engine.speculation.as_ref().unwrap().pending;
+        let outputs = |list: &Pending| list.outputs.iter().cloned().collect();
+        pending
+            .iter()
+            .map(|(p, list)| (*p, outputs(list)))
+            .collect()
+    }
+
+    #[test]
+    fn a_revision_costs_what_its_partition_holds_unsettled() {
+        let reg = registry();
+        let fanned = disordered_traffic(&reg, 8, 150, 16, 48);
+        let mut funnelled = fanned.clone();
+        for event in &mut funnelled {
+            event.partition = PartitionId(0);
+        }
+        // The same arrivals over one partition and over eight: a rewind
+        // replays the straggler's partition, an eighth of the stream.
+        let one = replay_per_rebuild(&run_speculative(&funnelled, 4));
+        let eight = replay_per_rebuild(&run_speculative(&fanned, 4));
+        assert!(eight * 4.0 <= one, "{eight} of {one} events per rewind");
+
+        // Arrival by arrival: never more than the partition had in
+        // flight (the late event included), and whatever the arrival
+        // reveals or retracts is the partition's own; the other
+        // partitions' unconfirmed emissions only ever get confirmed.
+        let (mut engine, _) = build_engine_with(Mode::ContextAware, spec_config(4));
+        let mut revisions = 0;
+        for event in &fanned {
+            let p = event.partition;
+            let bound = in_flight(&engine, p) as u64 + 1;
+            let before = (engine.spec_replayed, engine.spec_rebuilds);
+            let (emitted, records) = (unconfirmed(&engine), engine.collected_records.len());
+            engine.ingest(event.clone()).unwrap();
+            assert!(engine.spec_replayed - before.0 <= bound);
+            if engine.spec_rebuilds == before.1 {
+                assert_eq!(engine.spec_replayed, before.0, "only rewinds replay");
+                continue;
+            }
+            revisions += 1;
+            for record in &engine.collected_records[records..] {
+                assert_eq!(record.event().partition, p);
+            }
+            let now = unconfirmed(&engine);
+            for (q, was) in emitted.iter().filter(|(q, _)| **q != p.0) {
+                let left = now.get(q).map_or(&[][..], Vec::as_slice);
+                assert!(was.ends_with(left), "partition {q} was revised");
+            }
+        }
+        assert!(revisions > 20);
+        engine.finish();
+    }
+
+    #[test]
+    fn replay_grows_with_the_slack_and_not_with_the_partitions() {
+        let reg = registry();
+        // One stream, at most 4 ticks of disorder; a wider slack keeps
+        // more of a partition unsettled, so a rewind replays more — at
+        // most in proportion.
+        let stream = disordered_traffic(&reg, 1, 400, 4, 12);
+        let by_slack =
+            [4, 32, 128].map(|slack| replay_per_rebuild(&run_speculative(&stream, slack)));
+        assert!(
+            by_slack[0] < by_slack[1] && by_slack[1] < by_slack[2],
+            "{by_slack:?}"
+        );
+        assert!(by_slack[1] <= 8.0 * 1.25 * by_slack[0], "{by_slack:?}");
+        assert!(by_slack[2] <= 4.0 * 1.25 * by_slack[1], "{by_slack:?}");
+
+        // The same traffic in each of eight partitions: eight times the
+        // stream, the same replay per rewind.
+        let copies = |event: &Event| {
+            let mut event = event.clone();
+            (0..8).map(move |p| {
+                event.partition = PartitionId(p);
+                event.clone()
+            })
+        };
+        let eightfold: Vec<Event> = stream.iter().flat_map(copies).collect();
+        let eight = replay_per_rebuild(&run_speculative(&eightfold, 32));
+        assert!(
+            eight <= 1.1 * by_slack[1],
+            "{eight} against {}",
+            by_slack[1]
+        );
+    }
+
+    #[test]
+    fn a_late_transaction_on_head_state_is_no_revision() {
+        let (mut engine, reg) = build_engine_with(Mode::ContextAware, spec_config(10));
+        engine.ingest(marker(&reg, "ManySlowCars", 2, 1)).unwrap();
+        for t in 3..=9 {
+            engine.ingest(pr(&reg, t, t as i64, "travel", 0)).unwrap();
+        }
+        assert!(engine.collected_records.is_empty(), "partition 0 is clear");
+        // Late for the stream, but partition 1 has executed nothing at
+        // or after t = 5: the report runs as its next transaction and
+        // its toll is out before the call returns.
+        engine.ingest(pr(&reg, 5, 50, "travel", 1)).unwrap();
+        assert_eq!((engine.spec_rebuilds, engine.spec_replayed), (0, 0));
+        assert_eq!(engine.collected_records.len(), 1);
+        assert_eq!(
+            engine.collected_records[0].event().partition,
+            PartitionId(1)
+        );
+        // A second report at the same timestamp joins a transaction the
+        // fork has executed: that one is a revision, of two events plus
+        // the switch before them.
+        engine.ingest(pr(&reg, 5, 51, "travel", 1)).unwrap();
+        assert_eq!((engine.spec_rebuilds, engine.spec_replayed), (1, 3));
+        assert_eq!(engine.spec_retractions, 0);
+        let report = engine.finish();
+        assert_eq!(report.outputs_of("TollNotification"), 2);
+        assert_eq!(
+            fold(&engine.collected_records),
+            canonical(&engine.collected_outputs)
+        );
+    }
+
+    /// Hand-computed: congestion opens at t = 3; reports at t = 9 and
+    /// 12 arrive in order, so `Toll(1)@9` is out. A straggler
+    /// `PR(7)@6` re-derives t = 6 with one toll; its exact duplicate,
+    /// later still, makes the same transaction derive the toll twice —
+    /// one more emission, no retraction. A late `FewFastCars@5` then
+    /// ends the congestion before all of them: both copies and
+    /// `Toll(1)` are retracted, copy by copy, in execution order.
+    #[test]
+    fn late_duplicates_retract_and_re_emit_by_multiplicity() {
+        let (mut engine, reg) = build_engine_with(Mode::ContextAware, spec_config(10));
+        engine.ingest(marker(&reg, "ManySlowCars", 3, 0)).unwrap();
+        engine.ingest(pr(&reg, 9, 1, "travel", 0)).unwrap();
+        engine.ingest(pr(&reg, 12, 2, "travel", 0)).unwrap();
+        for emits in [2, 3] {
+            engine.ingest(pr(&reg, 6, 7, "travel", 0)).unwrap();
+            assert_eq!((engine.spec_emits, engine.spec_retractions), (emits, 0));
+        }
+        engine.ingest(marker(&reg, "FewFastCars", 5, 0)).unwrap();
+        assert_eq!((engine.spec_emits, engine.spec_retractions), (3, 3));
+        assert_eq!(engine.spec_rebuilds, 3);
+        let vids: Vec<(bool, Value)> = engine
+            .collected_records
+            .iter()
+            .map(|r| (r.is_retraction(), r.event().attrs[0].clone()))
+            .collect();
+        let expected = [
+            (false, 1),
+            (false, 7),
+            (false, 7),
+            (true, 7),
+            (true, 7),
+            (true, 1),
+        ];
+        assert_eq!(
+            vids,
+            expected.map(|(retract, vid)| (retract, Value::Int(vid)))
+        );
+        let report = engine.finish();
+        assert_eq!(report.outputs_of("TollNotification"), 0, "clear from 5 on");
+        assert_eq!(
+            fold(&engine.collected_records),
+            canonical(&engine.collected_outputs)
+        );
+    }
+
+    #[test]
+    fn a_transaction_is_diffed_as_a_multiset() {
+        let (mut engine, reg) = build_engine_with(Mode::ContextAware, spec_config(4));
+        let [a, b, c] = [1, 2, 3].map(|vid| pr(&reg, 5, vid, "travel", 0));
+        let prior = [a.clone(), a.clone(), b.clone(), c.clone()];
+        let new = [a.clone(), c.clone(), c.clone(), c.clone()];
+        let (mut matched, mut corrected) = (Vec::new(), Vec::new());
+        engine.diff(&prior, &new, &mut matched, &mut corrected);
+        // One of the two `a`s and the `b` are gone, two `c`s are new.
+        let retracted: Vec<&Event> = engine.collected_records.iter().map(|r| r.event()).collect();
+        assert_eq!(retracted, [&a, &b]);
+        assert!(engine
+            .collected_records
+            .iter()
+            .all(OutputRecord::is_retraction));
+        assert_eq!(corrected, [c.clone(), c]);
+    }
+
+    #[test]
+    fn a_refused_event_leaves_overlay_and_buffer_agreeing() {
+        // Zero slack: the only ingest error an arrival can raise. The
+        // stale event is refused, nothing is recorded or left in
+        // flight, and the stream goes on to the strict result.
+        let (mut spec, reg) = build_engine_with(Mode::ContextAware, spec_config(0));
+        let (mut strict, _) = build_engine_with(Mode::ContextAware, strict_config(0));
+        for engine in [&mut spec, &mut strict] {
+            engine.ingest(marker(&reg, "ManySlowCars", 5, 0)).unwrap();
+            engine.ingest(pr(&reg, 8, 1, "travel", 0)).unwrap();
+            let refused = engine.ingest(pr(&reg, 6, 2, "travel", 0));
+            assert!(matches!(
+                refused,
+                Err(EventError::OutOfOrder {
+                    watermark: 8,
+                    timestamp: 6
+                })
+            ));
+        }
+        assert!(spec.collected_records.is_empty());
+        assert!(spec.speculation_settled(), "nothing was left in flight");
+        for engine in [&mut spec, &mut strict] {
+            engine.ingest(pr(&reg, 12, 3, "travel", 0)).unwrap();
+        }
+        let (a, b) = (spec.finish(), strict.finish());
+        assert_eq!(a.events_in, b.events_in);
+        assert_eq!(a.outputs_by_type, b.outputs_by_type);
+        assert_eq!(
+            fold(&spec.collected_records),
+            canonical(&strict.collected_outputs)
+        );
     }
 }

@@ -212,8 +212,12 @@ pub enum CounterId {
     /// speculative output.
     SpeculativeRetractions,
     /// Revision passes: late arrivals that forced the speculative
-    /// overlay to re-fork and replay its unsettled suffix.
+    /// overlay to rewind their partition to the settled state and
+    /// replay its unsettled events (a late transaction the partition's
+    /// head state can execute is not one).
     SpeculativeRebuilds,
+    /// Events executed by those replays — the work unit of a revision.
+    SpeculativeReplayedEvents,
     /// Cumulative application-time ticks between an output's speculative
     /// emission and its settlement — divided by `speculative_emits`,
     /// the mean latency the speculation bought per output.
@@ -222,7 +226,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in snapshot order.
-    pub const ALL: [CounterId; 16] = [
+    pub const ALL: [CounterId; 17] = [
         CounterId::EventsIngested,
         CounterId::BatchesIngested,
         CounterId::TransactionsExecuted,
@@ -238,6 +242,7 @@ impl CounterId {
         CounterId::SpeculativeEmits,
         CounterId::SpeculativeRetractions,
         CounterId::SpeculativeRebuilds,
+        CounterId::SpeculativeReplayedEvents,
         CounterId::SpeculationLeadTicks,
     ];
 
@@ -260,6 +265,7 @@ impl CounterId {
             CounterId::SpeculativeEmits => "speculative_emits",
             CounterId::SpeculativeRetractions => "speculative_retractions",
             CounterId::SpeculativeRebuilds => "speculative_rebuilds",
+            CounterId::SpeculativeReplayedEvents => "speculative_replayed_events",
             CounterId::SpeculationLeadTicks => "speculation_lead_ticks",
         }
     }
@@ -281,7 +287,8 @@ impl CounterId {
             CounterId::SpeculativeEmits => 12,
             CounterId::SpeculativeRetractions => 13,
             CounterId::SpeculativeRebuilds => 14,
-            CounterId::SpeculationLeadTicks => 15,
+            CounterId::SpeculativeReplayedEvents => 15,
+            CounterId::SpeculationLeadTicks => 16,
         }
     }
 }

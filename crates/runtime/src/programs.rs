@@ -449,6 +449,51 @@ impl ProgramTemplate {
         run.refresh_bytes();
     }
 
+    /// Overwrites `dst`, a stored record of this program, with a copy
+    /// of one partition's run state in `from` — another engine's
+    /// instance of the same program, which is not touched: `src` is
+    /// the partition's record there, and `bound` says whether it is
+    /// the bound one (its live states then sit in `from`'s operators,
+    /// as [`unbind`](Self::unbind) would move them out). In place, down
+    /// to the slabs ([`RunState::copy_from`]), and through this
+    /// program's free list like any other state that comes or goes:
+    /// overwriting a record again and again allocates nothing once it
+    /// has seen its largest shape.
+    pub fn copy_run(
+        &mut self,
+        from: &ProgramTemplate,
+        src: &PartitionRun,
+        bound: bool,
+        dst: &mut PartitionRun,
+    ) {
+        let spare = &mut self.spare;
+        dst.feedback.clone_from(&src.feedback);
+        dst.states.resize_with(from.stateful.len(), || None);
+        let mut any_held = false;
+        for (i, (at, held)) in from.stateful.iter().zip(&mut dst.states).enumerate() {
+            let state = if bound {
+                Some(at.resident_ref(from)).filter(|r| r.has_state())
+            } else {
+                src.states.get(i).and_then(Option::as_deref)
+            };
+            if let Some(state) = state {
+                let held = held.get_or_insert_with(|| spare.pop().unwrap_or_default());
+                held.copy_from(state);
+                any_held = true;
+            } else if let Some(mut emptied) = held.take() {
+                emptied.reset();
+                emptied.recycle();
+                if spare.len() < SPARE_RUN_STATES {
+                    spare.push(emptied);
+                }
+            }
+        }
+        if !any_held {
+            dst.states.clear();
+        }
+        dst.refresh_bytes();
+    }
+
     /// Heap estimate of the bound partition's record as
     /// [`unbind`](Self::unbind) would leave it, `None` if it would be
     /// empty — what the state-size gauges add for the one partition

@@ -80,6 +80,13 @@ impl TimeDrivenScheduler {
         self.frontier.buffered()
     }
 
+    /// The buffered events, in arrival order: between two ingests, the
+    /// not-yet-executed events of the progress timestamp.
+    #[must_use]
+    pub fn frontier(&self) -> &[Event] {
+        self.frontier.events()
+    }
+
     /// The earliest pending timestamp, if any.
     #[must_use]
     pub fn earliest_pending(&self) -> Option<Time> {
