@@ -18,8 +18,7 @@
 //! attribute ids, same constants) get the same id and step signatures
 //! become cheaply comparable.
 //!
-//! Programs are built through [`PatternBuilder`] — the construction API
-//! that replaced the positional `PatternOp::sequence(...)` constructor:
+//! Programs are built through [`PatternBuilder`]:
 //!
 //! ```text
 //! PatternBuilder::new(match_type)

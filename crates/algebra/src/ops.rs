@@ -80,8 +80,8 @@ impl FilterOp {
     /// Vectorized filtering: narrows the selection vector `sel` (row
     /// indices into `cols`' event slice) to accepted rows. `event_type`
     /// is the uniform type of the selected rows, when known — without
-    /// it (or with vectorization disabled) every row goes through the
-    /// interpreter, which is exactly the per-event `accepts` loop.
+    /// it every row goes through the interpreter, which is exactly the
+    /// per-event `accepts` loop.
     ///
     /// `evaluated` / `accepted` advance exactly as per-event execution
     /// would; `eval_errors` may differ when conjuncts were reordered
@@ -94,8 +94,7 @@ impl FilterOp {
     ) {
         let events = cols.events();
         self.evaluated += sel.len() as u64;
-        let vector_type = event_type.filter(|_| cols.enabled);
-        match vector_type {
+        match event_type {
             None => {
                 let mut errors = self.eval_errors;
                 let predicates = &self.predicates;
@@ -240,8 +239,7 @@ impl ProjectOp {
         out: &mut Vec<(u32, Event)>,
     ) {
         let events = cols.events();
-        let vector_type = event_type.filter(|_| cols.enabled);
-        let Some(ty) = vector_type else {
+        let Some(ty) = event_type else {
             for &i in sel {
                 if let Some(derived) = self.project(&events[i as usize]) {
                     out.push((i, derived));
@@ -437,8 +435,7 @@ impl Op {
     /// (`CI_c` / `CT_c`, which fire on every match unconditionally).
     ///
     /// Inputs and outputs are identical across the per-event and batch
-    /// paths; only the kernel/fallback row split depends on the
-    /// vectorize setting.
+    /// paths; only the batch path splits rows into kernel and fallback.
     #[must_use]
     pub fn observation(&self) -> Option<OpObservation> {
         match self {
@@ -1143,51 +1140,37 @@ mod tests {
     }
 
     /// Two structurally identical chains; one processes per event, the
-    /// other as one batch — with vectorized kernels both enabled and
-    /// disabled. Outputs and operator counters must agree.
+    /// other as one batch through the kernels. Outputs and operator
+    /// counters must agree.
     fn assert_batch_equivalent(mut ops: Vec<Op>, events: &[Event], table: &ContextTable) {
-        let pristine = ops.clone();
+        let mut batched_ops = ops.clone();
         let mut per_event = ChainOutput::default();
         for e in events {
             run_chain(&mut ops, e, table, &mut per_event);
         }
-        for vectorize in [false, true] {
-            let mut batched_ops = pristine.clone();
-            let mut batched = ChainOutput::default();
-            let mut cols = ColumnarBatch::new(events, vectorize);
-            let mut sel: Vec<u32> = (0..events.len() as u32).collect();
-            let mut scratch = ChainScratch::default();
-            run_chain_batch(
-                &mut batched_ops,
-                &mut cols,
-                &mut sel,
-                table,
-                &mut batched,
-                &mut scratch,
-            );
-            assert_eq!(per_event.events, batched.events, "vectorize={vectorize}");
-            assert_eq!(
-                per_event.transitions, batched.transitions,
-                "vectorize={vectorize}"
-            );
-            for (a, b) in ops.iter().zip(batched_ops.iter()) {
-                match (a, b) {
-                    (Op::Filter(x), Op::Filter(y)) => {
-                        assert_eq!(
-                            (x.evaluated, x.accepted),
-                            (y.evaluated, y.accepted),
-                            "vectorize={vectorize}"
-                        );
-                    }
-                    (Op::ContextWindow(x), Op::ContextWindow(y)) => {
-                        assert_eq!(
-                            (x.admitted, x.dropped),
-                            (y.admitted, y.dropped),
-                            "vectorize={vectorize}"
-                        );
-                    }
-                    _ => {}
+        let mut batched = ChainOutput::default();
+        let mut cols = ColumnarBatch::new(events);
+        let mut sel: Vec<u32> = (0..events.len() as u32).collect();
+        let mut scratch = ChainScratch::default();
+        run_chain_batch(
+            &mut batched_ops,
+            &mut cols,
+            &mut sel,
+            table,
+            &mut batched,
+            &mut scratch,
+        );
+        assert_eq!(per_event.events, batched.events);
+        assert_eq!(per_event.transitions, batched.transitions);
+        for (a, b) in ops.iter().zip(batched_ops.iter()) {
+            match (a, b) {
+                (Op::Filter(x), Op::Filter(y)) => {
+                    assert_eq!((x.evaluated, x.accepted), (y.evaluated, y.accepted));
                 }
+                (Op::ContextWindow(x), Op::ContextWindow(y)) => {
+                    assert_eq!((x.admitted, x.dropped), (y.admitted, y.dropped));
+                }
+                _ => {}
             }
         }
     }
@@ -1244,7 +1227,7 @@ mod tests {
         ];
         let events: Vec<Event> = (0..4).map(|i| pev(&reg, 9, i, 50)).collect();
         let mut out = ChainOutput::default();
-        let mut cols = ColumnarBatch::new(&events, true);
+        let mut cols = ColumnarBatch::new(&events);
         let mut sel: Vec<u32> = (0..events.len() as u32).collect();
         let mut scratch = ChainScratch::default();
         run_chain_batch(
@@ -1308,7 +1291,7 @@ mod tests {
             for e in run {
                 run_chain(&mut ops_a, e, &table, &mut per_event);
             }
-            let mut cols = ColumnarBatch::new(run, true);
+            let mut cols = ColumnarBatch::new(run);
             let mut sel: Vec<u32> = (0..run.len() as u32).collect();
             run_chain_batch(
                 &mut ops_b,

@@ -42,18 +42,6 @@ use std::sync::Arc;
 
 pub use crate::nfa::{NegPosition, NegationCheck};
 
-/// One positive element of the (flattened) sequence — the pre-NFA
-/// construction vocabulary, kept only for [`PatternOp::sequence`].
-#[deprecated(note = "build patterns through `PatternBuilder` with `NfaStep` steps")]
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PositiveElement {
-    /// Event type to match.
-    pub type_id: TypeId,
-    /// Predicates whose referenced slots are all bound once this element
-    /// matches — evaluated eagerly to prune partial matches.
-    pub step_predicates: Vec<CompiledExpr>,
-}
-
 /// Counters exposed for metrics and cost-model calibration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PatternStats {
@@ -1114,36 +1102,6 @@ impl PatternOp {
         }
     }
 
-    /// Builds a sequence pattern from positional element lists.
-    ///
-    /// `offsets[i]` is the attribute offset of positive element `i` in
-    /// the combined match event of type `match_type`.
-    #[deprecated(note = "build patterns through `PatternBuilder`")]
-    #[allow(deprecated)]
-    #[must_use]
-    pub fn sequence(
-        positives: Vec<PositiveElement>,
-        negations: Vec<NegationCheck>,
-        within: Time,
-        match_type: TypeId,
-        offsets: Vec<u16>,
-    ) -> Self {
-        Self::compile(NfaProgram {
-            steps: positives
-                .into_iter()
-                .map(|p| NfaStep {
-                    type_id: p.type_id,
-                    predicates: p.step_predicates,
-                })
-                .collect(),
-            negations,
-            within,
-            match_type: Some(match_type),
-            offsets,
-            collect_provenance: false,
-        })
-    }
-
     /// Sizes the bound run state to this program (see
     /// [`RunState::ensure_shape`]).
     fn ensure_shape(&mut self) {
@@ -1376,9 +1334,9 @@ impl PatternOp {
     /// Vectorized element-0 step-predicate verdicts: the sub-selection
     /// of `sel` rows of the first positive's type that pass all its step
     /// predicates, or `None` when the pre-filter does not apply (no
-    /// step predicates, vectorization disabled, pass-through).
+    /// step predicates, pass-through).
     fn step0_survivors(&mut self, cols: &mut ColumnarBatch<'_>, sel: &[u32]) -> Option<Vec<u32>> {
-        if self.is_passthrough() || !cols.enabled || self.program.steps[0].predicates.is_empty() {
+        if self.is_passthrough() || self.program.steps[0].predicates.is_empty() {
             return None;
         }
         let ty = self.program.steps[0].type_id;
@@ -2277,90 +2235,6 @@ mod tests {
         );
     }
 
-    /// The deprecated positional constructor and the fluent
-    /// [`PatternBuilder`] are two front-ends over the same
-    /// [`NfaProgram`]: byte-identical compiled operators, identical
-    /// behaviour. Pins the API redesign as a pure surface change.
-    #[test]
-    #[allow(deprecated)]
-    fn builder_equals_positional_sequence() {
-        let reg = registry();
-        let tid_a = reg.lookup("A").unwrap();
-        let tid_b = reg.lookup("B").unwrap();
-        let tid_c = reg.lookup("C").unwrap();
-        let tid_m = reg.lookup("M").unwrap();
-        let layout = BindingLayout {
-            vars: vec![
-                LayoutVar {
-                    name: "a".into(),
-                    type_id: tid_a,
-                    source: SlotSource::EventSlot(0),
-                },
-                LayoutVar {
-                    name: "b".into(),
-                    type_id: tid_b,
-                    source: SlotSource::EventSlot(1),
-                },
-            ],
-        };
-        let pred = || {
-            CompiledExpr::compile(
-                &Expr::bin(BinOp::Eq, Expr::attr("a", "v"), Expr::attr("b", "v")),
-                &layout,
-                &reg,
-            )
-            .unwrap()
-        };
-        let built = PatternBuilder::new(tid_m)
-            .then(tid_a)
-            .then(tid_b)
-            .filter(pred())
-            .not_between(0, tid_c, vec![])
-            .within(50)
-            .offsets(vec![0, 1])
-            .build();
-        let legacy = PatternOp::sequence(
-            vec![
-                PositiveElement {
-                    type_id: tid_a,
-                    step_predicates: vec![],
-                },
-                PositiveElement {
-                    type_id: tid_b,
-                    step_predicates: vec![pred()],
-                },
-            ],
-            vec![NegationCheck {
-                type_id: tid_c,
-                position: NegPosition::Between(0),
-                predicates: vec![],
-            }],
-            50,
-            tid_m,
-            vec![0, 1],
-        );
-        assert_eq!(
-            serde::to_bytes(&built),
-            serde::to_bytes(&legacy),
-            "the two construction paths must compile the same program"
-        );
-        let mut built = built;
-        let mut legacy = legacy;
-        let (mut out_b, mut out_l) = (Vec::new(), Vec::new());
-        for e in [
-            ev(&reg, "A", 1, 4),
-            ev(&reg, "B", 2, 4),
-            ev(&reg, "A", 3, 9),
-            ev(&reg, "C", 4, 0),
-            ev(&reg, "B", 5, 9),
-        ] {
-            built.process(&e, &mut out_b);
-            legacy.process(&e, &mut out_l);
-        }
-        assert_eq!(out_b, out_l);
-        assert_eq!(out_b.len(), 1, "(A@1, B@2) matches; C@4 blocks (A@3, B@5)");
-    }
-
     #[test]
     fn between_negation_blocks_interleaved_event() {
         let reg = registry();
@@ -2490,52 +2364,50 @@ mod tests {
 
     /// The batched entry point must be invisible: same outputs (in the
     /// same per-row order) and the same state-affecting counters as
-    /// feeding the run event-at-a-time, with and without vectorization.
+    /// feeding the run event-at-a-time.
     #[test]
     fn batch_path_matches_per_event_path() {
         let reg = registry();
-        for vectorize in [false, true] {
-            let mut per_event = leading_negation_pattern(&reg);
-            let mut batched = leading_negation_pattern(&reg);
-            let mut out_per_event: Vec<Event> = Vec::new();
-            let mut out_batched: Vec<(u32, Event)> = Vec::new();
-            for step in 0..10u64 {
-                let t = step * 30;
-                let batch: Vec<Event> = (0..8)
-                    .filter(|vid| (step + vid) % 3 != 0)
-                    .map(|vid| pr(&reg, t, vid as i64))
-                    .collect();
-                for e in &batch {
-                    per_event.process(e, &mut out_per_event);
-                }
-                let mut cols = ColumnarBatch::new(&batch, vectorize);
-                let sel: Vec<u32> = (0..batch.len() as u32).collect();
-                batched.process_batch(&mut cols, &sel, &mut out_batched);
+        let mut per_event = leading_negation_pattern(&reg);
+        let mut batched = leading_negation_pattern(&reg);
+        let mut out_per_event: Vec<Event> = Vec::new();
+        let mut out_batched: Vec<(u32, Event)> = Vec::new();
+        for step in 0..10u64 {
+            let t = step * 30;
+            let batch: Vec<Event> = (0..8)
+                .filter(|vid| (step + vid) % 3 != 0)
+                .map(|vid| pr(&reg, t, vid as i64))
+                .collect();
+            for e in &batch {
+                per_event.process(e, &mut out_per_event);
             }
-            // Rows are processed in order and matches per row in
-            // generation order — flattening the tagged pairs must give
-            // the per-event output stream exactly.
-            let flattened: Vec<Event> = out_batched.iter().map(|(_, e)| e.clone()).collect();
-            assert_eq!(out_per_event, flattened);
-            assert_eq!(per_event.stats.matches, batched.stats.matches);
-            assert_eq!(
-                per_event.stats.negation_rejections,
-                batched.stats.negation_rejections
-            );
-            assert_eq!(
-                per_event.stats.partials_created,
-                batched.stats.partials_created
-            );
-            assert_eq!(
-                per_event.stats.events_processed,
-                batched.stats.events_processed
-            );
-            assert!(batched.pool_consistent());
+            let mut cols = ColumnarBatch::new(&batch);
+            let sel: Vec<u32> = (0..batch.len() as u32).collect();
+            batched.process_batch(&mut cols, &sel, &mut out_batched);
         }
+        // Rows are processed in order and matches per row in generation
+        // order — flattening the tagged pairs must give the per-event
+        // output stream exactly.
+        let flattened: Vec<Event> = out_batched.iter().map(|(_, e)| e.clone()).collect();
+        assert_eq!(out_per_event, flattened);
+        assert_eq!(per_event.stats.matches, batched.stats.matches);
+        assert_eq!(
+            per_event.stats.negation_rejections,
+            batched.stats.negation_rejections
+        );
+        assert_eq!(
+            per_event.stats.partials_created,
+            batched.stats.partials_created
+        );
+        assert_eq!(
+            per_event.stats.events_processed,
+            batched.stats.events_processed
+        );
+        assert!(batched.pool_consistent());
     }
 
     /// The element-0 kernel pre-filter must admit exactly the rows the
-    /// interpreted step predicates admit.
+    /// interpreted step predicates of the per-event path admit.
     #[test]
     fn batch_step_kernels_match_interpreter() {
         let reg = registry();
@@ -2579,7 +2451,7 @@ mod tests {
         };
         let mut interp = build();
         let mut vector = build();
-        let mut out_interp: Vec<(u32, Event)> = Vec::new();
+        let mut out_interp: Vec<Event> = Vec::new();
         let mut out_vector: Vec<(u32, Event)> = Vec::new();
         for step in 0..6u64 {
             // A run of As at t, then a run of Bs at t+1, with values
@@ -2589,15 +2461,17 @@ mod tests {
                 let batch: Vec<Event> = (0..6)
                     .map(|k| ev(&reg, ty, t, k + (step % 3) as i64 + 3))
                     .collect();
+                for e in &batch {
+                    interp.process(e, &mut out_interp);
+                }
                 let sel: Vec<u32> = (0..batch.len() as u32).collect();
-                let mut cols_i = ColumnarBatch::new(&batch, false);
-                interp.process_batch(&mut cols_i, &sel, &mut out_interp);
-                let mut cols_v = ColumnarBatch::new(&batch, true);
-                vector.process_batch(&mut cols_v, &sel, &mut out_vector);
+                let mut cols = ColumnarBatch::new(&batch);
+                vector.process_batch(&mut cols, &sel, &mut out_vector);
             }
         }
         assert!(!out_interp.is_empty());
-        assert_eq!(out_interp, out_vector);
+        let flattened: Vec<Event> = out_vector.into_iter().map(|(_, e)| e).collect();
+        assert_eq!(out_interp, flattened);
         assert_eq!(interp.stats.matches, vector.stats.matches);
         assert_eq!(interp.stats.partials_created, vector.stats.partials_created);
         assert!(

@@ -1030,7 +1030,7 @@ mod tests {
         let p1 = relay_plan(&reg, 0, "In", "Mid");
         let p2 = relay_plan(&reg, 1, "Mid", "Final");
         let mut per_event = CombinedPlan::new("c".into(), 0, vec![p1, p2]);
-        let pristine = per_event.clone();
+        let mut batched = per_event.clone();
         let table = ContextTable::new(1, 0);
         let events: Vec<Event> = (0..6).map(|i| in_event(&reg, 5, i)).collect();
 
@@ -1040,17 +1040,11 @@ mod tests {
                 per_event.process(e, &table, &mut out_a);
             }
         }
-        for vectorize in [false, true] {
-            let mut batched = pristine.clone();
-            let mut out_b = PlanOutput::default();
-            let mut cols = ColumnarBatch::new(&events, vectorize);
-            batched.process_batch(&mut cols, &table, &mut out_b);
-            assert_eq!(out_a.events, out_b.events, "vectorize={vectorize}");
-            assert_eq!(
-                out_a.transitions, out_b.transitions,
-                "vectorize={vectorize}"
-            );
-        }
+        let mut out_b = PlanOutput::default();
+        let mut cols = ColumnarBatch::new(&events);
+        batched.process_batch(&mut cols, &table, &mut out_b);
+        assert_eq!(out_a.events, out_b.events);
+        assert_eq!(out_a.transitions, out_b.transitions);
     }
 
     #[test]
@@ -1067,7 +1061,7 @@ mod tests {
         // Mixed batch: only the two In events are consumed.
         let events = vec![in_event(&reg, 5, 1), mid, in_event(&reg, 5, 2)];
         let mut out = PlanOutput::default();
-        let mut cols = ColumnarBatch::new(&events, true);
+        let mut cols = ColumnarBatch::new(&events);
         plan.process_batch(&mut cols, &table, &mut out, &mut ChainScratch::default());
         assert_eq!(out.events.len(), 2);
         assert_eq!(out.events[0].attrs[0], Value::Int(1));

@@ -106,11 +106,7 @@ fn timed_run(
     shards: usize,
     events: &[Event],
 ) -> (u64, f64) {
-    let config = EngineConfig::builder()
-        .mode(mode)
-        .sharing(sharing)
-        .batch(BatchPolicy::default())
-        .build();
+    let config = EngineConfig::builder().mode(mode).sharing(sharing).build();
     let spec = ModeSpec {
         label: "bench".into(),
         config,

@@ -14,11 +14,11 @@
 //! cargo run --release -p caesar-bench --bin fig11 [-- a|b]
 //! ```
 
-use caesar_bench::{measure, print_table};
+use caesar_bench::latency::l_factor;
+use caesar_bench::{measure, print_table, TICK_NS};
 use caesar_core::prelude::*;
 use caesar_linear_road::{build_lr_system, LinearRoadConfig, TrafficSim};
 use caesar_optimizer::search::{exhaustive_search, greedy_search, synthetic_operators};
-use caesar_runtime::metrics::l_factor;
 use std::time::Instant;
 
 fn part_a() {
@@ -57,15 +57,17 @@ fn part_a() {
 /// spikes that would otherwise dominate underloaded runs.
 fn robust_max_latency(
     replication: usize,
-    engine_config: EngineConfig,
+    mode: ExecutionMode,
     events: &[caesar_core::prelude::Event],
+    tick_ns: u64,
 ) -> u64 {
+    let engine_config = EngineConfig::builder().mode(mode).build();
     (0..3)
         .map(|_| {
             let mut system =
                 build_lr_system(replication, OptimizerConfig::default(), engine_config);
-            measure("run", &mut system, events.to_vec())
-                .report
+            measure("run", &mut system, events.to_vec(), tick_ns)
+                .latency
                 .max_latency_ns
         })
         .min()
@@ -79,7 +81,7 @@ fn part_b() {
     // Runtime calibration: pick the arrival-clock scale from the
     // 2-road optimized run so the sweep brackets the overload knee on
     // any machine (see DESIGN.md, substitution #4).
-    let mut ns_per_tick = 0u64;
+    let mut tick_ns = 0u64;
     for roads in 2..=8u32 {
         let config = LinearRoadConfig {
             roads,
@@ -93,7 +95,7 @@ fn part_b() {
         };
         let mut sim = TrafficSim::new(config);
         let events = sim.generate();
-        if ns_per_tick == 0 {
+        if tick_ns == 0 {
             // Calibrate: process as fast as possible three times, then
             // set the tick so the optimized 2-road run sits at ~15%
             // average utilization.
@@ -101,37 +103,29 @@ fn part_b() {
                 .map(|_| {
                     let mut warm =
                         build_lr_system(10, OptimizerConfig::default(), EngineConfig::default());
-                    let m = measure("warm", &mut warm, events.clone());
-                    m.report.wall_time.as_nanos() as u64
+                    let m = measure("warm", &mut warm, events.clone(), TICK_NS);
+                    m.latency.busy.as_nanos() as u64
                 })
                 .min()
                 .expect("three runs");
-            ns_per_tick = (busy_ns * 7 / 900).max(1_000);
-            println!("calibrated ns_per_tick = {ns_per_tick}");
+            tick_ns = (busy_ns * 7 / 900).max(1_000);
+            println!("calibrated tick_ns = {tick_ns}");
         }
         // Busy-waiting only: the "non-optimized plan" comparison
         // isolates suspension and push-down, without the per-query
         // re-derivation of the full CI baseline (Figure 12's
-        // subject). `baseline_pushdown(false)` leaves the context
-        // window mid-chain, so every event traverses the pattern and
-        // filter operators before being dropped — the literal
-        // non-optimized plan of Figure 6(a).
-        let engine = |mode| {
-            EngineConfig::builder()
-                .mode(mode)
-                .redundant_derivation(false)
-                .baseline_pushdown(false)
-                .ns_per_tick(ns_per_tick)
-                .build()
-        };
-        let opt = robust_max_latency(10, engine(ExecutionMode::ContextAware), &events);
-        let plain = robust_max_latency(10, engine(ExecutionMode::ContextIndependent), &events);
+        // subject). `BusyWait` leaves the context window mid-chain,
+        // so every event traverses the pattern and filter operators
+        // before being dropped — the literal non-optimized plan of
+        // Figure 6(a).
+        let opt = robust_max_latency(10, ExecutionMode::ContextAware, &events, tick_ns);
+        let plain = robust_max_latency(10, ExecutionMode::BusyWait, &events, tick_ns);
         optimized_points.push((roads, opt));
         plain_points.push((roads, plain));
         rows.push(vec![
             roads.to_string(),
-            format!("{:.3}", opt as f64 / ns_per_tick as f64),
-            format!("{:.3}", plain as f64 / ns_per_tick as f64),
+            format!("{:.3}", opt as f64 / tick_ns as f64),
+            format!("{:.3}", plain as f64 / tick_ns as f64),
         ]);
     }
     print_table(
@@ -139,7 +133,7 @@ fn part_b() {
         &["roads", "optimized", "non-optimized"],
         &rows,
     );
-    let constraint = 5 * ns_per_tick; // "5 seconds" in simulated time
+    let constraint = 5 * tick_ns; // "5 seconds" in simulated time
     println!(
         "L-factor (5 s constraint): optimized = {} roads, non-optimized = {} roads",
         l_factor(&optimized_points, constraint),

@@ -16,7 +16,7 @@
 //! cargo run --release -p caesar-bench --bin fig12 [-- a|b|c|d]
 //! ```
 
-use caesar_bench::{measure, print_table, ratio};
+use caesar_bench::{measure, print_table, ratio, TICK_NS};
 use caesar_core::prelude::*;
 use caesar_events::generator::WindowPlacement;
 use caesar_linear_road::{build_lr_system_critical, LinearRoadConfig, SchedulePolicy, TrafficSim};
@@ -26,11 +26,8 @@ use caesar_pam::{generate, pam_model, pam_registry, PamConfig};
 /// max-latency, which is robust against OS scheduling spikes).
 const REPEATS: usize = 3;
 
-fn engine(mode: ExecutionMode, ns_per_tick: u64) -> EngineConfig {
-    EngineConfig::builder()
-        .mode(mode)
-        .ns_per_tick(ns_per_tick)
-        .build()
+fn engine(mode: ExecutionMode) -> EngineConfig {
+    EngineConfig::builder().mode(mode).build()
 }
 
 /// Busy nanoseconds per tick of a mode on this machine (min of three
@@ -38,14 +35,11 @@ fn engine(mode: ExecutionMode, ns_per_tick: u64) -> EngineConfig {
 fn busy_per_tick(mode: ExecutionMode, replication: usize, events: &[Event], duration: u64) -> f64 {
     (0..REPEATS)
         .map(|_| {
-            let mut system = build_lr_system_critical(
-                replication,
-                OptimizerConfig::default(),
-                engine(mode, 1_000_000_000),
-            );
-            measure("cal", &mut system, events.to_vec())
-                .report
-                .wall_time
+            let mut system =
+                build_lr_system_critical(replication, OptimizerConfig::default(), engine(mode));
+            measure("cal", &mut system, events.to_vec(), TICK_NS)
+                .latency
+                .busy
                 .as_nanos() as u64
         })
         .min()
@@ -100,34 +94,26 @@ fn critical_windows() -> SchedulePolicy {
     }
 }
 
-fn robust(mode: ExecutionMode, replication: usize, events: &[Event], ns_per_tick: u64) -> u64 {
+fn robust(mode: ExecutionMode, replication: usize, events: &[Event], tick_ns: u64) -> u64 {
     (0..REPEATS)
         .map(|_| {
-            let mut system = build_lr_system_critical(
-                replication,
-                OptimizerConfig::default(),
-                engine(mode, ns_per_tick),
-            );
-            measure("run", &mut system, events.to_vec())
-                .report
+            let mut system =
+                build_lr_system_critical(replication, OptimizerConfig::default(), engine(mode));
+            measure("run", &mut system, events.to_vec(), tick_ns)
+                .latency
                 .max_latency_ns
         })
         .min()
         .expect("repeats >= 1")
 }
 
-fn compare(events: Vec<Event>, replication: usize, ns_per_tick: u64) -> (u64, u64) {
-    let ca = robust(
-        ExecutionMode::ContextAware,
-        replication,
-        &events,
-        ns_per_tick,
-    );
+fn compare(events: Vec<Event>, replication: usize, tick_ns: u64) -> (u64, u64) {
+    let ca = robust(ExecutionMode::ContextAware, replication, &events, tick_ns);
     let ci = robust(
         ExecutionMode::ContextIndependent,
         replication,
         &events,
-        ns_per_tick,
+        tick_ns,
     );
     (ca, ci)
 }
@@ -135,11 +121,11 @@ fn compare(events: Vec<Event>, replication: usize, ns_per_tick: u64) -> (u64, u6
 fn part_a() {
     let mut rows = Vec::new();
     let (cal_events, _) = lr_events(3, 31, critical_windows());
-    let ns_per_tick = calibrate(20, &cal_events, 900);
-    println!("calibrated ns_per_tick = {ns_per_tick}");
+    let tick_ns = calibrate(20, &cal_events, 900);
+    println!("calibrated tick_ns = {tick_ns}");
     for queries in [2usize, 4, 6, 8, 10, 12, 14, 16, 18, 20] {
         let (events, _) = lr_events(3, 31, critical_windows());
-        let (ca, ci) = compare(events, queries, ns_per_tick);
+        let (ca, ci) = compare(events, queries, tick_ns);
         rows.push(vec![
             queries.to_string(),
             format!("{:.3}", ca as f64 / 1e6),
@@ -162,7 +148,7 @@ fn part_a() {
         },
         &registry,
     );
-    let build = |mode, ns_per_tick: u64| {
+    let build = |mode| {
         Caesar::builder()
             .model(pam_model(20))
             .schema(
@@ -192,22 +178,17 @@ fn part_a() {
                 &[("subject", AttrType::Int), ("sec", AttrType::Int)],
             )
             .within(30)
-            .engine_config(
-                EngineConfig::builder()
-                    .mode(mode)
-                    .ns_per_tick(ns_per_tick)
-                    .build(),
-            )
+            .engine_config(engine(mode))
             .build()
             .unwrap()
     };
     let pam_busy = |mode| {
         (0..REPEATS)
             .map(|_| {
-                let mut system = build(mode, 1_000_000_000);
-                measure("PAM cal", &mut system, events.clone())
-                    .report
-                    .wall_time
+                let mut system = build(mode);
+                measure("PAM cal", &mut system, events.clone(), TICK_NS)
+                    .latency
+                    .busy
                     .as_nanos() as u64
             })
             .min()
@@ -218,9 +199,9 @@ fn part_a() {
     let robust_pam = |mode| {
         (0..REPEATS)
             .map(|_| {
-                let mut system = build(mode, pam_tick);
-                measure("PAM", &mut system, events.clone())
-                    .report
+                let mut system = build(mode);
+                measure("PAM", &mut system, events.clone(), pam_tick)
+                    .latency
                     .max_latency_ns
             })
             .min()
@@ -239,11 +220,11 @@ fn part_a() {
 fn part_b() {
     let mut rows = Vec::new();
     let (cal_events, _) = lr_events(7, 32, critical_windows());
-    let ns_per_tick = calibrate(10, &cal_events, 900);
-    println!("calibrated ns_per_tick = {ns_per_tick}");
+    let tick_ns = calibrate(10, &cal_events, 900);
+    println!("calibrated tick_ns = {tick_ns}");
     for roads in 2..=7u32 {
         let (events, _) = lr_events(roads, 32, critical_windows());
-        let (ca, ci) = compare(events, 10, ns_per_tick);
+        let (ca, ci) = compare(events, 10, tick_ns);
         rows.push(vec![
             roads.to_string(),
             format!("{:.3}", ca as f64 / 1e6),
@@ -261,8 +242,8 @@ fn part_b() {
 fn part_c() {
     let mut rows = Vec::new();
     let (cal_events, _) = lr_events(2, 33, critical_windows());
-    let ns_per_tick = calibrate(10, &cal_events, 900);
-    println!("calibrated ns_per_tick = {ns_per_tick}");
+    let tick_ns = calibrate(10, &cal_events, 900);
+    println!("calibrated tick_ns = {tick_ns}");
     for length in [90u64, 135, 180, 270, 360, 430] {
         let (events, coverage) = lr_events(
             2,
@@ -273,7 +254,7 @@ fn part_c() {
                 placement: WindowPlacement::Uniform,
             },
         );
-        let (ca, ci) = compare(events, 10, ns_per_tick);
+        let (ca, ci) = compare(events, 10, tick_ns);
         rows.push(vec![
             length.to_string(),
             format!("{:.0}%", (1.0 - coverage) * 100.0),
@@ -291,8 +272,8 @@ fn part_c() {
 fn part_d() {
     let mut rows = Vec::new();
     let (cal_events, _) = lr_events(2, 34, critical_windows());
-    let ns_per_tick = calibrate(10, &cal_events, 900);
-    println!("calibrated ns_per_tick = {ns_per_tick}");
+    let tick_ns = calibrate(10, &cal_events, 900);
+    println!("calibrated tick_ns = {tick_ns}");
     for count in [1usize, 2, 4, 8, 12, 16] {
         let (events, coverage) = lr_events(
             2,
@@ -303,7 +284,7 @@ fn part_d() {
                 placement: WindowPlacement::Uniform,
             },
         );
-        let (ca, ci) = compare(events, 10, ns_per_tick);
+        let (ca, ci) = compare(events, 10, tick_ns);
         rows.push(vec![
             count.to_string(),
             format!("{:.0}%", (1.0 - coverage) * 100.0),

@@ -17,7 +17,8 @@ use caesar_core::prelude::*;
 use caesar_events::generator::WindowPlacement;
 use caesar_linear_road::{build_lr_system_critical, LinearRoadConfig, SchedulePolicy, TrafficSim};
 
-const NS_PER_TICK: u64 = 200_000;
+/// Simulated nanoseconds of arrival time per tick.
+const TICK_NS: u64 = 200_000;
 
 fn run(placement: WindowPlacement, replication: usize, seed: u64) -> u64 {
     let config = LinearRoadConfig {
@@ -40,9 +41,11 @@ fn run(placement: WindowPlacement, replication: usize, seed: u64) -> u64 {
     let mut system = build_lr_system_critical(
         replication,
         OptimizerConfig::default(),
-        EngineConfig::builder().ns_per_tick(NS_PER_TICK).build(),
+        EngineConfig::default(),
     );
-    measure("fig13", &mut system, events).report.max_latency_ns
+    measure("fig13", &mut system, events, TICK_NS)
+        .latency
+        .max_latency_ns
 }
 
 fn main() {

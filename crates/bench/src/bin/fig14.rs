@@ -13,7 +13,7 @@
 //! ```
 
 use caesar_bench::overlap::{build_system, overlap_stream, OverlapConfig};
-use caesar_bench::{measure, print_table, ratio};
+use caesar_bench::{measure, print_table, ratio, TICK_NS};
 
 const REPEATS: usize = 3;
 
@@ -29,9 +29,9 @@ fn run_pair(config: &OverlapConfig) -> (u64, u64, f64) {
         (0..REPEATS)
             .map(|_| {
                 let mut system = build_system(config, sharing);
-                measure("cal", &mut system, events.clone())
-                    .report
-                    .wall_time
+                measure("cal", &mut system, events.clone(), TICK_NS)
+                    .latency
+                    .busy
                     .as_nanos() as u64
             })
             .min()
@@ -40,14 +40,13 @@ fn run_pair(config: &OverlapConfig) -> (u64, u64, f64) {
     };
     let (busy_shared, busy_plain) = (busy(true), busy(false));
     let cpu_gain = busy_plain / busy_shared.max(1.0);
-    let ns_per_tick = ((busy_shared * busy_plain).sqrt() as u64).max(1_000);
+    let tick_ns = ((busy_shared * busy_plain).sqrt() as u64).max(1_000);
     let robust = |sharing: bool| {
         (0..REPEATS)
             .map(|_| {
-                let mut system =
-                    caesar_bench::overlap::build_system_clocked(config, sharing, ns_per_tick);
-                measure("run", &mut system, events.clone())
-                    .report
+                let mut system = build_system(config, sharing);
+                measure("run", &mut system, events.clone(), tick_ns)
+                    .latency
                     .max_latency_ns
             })
             .min()

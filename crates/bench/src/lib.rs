@@ -1,6 +1,7 @@
 //! Benchmark harness for the CAESAR evaluation (§7): shared measurement
-//! utilities, the synthetic overlapping-context workload of §7.3.2, and
-//! table printing that mirrors the paper's figures.
+//! utilities, the §7 queueing-latency model ([`latency`]), the synthetic
+//! overlapping-context workload of §7.3.2, and table printing that
+//! mirrors the paper's figures.
 //!
 //! Each figure of the paper has a dedicated binary in `src/bin/`
 //! (`fig10` … `fig14`); `EXPERIMENTS.md` at the workspace root records
@@ -10,10 +11,16 @@
 #![forbid(unsafe_code)]
 #![deny(deprecated)]
 
+pub mod latency;
 pub mod overlap;
 
 use caesar_core::prelude::*;
+use latency::LatencyTracker;
 use std::time::Instant;
+
+/// The arrival clock for runs that only need busy time: one tick is one
+/// simulated millisecond.
+pub const TICK_NS: u64 = 1_000_000;
 
 /// One measured run: label → report.
 #[derive(Debug, Clone)]
@@ -24,22 +31,54 @@ pub struct Measured {
     pub report: RunReport,
     /// Wall-clock time of the whole run.
     pub wall_secs: f64,
+    /// The queueing model fed with the run's service intervals.
+    pub latency: LatencyTracker,
 }
 
-/// Runs a stream through a system, measuring wall time.
+/// Runs a time-ordered stream through a system, measuring wall time and
+/// feeding the queueing model at `tick_ns` simulated nanoseconds per
+/// tick. Each ingest that advances the stream's timestamp — the only
+/// kind that executes transactions, those of the previous timestamp —
+/// is timed as one service interval charged to that previous
+/// timestamp, and so is the end-of-stream [`Engine::drain`], which
+/// executes the last one (the report is built off the clock).
+///
+/// [`Engine::drain`]: caesar_runtime::Engine::drain
+///
+/// # Panics
+/// If the stream is out of order.
 pub fn measure(
     label: impl Into<String>,
     system: &mut CaesarSystem,
     events: Vec<Event>,
+    tick_ns: u64,
 ) -> Measured {
+    let mut latency = LatencyTracker::new(tick_ns);
+    let mut progress: Option<Time> = None;
     let start = Instant::now();
-    let report = system
-        .run_stream(&mut VecStream::new(events))
-        .expect("benchmark streams are in order");
+    for event in events {
+        let t = event.time();
+        let advanced_from = progress.filter(|&p| t > p);
+        let service = advanced_from.map(|_| Instant::now());
+        system
+            .ingest(event)
+            .expect("benchmark streams are in order");
+        if let (Some(arrival), Some(service)) = (advanced_from, service) {
+            latency.record(arrival, service.elapsed());
+        }
+        progress = Some(t);
+    }
+    let service = Instant::now();
+    system.engine.drain();
+    if let Some(arrival) = progress {
+        latency.record(arrival, service.elapsed());
+    }
+    let report = system.finish();
     Measured {
         label: label.into(),
         report,
         wall_secs: start.elapsed().as_secs_f64(),
+        latency,
     }
 }
 

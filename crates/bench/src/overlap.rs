@@ -137,16 +137,6 @@ pub fn overlap_model(config: &OverlapConfig) -> CaesarModel {
 /// Never for valid configurations.
 #[must_use]
 pub fn build_system(config: &OverlapConfig, sharing: bool) -> CaesarSystem {
-    build_system_clocked(config, sharing, EngineConfig::default().ns_per_tick)
-}
-
-/// [`build_system`] with an explicit arrival-clock scale.
-#[must_use]
-pub fn build_system_clocked(
-    config: &OverlapConfig,
-    sharing: bool,
-    ns_per_tick: u64,
-) -> CaesarSystem {
     Caesar::builder()
         .model(overlap_model(config))
         .schema(
@@ -160,12 +150,7 @@ pub fn build_system_clocked(
         .schema("Start", &[("idx", AttrType::Int), ("sec", AttrType::Int)])
         .schema("End", &[("idx", AttrType::Int), ("sec", AttrType::Int)])
         .within(20)
-        .engine_config(
-            EngineConfig::builder()
-                .sharing(sharing)
-                .ns_per_tick(ns_per_tick)
-                .build(),
-        )
+        .engine_config(EngineConfig::builder().sharing(sharing).build())
         .build()
         .expect("overlap model builds")
 }

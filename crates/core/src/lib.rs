@@ -63,8 +63,8 @@ use std::fmt;
 pub mod prelude {
     pub use crate::{Caesar, CaesarBuilder, CaesarError, CaesarSystem};
     pub use caesar_events::{
-        AttrType, BatchPolicy, Event, EventBatch, EventBuilder, EventStream, Interval, PartitionId,
-        Schema, SchemaRegistry, Time, Value, VecStream,
+        AttrType, Event, EventBuilder, EventStream, Interval, PartitionId, Schema, SchemaRegistry,
+        Time, Value, VecStream,
     };
     pub use caesar_optimizer::OptimizerConfig;
     pub use caesar_query::{CaesarModel, ModelBuilder};
@@ -273,10 +273,9 @@ impl CaesarSystem {
         Ok(EventBuilder::new(&self.registry, type_name, t)?)
     }
 
-    /// Ingests one event or a whole same-timestamp batch (anything
-    /// convertible into a [`caesar_events::Ingest`]).
-    pub fn ingest(&mut self, input: impl Into<caesar_events::Ingest>) -> Result<(), CaesarError> {
-        Ok(self.engine.ingest(input)?)
+    /// Ingests one event.
+    pub fn ingest(&mut self, event: caesar_events::Event) -> Result<(), CaesarError> {
+        Ok(self.engine.ingest(event)?)
     }
 
     /// Runs a whole stream.

@@ -259,19 +259,15 @@ fn filled<T: Clone>(n: usize, fill: T) -> Vec<T> {
 pub struct ColumnarBatch<'a> {
     events: &'a [Event],
     views: Vec<ColumnarView>,
-    /// When false (vectorization disabled), executors skip view
-    /// construction and use the interpreter on selection vectors.
-    pub enabled: bool,
 }
 
 impl<'a> ColumnarBatch<'a> {
     /// Wraps a batch slice. No columns are built until [`Self::view`]
     /// is called.
-    pub fn new(events: &'a [Event], enabled: bool) -> Self {
+    pub fn new(events: &'a [Event]) -> Self {
         ColumnarBatch {
             events,
             views: Vec::new(),
-            enabled,
         }
     }
 
@@ -362,7 +358,7 @@ mod tests {
     #[test]
     fn batch_caches_views_per_type() {
         let events = vec![ev(1, vec![Value::Int(1)]), ev(2, vec![Value::Int(2)])];
-        let mut batch = ColumnarBatch::new(&events, true);
+        let mut batch = ColumnarBatch::new(&events);
         assert_eq!(batch.view(TypeId(1)).int_col(0), &[1, 0]);
         assert_eq!(batch.view(TypeId(2)).int_col(0), &[0, 2]);
         // Second access hits the cache (same pointer).

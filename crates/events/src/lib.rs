@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![deny(deprecated)]
 
-pub mod batch;
 pub mod codec;
 pub mod columnar;
 pub mod error;
@@ -41,7 +40,6 @@ pub mod stream;
 pub mod time;
 pub mod value;
 
-pub use batch::{BatchPolicy, BatchedStream, Batcher};
 pub use codec::{
     decode, decode_all, decode_record, decode_records, decode_slice, encode, encode_all,
     encode_record, encode_records, encode_to_vec, CodecError,
@@ -54,6 +52,6 @@ pub use queue::PartitionedQueues;
 pub use record::OutputRecord;
 pub use reorder::{max_lateness, ReorderBuffer};
 pub use schema::{AttrId, AttrType, Schema, SchemaRegistry, Symbol, SymbolTable, TypeId};
-pub use stream::{EventBatch, EventStream, Ingest, MergedStream, VecStream};
+pub use stream::{EventStream, MergedStream, VecStream};
 pub use time::{Interval, Time, WindowSpan, TIME_MAX};
 pub use value::Value;

@@ -16,7 +16,6 @@
 
 use crate::error::EventError;
 use crate::event::Event;
-use crate::stream::EventBatch;
 use crate::time::Time;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -54,23 +53,7 @@ pub struct PartitionedQueues {
 impl PartitionedQueues {
     /// Buffers an event, enforcing the in-order assumption of §6.2.
     pub fn push(&mut self, event: Event) -> Result<(), EventError> {
-        self.advance(event.time())?;
-        self.events.push(event);
-        Ok(())
-    }
-
-    /// Buffers a same-timestamp batch with a single watermark check —
-    /// the batched counterpart of repeated [`push`](Self::push) calls.
-    pub fn push_batch(&mut self, mut batch: EventBatch) -> Result<(), EventError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.advance(batch.time)?;
-        self.events.append(&mut batch.events);
-        Ok(())
-    }
-
-    fn advance(&mut self, t: Time) -> Result<(), EventError> {
+        let t = event.time();
         if t < self.watermark {
             return Err(EventError::OutOfOrder {
                 watermark: self.watermark,
@@ -78,6 +61,7 @@ impl PartitionedQueues {
             });
         }
         self.watermark = t;
+        self.events.push(event);
         Ok(())
     }
 
@@ -198,26 +182,6 @@ mod tests {
             })
         ));
         assert_eq!(pq.buffered(), 3, "a rejected event is not buffered");
-    }
-
-    #[test]
-    fn push_batch_matches_repeated_push() {
-        let mut a = PartitionedQueues::default();
-        let mut b = PartitionedQueues::default();
-        for e in [ev(4, 0), ev(4, 2), ev(4, 0)] {
-            a.push(e).unwrap();
-        }
-        b.push_batch(EventBatch::new(4, vec![ev(4, 0), ev(4, 2), ev(4, 0)]))
-            .unwrap();
-        assert_eq!(a.watermark(), b.watermark());
-        assert_eq!(shape(a.pop_time_slice(4)), shape(b.pop_time_slice(4)));
-        assert!(matches!(
-            b.push_batch(EventBatch::new(2, vec![ev(2, 0)])),
-            Err(EventError::OutOfOrder { .. })
-        ));
-        // An empty batch is a no-op, whatever timestamp it states.
-        b.push_batch(EventBatch::new(0, vec![])).unwrap();
-        assert_eq!(b.watermark(), 4);
     }
 
     #[test]

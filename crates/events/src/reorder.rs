@@ -12,7 +12,6 @@
 //! silently corrupting context state.
 
 use crate::event::Event;
-use crate::stream::EventBatch;
 use crate::time::Time;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -112,29 +111,6 @@ impl ReorderBuffer {
             seq: self.seq,
             event,
         }));
-        Ok(self.drain_ready())
-    }
-
-    /// Offers a same-timestamp batch: one lateness check and one release
-    /// drain for the whole batch instead of one per event. A too-late
-    /// batch is rejected whole (all its events share the offending
-    /// timestamp, so they are all equally late).
-    #[allow(clippy::result_large_err)] // the rejected batch is the payload
-    pub fn push_batch(&mut self, batch: EventBatch) -> Result<Vec<Event>, EventBatch> {
-        let t = batch.time;
-        if self.released > 0 && t < self.released {
-            self.late_dropped += batch.len() as u64;
-            return Err(batch);
-        }
-        self.high = self.high.max(t);
-        for event in batch.events {
-            self.seq += 1;
-            self.heap.push(Reverse(Entry {
-                time: t,
-                seq: self.seq,
-                event,
-            }));
-        }
         Ok(self.drain_ready())
     }
 
@@ -331,42 +307,6 @@ mod tests {
         let a: Vec<Time> = buf.flush().iter().map(Event::time).collect();
         let b: Vec<Time> = restored.flush().iter().map(Event::time).collect();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn push_batch_matches_per_event_pushes() {
-        let groups: &[&[Time]] = &[&[3, 3], &[1], &[7, 7, 7], &[5], &[12]];
-        let mut per_event = ReorderBuffer::new(4);
-        let mut batched = ReorderBuffer::new(4);
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
-        for &times in groups {
-            for &t in times {
-                if let Ok(ready) = per_event.push(ev(t)) {
-                    out_a.extend(ready.iter().map(Event::time));
-                }
-            }
-            let batch = EventBatch::new(times[0], times.iter().map(|&t| ev(t)).collect());
-            if let Ok(ready) = batched.push_batch(batch) {
-                out_b.extend(ready.iter().map(Event::time));
-            }
-        }
-        out_a.extend(per_event.flush().iter().map(Event::time));
-        out_b.extend(batched.flush().iter().map(Event::time));
-        assert_eq!(out_a, out_b);
-        assert_eq!(per_event.late_dropped, batched.late_dropped);
-    }
-
-    #[test]
-    fn late_batch_rejected_whole() {
-        let mut buf = ReorderBuffer::new(1);
-        let _ = buf.push(ev(10));
-        let _ = buf.push(ev(20)); // releases up to 19
-        let rejected = buf
-            .push_batch(EventBatch::new(3, vec![ev(3), ev(3), ev(3)]))
-            .unwrap_err();
-        assert_eq!(rejected.len(), 3);
-        assert_eq!(buf.late_dropped, 3);
     }
 
     #[test]

@@ -1,78 +1,11 @@
-//! Event streams and batches.
+//! Event streams.
 //!
 //! An input event stream is an unbounded, time-ordered sequence of events
-//! (§2). The runtime pulls events in *batches* (all events sharing one
-//! application timestamp within one partition form the unit of a stream
-//! transaction, §6.2) — routing "happens for stream batches rather than
-//! for single events" keeps the context-aware router lightweight.
+//! (§2). The runtime pulls it one event at a time; the scheduler groups
+//! the events sharing one application timestamp within one partition into
+//! the unit of a stream transaction (§6.2).
 
 use crate::event::Event;
-use crate::time::Time;
-
-/// A batch of events sharing one application timestamp.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EventBatch {
-    /// Common application timestamp of all events in the batch.
-    pub time: Time,
-    /// The events; all satisfy `event.time() == time`.
-    pub events: Vec<Event>,
-}
-
-impl EventBatch {
-    /// Creates a batch, asserting (in debug builds) that all events share
-    /// the stated timestamp.
-    #[must_use]
-    pub fn new(time: Time, events: Vec<Event>) -> Self {
-        debug_assert!(events.iter().all(|e| e.time() == time));
-        Self { time, events }
-    }
-
-    /// Number of events in the batch.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Returns `true` if the batch carries no events.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-/// What one `Engine::ingest` call takes: a single event or a
-/// same-timestamp batch. Both convert into it, so call sites pass either
-/// directly and a single event never pays for a one-element `Vec`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Ingest {
-    /// One event at its own timestamp.
-    Event(Event),
-    /// A same-timestamp batch.
-    Batch(EventBatch),
-}
-
-impl Ingest {
-    /// The timestamp the input carries; `None` for an empty batch.
-    #[must_use]
-    pub fn time(&self) -> Option<Time> {
-        match self {
-            Ingest::Event(event) => Some(event.time()),
-            Ingest::Batch(batch) => (!batch.is_empty()).then_some(batch.time),
-        }
-    }
-}
-
-impl From<Event> for Ingest {
-    fn from(event: Event) -> Self {
-        Ingest::Event(event)
-    }
-}
-
-impl From<EventBatch> for Ingest {
-    fn from(batch: EventBatch) -> Self {
-        Ingest::Batch(batch)
-    }
-}
 
 /// A pull-based source of time-ordered events.
 ///
@@ -185,6 +118,7 @@ mod tests {
     use super::*;
     use crate::event::PartitionId;
     use crate::schema::TypeId;
+    use crate::time::Time;
     use crate::value::Value;
 
     fn ev(t: Time) -> Event {
@@ -236,13 +170,5 @@ mod tests {
         let mut m = MergedStream::new(vec![a, b]);
         assert_eq!(m.next_event().unwrap().time(), 9);
         assert!(m.next_event().is_none());
-    }
-
-    #[test]
-    fn batch_len_and_emptiness() {
-        let b = EventBatch::new(3, vec![ev(3), ev(3)]);
-        assert_eq!(b.len(), 2);
-        assert!(!b.is_empty());
-        assert!(EventBatch::default().is_empty());
     }
 }

@@ -42,8 +42,12 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CAESNAP\0";
 ///   events, watermark, peak transaction, transaction count) instead
 ///   of a queue per partition ever seen plus a head index;
 ///   `EngineState.peak_partials` is gone and the program's slab
-///   high-water mark (`pool_peak`) is persisted in its place.
-pub const SNAPSHOT_VERSION: u32 = 4;
+///   high-water mark (`pool_peak`) is persisted in its place;
+/// * 5 — `EngineConfig` lost the batch policy, the kernel switch, the
+///   tick scale, the GC period and the two baseline switches (now
+///   `ExecutionMode::BusyWait`); `EngineState` lost the queueing-model
+///   clock, latency tracker and busy time.
+pub const SNAPSHOT_VERSION: u32 = 5;
 /// Fixed header length in bytes.
 const HEADER_LEN: usize = 40;
 

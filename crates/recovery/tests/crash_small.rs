@@ -197,10 +197,11 @@ fn foreign_snapshot_version_is_a_version_error() {
     let snap = snapshot_path(&dir);
     let mut data = fs::read(&snap).expect("snapshot exists");
     // A future format, and the previous ones (v2: per-partition cloned
-    // programs; v3: per-partition scheduler queues and a head index —
-    // neither of which this build's payload decoder can read).
-    assert_eq!(caesar_recovery::SNAPSHOT_VERSION, 4);
-    for foreign in [caesar_recovery::SNAPSHOT_VERSION + 1, 3, 2] {
+    // programs; v3: per-partition scheduler queues and a head index;
+    // v4: the batching, kernel-switch and queueing-clock configuration
+    // fields — none of which this build's payload decoder can read).
+    assert_eq!(caesar_recovery::SNAPSHOT_VERSION, 5);
+    for foreign in [caesar_recovery::SNAPSHOT_VERSION + 1, 4, 3, 2] {
         data[8..12].copy_from_slice(&foreign.to_le_bytes());
         fs::write(&snap, &data).expect("rewrite");
 
@@ -235,7 +236,7 @@ fn snapshot_from_different_model_is_incompatible() {
         .engine_config(
             EngineConfig::builder()
                 .collect_outputs(true)
-                .gc_every(777)
+                .provenance(true)
                 .build(),
         )
         .build()

@@ -3,9 +3,9 @@
 //! collected output event.
 //!
 //! The differential-testing harness (`caesar-testkit`) uses this to
-//! sweep a workload across the full execution matrix — sequential and
-//! sharded, every batch policy, vectorized kernels on and off, every
-//! observability level, and a mid-stream snapshot/restore leg — without
+//! sweep a workload across the execution matrix — sequential and
+//! sharded, optimized and unoptimized, every observability level, both
+//! consistency levels, and a mid-stream snapshot/restore leg — without
 //! re-implementing the run loop per leg. Each leg carries a label so a
 //! divergence names the exact mode that produced it.
 
@@ -13,7 +13,7 @@ use crate::engine::{Consistency, Engine, EngineConfig, RunReport};
 use crate::obs::ObservabilityLevel;
 use crate::parallel::run_sharded_full;
 use caesar_events::{
-    BatchPolicy, Event, EventError, OutputRecord, ReorderBuffer, SchemaRegistry, Time, VecStream,
+    Event, EventError, OutputRecord, ReorderBuffer, SchemaRegistry, Time, VecStream,
 };
 use caesar_optimizer::OptimizedProgram;
 
@@ -133,16 +133,17 @@ pub fn run_mode_full(
     Ok((report, outputs, records))
 }
 
-/// The standard differential matrix: eleven legs spanning sequential
-/// and sharded execution, per-event and batched policies, vectorized
-/// kernels on/off, every observability level, optimized and
-/// unoptimized programs, both consistency levels (speculative legs are
-/// checked twice: settled outputs byte-identical, and the folded record
-/// stream identical to the settled outputs), plus a mid-stream
+/// The standard differential matrix: six legs spanning sequential and
+/// sharded execution, optimized and unoptimized programs, every
+/// observability level and both consistency levels (speculative legs
+/// are checked twice: settled outputs byte-identical, and the folded
+/// record stream identical to the settled outputs), plus a mid-stream
 /// snapshot/restore leg. Every optimized leg runs with the eligible
 /// shared-prefix groups installed; exactly one leg turns
 /// [`EngineConfig::sharing`] off, which keeps the private-pattern path
-/// under the oracle.
+/// under the oracle. No leg picks the operators' per-event or batch
+/// entry points: the engine chooses by transaction size, and the sweeps
+/// assert both were taken.
 /// (`caesar-testkit` layers two *served* legs on top — the same
 /// workload round-tripped through a loopback `caesar-server` instance,
 /// strict and speculative — which live there because the runtime cannot
@@ -153,69 +154,31 @@ pub fn run_mode_full(
 #[must_use]
 pub fn standard_matrix(slack: Time, n_events: usize) -> Vec<ModeSpec> {
     let base = || EngineConfig::builder().reorder_slack(slack);
-    let per_event = || base().batch(BatchPolicy::per_event());
+    let speculative = || base().consistency(Consistency::Speculative).build();
     let seq = ModeSpec::sequential;
     vec![
-        seq("seq/per-event/optimized", per_event().build()),
-        ModeSpec {
-            optimized: false,
-            ..seq("seq/per-event/unoptimized", per_event().build())
-        },
-        seq("seq/per-event/unshared", per_event().sharing(false).build()),
         seq(
-            "seq/batch/interpreted",
-            base()
-                .batch(BatchPolicy::default())
-                .vectorize(false)
-                .build(),
-        ),
-        seq(
-            "seq/batch-bounded3/counters",
-            base()
-                .batch(BatchPolicy::bounded(3))
-                .observability(ObservabilityLevel::Counters)
-                .build(),
-        ),
-        // The default configuration (batched, vectorized) under the
-        // heaviest instrumentation.
-        seq(
-            "seq/batch/vectorized/spans",
-            base()
-                .batch(BatchPolicy::default())
-                .vectorize(true)
-                .observability(ObservabilityLevel::Spans)
-                .build(),
+            "seq/optimized/spans",
+            base().observability(ObservabilityLevel::Spans).build(),
         ),
         ModeSpec {
             optimized: false,
             ..seq(
-                "seq/batch/unoptimized",
-                base().batch(BatchPolicy::default()).build(),
+                "seq/unoptimized/counters",
+                base().observability(ObservabilityLevel::Counters).build(),
             )
         },
+        seq("seq/unshared", base().sharing(false).build()),
         ModeSpec {
             restart_after: Some(n_events / 2),
-            ..seq("seq/restart-midstream", per_event().build())
+            ..seq("seq/restart-midstream", base().build())
         },
+        seq("seq/speculative", speculative()),
+        // The settled outputs are the strict run's, so this leg also
+        // stands for the strict sharded run.
         ModeSpec {
             shards: 3,
-            ..seq(
-                "sharded3/batch/vectorized",
-                base().batch(BatchPolicy::default()).vectorize(true).build(),
-            )
-        },
-        seq(
-            "seq/speculative",
-            per_event().consistency(Consistency::Speculative).build(),
-        ),
-        // Per-event on two shards; the settled outputs are the strict
-        // run's, so this leg also stands for the strict two-shard run.
-        ModeSpec {
-            shards: 2,
-            ..seq(
-                "sharded2/speculative",
-                per_event().consistency(Consistency::Speculative).build(),
-            )
+            ..seq("sharded3/speculative", speculative())
         },
     ]
 }

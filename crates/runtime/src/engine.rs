@@ -1,9 +1,15 @@
 //! The CAESAR engine: distributor → time-driven scheduler → context
 //! derivation → transition application → context-aware routing →
-//! context processing, with context-history maintenance, garbage
-//! collection and latency accounting (Figures 8 and 9 of the paper).
+//! context processing, with context-history maintenance and garbage
+//! collection (Figures 8 and 9 of the paper).
+//!
+//! There is one ingest path: events enter one at a time, and the
+//! scheduler groups them into stream transactions. Whether a
+//! transaction runs through the operators' per-event or batch entry
+//! points is decided by its size ([`BATCH_MIN_EVENTS`]), not by
+//! configuration; the two are equivalent by construction (each
+//! operator's tests pin it).
 
-use crate::metrics::{ArrivalClock, LatencyTracker};
 use crate::obs::{CounterId, MetricsRegistry, MetricsSnapshot, ObservabilityLevel, Stage};
 use crate::programs::{Mode, PartitionRun, ProgramTemplate};
 use crate::router::Router;
@@ -13,14 +19,14 @@ use crate::txn::StreamTransaction;
 use caesar_algebra::context_table::{ContextTable, Transition, TransitionKind};
 use caesar_algebra::plan::PlanOutput;
 use caesar_events::{
-    BatchPolicy, ColumnarBatch, Event, EventBatch, EventError, EventStream, Ingest, OutputRecord,
-    PartitionId, PartitionMap, ReorderBuffer, SchemaRegistry, Time, TypeId,
+    ColumnarBatch, Event, EventError, EventStream, OutputRecord, PartitionId, PartitionMap,
+    ReorderBuffer, SchemaRegistry, Time, TypeId,
 };
 use caesar_optimizer::optimizer::OptimizedProgram;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 mod speculate;
 pub use speculate::Consistency;
@@ -28,6 +34,17 @@ use speculate::Speculation;
 
 /// Execution mode of the engine.
 pub type ExecutionMode = Mode;
+
+/// Transactions with at least this many events run through the
+/// operators' batch entry points (selection vectors, vectorized kernels
+/// over columnar views); smaller ones take the per-event entry points,
+/// where that setup would be pure overhead. Dispatch only — outputs are
+/// identical either way.
+pub const BATCH_MIN_EVENTS: usize = 8;
+
+/// The context-history garbage collector runs once per this many ticks
+/// of progress.
+const GC_EVERY: Time = 60;
 
 /// Engine configuration.
 ///
@@ -39,10 +56,10 @@ pub type ExecutionMode = Mode;
 /// ```
 /// use caesar_runtime::{EngineConfig, ObservabilityLevel};
 /// let config = EngineConfig::builder()
-///     .vectorize(false)
+///     .reorder_slack(4)
 ///     .observability(ObservabilityLevel::Counters)
 ///     .build();
-/// assert!(!config.vectorize);
+/// assert_eq!(config.reorder_slack, 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[non_exhaustive]
@@ -52,48 +69,14 @@ pub struct EngineConfig {
     /// Execute shared workloads once (requires the optimizer's sharing
     /// analysis; ignored — treated as non-shared — if it found nothing).
     pub sharing: bool,
-    /// In the context-independent mode: each processing query privately
-    /// re-evaluates its context's deriving conditions on every event
-    /// (§5.3: "each context processing query has to run its respective
-    /// context deriving queries separately"). Disable to measure pure
-    /// busy-waiting (the "non-optimized query plan" of Figure 11b).
-    pub redundant_derivation: bool,
-    /// In the context-independent mode: push context windows to the
-    /// chain bottom so pattern state stays window-scoped and results
-    /// match CAESAR exactly (the default). Disable to model a SASE-style
-    /// engine literally: every event traverses pattern and filter before
-    /// the mid-chain context window drops out-of-context *matches* —
-    /// full busy-waiting cost, with the baseline's stream-scoped pattern
-    /// state (results may differ at window boundaries, §3.2).
-    pub baseline_pushdown: bool,
     /// Disorder tolerance of the distributor in ticks: events are held
     /// in a bounded reordering buffer and released once the stream's
     /// high-watermark passes them by this slack. `0` = require strictly
     /// in-order input (the paper's assumption).
     pub reorder_slack: Time,
-    /// Simulated nanoseconds of arrival time per application tick
-    /// (drives the latency queueing model; see [`ArrivalClock`]).
-    pub ns_per_tick: u64,
-    /// Run the garbage collector every this many ticks.
-    pub gc_every: Time,
     /// Keep every output event in memory (testing / debugging; do not
     /// enable on unbounded streams).
     pub collect_outputs: bool,
-    /// Batch formation policy of the hot path. When enabled, the
-    /// distributor groups same-timestamp events into [`EventBatch`]es
-    /// and every pipeline stage (ingest, reorder, scheduling, routing,
-    /// operator evaluation) runs once per batch instead of once per
-    /// event. Disabled = the event-at-a-time comparison baseline.
-    /// Results are identical either way (see `tests/batch_equivalence`).
-    pub batch: BatchPolicy,
-    /// Evaluate batch predicates and projections through vectorized
-    /// kernels over columnar (per-attribute) views of the transaction,
-    /// driven by selection vectors. Expressions the kernel compiler
-    /// cannot cover fall back to the row interpreter per conjunct.
-    /// Disabled = the batched interpreter of the previous hot path.
-    /// Outputs are byte-identical either way.
-    #[serde(default = "default_vectorize")]
-    pub vectorize: bool,
     /// How much the engine records about itself while running (see
     /// [`ObservabilityLevel`]): `Off` (default, within noise of no
     /// instrumentation), `Counters`, or `Spans`. Never affects results.
@@ -116,23 +99,13 @@ pub struct EngineConfig {
     pub provenance: bool,
 }
 
-fn default_vectorize() -> bool {
-    true
-}
-
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             mode: Mode::ContextAware,
             sharing: true,
-            redundant_derivation: true,
-            baseline_pushdown: true,
             reorder_slack: 0,
             collect_outputs: false,
-            ns_per_tick: 1_000_000, // 1 tick = 1 simulated millisecond
-            gc_every: 60,
-            batch: BatchPolicy::default(),
-            vectorize: default_vectorize(),
             observability: ObservabilityLevel::Off,
             consistency: Consistency::Strict,
             provenance: false,
@@ -153,19 +126,15 @@ impl EngineConfig {
         EngineConfigBuilder { config: self }
     }
 
-    /// Equality of every result-affecting knob. The batch policy, the
-    /// vectorize switch, the observability level and the consistency
-    /// level are excluded: they change dispatch granularity, evaluation
-    /// strategy, recording and output latency, never settled results,
-    /// so snapshots taken by batched / vectorized / instrumented /
-    /// speculative and plain runs are interchangeable (a WAL written
-    /// by one replays into the other; a speculative engine settles
-    /// before snapshotting, so its state is a strict state).
+    /// Equality of every result-affecting knob. The observability level
+    /// and the consistency level are excluded: they change recording and
+    /// output latency, never settled results, so snapshots taken by
+    /// instrumented / speculative and plain runs are interchangeable (a
+    /// WAL written by one replays into the other; a speculative engine
+    /// settles before snapshotting, so its state is a strict state).
     #[must_use]
     pub fn semantics_eq(&self, other: &Self) -> bool {
         Self {
-            batch: other.batch,
-            vectorize: other.vectorize,
             observability: other.observability,
             consistency: other.consistency,
             ..*self
@@ -196,22 +165,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Baseline private re-derivation
-    /// (see [`EngineConfig::redundant_derivation`]).
-    #[must_use]
-    pub fn redundant_derivation(mut self, enabled: bool) -> Self {
-        self.config.redundant_derivation = enabled;
-        self
-    }
-
-    /// Baseline window push-down
-    /// (see [`EngineConfig::baseline_pushdown`]).
-    #[must_use]
-    pub fn baseline_pushdown(mut self, enabled: bool) -> Self {
-        self.config.baseline_pushdown = enabled;
-        self
-    }
-
     /// Distributor disorder tolerance in ticks
     /// (see [`EngineConfig::reorder_slack`]).
     #[must_use]
@@ -220,43 +173,11 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Simulated nanoseconds per application tick
-    /// (see [`EngineConfig::ns_per_tick`]).
-    #[must_use]
-    pub fn ns_per_tick(mut self, ns: u64) -> Self {
-        self.config.ns_per_tick = ns;
-        self
-    }
-
-    /// Garbage-collection period in ticks
-    /// (see [`EngineConfig::gc_every`]).
-    #[must_use]
-    pub fn gc_every(mut self, ticks: Time) -> Self {
-        self.config.gc_every = ticks;
-        self
-    }
-
     /// Keep every output event in memory
     /// (see [`EngineConfig::collect_outputs`]).
     #[must_use]
     pub fn collect_outputs(mut self, collect: bool) -> Self {
         self.config.collect_outputs = collect;
-        self
-    }
-
-    /// Batch formation policy of the hot path
-    /// (see [`EngineConfig::batch`]).
-    #[must_use]
-    pub fn batch(mut self, policy: BatchPolicy) -> Self {
-        self.config.batch = policy;
-        self
-    }
-
-    /// Vectorized kernel evaluation on the batch path
-    /// (see [`EngineConfig::vectorize`]).
-    #[must_use]
-    pub fn vectorize(mut self, vectorize: bool) -> Self {
-        self.config.vectorize = vectorize;
         self
     }
 
@@ -299,20 +220,6 @@ pub struct RunReport {
     pub transitions_applied: u64,
     /// Per-derived-type output counts, by type name.
     pub outputs_by_type: BTreeMap<String, u64>,
-    /// Maximum queueing-model latency (ns). Fed by the loops that own
-    /// a stream ([`Engine::run_stream`], [`Engine::ingest_timed`] +
-    /// [`Engine::finish_timed`]) and, at `ObservabilityLevel::Counters`
-    /// and above, by every transaction; zero for a host that calls
-    /// [`Engine::ingest`] itself with observability off — that path
-    /// reads no clock.
-    pub max_latency_ns: u64,
-    /// Average queueing-model latency (ns); zero where
-    /// [`max_latency_ns`](Self::max_latency_ns) is.
-    pub avg_latency_ns: u64,
-    /// Wall-clock processing time of the whole run — the sum of the
-    /// service intervals the queueing model was fed; zero where
-    /// [`max_latency_ns`](Self::max_latency_ns) is.
-    pub wall_time: Duration,
     /// Combined plans fed / suspended (router accounting).
     pub plans_fed: u64,
     /// Combined plans skipped while their context was inactive.
@@ -330,12 +237,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Maximum latency in seconds.
-    #[must_use]
-    pub fn max_latency_secs(&self) -> f64 {
-        self.max_latency_ns as f64 / 1e9
-    }
-
     /// Output count of one derived type.
     #[must_use]
     pub fn outputs_of(&self, type_name: &str) -> u64 {
@@ -345,8 +246,7 @@ impl RunReport {
 
 /// A snapshot of every live field of an [`Engine`], taken by
 /// [`Engine::snapshot_state`] and applied by [`Engine::restore_state`].
-/// No field holds a wall-clock instant: the accumulated `busy` time
-/// carries over, and a restored engine goes on adding to it.
+/// No field holds a wall-clock reading.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineState {
     /// Configuration the snapshot was taken under (checked on restore).
@@ -357,8 +257,6 @@ pub struct EngineState {
     partitions: PartitionMap<PartitionRun>,
     scheduler: TimeDrivenScheduler,
     router: Router,
-    clock: ArrivalClock,
-    latency: LatencyTracker,
     type_names: BTreeMap<TypeId, String>,
     outputs_by_type: BTreeMap<TypeId, u64>,
     inputs_by_type: BTreeMap<TypeId, u64>,
@@ -366,7 +264,6 @@ pub struct EngineState {
     events_out: u64,
     transitions_applied: u64,
     last_gc: Time,
-    busy: Duration,
     reorder: Option<ReorderBuffer>,
     late_dropped: u64,
     collected_outputs: Vec<Event>,
@@ -503,8 +400,6 @@ pub struct Engine {
     scratch: Scratch,
     scheduler: TimeDrivenScheduler,
     router: Router,
-    clock: ArrivalClock,
-    latency: LatencyTracker,
     type_names: BTreeMap<TypeId, String>,
     outputs_by_type: BTreeMap<TypeId, u64>,
     inputs_by_type: BTreeMap<TypeId, u64>,
@@ -512,7 +407,6 @@ pub struct Engine {
     events_out: u64,
     transitions_applied: u64,
     last_gc: Time,
-    busy: Duration,
     reorder: Option<ReorderBuffer>,
     /// The observability recorder (gated by `config.observability`).
     /// Deliberately not part of [`EngineState`]: metrics describe a
@@ -575,11 +469,10 @@ impl Engine {
                 }
             }
         }
-        let template = ProgramTemplate::build_with(
+        let template = ProgramTemplate::build(
             program.translation.combined,
             config.sharing.then_some(&program.sharing),
             config.mode,
-            config.baseline_pushdown,
         );
         let default_bit = program.translation.default_bit;
         let table = ContextTable::new(program.translation.context_names.len(), default_bit);
@@ -588,7 +481,6 @@ impl Engine {
             .map(|(id, s)| (id, s.name.to_string()))
             .collect();
         let mut engine = Self {
-            clock: ArrivalClock::new(config.ns_per_tick),
             obs: MetricsRegistry::new(config.observability),
             config,
             table,
@@ -601,7 +493,6 @@ impl Engine {
             scratch: Scratch::default(),
             scheduler: TimeDrivenScheduler::new(),
             router: Router::new(),
-            latency: LatencyTracker::new(),
             type_names,
             outputs_by_type: BTreeMap::new(),
             inputs_by_type: BTreeMap::new(),
@@ -609,7 +500,6 @@ impl Engine {
             events_out: 0,
             transitions_applied: 0,
             last_gc: 0,
-            busy: Duration::ZERO,
             reorder: if config.reorder_slack > 0 {
                 Some(ReorderBuffer::new(config.reorder_slack))
             } else {
@@ -653,8 +543,6 @@ impl Engine {
             scratch: Scratch::default(),
             scheduler: self.scheduler.clone(),
             router: self.router.clone(),
-            clock: self.clock,
-            latency: self.latency.clone(),
             type_names: self.type_names.clone(),
             outputs_by_type: self.outputs_by_type.clone(),
             inputs_by_type: self.inputs_by_type.clone(),
@@ -662,7 +550,6 @@ impl Engine {
             events_out: self.events_out,
             transitions_applied: self.transitions_applied,
             last_gc: self.last_gc,
-            busy: Duration::ZERO,
             reorder: None,
             obs: MetricsRegistry::new(ObservabilityLevel::Off),
             late_dropped: 0,
@@ -729,8 +616,6 @@ impl Engine {
             partitions,
             scheduler: self.scheduler.clone(),
             router: self.router.clone(),
-            clock: self.clock,
-            latency: self.latency.clone(),
             type_names: self.type_names.clone(),
             outputs_by_type: self.outputs_by_type.clone(),
             inputs_by_type: self.inputs_by_type.clone(),
@@ -738,7 +623,6 @@ impl Engine {
             events_out: self.events_out,
             transitions_applied: self.transitions_applied,
             last_gc: self.last_gc,
-            busy: self.busy,
             reorder: self.reorder.clone(),
             late_dropped: self.late_dropped,
             collected_outputs: self.collected_outputs.clone(),
@@ -782,8 +666,6 @@ impl Engine {
             .sum();
         self.scheduler = state.scheduler;
         self.router = state.router;
-        self.clock = state.clock;
-        self.latency = state.latency;
         self.type_names = state.type_names;
         self.outputs_by_type = state.outputs_by_type;
         self.inputs_by_type = state.inputs_by_type;
@@ -791,7 +673,6 @@ impl Engine {
         self.events_out = state.events_out;
         self.transitions_applied = state.transitions_applied;
         self.last_gc = state.last_gc;
-        self.busy = state.busy;
         self.reorder = state.reorder;
         self.late_dropped = state.late_dropped;
         self.collected_outputs = state.collected_outputs;
@@ -893,10 +774,9 @@ impl Engine {
         obs
     }
 
-    /// Ingests an event or a same-timestamp batch — the canonical
-    /// entrypoint; anything `Into<Ingest>` (an [`Event`], an
-    /// [`EventBatch`]) is accepted. Transactions whose timestamp the
-    /// progress watermark passed are executed immediately.
+    /// Ingests one event — the engine's one entrypoint. Transactions
+    /// whose timestamp the progress watermark passed are executed
+    /// immediately.
     ///
     /// # Ordering semantics
     ///
@@ -906,26 +786,7 @@ impl Engine {
     /// the distributor's bounded reordering buffer: disorder within the
     /// slack is repaired, events later than the slack are dropped
     /// (counted in `late_dropped`) instead of corrupting context state.
-    /// A multi-event batch must be same-timestamp (its events form one
-    /// stream transaction per partition); batching never changes
-    /// results, only dispatch granularity.
-    pub fn ingest(&mut self, input: impl Into<Ingest>) -> Result<(), EventError> {
-        match input.into() {
-            Ingest::Event(event) => self.ingest_event(event),
-            Ingest::Batch(mut batch) => match batch.events.len() {
-                0 => Ok(()),
-                // A one-event batch takes the per-event path: same
-                // semantics, no batch bookkeeping.
-                1 => {
-                    let event = batch.events.pop().expect("len checked");
-                    self.ingest_event(event)
-                }
-                _ => self.ingest_batch_impl(batch),
-            },
-        }
-    }
-
-    fn ingest_event(&mut self, event: Event) -> Result<(), EventError> {
+    pub fn ingest(&mut self, event: Event) -> Result<(), EventError> {
         let span = self.obs.span_start();
         self.obs.inc(CounterId::EventsIngested);
         if self.speculation.is_some() {
@@ -940,16 +801,9 @@ impl Engine {
             self.late_dropped = reorder.late_dropped;
             self.reorder = Some(reorder);
             match result {
-                Ok(ready) => {
-                    let mut outcome = Ok(());
-                    for e in ready {
-                        outcome = self.ingest_one_ordered(e);
-                        if outcome.is_err() {
-                            break;
-                        }
-                    }
-                    outcome
-                }
+                Ok(ready) => ready
+                    .into_iter()
+                    .try_for_each(|e| self.ingest_one_ordered(e)),
                 Err(_late) => Ok(()), // dropped and counted
             }
         } else {
@@ -999,72 +853,6 @@ impl Engine {
         }
     }
 
-    /// One reorder-buffer lateness check, one scheduler progress check
-    /// and — when progress actually advanced — one release scan for the
-    /// whole same-timestamp batch.
-    fn ingest_batch_impl(&mut self, batch: EventBatch) -> Result<(), EventError> {
-        let span = self.obs.span_start();
-        self.obs.inc(CounterId::BatchesIngested);
-        self.obs.add(CounterId::EventsIngested, batch.len() as u64);
-        if self.speculation.is_some() {
-            // The speculative overlay revises per arrival; feeding the
-            // batch event-by-event is equivalent (the scheduler re-groups
-            // same-(partition, time) runs into one transaction anyway).
-            let mut outcome = Ok(());
-            for event in batch.events {
-                outcome = self.ingest_speculative(event);
-                if outcome.is_err() {
-                    break;
-                }
-            }
-            self.obs.span_end(Stage::Distributor, span);
-            return outcome;
-        }
-        let result = if let Some(mut reorder) = self.reorder.take() {
-            let reorder_span = self.obs.span_start();
-            let result = reorder.push_batch(batch);
-            self.obs.span_end(Stage::Reorder, reorder_span);
-            self.late_dropped = reorder.late_dropped;
-            self.reorder = Some(reorder);
-            match result {
-                Ok(ready) => self.ingest_ordered_run(ready),
-                Err(_late) => Ok(()), // dropped and counted
-            }
-        } else {
-            self.ingest_ordered_batch(batch)
-        };
-        self.obs.span_end(Stage::Distributor, span);
-        result
-    }
-
-    /// Re-groups an in-order event run (e.g. a reorder-buffer release,
-    /// which may span timestamps) into same-timestamp batches and
-    /// ingests them.
-    fn ingest_ordered_run(&mut self, events: Vec<Event>) -> Result<(), EventError> {
-        let mut iter = events.into_iter().peekable();
-        while let Some(first) = iter.next() {
-            let t = first.time();
-            let mut run = vec![first];
-            while let Some(e) = iter.next_if(|e| e.time() == t) {
-                run.push(e);
-            }
-            self.ingest_ordered_batch(EventBatch::new(t, run))?;
-        }
-        Ok(())
-    }
-
-    fn ingest_ordered_batch(&mut self, batch: EventBatch) -> Result<(), EventError> {
-        self.events_in += batch.len() as u64;
-        for e in &batch.events {
-            *self.inputs_by_type.entry(e.type_id).or_insert(0) += 1;
-        }
-        let span = self.obs.span_start();
-        let before = self.scheduler.progress();
-        self.scheduler.ingest_batch(batch)?;
-        self.run_released(before, span);
-        Ok(())
-    }
-
     /// Flushes all buffered transactions (end of stream) and returns the
     /// run report. Under [`Consistency::Speculative`] the record stream
     /// first receives the overlay's trailing emissions, then everything
@@ -1075,8 +863,11 @@ impl Engine {
         self.report()
     }
 
-    /// Everything `finish` does short of building the report.
-    fn drain(&mut self) {
+    /// Everything [`finish`](Self::finish) does short of building the
+    /// report: the end of the stream is executed, and a later `finish`
+    /// finds nothing left to run. For a host that times the stream's
+    /// work apart from the report (the figure benches).
+    pub fn drain(&mut self) {
         if self.speculation.is_some() {
             self.finish_speculative();
         } else {
@@ -1117,43 +908,11 @@ impl Engine {
     }
 
     /// Convenience: runs an entire stream through the engine.
-    ///
-    /// Events go into the scheduler one at a time regardless of the
-    /// batch policy: the scheduler's queues re-group every
-    /// same-(partition, timestamp) run into one transaction anyway, so
-    /// materializing intermediate [`caesar_events::BatchedStream`]
-    /// chunks buys the sequential path nothing (it matters where batches cross a
-    /// boundary, e.g. the sharded distributor's channel sends). The
-    /// batch policy takes effect at transaction execution, where dense
-    /// runs dispatch onto the batch fast paths.
     pub fn run_stream(&mut self, stream: &mut dyn EventStream) -> Result<RunReport, EventError> {
         while let Some(event) = stream.next_event() {
-            self.ingest_timed(event)?;
+            self.ingest(event)?;
         }
-        Ok(self.finish_timed())
-    }
-
-    /// [`ingest`](Self::ingest) for a loop that owns its stream and
-    /// wants the §7 queueing model ([`RunReport::max_latency_ns`] and
-    /// friends) fed: a call that advances the stream's timestamp — the
-    /// only kind that releases transactions — is timed as one service
-    /// interval. A call that joins the current timestamp reads no
-    /// clock; `ingest` itself never does with observability off.
-    pub fn ingest_timed(&mut self, input: impl Into<Ingest>) -> Result<(), EventError> {
-        let input = input.into();
-        if input.time().is_some_and(|t| t > self.arrival_watermark()) {
-            self.timed(|engine| engine.ingest(input))
-        } else {
-            self.ingest(input)
-        }
-    }
-
-    /// [`finish`](Self::finish), timed like
-    /// [`ingest_timed`](Self::ingest_timed): the last timestamp's
-    /// transactions run here.
-    pub fn finish_timed(&mut self) -> RunReport {
-        self.timed(Self::drain);
-        self.report()
+        Ok(self.finish())
     }
 
     /// The highest timestamp that has arrived (the reorder buffer's
@@ -1166,38 +925,10 @@ impl Engine {
             .map_or_else(|| self.scheduler.progress(), ReorderBuffer::high_watermark)
     }
 
-    /// Runs `work` as one service interval of the queueing model, if it
-    /// executed any transaction: the oldest of them were the events of
-    /// the progress timestamp, which is the arrival the interval is
-    /// charged against. At `Counters` and above `execute` times every
-    /// transaction itself.
-    fn timed<R>(&mut self, work: impl FnOnce(&mut Self) -> R) -> R {
-        if self.obs.counters_enabled() {
-            return work(self);
-        }
-        let oldest = self.scheduler.progress();
-        let released = self.scheduler.transactions_released();
-        let start = Instant::now();
-        let result = work(self);
-        if self.scheduler.transactions_released() > released {
-            self.record_service(oldest, start.elapsed());
-        }
-        result
-    }
-
-    /// Feeds the queueing model one service interval for work that
-    /// arrived at application time `arrival`; returns its latency (ns).
-    fn record_service(&mut self, arrival: Time, service: Duration) -> u64 {
-        self.busy += service;
-        self.latency
-            .record(self.clock.arrival_ns(arrival), service.as_nanos() as u64)
-    }
-
     /// Executes one stream transaction: derivation, transition
     /// application (with context-history maintenance), routing,
     /// processing, watermark advance, GC.
     fn execute(&mut self, txn: StreamTransaction<'_>) {
-        let service_start = self.obs.counters_enabled().then(Instant::now);
         let StreamTransaction {
             time: t,
             partition,
@@ -1211,11 +942,7 @@ impl Engine {
         let programs = &mut self.template;
 
         let mut out = std::mem::take(&mut self.scratch.out);
-        // Transactions below the policy's size floor take the per-event
-        // operator paths: the batch fast path's setup (selection
-        // vectors, columnar views) is pure overhead on sparse streams.
-        let batched =
-            self.config.batch.enabled && events.len() >= self.config.batch.min_events.max(1);
+        let batched = events.len() >= BATCH_MIN_EVENTS;
         self.obs.inc(CounterId::TransactionsExecuted);
         if batched {
             self.obs.inc(CounterId::BatchedTransactions);
@@ -1223,14 +950,14 @@ impl Engine {
         self.obs.observe_batch_size(events.len() as u64);
         // Columnar views over the transaction, built lazily per event
         // type on first kernel use and shared by every plan.
-        let mut cols = ColumnarBatch::new(events, self.config.vectorize);
+        let mut cols = ColumnarBatch::new(events);
 
         // Baseline overhead: per-query private re-derivation.
-        if self.config.mode == Mode::ContextIndependent && self.config.redundant_derivation {
+        if self.config.mode == Mode::ContextIndependent {
             if batched {
-                programs.run_redundant_derivation_batch(&mut cols, &self.table);
+                programs.run_private_derivation_batch(&mut cols, &self.table);
             } else {
-                programs.run_redundant_derivation(events, &self.table);
+                programs.run_private_derivation(events, &self.table);
             }
         }
 
@@ -1308,7 +1035,7 @@ impl Engine {
         self.obs.span_end(Stage::AdvanceTime, span);
 
         // Storage-layer garbage collection.
-        if t.saturating_sub(self.last_gc) >= self.config.gc_every {
+        if t.saturating_sub(self.last_gc) >= GC_EVERY {
             self.table.collect_garbage(t);
             self.last_gc = t;
             self.obs.inc(CounterId::GcRuns);
@@ -1317,11 +1044,6 @@ impl Engine {
         self.account_outputs(partition, t, &out);
         out.clear();
         self.scratch.out = out;
-
-        if let Some(start) = service_start {
-            let latency_ns = self.record_service(t, start.elapsed());
-            self.obs.observe_latency_ns(latency_ns);
-        }
     }
 
     /// Accounts what the transaction of `partition` at `time` derived.
@@ -1502,9 +1224,6 @@ impl Engine {
                     )
                 })
                 .collect(),
-            max_latency_ns: self.latency.max_latency_ns,
-            avg_latency_ns: self.latency.avg_latency_ns(),
-            wall_time: self.busy,
             plans_fed: self.router.plans_fed,
             plans_suspended: self.router.plans_suspended,
             peak_partials: self.template.pool_stats().1,
@@ -1689,29 +1408,19 @@ mod tests {
         let built = EngineConfig::builder()
             .mode(Mode::ContextIndependent)
             .sharing(false)
-            .redundant_derivation(false)
-            .baseline_pushdown(false)
             .reorder_slack(3)
-            .ns_per_tick(10)
-            .gc_every(7)
             .collect_outputs(true)
-            .batch(BatchPolicy::bounded(16))
-            .vectorize(false)
             .observability(ObservabilityLevel::Spans)
             .consistency(Consistency::Speculative)
+            .provenance(true)
             .build();
         assert_eq!(built.mode, Mode::ContextIndependent);
         assert!(!built.sharing);
-        assert!(!built.redundant_derivation);
-        assert!(!built.baseline_pushdown);
         assert_eq!(built.reorder_slack, 3);
-        assert_eq!(built.ns_per_tick, 10);
-        assert_eq!(built.gc_every, 7);
         assert!(built.collect_outputs);
-        assert_eq!(built.batch, BatchPolicy::bounded(16));
-        assert!(!built.vectorize);
         assert_eq!(built.observability, ObservabilityLevel::Spans);
         assert_eq!(built.consistency, Consistency::Speculative);
+        assert!(built.provenance);
         assert_eq!(built.to_builder().build(), built);
         assert_eq!(EngineConfig::builder().build(), EngineConfig::default());
     }
@@ -1726,6 +1435,10 @@ mod tests {
         let state = engine.snapshot_state();
         let (mut other, _) = build_engine_with(Mode::ContextAware, instrumented);
         other.restore_state(state).unwrap();
+        assert!(!EngineConfig::default().semantics_eq(&EngineConfig {
+            provenance: true,
+            ..EngineConfig::default()
+        }));
     }
 
     #[test]
@@ -1752,172 +1465,6 @@ mod tests {
         let program = Optimizer::new(cfg, Default::default()).optimize(t, &reg);
         let engine = Engine::new(program, &reg, EngineConfig { mode, ..config });
         (engine, reg)
-    }
-
-    fn mixed_stream(reg: &SchemaRegistry) -> Vec<Event> {
-        // Clustered timestamps across two partitions, with a context
-        // switch mid-stream so both suspended and active batches occur.
-        let mut events = Vec::new();
-        for t in 1..40u64 {
-            let step = t / 4;
-            for p in 0..2u32 {
-                events.push(pr(reg, step, (t * 2 + u64::from(p)) as i64, "travel", p));
-            }
-            if t == 12 {
-                events.push(marker(reg, "ManySlowCars", step, 0));
-            }
-            if t == 28 {
-                events.push(marker(reg, "FewFastCars", step, 0));
-            }
-        }
-        events
-    }
-
-    #[test]
-    fn batched_run_matches_event_at_a_time() {
-        for mode in [Mode::ContextAware, Mode::ContextIndependent] {
-            let base = EngineConfig {
-                collect_outputs: true,
-                ..EngineConfig::default()
-            };
-            // All same-(partition, time) runs hit the batch fast path.
-            let eager = BatchPolicy {
-                min_events: 1,
-                ..BatchPolicy::default()
-            };
-            let (mut per_event, reg) = build_engine_with(
-                mode,
-                EngineConfig {
-                    batch: BatchPolicy::per_event(),
-                    ..base
-                },
-            );
-            let events = mixed_stream(&reg);
-            let re = per_event
-                .run_stream(&mut VecStream::new(events.clone()))
-                .unwrap();
-            for vectorize in [true, false] {
-                let (mut batched, _) = build_engine_with(
-                    mode,
-                    EngineConfig {
-                        batch: eager,
-                        vectorize,
-                        ..base
-                    },
-                );
-                let rb = batched
-                    .run_stream(&mut VecStream::new(events.clone()))
-                    .unwrap();
-                let tag = format!("{mode:?} vectorize={vectorize}");
-                assert_eq!(rb.events_in, re.events_in, "{tag}");
-                assert_eq!(rb.events_out, re.events_out, "{tag}");
-                assert_eq!(rb.transitions_applied, re.transitions_applied, "{tag}");
-                assert_eq!(rb.outputs_by_type, re.outputs_by_type, "{tag}");
-                assert_eq!(rb.plans_fed, re.plans_fed, "{tag}");
-                assert_eq!(rb.plans_suspended, re.plans_suspended, "{tag}");
-                assert_eq!(rb.peak_partials, re.peak_partials, "{tag}");
-                assert_eq!(
-                    caesar_events::encode_all(&batched.collected_outputs),
-                    caesar_events::encode_all(&per_event.collected_outputs),
-                    "{tag}: byte-identical outputs"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_reorder_path_matches_per_event() {
-        let base = EngineConfig {
-            collect_outputs: true,
-            reorder_slack: 3,
-            ..EngineConfig::default()
-        };
-        let (mut batched, reg) = build_engine_with(Mode::ContextAware, base);
-        let (mut per_event, _) = build_engine_with(
-            Mode::ContextAware,
-            EngineConfig {
-                batch: BatchPolicy::per_event(),
-                ..base
-            },
-        );
-        // Disorder within the slack plus a too-late straggler (VecStream
-        // rejects unsorted input, so use a raw stream).
-        struct Raw(std::vec::IntoIter<Event>);
-        impl EventStream for Raw {
-            fn next_event(&mut self) -> Option<Event> {
-                self.0.next()
-            }
-        }
-        let events = vec![
-            pr(&reg, 2, 1, "travel", 0),
-            pr(&reg, 1, 2, "travel", 0),
-            marker(&reg, "ManySlowCars", 4, 0),
-            pr(&reg, 6, 3, "travel", 0),
-            pr(&reg, 6, 4, "travel", 1),
-            pr(&reg, 9, 5, "travel", 0),
-            pr(&reg, 1, 6, "travel", 0), // later than slack: dropped
-            pr(&reg, 10, 7, "travel", 0),
-        ];
-        let rb = batched
-            .run_stream(&mut Raw(events.clone().into_iter()))
-            .unwrap();
-        let re = per_event.run_stream(&mut Raw(events.into_iter())).unwrap();
-        assert_eq!(batched.late_dropped, per_event.late_dropped);
-        assert_eq!(batched.late_dropped, 1);
-        assert_eq!(rb.events_in, re.events_in);
-        assert_eq!(rb.outputs_by_type, re.outputs_by_type);
-        assert_eq!(
-            caesar_events::encode_all(&batched.collected_outputs),
-            caesar_events::encode_all(&per_event.collected_outputs),
-        );
-    }
-
-    #[test]
-    fn restore_accepts_snapshot_across_batch_modes() {
-        // A snapshot taken under batched execution restores into an
-        // event-at-a-time engine (and the finished runs agree): the
-        // batch knob is dispatch granularity, not semantics.
-        let (mut batched, reg) = build_engine_with(Mode::ContextAware, EngineConfig::default());
-        let feed = |e: &mut Engine| {
-            e.ingest(EventBatch::new(
-                5,
-                vec![
-                    marker(&reg, "ManySlowCars", 5, 0),
-                    pr(&reg, 5, 1, "travel", 0),
-                ],
-            ))
-            .unwrap();
-        };
-        feed(&mut batched);
-        let state = batched.snapshot_state();
-
-        let (mut per_event, _) = build_engine_with(
-            Mode::ContextAware,
-            EngineConfig {
-                batch: BatchPolicy::per_event(),
-                ..EngineConfig::default()
-            },
-        );
-        per_event.restore_state(state).unwrap();
-        for target in [&mut batched, &mut per_event] {
-            target.ingest(pr(&reg, 6, 2, "travel", 0)).unwrap();
-        }
-        let a = batched.finish();
-        let b = per_event.finish();
-        assert_eq!(a.outputs_by_type, b.outputs_by_type);
-        assert_eq!(a.outputs_of("TollNotification"), 1);
-        assert!(EngineConfig::default().semantics_eq(&EngineConfig {
-            batch: BatchPolicy::bounded(7),
-            ..EngineConfig::default()
-        }));
-        assert!(EngineConfig::default().semantics_eq(&EngineConfig {
-            vectorize: false,
-            ..EngineConfig::default()
-        }));
-        assert!(!EngineConfig::default().semantics_eq(&EngineConfig {
-            gc_every: 7,
-            ..EngineConfig::default()
-        }));
     }
 
     #[test]
@@ -2026,6 +1573,21 @@ mod tests {
     }
 
     #[test]
+    fn busy_wait_baseline_neither_suspends_nor_rederives() {
+        let (mut engine, reg) = build_engine(Mode::BusyWait);
+        assert!(engine.template.redundant.is_empty());
+        let (ci, _) = build_engine(Mode::ContextIndependent);
+        assert!(!ci.template.redundant.is_empty());
+        let mut stream = VecStream::new(vec![
+            pr(&reg, 1, 1, "travel", 0),
+            pr(&reg, 2, 2, "travel", 0),
+        ]);
+        let report = engine.run_stream(&mut stream).unwrap();
+        assert_eq!(report.plans_suspended, 0);
+        assert_eq!(report.plans_fed, 2);
+    }
+
+    #[test]
     fn out_of_order_ingest_is_rejected() {
         let (mut engine, reg) = build_engine(Mode::ContextAware);
         engine.ingest(pr(&reg, 10, 1, "travel", 0)).unwrap();
@@ -2051,14 +1613,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.outputs_of("TollNotification"), 1);
-    }
-
-    #[test]
-    fn report_latency_is_populated() {
-        let (mut engine, reg) = build_engine(Mode::ContextAware);
-        let mut stream = VecStream::new(vec![pr(&reg, 1, 1, "travel", 0)]);
-        let report = engine.run_stream(&mut stream).unwrap();
-        assert!(report.max_latency_ns > 0);
-        assert!(report.avg_latency_ns > 0);
     }
 }

@@ -18,9 +18,6 @@
 //! * [`engine`] — the full engine: distributor → scheduler → derivation →
 //!   transition application → routing → processing, with context-history
 //!   maintenance and garbage collection.
-//! * [`metrics`] — the latency harness: arrival schedules, measured
-//!   service times, queueing-model latency, and the win-ratio /
-//!   L-factor computations of §7.
 //! * [`obs`] — the observability layer: a metrics registry of named
 //!   counters, fixed-bucket histograms and span-style stage timers,
 //!   gated by [`obs::ObservabilityLevel`] and snapshotted into every
@@ -32,7 +29,6 @@
 
 pub mod driver;
 pub mod engine;
-pub mod metrics;
 pub mod obs;
 pub mod parallel;
 pub mod programs;
@@ -44,9 +40,8 @@ pub mod txn;
 pub use driver::{run_mode, run_mode_full, standard_matrix, ModeSpec};
 pub use engine::{
     Consistency, Engine, EngineConfig, EngineConfigBuilder, EngineState, ExecutionMode,
-    RestoreError, RunReport,
+    RestoreError, RunReport, BATCH_MIN_EVENTS,
 };
-pub use metrics::{ArrivalClock, LatencyTracker};
 pub use obs::{CounterId, Histogram, MetricsRegistry, MetricsSnapshot, ObservabilityLevel, Stage};
 pub use parallel::{merge_reports, run_sharded, run_sharded_full, run_sharded_with_outputs};
 pub use programs::PartitionRun;

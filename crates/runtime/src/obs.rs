@@ -18,11 +18,10 @@
 //!
 //! * [`Off`](ObservabilityLevel::Off) — every recording method is a
 //!   single branch on a plain enum; no clocks are read, no memory is
-//!   written. The overhead bench (`caesar-bench`, `obs_overhead`) holds
-//!   this within noise of an uninstrumented build.
+//!   written.
 //! * [`Counters`](ObservabilityLevel::Counters) — named counters, the
-//!   batch-size and queueing-latency histograms, and per-context
-//!   active/suspended tick accounting. No extra clock reads.
+//!   batch-size histogram, and per-context active/suspended tick
+//!   accounting. No clock reads.
 //! * [`Spans`](ObservabilityLevel::Spans) — everything above plus
 //!   wall-clock stage timers (two `Instant` reads per span).
 //!
@@ -50,7 +49,7 @@ pub enum ObservabilityLevel {
     /// Record nothing (the default; within noise of no instrumentation).
     #[default]
     Off,
-    /// Named counters, size/latency histograms, per-context ticks.
+    /// Named counters, the batch-size histogram, per-context ticks.
     Counters,
     /// `Counters` plus wall-clock span timers around pipeline stages.
     Spans,
@@ -180,8 +179,6 @@ impl Stage {
 pub enum CounterId {
     /// Input events accepted by the distributor.
     EventsIngested,
-    /// Multi-event batches accepted by the distributor.
-    BatchesIngested,
     /// Stream transactions executed.
     TransactionsExecuted,
     /// Transactions that took the batch fast path.
@@ -226,9 +223,8 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in snapshot order.
-    pub const ALL: [CounterId; 17] = [
+    pub const ALL: [CounterId; 16] = [
         CounterId::EventsIngested,
-        CounterId::BatchesIngested,
         CounterId::TransactionsExecuted,
         CounterId::BatchedTransactions,
         CounterId::GcRuns,
@@ -251,7 +247,6 @@ impl CounterId {
     pub fn name(self) -> &'static str {
         match self {
             CounterId::EventsIngested => "events_ingested",
-            CounterId::BatchesIngested => "batches_ingested",
             CounterId::TransactionsExecuted => "transactions_executed",
             CounterId::BatchedTransactions => "batched_transactions",
             CounterId::GcRuns => "gc_runs",
@@ -270,26 +265,9 @@ impl CounterId {
         }
     }
 
+    /// Position in [`ALL`](Self::ALL) (declaration order).
     fn index(self) -> usize {
-        match self {
-            CounterId::EventsIngested => 0,
-            CounterId::BatchesIngested => 1,
-            CounterId::TransactionsExecuted => 2,
-            CounterId::BatchedTransactions => 3,
-            CounterId::GcRuns => 4,
-            CounterId::CheckpointsWritten => 5,
-            CounterId::WalEventsAppended => 6,
-            CounterId::ConnectionsAccepted => 7,
-            CounterId::ConnectionsRejected => 8,
-            CounterId::FramesIn => 9,
-            CounterId::FramesOut => 10,
-            CounterId::IngestRejected => 11,
-            CounterId::SpeculativeEmits => 12,
-            CounterId::SpeculativeRetractions => 13,
-            CounterId::SpeculativeRebuilds => 14,
-            CounterId::SpeculativeReplayedEvents => 15,
-            CounterId::SpeculationLeadTicks => 16,
-        }
+        self as usize
     }
 }
 
@@ -511,9 +489,6 @@ pub struct MetricsSnapshot {
     pub stages: BTreeMap<String, Histogram>,
     /// Events per executed transaction (empty below `Counters`).
     pub batch_sizes: Histogram,
-    /// Queueing-model latency per transaction in ns (empty below
-    /// `Counters`).
-    pub latency_ns: Histogram,
     /// Peak depth of any scheduler partition queue.
     pub queue_depth_peak: u64,
     /// Per-operator accounting, keyed `"<query>/<op index>:<op tag>"`.
@@ -543,7 +518,6 @@ impl MetricsSnapshot {
             self.stages.entry(k.clone()).or_default().merge(v);
         }
         self.batch_sizes.merge(&other.batch_sizes);
-        self.latency_ns.merge(&other.latency_ns);
         self.queue_depth_peak = self.queue_depth_peak.max(other.queue_depth_peak);
         for (k, v) in &other.operators {
             self.operators.entry(k.clone()).or_default().merge(v);
@@ -574,10 +548,6 @@ impl MetricsSnapshot {
         s.push_str(&format!(
             "  \"batch_sizes\": {},\n",
             self.batch_sizes.to_json()
-        ));
-        s.push_str(&format!(
-            "  \"latency_ns\": {},\n",
-            self.latency_ns.to_json()
         ));
         s.push_str(&format!(
             "  \"queue_depth_peak\": {},\n",
@@ -629,14 +599,6 @@ impl MetricsSnapshot {
                 self.batch_sizes.mean(),
                 self.batch_sizes.max,
                 self.batch_sizes.count
-            );
-        }
-        if !self.latency_ns.is_empty() {
-            let _ = writeln!(
-                s,
-                "  queueing latency: mean {} ns, max {} ns",
-                self.latency_ns.mean(),
-                self.latency_ns.max
             );
         }
         if self.queue_depth_peak > 0 {
@@ -721,9 +683,9 @@ fn push_entries<'a, V: 'a>(
     }
 }
 
-/// The live recorder: named counters, the batch-size and latency
-/// histograms, per-stage span histograms and per-context tick counts,
-/// all gated by an [`ObservabilityLevel`].
+/// The live recorder: named counters, the batch-size histogram,
+/// per-stage span histograms and per-context tick counts, all gated by
+/// an [`ObservabilityLevel`].
 ///
 /// Plain `&mut self` recording — the engine is single-threaded per
 /// shard, so there is no interior mutability and no atomics on the hot
@@ -734,7 +696,6 @@ pub struct MetricsRegistry {
     counters: [u64; CounterId::ALL.len()],
     stages: Vec<Histogram>,
     batch_sizes: Histogram,
-    latency_ns: Histogram,
     context_ticks: Vec<(u64, u64)>,
 }
 
@@ -753,7 +714,6 @@ impl MetricsRegistry {
             counters: [0; CounterId::ALL.len()],
             stages: Stage::ALL.iter().map(|_| Histogram::latency_ns()).collect(),
             batch_sizes: Histogram::batch_sizes(),
-            latency_ns: Histogram::latency_ns(),
             context_ticks: Vec::new(),
         }
     }
@@ -829,14 +789,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records one transaction's queueing-model latency (no-op below
-    /// `Counters`).
-    pub fn observe_latency_ns(&mut self, ns: u64) {
-        if self.level.counters_enabled() {
-            self.latency_ns.record(ns);
-        }
-    }
-
     /// Records one routing decision over `total` processing plans, of
     /// which the (ascending) `active` indices were fed and the rest
     /// suspended (no-op below `Counters`).
@@ -881,7 +833,6 @@ impl MetricsRegistry {
                 .insert(id.name().to_string(), self.counter(id));
         }
         snap.batch_sizes = self.batch_sizes.clone();
-        snap.latency_ns = self.latency_ns.clone();
         for (stage, hist) in Stage::ALL.iter().zip(&self.stages) {
             if !hist.is_empty() {
                 snap.stages.insert(stage.name().to_string(), hist.clone());
@@ -954,7 +905,6 @@ mod tests {
         let mut reg = MetricsRegistry::new(ObservabilityLevel::Off);
         reg.inc(CounterId::EventsIngested);
         reg.observe_batch_size(10);
-        reg.observe_latency_ns(500);
         reg.tick_contexts(&[0], 2);
         assert!(reg.span_start().is_none());
         let snap = reg.snapshot();

@@ -5,18 +5,18 @@
 //! partitions are embarrassingly parallel: the distributor shards the
 //! input stream by partition id onto worker threads, each running an
 //! independent [`Engine`] over its partition subset. Results are the
-//! disjoint union of the shards' outputs; latency is reported per shard
-//! and merged by maximum (each shard models one executor core of the
-//! paper's 16-core evaluation host).
+//! disjoint union of the shards' outputs.
 
 use crate::engine::{Engine, EngineConfig, RunReport};
-use caesar_events::{
-    Batcher, Event, EventBatch, EventError, EventStream, OutputRecord, SchemaRegistry,
-};
+use caesar_events::{Event, EventError, EventStream, OutputRecord, SchemaRegistry};
 use caesar_optimizer::optimizer::OptimizedProgram;
 use crossbeam::channel;
-use parking_lot::Mutex;
-use std::sync::Arc;
+
+/// Events per run on a shard channel.
+const RUN_EVENTS: usize = 256;
+
+/// Runs a shard channel buffers before the distributor blocks.
+const CHANNEL_RUNS: usize = 64;
 
 /// Runs a stream through `shards` independent engines, sharding by
 /// partition id. Returns the merged report.
@@ -43,7 +43,7 @@ pub fn run_sharded(
 /// are disjoint across shards, and within a shard the order is the
 /// engine's deterministic execution order — so for a fixed shard count
 /// the concatenation is deterministic, which is what the differential
-/// batch-equivalence tests compare byte-for-byte.
+/// tests compare byte-for-byte.
 pub fn run_sharded_with_outputs(
     program: &OptimizedProgram,
     registry: &SchemaRegistry,
@@ -68,86 +68,56 @@ pub fn run_sharded_full(
     stream: &mut dyn EventStream,
 ) -> Result<(RunReport, Vec<Event>, Vec<OutputRecord>), EventError> {
     assert!(shards >= 1, "at least one shard");
-    let progress = Arc::new(Mutex::new(0u64));
     type ShardResult = Result<(RunReport, Vec<Event>, Vec<OutputRecord>), EventError>;
     let (results, undelivered): (Vec<ShardResult>, u64) = std::thread::scope(|scope| {
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         for _ in 0..shards {
-            // Shard channels carry whole batches: one send/recv — and one
-            // engine dispatch — per same-timestamp run instead of per
-            // event.
-            let (tx, rx) = channel::bounded::<EventBatch>(4096);
+            // Shard channels carry runs of up to `RUN_EVENTS` events:
+            // one send/recv per run instead of per event.
+            let (tx, rx) = channel::bounded::<Vec<Event>>(CHANNEL_RUNS);
             senders.push(tx);
             let program = program.clone();
-            let progress = Arc::clone(&progress);
             handles.push(scope.spawn(move || -> ShardResult {
                 let mut engine = Engine::new(program, registry, config);
-                let mut unflushed = 0u64;
-                for batch in rx {
-                    unflushed += batch.len() as u64;
-                    if config.batch.enabled {
-                        engine.ingest_timed(batch)?;
-                    } else {
-                        for event in batch.events {
-                            engine.ingest_timed(event)?;
-                        }
-                    }
-                    if unflushed >= 1024 {
-                        *progress.lock() += unflushed;
-                        unflushed = 0;
-                    }
+                for event in rx.into_iter().flatten() {
+                    engine.ingest(event)?;
                 }
-                *progress.lock() += unflushed;
-                let report = engine.finish_timed();
+                let report = engine.finish();
                 let outputs = std::mem::take(&mut engine.collected_outputs);
                 let records = std::mem::take(&mut engine.collected_records);
                 Ok((report, outputs, records))
             }));
         }
 
-        // Distribute. With batching enabled each shard gets its own
-        // batcher (its subsequence of the stream is still time-ordered);
-        // otherwise events ship as singleton batches. A failed send means
-        // the worker died: mark the shard dead and keep draining the
-        // stream so the caller learns how many events went undelivered,
-        // instead of silently stopping at the first casualty.
-        let mut batchers: Vec<Batcher> = (0..shards).map(|_| Batcher::new(config.batch)).collect();
+        // Distribute: each shard's subsequence of the stream is still
+        // time-ordered, cut into runs. A failed send means the worker
+        // died: mark the shard dead and keep draining the stream so the
+        // caller learns how many events went undelivered, instead of
+        // silently stopping at the first casualty.
+        let mut pending: Vec<Vec<Event>> = vec![Vec::new(); shards];
         let mut dead = vec![false; shards];
         let mut undelivered = 0u64;
+        let mut send = |shard: usize, run: Vec<Event>, dead: &mut [bool]| {
+            let n = run.len() as u64;
+            if dead[shard] {
+                undelivered += n;
+            } else if senders[shard].send(run).is_err() {
+                dead[shard] = true;
+                undelivered += n;
+            }
+        };
         while let Some(event) = stream.next_event() {
             let shard = event.partition.shard(shards);
-            if dead[shard] {
-                undelivered += 1;
-                continue;
-            }
-            if config.batch.enabled {
-                if let Some(batch) = batchers[shard].offer(event) {
-                    let n = batch.len() as u64;
-                    if senders[shard].send(batch).is_err() {
-                        dead[shard] = true;
-                        // The failed batch plus the event now buffered.
-                        undelivered += n + batchers[shard].pending() as u64;
-                    }
-                }
-            } else {
-                let batch = EventBatch::new(event.time(), vec![event]);
-                if senders[shard].send(batch).is_err() {
-                    dead[shard] = true;
-                    undelivered += 1;
-                }
+            pending[shard].push(event);
+            if pending[shard].len() >= RUN_EVENTS {
+                let run = std::mem::replace(&mut pending[shard], Vec::with_capacity(RUN_EVENTS));
+                send(shard, run, &mut dead);
             }
         }
-        for (shard, batcher) in batchers.iter_mut().enumerate() {
-            if let Some(batch) = batcher.flush() {
-                if dead[shard] {
-                    continue; // already counted when the shard died
-                }
-                let n = batch.len() as u64;
-                if senders[shard].send(batch).is_err() {
-                    dead[shard] = true;
-                    undelivered += n;
-                }
+        for (shard, run) in pending.into_iter().enumerate() {
+            if !run.is_empty() {
+                send(shard, run, &mut dead);
             }
         }
         drop(senders);
@@ -189,10 +159,9 @@ pub fn run_sharded_full(
     Ok((merge_reports(reports), outputs, records))
 }
 
-/// Merges per-shard reports: counters sum, latency merges by maximum
-/// (shards are independent queues), wall time by maximum (they ran
-/// concurrently). Metrics snapshots merge element-wise (counters and
-/// histograms sum, gauges take the maximum).
+/// Merges per-shard reports: counters sum, peak partials by maximum.
+/// Metrics snapshots merge element-wise (counters and histograms sum,
+/// gauges take the maximum).
 #[must_use]
 pub fn merge_reports(reports: Vec<RunReport>) -> RunReport {
     let mut merged = RunReport::default();
@@ -204,9 +173,6 @@ pub fn merge_reports(reports: Vec<RunReport>) -> RunReport {
         merged.plans_fed += r.plans_fed;
         merged.plans_suspended += r.plans_suspended;
         merged.peak_partials = merged.peak_partials.max(r.peak_partials);
-        merged.max_latency_ns = merged.max_latency_ns.max(r.max_latency_ns);
-        merged.avg_latency_ns = merged.avg_latency_ns.max(r.avg_latency_ns);
-        merged.wall_time = merged.wall_time.max(r.wall_time);
         for (ty, n) in r.outputs_by_type {
             *merged.outputs_by_type.entry(ty).or_insert(0) += n;
         }
@@ -218,7 +184,7 @@ pub fn merge_reports(reports: Vec<RunReport>) -> RunReport {
 mod tests {
     use super::*;
     use caesar_algebra::translate::{translate_query_set, TranslateOptions};
-    use caesar_events::{AttrType, PartitionId, Schema, Time, Value, VecStream};
+    use caesar_events::{AttrType, PartitionId, Schema, Value, VecStream};
     use caesar_optimizer::Optimizer;
     use caesar_query::parser::parse_model;
     use caesar_query::queryset::QuerySet;
@@ -311,14 +277,15 @@ mod tests {
         let (program, reg) = setup();
         let r = reg.lookup("R").unwrap();
         let mk = |t: u64, p: u32| Event::simple(r, t, PartitionId(p), vec![Value::Int(1)]);
-        let mut events = vec![mk(10, 0), mk(5, 0)]; // shard 0 poison: out of order
-                                                    // Enough follow-up traffic for shard 0 to guarantee the bounded
-                                                    // channel forces a failed send after the worker died (the
-                                                    // channel buffers 4096 batches).
-        for t in 11..6000u64 {
+        // Shard 0 poison: out of order. Then more follow-up traffic for
+        // shard 0 than its channel buffers (`CHANNEL_RUNS` runs of
+        // `RUN_EVENTS`), so a send must fail after the worker died.
+        let mut events = vec![mk(10, 0), mk(5, 0)];
+        let end = 11 + (CHANNEL_RUNS * RUN_EVENTS) as u64 * 2;
+        for t in 11..end {
             events.push(mk(t, 0));
         }
-        events.push(mk(6000, 1)); // shard 1 stays healthy
+        events.push(mk(end, 1)); // shard 1 stays healthy
         let err = run_sharded(
             &program,
             &reg,
@@ -340,61 +307,22 @@ mod tests {
     }
 
     #[test]
-    fn sharded_batched_matches_sharded_per_event() {
-        let (program, reg) = setup();
-        let stream_events = events(&reg, 8);
-        let collect = EngineConfig {
-            collect_outputs: true,
-            ..EngineConfig::default()
-        };
-        for shards in [1usize, 2, 4] {
-            let (rb, out_b) = run_sharded_with_outputs(
-                &program,
-                &reg,
-                collect,
-                shards,
-                &mut VecStream::new(stream_events.clone()),
-            )
-            .unwrap();
-            let (re, out_e) = run_sharded_with_outputs(
-                &program,
-                &reg,
-                EngineConfig {
-                    batch: caesar_events::BatchPolicy::per_event(),
-                    ..collect
-                },
-                shards,
-                &mut VecStream::new(stream_events.clone()),
-            )
-            .unwrap();
-            assert_eq!(rb.events_in, re.events_in, "{shards} shards");
-            assert_eq!(rb.outputs_by_type, re.outputs_by_type, "{shards} shards");
-            assert_eq!(rb.transitions_applied, re.transitions_applied);
-            assert_eq!(
-                caesar_events::encode_all(&out_b),
-                caesar_events::encode_all(&out_e),
-                "{shards} shards: byte-identical outputs"
-            );
-        }
-    }
-
-    #[test]
     fn merge_reports_sums_and_maxes() {
         let mut a = RunReport {
             events_in: 10,
-            max_latency_ns: 500,
+            peak_partials: 5,
             ..RunReport::default()
         };
         a.outputs_by_type.insert("X".into(), 3);
         let mut b = RunReport {
             events_in: 5,
-            max_latency_ns: 900,
+            peak_partials: 9,
             ..RunReport::default()
         };
         b.outputs_by_type.insert("X".into(), 4);
         let merged = merge_reports(vec![a, b]);
         assert_eq!(merged.events_in, 15);
-        assert_eq!(merged.max_latency_ns, 900);
+        assert_eq!(merged.peak_partials, 9);
         assert_eq!(merged.outputs_by_type.get("X"), Some(&7));
     }
 
@@ -410,22 +338,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.events_in, 0);
-    }
-
-    #[test]
-    fn shard_count_one_matches_plain_engine_latency_accounting() {
-        let (program, reg) = setup();
-        let stream_events = events(&reg, 4);
-        let report = run_sharded(
-            &program,
-            &reg,
-            EngineConfig::default(),
-            1,
-            &mut VecStream::new(stream_events),
-        )
-        .unwrap();
-        assert!(report.max_latency_ns > 0);
-        let elapsed: Time = 1;
-        let _ = elapsed;
     }
 }

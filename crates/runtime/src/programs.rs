@@ -24,6 +24,8 @@
 //!   every plan stays active all the time, and every processing query
 //!   carries private clones of its context's deriving queries — the
 //!   re-derivation work a context-unaware engine performs per query.
+//!   [`Mode::BusyWait`] is the same baseline without the clones and
+//!   without moving context windows: Figure 11(b)'s non-optimized plan.
 
 use caesar_algebra::context_table::{ContextTable, PartitionContexts, Transition};
 use caesar_algebra::ops::{ChainScratch, Op};
@@ -43,8 +45,18 @@ pub enum Mode {
     #[default]
     ContextAware,
     /// Baseline: all queries always active; each processing query
-    /// re-derives its context privately.
+    /// re-derives its context privately; context windows are pushed to
+    /// the chain bottom, so pattern state stays window-scoped and
+    /// results match CAESAR exactly.
     ContextIndependent,
+    /// Pure busy-waiting, the "non-optimized query plan" of Figure
+    /// 11(b): all queries always active, no private re-derivation, and
+    /// context windows left where the plans put them — a SASE-style
+    /// engine taken literally, where every event traverses pattern and
+    /// filter before a mid-chain window drops out-of-context *matches*.
+    /// Pattern state is stream-scoped, so results may differ at window
+    /// boundaries (§3.2).
+    BusyWait,
 }
 
 /// The program every partition's transactions execute (see the module
@@ -104,37 +116,24 @@ impl ProgramTemplate {
     /// when the engine does not share at all (`EngineConfig::sharing`
     /// off): every query then keeps a private plan and no shared-prefix
     /// group is installed.
-    #[must_use]
-    pub fn build(
-        combined: Vec<CombinedPlan>,
-        sharing: Option<&[SharedWorkload]>,
-        mode: Mode,
-    ) -> Self {
-        Self::build_with(combined, sharing, mode, true)
-    }
-
-    /// [`ProgramTemplate::build`] with control over baseline push-down:
-    /// `baseline_pushdown = false` leaves context windows wherever the
-    /// plans put them, modelling a literal SASE-style busy-waiting
-    /// engine (see `EngineConfig::baseline_pushdown`).
     ///
     /// A sharing, context-aware engine installs every shared-prefix
     /// group the optimizer finds eligible ([`install_prefix_sharing`]);
-    /// the baseline never does — it models an engine without the §5
-    /// optimizer, and its re-derivation clones share nothing anyway.
+    /// the baselines never do — they model an engine without the §5
+    /// optimizer, and the re-derivation clones share nothing anyway.
     #[must_use]
-    pub fn build_with(
+    pub fn build(
         mut combined: Vec<CombinedPlan>,
         sharing: Option<&[SharedWorkload]>,
         mode: Mode,
-        baseline_pushdown: bool,
     ) -> Self {
         // Pattern state is scoped to the context window. In
         // context-aware mode the batch-level router provides that
         // scoping even for unoptimized chains; the baseline has no
         // router, so the context window MUST sit below the pattern —
         // this is a semantic requirement here, not an optimization.
-        if mode == Mode::ContextIndependent && baseline_pushdown {
+        // (The busy-waiting baseline gives that up on purpose.)
+        if mode == Mode::ContextIndependent {
             for p in combined.iter_mut().flat_map(|c| &mut c.plans) {
                 caesar_optimizer::pushdown::push_down_context_window(p);
             }
@@ -589,7 +588,7 @@ impl ProgramTemplate {
     /// privately re-evaluates its context's deriving conditions on every
     /// event. Outputs and transitions are discarded — only the canonical
     /// derivation updates the table.
-    pub fn run_redundant_derivation(&mut self, events: &[Event], table: &ContextTable) {
+    pub fn run_private_derivation(&mut self, events: &[Event], table: &ContextTable) {
         let Self {
             redundant, sink, ..
         } = self;
@@ -604,8 +603,8 @@ impl ProgramTemplate {
         }
     }
 
-    /// Batched [`run_redundant_derivation`](Self::run_redundant_derivation).
-    pub fn run_redundant_derivation_batch(
+    /// Batched [`run_private_derivation`](Self::run_private_derivation).
+    pub fn run_private_derivation_batch(
         &mut self,
         cols: &mut ColumnarBatch<'_>,
         table: &ContextTable,
@@ -753,7 +752,7 @@ impl ProgramTemplate {
     /// Fills `active` with the indices of the processing plans whose
     /// gate admits time `t` at `partition` — the context-aware router's
     /// batch-level selection, one context-table lookup per transaction.
-    /// In baseline mode every plan is selected.
+    /// In the baseline modes every plan is selected.
     pub fn active_processing(
         &self,
         partition: PartitionId,
@@ -762,7 +761,7 @@ impl ProgramTemplate {
         active: &mut Vec<usize>,
     ) {
         active.clear();
-        if self.mode == Mode::ContextIndependent {
+        if self.mode != Mode::ContextAware {
             active.extend(0..self.processing.len());
             return;
         }

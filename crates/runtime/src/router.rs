@@ -58,7 +58,7 @@ impl Router {
     }
 
     /// Mean events per routing decision — how far one context lookup
-    /// amortizes under batching (1.0 in strict event-at-a-time runs).
+    /// amortizes (1.0 when every transaction holds one event).
     #[must_use]
     pub fn events_per_decision(&self) -> f64 {
         if self.batches_routed == 0 {

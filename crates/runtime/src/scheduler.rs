@@ -20,7 +20,7 @@
 //! state (and snapshot) is independent of how many partitions the
 //! stream has touched.
 
-use caesar_events::{Event, EventBatch, EventError, PartitionedQueues, Time};
+use caesar_events::{Event, EventError, PartitionedQueues, Time};
 use serde::{Deserialize, Serialize};
 use std::vec::Drain;
 
@@ -43,12 +43,6 @@ impl TimeDrivenScheduler {
     /// in-order for the progress watermark to be meaningful.
     pub fn ingest(&mut self, event: Event) -> Result<(), EventError> {
         self.frontier.push(event)
-    }
-
-    /// Ingests a same-timestamp batch with one progress check.
-    /// Equivalent to ingesting the batch's events one by one.
-    pub fn ingest_batch(&mut self, batch: EventBatch) -> Result<(), EventError> {
-        self.frontier.push_batch(batch)
     }
 
     /// The distributor progress — the highest timestamp ingested: all
@@ -167,20 +161,13 @@ mod tests {
     fn out_of_order_is_rejected_with_the_progress_watermark() {
         let mut s = TimeDrivenScheduler::new();
         s.ingest(ev(10, 0)).unwrap();
-        for result in [
+        assert!(matches!(
             s.ingest(ev(5, 1)),
-            s.ingest_batch(EventBatch::new(5, vec![ev(5, 0), ev(5, 1)])),
-        ] {
-            assert!(matches!(
-                result,
-                Err(EventError::OutOfOrder {
-                    watermark: 10,
-                    timestamp: 5
-                })
-            ));
-        }
-        // An empty batch is a no-op, not an error.
-        s.ingest_batch(EventBatch::new(0, vec![])).unwrap();
+            Err(EventError::OutOfOrder {
+                watermark: 10,
+                timestamp: 5
+            })
+        ));
         assert_eq!(s.progress(), 10);
         assert_eq!(s.buffered(), 1);
     }
@@ -222,9 +209,9 @@ mod tests {
     }
 
     proptest! {
-        /// Random interleavings of `ingest` / `ingest_batch` / `release`
-        /// / `flush` — same-time runs across interleaved partitions and
-        /// releases that span several timestamps included — hand out
+        /// Random interleavings of `ingest` / `release` / `flush` —
+        /// same-time runs across interleaved partitions and releases
+        /// that span several timestamps included — hand out
         /// exactly the model's transactions, and a stale arrival is
         /// `OutOfOrder` against the same watermark.
         #[test]
@@ -249,16 +236,15 @@ mod tests {
                         model.progress = t;
                         None
                     }
-                    // A batch of `n` events over interleaved partitions.
+                    // A same-time run of `n` events over interleaved
+                    // partitions.
                     3 | 4 => {
                         let t = model.progress + step;
-                        let mut events = Vec::new();
                         for i in 0..n as u32 {
                             let (event, tag) = tagged(t, (p + i * 3) % 4);
                             model.pending.push((t, (p + i * 3) % 4, tag));
-                            events.push(event);
+                            scheduler.ingest(event).unwrap();
                         }
-                        scheduler.ingest_batch(EventBatch::new(t, events)).unwrap();
                         model.progress = t;
                         None
                     }

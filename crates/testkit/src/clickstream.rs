@@ -5,8 +5,8 @@
 //! clickstream profile keeps the hand-written session-state model from
 //! `caesar-clickstream` (four contexts, funnel/abandonment/bot queries,
 //! one negated pattern) and randomizes everything around it: user-key
-//! population, Zipf skew, session mix, replication, disorder and
-//! id-scattering. The model stays inside the reference-oracle envelope
+//! population, Zipf skew, session mix, replication, disorder,
+//! id-scattering and same-time view bursts. The model stays inside the reference-oracle envelope
 //! by construction, so every sampled workload runs through
 //! [`check_workload`](crate::check_workload),
 //! [`check_workload_served`](crate::check_workload_served) and
@@ -19,6 +19,7 @@ use caesar_clickstream::{
 };
 use caesar_events::generator::rng;
 use caesar_events::max_lateness;
+use caesar_runtime::BATCH_MIN_EVENTS;
 use rand::Rng;
 
 /// Derives a clickstream differential workload from a seed: a random
@@ -51,7 +52,26 @@ pub fn clickstream_workload_from_seed(seed: u64) -> Workload {
         ..ClickConfig::default()
     };
     let registry = clickstream_registry();
-    let (events, _) = generate(&config, &registry);
+    let (mut events, _) = generate(&config, &registry);
+    // Scripted sessions never put `BATCH_MIN_EVENTS` events into one
+    // transaction, so half the workloads repeat a few views in place:
+    // same user, same timestamp, arriving together — the same-time
+    // runs that take the operators' batch entry points.
+    if r.gen_bool(0.5) {
+        let view = registry.lookup("View").expect("registered");
+        for _ in 0..r.gen_range(1..4) {
+            let views: Vec<usize> = (0..events.len())
+                .filter(|&i| events[i].type_id == view)
+                .collect();
+            if views.is_empty() {
+                break;
+            }
+            let at = views[r.gen_range(0..views.len())];
+            let copies = r.gen_range(BATCH_MIN_EVENTS..BATCH_MIN_EVENTS + 5);
+            let burst = vec![events[at].clone(); copies - 1];
+            events.splice(at..at, burst);
+        }
+    }
     let reorder_slack = max_lateness(&events);
     Workload {
         seed,

@@ -2,10 +2,10 @@
 //! mode matrix, byte-identical comparison against the reference oracle.
 //!
 //! Every leg of [`standard_matrix`] runs the workload's event stream
-//! through the real engine — sequential and sharded, per-event and
-//! batched, vectorized and interpreted, each observability level,
-//! optimized and unoptimized plans, shared and (one leg) unshared, plus
-//! a mid-stream snapshot/restore leg — and must reproduce the oracle's
+//! through the real engine — sequential and sharded, each observability
+//! level, both consistency levels, optimized and unoptimized plans,
+//! shared and (one leg) unshared, plus a mid-stream snapshot/restore
+//! leg — and must reproduce the oracle's
 //! outputs *byte for byte* (after canonical ordering; shards and
 //! watermark phases interleave emission order, which is not part of
 //! the contract) along with its deterministic counters. On mismatch the harness reports the seed,
@@ -15,14 +15,52 @@
 use crate::generate::Workload;
 use crate::oracle::{Oracle, OracleRun};
 use caesar_algebra::translate::{translate_query_set, TranslateOptions};
-use caesar_events::{codec, BatchPolicy, Event, OutputRecord, SchemaRegistry};
+use caesar_events::{codec, Event, OutputRecord, SchemaRegistry};
 use caesar_optimizer::{OptimizedProgram, Optimizer, OptimizerConfig};
 use caesar_query::{pretty, QuerySet};
 use caesar_runtime::{
-    run_mode_full, standard_matrix, Consistency, EngineConfig, ModeSpec, RunReport,
+    run_mode_full, standard_matrix, Consistency, EngineConfig, ModeSpec, ObservabilityLevel,
+    RunReport,
 };
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::AddAssign;
+
+/// The transactions the matrix's `Counters` leg executed, and how many
+/// of them the engine sent through the operators' batch entry points
+/// (it picks by transaction size). No leg forces either entry point, so
+/// a sweep sums these and asserts `0 < batched < executed`: both paths
+/// ran under the oracle.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EntryPaths {
+    /// `transactions_executed`.
+    pub executed: u64,
+    /// `batched_transactions`.
+    pub batched: u64,
+}
+
+impl EntryPaths {
+    fn of(report: &RunReport) -> Self {
+        let counter = |name: &str| report.metrics.counters.get(name).copied().unwrap_or(0);
+        Self {
+            executed: counter("transactions_executed"),
+            batched: counter("batched_transactions"),
+        }
+    }
+
+    /// True when both entry points ran: `0 < batched < executed`.
+    #[must_use]
+    pub fn both_taken(&self) -> bool {
+        0 < self.batched && self.batched < self.executed
+    }
+}
+
+impl AddAssign for EntryPaths {
+    fn add_assign(&mut self, other: Self) {
+        self.executed += other.executed;
+        self.batched += other.batched;
+    }
+}
 
 /// A differential divergence: everything needed to reproduce it.
 #[derive(Debug, Clone)]
@@ -215,13 +253,14 @@ pub(crate) fn compare_leg(
     Ok(())
 }
 
-/// Runs every matrix leg of `workload` against an explicit oracle run.
-/// The mutation smoke-check passes a deliberately wrong oracle here and
-/// expects an `Err`.
+/// Runs every matrix leg of `workload` against an explicit oracle run;
+/// returns the `Counters` leg's [`EntryPaths`]. The mutation
+/// smoke-check passes a deliberately wrong oracle here and expects an
+/// `Err`.
 pub fn check_workload_against(
     workload: &Workload,
     oracle_run: &OracleRun,
-) -> Result<(), DiffFailure> {
+) -> Result<EntryPaths, DiffFailure> {
     let fail = |leg: &str, detail: String| DiffFailure {
         seed: workload.seed,
         leg: leg.to_string(),
@@ -231,6 +270,7 @@ pub fn check_workload_against(
     };
     let (optimized, unoptimized, registry) =
         build_programs(workload).map_err(|e| fail("build", e))?;
+    let mut paths = EntryPaths::default();
     for spec in standard_matrix(workload.reorder_slack, workload.events.len()) {
         let program = if spec.optimized {
             &optimized
@@ -241,16 +281,19 @@ pub fn check_workload_against(
             .map_err(|e| fail(&spec.label, format!("engine error: {e}")))?;
         compare_leg(workload, &spec, &report, &outputs, &records, oracle_run)
             .map_err(|detail| fail(&spec.label, detail))?;
+        if spec.config.observability == ObservabilityLevel::Counters {
+            paths = EntryPaths::of(&report);
+        }
     }
-    Ok(())
+    Ok(paths)
 }
 
 /// The provenance differential: the engine in timestamp-collecting mode
 /// against the oracle with provenance attached. Provenance participates
 /// in the wire encoding, so the canonical byte comparison pins every
-/// collected `(type, occurrence)` step exactly — across per-event,
-/// batched and unoptimized legs (the optimized ones run with every
-/// eligible shared-prefix group installed).
+/// collected `(type, occurrence)` step exactly — on an optimized leg
+/// (every eligible shared-prefix group installed) and an unoptimized
+/// one.
 pub fn check_workload_provenance(workload: &Workload) -> Result<(), DiffFailure> {
     let fail = |leg: &str, detail: String| DiffFailure {
         seed: workload.seed,
@@ -270,32 +313,19 @@ pub fn check_workload_provenance(workload: &Workload) -> Result<(), DiffFailure>
             .reorder_slack(workload.reorder_slack)
             .provenance(true)
     };
-    let mut unopt_spec = ModeSpec::sequential(
-        "prov/per-event/unoptimized",
-        base().batch(BatchPolicy::per_event()).build(),
-    );
-    unopt_spec.optimized = false;
+    let unopt_spec = ModeSpec {
+        optimized: false,
+        ..ModeSpec::sequential("prov/unoptimized", base().build())
+    };
     let legs = [
         (
-            ModeSpec::sequential(
-                "prov/per-event/optimized",
-                base().batch(BatchPolicy::per_event()).build(),
-            ),
+            ModeSpec::sequential("prov/optimized", base().build()),
             &optimized,
-            &registry,
         ),
-        (
-            ModeSpec::sequential(
-                "prov/batch/vectorized",
-                base().batch(BatchPolicy::default()).vectorize(true).build(),
-            ),
-            &optimized,
-            &registry,
-        ),
-        (unopt_spec, &unoptimized, &registry),
+        (unopt_spec, &unoptimized),
     ];
-    for (spec, program, reg) in legs {
-        let (report, outputs, records) = run_mode_full(program, reg, &spec, &workload.events)
+    for (spec, program) in legs {
+        let (report, outputs, records) = run_mode_full(program, &registry, &spec, &workload.events)
             .map_err(|e| fail(&spec.label, format!("engine error: {e}")))?;
         compare_leg(workload, &spec, &report, &outputs, &records, &oracle_run)
             .map_err(|detail| fail(&spec.label, detail))?;
@@ -305,7 +335,8 @@ pub fn check_workload_provenance(workload: &Workload) -> Result<(), DiffFailure>
 
 /// The full differential check: reference-oracle run, then every leg of
 /// the standard mode matrix, byte-identical outputs and equal counters.
-pub fn check_workload(workload: &Workload) -> Result<(), DiffFailure> {
+/// Returns the `Counters` leg's [`EntryPaths`].
+pub fn check_workload(workload: &Workload) -> Result<EntryPaths, DiffFailure> {
     let oracle_run = oracle_run(workload).map_err(|e| DiffFailure {
         seed: workload.seed,
         leg: "oracle".into(),

@@ -50,8 +50,7 @@ pub fn lr_builder(replication: usize) -> CaesarBuilder {
 }
 
 /// The common Linear Road system: pick the execution mode, whether the
-/// optimizer runs, and the engine's batch/vectorize/output knobs via
-/// `engine`. `collect_outputs` etc. are whatever `engine` says — pass
+/// optimizer runs, and the engine's knobs via `engine`. `collect_outputs` etc. are whatever `engine` says — pass
 /// `EngineConfig::builder().mode(mode).build()` for report-only runs.
 #[must_use]
 pub fn lr_system(optimized: bool, replication: usize, engine: EngineConfig) -> CaesarSystem {

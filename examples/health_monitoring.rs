@@ -71,5 +71,4 @@ fn main() {
         report.plans_suspended,
         (report.plans_suspended * 100) / (report.plans_fed + report.plans_suspended).max(1)
     );
-    println!("max latency: {:.2} ms", report.max_latency_ns as f64 / 1e6);
 }

@@ -40,7 +40,6 @@ const USAGE: &str = "usage:
   caesar explain --model FILE --schema FILE [--within N]
   caesar run     --model FILE --schema FILE --events FILE
                  [--mode ca|ci] [--no-sharing] [--within N]
-                 [--batch-size N] [--no-vectorize]
                  [--checkpoint-dir DIR] [--checkpoint-every-events N]
                  [--observability off|counters|spans]
                  [--consistency strict|speculative]
@@ -49,7 +48,6 @@ const USAGE: &str = "usage:
                  [--listen ADDR] [--metrics-listen ADDR]
                  [--shards N] [--queue-capacity N]
                  [--mode ca|ci] [--no-sharing] [--within N]
-                 [--batch-size N] [--no-vectorize]
                  [--checkpoint-dir DIR]
                  [--observability off|counters|spans]
                  [--consistency strict|speculative]
@@ -69,13 +67,8 @@ admission stops, everything acknowledged is processed, and with
 --checkpoint-dir each tenant writes per-shard snapshots that a restart
 with the same directory resumes from.
 
---batch-size caps how many same-timestamp events the hot path groups
-into one dispatch (default: uncapped batching; 1 = event-at-a-time,
-the comparison baseline). Results are identical for every setting.
-
---no-vectorize disables the vectorized predicate kernels of the batch
-path, falling back to the batched row interpreter. Results are
-identical either way.
+an unknown flag, a flag without its value, or an unknown --mode is an
+error: nothing runs.
 
 with --checkpoint-dir, the run writes durable snapshots + an event log
 to DIR every N events (default 10000; 0 = snapshot only at the end) and
@@ -98,8 +91,47 @@ every pipeline stage. --metrics prints the collected metrics after the
 report; --metrics-json writes them as JSON (both imply --observability
 spans unless a level was given explicitly)";
 
+/// Flags that take a value, and switches that do not. Anything else
+/// after the command is rejected, so a mistyped flag cannot silently
+/// change what runs.
+const VALUE_FLAGS: &[&str] = &[
+    "--model",
+    "--schema",
+    "--events",
+    "--within",
+    "--mode",
+    "--checkpoint-dir",
+    "--checkpoint-every-events",
+    "--shards",
+    "--metrics-json",
+    "--consistency",
+    "--observability",
+    "--tenant",
+    "--listen",
+    "--metrics-listen",
+    "--queue-capacity",
+];
+const SWITCHES: &[&str] = &["--no-sharing", "--explain", "--metrics"];
+
+fn check_flags(flags: &[String]) -> Result<(), String> {
+    let mut rest = flags.iter();
+    while let Some(arg) = rest.next() {
+        if SWITCHES.contains(&arg.as_str()) {
+            continue;
+        }
+        if !VALUE_FLAGS.contains(&arg.as_str()) {
+            return Err(format!("unknown flag '{arg}'"));
+        }
+        if rest.next().is_none() {
+            return Err(format!("{arg} needs a value"));
+        }
+    }
+    Ok(())
+}
+
 fn dispatch(args: &[String]) -> Result<String, String> {
     let command = args.first().ok_or("no command given")?;
+    check_flags(&args[1..])?;
     let flag = |name: &str| -> Option<&str> {
         args.windows(2)
             .find(|w| w[0] == name)
@@ -113,9 +145,11 @@ fn dispatch(args: &[String]) -> Result<String, String> {
     if let Some(w) = flag("--within") {
         options.within = w.parse().map_err(|e| format!("--within: {e}"))?;
     }
-    if flag("--mode") == Some("ci") {
-        options.mode = ExecutionMode::ContextIndependent;
-    }
+    options.mode = match flag("--mode") {
+        None | Some("ca") => ExecutionMode::ContextAware,
+        Some("ci") => ExecutionMode::ContextIndependent,
+        Some(other) => return Err(format!("--mode: unknown mode '{other}' (ca|ci)")),
+    };
     if args.iter().any(|a| a == "--no-sharing") {
         options.sharing = false;
     }
@@ -126,12 +160,6 @@ fn dispatch(args: &[String]) -> Result<String, String> {
         options.checkpoint_every = n
             .parse()
             .map_err(|e| format!("--checkpoint-every-events: {e}"))?;
-    }
-    if let Some(n) = flag("--batch-size") {
-        options.batch_size = Some(n.parse().map_err(|e| format!("--batch-size: {e}"))?);
-    }
-    if args.iter().any(|a| a == "--no-vectorize") {
-        options.vectorize = false;
     }
     if let Some(n) = flag("--shards") {
         options.shards = n.parse().map_err(|e| format!("--shards: {e}"))?;

@@ -185,15 +185,6 @@ pub struct RunOptions {
     /// Checkpoint cadence in events. `0` keeps the write-ahead log but
     /// snapshots only at the end of the run.
     pub checkpoint_every: u64,
-    /// Batch-size cap for the batched hot path. `None` = batched with no
-    /// cap beyond timestamp boundaries (the default); `Some(0)` or
-    /// `Some(1)` = event-at-a-time baseline; `Some(n)` = at most `n`
-    /// events per batch.
-    pub batch_size: Option<usize>,
-    /// Vectorized predicate/projection kernels over columnar batch
-    /// views (default on). Off = the batched row interpreter; results
-    /// are identical either way.
-    pub vectorize: bool,
     /// Observability level of the engine (and, for checkpointed runs,
     /// the checkpoint manager): `Off` (default), `Counters` or `Spans`.
     pub observability: ObservabilityLevel,
@@ -224,25 +215,11 @@ impl Default for RunOptions {
             within: 300,
             checkpoint_dir: None,
             checkpoint_every: 10_000,
-            batch_size: None,
-            vectorize: true,
             observability: ObservabilityLevel::Off,
             consistency: Consistency::Strict,
             metrics: false,
             metrics_json: None,
             explain: false,
-        }
-    }
-}
-
-impl RunOptions {
-    /// The [`BatchPolicy`] the `batch_size` flag maps to.
-    #[must_use]
-    pub fn batch_policy(&self) -> BatchPolicy {
-        match self.batch_size {
-            None => BatchPolicy::default(),
-            Some(0 | 1) => BatchPolicy::per_event(),
-            Some(n) => BatchPolicy::bounded(n),
         }
     }
 }
@@ -255,8 +232,6 @@ pub fn engine_config(options: &RunOptions) -> EngineConfig {
     EngineConfig::builder()
         .mode(options.mode)
         .sharing(options.sharing)
-        .batch(options.batch_policy())
-        .vectorize(options.vectorize)
         .observability(options.observability)
         .consistency(options.consistency)
         // `--explain` needs each match's contributing events (and the
@@ -360,7 +335,7 @@ fn run_checkpointed(
         manager.log_event(&event).map_err(sys_err)?;
         system
             .engine
-            .ingest_timed(event)
+            .ingest(event)
             .map_err(|e| CliError::System(e.to_string()))?;
         // Snapshots capture strict state only: when a checkpoint is due,
         // a speculative engine first confirms or retracts everything in
@@ -374,7 +349,7 @@ fn run_checkpointed(
     // longer) event file resumes here instead of replaying everything.
     system.engine.settle();
     manager.checkpoint(&system.engine).map_err(sys_err)?;
-    let mut report = system.engine.finish_timed();
+    let mut report = system.engine.finish();
     report.metrics.merge(&manager.metrics_snapshot());
     Ok((report, resumed_at))
 }
@@ -392,10 +367,6 @@ pub fn render_report(report: &RunReport) -> String {
     s.push_str(&format!(
         "plans suspended:     {} ({} fed)\n",
         report.plans_suspended, report.plans_fed
-    ));
-    s.push_str(&format!(
-        "max latency:         {:.3} ms\n",
-        report.max_latency_ns as f64 / 1e6
     ));
     s.push_str("outputs:\n");
     for (ty, n) in &report.outputs_by_type {
@@ -459,8 +430,8 @@ pub struct TenantSpec {
 
 /// Everything a `caesar serve` needs: the tenant specs, the listen
 /// addresses, and the shared run flags. The engine-level flags (mode,
-/// sharing, batching, vectorization, observability, checkpoint
-/// directory, `--within`) are carried by the embedded [`RunOptions`] so
+/// sharing, observability, consistency, checkpoint directory,
+/// `--within`) are carried by the embedded [`RunOptions`] so
 /// they mean exactly what they mean for `caesar run` — there is one
 /// flag-to-config mapping, not two.
 #[derive(Debug, Clone)]
@@ -722,47 +693,6 @@ CONTEXT congestion {
     }
 
     #[test]
-    fn batch_size_flag_maps_to_policy_and_preserves_results() {
-        assert_eq!(RunOptions::default().batch_policy(), BatchPolicy::default());
-        let per_event = RunOptions {
-            batch_size: Some(1),
-            ..RunOptions::default()
-        };
-        assert_eq!(per_event.batch_policy(), BatchPolicy::per_event());
-        let capped = RunOptions {
-            batch_size: Some(64),
-            ..RunOptions::default()
-        };
-        assert_eq!(capped.batch_policy(), BatchPolicy::bounded(64));
-
-        // Every batch setting computes the same answer (drop the
-        // measured-latency line; it folds in wall-clock service times).
-        let deterministic = |report: String| -> String {
-            report
-                .lines()
-                .filter(|l| !l.starts_with("max latency"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        let baseline = deterministic(run(&options()).unwrap());
-        for vectorize in [true, false] {
-            for batch_size in [Some(1), Some(2), None] {
-                let out = run(&RunOptions {
-                    batch_size,
-                    vectorize,
-                    ..options()
-                })
-                .unwrap();
-                assert_eq!(
-                    deterministic(out),
-                    baseline,
-                    "batch_size={batch_size:?} vectorize={vectorize}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn serve_hosts_tenants_through_the_run_flag_plumbing() {
         use caesar_server::{Client, Request, Response};
 
@@ -858,17 +788,7 @@ CONTEXT congestion {
             Consistency::Speculative
         );
         // Settled results are identical across consistency levels.
-        let deterministic = |report: String| -> String {
-            report
-                .lines()
-                .filter(|l| !l.starts_with("max latency"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(
-            deterministic(run(&speculative).unwrap()),
-            deterministic(run(&options()).unwrap())
-        );
+        assert_eq!(run(&speculative).unwrap(), run(&options()).unwrap());
         // Checkpointed speculative runs settle before every snapshot;
         // the run still completes and resumes like a strict one.
         let dir = std::env::temp_dir().join(format!("caesar-cli-spec-{}", std::process::id()));

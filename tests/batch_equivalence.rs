@@ -1,394 +1,51 @@
-//! Differential batch-equivalence: batched hot-path execution must be
-//! observationally indistinguishable from event-at-a-time execution.
+//! The batch entry points against the traffic oracle.
 //!
-//! Every pair of runs below differs *only* in the batch policy. The
-//! comparison is strict: byte-identical encodings of every collected
-//! output event (`outputs_equivalent`) plus equality of all
-//! deterministic `RunReport` counters (`reports_equivalent`), on the
-//! Linear Road oracle workload, across:
-//!
-//! * sequential and sharded (1/2/4 shards) execution,
-//! * optimized and unoptimized plans,
-//! * context-aware and context-independent modes,
-//! * checkpoints written by one mode and resumed by the other.
+//! The engine runs a transaction through the operators' batch entry
+//! points (selection vectors, vectorized kernels, the per-batch
+//! negation index) when it holds at least `BATCH_MIN_EVENTS` events,
+//! and through the per-event entry points otherwise. Each operator's
+//! own tests pin the two as equivalent; this test holds a run whose
+//! dense traffic takes the batch entry points against the Linear Road
+//! oracle directly, so the batched path is *correct*, not merely
+//! self-consistent.
 
-use caesar::linear_road::{expected_outputs, lr_model, lr_registry, LinearRoadConfig, TrafficSim};
-use caesar::optimizer::Optimizer;
+use caesar::linear_road::{expected_outputs, LinearRoadConfig, TrafficSim};
 use caesar::prelude::*;
-use caesar::query::QuerySet;
-use caesar::recovery::{outputs_equivalent, reports_equivalent, CheckpointManager};
-use caesar::runtime::run_sharded_with_outputs;
-use caesar_testkit::lr::LR_WITHIN;
-use std::fs;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "caesar-batch-eq-{tag}-{}-{}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
-
-fn lr_system(mode: ExecutionMode, optimized: bool, batch: BatchPolicy) -> CaesarSystem {
-    lr_system_with(mode, optimized, batch, true)
-}
-
-fn lr_system_with(
-    mode: ExecutionMode,
-    optimized: bool,
-    batch: BatchPolicy,
-    vectorize: bool,
-) -> CaesarSystem {
-    caesar_testkit::lr::lr_system(
-        optimized,
-        1,
-        EngineConfig::builder()
-            .mode(mode)
-            .collect_outputs(true)
-            .batch(batch)
-            .vectorize(vectorize)
-            .build(),
-    )
-}
-
-fn lr_events(seed: u64) -> Vec<Event> {
-    let mut sim = TrafficSim::new(LinearRoadConfig {
-        roads: 1,
-        segments_per_road: 6,
-        duration: 900,
-        seed,
-        base_cars: 2.0,
-        peak_cars: 5.0,
-        ..Default::default()
-    });
-    sim.generate()
-}
-
-/// Dense traffic: long same-(partition, time) runs, so batched execution
-/// engages the per-batch negation index and the stage-major fast path.
-fn lr_dense_events(seed: u64) -> Vec<Event> {
-    let mut sim = TrafficSim::new(LinearRoadConfig {
-        roads: 1,
-        segments_per_road: 2,
-        duration: 300,
-        seed,
-        base_cars: 120.0,
-        peak_cars: 220.0,
-        ..Default::default()
-    });
-    sim.generate()
-}
-
-/// Runs the stream and returns (report, collected outputs).
-fn run_with(
-    mode: ExecutionMode,
-    optimized: bool,
-    batch: BatchPolicy,
-    events: &[Event],
-) -> (RunReport, Vec<Event>) {
-    run_with_vectorize(mode, optimized, batch, true, events)
-}
-
-/// [`run_with`], additionally pinning the vectorize switch.
-fn run_with_vectorize(
-    mode: ExecutionMode,
-    optimized: bool,
-    batch: BatchPolicy,
-    vectorize: bool,
-    events: &[Event],
-) -> (RunReport, Vec<Event>) {
-    let mut system = lr_system_with(mode, optimized, batch, vectorize);
-    let report = system
-        .run_stream(&mut VecStream::new(events.to_vec()))
-        .expect("stream is in order");
-    let outputs = std::mem::take(&mut system.engine.collected_outputs);
-    (report, outputs)
-}
-
-fn assert_equivalent(
-    tag: &str,
-    baseline: &(RunReport, Vec<Event>),
-    candidate: &(RunReport, Vec<Event>),
-) {
-    assert!(
-        outputs_equivalent(&baseline.1, &candidate.1),
-        "{tag}: output streams diverged ({} vs {} outputs)",
-        baseline.1.len(),
-        candidate.1.len(),
-    );
-    assert!(
-        reports_equivalent(&baseline.0, &candidate.0),
-        "{tag}: report counters diverged\nbaseline:  {:?}\ncandidate: {:?}",
-        baseline.0,
-        candidate.0,
-    );
-}
-
-/// Dense same-time runs: the regime where batched execution uses the
-/// per-batch negation index (the leading-negation `SEQ(NOT p1, p2)`
-/// queries dominate Linear Road) — outputs and counters must still be
-/// byte-identical to the per-event baseline.
-#[test]
-fn dense_traffic_batched_matches_per_event() {
-    let events = lr_dense_events(17);
-    let baseline = run_with(
-        ExecutionMode::ContextAware,
-        true,
-        BatchPolicy::per_event(),
-        &events,
-    );
-    assert!(
-        !baseline.1.is_empty(),
-        "dense stream should produce outputs"
-    );
-    for policy in [
-        BatchPolicy::default(),
-        BatchPolicy::bounded(16),
-        BatchPolicy::bounded(5),
-    ] {
-        let candidate = run_with(ExecutionMode::ContextAware, true, policy, &events);
-        assert_equivalent("dense traffic", &baseline, &candidate);
-    }
-}
-
-/// The core differential matrix: for each (mode, optimized) cell, the
-/// per-event run is the baseline and every batched policy must produce
-/// byte-identical outputs and identical counters.
-#[test]
-fn sequential_batched_matches_per_event_across_modes() {
-    let events = lr_events(41);
-    let cells = [
-        (ExecutionMode::ContextAware, true),
-        (ExecutionMode::ContextAware, false),
-        (ExecutionMode::ContextIndependent, true),
-        (ExecutionMode::ContextIndependent, false),
-    ];
-    for (mode, optimized) in cells {
-        let baseline = run_with(mode, optimized, BatchPolicy::per_event(), &events);
-        for policy in [
-            BatchPolicy::default(),
-            BatchPolicy::bounded(1),
-            BatchPolicy::bounded(3),
-            BatchPolicy::bounded(64),
-        ] {
-            let candidate = run_with(mode, optimized, policy, &events);
-            assert_equivalent(
-                &format!("{mode:?} optimized={optimized} policy={policy:?}"),
-                &baseline,
-                &candidate,
-            );
-        }
-    }
-}
-
-/// Batched runs must still be *correct*, not merely self-consistent:
-/// hold the batched run against the traffic oracle directly.
+/// Dense Linear Road traffic: long same-(partition, time) runs of
+/// position reports, the regime of the batch entry points.
 #[test]
 fn batched_run_matches_oracle() {
     let mut sim = TrafficSim::new(LinearRoadConfig {
         roads: 1,
-        segments_per_road: 6,
-        duration: 900,
+        segments_per_road: 2,
+        duration: 300,
         seed: 42,
-        base_cars: 2.0,
-        peak_cars: 5.0,
+        base_cars: 120.0,
+        peak_cars: 220.0,
         ..Default::default()
     });
     let events = sim.generate();
     let oracle = expected_outputs(&events, sim.registry());
-    let (report, _) = run_with(
-        ExecutionMode::ContextAware,
+    let mut system = caesar_testkit::lr::lr_system(
         true,
-        BatchPolicy::default(),
-        &events,
+        1,
+        EngineConfig::builder()
+            .observability(ObservabilityLevel::Counters)
+            .build(),
     );
+    let report = system
+        .run_stream(&mut VecStream::new(events))
+        .expect("stream is in order");
+    assert!(
+        report.metrics.counters["batched_transactions"] > 0,
+        "dense traffic must take the batch entry points"
+    );
+    assert!(report.outputs_of("TollNotification") > 0);
     assert_eq!(report.outputs_of("ZeroToll"), oracle.zero_tolls);
     assert_eq!(report.outputs_of("TollNotification"), oracle.real_tolls);
     assert_eq!(
         report.outputs_of("AccidentWarning"),
         oracle.accident_warnings
     );
-}
-
-/// Sharded execution: same shard count, batched vs per-event. Outputs
-/// are concatenated shard-by-shard, so for a fixed shard count the
-/// comparison is byte-exact.
-#[test]
-fn sharded_batched_matches_sharded_per_event() {
-    let model = lr_model(1);
-    let qs = QuerySet::from_model(&model).unwrap();
-    let mut registry = lr_registry();
-    let translation = caesar::algebra::translate::translate_query_set(
-        &qs,
-        &mut registry,
-        &caesar::algebra::translate::TranslateOptions {
-            default_within: LR_WITHIN,
-        },
-    )
-    .unwrap();
-    let program = Optimizer::default().optimize(translation, &registry);
-    let events = lr_events(43);
-    for shards in [1usize, 2, 4] {
-        let config = |batch: BatchPolicy| {
-            EngineConfig::builder()
-                .collect_outputs(true)
-                .batch(batch)
-                .build()
-        };
-        let baseline = run_sharded_with_outputs(
-            &program,
-            &registry,
-            config(BatchPolicy::per_event()),
-            shards,
-            &mut VecStream::new(events.clone()),
-        )
-        .unwrap();
-        for policy in [BatchPolicy::default(), BatchPolicy::bounded(7)] {
-            let candidate = run_sharded_with_outputs(
-                &program,
-                &registry,
-                config(policy),
-                shards,
-                &mut VecStream::new(events.clone()),
-            )
-            .unwrap();
-            assert_equivalent(
-                &format!("{shards} shards, {policy:?}"),
-                &baseline,
-                &candidate,
-            );
-        }
-    }
-}
-
-/// Partition-splitting batches (one batch never spans two partitions)
-/// must not change results either.
-#[test]
-fn partition_split_batches_match_per_event() {
-    let events = lr_events(44);
-    let baseline = run_with(
-        ExecutionMode::ContextAware,
-        true,
-        BatchPolicy::per_event(),
-        &events,
-    );
-    let split = BatchPolicy {
-        split_partitions: true,
-        ..BatchPolicy::default()
-    };
-    let candidate = run_with(ExecutionMode::ContextAware, true, split, &events);
-    assert_equivalent("partition-split", &baseline, &candidate);
-}
-
-/// Vectorized kernels on vs off: for both sparse and dense workloads
-/// and both execution modes, the batched run with kernels enabled, the
-/// batched run with kernels disabled (batched row interpreter), and the
-/// per-event baseline must all produce byte-identical outputs and
-/// identical counters.
-#[test]
-fn vectorized_kernels_match_interpreter() {
-    let workloads = [("sparse", lr_events(61)), ("dense", lr_dense_events(62))];
-    for (workload, events) in &workloads {
-        for mode in [
-            ExecutionMode::ContextAware,
-            ExecutionMode::ContextIndependent,
-        ] {
-            let baseline = run_with(mode, true, BatchPolicy::per_event(), events);
-            for vectorize in [true, false] {
-                let candidate =
-                    run_with_vectorize(mode, true, BatchPolicy::default(), vectorize, events);
-                assert_equivalent(
-                    &format!("{workload} {mode:?} vectorize={vectorize}"),
-                    &baseline,
-                    &candidate,
-                );
-            }
-        }
-    }
-}
-
-/// The `min_events` dispatch threshold (small transactions stay on the
-/// per-event path even when batching is enabled) must never change
-/// results — it only picks which of two equivalent paths runs.
-#[test]
-fn min_events_threshold_preserves_results() {
-    let events = lr_events(63);
-    let baseline = run_with(
-        ExecutionMode::ContextAware,
-        true,
-        BatchPolicy::per_event(),
-        &events,
-    );
-    for min_events in [0usize, 1, 4, 16, usize::MAX] {
-        let policy = BatchPolicy {
-            min_events,
-            ..BatchPolicy::default()
-        };
-        let candidate = run_with(ExecutionMode::ContextAware, true, policy, &events);
-        assert_equivalent(&format!("min_events={min_events}"), &baseline, &candidate);
-    }
-}
-
-/// Cross-mode crash compatibility: a WAL + checkpoint written by a
-/// batched run must resume under a per-event engine, and vice versa,
-/// with the finished run equivalent to an uninterrupted per-event run.
-#[test]
-fn checkpoint_crosses_batch_modes() {
-    let events = lr_events(45);
-    let n = events.len();
-    let crash_after = n / 2;
-    let build = |batch: BatchPolicy| lr_system(ExecutionMode::ContextAware, true, batch).engine;
-    let reference = {
-        let mut engine = build(BatchPolicy::per_event());
-        for event in &events {
-            engine.ingest(event.clone()).expect("in order");
-        }
-        let report = engine.finish();
-        let outputs = std::mem::take(&mut engine.collected_outputs);
-        (report, outputs)
-    };
-    let combos = [
-        (BatchPolicy::default(), BatchPolicy::per_event()),
-        (BatchPolicy::per_event(), BatchPolicy::default()),
-        (BatchPolicy::bounded(5), BatchPolicy::default()),
-    ];
-    for (writer_policy, reader_policy) in combos {
-        let dir = temp_dir("cross");
-        // Phase 1: run half the stream under `writer_policy`, journaling
-        // and checkpointing, then "crash" (drop without finishing).
-        let mut manager = CheckpointManager::create(&dir, 97).expect("create");
-        let mut writer = build(writer_policy);
-        for event in &events[..crash_after] {
-            manager.log_event(event).expect("log");
-            writer.ingest(event.clone()).expect("in order");
-            manager.maybe_checkpoint(&writer).expect("checkpoint");
-        }
-        drop(writer);
-        drop(manager);
-        // Phase 2: a `reader_policy` engine resumes from the other
-        // mode's durable state and finishes the stream.
-        let mut reader = build(reader_policy);
-        let mut manager = CheckpointManager::resume(&dir, 97, &mut reader)
-            .expect("snapshot written under a different batch policy resumes");
-        assert_eq!(manager.position(), crash_after as u64);
-        for event in &events[crash_after..] {
-            manager.log_event(event).expect("log");
-            reader.ingest(event.clone()).expect("in order");
-            manager.maybe_checkpoint(&reader).expect("checkpoint");
-        }
-        let report = reader.finish();
-        let outputs = std::mem::take(&mut reader.collected_outputs);
-        assert_equivalent(
-            &format!("writer={writer_policy:?} reader={reader_policy:?}"),
-            &reference,
-            &(report, outputs),
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
 }

@@ -78,7 +78,6 @@ fn sharded_equals_sequential_at_100k_partitions() {
     let (workload, summary) = scale_workload();
     let (optimized, _, registry) = build_programs(&workload).expect("build");
     let engine_config = EngineConfig::builder()
-        .batch(BatchPolicy::default())
         .observability(ObservabilityLevel::Counters)
         .build();
 

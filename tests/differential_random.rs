@@ -1,9 +1,11 @@
 //! Generative differential testing: random CAESAR models + random
-//! event streams, every workload run through the full engine mode
-//! matrix (sequential/sharded × batch policies × vectorize on/off ×
-//! observability levels × optimized/unoptimized, plus a mid-stream
+//! event streams, every workload run through the engine mode matrix
+//! (sequential/sharded × observability levels × optimized/unoptimized ×
+//! strict/speculative, plus an unshared and a mid-stream
 //! snapshot/restore leg) and compared byte-for-byte against the naive
-//! reference oracle in `caesar-testkit`.
+//! reference oracle in `caesar-testkit`. The engine picks the
+//! operators' per-event or batch entry points by transaction size; the
+//! sweep asserts it took both.
 //!
 //! Reproducing a failure: every panic prints the workload seed. Re-run
 //! just that seed with
@@ -24,7 +26,7 @@
 
 use caesar_testkit::{
     check_workload, check_workload_against, check_workload_provenance, mutated_oracle_run,
-    shrink_workload, workload_from_seed, GenConfig, Mutation, Workload,
+    shrink_workload, workload_from_seed, EntryPaths, GenConfig, Mutation, Workload,
 };
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -59,9 +61,9 @@ fn mix(x: u64) -> u64 {
 
 /// Checks one seed; on divergence, shrinks greedily and panics with
 /// both the original and the minimized reproducer.
-fn check_seed(seed: u64, config: &GenConfig) {
+fn check_seed(seed: u64, config: &GenConfig) -> EntryPaths {
     let workload = workload_from_seed(seed, config);
-    if let Err(failure) = check_workload(&workload) {
+    check_workload(&workload).unwrap_or_else(|failure| {
         let shrunk: Workload = shrink_workload(&workload);
         let shrunk_failure =
             check_workload(&shrunk).expect_err("shrinking only keeps candidates that still fail");
@@ -71,8 +73,8 @@ fn check_seed(seed: u64, config: &GenConfig) {
              == shrunk ({} events) ==\n{shrunk_failure}\n\
              reproduce: CAESAR_DIFF_SEEDS={seed:#x} cargo test --test differential_random",
             shrunk.events.len(),
-        );
-    }
+        )
+    })
 }
 
 /// Generator profiles the sweep cycles through, so the case budget
@@ -132,19 +134,26 @@ fn random_sweep_matches_oracle() {
     }
     let cases = env_u64("CAESAR_DIFF_CASES", 25);
     let base = env_u64("CAESAR_DIFF_SEED_BASE", 0xCAE5_A201_6EDB_0005);
+    let mut paths = EntryPaths::default();
     for (pi, profile) in profiles().iter().enumerate() {
         for i in 0..cases {
             let seed = mix(base ^ ((pi as u64) << 56) ^ i);
-            check_seed(seed, profile);
+            paths += check_seed(seed, profile);
         }
     }
+    // No leg forces an operator entry point: the sweep must have
+    // exercised both under the oracle.
+    assert!(
+        cases == 0 || paths.both_taken(),
+        "the sweep missed an operator entry point: {paths:?}"
+    );
 }
 
 /// The provenance differential: the engine in timestamp-collecting mode
 /// must reproduce the oracle's per-match provenance byte-for-byte
 /// (provenance is part of each output's wire encoding) on every
-/// generated workload, across per-event / batched / unoptimized /
-/// shared-prefix legs.
+/// generated workload, on an optimized (shared-prefix) and an
+/// unoptimized leg.
 #[test]
 fn provenance_sweep_matches_oracle() {
     let config = GenConfig::default();

@@ -35,7 +35,7 @@ use caesar::optimizer::{OptimizedProgram, Optimizer};
 use caesar::prelude::*;
 use caesar::query::QuerySet;
 use caesar::runtime::programs::{Mode, ProgramTemplate};
-use caesar::runtime::{run_mode_full, Engine, ModeSpec, RunReport};
+use caesar::runtime::{run_mode_full, Engine, ModeSpec, RunReport, BATCH_MIN_EVENTS};
 use caesar_testkit::canonical;
 use proptest::prelude::*;
 
@@ -226,32 +226,51 @@ fn crafted_stream(reg: &SchemaRegistry) -> Vec<Event> {
     ]
 }
 
+/// `counted()` config: the engine counts its transactions, and those
+/// that took the operators' batch entry points.
+fn counted() -> EngineConfig {
+    EngineConfig::builder()
+        .observability(ObservabilityLevel::Counters)
+        .build()
+}
+
+/// `(batched_transactions, transactions_executed)` of a run.
+fn entry_paths(report: &RunReport) -> (u64, u64) {
+    let counter = |name: &str| report.metrics.counters[name];
+    (
+        counter("batched_transactions"),
+        counter("transactions_executed"),
+    )
+}
+
+/// The crafted stream's transactions are all smaller than
+/// `BATCH_MIN_EVENTS`: every one takes the per-event entry points.
 #[test]
 fn crafted_stream_matches_unshared_per_event() {
     let reg = input_registry();
     let events = crafted_stream(&reg);
-    let (report, outputs) = assert_equivalent(
-        TWO_QUERY_MODEL,
-        &events,
-        EngineConfig::builder()
-            .batch(BatchPolicy::per_event())
-            .build(),
-    );
+    let (report, outputs) = assert_equivalent(TWO_QUERY_MODEL, &events, counted());
     assert_eq!(report.events_out, 4, "LongC ×2, LongD ×2");
     assert_eq!(outputs.len(), 4);
+    assert_eq!(entry_paths(&report).0, 0);
 }
 
+/// The crafted stream with every event repeated `BATCH_MIN_EVENTS`
+/// times in place: every transaction takes the batch entry points (and
+/// with them the vectorized kernels).
 #[test]
 fn crafted_stream_matches_unshared_batched_and_vectorized() {
     let reg = input_registry();
-    let events = crafted_stream(&reg);
-    assert_equivalent(
-        TWO_QUERY_MODEL,
-        &events,
-        EngineConfig::builder()
-            .batch(BatchPolicy::default())
-            .vectorize(true)
-            .build(),
+    let dense: Vec<Event> = crafted_stream(&reg)
+        .into_iter()
+        .flat_map(|e| std::iter::repeat_n(e, BATCH_MIN_EVENTS))
+        .collect();
+    let (report, _) = assert_equivalent(TWO_QUERY_MODEL, &dense, counted());
+    assert!(report.events_out > 4);
+    let (batched, executed) = entry_paths(&report);
+    assert!(
+        batched > 0 && batched == executed,
+        "{batched} of {executed}"
     );
 }
 
@@ -262,10 +281,7 @@ fn crafted_stream_matches_unshared_with_provenance() {
     let (_report, outputs) = assert_equivalent(
         TWO_QUERY_MODEL,
         &events,
-        EngineConfig::builder()
-            .batch(BatchPolicy::per_event())
-            .provenance(true)
-            .build(),
+        EngineConfig::builder().provenance(true).build(),
     );
     assert!(
         outputs.iter().all(|e| e.provenance.is_some()),
@@ -279,13 +295,7 @@ fn boundary_completion_short_query_matches_unshared() {
     // one of its matches goes through the group's boundary extension.
     let reg = input_registry();
     let events = crafted_stream(&reg);
-    let (report, _outputs) = assert_equivalent(
-        THREE_QUERY_MODEL,
-        &events,
-        EngineConfig::builder()
-            .batch(BatchPolicy::per_event())
-            .build(),
-    );
+    let (report, _outputs) = assert_equivalent(THREE_QUERY_MODEL, &events, EngineConfig::default());
     // Short fires for (A@2,B@3), (A@10,B@11) and (A@24,B@25).
     assert_eq!(*report.outputs_by_type.get("Short").unwrap(), 3);
 }
@@ -315,16 +325,8 @@ proptest! {
     ) {
         let reg = input_registry();
         let events = stream_from_choices(&reg, &raw);
-        assert_equivalent(
-            THREE_QUERY_MODEL,
-            &events,
-            EngineConfig::builder().batch(BatchPolicy::per_event()).build(),
-        );
-        assert_equivalent(
-            TWO_QUERY_MODEL,
-            &events,
-            EngineConfig::builder().batch(BatchPolicy::default()).build(),
-        );
+        assert_equivalent(THREE_QUERY_MODEL, &events, EngineConfig::default());
+        assert_equivalent(TWO_QUERY_MODEL, &events, EngineConfig::default());
     }
 }
 
@@ -338,12 +340,6 @@ fn busy_model(queries: &str) -> String {
             {queries}
         }}"
     )
-}
-
-fn per_event() -> EngineConfig {
-    EngineConfig::builder()
-        .batch(BatchPolicy::per_event())
-        .build()
 }
 
 /// A member whose negation names a prefix type: `Guarded` delegates
@@ -369,7 +365,7 @@ fn negation_naming_a_prefix_type_still_buffers_every_a() {
         // prefix stays blocked by A@4 and A@6.
         event(&reg, "C", 8, 0, 1),
     ];
-    let (report, _) = assert_equivalent_program(&program, &reg, &events, per_event());
+    let (report, _) = assert_equivalent_program(&program, &reg, &events, EngineConfig::default());
     assert_eq!(report.outputs_by_type.get("Guarded"), Some(&3));
 }
 
@@ -397,7 +393,7 @@ fn private_suffix_reusing_a_prefix_type() {
         // Again ×3: (2,3), (2,5), (4,5). Again4 ×3: same prefixes + C@6.
         event(&reg, "A", 7, 0, 3),
     ];
-    let (report, _) = assert_equivalent_program(&program, &reg, &events, per_event());
+    let (report, _) = assert_equivalent_program(&program, &reg, &events, EngineConfig::default());
     assert_eq!(report.outputs_by_type.get("Again"), Some(&4));
     assert_eq!(report.outputs_by_type.get("Again4"), Some(&3));
 }
@@ -421,7 +417,7 @@ fn derived_type_in_the_suffix_still_cascades() {
         event(&reg, "D", 4, 0, 1),
         event(&reg, "C", 5, 0, 9), // Mid@5 → Late (A@2, B@3, D@4, Mid@5)
     ];
-    let (report, _) = assert_equivalent_program(&program, &reg, &events, per_event());
+    let (report, _) = assert_equivalent_program(&program, &reg, &events, EngineConfig::default());
     assert_eq!(report.outputs_by_type.get("Late"), Some(&1));
 }
 
@@ -433,10 +429,7 @@ fn derived_type_in_the_suffix_still_cascades() {
 fn restore_mid_prefix_dispatches_identically() {
     let (program, reg) = build(TWO_QUERY_MODEL);
     let events = crafted_stream(&reg);
-    let config = EngineConfig::builder()
-        .batch(BatchPolicy::per_event())
-        .collect_outputs(true)
-        .build();
+    let config = EngineConfig::builder().collect_outputs(true).build();
     let (_, uninterrupted) = run_leg(&program, &reg, &events, config);
 
     // Cut after A@2, B@3 and the same-timestamp C@3: the group holds a

@@ -92,7 +92,6 @@ fn run(
     let spec = ModeSpec::sequential(
         "provenance-edges",
         EngineConfig::builder()
-            .batch(BatchPolicy::per_event())
             .provenance(provenance)
             .sharing(sharing)
             .build(),

@@ -1,7 +1,7 @@
 //! Property-based differential testing of the vectorized predicate
 //! kernels against the row interpreter.
 //!
-//! Three layers, all adversarial:
+//! Two layers, both adversarial:
 //!
 //! 1. [`BoolKernel`] vs [`CompiledExpr::matches`] on random columns and
 //!    random predicate trees, including the value-error frontier
@@ -10,19 +10,16 @@
 //!    counts must match the interpreter exactly.
 //! 2. [`FilterOp::accepts_batch`] vs per-event [`FilterOp::accepts`]
 //!    on mixed/NULL-polluted columns, where kernels partially or fully
-//!    fall back to the interpreter: survivors and the
+//!    fall back to the interpreter (and on untyped selections, which
+//!    the interpreter evaluates row by row): survivors and the
 //!    `evaluated`/`accepted` counters must agree (only `eval_errors`
 //!    may differ, under documented conjunct reordering).
-//! 3. Whole-engine runs with `vectorize` on vs off on random scripts:
-//!    byte-identical outputs and identical report counters.
 
 use caesar::algebra::kernel::BoolKernel;
 use caesar::algebra::ops::FilterOp;
 use caesar::algebra::CompiledExpr;
 use caesar::events::{ColumnarBatch, ColumnarView, Event, Interval, PartitionId, TypeId, Value};
-use caesar::prelude::*;
 use caesar::query::BinOp;
-use caesar::recovery::{outputs_equivalent, reports_equivalent};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -258,140 +255,16 @@ proptest! {
             .filter(|&i| per_event.accepts(&events[i]))
             .map(|i| i as u32)
             .collect();
-        for vectorize in [true, false] {
+        // A typed selection runs the kernels; an untyped one the
+        // interpreter, row by row.
+        for event_type in [Some(TypeId(1)), None] {
             let mut batched = FilterOp::new(preds.clone());
-            let mut cols = ColumnarBatch::new(&events, vectorize);
+            let mut cols = ColumnarBatch::new(&events);
             let mut sel: Vec<u32> = (0..events.len() as u32).collect();
-            batched.accepts_batch(&mut cols, Some(TypeId(1)), &mut sel);
-            prop_assert_eq!(&sel, &expected, "survivors diverge (vectorize={})", vectorize);
+            batched.accepts_batch(&mut cols, event_type, &mut sel);
+            prop_assert_eq!(&sel, &expected, "survivors diverge (type {:?})", event_type);
             prop_assert_eq!(batched.evaluated, per_event.evaluated);
             prop_assert_eq!(batched.accepted, per_event.accepted);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Whole-engine differential: vectorize on vs off on random scripts.
-// ---------------------------------------------------------------------
-
-/// (kind, payload) scripts as in `batch_properties`: kind 0 = reading,
-/// 1 = enter busy, 2 = leave busy; payload drives values and (possibly
-/// zero) time increments so duplicate-timestamp runs are common.
-fn arb_script() -> impl Strategy<Value = Vec<(u8, u64)>> {
-    prop::collection::vec((0u8..=2, 0u64..100), 1..60)
-}
-
-fn build(batch: BatchPolicy, vectorize: bool) -> CaesarSystem {
-    Caesar::builder()
-        .schema("Reading", &[("v", AttrType::Int), ("sec", AttrType::Int)])
-        .schema("Enter", &[("sec", AttrType::Int)])
-        .schema("Leave", &[("sec", AttrType::Int)])
-        .within(60)
-        .model_text(
-            r#"
-            MODEL m DEFAULT idle
-            CONTEXT idle {
-                SWITCH CONTEXT busy PATTERN Enter
-            }
-            CONTEXT busy {
-                SWITCH CONTEXT idle PATTERN Leave
-                DERIVE Hot(r.v, r.sec)
-                    PATTERN Reading r
-                    WHERE r.v + 1 > 2 AND r.sec > 0
-                DERIVE Pair(a.v, b.v, b.sec)
-                    PATTERN SEQ(Reading a, Reading b)
-                    WHERE a.v = b.v
-            }
-        "#,
-        )
-        .engine_config(
-            EngineConfig::builder()
-                .collect_outputs(true)
-                .batch(batch)
-                .vectorize(vectorize)
-                .build(),
-        )
-        .build()
-        .unwrap()
-}
-
-fn script_to_events(sys: &CaesarSystem, script: &[(u8, u64)]) -> Vec<Event> {
-    let mut t: Time = 1;
-    let mut events = Vec::with_capacity(script.len());
-    for (kind, payload) in script {
-        t += payload % 3;
-        let e = match kind {
-            0 => sys
-                .event("Reading", t)
-                .unwrap()
-                .attr("v", (*payload % 4) as i64)
-                .unwrap()
-                .attr("sec", t as i64)
-                .unwrap()
-                .build()
-                .unwrap(),
-            1 => sys
-                .event("Enter", t)
-                .unwrap()
-                .attr("sec", t as i64)
-                .unwrap()
-                .build()
-                .unwrap(),
-            _ => sys
-                .event("Leave", t)
-                .unwrap()
-                .attr("sec", t as i64)
-                .unwrap()
-                .build()
-                .unwrap(),
-        };
-        events.push(e);
-    }
-    events
-}
-
-fn run_stream_with(
-    batch: BatchPolicy,
-    vectorize: bool,
-    events: &[Event],
-) -> (RunReport, Vec<Event>) {
-    let mut sys = build(batch, vectorize);
-    let report = sys
-        .run_stream(&mut VecStream::new(events.to_vec()))
-        .unwrap();
-    let outputs = std::mem::take(&mut sys.engine.collected_outputs);
-    (report, outputs)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Vectorized and interpreter batch paths produce byte-identical
-    /// outputs and identical counters — against each other and against
-    /// the per-event baseline.
-    #[test]
-    fn vectorize_switch_is_invariant(script in arb_script()) {
-        let probe = build(BatchPolicy::per_event(), true);
-        let events = script_to_events(&probe, &script);
-        let baseline = run_stream_with(BatchPolicy::per_event(), true, &events);
-        // min_events: 1 keeps even tiny transactions on the batch path
-        // so the vectorize switch is actually exercised.
-        let eager = BatchPolicy {
-            min_events: 1,
-            ..BatchPolicy::default()
-        };
-        for vectorize in [true, false] {
-            let candidate = run_stream_with(eager, vectorize, &events);
-            prop_assert!(
-                outputs_equivalent(&baseline.1, &candidate.1),
-                "outputs diverged (vectorize={vectorize}): {} vs {}",
-                baseline.1.len(),
-                candidate.1.len()
-            );
-            prop_assert!(
-                reports_equivalent(&baseline.0, &candidate.0),
-                "counters diverged (vectorize={vectorize})"
-            );
         }
     }
 }
