@@ -14,7 +14,6 @@
 
 use caesar_events::{PartitionId, PartitionMap, Time, WindowSpan, TIME_MAX};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// A context transition produced by a context initiation / termination
 /// operator, applied to the table by the runtime scheduler.
@@ -206,16 +205,6 @@ impl PartitionContexts {
         slot.genesis = false;
         self.bits &= !(1 << bit);
     }
-
-    /// Garbage-collects `recent` spans fully behind the watermark
-    /// (the storage layer's garbage collector, §6.1).
-    pub fn collect_garbage(&mut self, watermark: Time) {
-        for slot in &mut self.slots {
-            if slot.recent.is_some_and(|w| w.terminated < watermark) {
-                slot.recent = None;
-            }
-        }
-    }
 }
 
 /// The full context table: one [`PartitionContexts`] per stream
@@ -228,14 +217,6 @@ impl PartitionContexts {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ContextTable {
     partitions: PartitionMap<PartitionContexts>,
-    /// Garbage-collection worklist: `(time, partition)` of every
-    /// transition applied since the last collection. Windows only close
-    /// through transitions, so these are exactly the partitions whose
-    /// `recent` spans can expire — the collector visits them instead of
-    /// sweeping every materialized partition, which at clickstream
-    /// cardinalities (hundreds of thousands of user keys) would make
-    /// each periodic GC run O(partitions).
-    expiries: BTreeSet<(Time, u32)>,
     /// The state every partition is in until its first transition
     /// (default context only) — what reads of an untouched partition
     /// borrow instead of materializing it.
@@ -261,7 +242,6 @@ impl ContextTable {
         );
         Self {
             partitions: PartitionMap::default(),
-            expiries: BTreeSet::new(),
             startup: PartitionContexts::new(num_contexts, default_bit),
         }
     }
@@ -308,23 +288,19 @@ impl ContextTable {
         self.partition(p).holds(bit)
     }
 
-    /// Applies one transition (and enqueues the partition for garbage
-    /// collection — any window this transition closed leaves a `recent`
-    /// span stamped with the transition time).
+    /// Applies one transition. A window it closes leaves a `recent`
+    /// span stamped with the transition time, which
+    /// [`expire`](Self::expire) clears once progress has passed it.
     pub fn apply(&mut self, transition: Transition) {
         let pc = self.partition_mut(transition.partition);
         match transition.kind {
             TransitionKind::Initiate => pc.initiate(transition.context_bit, transition.time),
             TransitionKind::Terminate => pc.terminate(transition.context_bit, transition.time),
         }
-        self.expiries
-            .insert((transition.time, transition.partition.0));
     }
 
     /// Overwrites partition `p`'s state with what `other` — a table of
-    /// the same context types — holds for it, in place. The
-    /// garbage-collection worklist is not copied: a span it misses is
-    /// collected with the partition's next applied transition.
+    /// the same context types — holds for it, in place.
     pub fn copy_partition(&mut self, other: &ContextTable, p: PartitionId) {
         match other.partitions.get(&p.0) {
             Some(src) => self.partition_mut(p).clone_from(src),
@@ -332,27 +308,24 @@ impl ContextTable {
         }
     }
 
-    /// Runs the garbage collector: clears expired `recent` spans in
-    /// every partition with a transition behind the watermark since the
-    /// last collection. Amortized O(transitions), independent of the
-    /// number of materialized partitions — a span closed at `t` can
-    /// only expire once the watermark passes `t`, and its closing
-    /// transition is on the worklist under exactly that time. (Mutation
-    /// through [`partition_mut`](Self::partition_mut) bypasses the
-    /// worklist; such spans are collected with the partition's next
-    /// applied transition, which costs memory, never admission
-    /// correctness — an expired span admits only events the watermark
-    /// already passed.)
-    pub fn collect_garbage(&mut self, watermark: Time) {
-        while let Some(&(t, p)) = self.expiries.first() {
-            if t >= watermark {
-                break;
-            }
-            self.expiries.pop_first();
-            if let Some(pc) = self.partitions.get_mut(&p) {
-                pc.collect_garbage(watermark);
+    /// Clears partition `p`'s `recent` spans that terminated before
+    /// `watermark` — the storage layer's garbage collector (§6.1), run
+    /// by the engine's expiry worklist for the partitions whose windows
+    /// closed. When it runs costs memory, never results: an expired
+    /// span admits only timestamps the watermark already passed.
+    /// Returns whether anything was cleared.
+    pub fn expire(&mut self, p: PartitionId, watermark: Time) -> bool {
+        let Some(pc) = self.partitions.get_mut(&p.0) else {
+            return false;
+        };
+        let mut cleared = false;
+        for slot in &mut pc.slots {
+            if slot.recent.is_some_and(|w| w.terminated < watermark) {
+                slot.recent = None;
+                cleared = true;
             }
         }
+        cleared
     }
 
     /// Number of partitions materialized so far.
@@ -480,12 +453,15 @@ mod tests {
             time: 20,
         });
         assert!(t.admits(P, CONGESTION, 20));
-        t.collect_garbage(20);
+        assert!(
+            t.expire(P, 20),
+            "the displaced default window's span, closed at 10"
+        );
         assert!(
             t.admits(P, CONGESTION, 20),
             "a span is live until the watermark passes its termination"
         );
-        t.collect_garbage(21);
+        assert!(t.expire(P, 21));
         assert!(!t.admits(P, CONGESTION, 20), "recent span collected");
     }
 

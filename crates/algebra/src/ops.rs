@@ -573,23 +573,26 @@ pub fn run_chain(ops: &mut [Op], event: &Event, table: &ContextTable, out: &mut 
 
 /// Advances time on all stateful operators of a chain, collecting any
 /// matured trailing-negation matches through the rest of the chain.
+/// Returns the earliest deadline of the state left behind.
 pub fn advance_chain_time(
     ops: &mut [Op],
     watermark: Time,
     table: &ContextTable,
     out: &mut ChainOutput,
-) {
+) -> Time {
     // Only patterns hold time-sensitive state; matured matches must flow
     // through the operators above the pattern.
+    let mut next = Time::MAX;
     for idx in 0..ops.len() {
         let mut matured = Vec::new();
         if let Op::Pattern(p) = &mut ops[idx] {
-            p.advance_time(watermark, &mut matured);
+            next = next.min(p.advance_time(watermark, &mut matured));
         }
         for m in matured {
             run_suffix(ops, idx + 1, m, table, out);
         }
     }
+    next
 }
 
 /// Executes a same-`(partition, time)` run of events — given as a

@@ -341,7 +341,7 @@ impl Deserialize for MatchState {
 /// and per-negation vectors are sized on first use — so a partition
 /// with no live partial match stores nothing, and an emptied state can
 /// be recycled for another operator or partition.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunState {
     /// Negation buffers, parallel to the program's negation checks.
     neg_buffers: Vec<VecDeque<Event>>,
@@ -352,9 +352,90 @@ pub struct RunState {
     /// Transient: a restored snapshot rebuilds from the buffers alone.
     #[serde(skip)]
     neg_state: Vec<NegState>,
+    /// A lower bound on the earliest deadline of anything held (see
+    /// [`floor`](Self::floor)).
+    floor: Time,
+}
+
+impl Default for RunState {
+    fn default() -> Self {
+        Self {
+            neg_buffers: Vec::new(),
+            state: MatchState::default(),
+            neg_state: Vec::new(),
+            floor: Time::MAX,
+        }
+    }
 }
 
 impl RunState {
+    /// A lower bound on the earliest deadline of what the state holds:
+    /// the time a partial match's `within` horizon ends (first event +
+    /// `within`), a buffered negated event's (its time + `within`), or
+    /// a parked match's veto deadline. A watermark at or below it finds
+    /// nothing due. Lowered as state is added, exact after
+    /// [`expire`](Self::expire).
+    #[must_use]
+    pub fn floor(&self) -> Time {
+        self.floor
+    }
+
+    /// Prunes what `watermark` put out of reach — partial matches and
+    /// buffered negated events whose horizon ended before it — and
+    /// recomputes [`floor`](Self::floor) over what is left. Parked
+    /// matches are never touched: they mature at their partition's own
+    /// watermark, through [`PatternOp::advance_time`].
+    ///
+    /// `own` says whether `watermark` is the partition's own (its latest
+    /// transaction) or global progress. A leading negation's buffer is
+    /// pruned only by the former: its probe has no lower time bound, so
+    /// what it may veto is exactly what the partition's own watermark
+    /// has left in the buffer. Every other pruning is invisible —
+    /// extensions and `Between` probes are span-guarded, trailing
+    /// buffers are never probed.
+    pub fn expire(
+        &mut self,
+        watermark: Time,
+        within: Time,
+        negations: &[NegationCheck],
+        own: bool,
+    ) {
+        let dead = |t: Time| t.saturating_add(within) < watermark;
+        let mut floor = Time::MAX;
+        let MatchState {
+            levels,
+            pending,
+            store,
+        } = &mut self.state;
+        for level in levels.iter_mut() {
+            level.retain(|&r| {
+                let first = store.events(r)[0].time();
+                if dead(first) {
+                    store.free(r);
+                    return false;
+                }
+                floor = floor.min(first.saturating_add(within));
+                true
+            });
+        }
+        self.neg_state
+            .resize_with(self.neg_buffers.len(), NegState::default);
+        let buffers = self.neg_buffers.iter_mut().zip(&mut self.neg_state);
+        for ((buf, neg), check) in buffers.zip(negations) {
+            if own || check.position != NegPosition::Before {
+                while buf.front().is_some_and(|e| dead(e.time())) {
+                    buf.pop_front();
+                    neg.base += 1;
+                }
+            }
+            if let Some(head) = buf.front() {
+                floor = floor.min(head.time().saturating_add(within));
+            }
+        }
+        let parked = pending.iter().map(|pm| pm.deadline);
+        self.floor = parked.fold(floor, Time::min);
+    }
+
     /// Sizes the per-level and per-negation vectors (empty after
     /// `default()`, a snapshot restore of the transient index, or a
     /// recycle from another operator) to the operator's shape.
@@ -397,6 +478,7 @@ impl RunState {
         store.free.clone_from(&from.free);
         (store.reused, store.live, store.peak) = (from.reused, from.live, from.peak);
         store.event_cap = store.slots.iter().map(|s| s.events.capacity()).sum();
+        self.floor = src.floor;
     }
 
     /// Returns `true` if any time-sensitive state is held — a partial,
@@ -470,6 +552,7 @@ impl RunState {
         debug_assert!(!self.has_state(), "recycling a live run state");
         self.state.store.peak = 0;
         self.neg_state.clear();
+        self.floor = Time::MAX;
     }
 
     /// Verifies the generation-index invariant: every partial ref held
@@ -535,6 +618,7 @@ impl RunState {
         }
         // Nothing is buffered, so the index starts over.
         self.neg_state.clear();
+        self.floor = Time::MAX;
     }
 
     /// Expires partial matches whose first event is at or before `t` —
@@ -542,30 +626,22 @@ impl RunState {
     /// windows continue (Figure 7: "when the third window begins, the
     /// partial results within the first window expire").
     fn expire_started_at_or_before(&mut self, t: Time) {
-        self.retain_levels(|first| first > t);
-        let MatchState { pending, store, .. } = &mut self.state;
-        pending.retain(|pm| {
-            let keep = store.events(pm.r)[0].time() > t;
+        let MatchState {
+            levels,
+            pending,
+            store,
+        } = &mut self.state;
+        let mut keep = |r: PartialRef| {
+            let keep = store.events(r)[0].time() > t;
             if !keep {
-                store.free(pm.r);
+                store.free(r);
             }
             keep
-        });
-    }
-
-    /// Keeps the partials whose first event's time satisfies `keep`,
-    /// freeing the rest.
-    fn retain_levels(&mut self, keep: impl Fn(Time) -> bool) {
-        let MatchState { levels, store, .. } = &mut self.state;
+        };
         for level in levels.iter_mut() {
-            level.retain(|&r| {
-                let keep = keep(store.events(r)[0].time());
-                if !keep {
-                    store.free(r);
-                }
-                keep
-            });
+            level.retain(|&r| keep(r));
         }
+        pending.retain(|pm| keep(pm.r));
     }
 }
 
@@ -1413,6 +1489,7 @@ impl PatternOp {
                     neg_buffers,
                     neg_state,
                     state,
+                    floor,
                 },
             stats,
             ..
@@ -1420,6 +1497,9 @@ impl PatternOp {
         let steps = &program.steps;
         let negations = &program.negations;
         let n = steps.len();
+        // What this event starts expires at `t + within`; an extension
+        // expires with its prefix, which the floor already covers.
+        let started = t.saturating_add(within);
         for i in (0..n).rev() {
             // Levels below the shared prefix live in the group's state:
             // the owning `SharedGroup` creates and extends them, and the
@@ -1464,11 +1544,13 @@ impl PatternOp {
                         Verdict::Park { deadline } => {
                             let r = state.alloc_single(event);
                             state.pending.push(Pending { r, deadline });
+                            *floor = (*floor).min(started);
                         }
                     }
                 } else {
                     let r = state.alloc_single(event);
                     state.levels[0].push(r);
+                    *floor = (*floor).min(started);
                 }
             } else {
                 // Take the shorter partials out to extend them without
@@ -1564,11 +1646,14 @@ impl PatternOp {
                     neg_buffers,
                     neg_state,
                     state,
+                    floor,
                 },
             stats,
             ..
         } = self;
         let n = program.steps.len();
+        // The prefix came from the group's state, not this one's floor.
+        let expires = prefix[0].time().saturating_add(within);
         let cand = Candidate {
             prefix,
             tail: event,
@@ -1598,11 +1683,13 @@ impl PatternOp {
                 Verdict::Park { deadline } => {
                     let r = state.adopt_candidate(prefix, event);
                     state.pending.push(Pending { r, deadline });
+                    *floor = (*floor).min(expires);
                 }
             }
         } else {
             let r = state.adopt_candidate(prefix, event);
             state.levels[i].push(r);
+            *floor = (*floor).min(expires);
         }
     }
 
@@ -1629,6 +1716,7 @@ impl PatternOp {
                 evicted += 1;
             }
             self.run.neg_state[i].base += evicted;
+            self.run.floor = self.run.floor.min(t.saturating_add(within));
         }
     }
 
@@ -1668,9 +1756,11 @@ impl PatternOp {
         stats.negation_rejections += (before - pending.len()) as u64;
     }
 
-    /// Advances the watermark: emits matured trailing-negation matches
-    /// and prunes partial matches older than the `within` horizon.
-    pub fn advance_time(&mut self, watermark: Time, out: &mut Vec<Event>) {
+    /// Advances the partition's own watermark: emits matured
+    /// trailing-negation matches and prunes state older than the
+    /// `within` horizon ([`RunState::expire`]). Returns the earliest
+    /// deadline of what is left ([`RunState::floor`]).
+    pub fn advance_time(&mut self, watermark: Time, out: &mut Vec<Event>) -> Time {
         // Emit pending matches whose no-negation horizon fully passed.
         let match_type = self.program.match_type;
         let collect = self.program.collect_provenance;
@@ -1693,23 +1783,10 @@ impl PatternOp {
                 }
             });
         }
-        if self.program.within == Time::MAX {
-            return;
-        }
-        let within = self.program.within;
-        self.run.retain_levels(|first| first + within >= watermark);
-        self.ensure_shape();
-        let RunState {
-            neg_buffers,
-            neg_state,
-            ..
-        } = &mut self.run;
-        for (buf, neg) in neg_buffers.iter_mut().zip(neg_state) {
-            while buf.front().is_some_and(|e| e.time() + within < watermark) {
-                buf.pop_front();
-                neg.base += 1;
-            }
-        }
+        let program = &self.program;
+        self.run
+            .expire(watermark, program.within, &program.negations, true);
+        self.run.floor
     }
 
     /// Discards all partial state — the context window this pattern
@@ -1874,7 +1951,7 @@ impl SharedGroup {
         self.run.ensure_shape(self.steps.len(), 0);
         let SharedGroup {
             steps,
-            run: RunState { state, .. },
+            run: RunState { state, floor, .. },
             stats,
             ..
         } = self;
@@ -1899,6 +1976,7 @@ impl SharedGroup {
                 stats.matches += u64::from(l == 1);
                 let r = state.alloc_single(event);
                 state.levels[0].push(r);
+                *floor = (*floor).min(t.saturating_add(within));
             } else {
                 let refs = std::mem::take(&mut state.levels[i - 1]);
                 for &pr in &refs {
@@ -1940,13 +2018,17 @@ impl SharedGroup {
             .map(move |&r| state.store.events(r))
     }
 
-    /// Prunes prefixes older than the `within` horizon.
-    pub fn advance_time(&mut self, watermark: Time) {
-        if self.within == Time::MAX {
-            return;
-        }
-        let within = self.within;
-        self.run.retain_levels(|first| first + within >= watermark);
+    /// The members' common match horizon.
+    #[must_use]
+    pub fn within(&self) -> Time {
+        self.within
+    }
+
+    /// Prunes prefixes older than the `within` horizon; returns the
+    /// earliest deadline of what is left ([`RunState::floor`]).
+    pub fn advance_time(&mut self, watermark: Time) -> Time {
+        self.run.expire(watermark, self.within, &[], true);
+        self.run.floor
     }
 
     /// Discards all prefix state (context termination).

@@ -85,12 +85,18 @@ impl QueryPlan {
         scratch.sel = sel;
     }
 
-    /// Advances the watermark on stateful operators.
-    pub fn advance_time(&mut self, watermark: Time, table: &ContextTable, out: &mut PlanOutput) {
+    /// Advances the watermark on stateful operators; returns the
+    /// earliest deadline of the state left behind.
+    pub fn advance_time(
+        &mut self,
+        watermark: Time,
+        table: &ContextTable,
+        out: &mut PlanOutput,
+    ) -> Time {
         if !self.needs_advance() {
-            return;
+            return Time::MAX;
         }
-        advance_chain_time(&mut self.ops, watermark, table, out);
+        advance_chain_time(&mut self.ops, watermark, table, out)
     }
 
     /// Returns `true` if any operator holds time-sensitive state —
@@ -774,11 +780,17 @@ impl CombinedPlan {
 
     /// Advances the watermark on all member plans, feeding any matured
     /// matches to downstream consumers. Shared-prefix groups prune their
-    /// partials by the same horizon.
-    pub fn advance_time(&mut self, watermark: Time, table: &ContextTable, out: &mut PlanOutput) {
-        for group in &mut self.shared {
-            group.advance_time(watermark);
-        }
+    /// partials by the same horizon. Returns the earliest deadline of
+    /// the state left behind — a cascade only feeds later members, so
+    /// each is walked after everything it could receive.
+    pub fn advance_time(
+        &mut self,
+        watermark: Time,
+        table: &ContextTable,
+        out: &mut PlanOutput,
+    ) -> Time {
+        let groups = self.shared.iter_mut();
+        let mut next = groups.fold(Time::MAX, |next, g| next.min(g.advance_time(watermark)));
         let Self {
             plans,
             routes,
@@ -791,7 +803,7 @@ impl CombinedPlan {
                 continue;
             }
             matured.clear();
-            plans[idx].advance_time(watermark, table, &mut matured);
+            next = next.min(plans[idx].advance_time(watermark, table, &mut matured));
             out.transitions.append(&mut matured.transitions);
             // Feed matured matches to downstream members, one full
             // cascade per match (the per-event order).
@@ -802,6 +814,7 @@ impl CombinedPlan {
                 Self::cascade(plans, routes, table, out, scratch);
             }
         }
+        next
     }
 
     /// Resets the partial state of every member plan (context window

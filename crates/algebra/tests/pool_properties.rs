@@ -158,7 +158,9 @@ proptest! {
                         let ty = if kind == 0 { a } else { b };
                         op.process(&event(ty, t + arg % 2, arg as i64), out);
                     }
-                    2 => op.advance_time(t + arg, out),
+                    2 => {
+                        op.advance_time(t + arg, out);
+                    }
                     3 => op.expire_started_at_or_before(t.saturating_sub(arg)),
                     _ => op.reset(),
                 }

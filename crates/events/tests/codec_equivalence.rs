@@ -178,7 +178,7 @@ proptest! {
         let decoded = decode_slice(&wire).map_err(|e| e.to_string())?;
         prop_assert_eq!(&decoded, &events);
         prop_assert_eq!(&reference_decode_all(&wire).map_err(|e| e.to_string())?, &events);
-        prop_assert_eq!(encode_all(&decoded), wire.clone());
+        prop_assert_eq!(&encode_all(&decoded), &wire);
         // One event at a time, the cursor lands where the reference's does.
         let (mut new, mut old) = (wire.clone(), wire);
         loop {

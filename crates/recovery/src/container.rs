@@ -46,8 +46,14 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CAESNAP\0";
 /// * 5 — `EngineConfig` lost the batch policy, the kernel switch, the
 ///   tick scale, the GC period and the two baseline switches (now
 ///   `ExecutionMode::BusyWait`); `EngineState` lost the queueing-model
-///   clock, latency tracker and busy time.
-pub const SNAPSHOT_VERSION: u32 = 5;
+///   clock, latency tracker and busy time;
+/// * 6 — expiry is one worklist over global progress: `EngineState`
+///   lost `last_gc` and the context table its `expiries` set; each
+///   partition record carries its earliest deadline and latest
+///   transaction time, each operator state its deadline floor, and
+///   the state names the bound partition (the worklist itself is
+///   rebuilt from the records on restore).
+pub const SNAPSHOT_VERSION: u32 = 6;
 /// Fixed header length in bytes.
 const HEADER_LEN: usize = 40;
 

@@ -9,6 +9,13 @@
 //! points is decided by its size ([`BATCH_MIN_EVENTS`]), not by
 //! configuration; the two are equivalent by construction (each
 //! operator's tests pin it).
+//!
+//! Expiry follows global time, state is per partition: one worklist of
+//! `(deadline, partition)` entries, advanced with the scheduler's
+//! progress, prunes the run state and clears the closed context spans
+//! of partitions that have gone quiet (`Engine::sweep_to`); the
+//! partition a transaction executes in walks its own state only when
+//! something it holds fell due.
 
 use crate::obs::{CounterId, MetricsRegistry, MetricsSnapshot, ObservabilityLevel, Stage};
 use crate::programs::{Mode, PartitionRun, ProgramTemplate};
@@ -24,7 +31,8 @@ use caesar_events::{
 };
 use caesar_optimizer::optimizer::OptimizedProgram;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 use std::time::Instant;
 
@@ -41,10 +49,6 @@ pub type ExecutionMode = Mode;
 /// where that setup would be pure overhead. Dispatch only — outputs are
 /// identical either way.
 pub const BATCH_MIN_EVENTS: usize = 8;
-
-/// The context-history garbage collector runs once per this many ticks
-/// of progress.
-const GC_EVERY: Time = 60;
 
 /// Engine configuration.
 ///
@@ -255,6 +259,11 @@ pub struct EngineState {
     template: ProgramTemplate,
     default_bit: u8,
     partitions: PartitionMap<PartitionRun>,
+    /// The partition bound into the program when the snapshot was taken
+    /// (its record, if it holds anything, is in `partitions`): the
+    /// restored engine binds it again, so it is left to its own
+    /// transactions as it was, not swept as a stored record.
+    bound: Option<u32>,
     scheduler: TimeDrivenScheduler,
     router: Router,
     type_names: BTreeMap<TypeId, String>,
@@ -263,7 +272,6 @@ pub struct EngineState {
     events_in: u64,
     events_out: u64,
     transitions_applied: u64,
-    last_gc: Time,
     reorder: Option<ReorderBuffer>,
     late_dropped: u64,
     collected_outputs: Vec<Event>,
@@ -386,6 +394,11 @@ pub struct Engine {
     /// observable, `finish`, sorts the ids (a snapshot encodes the map
     /// key-sorted).
     partitions: PartitionMap<PartitionRun>,
+    /// The expiry worklist, earliest first: `(d, p)` once what `p` held
+    /// when entered — run state, closed context spans — is dead at `d`.
+    /// One entry per record is live ([`PartitionRun::queued`]); stale
+    /// ones are skipped when popped ([`sweep_to`](Self::sweep_to)).
+    worklist: BinaryHeap<Reverse<(Time, u32)>>,
     /// The partition whose run state is bound into `template` — the
     /// last one that executed a transaction — with its record. It
     /// stays bound until another partition's turn, so a run of
@@ -406,7 +419,6 @@ pub struct Engine {
     events_in: u64,
     events_out: u64,
     transitions_applied: u64,
-    last_gc: Time,
     reorder: Option<ReorderBuffer>,
     /// The observability recorder (gated by `config.observability`).
     /// Deliberately not part of [`EngineState`]: metrics describe a
@@ -487,6 +499,7 @@ impl Engine {
             template,
             default_bit,
             partitions: PartitionMap::default(),
+            worklist: BinaryHeap::new(),
             bound: None,
             run_state_bytes: 0,
             active: Vec::new(),
@@ -499,7 +512,6 @@ impl Engine {
             events_in: 0,
             events_out: 0,
             transitions_applied: 0,
-            last_gc: 0,
             reorder: if config.reorder_slack > 0 {
                 Some(ReorderBuffer::new(config.reorder_slack))
             } else {
@@ -525,7 +537,7 @@ impl Engine {
     /// captured by transaction so they can be emitted, not collected).
     fn fork_core(&self) -> Box<Engine> {
         let (template, partitions) = self.unbound_program();
-        Box::new(Engine {
+        let mut fork = Box::new(Engine {
             config: EngineConfig {
                 consistency: Consistency::Strict,
                 reorder_slack: 0,
@@ -536,8 +548,9 @@ impl Engine {
             table: self.table.clone(),
             template,
             default_bit: self.default_bit,
-            run_state_bytes: partitions.values().map(PartitionRun::bytes).sum(),
-            partitions,
+            run_state_bytes: 0,
+            partitions: PartitionMap::default(),
+            worklist: BinaryHeap::new(),
             bound: None,
             active: Vec::new(),
             scratch: Scratch::default(),
@@ -549,7 +562,6 @@ impl Engine {
             events_in: self.events_in,
             events_out: self.events_out,
             transitions_applied: self.transitions_applied,
-            last_gc: self.last_gc,
             reorder: None,
             obs: MetricsRegistry::new(ObservabilityLevel::Off),
             late_dropped: 0,
@@ -561,7 +573,9 @@ impl Engine {
             spec_retractions: 0,
             spec_rebuilds: 0,
             spec_replayed: 0,
-        })
+        });
+        fork.adopt(partitions);
+        fork
     }
 
     /// Read access to the context table (tests, introspection).
@@ -614,6 +628,7 @@ impl Engine {
             template,
             default_bit: self.default_bit,
             partitions,
+            bound: self.bound.as_ref().map(|(id, _)| *id),
             scheduler: self.scheduler.clone(),
             router: self.router.clone(),
             type_names: self.type_names.clone(),
@@ -622,7 +637,6 @@ impl Engine {
             events_in: self.events_in,
             events_out: self.events_out,
             transitions_applied: self.transitions_applied,
-            last_gc: self.last_gc,
             reorder: self.reorder.clone(),
             late_dropped: self.late_dropped,
             collected_outputs: self.collected_outputs.clone(),
@@ -657,13 +671,14 @@ impl Engine {
         self.table = state.table;
         self.template = state.template;
         self.default_bit = state.default_bit;
-        self.partitions = state.partitions;
+        self.partitions.clear();
+        self.worklist.clear();
         self.bound = None;
-        self.run_state_bytes = self
-            .partitions
-            .values_mut()
-            .map(PartitionRun::refresh_bytes)
-            .sum();
+        self.run_state_bytes = 0;
+        self.adopt(state.partitions);
+        if let Some(id) = state.bound {
+            self.bind(id);
+        }
         self.scheduler = state.scheduler;
         self.router = state.router;
         self.type_names = state.type_names;
@@ -672,7 +687,6 @@ impl Engine {
         self.events_in = state.events_in;
         self.events_out = state.events_out;
         self.transitions_applied = state.transitions_applied;
-        self.last_gc = state.last_gc;
         self.reorder = state.reorder;
         self.late_dropped = state.late_dropped;
         self.collected_outputs = state.collected_outputs;
@@ -742,11 +756,100 @@ impl Engine {
     fn unbind(&mut self) {
         if let Some((id, mut run)) = self.bound.take() {
             self.template.unbind(&mut run);
-            if !run.is_empty() {
-                self.run_state_bytes += run.bytes();
-                self.partitions.insert(id, run);
+            self.store(id, run);
+        }
+    }
+
+    /// Stores a partition's record unless it is empty, making sure it
+    /// has a worklist entry.
+    fn store(&mut self, id: u32, mut run: PartitionRun) {
+        if run.is_empty() {
+            return;
+        }
+        schedule(&mut self.worklist, self.template.horizon, id, &mut run);
+        self.run_state_bytes += run.bytes();
+        self.partitions.insert(id, run);
+    }
+
+    /// Stores the records of a snapshot or of the engine a fork is taken
+    /// from, each entered in this engine's worklist afresh.
+    fn adopt(&mut self, partitions: PartitionMap<PartitionRun>) {
+        for (id, mut run) in partitions {
+            run.queued = None;
+            run.refresh_bytes();
+            self.store(id, run);
+        }
+    }
+
+    /// Advances the expiry worklist to global progress `watermark`. A
+    /// stored record's live entry, once due, is re-entered if the record
+    /// took part in a transaction since; otherwise it clears the
+    /// partition's closed context spans ([`ContextTable::expire`]) and
+    /// prunes the record in place, without binding it
+    /// ([`ProgramTemplate::expire`]). So a record is pruned at the first
+    /// sweep past its latest transaction plus the program's horizon,
+    /// whatever the history of its entries — a restored engine prunes
+    /// when the original does. Other entries clear spans (no record) or
+    /// are stale; the bound partition is left to its own transactions.
+    ///
+    /// Sound because no later event of any partition precedes the
+    /// watermark (the scheduler's progress; for the speculative fork,
+    /// its settled core's): a partial whose horizon ended before it is
+    /// never extended, a negated event that old never falls strictly
+    /// between a later match's positives, a span closed before it admits
+    /// nothing later. Parked matches and leading-negation buffers, which
+    /// the partition's own watermark decides, are not touched.
+    fn sweep_to(&mut self, watermark: Time) {
+        if self
+            .worklist
+            .peek()
+            .is_none_or(|Reverse((due, _))| *due >= watermark)
+        {
+            return;
+        }
+        let span = self.obs.span_start();
+        let (mut emptied, mut cleared) = (0, false);
+        let horizon = self.template.horizon;
+        while let Some(&Reverse((due, id))) = self.worklist.peek() {
+            if due >= watermark {
+                break;
+            }
+            self.worklist.pop();
+            let partition = PartitionId(id);
+            if let Some((_, run)) = self.bound.as_mut().filter(|(bound, _)| *bound == id) {
+                if run.queued == Some(due) {
+                    run.queued = None;
+                    cleared |= self.table.expire(partition, watermark);
+                }
+                continue;
+            }
+            let Some(run) = self.partitions.get_mut(&id) else {
+                // A partition that keeps no run state closed a window.
+                cleared |= self.table.expire(partition, watermark);
+                continue;
+            };
+            if run.queued != Some(due) {
+                continue;
+            }
+            run.queued = None;
+            if run.touched.saturating_add(horizon) >= watermark {
+                // Active since it was entered.
+                schedule(&mut self.worklist, horizon, id, run);
+                continue;
+            }
+            cleared |= self.table.expire(partition, watermark);
+            self.run_state_bytes -= run.bytes();
+            emptied += self.template.expire(run, watermark);
+            self.run_state_bytes += run.bytes();
+            if run.is_empty() {
+                self.partitions.remove(&id);
             }
         }
+        self.obs.add(CounterId::ExpiredStates, emptied as u64);
+        if emptied > 0 || cleared {
+            self.obs.inc(CounterId::GcRuns);
+        }
+        self.obs.span_end(Stage::AdvanceTime, span);
     }
 
     /// The statistics gatherer (Figure 8): folds the program's operator
@@ -789,12 +892,9 @@ impl Engine {
     pub fn ingest(&mut self, event: Event) -> Result<(), EventError> {
         let span = self.obs.span_start();
         self.obs.inc(CounterId::EventsIngested);
-        if self.speculation.is_some() {
-            let result = self.ingest_speculative(event);
-            self.obs.span_end(Stage::Distributor, span);
-            return result;
-        }
-        let result = if let Some(mut reorder) = self.reorder.take() {
+        let result = if self.speculation.is_some() {
+            self.ingest_speculative(event)
+        } else if let Some(mut reorder) = self.reorder.take() {
             let reorder_span = self.obs.span_start();
             let result = reorder.push(event);
             self.obs.span_end(Stage::Reorder, reorder_span);
@@ -809,6 +909,8 @@ impl Engine {
         } else {
             self.ingest_one_ordered(event)
         };
+        // No later event precedes the progress timestamp.
+        self.sweep_to(self.scheduler.progress());
         self.obs.span_end(Stage::Distributor, span);
         result
     }
@@ -886,8 +988,9 @@ impl Engine {
         self.execute_all(&remaining);
         // Final watermark push: flush matured trailing negations, prune.
         // Only partitions holding run state have anything to flush —
-        // in ascending id order, which is the order their trailing
-        // outputs are emitted in.
+        // the sweeps have already dropped those whose state died with
+        // progress — in ascending id order, which is the order their
+        // trailing outputs are emitted in.
         let final_mark = self.scheduler.progress().saturating_add(1_000_000);
         let mut out = PlanOutput::default();
         self.unbind();
@@ -927,7 +1030,7 @@ impl Engine {
 
     /// Executes one stream transaction: derivation, transition
     /// application (with context-history maintenance), routing,
-    /// processing, watermark advance, GC.
+    /// processing, the partition's watermark advance.
     fn execute(&mut self, txn: StreamTransaction<'_>) {
         let StreamTransaction {
             time: t,
@@ -939,6 +1042,7 @@ impl Engine {
         // (a no-op when the previous transaction was this partition's).
         self.bind(partition.0);
         let run = &mut self.bound.as_mut().expect("bound above").1;
+        run.touched = t;
         let programs = &mut self.template;
 
         let mut out = std::mem::take(&mut self.scratch.out);
@@ -993,6 +1097,10 @@ impl Engine {
                 closed_bits.push(self.default_bit);
             }
         }
+        if !closed_bits.is_empty() {
+            // A stateless partition needs an entry too: for its spans.
+            schedule(&mut self.worklist, programs.horizon, partition.0, run);
+        }
         self.scratch.transitions = transitions;
         self.obs.span_end(Stage::Transitions, span);
 
@@ -1030,15 +1138,15 @@ impl Engine {
         self.scratch.closed_bits = closed_bits;
 
         // Watermark: all events with time < t+1 of this partition seen.
-        let span = self.obs.span_start();
-        programs.advance_time(t, &self.table, &mut out);
-        self.obs.span_end(Stage::AdvanceTime, span);
-
-        // Storage-layer garbage collection.
-        if t.saturating_sub(self.last_gc) >= GC_EVERY {
-            self.table.collect_garbage(t);
-            self.last_gc = t;
-            self.obs.inc(CounterId::GcRuns);
+        // Only what the partition held before `t` can be due at `t`
+        // (what `t` added expires at `t + min_within` or later), so
+        // the walk runs when that fell due, and does what it always did.
+        if run.next < t {
+            let span = self.obs.span_start();
+            run.next = programs.advance_time(t, &self.table, &mut out);
+            self.obs.span_end(Stage::AdvanceTime, span);
+        } else {
+            run.next = run.next.min(t.saturating_add(programs.min_within));
         }
 
         self.account_outputs(partition, t, &out);
@@ -1080,10 +1188,7 @@ impl Engine {
             _ => (core.partitions.get(&p.0).unwrap_or(&empty), false),
         };
         self.template.copy_run(&core.template, src, bound, &mut run);
-        if !run.is_empty() {
-            self.run_state_bytes += run.bytes();
-            self.partitions.insert(p.0, run);
-        }
+        self.store(p.0, run);
         self.table.copy_partition(&core.table, p);
     }
 
@@ -1228,6 +1333,22 @@ impl Engine {
             plans_suspended: self.router.plans_suspended,
             peak_partials: self.template.pool_stats().1,
         }
+    }
+}
+
+/// Enters partition `id` in the expiry worklist unless it has a live
+/// entry, under the time everything it holds that a sweep may free is
+/// dead: its latest transaction plus the program's longest horizon.
+fn schedule(
+    worklist: &mut BinaryHeap<Reverse<(Time, u32)>>,
+    horizon: Time,
+    id: u32,
+    run: &mut PartitionRun,
+) {
+    if run.queued.is_none() {
+        let due = run.touched.saturating_add(horizon);
+        worklist.push(Reverse((due, id)));
+        run.queued = Some(due);
     }
 }
 

@@ -251,6 +251,9 @@ impl Engine {
         }
         self.publish(sp, revise.then_some((p, t)));
         self.confirm(sp);
+        // Not the fork's own progress: a late arrival may still run
+        // below it, but never below the settled core's.
+        sp.spec.sweep_to(self.scheduler.progress());
         Ok(())
     }
 

@@ -118,7 +118,9 @@ pub enum Stage {
     Router,
     /// Processing-plan execution over the transaction's events.
     Processing,
-    /// Watermark advance (matured negations, state pruning).
+    /// Expiry: a partition's own watermark walk when something it holds
+    /// fell due (matured negations, state pruning), and the worklist
+    /// sweep by global progress.
     AdvanceTime,
     /// Writing one engine checkpoint (recovery layer).
     CheckpointWrite,
@@ -183,8 +185,12 @@ pub enum CounterId {
     TransactionsExecuted,
     /// Transactions that took the batch fast path.
     BatchedTransactions,
-    /// Garbage-collection sweeps of the context history store.
+    /// Sweeps of the expiry worklist that freed anything: an operator's
+    /// run state or a closed context window's span (the name predates
+    /// the worklist; it counted periodic context-table collections).
     GcRuns,
+    /// Operator run states the expiry sweeps emptied and recycled.
+    ExpiredStates,
     /// Checkpoints written (recovery-layer registry).
     CheckpointsWritten,
     /// Events appended to the write-ahead log (recovery-layer registry).
@@ -223,11 +229,12 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in snapshot order.
-    pub const ALL: [CounterId; 16] = [
+    pub const ALL: [CounterId; 17] = [
         CounterId::EventsIngested,
         CounterId::TransactionsExecuted,
         CounterId::BatchedTransactions,
         CounterId::GcRuns,
+        CounterId::ExpiredStates,
         CounterId::CheckpointsWritten,
         CounterId::WalEventsAppended,
         CounterId::ConnectionsAccepted,
@@ -250,6 +257,7 @@ impl CounterId {
             CounterId::TransactionsExecuted => "transactions_executed",
             CounterId::BatchedTransactions => "batched_transactions",
             CounterId::GcRuns => "gc_runs",
+            CounterId::ExpiredStates => "expired_states",
             CounterId::CheckpointsWritten => "checkpoints_written",
             CounterId::WalEventsAppended => "wal_events_appended",
             CounterId::ConnectionsAccepted => "connections_accepted",

@@ -29,7 +29,7 @@
 
 use caesar_algebra::context_table::{ContextTable, PartitionContexts, Transition};
 use caesar_algebra::ops::{ChainScratch, Op};
-use caesar_algebra::pattern::RunState;
+use caesar_algebra::pattern::{NegationCheck, RunState};
 use caesar_algebra::plan::{CombinedPlan, PlanOutput, QueryPlan};
 use caesar_events::{ColumnarBatch, Event, PartitionId, Time, TypeId};
 use caesar_optimizer::install_prefix_sharing;
@@ -86,6 +86,13 @@ pub struct ProgramTemplate {
     /// The stateful operators, in the order a non-empty
     /// [`PartitionRun`]'s state vector lists them.
     stateful: Vec<StatefulOp>,
+    /// The shortest `within` horizon of a stateful operator: whatever a
+    /// transaction at `t` adds expires at `t + min_within` or later.
+    pub min_within: Time,
+    /// The longest finite `within` horizon of a stateful operator: what
+    /// a partition holds that any sweep can free is dead once progress
+    /// passes its last transaction by this much.
+    pub horizon: Time,
     /// Slab allocations served from a free list, over all partitions.
     #[serde(skip)]
     pool_reused: u64,
@@ -200,7 +207,7 @@ impl ProgramTemplate {
         feedback_types.dedup();
         let stateful = StatefulOp::index(&deriving, &processing, &redundant);
 
-        Self {
+        let mut template = Self {
             deriving,
             processing,
             fanout,
@@ -209,12 +216,21 @@ impl ProgramTemplate {
             gates,
             feedback_types,
             stateful,
+            min_within: Time::MAX,
+            horizon: 0,
             pool_reused: 0,
             pool_peak: 0,
             spare: Vec::new(),
             sink: PlanOutput::default(),
             scratch: ChainScratch::default(),
-        }
+        };
+        let withins = template.stateful.iter().map(|at| at.horizon(&template).0);
+        let finite = |within: Time| if within == Time::MAX { 0 } else { within };
+        (template.min_within, template.horizon) = withins
+            .fold((Time::MAX, 0), |(min, max), within| {
+                (min.min(within), max.max(finite(within)))
+            });
+        template
     }
 
     /// Total number of executing plans (deriving + processing).
@@ -235,7 +251,7 @@ const SPARE_RUN_STATES: usize = 1024;
 /// feedback queue. The engine keeps a record only for partitions where
 /// one of the two is non-empty — a partition with no live partial
 /// match costs nothing here.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PartitionRun {
     /// Empty, or one entry per stateful operator.
     states: Vec<Option<Box<RunState>>>,
@@ -247,6 +263,31 @@ pub struct PartitionRun {
     /// the engine's `run_state_bytes` gauge.
     #[serde(skip)]
     bytes: usize,
+    /// A lower bound on the earliest deadline of anything the states
+    /// hold ([`RunState::floor`]): the partition's own watermark finds
+    /// nothing due until it passes this.
+    pub next: Time,
+    /// Time of the partition's latest transaction: nothing held was
+    /// added later.
+    pub touched: Time,
+    /// The deadline of the partition's live entry in the engine's
+    /// expiry worklist, if it has one. Process-local: a restored or
+    /// forked engine enters its records afresh.
+    #[serde(skip)]
+    pub queued: Option<Time>,
+}
+
+impl Default for PartitionRun {
+    fn default() -> Self {
+        Self {
+            states: Vec::new(),
+            feedback: Vec::new(),
+            bytes: 0,
+            next: Time::MAX,
+            touched: 0,
+            queued: None,
+        }
+    }
 }
 
 impl PartitionRun {
@@ -360,6 +401,28 @@ impl StatefulOp {
         }
     }
 
+    /// The operator's `within` horizon and negation checks — what
+    /// [`RunState::expire`] needs to prune one of its detached states.
+    fn horizon(self, program: &ProgramTemplate) -> (Time, &[NegationCheck]) {
+        fn pattern(plan: &QueryPlan, op: usize) -> (Time, &[NegationCheck]) {
+            match &plan.ops[op] {
+                Op::Pattern(p) => (p.within(), p.negations()),
+                other => unreachable!("{} indexed as a pattern", other.tag()),
+            }
+        }
+        match self {
+            Self::Deriving { plan, op } => pattern(&program.deriving[plan], op),
+            Self::Group { combined, group } => (
+                program.processing[combined].shared_groups()[group].within(),
+                &[],
+            ),
+            Self::Member { combined, plan, op } => {
+                pattern(&program.processing[combined].plans[plan], op)
+            }
+            Self::Redundant { plan, op } => pattern(&program.redundant[plan], op),
+        }
+    }
+
     /// Read access to the operator's resident run state.
     fn resident_ref(self, program: &ProgramTemplate) -> &RunState {
         match self {
@@ -403,7 +466,8 @@ impl ProgramTemplate {
     /// closing and reopening, sessions ending and starting) allocates
     /// nothing. Folds the slabs' reuse counts and high-water marks into
     /// the engine-level pool counters — here, at partition switch, not
-    /// per transaction.
+    /// per transaction — and the stored states' floors into the
+    /// record's [`next`](PartitionRun::next).
     pub fn unbind(&mut self, run: &mut PartitionRun) {
         let Self {
             deriving,
@@ -416,6 +480,7 @@ impl ProgramTemplate {
             ..
         } = self;
         let mut any_held = false;
+        run.next = Time::MAX;
         for (i, at) in stateful.iter().enumerate() {
             let resident = at.resident(deriving, processing, redundant);
             let stored = run.states.get_mut(i).and_then(Option::take);
@@ -427,6 +492,7 @@ impl ProgramTemplate {
             *pool_reused += resident.take_pool_reused();
             *pool_peak = (*pool_peak).max(resident.pool_peak());
             if resident.has_state() {
+                run.next = run.next.min(resident.floor());
                 let mut stored = stored.or_else(|| spare.pop()).unwrap_or_default();
                 std::mem::swap(resident, &mut *stored);
                 if run.states.is_empty() {
@@ -468,6 +534,7 @@ impl ProgramTemplate {
         let spare = &mut self.spare;
         dst.feedback.clone_from(&src.feedback);
         dst.states.resize_with(from.stateful.len(), || None);
+        (dst.next, dst.touched) = (Time::MAX, src.touched);
         let mut any_held = false;
         for (i, (at, held)) in from.stateful.iter().zip(&mut dst.states).enumerate() {
             let state = if bound {
@@ -478,6 +545,7 @@ impl ProgramTemplate {
             if let Some(state) = state {
                 let held = held.get_or_insert_with(|| spare.pop().unwrap_or_default());
                 held.copy_from(state);
+                dst.next = dst.next.min(state.floor());
                 any_held = true;
             } else if let Some(mut emptied) = held.take() {
                 emptied.reset();
@@ -491,6 +559,35 @@ impl ProgramTemplate {
             dst.states.clear();
         }
         dst.refresh_bytes();
+    }
+
+    /// Prunes a stored record in place, without binding it, by global
+    /// progress `watermark` ([`RunState::expire`]: parked matches and
+    /// leading-negation buffers wait for the partition's own
+    /// transactions). A state left empty goes to the free list the next
+    /// new state is taken from. Returns how many states emptied.
+    pub fn expire(&mut self, run: &mut PartitionRun, watermark: Time) -> usize {
+        let mut emptied = 0;
+        run.next = Time::MAX;
+        for (at, slot) in self.stateful.iter().zip(&mut run.states) {
+            let Some(state) = slot else { continue };
+            let (within, negations) = at.horizon(self);
+            state.expire(watermark, within, negations, false);
+            if state.has_state() {
+                run.next = run.next.min(state.floor());
+            } else if let Some(mut state) = slot.take() {
+                emptied += 1;
+                state.recycle();
+                if self.spare.len() < SPARE_RUN_STATES {
+                    self.spare.push(state);
+                }
+            }
+        }
+        if run.states.iter().all(Option::is_none) {
+            run.states.clear();
+        }
+        run.refresh_bytes();
+        emptied
     }
 
     /// Heap estimate of the bound partition's record as
@@ -730,23 +827,32 @@ impl ProgramTemplate {
         }
     }
 
-    /// Advances the watermark on every plan (pruning partial state and
-    /// flushing matured trailing-negation matches through the chains).
-    pub fn advance_time(&mut self, watermark: Time, table: &ContextTable, out: &mut PlanOutput) {
+    /// Advances the bound partition's own watermark on every plan
+    /// (pruning partial state and flushing matured trailing-negation
+    /// matches through the chains); returns the earliest deadline of
+    /// what the partition still holds.
+    pub fn advance_time(
+        &mut self,
+        watermark: Time,
+        table: &ContextTable,
+        out: &mut PlanOutput,
+    ) -> Time {
+        let mut next = Time::MAX;
         for plan in &mut self.deriving {
             // Transitions matter; pass-through matches are discarded
             // (see `run_derivation`).
             let mut sink = PlanOutput::default();
-            plan.advance_time(watermark, table, &mut sink);
+            next = next.min(plan.advance_time(watermark, table, &mut sink));
             out.transitions.append(&mut sink.transitions);
         }
         for combined in &mut self.processing {
-            combined.advance_time(watermark, table, out);
+            next = next.min(combined.advance_time(watermark, table, out));
         }
         for plan in &mut self.redundant {
             let mut discard = PlanOutput::default();
-            plan.advance_time(watermark, table, &mut discard);
+            next = next.min(plan.advance_time(watermark, table, &mut discard));
         }
+        next
     }
 
     /// Fills `active` with the indices of the processing plans whose

@@ -11,9 +11,10 @@
 //!   than state accumulating per partition), and
 //! * the engine holds run state only for the partitions where some
 //!   operator has a live partial, parked match or buffered negated
-//!   event: the partitions whose last session left one mid-stream,
-//!   none once the stream drains, and none for a partition that only
-//!   saw events no pattern retains, and
+//!   event: global progress expires them, so only partitions active
+//!   within the longest `WITHIN` horizon hold any — as few after `4n`
+//!   sessions as after `n` — none once the stream drains, and none for
+//!   a partition that only saw events no pattern retains, and
 //! * nothing the engine keeps — scheduler buffer, run state, snapshot
 //!   bytes — grows with the number of partitions the stream has merely
 //!   passed through.
@@ -25,11 +26,12 @@
 
 use caesar::clickstream::{
     clickstream_model, clickstream_registry, generate, output_types, ClickConfig, ClickSummary,
-    DEFAULT_WITHIN,
+    ABANDON_WITHIN, DEFAULT_WITHIN,
 };
 use caesar::prelude::*;
 use caesar_runtime::{run_mode_full, Engine, ModeSpec};
 use caesar_testkit::{build_programs, canonical, Workload};
+use std::collections::BTreeSet;
 
 /// ≥ 100k scattered user partitions, one short session each for most.
 fn scale_workload() -> (Workload, ClickSummary) {
@@ -159,38 +161,97 @@ fn run_state_is_held_only_where_state_is_live() {
     let end = summary.max_time;
 
     // Every transaction of the generated stream has executed once the
-    // watermark passes `end`. A browse session leaves its views behind
-    // as open BrowsePath partials (nothing advances an idle partition's
-    // watermark before `finish`); every other kind of session ends on a
-    // context switch that discards what it built. So run state is held
-    // for exactly the partitions whose last session browsed: at most
-    // one per browse session, and at least that minus the sessions that
-    // share their partition with another one.
+    // watermark passes `end`, and global progress has swept every
+    // partition whose state died with it: nothing a query holds
+    // outlives its longest `WITHIN` (cart abandonment's), so only a
+    // partition with an event in the last `ABANDON_WITHIN` ticks can
+    // hold run state — a few dozen of 100k.
     engine.ingest(lone("CaptchaOk", end + 1)).unwrap();
     let held = engine.partitions_with_state();
-    let shared = summary.sessions - summary.partitions_touched;
+    let recent: BTreeSet<PartitionId> = workload
+        .events
+        .iter()
+        .filter(|e| e.time() + ABANDON_WITHIN > end)
+        .map(|e| e.partition)
+        .collect();
     assert!(
-        summary.browse_sessions - shared <= held && held <= summary.browse_sessions,
-        "{held} of {} partitions hold run state, {} sessions browsed, {shared} share a partition",
+        0 < held && held <= recent.len(),
+        "{held} of {} partitions hold run state, {} had an event in the last {ABANDON_WITHIN} ticks",
         summary.partitions_touched,
-        summary.browse_sessions
+        recent.len()
     );
 
-    // In the default `browsing` context nothing retains a CaptchaOk,
-    // a SessionEnd or a Purchase (their consumers are suspended)...
-    engine.ingest(lone("SessionEnd", end + 2)).unwrap();
-    engine.ingest(lone("Purchase", end + 3)).unwrap();
-    engine.ingest(lone("View", end + 4)).unwrap();
-    assert_eq!(engine.partitions_with_state(), held);
+    // Once progress has passed that horizon too, nothing is held; in
+    // the default `browsing` context nothing retains a CaptchaOk, a
+    // SessionEnd or a Purchase (their consumers are suspended)...
+    let quiet = end + ABANDON_WITHIN + 2;
+    engine.ingest(lone("CaptchaOk", quiet)).unwrap();
+    engine.ingest(lone("SessionEnd", quiet + 1)).unwrap();
+    engine.ingest(lone("Purchase", quiet + 2)).unwrap();
+    engine.ingest(lone("View", quiet + 3)).unwrap();
+    assert_eq!(engine.partitions_with_state(), 0);
     // ...while a View opens a BrowsePath partial.
-    engine.ingest(lone("CaptchaOk", end + 5)).unwrap();
-    assert_eq!(engine.partitions_with_state(), held + 1);
+    engine.ingest(lone("CaptchaOk", quiet + 4)).unwrap();
+    assert_eq!(engine.partitions_with_state(), 1);
 
     // Draining: every pattern has a WITHIN horizon, so the final
     // watermark flushes the last partial, and with it the last record.
     let report = engine.finish();
-    assert_eq!(report.events_in, summary.events as u64 + 5);
+    assert_eq!(report.events_in, summary.events as u64 + 6);
     assert_eq!(engine.partitions_with_state(), 0);
+}
+
+/// ROADMAP item 6's state bound in stream length: the same session mix
+/// at the same density over `n` and `4n` sessions (so over 4× the
+/// partitions and 4× the ticks) leaves the same few partitions holding
+/// run state when ingest ends — those active within the last
+/// `ABANDON_WITHIN` ticks — where a partition's watermark that advanced
+/// only with its own transactions kept one per browse session.
+#[test]
+fn run_state_is_independent_of_stream_length() {
+    let held_after = |sessions: usize| {
+        let config = ClickConfig {
+            users: 1_000_000,
+            sessions,
+            coverage_floor: sessions,
+            scatter_ids: true,
+            mean_gap: 6,
+            ..ClickConfig::default()
+        };
+        let registry = clickstream_registry();
+        let (events, _) = generate(&config, &registry);
+        let workload = Workload {
+            seed: config.seed,
+            model: clickstream_model(1),
+            registry,
+            events,
+            default_within: DEFAULT_WITHIN,
+            reorder_slack: 0,
+            output_types: output_types(1),
+        };
+        let (optimized, _, registry) = build_programs(&workload).expect("build");
+        let config = EngineConfig::builder()
+            .observability(ObservabilityLevel::Counters)
+            .build();
+        let mut engine = Engine::new(optimized, &registry, config);
+        for event in workload.events {
+            engine.ingest(event).expect("in-order stream");
+        }
+        let counters = engine.metrics_snapshot().counters;
+        (
+            counters["partitions_with_state"],
+            counters["run_state_bytes"],
+        )
+    };
+    // A session every 6 ticks and a 240-tick horizon: ≈ 40 sessions'
+    // partitions can be live, whatever the stream's length.
+    for sessions in [5_000, 20_000] {
+        let (held, bytes) = held_after(sessions);
+        assert!(
+            held <= 96 && bytes <= 256 * 1024,
+            "{sessions} sessions over as many partitions: {held} hold {bytes} B of run state"
+        );
+    }
 }
 
 /// ROADMAP item 6's state bound: `n` events over `n` distinct scattered

@@ -1,11 +1,13 @@
 //! Interval edge cases pinned as explicit examples: the `(t_i, t_t]`
 //! context-window boundaries, zero-span windows, simultaneous events in
-//! one partition, and sequence matches exactly at the `WITHIN` horizon.
-//! The generative differential suite covers these statistically; this
-//! file states the expected answers by hand so a regression points
-//! straight at the broken rule.
+//! one partition, sequence matches exactly at the `WITHIN` horizon, and
+//! state expired by global progress while its partition is idle. The
+//! generative differential suite covers these statistically; this file
+//! states the expected answers by hand so a regression points straight
+//! at the broken rule.
 
 use caesar::prelude::*;
+use caesar::recovery::{outputs_equivalent, reports_equivalent};
 use caesar_testkit::fixture;
 
 const SCHEMAS: &[fixture::SchemaDecl<'_>] = &[
@@ -240,4 +242,249 @@ fn reordered_stream_matches_sorted_stream() {
     ];
     assert_eq!(run(sorted, 0), 3, "t=6, t=8 and the boundary t=9");
     assert_eq!(run(disordered, 4), 3, "slack 4 repairs the disorder");
+}
+
+/// The outputs collected so far, one `Type(attrs)@partition` each, in
+/// emission order.
+fn rendered(sys: &CaesarSystem) -> Vec<String> {
+    let outputs = sys.engine.collected_outputs.iter();
+    outputs
+        .map(|e| {
+            let attrs: Vec<String> = e.attrs.iter().map(ToString::to_string).collect();
+            let name = &sys.registry.schema(e.type_id).name;
+            format!("{name}({})@{}", attrs.join(","), e.partition.0)
+        })
+        .collect()
+}
+
+fn outs(p: u32, ticks: impl IntoIterator<Item = Time>) -> impl Iterator<Item = String> {
+    ticks.into_iter().map(move |t| format!("Out({t})@{p}"))
+}
+
+fn counted(model: &str, within: Time) -> CaesarSystem {
+    let config = EngineConfig::builder()
+        .collect_outputs(true)
+        .observability(ObservabilityLevel::Counters)
+        .build();
+    fixture::system(SCHEMAS, within, model, config)
+}
+
+/// A parked trailing-negation match is decided by its own partition's
+/// watermark, never by global progress. Partition 0's `Lone(1)` is past
+/// its deadline (11) from tick 12 on; partition 1's readings carry
+/// progress to 30 and the sweep visits partition 0, which keeps the
+/// match — it comes out in partition 0's next transaction (t = 31,
+/// after that transaction's own `Out`), and partition 2's, whose
+/// partition never has another one, at `finish`.
+#[test]
+fn parked_trailing_match_waits_for_its_own_partition() {
+    let model = r#"
+        MODEL q DEFAULT main
+        CONTEXT main {
+            DERIVE Lone(a.v) PATTERN SEQ(A a, NOT B) WITHIN 10
+            DERIVE Out(r.v) PATTERN Reading r
+        }
+    "#;
+    let mut sys = system(model, 10);
+    sys.ingest(ev(&sys, "A", 1, 0)).unwrap();
+    for t in 2..=30 {
+        sys.ingest(ev(&sys, "Reading", t, 1)).unwrap();
+    }
+    assert_eq!(
+        sys.engine.partitions_with_state(),
+        1,
+        "the parked match stays"
+    );
+    for (ty, t, p) in [
+        ("Reading", 31, 0),
+        ("Reading", 31, 1),
+        ("A", 40, 2),
+        ("Reading", 41, 1),
+    ] {
+        sys.ingest(ev(&sys, ty, t, p)).unwrap();
+    }
+    sys.finish();
+    let expected: Vec<String> = outs(1, 2..=30)
+        .chain(["Out(31)@0".into(), "Lone(1)@0".into(), "Out(31)@1".into()])
+        .chain(["Out(41)@1".into(), "Lone(40)@2".into()])
+        .collect();
+    assert_eq!(rendered(&sys), expected);
+    assert_eq!(sys.engine.partitions_with_state(), 0);
+}
+
+const GUARDED: &str = r#"
+    MODEL g DEFAULT main
+    CONTEXT main {
+        DERIVE Pair(a.v, b.v) PATTERN SEQ(A a, B b) WITHIN 10
+        DERIVE Guard(a.v, c.v) PATTERN SEQ(A a, NOT B, C c) WITHIN 10
+        DERIVE Out(r.v) PATTERN Reading r
+    }
+"#;
+
+const FIRST_SESSION: [(&str, Time); 4] = [("A", 1), ("B", 2), ("A", 3), ("C", 4)];
+const SECOND_SESSION: [(&str, Time); 5] = [("B", 31), ("C", 32), ("A", 33), ("C", 35), ("B", 36)];
+
+/// Partition 0's first session (t = 1..4) leaves partials of `A@1` and
+/// `A@3` and a buffered `B@2` behind; partition 1's readings carry
+/// progress past all their horizons (≤ 14), and the sweep drops them
+/// without partition 0 executing again. Its next session computes what
+/// it would have with the stale state still held: the old `A`s are out
+/// of every horizon.
+#[test]
+fn swept_partition_resumes_as_if_idle() {
+    let mut sys = counted(GUARDED, 10);
+    for (ty, t) in FIRST_SESSION {
+        sys.ingest(ev(&sys, ty, t, 0)).unwrap();
+    }
+    for t in 5..=30 {
+        sys.ingest(ev(&sys, "Reading", t, 1)).unwrap();
+    }
+    assert_eq!(sys.engine.partitions_with_state(), 0, "partition 0 swept");
+    let counters = sys.engine.metrics_snapshot().counters;
+    assert!(counters["expired_states"] >= 2 && counters["gc_runs"] >= 1);
+    for (ty, t) in SECOND_SESSION {
+        sys.ingest(ev(&sys, ty, t, 0)).unwrap();
+    }
+    sys.ingest(ev(&sys, "Reading", 37, 1)).unwrap();
+    sys.finish();
+    // `A@1 → C@4` is vetoed by `B@2`; `A@3 → C@4` is not. The second
+    // session pairs only its own `A@33`.
+    let expected: Vec<String> = ["Pair(1,2)@0".into(), "Guard(3,4)@0".into()]
+        .into_iter()
+        .chain(outs(1, 5..=30))
+        .chain(["Guard(33,35)@0".into(), "Pair(33,36)@0".into()])
+        .chain(outs(1, [37]))
+        .collect();
+    assert_eq!(rendered(&sys), expected);
+}
+
+/// A snapshot taken after a sweep, while another partition is bound
+/// with a live partial, restores into an engine that resumes exactly
+/// like the original: the worklist is rebuilt from the records and the
+/// bound partition bound again.
+#[test]
+fn snapshot_after_a_sweep_resumes_identically() {
+    let mut sys = counted(GUARDED, 10);
+    for (ty, t) in FIRST_SESSION {
+        sys.ingest(ev(&sys, ty, t, 0)).unwrap();
+    }
+    for t in 5..=28 {
+        sys.ingest(ev(&sys, "Reading", t, 1)).unwrap();
+    }
+    sys.ingest(ev(&sys, "A", 29, 1)).unwrap();
+    sys.ingest(ev(&sys, "Reading", 30, 1)).unwrap();
+    assert_eq!(sys.engine.partitions_with_state(), 1, "partition 1's A@29");
+
+    let bytes = serde::to_bytes(&sys.engine.snapshot_state());
+    let mut restored = counted(GUARDED, 10);
+    restored
+        .engine
+        .restore_state(serde::from_bytes(&bytes).unwrap())
+        .unwrap();
+    let suffix = SECOND_SESSION.iter().map(|&(ty, t)| (ty, t, 0)).chain([
+        ("B", 38, 1),
+        ("Reading", 60, 1),
+        ("A", 61, 0),
+    ]);
+    for (ty, t, p) in suffix {
+        for target in [&mut sys, &mut restored] {
+            target.ingest(ev(target, ty, t, p)).unwrap();
+        }
+        assert_eq!(
+            sys.engine.partitions_with_state(),
+            restored.engine.partitions_with_state()
+        );
+    }
+    let (a, b) = (sys.finish(), restored.finish());
+    assert!(reports_equivalent(&a, &b));
+    assert!(outputs_equivalent(
+        &sys.engine.collected_outputs,
+        &restored.engine.collected_outputs
+    ));
+    assert_eq!(
+        a.outputs_of("Pair"),
+        3,
+        "(1,2), (33,36) and partition 1's (29,38)"
+    );
+}
+
+/// Runs `arrivals` through a strict and a speculative engine with the
+/// same slack, checks that the speculative record stream folds to the
+/// strict outputs, and returns both engines after `finish`.
+fn strict_and_speculative(
+    slack: Time,
+    arrivals: &[(&str, Time, u32)],
+) -> (CaesarSystem, CaesarSystem) {
+    let build = |consistency| {
+        let config = EngineConfig::builder()
+            .collect_outputs(true)
+            .reorder_slack(slack)
+            .consistency(consistency)
+            .observability(ObservabilityLevel::Counters)
+            .build();
+        fixture::system(SCHEMAS, 10, PAIRED, config)
+    };
+    let (mut strict, mut spec) = (build(Consistency::Strict), build(Consistency::Speculative));
+    for &(ty, t, p) in arrivals {
+        for sys in [&mut strict, &mut spec] {
+            sys.ingest(ev(sys, ty, t, p)).unwrap();
+        }
+    }
+    strict.finish();
+    spec.finish();
+    let mut folded: Vec<String> = Vec::new();
+    for record in &spec.engine.collected_records {
+        let key = format!("{:?}", record.event());
+        if record.is_retraction() {
+            let at = folded.iter().position(|k| *k == key);
+            folded.swap_remove(at.expect("retracts a prior emission"));
+        } else {
+            folded.push(key);
+        }
+    }
+    let outputs = strict.engine.collected_outputs.iter();
+    let mut settled: Vec<String> = outputs.map(|e| format!("{e:?}")).collect();
+    folded.sort();
+    settled.sort();
+    assert_eq!(folded, settled);
+    (strict, spec)
+}
+
+/// A speculative revision of a partition the sweep emptied rewinds it
+/// to the settled core's (swept) state and folds to the strict outputs.
+/// Slack 4: `A@42` arrives after the fork executed partition 0 at 43,
+/// whose first session (t = 1, 2) both core and fork swept long before.
+#[test]
+fn revision_of_a_swept_partition_folds_to_strict() {
+    let mut arrivals = vec![("A", 1, 0), ("B", 2, 0)];
+    arrivals.extend((3..=40).map(|t| ("Reading", t, 1)));
+    arrivals.extend([("A", 41, 0), ("B", 43, 0), ("Reading", 44, 1), ("A", 42, 0)]);
+    arrivals.extend((45..=50).map(|t| ("Reading", t, 1)));
+    let (strict, spec) = strict_and_speculative(4, &arrivals);
+    assert!(spec.engine.metrics_snapshot().counters["expired_states"] >= 1);
+    assert!(
+        spec.engine.spec_rebuilds >= 1,
+        "the straggler rewound partition 0"
+    );
+    assert_eq!(
+        strict.engine.collected_outputs.len(),
+        3,
+        "(1,2), (41,43), (42,43)"
+    );
+}
+
+/// The fork sweeps to the settled core's progress, not its own. Slack
+/// 10: partition 1 carries the fork to 15, past `A@1`'s horizon (11),
+/// while the core has settled only up to 5; then partition 0's `B@8`
+/// arrives. Partition 0 ran nothing at or after 8, so the fork executes
+/// it on its head state — which must still hold `A@1`.
+#[test]
+fn late_transaction_on_head_state_sees_what_the_core_still_holds() {
+    let mut arrivals = vec![("A", 1, 0)];
+    arrivals.extend((2..=15).map(|t| ("Reading", t, 1)));
+    arrivals.push(("B", 8, 0));
+    arrivals.extend((16..=30).map(|t| ("Reading", t, 1)));
+    let (strict, spec) = strict_and_speculative(10, &arrivals);
+    assert_eq!(spec.engine.spec_rebuilds, 0, "a head-state transaction");
+    assert_eq!(strict.engine.collected_outputs.len(), 1, "Pair(1,8)");
 }
