@@ -305,16 +305,6 @@ impl CompiledExpr {
         }
     }
 
-    /// Number of nodes in the expression tree — the kernel compiler's
-    /// per-row cost proxy when ordering conjuncts.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        match self {
-            CompiledExpr::Bin { lhs, rhs, .. } => 1 + lhs.node_count() + rhs.node_count(),
-            _ => 1,
-        }
-    }
-
     /// Evaluates against a binding of events (indexed by slot).
     pub fn eval(&self, binding: &[&Event]) -> Result<Value, EvalError> {
         self.eval_in(binding)

@@ -14,8 +14,6 @@
 //!   signatures the optimizer shares across queries.
 //! * [`pattern`] — the pattern operator: event matching, `SEQ` with and
 //!   without negation (§4.1), with partial-match state and pruning.
-//! * [`kernel`] — vectorized predicate/projection kernels over columnar
-//!   views, driven by selection vectors.
 //! * [`ops`] — filter, projection, context window, context initiation and
 //!   context termination operators, and single-plan chain execution.
 //! * [`plan`] — executable query plans and combined plans.
@@ -31,7 +29,6 @@
 pub mod context_table;
 pub mod cost;
 pub mod expr;
-pub mod kernel;
 pub mod nfa;
 pub mod ops;
 pub mod pattern;

@@ -15,19 +15,18 @@
 
 use crate::context_table::{ContextTable, Transition, TransitionKind};
 use crate::expr::CompiledExpr;
-use crate::kernel::{FilterKernels, ProjectKernels, ValKernel};
 use crate::pattern::PatternOp;
-use caesar_events::{ColumnarBatch, Event, Time, TypeId, Value};
+use caesar_events::{Event, Time, TypeId, Value};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// `Fl_θ` — the filter operator.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FilterOp {
-    /// Conjunction of compiled predicates (all must hold). Shared
-    /// across plan clones (the optimizer's search, the baseline's
-    /// redundant derivers); rewrites copy-on-write before execution
-    /// starts.
+    /// Conjunction of compiled predicates (all must hold), evaluated in
+    /// declaration order. Shared across plan clones (the optimizer's
+    /// search, the baseline's redundant derivers); rewrites
+    /// copy-on-write before execution starts.
     pub predicates: Arc<Vec<CompiledExpr>>,
     /// Evaluation errors (counted as non-matches).
     pub eval_errors: u64,
@@ -35,17 +34,6 @@ pub struct FilterOp {
     pub evaluated: u64,
     /// Events accepted.
     pub accepted: u64,
-    /// Rows evaluated by vectorized kernels (coverage observability).
-    #[serde(default)]
-    pub kernel_rows: u64,
-    /// Rows the kernel compiler could not cover, evaluated by the
-    /// interpreter fallback on the batch path.
-    #[serde(default)]
-    pub fallback_rows: u64,
-    /// Per-batch-signature compiled kernels (rebuilt on demand, never
-    /// persisted).
-    #[serde(skip)]
-    kernels: Option<FilterKernels>,
 }
 
 impl FilterOp {
@@ -57,9 +45,6 @@ impl FilterOp {
             eval_errors: 0,
             evaluated: 0,
             accepted: 0,
-            kernel_rows: 0,
-            fallback_rows: 0,
-            kernels: None,
         }
     }
 
@@ -75,67 +60,6 @@ impl FilterOp {
             self.accepted += 1;
         }
         ok
-    }
-
-    /// Vectorized filtering: narrows the selection vector `sel` (row
-    /// indices into `cols`' event slice) to accepted rows. `event_type`
-    /// is the uniform type of the selected rows, when known — without
-    /// it every row goes through the interpreter, which is exactly the
-    /// per-event `accepts` loop.
-    ///
-    /// `evaluated` / `accepted` advance exactly as per-event execution
-    /// would; `eval_errors` may differ when conjuncts were reordered
-    /// (see [`FilterKernels`]).
-    pub fn accepts_batch(
-        &mut self,
-        cols: &mut ColumnarBatch<'_>,
-        event_type: Option<TypeId>,
-        sel: &mut Vec<u32>,
-    ) {
-        let events = cols.events();
-        self.evaluated += sel.len() as u64;
-        match event_type {
-            None => {
-                let mut errors = self.eval_errors;
-                let predicates = &self.predicates;
-                sel.retain(|&i| {
-                    let binding = [&events[i as usize]];
-                    predicates.iter().all(|p| p.matches(&binding, &mut errors))
-                });
-                self.eval_errors = errors;
-            }
-            Some(ty) => {
-                let view = cols.view(ty);
-                if !self.kernels.as_ref().is_some_and(|k| k.valid_for(view)) {
-                    self.kernels =
-                        Some(FilterKernels::compile(&self.predicates, ty, &view.kinds()));
-                }
-                let cache = self.kernels.as_ref().expect("compiled above");
-                let mut errors = self.eval_errors;
-                let mut kernel_rows = self.kernel_rows;
-                let mut fallback_rows = self.fallback_rows;
-                for conjunct in &cache.conjuncts {
-                    if sel.is_empty() {
-                        break;
-                    }
-                    match &conjunct.kernel {
-                        Some(kernel) => {
-                            kernel_rows += sel.len() as u64;
-                            kernel.filter(view, sel, &mut errors);
-                        }
-                        None => {
-                            fallback_rows += sel.len() as u64;
-                            let expr = &conjunct.expr;
-                            sel.retain(|&i| expr.matches(&[&events[i as usize]], &mut errors));
-                        }
-                    }
-                }
-                self.eval_errors = errors;
-                self.kernel_rows = kernel_rows;
-                self.fallback_rows = fallback_rows;
-            }
-        }
-        self.accepted += sel.len() as u64;
     }
 
     /// Combined selectivity estimate from the predicate structure.
@@ -170,19 +94,8 @@ pub struct ProjectOp {
     pub args: Arc<Vec<CompiledExpr>>,
     /// Evaluation errors (events dropped).
     pub eval_errors: u64,
-    /// Derived events emitted (per-event and batch paths count alike).
-    #[serde(default)]
+    /// Derived events emitted.
     pub projected: u64,
-    /// Rows projected entirely by vectorized kernels.
-    #[serde(default)]
-    pub kernel_rows: u64,
-    /// Rows where at least one argument needed the interpreter.
-    #[serde(default)]
-    pub fallback_rows: u64,
-    /// Per-batch-signature compiled argument kernels (rebuilt on
-    /// demand, never persisted).
-    #[serde(skip)]
-    kernels: Option<ProjectKernels>,
 }
 
 impl ProjectOp {
@@ -194,9 +107,6 @@ impl ProjectOp {
             args: Arc::new(args),
             eval_errors: 0,
             projected: 0,
-            kernel_rows: 0,
-            fallback_rows: 0,
-            kernels: None,
         }
     }
 
@@ -224,87 +134,6 @@ impl ProjectOp {
         // input (if collected) identifies the derived event just as well.
         derived.provenance = event.provenance.clone();
         Some(derived)
-    }
-
-    /// Vectorized projection of the selected rows: emits
-    /// `(row, derived event)` pairs in selection order, dropping (and
-    /// counting) rows whose first failing argument errors — exactly the
-    /// interpreter's [`project`](ProjectOp::project) semantics, argument
-    /// order included.
-    pub fn project_batch(
-        &mut self,
-        cols: &mut ColumnarBatch<'_>,
-        event_type: Option<TypeId>,
-        sel: &[u32],
-        out: &mut Vec<(u32, Event)>,
-    ) {
-        let events = cols.events();
-        let Some(ty) = event_type else {
-            for &i in sel {
-                if let Some(derived) = self.project(&events[i as usize]) {
-                    out.push((i, derived));
-                }
-            }
-            return;
-        };
-        let view = cols.view(ty);
-        if !self.kernels.as_ref().is_some_and(|k| k.valid_for(view)) {
-            self.kernels = Some(ProjectKernels::compile(&self.args, ty, &view.kinds()));
-        }
-        let cache = self.kernels.as_ref().expect("compiled above");
-        let fully_kerneled = cache.args.iter().all(|a| !a.is_fallback());
-        let mut errors = self.eval_errors;
-        let mut projected = self.projected;
-        'rows: for &i in sel {
-            let row = i as usize;
-            let event = &events[row];
-            let mut attrs: Vec<Value> = Vec::with_capacity(cache.args.len());
-            for (kernel, arg) in cache.args.iter().zip(self.args.iter()) {
-                let value = match kernel {
-                    ValKernel::Copy(attr) => event.attrs[*attr as usize].clone(),
-                    ValKernel::Const(v) => v.clone(),
-                    ValKernel::Int(e) => match e.eval(view, row) {
-                        Some(v) => Value::Int(v),
-                        None => {
-                            errors += 1;
-                            continue 'rows;
-                        }
-                    },
-                    ValKernel::Float(e) => Value::Float(e.eval(view, row)),
-                    ValKernel::Bool(k) => match k.eval_row(view, row) {
-                        Some(v) => Value::Bool(v),
-                        None => {
-                            errors += 1;
-                            continue 'rows;
-                        }
-                    },
-                    ValKernel::Fallback => match arg.eval(&[event]) {
-                        Ok(v) => v,
-                        Err(_) => {
-                            errors += 1;
-                            continue 'rows;
-                        }
-                    },
-                };
-                attrs.push(value);
-            }
-            projected += 1;
-            let mut derived = Event::complex(
-                self.output_type,
-                event.occurrence,
-                event.partition,
-                Arc::from(attrs),
-            );
-            derived.provenance = event.provenance.clone();
-            out.push((i, derived));
-        }
-        self.eval_errors = errors;
-        self.projected = projected;
-        if fully_kerneled {
-            self.kernel_rows += sel.len() as u64;
-        } else {
-            self.fallback_rows += sel.len() as u64;
-        }
     }
 }
 
@@ -433,9 +262,8 @@ impl Op {
     /// A uniform read-out of the operator's counters for the
     /// observability layer; `None` for operators that count nothing
     /// (`CI_c` / `CT_c`, which fire on every match unconditionally).
-    ///
-    /// Inputs and outputs are identical across the per-event and batch
-    /// paths; only the batch path splits rows into kernel and fallback.
+    /// Every counter is identical across the per-event and batch entry
+    /// points.
     #[must_use]
     pub fn observation(&self) -> Option<OpObservation> {
         match self {
@@ -443,32 +271,24 @@ impl Op {
                 kind: self.tag(),
                 events_in: p.stats.events_processed,
                 events_out: p.stats.matches,
-                kernel_rows: 0,
-                fallback_rows: 0,
                 errors: 0,
             }),
             Op::Filter(f) => Some(OpObservation {
                 kind: self.tag(),
                 events_in: f.evaluated,
                 events_out: f.accepted,
-                kernel_rows: f.kernel_rows,
-                fallback_rows: f.fallback_rows,
                 errors: f.eval_errors,
             }),
             Op::Project(p) => Some(OpObservation {
                 kind: self.tag(),
                 events_in: p.projected + p.eval_errors,
                 events_out: p.projected,
-                kernel_rows: p.kernel_rows,
-                fallback_rows: p.fallback_rows,
                 errors: p.eval_errors,
             }),
             Op::ContextWindow(cw) => Some(OpObservation {
                 kind: self.tag(),
                 events_in: cw.admitted + cw.dropped,
                 events_out: cw.admitted,
-                kernel_rows: 0,
-                fallback_rows: 0,
                 errors: 0,
             }),
             Op::ContextInit(_) | Op::ContextTerm(_) => None,
@@ -485,10 +305,6 @@ pub struct OpObservation {
     pub events_in: u64,
     /// Events it passed on (matches, accepted rows, derived events).
     pub events_out: u64,
-    /// Rows evaluated by vectorized kernels.
-    pub kernel_rows: u64,
-    /// Rows evaluated by the interpreter fallback on the batch path.
-    pub fallback_rows: u64,
     /// Evaluation errors.
     pub errors: u64,
 }
@@ -596,13 +412,13 @@ pub fn advance_chain_time(
 }
 
 /// Executes a same-`(partition, time)` run of events — given as a
-/// selection vector of row indices into `cols`' event slice — through a
-/// chain.
+/// selection vector of row indices into `events` — through a chain.
 ///
 /// Semantically identical to calling [`run_chain`] once per selected
-/// event in selection order — the differential batch-equivalence suite
-/// holds it to byte identity on exactly that claim — but with the
-/// per-event costs amortized over the run:
+/// event in selection order — outputs and every operator counter; the
+/// differential batch-equivalence suite holds it to byte identity on
+/// exactly that claim — but with the per-event costs amortized over the
+/// run:
 ///
 /// * a context window at the chain bottom probes the context table once
 ///   for the whole run (admission depends only on partition and time,
@@ -610,42 +426,44 @@ pub fn advance_chain_time(
 ///   event at once while its context is suspended;
 /// * a stage-major chain (filters / projections / windows /
 ///   pass-through patterns) narrows the *selection vector* stage by
-///   stage, with predicates evaluated by vectorized kernels over the
-///   batch's columnar view where covered (see
-///   [`run_chain_batch_selected`]);
+///   stage (see [`run_chain_batch_selected`]);
 /// * a chain whose (post-window) bottom is a pattern runs the pattern
-///   *batch-at-a-time* over the selection vector
-///   ([`PatternOp::process_batch`]: pooled partials, vectorized
-///   element-0 step kernels, per-batch negation index), and only the
-///   matches — typically far fewer than the inputs — walk the suffix;
+///   over the whole selection ([`PatternOp::process_batch`]), and only
+///   the matches — typically far fewer than the inputs — walk the
+///   suffix;
 /// * traversal buffers come from the caller's [`ChainScratch`], so the
 ///   per-event loop allocates nothing.
 pub fn run_chain_batch(
     ops: &mut [Op],
-    cols: &mut ColumnarBatch<'_>,
+    events: &[Event],
     sel: &mut Vec<u32>,
     table: &ContextTable,
     out: &mut ChainOutput,
     scratch: &mut ChainScratch,
 ) {
     debug_assert!(
-        {
-            let events = cols.events();
-            sel.first().is_none_or(|&f| {
-                let first = &events[f as usize];
-                sel.iter().all(|&i| {
-                    let e = &events[i as usize];
-                    e.time() == first.time() && e.partition == first.partition
-                })
+        sel.first().is_none_or(|&f| {
+            let first = &events[f as usize];
+            sel.iter().all(|&i| {
+                let e = &events[i as usize];
+                e.time() == first.time() && e.partition == first.partition
             })
-        },
+        }),
         "run_chain_batch requires a same-(partition, time) run"
     );
     // The row-tagged worker does the work; strip the tags. The sinks
     // are moved out so the worker may borrow the rest of the scratch.
     let mut items = std::mem::take(&mut scratch.sink_items);
     let mut transitions = std::mem::take(&mut scratch.sink_transitions);
-    run_chain_batch_items(ops, cols, sel, table, scratch, &mut items, &mut transitions);
+    run_chain_batch_items(
+        ops,
+        events,
+        sel,
+        table,
+        scratch,
+        &mut items,
+        &mut transitions,
+    );
     out.events.extend(items.drain(..).map(|(_, e)| e));
     out.transitions
         .extend(transitions.drain(..).map(|(_, t)| t));
@@ -683,7 +501,7 @@ fn reverse_row_groups(items: &mut [(u32, Event)]) {
 /// per-row loop over the shared traversal buffers.
 pub fn run_chain_batch_items(
     ops: &mut [Op],
-    cols: &mut ColumnarBatch<'_>,
+    events: &[Event],
     sel: &mut Vec<u32>,
     table: &ContextTable,
     scratch: &mut ChainScratch,
@@ -695,10 +513,9 @@ pub fn run_chain_batch_items(
     }
     if chain_is_stage_major(ops) {
         // Stage-major chains cannot contain CI/CT: no transitions.
-        run_chain_batch_selected(ops, cols, sel, table, out);
+        run_chain_batch_selected(ops, events, sel, table, out);
         return;
     }
-    let events = cols.events();
     let mut start = 0;
     if let Some(Op::ContextWindow(cw)) = ops.first_mut() {
         if !cw.admits_run(&events[sel[0] as usize], sel.len() as u64, table) {
@@ -719,7 +536,7 @@ pub fn run_chain_batch_items(
             let Op::Pattern(p) = &mut ops[start] else {
                 unreachable!()
             };
-            p.process_batch(cols, sel, items);
+            p.process_batch(events, sel, items);
         }
         reverse_row_groups(items);
         if start + 1 == ops.len() {
@@ -770,33 +587,19 @@ pub fn chain_is_stage_major(ops: &[Op]) -> bool {
     ops[start..].iter().all(stage_major_op)
 }
 
-/// The uniform event type of the selected rows, if they all share one —
-/// the precondition for vectorized kernels (a columnar view covers one
-/// type).
-fn uniform_type(events: &[Event], sel: &[u32]) -> Option<TypeId> {
-    let first = events[*sel.first()? as usize].type_id;
-    sel.iter()
-        .all(|&i| events[i as usize].type_id == first)
-        .then_some(first)
-}
-
 /// Stage-major chain execution over a selection vector.
 ///
 /// The caller must have checked [`chain_is_stage_major`]; the selected
 /// rows must share one `(partition, time)`. Each stage narrows the
-/// selection in place — filters through vectorized kernels over the
-/// batch's columnar view where covered, the interpreter elsewhere — and
-/// events are only materialized (cloned or derived) once a projection
-/// runs or the chain ends. Surviving events are appended to `out`
-/// tagged with their source row index, which doubles as the input
-/// position for cross-plan merge ordering. Outputs and the
-/// deterministic operator counters are identical to running
-/// [`run_chain`] once per selected event in order (`eval_errors` alone
-/// may differ under conjunct reordering, see
-/// [`FilterKernels`]).
+/// selection in place, and events are only materialized (cloned or
+/// derived) once a projection runs or the chain ends. Surviving events
+/// are appended to `out` tagged with their source row index, which
+/// doubles as the input position for cross-plan merge ordering. Outputs
+/// and operator counters are identical to running [`run_chain`] once
+/// per selected event in order.
 pub fn run_chain_batch_selected(
     ops: &mut [Op],
-    cols: &mut ColumnarBatch<'_>,
+    events: &[Event],
     sel: &mut Vec<u32>,
     table: &ContextTable,
     out: &mut Vec<(u32, Event)>,
@@ -804,7 +607,6 @@ pub fn run_chain_batch_selected(
     if sel.is_empty() {
         return;
     }
-    let events = cols.events();
     let mut start = 0;
     if let Some(Op::ContextWindow(cw)) = ops.first_mut() {
         if !cw.admits_run(&events[sel[0] as usize], sel.len() as u64, table) {
@@ -813,9 +615,6 @@ pub fn run_chain_batch_selected(
         }
         start = 1;
     }
-    // The uniform row type drives kernel eligibility; a pass-through
-    // pattern narrows it to its own type.
-    let mut row_type = uniform_type(events, sel);
     // Owned `(row, event)` pairs once a projection has materialized
     // derived events; before that the selection vector alone carries
     // the state.
@@ -829,7 +628,6 @@ pub fn run_chain_batch_selected(
                 p.stats.events_processed += sel.len() as u64;
                 sel.retain(|&i| events[i as usize].type_id == ty);
                 p.stats.matches += sel.len() as u64;
-                row_type = Some(ty);
             }
             (Op::Pattern(p), Some(items)) => {
                 let ty = p
@@ -839,12 +637,11 @@ pub fn run_chain_batch_selected(
                 items.retain(|(_, e)| e.type_id == ty);
                 p.stats.matches += items.len() as u64;
             }
-            (Op::Filter(f), None) => f.accepts_batch(cols, row_type, sel),
+            (Op::Filter(f), None) => sel.retain(|&i| f.accepts(&events[i as usize])),
             (Op::Filter(f), Some(items)) => items.retain(|(_, e)| f.accepts(e)),
             (Op::Project(p), None) => {
-                let mut produced = Vec::with_capacity(sel.len());
-                p.project_batch(cols, row_type, sel, &mut produced);
-                items = Some(produced);
+                let derive = |&i: &u32| p.project(&events[i as usize]).map(|d| (i, d));
+                items = Some(sel.iter().filter_map(derive).collect());
             }
             (Op::Project(p), Some(items)) => {
                 items.retain_mut(|(_, e)| match p.project(e) {
@@ -1143,21 +940,24 @@ mod tests {
     }
 
     /// Two structurally identical chains; one processes per event, the
-    /// other as one batch through the kernels. Outputs and operator
-    /// counters must agree.
-    fn assert_batch_equivalent(mut ops: Vec<Op>, events: &[Event], table: &ContextTable) {
+    /// other as one batch. Outputs and operator counters — evaluation
+    /// errors included — must agree. Returns the batched chain.
+    fn assert_batch_equivalent(
+        mut ops: Vec<Op>,
+        events: &[Event],
+        table: &ContextTable,
+    ) -> Vec<Op> {
         let mut batched_ops = ops.clone();
         let mut per_event = ChainOutput::default();
         for e in events {
             run_chain(&mut ops, e, table, &mut per_event);
         }
         let mut batched = ChainOutput::default();
-        let mut cols = ColumnarBatch::new(events);
         let mut sel: Vec<u32> = (0..events.len() as u32).collect();
         let mut scratch = ChainScratch::default();
         run_chain_batch(
             &mut batched_ops,
-            &mut cols,
+            events,
             &mut sel,
             table,
             &mut batched,
@@ -1168,7 +968,11 @@ mod tests {
         for (a, b) in ops.iter().zip(batched_ops.iter()) {
             match (a, b) {
                 (Op::Filter(x), Op::Filter(y)) => {
-                    assert_eq!((x.evaluated, x.accepted), (y.evaluated, y.accepted));
+                    let counts = |f: &FilterOp| (f.evaluated, f.accepted, f.eval_errors);
+                    assert_eq!(counts(x), counts(y));
+                }
+                (Op::Project(x), Op::Project(y)) => {
+                    assert_eq!((x.projected, x.eval_errors), (y.projected, y.eval_errors));
                 }
                 (Op::ContextWindow(x), Op::ContextWindow(y)) => {
                     assert_eq!((x.admitted, x.dropped), (y.admitted, y.dropped));
@@ -1176,6 +980,7 @@ mod tests {
                 _ => {}
             }
         }
+        batched_ops
     }
 
     #[test]
@@ -1205,6 +1010,26 @@ mod tests {
         assert_batch_equivalent(ops, &events, &table);
     }
 
+    /// Conjuncts run in declaration order on both entry points: a first
+    /// conjunct that errors on every row (division by zero) is counted
+    /// once per row, even though a cheaper second conjunct would reject
+    /// most rows without an error.
+    #[test]
+    fn batch_chain_counts_eval_errors_like_per_event() {
+        let reg = registry();
+        let compile = |e: &Expr| CompiledExpr::compile(e, &layout(&reg), &reg).unwrap();
+        let div_zero = Expr::bin(BinOp::Div, Expr::attr("p", "speed"), Expr::int(0));
+        let errs = compile(&Expr::bin(BinOp::Gt, div_zero, Expr::int(1)));
+        let cheap = compile(&Expr::bin(BinOp::Ge, Expr::attr("p", "vid"), Expr::int(6)));
+        let ops = vec![Op::Filter(FilterOp::new(vec![errs, cheap]))];
+        let events: Vec<Event> = (0..8).map(|i| pev(&reg, 3, i, 50)).collect();
+        let batched = assert_batch_equivalent(ops, &events, &ContextTable::new(1, 0));
+        let Op::Filter(f) = &batched[0] else {
+            unreachable!()
+        };
+        assert_eq!((f.eval_errors, f.accepted), (8, 0));
+    }
+
     #[test]
     fn batch_chain_matches_per_event_with_pattern() {
         let reg = registry();
@@ -1230,17 +1055,9 @@ mod tests {
         ];
         let events: Vec<Event> = (0..4).map(|i| pev(&reg, 9, i, 50)).collect();
         let mut out = ChainOutput::default();
-        let mut cols = ColumnarBatch::new(&events);
         let mut sel: Vec<u32> = (0..events.len() as u32).collect();
         let mut scratch = ChainScratch::default();
-        run_chain_batch(
-            &mut ops,
-            &mut cols,
-            &mut sel,
-            &table,
-            &mut out,
-            &mut scratch,
-        );
+        run_chain_batch(&mut ops, &events, &mut sel, &table, &mut out, &mut scratch);
         assert!(out.is_empty());
         let Op::ContextWindow(cw) = &ops[0] else {
             unreachable!()
@@ -1294,11 +1111,10 @@ mod tests {
             for e in run {
                 run_chain(&mut ops_a, e, &table, &mut per_event);
             }
-            let mut cols = ColumnarBatch::new(run);
             let mut sel: Vec<u32> = (0..run.len() as u32).collect();
             run_chain_batch(
                 &mut ops_b,
-                &mut cols,
+                run,
                 &mut sel,
                 &table,
                 &mut batched,

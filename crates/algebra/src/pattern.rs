@@ -32,9 +32,8 @@
 //! (slot order, free list, generations) is invisible on the wire.
 
 use crate::expr::{CompiledExpr, Slots};
-use crate::kernel::FilterKernels;
 use crate::nfa::{NfaProgram, NfaStep};
-use caesar_events::{ColumnarBatch, Event, Interval, Provenance, Time, TypeId, Value};
+use caesar_events::{Event, Interval, Provenance, Time, TypeId, Value};
 use caesar_query::ast::BinOp;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::collections::{HashMap, VecDeque};
@@ -330,9 +329,9 @@ impl Deserialize for MatchState {
 /// The mutable run state of one stateful operator — a [`PatternOp`] or a
 /// [`SharedGroup`] — in one stream partition: partial matches, parked
 /// trailing-negation matches, negation buffers and their transient
-/// index. Everything else about an operator (compiled program, kernel
-/// caches, counters) is the same for every partition and lives once, in
-/// the operator.
+/// index. Everything else about an operator (compiled program,
+/// counters) is the same for every partition and lives once, in the
+/// operator.
 ///
 /// The value is *detachable*: an operator owns one resident run state
 /// (`run_mut`), and the runtime swaps a partition's stored state in
@@ -758,17 +757,6 @@ impl MatchSink for RowTagged<'_> {
     }
 }
 
-/// Element-0 step-predicate verdict for one row.
-#[derive(Debug, Clone, Copy)]
-enum Step0 {
-    /// No precomputed verdict — evaluate the predicates inline.
-    Eval,
-    /// The vectorized pre-filter already proved all predicates hold.
-    Pass,
-    /// The vectorized pre-filter already proved a predicate fails.
-    Fail,
-}
-
 /// Outcome of completing a candidate match.
 enum Verdict {
     Rejected,
@@ -776,8 +764,8 @@ enum Verdict {
     Park { deadline: Time },
 }
 
-/// The pattern operator: an [`NfaProgram`], its counters and kernel
-/// cache — one per engine — plus the [`RunState`] of whichever
+/// The pattern operator: an [`NfaProgram`] and its counters — one per
+/// engine — plus the [`RunState`] of whichever
 /// partition is currently bound (its own, when used standalone).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PatternOp {
@@ -797,11 +785,6 @@ pub struct PatternOp {
     shared_prefix_len: usize,
     /// Observability counters.
     pub stats: PatternStats,
-    /// Compiled element-0 step-predicate kernels, revalidated per batch
-    /// against the view's kind signature (see
-    /// [`process_batch`](Self::process_batch)).
-    #[serde(skip)]
-    step_kernels: Option<Box<FilterKernels>>,
 }
 
 /// Hashable projection of a [`Value`] usable as a negation-index key.
@@ -1174,7 +1157,6 @@ impl PatternOp {
             run: RunState::default(),
             shared_prefix_len: 0,
             stats: PatternStats::default(),
-            step_kernels: None,
         }
     }
 
@@ -1307,12 +1289,8 @@ impl PatternOp {
     }
 
     /// Installs one step predicate, used by the optimizer's predicate
-    /// push-down. This is the *only* mutable access to the compiled
-    /// program: it explicitly drops the step-kernel cache, which is
-    /// compiled from the step predicates and would otherwise go stale
-    /// silently.
+    /// push-down.
     pub fn push_step_predicate(&mut self, step: usize, predicate: CompiledExpr) {
-        self.step_kernels = None;
         Arc::make_mut(&mut self.program).steps[step]
             .predicates
             .push(predicate);
@@ -1362,99 +1340,26 @@ impl PatternOp {
 
     /// Processes one input event, appending emitted match events to `out`.
     pub fn process(&mut self, event: &Event, out: &mut Vec<Event>) {
-        self.process_event(event, Step0::Eval, out);
+        self.process_event(event, out);
     }
 
-    /// Processes a same-`(partition, time)` run of rows batch-at-a-time,
-    /// appending `(row, match)` pairs to `out` in exactly the per-row
-    /// order [`process`](Self::process) would produce. Rows are the
-    /// `sel` entries, in order, indexing `cols`' underlying event slice.
-    ///
-    /// The batch path is the per-event path with two exact accelerations
-    /// layered on: the same-time negation index (shared scan bound), and
-    /// a vectorized pre-filter for the first element's step predicates —
-    /// element-0 predicates reference slot 0 alone, so they are
-    /// filter-shaped and compile through the [`FilterKernels`] machinery
-    /// against the per-type columnar view, with the selection vector of
-    /// surviving rows carried into partial-match creation. Outputs and
-    /// all counters except `eval_errors` are identical to the per-event
-    /// path (kernels may order conjuncts differently).
-    pub fn process_batch(
-        &mut self,
-        cols: &mut ColumnarBatch<'_>,
-        sel: &[u32],
-        out: &mut Vec<(u32, Event)>,
-    ) {
-        let events = cols.events();
-        let survivors = self.step0_survivors(cols, sel);
-        let first_type = self.program.steps[0].type_id;
-        let mut ptr = 0usize;
+    /// Processes a same-`(partition, time)` run of rows, appending
+    /// `(row, match)` pairs to `out` in exactly the per-row order
+    /// [`process`](Self::process) would produce. Rows are the `sel`
+    /// entries, in order, indexing `events`. Outputs and every counter
+    /// are those of the per-event path: the rows take it one by one, and
+    /// the row tags are what the combined plan's plan-major merge keys
+    /// on.
+    pub fn process_batch(&mut self, events: &[Event], sel: &[u32], out: &mut Vec<(u32, Event)>) {
         for &row in sel {
-            let event = &events[row as usize];
-            let step0 = match &survivors {
-                Some(s) if event.type_id == first_type => {
-                    if s.get(ptr) == Some(&row) {
-                        ptr += 1;
-                        Step0::Pass
-                    } else {
-                        Step0::Fail
-                    }
-                }
-                _ => Step0::Eval,
-            };
             let mut sink = RowTagged { row, out };
-            self.process_event(event, step0, &mut sink);
+            self.process_event(&events[row as usize], &mut sink);
         }
-    }
-
-    /// Vectorized element-0 step-predicate verdicts: the sub-selection
-    /// of `sel` rows of the first positive's type that pass all its step
-    /// predicates, or `None` when the pre-filter does not apply (no
-    /// step predicates, pass-through).
-    fn step0_survivors(&mut self, cols: &mut ColumnarBatch<'_>, sel: &[u32]) -> Option<Vec<u32>> {
-        if self.is_passthrough() || self.program.steps[0].predicates.is_empty() {
-            return None;
-        }
-        let ty = self.program.steps[0].type_id;
-        let events = cols.events();
-        let view = cols.view(ty);
-        if !self
-            .step_kernels
-            .as_ref()
-            .is_some_and(|k| k.valid_for(view))
-        {
-            self.step_kernels = Some(Box::new(FilterKernels::compile(
-                &self.program.steps[0].predicates,
-                ty,
-                &view.kinds(),
-            )));
-        }
-        let cache = self.step_kernels.as_ref().expect("compiled above");
-        let mut survivors: Vec<u32> = sel
-            .iter()
-            .copied()
-            .filter(|&r| events[r as usize].type_id == ty)
-            .collect();
-        let mut errors = 0u64;
-        for conjunct in &cache.conjuncts {
-            if survivors.is_empty() {
-                break;
-            }
-            match &conjunct.kernel {
-                Some(kernel) => kernel.filter(view, &mut survivors, &mut errors),
-                None => {
-                    let expr = &conjunct.expr;
-                    survivors.retain(|&r| expr.matches(&[&events[r as usize]], &mut errors));
-                }
-            }
-        }
-        self.stats.eval_errors += errors;
-        Some(survivors)
     }
 
     /// The shared per-event engine behind [`process`](Self::process) and
     /// [`process_batch`](Self::process_batch).
-    fn process_event<S: MatchSink>(&mut self, event: &Event, step0: Step0, out: &mut S) {
+    fn process_event<S: MatchSink>(&mut self, event: &Event, out: &mut S) {
         self.stats.events_processed += 1;
         self.ensure_shape();
 
@@ -1515,14 +1420,10 @@ impl PatternOp {
                     prefix: &[],
                     tail: event,
                 };
-                let passed = match step0 {
-                    Step0::Fail => false,
-                    Step0::Pass => true,
-                    Step0::Eval => steps[0]
-                        .predicates
-                        .iter()
-                        .all(|p| p.matches_in(&cand, &mut stats.eval_errors)),
-                };
+                let passed = steps[0]
+                    .predicates
+                    .iter()
+                    .all(|p| p.matches_in(&cand, &mut stats.eval_errors));
                 if !passed {
                     continue;
                 }
@@ -2445,8 +2346,8 @@ mod tests {
     }
 
     /// The batched entry point must be invisible: same outputs (in the
-    /// same per-row order) and the same state-affecting counters as
-    /// feeding the run event-at-a-time.
+    /// same per-row order) and the same counters, evaluation errors
+    /// included, as feeding the run event-at-a-time.
     #[test]
     fn batch_path_matches_per_event_path() {
         let reg = registry();
@@ -2463,9 +2364,8 @@ mod tests {
             for e in &batch {
                 per_event.process(e, &mut out_per_event);
             }
-            let mut cols = ColumnarBatch::new(&batch);
             let sel: Vec<u32> = (0..batch.len() as u32).collect();
-            batched.process_batch(&mut cols, &sel, &mut out_batched);
+            batched.process_batch(&batch, &sel, &mut out_batched);
         }
         // Rows are processed in order and matches per row in generation
         // order — flattening the tagged pairs must give the per-event
@@ -2485,82 +2385,8 @@ mod tests {
             per_event.stats.events_processed,
             batched.stats.events_processed
         );
+        assert_eq!(per_event.stats.eval_errors, batched.stats.eval_errors);
         assert!(batched.pool_consistent());
-    }
-
-    /// The element-0 kernel pre-filter must admit exactly the rows the
-    /// interpreted step predicates of the per-event path admit.
-    #[test]
-    fn batch_step_kernels_match_interpreter() {
-        let reg = registry();
-        let tid_a = reg.lookup("A").unwrap();
-        let tid_b = reg.lookup("B").unwrap();
-        let build = || {
-            let layout = BindingLayout {
-                vars: vec![
-                    LayoutVar {
-                        name: "a".into(),
-                        type_id: tid_a,
-                        source: SlotSource::EventSlot(0),
-                    },
-                    LayoutVar {
-                        name: "b".into(),
-                        type_id: tid_b,
-                        source: SlotSource::EventSlot(1),
-                    },
-                ],
-            };
-            let p0 = CompiledExpr::compile(
-                &Expr::bin(BinOp::Gt, Expr::attr("a", "v"), Expr::int(5)),
-                &layout,
-                &reg,
-            )
-            .unwrap();
-            let p1 = CompiledExpr::compile(
-                &Expr::bin(BinOp::Eq, Expr::attr("a", "v"), Expr::attr("b", "v")),
-                &layout,
-                &reg,
-            )
-            .unwrap();
-            PatternBuilder::new(reg.lookup("M").unwrap())
-                .then(tid_a)
-                .filter(p0)
-                .then(tid_b)
-                .filter(p1)
-                .within(100)
-                .offsets(vec![0, 1])
-                .build()
-        };
-        let mut interp = build();
-        let mut vector = build();
-        let mut out_interp: Vec<Event> = Vec::new();
-        let mut out_vector: Vec<(u32, Event)> = Vec::new();
-        for step in 0..6u64 {
-            // A run of As at t, then a run of Bs at t+1, with values
-            // straddling the `a.v > 5` threshold and the join equality.
-            for (ty, dt) in [("A", 0u64), ("B", 1u64)] {
-                let t = step * 10 + dt;
-                let batch: Vec<Event> = (0..6)
-                    .map(|k| ev(&reg, ty, t, k + (step % 3) as i64 + 3))
-                    .collect();
-                for e in &batch {
-                    interp.process(e, &mut out_interp);
-                }
-                let sel: Vec<u32> = (0..batch.len() as u32).collect();
-                let mut cols = ColumnarBatch::new(&batch);
-                vector.process_batch(&mut cols, &sel, &mut out_vector);
-            }
-        }
-        assert!(!out_interp.is_empty());
-        let flattened: Vec<Event> = out_vector.into_iter().map(|(_, e)| e).collect();
-        assert_eq!(out_interp, flattened);
-        assert_eq!(interp.stats.matches, vector.stats.matches);
-        assert_eq!(interp.stats.partials_created, vector.stats.partials_created);
-        assert!(
-            vector.step_kernels.is_some(),
-            "vectorized pre-filter exercised"
-        );
-        assert!(vector.pool_consistent());
     }
 
     /// Snapshots must be independent of pool layout: a fragmented slab

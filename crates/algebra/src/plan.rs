@@ -15,7 +15,7 @@ use crate::ops::{
     ChainScratch, Op,
 };
 use crate::pattern::{RunState, SharedGroup};
-use caesar_events::{ColumnarBatch, Event, Time, TypeId};
+use caesar_events::{Event, Time, TypeId};
 use caesar_query::ast::QueryId;
 use caesar_query::queryset::CompiledQuery;
 use serde::{Deserialize, Deserializer, Serialize};
@@ -53,19 +53,17 @@ impl QueryPlan {
         run_chain(&mut self.ops, event, table, out);
     }
 
-    /// Feeds a same-`(partition, time)` run of events — presented as a
-    /// [`ColumnarBatch`] over the transaction — through the chain,
-    /// skipping events the plan does not consume. Equivalent to calling
-    /// [`process`] once per consumed event, but the bottom context-window
-    /// probe (if any) and the traversal buffers amortize over the run,
-    /// and stage-major chains evaluate predicates through vectorized
-    /// kernels over the batch's columnar views (selection vectors mean
-    /// unconsumed events are skipped without copying).
+    /// Feeds a same-`(partition, time)` run of events through the
+    /// chain, skipping events the plan does not consume. Equivalent to
+    /// calling [`process`] once per consumed event, but the bottom
+    /// context-window probe (if any) and the traversal buffers amortize
+    /// over the run (a selection vector means unconsumed events are
+    /// skipped without copying).
     ///
     /// [`process`]: QueryPlan::process
     pub fn process_batch(
         &mut self,
-        cols: &mut ColumnarBatch<'_>,
+        events: &[Event],
         table: &ContextTable,
         out: &mut PlanOutput,
         scratch: &mut ChainScratch,
@@ -75,13 +73,13 @@ impl QueryPlan {
         let mut sel = std::mem::take(&mut scratch.sel);
         sel.clear();
         sel.extend(
-            cols.events()
+            events
                 .iter()
                 .enumerate()
                 .filter(|(_, e)| self.consumes(e.type_id))
                 .map(|(i, _)| i as u32),
         );
-        run_chain_batch(&mut self.ops, cols, &mut sel, table, out, scratch);
+        run_chain_batch(&mut self.ops, events, &mut sel, table, out, scratch);
         scratch.sel = sel;
     }
 
@@ -608,32 +606,26 @@ impl CombinedPlan {
         }
     }
 
-    /// Feeds a same-`(partition, time)` run of external events —
-    /// presented as a [`ColumnarBatch`] over the transaction — through
+    /// Feeds a same-`(partition, time)` run of external events through
     /// the combined plan. Equivalent to calling [`process`] once per
     /// consumed event in slice order — member plans see the exact same
     /// event sequence and `out` receives the exact same outputs — but
     /// executed *plan-major* where that is unobservable (no member fed
     /// the run also consumes member-produced events, no shared group is
-    /// reached):
-    /// each member plan consumes the whole run batch-at-a-time
-    /// (vectorized kernels, pooled pattern state, one context-window
-    /// probe per run), and the per-plan outputs are merged back into
-    /// per-event order by their input-row tags. All buffers come from
-    /// the plan's scratch, so the steady state allocates nothing.
+    /// reached): each member plan consumes the whole run before the next
+    /// starts (one context-window probe per run, a selection vector of
+    /// its rows), and the per-plan
+    /// outputs are merged back into per-event order by their input-row
+    /// tags. All buffers come from the plan's scratch, so the steady
+    /// state allocates nothing.
     ///
     /// [`process`]: CombinedPlan::process
-    pub fn process_batch(
-        &mut self,
-        cols: &mut ColumnarBatch<'_>,
-        table: &ContextTable,
-        out: &mut PlanOutput,
-    ) {
+    pub fn process_batch(&mut self, events: &[Event], table: &ContextTable, out: &mut PlanOutput) {
         // Distinct externally consumed types of the transaction (almost
         // always exactly 1).
         let mut types = std::mem::take(&mut self.scratch.types);
         types.clear();
-        for e in cols.events() {
+        for e in events {
             if self.consumes_external(e.type_id) && !types.contains(&e.type_id) {
                 types.push(e.type_id);
             }
@@ -643,9 +635,9 @@ impl CombinedPlan {
             return;
         }
         if types.iter().all(|t| self.routes[t.index()].plan_major) {
-            self.process_batch_plan_major(cols, &types, table, out);
+            self.process_batch_plan_major(events, &types, table, out);
         } else {
-            self.process_batch_event_major(cols, &types, table, out);
+            self.process_batch_event_major(events, &types, table, out);
         }
         self.scratch.types = types;
     }
@@ -662,7 +654,7 @@ impl CombinedPlan {
     /// [`process`]: CombinedPlan::process
     fn process_batch_plan_major(
         &mut self,
-        cols: &mut ColumnarBatch<'_>,
+        events: &[Event],
         types: &[TypeId],
         table: &ContextTable,
         out: &mut PlanOutput,
@@ -677,7 +669,6 @@ impl CombinedPlan {
         scratch.sels.resize_with(n, Vec::new);
         scratch.plan_outs.resize_with(n, Vec::new);
         scratch.plan_trans.resize_with(n, Vec::new);
-        let events = cols.events();
         scratch.sels.iter_mut().for_each(Vec::clear);
         for (row, e) in events.iter().enumerate() {
             if types.contains(&e.type_id) {
@@ -693,7 +684,7 @@ impl CombinedPlan {
             trans.clear();
             run_chain_batch_items(
                 &mut plan.ops,
-                cols,
+                events,
                 &mut scratch.sels[idx],
                 table,
                 &mut scratch.chain,
@@ -747,7 +738,7 @@ impl CombinedPlan {
     /// [`process`]: CombinedPlan::process
     fn process_batch_event_major(
         &mut self,
-        cols: &mut ColumnarBatch<'_>,
+        events: &[Event],
         types: &[TypeId],
         table: &ContextTable,
         out: &mut PlanOutput,
@@ -760,7 +751,6 @@ impl CombinedPlan {
             scratch,
             ..
         } = self;
-        let events = cols.events();
         for event in events {
             if !types.contains(&event.type_id) {
                 continue;
@@ -1054,8 +1044,7 @@ mod tests {
             }
         }
         let mut out_b = PlanOutput::default();
-        let mut cols = ColumnarBatch::new(&events);
-        batched.process_batch(&mut cols, &table, &mut out_b);
+        batched.process_batch(&events, &table, &mut out_b);
         assert_eq!(out_a.events, out_b.events);
         assert_eq!(out_a.transitions, out_b.transitions);
     }
@@ -1074,8 +1063,7 @@ mod tests {
         // Mixed batch: only the two In events are consumed.
         let events = vec![in_event(&reg, 5, 1), mid, in_event(&reg, 5, 2)];
         let mut out = PlanOutput::default();
-        let mut cols = ColumnarBatch::new(&events);
-        plan.process_batch(&mut cols, &table, &mut out, &mut ChainScratch::default());
+        plan.process_batch(&events, &table, &mut out, &mut ChainScratch::default());
         assert_eq!(out.events.len(), 2);
         assert_eq!(out.events[0].attrs[0], Value::Int(1));
         assert_eq!(out.events[1].attrs[0], Value::Int(2));

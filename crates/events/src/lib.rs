@@ -27,7 +27,6 @@
 #![deny(deprecated)]
 
 pub mod codec;
-pub mod columnar;
 pub mod error;
 pub mod event;
 pub mod generator;
@@ -44,7 +43,6 @@ pub use codec::{
     decode, decode_all, decode_record, decode_records, decode_slice, encode, encode_all,
     encode_record, encode_records, encode_to_vec, CodecError,
 };
-pub use columnar::{Column, ColumnKind, ColumnarBatch, ColumnarView, StrColumn};
 pub use error::EventError;
 pub use event::{Event, EventBuilder, PartitionHasher, PartitionId, PartitionMap};
 pub use provenance::{ProvStep, Provenance};

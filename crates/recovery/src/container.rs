@@ -52,8 +52,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CAESNAP\0";
 ///   partition record carries its earliest deadline and latest
 ///   transaction time, each operator state its deadline floor, and
 ///   the state names the bound partition (the worklist itself is
-///   rebuilt from the records on restore).
-pub const SNAPSHOT_VERSION: u32 = 6;
+///   rebuilt from the records on restore);
+/// * 7 — the filter and projection operators in `EngineState.template`
+///   lost their two vectorized-kernel row counters.
+pub const SNAPSHOT_VERSION: u32 = 7;
 /// Fixed header length in bytes.
 const HEADER_LEN: usize = 40;
 

@@ -200,9 +200,10 @@ fn foreign_snapshot_version_is_a_version_error() {
     // programs; v3: per-partition scheduler queues and a head index;
     // v4: the batching, kernel-switch and queueing-clock configuration
     // fields; v5: the periodic GC's clock and the context table's
-    // expiry set — none of which this build's payload decoder can read).
-    assert_eq!(caesar_recovery::SNAPSHOT_VERSION, 6);
-    for foreign in [caesar_recovery::SNAPSHOT_VERSION + 1, 5, 4, 3, 2] {
+    // expiry set; v6: the filter and projection kernel row counters —
+    // none of which this build's payload decoder can read).
+    assert_eq!(caesar_recovery::SNAPSHOT_VERSION, 7);
+    for foreign in [caesar_recovery::SNAPSHOT_VERSION + 1, 6, 5, 4, 3, 2] {
         data[8..12].copy_from_slice(&foreign.to_le_bytes());
         fs::write(&snap, &data).expect("rewrite");
 

@@ -26,8 +26,8 @@ use crate::txn::StreamTransaction;
 use caesar_algebra::context_table::{ContextTable, Transition, TransitionKind};
 use caesar_algebra::plan::PlanOutput;
 use caesar_events::{
-    ColumnarBatch, Event, EventError, EventStream, OutputRecord, PartitionId, PartitionMap,
-    ReorderBuffer, SchemaRegistry, Time, TypeId,
+    Event, EventError, EventStream, OutputRecord, PartitionId, PartitionMap, ReorderBuffer,
+    SchemaRegistry, Time, TypeId,
 };
 use caesar_optimizer::optimizer::OptimizedProgram;
 use serde::{Deserialize, Serialize};
@@ -44,10 +44,11 @@ use speculate::Speculation;
 pub type ExecutionMode = Mode;
 
 /// Transactions with at least this many events run through the
-/// operators' batch entry points (selection vectors, vectorized kernels
-/// over columnar views); smaller ones take the per-event entry points,
-/// where that setup would be pure overhead. Dispatch only — outputs are
-/// identical either way.
+/// operators' batch entry points (plan-major execution, one
+/// context-window probe per run, selection vectors); smaller ones take
+/// the per-event entry points, where that setup would be pure overhead.
+/// Dispatch only — outputs and operator counters are identical either
+/// way.
 pub const BATCH_MIN_EVENTS: usize = 8;
 
 /// Engine configuration.
@@ -381,8 +382,8 @@ impl Capture {
 pub struct Engine {
     config: EngineConfig,
     table: ContextTable,
-    /// The one executing program: plans, kernel caches, operator
-    /// counters, router gates. Its stateful operators hold the run
+    /// The one executing program: plans, operator counters, router
+    /// gates. Its stateful operators hold the run
     /// state of the `bound` partition and of no other.
     template: ProgramTemplate,
     default_bit: u8,
@@ -1052,14 +1053,11 @@ impl Engine {
             self.obs.inc(CounterId::BatchedTransactions);
         }
         self.obs.observe_batch_size(events.len() as u64);
-        // Columnar views over the transaction, built lazily per event
-        // type on first kernel use and shared by every plan.
-        let mut cols = ColumnarBatch::new(events);
 
         // Baseline overhead: per-query private re-derivation.
         if self.config.mode == Mode::ContextIndependent {
             if batched {
-                programs.run_private_derivation_batch(&mut cols, &self.table);
+                programs.run_private_derivation_batch(events, &self.table);
             } else {
                 programs.run_private_derivation(events, &self.table);
             }
@@ -1069,7 +1067,7 @@ impl Engine {
         let span = self.obs.span_start();
         let mut transitions = std::mem::take(&mut self.scratch.transitions);
         if batched {
-            programs.run_derivation_batch(&mut cols, &self.table, run, &mut transitions);
+            programs.run_derivation_batch(events, &self.table, run, &mut transitions);
         } else {
             programs.run_derivation(events, &self.table, run, &mut transitions);
         }
@@ -1121,7 +1119,7 @@ impl Engine {
         self.obs.tick_contexts(&active, programs.processing.len());
         let span = self.obs.span_start();
         if batched {
-            programs.run_processing_batch(&mut cols, &self.table, &active, run, &mut out);
+            programs.run_processing_batch(events, &self.table, &active, run, &mut out);
         } else {
             programs.run_processing(events, &self.table, &active, run, &mut out);
         }
@@ -1226,8 +1224,6 @@ impl Engine {
             let query = plan.query_id.to_string();
             let mut chain_in: Option<u64> = None;
             let mut chain_out = 0;
-            let mut kernel_rows = 0;
-            let mut fallback_rows = 0;
             for (i, op) in plan.ops.iter().enumerate() {
                 let Some(o) = op.observation() else { continue };
                 let m = snap
@@ -1236,13 +1232,9 @@ impl Engine {
                     .or_default();
                 m.events_in += o.events_in;
                 m.events_out += o.events_out;
-                m.kernel_rows += o.kernel_rows;
-                m.fallback_rows += o.fallback_rows;
                 m.errors += o.errors;
                 chain_in.get_or_insert(o.events_in);
                 chain_out = o.events_out;
-                kernel_rows += o.kernel_rows;
-                fallback_rows += o.fallback_rows;
                 if let caesar_algebra::ops::Op::ContextWindow(cw) = op {
                     let c = snap
                         .contexts
@@ -1255,8 +1247,6 @@ impl Engine {
             let q = snap.queries.entry(query).or_default();
             q.events_in += chain_in.unwrap_or(0);
             q.matches_out += chain_out;
-            q.kernel_rows += kernel_rows;
-            q.fallback_rows += fallback_rows;
         }
         // Shared-prefix groups: the prefix work their members delegate,
         // and the window verdicts decided for events no member's own

@@ -5,9 +5,9 @@
 //! module makes the *composition* of those numbers visible — where time
 //! goes per pipeline stage (distributor → reorder → scheduler → router
 //! → operator execution, plus checkpoint write and WAL append), what
-//! each operator saw (events in, matches out, kernel vs. fallback
-//! rows), and how often each context window was suspended versus active
-//! (the Thm. 1 push-down savings, directly readable).
+//! each operator saw (events in, matches out, evaluation errors), and
+//! how often each context window was suspended versus active (the
+//! Thm. 1 push-down savings, directly readable).
 //!
 //! # Ownership and gating
 //!
@@ -414,9 +414,12 @@ pub struct OperatorMetrics {
     pub events_in: u64,
     /// Events (matches, accepted rows, derived events) it passed on.
     pub events_out: u64,
-    /// Rows evaluated by vectorized kernels.
+    /// Always 0: predicates have one evaluator, the row interpreter.
+    /// Kept because the benchmark ledger's layer report still reads it
+    /// (as `algebra.kernel.coverage`); nothing writes, merges or prints
+    /// it.
     pub kernel_rows: u64,
-    /// Rows evaluated by the interpreter fallback on the batch path.
+    /// Always 0, like [`kernel_rows`](Self::kernel_rows).
     pub fallback_rows: u64,
     /// Evaluation errors (counted as non-matches / dropped rows).
     pub errors: u64,
@@ -426,8 +429,6 @@ impl OperatorMetrics {
     fn merge(&mut self, other: &OperatorMetrics) {
         self.events_in += other.events_in;
         self.events_out += other.events_out;
-        self.kernel_rows += other.kernel_rows;
-        self.fallback_rows += other.fallback_rows;
         self.errors += other.errors;
     }
 }
@@ -464,18 +465,12 @@ pub struct QueryMetrics {
     pub events_in: u64,
     /// Events leaving the chain (its last counting operator).
     pub matches_out: u64,
-    /// Kernel-path rows summed over the chain.
-    pub kernel_rows: u64,
-    /// Interpreter-fallback rows summed over the chain.
-    pub fallback_rows: u64,
 }
 
 impl QueryMetrics {
     fn merge(&mut self, other: &QueryMetrics) {
         self.events_in += other.events_in;
         self.matches_out += other.matches_out;
-        self.kernel_rows += other.kernel_rows;
-        self.fallback_rows += other.fallback_rows;
     }
 }
 
@@ -564,16 +559,16 @@ impl MetricsSnapshot {
         s.push_str("  \"operators\": {");
         push_entries(&mut s, self.operators.iter(), |m| {
             format!(
-                "{{\"events_in\":{},\"events_out\":{},\"kernel_rows\":{},\"fallback_rows\":{},\"errors\":{}}}",
-                m.events_in, m.events_out, m.kernel_rows, m.fallback_rows, m.errors
+                "{{\"events_in\":{},\"events_out\":{},\"errors\":{}}}",
+                m.events_in, m.events_out, m.errors
             )
         });
         s.push_str("},\n");
         s.push_str("  \"queries\": {");
         push_entries(&mut s, self.queries.iter(), |m| {
             format!(
-                "{{\"events_in\":{},\"matches_out\":{},\"kernel_rows\":{},\"fallback_rows\":{}}}",
-                m.events_in, m.matches_out, m.kernel_rows, m.fallback_rows
+                "{{\"events_in\":{},\"matches_out\":{}}}",
+                m.events_in, m.matches_out
             )
         });
         s.push_str("},\n");
@@ -630,8 +625,8 @@ impl MetricsSnapshot {
             for (key, m) in &self.operators {
                 let _ = writeln!(
                     s,
-                    "    {key:<28} in={:<9} out={:<9} kernel={:<9} fallback={:<7} errors={}",
-                    m.events_in, m.events_out, m.kernel_rows, m.fallback_rows, m.errors
+                    "    {key:<28} in={:<9} out={:<9} errors={}",
+                    m.events_in, m.events_out, m.errors
                 );
             }
         }

@@ -5,7 +5,7 @@
 //! events of different road segments. The paper keeps *one* set of
 //! query plans and, per partition, only the context bit vector and the
 //! context history; so does the engine: a [`ProgramTemplate`] holds the
-//! plans — compiled data, kernel caches, every operator counter, the
+//! plans — compiled data, every operator counter, the
 //! router gates — once, and a [`PartitionRun`] holds what one partition
 //! keeps between transactions: the [`RunState`] of each stateful
 //! operator that has live state there, and the derived-event feedback
@@ -31,7 +31,7 @@ use caesar_algebra::context_table::{ContextTable, PartitionContexts, Transition}
 use caesar_algebra::ops::{ChainScratch, Op};
 use caesar_algebra::pattern::{NegationCheck, RunState};
 use caesar_algebra::plan::{CombinedPlan, PlanOutput, QueryPlan};
-use caesar_events::{ColumnarBatch, Event, PartitionId, Time, TypeId};
+use caesar_events::{Event, PartitionId, Time, TypeId};
 use caesar_optimizer::install_prefix_sharing;
 use caesar_optimizer::mqo::{executing_plans, ExecutingPlans, SharedWorkload};
 use caesar_query::ast::QueryId;
@@ -650,14 +650,13 @@ impl ProgramTemplate {
 
     /// Batched [`run_derivation`](Self::run_derivation): the
     /// transaction's events go through each deriving plan's batch entry
-    /// point, amortizing the context-window probe and reusing the
-    /// transaction's columnar views. Feedback events carry earlier
-    /// timestamps than the transaction, so they stay per-event and run
-    /// ahead of the batch — the same plan-major order as the per-event
-    /// path, hence identical transitions.
+    /// point, amortizing the context-window probe. Feedback events carry
+    /// earlier timestamps than the transaction, so they stay per-event
+    /// and run ahead of the batch — the same plan-major order as the
+    /// per-event path, hence identical transitions.
     pub fn run_derivation_batch(
         &mut self,
-        cols: &mut ColumnarBatch<'_>,
+        events: &[Event],
         table: &ContextTable,
         run: &mut PartitionRun,
         transitions: &mut Vec<Transition>,
@@ -675,7 +674,7 @@ impl ProgramTemplate {
                     plan.process(ev, table, sink);
                 }
             }
-            plan.process_batch(cols, table, sink, scratch);
+            plan.process_batch(events, table, sink, scratch);
         }
         run.feedback.clear();
         transitions.append(&mut sink.transitions);
@@ -701,11 +700,7 @@ impl ProgramTemplate {
     }
 
     /// Batched [`run_private_derivation`](Self::run_private_derivation).
-    pub fn run_private_derivation_batch(
-        &mut self,
-        cols: &mut ColumnarBatch<'_>,
-        table: &ContextTable,
-    ) {
+    pub fn run_private_derivation_batch(&mut self, events: &[Event], table: &ContextTable) {
         let Self {
             redundant,
             sink,
@@ -714,7 +709,7 @@ impl ProgramTemplate {
         } = self;
         sink.clear();
         for plan in redundant.iter_mut() {
-            plan.process_batch(cols, table, sink, scratch);
+            plan.process_batch(events, table, sink, scratch);
             sink.clear();
         }
     }
@@ -751,7 +746,7 @@ impl ProgramTemplate {
     /// the per-event path, so outputs come out in the same order.
     pub fn run_processing_batch(
         &mut self,
-        cols: &mut ColumnarBatch<'_>,
+        events: &[Event],
         table: &ContextTable,
         active: &[usize],
         run: &mut PartitionRun,
@@ -759,7 +754,7 @@ impl ProgramTemplate {
     ) {
         self.sink.clear();
         for &idx in active {
-            self.processing[idx].process_batch(cols, table, &mut self.sink);
+            self.processing[idx].process_batch(events, table, &mut self.sink);
         }
         self.emit_processed(run, out);
     }

@@ -31,12 +31,6 @@ pub struct Observations {
     /// Per query: pattern matches / inputs processed (events through
     /// the chain plus candidates tried at a shared-prefix boundary).
     pub pattern_match_rates: BTreeMap<String, f64>,
-    /// Rows evaluated by vectorized kernels across all filter and
-    /// projection operators (batch-path coverage observability).
-    pub kernel_rows: u64,
-    /// Rows the kernel compiler could not cover, evaluated by the
-    /// interpreter fallback on the batch path.
-    pub fallback_rows: u64,
 }
 
 impl Observations {
@@ -54,12 +48,6 @@ impl Observations {
                         self.filter_selectivities
                             .insert(plan.query_id.to_string(), sel);
                     }
-                    self.kernel_rows += f.kernel_rows;
-                    self.fallback_rows += f.fallback_rows;
-                }
-                Op::Project(p) => {
-                    self.kernel_rows += p.kernel_rows;
-                    self.fallback_rows += p.fallback_rows;
                 }
                 Op::Pattern(p) if p.stats.events_processed > 0 => {
                     self.pattern_match_rates.insert(
@@ -122,16 +110,6 @@ impl Observations {
         }
         for (query, rate) in &self.pattern_match_rates {
             let _ = writeln!(s, "  pattern match rate[{query}] = {rate:.4}");
-        }
-        let vector_total = self.kernel_rows + self.fallback_rows;
-        if vector_total > 0 {
-            let _ = writeln!(
-                s,
-                "  vectorized kernel coverage = {:.1}% ({} kernel / {} fallback rows)",
-                self.kernel_rows as f64 / vector_total as f64 * 100.0,
-                self.kernel_rows,
-                self.fallback_rows
-            );
         }
         s
     }
@@ -197,22 +175,6 @@ mod tests {
         let mut obs = Observations::default();
         obs.visit_plan(&plan);
         assert_eq!(obs.filter_selectivities.get("Q4"), Some(&0.4));
-    }
-
-    #[test]
-    fn kernel_coverage_aggregated_and_summarized() {
-        let mut f = FilterOp::new(vec![]);
-        f.kernel_rows = 90;
-        f.fallback_rows = 10;
-        let plan = plan_with(vec![Op::Filter(f)]);
-        let mut obs = Observations::default();
-        obs.visit_plan(&plan);
-        assert_eq!((obs.kernel_rows, obs.fallback_rows), (90, 10));
-        let text = obs.summary();
-        assert!(
-            text.contains("vectorized kernel coverage = 90.0%"),
-            "{text}"
-        );
     }
 
     #[test]

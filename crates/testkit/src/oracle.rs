@@ -5,8 +5,7 @@
 //! termination over the transition network (Definition 2), context
 //! windows with `(t_i, t_t]` admission (Definition 1), `SEQ` patterns
 //! with negation, filters and projection — with none of the engine's
-//! machinery. No query plans, no batching, no vectorized kernels, no
-//! sharing, no indexes. Sequence matching enumerates candidate tuples
+//! machinery. No query plans, no batching, no sharing, no indexes. Sequence matching enumerates candidate tuples
 //! quadratically from per-slot history lists; clarity and obvious
 //! correctness are the point, cost is not.
 //!

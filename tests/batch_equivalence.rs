@@ -1,8 +1,8 @@
 //! The batch entry points against the traffic oracle.
 //!
 //! The engine runs a transaction through the operators' batch entry
-//! points (selection vectors, vectorized kernels, the per-batch
-//! negation index) when it holds at least `BATCH_MIN_EVENTS` events,
+//! points (plan-major execution, one context-window probe per run,
+//! selection vectors) when it holds at least `BATCH_MIN_EVENTS` events,
 //! and through the per-event entry points otherwise. Each operator's
 //! own tests pin the two as equivalent; this test holds a run whose
 //! dense traffic takes the batch entry points against the Linear Road

@@ -76,9 +76,8 @@ fn events(sys: &CaesarSystem) -> Vec<Event> {
         }
         // Marks feed the SEQ query. They ride a different partition so
         // Reading transactions stay pure: the stage-major batch path
-        // (and with it the vectorized kernels) only engages when every
-        // plan consuming a transaction is stage-major, and a sequence
-        // pattern is not.
+        // only engages when every plan consuming a transaction is
+        // stage-major, and a sequence pattern is not.
         if t % 10 == 7 {
             let e = sys
                 .event("Mark", t)
@@ -266,17 +265,11 @@ fn pinned(report: &RunReport) -> Vec<String> {
     }
     let m = &report.metrics;
     let operators = m.operators.iter().map(|(k, o)| {
-        let row = vec![
-            o.events_in,
-            o.events_out,
-            o.kernel_rows,
-            o.fallback_rows,
-            o.errors,
-        ];
+        let row = vec![o.events_in, o.events_out, o.errors];
         (k, row)
     });
     let queries = m.queries.iter().map(|(k, q)| {
-        let row = vec![q.events_in, q.matches_out, q.kernel_rows, q.fallback_rows];
+        let row = vec![q.events_in, q.matches_out];
         (k, row)
     });
     let contexts: Vec<String> = m
@@ -334,6 +327,10 @@ fn pinned(report: &RunReport) -> Vec<String> {
 /// a prefix whose horizon ended while its partition sat idle is now
 /// swept before the partition's next session instead of being offered
 /// to it once more and refused by the span guard.
+///
+/// Both `operators` and `queries` lines were re-pinned when the
+/// vectorized kernels were deleted: their rows lost the kernel / fallback
+/// columns, and every remaining column reads as before.
 #[test]
 fn metric_totals_match_the_per_partition_counter_engine() {
     use caesar::clickstream::{clickstream_builder, generate, ClickConfig};
@@ -362,8 +359,8 @@ fn metric_totals_match_the_per_partition_counter_engine() {
     assert_eq!(
         pinned(&lr.finish()),
         [
-            "operators n=38 sums=[75382, 63698, 3656, 0, 0] fnv=f014ca1ea97145fb",
-            "queries n=12 sums=[25174, 13490, 3656, 0] fnv=e24effb4e919cae8",
+            "operators n=38 sums=[75382, 63698, 0] fnv=7763b81ab3ae4329",
+            "queries n=12 sums=[25174, 13490] fnv=7318779aab03cb78",
             "contexts accident=130/1056/2450/0 clear=331/855/5592/0 congestion=725/461/17132/0",
             "outputs AccidentWarning=1052 AccidentWarning_1=1052 NewTravelingCar=1910 \
              NewTravelingCar_1=1910 TollNotification=1910 TollNotification_1=1910 \
@@ -391,8 +388,8 @@ fn metric_totals_match_the_per_partition_counter_engine() {
     assert_eq!(
         pinned(&report),
         [
-            "operators n=63 sums=[125950, 105126, 0, 0, 0] fnv=cf45f405dd0b1f44",
-            "queries n=19 sums=[21102, 30796, 0, 0] fnv=00125a886a2bb3e1",
+            "operators n=63 sums=[125950, 105126, 0] fnv=7914c49f88a6b03c",
+            "queries n=19 sums=[21102, 30796] fnv=0c482387a266b6d1",
             "contexts abandoning=1213/19812/1403/7484 bot_suspect=1227/19798/1841/0 \
              browsing=14619/6406/11640/1932 engaged=3966/17059/9476/4308",
             "outputs BotBurst=1396 BotBurst_1=1396 BrowsePath=9460 BrowsePath_1=9146 \

@@ -256,8 +256,9 @@ fn crafted_stream_matches_unshared_per_event() {
 }
 
 /// The crafted stream with every event repeated `BATCH_MIN_EVENTS`
-/// times in place: every transaction takes the batch entry points (and
-/// with them the vectorized kernels).
+/// times in place: every transaction takes the batch entry points. (The
+/// name is older than the removal of the vectorized predicate kernels;
+/// the batch entry points are what it exercises.)
 #[test]
 fn crafted_stream_matches_unshared_batched_and_vectorized() {
     let reg = input_registry();
