@@ -389,8 +389,8 @@ impl CompiledExpr {
     /// Reports which binding slots the expression references: returns
     /// `(references target, references any other slot)`. Used to
     /// recognize equality predicates that split into a pure function of
-    /// one slot versus the rest of the binding (join-key extraction for
-    /// the batched negation index).
+    /// one slot versus the rest of the binding (the key components of
+    /// the negation index).
     #[must_use]
     pub fn slot_usage(&self, target: u8) -> (bool, bool) {
         match self {

@@ -31,9 +31,9 @@
 //! ```
 
 use crate::expr::CompiledExpr;
-use crate::pattern::PatternOp;
+use crate::pattern::{NegPlan, PatternOp};
 use caesar_events::{Time, TypeId};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize};
 use std::collections::HashMap;
 
 /// Where a negated element sits relative to the positive steps.
@@ -72,7 +72,7 @@ pub struct NfaStep {
 
 /// A compiled pattern program: the data half of the pattern operator
 /// (the [`PatternOp`] runtime adds the mutable match state).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct NfaProgram {
     /// Positive steps in sequence order.
     pub steps: Vec<NfaStep>,
@@ -89,9 +89,51 @@ pub struct NfaProgram {
     /// Collect [`Provenance`](caesar_events::Provenance) on every
     /// emitted match (the opt-in provenance execution mode).
     pub collect_provenance: bool,
+    /// How each negation check probes its buffer, compiled from the
+    /// checks by [`new`](Self::new) — when the program is built or
+    /// restored, never per probe — and never serialized.
+    #[serde(skip)]
+    pub(crate) neg_plans: Vec<NegPlan>,
+}
+
+// The wire carries the serialized fields in declaration order; a
+// restored program compiles its probe plans afresh.
+impl Deserialize for NfaProgram {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, serde::Error> {
+        Ok(Self::new(
+            Vec::deserialize(de)?,
+            Vec::deserialize(de)?,
+            Time::deserialize(de)?,
+            Option::deserialize(de)?,
+            Vec::deserialize(de)?,
+            bool::deserialize(de)?,
+        ))
+    }
 }
 
 impl NfaProgram {
+    /// Assembles a program and compiles its negation probe plans.
+    #[must_use]
+    pub fn new(
+        steps: Vec<NfaStep>,
+        negations: Vec<NegationCheck>,
+        within: Time,
+        match_type: Option<TypeId>,
+        offsets: Vec<u16>,
+        collect_provenance: bool,
+    ) -> Self {
+        let neg_plans = NegPlan::compile_all(steps.len(), &negations);
+        Self {
+            steps,
+            negations,
+            within,
+            match_type,
+            offsets,
+            collect_provenance,
+            neg_plans,
+        }
+    }
+
     /// Number of positive steps.
     #[must_use]
     pub fn arity(&self) -> usize {
@@ -279,14 +321,14 @@ impl PatternBuilder {
         } else {
             self.offsets
         };
-        PatternOp::compile(NfaProgram {
-            steps: self.steps,
-            negations: self.negations,
-            within: self.within,
-            match_type: Some(self.match_type),
+        PatternOp::compile(NfaProgram::new(
+            self.steps,
+            self.negations,
+            self.within,
+            Some(self.match_type),
             offsets,
-            collect_provenance: self.collect_provenance,
-        })
+            self.collect_provenance,
+        ))
     }
 }
 

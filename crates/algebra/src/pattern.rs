@@ -33,10 +33,12 @@
 
 use crate::expr::{CompiledExpr, Slots};
 use crate::nfa::{NfaProgram, NfaStep};
-use caesar_events::{Event, Interval, Provenance, Time, TypeId, Value};
+use caesar_events::{Event, Interval, PartitionHasher, Provenance, Time, TypeId, Value};
 use caesar_query::ast::BinOp;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 pub use crate::nfa::{NegPosition, NegationCheck};
@@ -329,9 +331,9 @@ impl Deserialize for MatchState {
 /// The mutable run state of one stateful operator — a [`PatternOp`] or a
 /// [`SharedGroup`] — in one stream partition: partial matches, parked
 /// trailing-negation matches, negation buffers and their transient
-/// index. Everything else about an operator (compiled program,
-/// counters) is the same for every partition and lives once, in the
-/// operator.
+/// indexes. Everything else about an operator (compiled program and
+/// probe plans, counters) is the same for every partition and lives
+/// once, in the operator.
 ///
 /// The value is *detachable*: an operator owns one resident run state
 /// (`run_mut`), and the runtime swaps a partition's stored state in
@@ -342,15 +344,11 @@ impl Deserialize for MatchState {
 /// be recycled for another operator or partition.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunState {
-    /// Negation buffers, parallel to the program's negation checks.
-    neg_buffers: Vec<VecDeque<Event>>,
+    /// Negation buffers and their keyed indexes, parallel to the
+    /// program's negation checks.
+    negs: Vec<NegBuffer>,
     /// Pooled partial-match state (levels, pending, slab).
     state: MatchState,
-    /// Per-check incremental negation-index state (sequence base plus
-    /// the persistent index; see [`NegCtx::violates_indexed`]).
-    /// Transient: a restored snapshot rebuilds from the buffers alone.
-    #[serde(skip)]
-    neg_state: Vec<NegState>,
     /// A lower bound on the earliest deadline of anything held (see
     /// [`floor`](Self::floor)).
     floor: Time,
@@ -359,9 +357,8 @@ pub struct RunState {
 impl Default for RunState {
     fn default() -> Self {
         Self {
-            neg_buffers: Vec::new(),
+            negs: Vec::new(),
             state: MatchState::default(),
-            neg_state: Vec::new(),
             floor: Time::MAX,
         }
     }
@@ -417,17 +414,13 @@ impl RunState {
                 true
             });
         }
-        self.neg_state
-            .resize_with(self.neg_buffers.len(), NegState::default);
-        let buffers = self.neg_buffers.iter_mut().zip(&mut self.neg_state);
-        for ((buf, neg), check) in buffers.zip(negations) {
+        for (buf, check) in self.negs.iter_mut().zip(negations) {
             if own || check.position != NegPosition::Before {
-                while buf.front().is_some_and(|e| dead(e.time())) {
+                while buf.events.front().is_some_and(|e| dead(e.time())) {
                     buf.pop_front();
-                    neg.base += 1;
                 }
             }
-            if let Some(head) = buf.front() {
+            if let Some(head) = buf.events.front() {
                 floor = floor.min(head.time().saturating_add(within));
             }
         }
@@ -436,18 +429,15 @@ impl RunState {
     }
 
     /// Sizes the per-level and per-negation vectors (empty after
-    /// `default()`, a snapshot restore of the transient index, or a
-    /// recycle from another operator) to the operator's shape.
+    /// `default()` or a recycle from another operator) to the
+    /// operator's shape.
     fn ensure_shape(&mut self, levels: usize, negations: usize) {
         if self.state.levels.len() != levels {
             debug_assert!(!self.has_state(), "reshaping a live run state");
             self.state.levels.resize_with(levels, Vec::new);
         }
-        if self.neg_buffers.len() != negations {
-            self.neg_buffers.resize_with(negations, VecDeque::new);
-        }
-        if self.neg_state.len() != negations {
-            self.neg_state.resize_with(negations, NegState::default);
+        if self.negs.len() != negations {
+            self.negs.resize_with(negations, NegBuffer::default);
         }
     }
 
@@ -455,21 +445,12 @@ impl RunState {
     /// slot and buffer by buffer, down to the slab's event vectors, so
     /// a state that is overwritten again and again (the speculative
     /// fork's, on every rewind) settles on its largest shape and then
-    /// allocates nothing. The transient negation index is copied the
-    /// same way: dropping it (a restored snapshot does without one)
-    /// would have the first probe after every copy rebuild it, hash
-    /// table growth included.
+    /// allocates nothing. The transient negation indexes are copied the
+    /// same way — plain vectors and one table of `u32` pairs — since
+    /// dropping them (a restored snapshot does without) would have the
+    /// first probe after every copy re-index the whole buffer.
     pub fn copy_from(&mut self, src: &RunState) {
-        self.neg_buffers.clone_from(&src.neg_buffers);
-        self.neg_state
-            .resize_with(src.neg_state.len(), NegState::default);
-        for (state, from) in self.neg_state.iter_mut().zip(&src.neg_state) {
-            state.base = from.base;
-            match (&mut state.index, &from.index) {
-                (Some(index), Some(from)) => index.copy_from(from),
-                (index, from) => index.clone_from(from),
-            }
-        }
+        self.negs.clone_from(&src.negs);
         self.state.levels.clone_from(&src.state.levels);
         self.state.pending.clone_from(&src.state.pending);
         let (store, from) = (&mut self.state.store, &src.state.store);
@@ -486,7 +467,7 @@ impl RunState {
     /// or recycled without changing any result.
     #[must_use]
     pub fn has_state(&self) -> bool {
-        self.live_partials() > 0 || self.neg_buffers.iter().any(|b| !b.is_empty())
+        self.live_partials() > 0 || self.negs.iter().any(|b| !b.events.is_empty())
     }
 
     /// Live partial matches, parked ones included — O(1): every level
@@ -499,7 +480,8 @@ impl RunState {
 
     /// Capacity-based estimate of the heap bytes behind this value, in
     /// O(levels + negations): the slab's event capacity is tracked as
-    /// it grows, never summed by a walk.
+    /// it grows and each negation index reads its capacities, so
+    /// nothing is summed by a walk.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -514,14 +496,8 @@ impl RunState {
             + store.slots.capacity() * size_of::<Slot>()
             + store.free.capacity() * size_of::<u32>()
             + store.event_cap * size_of::<Event>()
-            + self.neg_buffers.capacity() * size_of::<VecDeque<Event>>()
-            + self
-                .neg_buffers
-                .iter()
-                .map(VecDeque::capacity)
-                .sum::<usize>()
-                * size_of::<Event>()
-            + self.neg_state.capacity() * size_of::<NegState>()
+            + self.negs.capacity() * size_of::<NegBuffer>()
+            + self.negs.iter().map(NegBuffer::heap_bytes).sum::<usize>()
     }
 
     /// Slab allocations served from the free list since the last
@@ -544,13 +520,12 @@ impl RunState {
     }
 
     /// Prepares an emptied state for reuse by another partition or
-    /// operator: the slab keeps its capacity (that is the point), the
-    /// per-partition high-water mark and the negation index do not
-    /// carry over.
+    /// operator: the slab and the negation indexes keep their capacity
+    /// (that is the point — an emptied buffer has an empty index), the
+    /// per-partition high-water mark does not carry over.
     pub fn recycle(&mut self) {
         debug_assert!(!self.has_state(), "recycling a live run state");
         self.state.store.peak = 0;
-        self.neg_state.clear();
         self.floor = Time::MAX;
     }
 
@@ -612,11 +587,9 @@ impl RunState {
             store.free(pm.r);
         }
         pending.clear();
-        for buf in &mut self.neg_buffers {
+        for buf in &mut self.negs {
             buf.clear();
         }
-        // Nothing is buffered, so the index starts over.
-        self.neg_state.clear();
         self.floor = Time::MAX;
     }
 
@@ -673,14 +646,6 @@ impl<'a> Candidate<'a> {
         }
     }
 
-    fn try_get(&self, i: usize) -> Option<&'a Event> {
-        if i == self.prefix.len() {
-            Some(self.tail)
-        } else {
-            self.prefix.get(i)
-        }
-    }
-
     fn first(&self) -> &'a Event {
         self.get(0)
     }
@@ -720,8 +685,8 @@ impl Slots for WithCand<'_> {
     }
 }
 
-/// Binds the same event at every slot — used to evaluate index-key
-/// expressions that only reference the candidate slot.
+/// Binds the same event at every slot — used to evaluate the negated
+/// side of a key component, which references the candidate slot alone.
 struct AllSlots<'a>(&'a Event);
 
 impl Slots for AllSlots<'_> {
@@ -775,6 +740,9 @@ pub struct PatternOp {
     /// optimization, so clones share it and the rare pre-execution
     /// mutators copy-on-write.
     program: Arc<NfaProgram>,
+    /// Scratch for a probe's positives-side key, reused across probes.
+    #[serde(skip)]
+    probe_key: Vec<Value>,
     /// The run state of the bound partition (the operator's own, when
     /// nothing detaches it).
     run: RunState,
@@ -787,77 +755,7 @@ pub struct PatternOp {
     pub stats: PatternStats,
 }
 
-/// Hashable projection of a [`Value`] usable as a negation-index key.
-/// Floats and nulls are not hashable (NaN, null-comparison semantics) —
-/// candidates carrying them stay in the always-scanned overflow list.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum IndexKey {
-    Int(i64),
-    Bool(bool),
-    Str(Arc<str>),
-}
-
-fn index_key(v: &Value) -> Option<IndexKey> {
-    match v {
-        Value::Int(i) => Some(IndexKey::Int(*i)),
-        Value::Bool(b) => Some(IndexKey::Bool(*b)),
-        Value::Str(s) => Some(IndexKey::Str(s.clone())),
-        Value::Float(_) | Value::Null => None,
-    }
-}
-
-/// Transient per-negation-check state of the incremental index.
-#[derive(Debug, Clone, Default)]
-struct NegState {
-    /// Entries evicted from the buffer front so far — the monotone
-    /// sequence base that gives index entries a stable identity.
-    base: u64,
-    /// The persistent index, built lazily on the first probe.
-    index: Option<Box<NegIndex>>,
-}
-
-/// A persistent hash index over one negation buffer, keyed by one side
-/// of an equality predicate and maintained *incrementally*: entries
-/// appended since the last probe are indexed on the next one (the
-/// un-indexed tail is caught up), and front evictions merely advance
-/// the buffer's sequence base — bucket entries carry the monotone
-/// sequence number assigned at push, so stale entries are recognized
-/// (`seq < base`) and dropped lazily, with a full sweep only once the
-/// stale debt dwarfs the live buffer. A probe therefore touches the
-/// probe key's bucket and the unkeyed `overflow` list, never the whole
-/// buffer: the scan's `any(time filter && all predicates)` is unchanged
-/// because the key equality fails on every other bucket, and per-entry
-/// times are stored so the time filter is applied at probe time.
-#[derive(Debug, Clone, Default)]
-struct NegIndex {
-    /// Sequence number of the first buffer entry not yet indexed.
-    next_seq: u64,
-    /// Sequence base at the last full sweep (bounds stale-entry debt).
-    swept_base: u64,
-    /// `(seq, time)` of entries by key value, in sequence order.
-    buckets: HashMap<IndexKey, Vec<(u64, Time)>>,
-    /// `(seq, time)` of entries whose key failed to evaluate or hash.
-    overflow: Vec<(u64, Time)>,
-}
-
-impl NegIndex {
-    /// In-place copy ([`RunState::copy_from`]): the table and the
-    /// buckets of the keys both sides hold keep their allocations.
-    fn copy_from(&mut self, src: &NegIndex) {
-        self.next_seq = src.next_seq;
-        self.swept_base = src.swept_base;
-        self.overflow.clone_from(&src.overflow);
-        self.buckets.retain(|key, _| src.buckets.contains_key(key));
-        for (key, entries) in &src.buckets {
-            match self.buckets.get_mut(key) {
-                Some(bucket) => bucket.clone_from(entries),
-                None => drop(self.buckets.insert(key.clone(), entries.clone())),
-            }
-        }
-    }
-}
-
-/// Splits an equality predicate into `(candidate side, positives side)`
+/// Splits an equality conjunct into `(negated side, positives side)`
 /// when one operand is a pure function of the candidate slot and the
 /// other never touches it.
 fn split_equality(pred: &CompiledExpr, cand_slot: u8) -> Option<(&CompiledExpr, &CompiledExpr)> {
@@ -880,184 +778,424 @@ fn split_equality(pred: &CompiledExpr, cand_slot: u8) -> Option<(&CompiledExpr, 
     }
 }
 
-/// Picks the equality predicate to index on: prefer a bare
-/// attribute-to-attribute join key (e.g. `p1.vid = p2.vid` — selective),
-/// fall back to any splittable equality.
-fn pick_index_pred(preds: &[CompiledExpr], cand_slot: u8) -> Option<usize> {
-    let mut fallback = None;
-    for (i, p) in preds.iter().enumerate() {
-        if let Some((c, o)) = split_equality(p, cand_slot) {
-            if matches!(c, CompiledExpr::Attr { .. }) && matches!(o, CompiledExpr::Attr { .. }) {
-                return Some(i);
-            }
-            fallback.get_or_insert(i);
-        }
-    }
-    fallback
+/// The negated side of a key component.
+#[derive(Debug, Clone)]
+enum NegSide {
+    /// An attribute of the negated event: its value is read from the
+    /// buffered event itself.
+    Attr(usize),
+    /// Anything else (`p1.sec + 30`): evaluated once per buffered event,
+    /// its value stored beside the event.
+    Eval(CompiledExpr),
 }
 
-/// Stale-entry debt tolerated beyond `4 × live buffer` before a probe
-/// sweeps the index (amortizes sweeps against eviction volume).
-const NEG_INDEX_SWEEP_SLACK: u64 = 64;
+/// One component of a composite key: `negated side = positives side`.
+#[derive(Debug, Clone)]
+struct KeyPart {
+    neg: NegSide,
+    /// Evaluated once per probe.
+    pos: CompiledExpr,
+}
 
-/// Borrow bundle for negation checking — everything `violates` touches,
+/// How one negation check probes its buffer, compiled once from the
+/// check's conjuncts when its program is built or restored
+/// ([`NfaProgram::new`]): every conjunct that [`split_equality`] splits
+/// into `negated side = positives side` is one component of a composite
+/// key, the others are residual. A plan without a key component scans.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NegPlan {
+    key: Vec<KeyPart>,
+    /// Components with an [`NegSide::Eval`] side — the values an
+    /// indexed entry stores.
+    stored: usize,
+    /// The conjuncts outside the key, evaluated only on entries whose
+    /// key equals the probe's.
+    residual: Vec<CompiledExpr>,
+}
+
+impl NegPlan {
+    /// The plans of `negations`, whose negated candidate binds at slot
+    /// `arity`.
+    pub(crate) fn compile_all(arity: usize, negations: &[NegationCheck]) -> Vec<NegPlan> {
+        let cand_slot = arity as u8;
+        let compile = |check: &NegationCheck| {
+            let mut plan = NegPlan::default();
+            for pred in &check.predicates {
+                let Some((neg, pos)) = split_equality(pred, cand_slot) else {
+                    plan.residual.push(pred.clone());
+                    continue;
+                };
+                let neg = match neg {
+                    CompiledExpr::Attr { attr, .. } => NegSide::Attr(usize::from(*attr)),
+                    _ => {
+                        plan.stored += 1;
+                        NegSide::Eval(neg.clone())
+                    }
+                };
+                let pos = pos.clone();
+                plan.key.push(KeyPart { neg, pos });
+            }
+            plan
+        };
+        negations.iter().map(compile).collect()
+    }
+
+    /// The key values of a buffered event, in component order:
+    /// attributes read from the event, the other components from
+    /// `stored`.
+    fn entry_key<'a>(
+        &'a self,
+        event: &'a Event,
+        mut stored: impl Iterator<Item = &'a Value> + 'a,
+    ) -> impl Iterator<Item = &'a Value> + 'a {
+        self.key.iter().map(move |part| match part.neg {
+            NegSide::Attr(attr) => &event.attrs[attr],
+            NegSide::Eval(_) => stored.next().expect("one stored value per evaluated side"),
+        })
+    }
+}
+
+/// Whether a value can be a key component. Between Int, Bool and Str
+/// values `eq_value` holds exactly when variant and payload are equal,
+/// so keys compare exactly and hash consistently; Float (NaN, `1 =
+/// 1.0`) and Null (equal to nothing) cannot be keys.
+fn hashable(v: &Value) -> bool {
+    matches!(v, Value::Int(_) | Value::Bool(_) | Value::Str(_))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: every key hashes alike, so a test can show that
+    /// exactness never rests on the hash.
+    static COLLIDE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Hash of a composite key of [`hashable`] values, the key of the
+/// chain-head table. A collision costs a longer chain walk, never a
+/// wrong answer: probes compare keys exactly. The hash is unkeyed, like
+/// the partition maps': values crafted to collide make a probe walk
+/// every live entry with their hash, which is at most what a scan of
+/// the buffer examines.
+fn key_hash<'a>(key: impl Iterator<Item = &'a Value>) -> u32 {
+    #[cfg(test)]
+    if COLLIDE.with(std::cell::Cell::get) {
+        return 0;
+    }
+    let mut h = 0u64;
+    for v in key {
+        let word = match v {
+            Value::Int(i) => *i as u64,
+            Value::Bool(b) => u64::from(*b),
+            Value::Str(s) => s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            }),
+            Value::Float(_) | Value::Null => unreachable!("not a key value"),
+        };
+        h = (h ^ word)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29);
+    }
+    // MurmurHash3's finalizer, then the well-mixed low half.
+    h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    (h ^ (h >> 33)) as u32
+}
+
+/// One indexed buffer entry's place in its chain. Chains are walked by
+/// buffer position, so 32 bits hold any distance a buffer can span.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// The entry's key hash (0 for an unkeyed entry).
+    hash: u32,
+    /// How many entries back the next older entry of its chain sits;
+    /// 0 if there is none.
+    back: u32,
+}
+
+/// One negation check's buffer — the negated-type events inside the
+/// `within` horizon, in arrival order — and its keyed index. Entry `i`
+/// of the buffer has sequence number `base + i`. On the wire a buffer
+/// is its events alone: the index is transient, and a restored
+/// buffer's first probe indexes it.
+#[derive(Debug, Default)]
+struct NegBuffer {
+    events: VecDeque<Event>,
+    /// Events evicted from the front so far.
+    base: u64,
+    index: NegIndex,
+}
+
+/// The keyed index over a [`NegBuffer`], flat and parallel to the
+/// buffer's front: its first `links.len()` entries are indexed, each
+/// chained to the next older entry with the same key hash (an unkeyed
+/// entry to the next older unkeyed one). Entries are indexed by the
+/// first probe after they were buffered, so a buffer that is never
+/// probed — a trailing negation's — is never indexed. Sequence numbers
+/// are kept modulo 2³², which tells apart any two entries one buffer
+/// holds.
+#[derive(Debug, Default)]
+struct NegIndex {
+    /// Key hash → sequence number of the newest entry with that hash.
+    /// Live entries only: evicting a chain's last entry removes it.
+    /// Hashed like the partition maps (one multiplication per `u32`).
+    heads: HashMap<u32, u32, BuildHasherDefault<PartitionHasher>>,
+    /// Sequence number of the newest unkeyed entry — one whose negated
+    /// side did not evaluate to a [`hashable`] value.
+    unkeyed: Option<u32>,
+    links: VecDeque<Link>,
+    /// The entries' evaluated key values, [`NegPlan::stored`] per entry
+    /// (Nulls for an unkeyed one).
+    keys: VecDeque<Value>,
+    /// Stored values per entry: the plan's [`NegPlan::stored`], kept
+    /// here for evictions, which have no plan at hand.
+    width: usize,
+    /// Work counter: probes answered.
+    probes: u64,
+    /// Work counter: buffer entries those probes examined — chain
+    /// entries walked, unkeyed entries checked, the whole buffer for a
+    /// scan.
+    examined: u64,
+}
+
+impl NegIndex {
+    /// Buffer position of the live entry with sequence number `seq`.
+    fn position(&self, seq: u32, base: u64) -> usize {
+        let pos = seq.wrapping_sub(base as u32) as usize;
+        debug_assert!(pos < self.links.len(), "chains start at live entries");
+        pos
+    }
+
+    /// Position of the next older entry on `pos`'s chain, if it is
+    /// still buffered.
+    fn older(&self, pos: usize) -> Option<usize> {
+        let back = self.links[pos].back as usize;
+        (back != 0 && back <= pos).then(|| pos - back)
+    }
+}
+
+impl Clone for NegIndex {
+    fn clone(&self) -> Self {
+        let mut index = Self::default();
+        index.clone_from(self);
+        index
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.heads.clone_from(&src.heads);
+        self.unkeyed = src.unkeyed;
+        self.links.clone_from(&src.links);
+        self.keys.clone_from(&src.keys);
+        (self.width, self.probes, self.examined) = (src.width, src.probes, src.examined);
+    }
+}
+
+impl Clone for NegBuffer {
+    fn clone(&self) -> Self {
+        Self {
+            events: self.events.clone(),
+            base: self.base,
+            index: self.index.clone(),
+        }
+    }
+
+    /// In place ([`RunState::copy_from`]): the vectors and the table
+    /// keep their allocations.
+    fn clone_from(&mut self, src: &Self) {
+        self.events.clone_from(&src.events);
+        self.base = src.base;
+        self.index.clone_from(&src.index);
+    }
+}
+
+impl Serialize for NegBuffer {
+    fn serialize(&self, out: &mut Serializer) {
+        self.events.serialize(out);
+    }
+}
+
+impl Deserialize for NegBuffer {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, serde::Error> {
+        Ok(Self {
+            events: VecDeque::deserialize(de)?,
+            ..Self::default()
+        })
+    }
+}
+
+impl NegBuffer {
+    /// Evicts the oldest event and, if it was indexed, its entry.
+    fn pop_front(&mut self) {
+        self.events.pop_front();
+        let seq = self.base as u32;
+        self.base += 1;
+        let ix = &mut self.index;
+        let Some(link) = ix.links.pop_front() else {
+            return;
+        };
+        ix.keys.drain(..ix.width);
+        // The oldest entry still heads its chain only if it is the
+        // chain's last one.
+        if let Entry::Occupied(head) = ix.heads.entry(link.hash) {
+            if *head.get() == seq {
+                head.remove();
+            }
+        }
+        if ix.unkeyed == Some(seq) {
+            ix.unkeyed = None;
+        }
+    }
+
+    /// Empties the buffer and its index, keeping their capacity.
+    fn clear(&mut self) {
+        self.events.clear();
+        let ix = &mut self.index;
+        ix.heads.clear();
+        ix.unkeyed = None;
+        ix.links.clear();
+        ix.keys.clear();
+    }
+
+    /// Capacity-based heap estimate, in O(1).
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let ix = &self.index;
+        self.events.capacity() * size_of::<Event>()
+            // A table slot is a `(u32, u32)` pair plus a control byte.
+            + ix.heads.capacity() * (size_of::<(u32, u32)>() + 1)
+            + ix.links.capacity() * size_of::<Link>()
+            + ix.keys.capacity() * size_of::<Value>()
+    }
+
+    /// Indexes the entries buffered since the last probe: evaluates
+    /// their negated sides once and links each into its chain.
+    fn catch_up(&mut self, plan: &NegPlan) {
+        let NegBuffer {
+            events,
+            base,
+            index: ix,
+        } = self;
+        if ix.links.is_empty() {
+            ix.width = plan.stored;
+        }
+        for (pos, event) in events.iter().enumerate().skip(ix.links.len()) {
+            let seq = (*base + pos as u64) as u32;
+            let start = ix.keys.len();
+            let keyed = plan.key.iter().all(|part| match &part.neg {
+                NegSide::Attr(attr) => hashable(&event.attrs[*attr]),
+                NegSide::Eval(neg) => match neg.eval_in(&AllSlots(event)) {
+                    Ok(v) if hashable(&v) => {
+                        ix.keys.push_back(v);
+                        true
+                    }
+                    _ => false,
+                },
+            });
+            let (hash, newest) = if keyed {
+                let hash = key_hash(plan.entry_key(event, ix.keys.range(start..)));
+                (hash, ix.heads.insert(hash, seq))
+            } else {
+                ix.keys.truncate(start);
+                ix.keys.resize(start + ix.width, Value::Null);
+                (0, ix.unkeyed.replace(seq))
+            };
+            let back = newest.map_or(0, |newest| seq.wrapping_sub(newest));
+            ix.links.push_back(Link { hash, back });
+        }
+    }
+}
+
+/// Borrow bundle for negation checking — everything a probe touches,
 /// split from the operator so candidate bindings may keep borrowing the
 /// partial store while checks run.
 struct NegCtx<'a> {
     negations: &'a [NegationCheck],
-    neg_buffers: &'a [VecDeque<Event>],
-    neg_state: &'a mut [NegState],
+    plans: &'a [NegPlan],
+    negs: &'a mut [NegBuffer],
+    /// Scratch for the probe key.
+    probe_key: &'a mut Vec<Value>,
     stats: &'a mut PatternStats,
-    positive_count: usize,
 }
 
 impl NegCtx<'_> {
-    /// Does any buffered negated event of check `i` fall strictly inside
-    /// `(lo, hi)` (`None` bounds are open) with all predicates holding?
+    /// Does a buffered event of check `i` fall strictly inside
+    /// `(lo, hi)` (`None` bounds are open) with every conjunct holding?
+    ///
+    /// With a hashable probe key the answer comes from walking the
+    /// key's chain — comparing keys exactly and evaluating only the
+    /// residual conjuncts — and the unkeyed chain; without one (no key
+    /// component, or a positives side that is Float, Null or fails to
+    /// evaluate) from a scan of the whole buffer. Both are exact
+    /// (DESIGN.md, "The keyed negation index"); only `eval_errors`
+    /// depends on which conjuncts were evaluated.
     fn violates(
         &mut self,
-        check: usize,
+        i: usize,
         positives: Candidate<'_>,
         lo: Option<Time>,
         hi: Option<Time>,
     ) -> bool {
-        // Hot path: the persistent per-check hash index restricts the
-        // scan to the probe key's bucket — see `violates_indexed`.
-        if let Some(hit) = self.violates_indexed(check, positives, lo, hi) {
-            return hit;
-        }
-        let neg = &self.negations[check];
-        let buf = &self.neg_buffers[check];
-        let mut errors = 0;
-        let hit = buf.iter().any(|cand| {
-            let t = cand.time();
-            if lo.is_some_and(|l| t <= l) || hi.is_some_and(|h| t >= h) {
-                return false;
-            }
+        let (check, plan, buf) = (&self.negations[i], &self.plans[i], &mut self.negs[i]);
+        let errors = &mut self.stats.eval_errors;
+        let inside = |t: Time| lo.is_none_or(|l| t > l) && hi.is_none_or(|h| t < h);
+        let holds = |preds: &[CompiledExpr], cand: &Event, errors: &mut u64| {
             let binding = WithCand {
                 pos: positives,
                 cand,
             };
-            neg.predicates
+            preds.iter().all(|p| p.matches_in(&binding, errors))
+        };
+        buf.index.probes += 1;
+        let probe = &mut *self.probe_key;
+        probe.clear();
+        let keyed = !plan.key.is_empty()
+            && plan
+                .key
                 .iter()
-                .all(|p| p.matches_in(&binding, &mut errors))
-        });
-        self.stats.eval_errors += errors;
-        hit
-    }
-
-    /// Index-accelerated [`violates`](Self::violates). Returns `None`
-    /// (fall back to the scan) when no predicate splits into an
-    /// indexable equality or the probe key does not evaluate to a
-    /// hashable value.
-    ///
-    /// Exactness: the scan computes `∃ candidate: time-filter ∧ all
-    /// predicates`. Candidates outside the probe's bucket fail the key
-    /// equality, hence the conjunction — restricting the scan to the
-    /// bucket and the unkeyed overflow leaves the result (and therefore
-    /// matches, rejections, and outputs) unchanged; entry times are
-    /// stored, so `lo`/`hi` filter exactly like the scan, and stale
-    /// sequence numbers are exactly the entries the buffer no longer
-    /// holds. Only `eval_errors` may count differently, since
-    /// predicates are evaluated on fewer candidates.
-    fn violates_indexed(
-        &mut self,
-        check: usize,
-        positives: Candidate<'_>,
-        lo: Option<Time>,
-        hi: Option<Time>,
-    ) -> Option<bool> {
-        let NegCtx {
-            negations,
-            neg_buffers,
-            neg_state,
-            stats,
-            positive_count,
-        } = self;
-        let cand_slot = *positive_count as u8;
-        let key_pred = pick_index_pred(&negations[check].predicates, cand_slot)?;
-        let (cand_side, probe_side) =
-            split_equality(&negations[check].predicates[key_pred], cand_slot)
-                .expect("pick_index_pred returned a splittable equality");
-        // The probe side is almost always a bare attribute reference of
-        // a positive event: read it directly, skipping the evaluator.
-        let probe = match probe_side {
-            CompiledExpr::Attr { slot, attr } => index_key(
-                positives
-                    .try_get(*slot as usize)?
-                    .attrs
-                    .get(*attr as usize)?,
-            )?,
-            _ => index_key(&probe_side.eval_in(&positives).ok()?)?,
-        };
-        let buf = &neg_buffers[check];
-        let base = neg_state[check].base;
-        let ix = neg_state[check].index.get_or_insert_with(Box::default);
-        // Sweep once the stale debt dwarfs the live buffer.
-        if base.saturating_sub(ix.swept_base) > 4 * buf.len() as u64 + NEG_INDEX_SWEEP_SLACK {
-            ix.buckets.clear();
-            ix.overflow.clear();
-            ix.next_seq = base;
-            ix.swept_base = base;
-        }
-        // Catch up over entries appended since the last probe (entries
-        // both appended and evicted in between are gone — skip ahead).
-        // The key side is almost always a bare attribute of the negated
-        // candidate itself.
-        let cand_attr = match cand_side {
-            CompiledExpr::Attr { slot, attr } if *slot == cand_slot => Some(*attr as usize),
-            _ => None,
-        };
-        let caught_up = (ix.next_seq.max(base) - base) as usize;
-        for (j, cand) in buf.iter().enumerate().skip(caught_up) {
-            let key = match cand_attr {
-                Some(a) => cand.attrs.get(a).and_then(index_key),
-                None => cand_side
-                    .eval_in(&AllSlots(cand))
-                    .ok()
-                    .as_ref()
-                    .and_then(index_key),
-            };
-            let entry = (base + j as u64, cand.time());
-            match key {
-                Some(k) => ix.buckets.entry(k).or_default().push(entry),
-                None => ix.overflow.push(entry),
-            }
-        }
-        ix.next_seq = base + buf.len() as u64;
-
-        let neg = &negations[check];
-        let mut errors = 0u64;
-        let check_entry = |&(seq, t): &(u64, Time), errors: &mut u64| -> bool {
-            if seq < base || lo.is_some_and(|l| t <= l) || hi.is_some_and(|h| t >= h) {
-                return false;
-            }
-            let cand = &buf[(seq - base) as usize];
-            let binding = WithCand {
-                pos: positives,
-                cand,
-            };
-            neg.predicates
+                .all(|part| match part.pos.eval_in(&positives) {
+                    Ok(v) if hashable(&v) => {
+                        probe.push(v);
+                        true
+                    }
+                    _ => false,
+                });
+        if !keyed {
+            buf.index.examined += buf.events.len() as u64;
+            return buf
+                .events
                 .iter()
-                .all(|p| p.matches_in(&binding, errors))
-        };
-        // Stale entries form a prefix (sequence order): drop them from
-        // the structures we touch anyway, keeping probes O(bucket).
-        let hit = ix.buckets.get_mut(&probe).is_some_and(|bucket| {
-            let dead = bucket.partition_point(|&(seq, _)| seq < base);
-            if dead > 0 {
-                bucket.drain(..dead);
+                .any(|cand| inside(cand.time()) && holds(&check.predicates, cand, errors));
+        }
+        buf.catch_up(plan);
+        let NegBuffer {
+            events,
+            base,
+            index: ix,
+        } = buf;
+        let head = ix.heads.get(&key_hash(probe.iter()));
+        let mut at = head.map(|&seq| ix.position(seq, *base));
+        while let Some(pos) = at {
+            ix.examined += 1;
+            let cand = &events[pos];
+            let stored = ix.keys.range(pos * ix.width..);
+            let key = plan.entry_key(cand, stored);
+            if key.zip(probe.iter()).all(|(k, p)| k.eq_value(p))
+                && inside(cand.time())
+                && holds(&plan.residual, cand, errors)
+            {
+                return true;
             }
-            bucket.iter().any(|e| check_entry(e, &mut errors))
-        }) || {
-            let dead = ix.overflow.partition_point(|&(seq, _)| seq < base);
-            if dead > 0 {
-                ix.overflow.drain(..dead);
+            at = ix.older(pos);
+        }
+        let mut at = ix.unkeyed.map(|seq| ix.position(seq, *base));
+        while let Some(pos) = at {
+            ix.examined += 1;
+            let cand = &events[pos];
+            if inside(cand.time()) && holds(&check.predicates, cand, errors) {
+                return true;
             }
-            ix.overflow.iter().any(|e| check_entry(e, &mut errors))
-        };
-        stats.eval_errors += errors;
-        Some(hit)
+            at = ix.older(pos);
+        }
+        false
     }
 }
 
@@ -1129,17 +1267,17 @@ impl PatternOp {
     /// no predicates: input events of the type flow through unchanged.
     #[must_use]
     pub fn passthrough(type_id: TypeId) -> Self {
-        Self::compile(NfaProgram {
-            steps: vec![NfaStep {
+        Self::compile(NfaProgram::new(
+            vec![NfaStep {
                 type_id,
                 predicates: Vec::new(),
             }],
-            negations: Vec::new(),
-            within: Time::MAX,
-            match_type: None,
-            offsets: vec![0],
-            collect_provenance: false,
-        })
+            Vec::new(),
+            Time::MAX,
+            None,
+            vec![0],
+            false,
+        ))
     }
 
     /// Compiles a program into an executable operator. Prefer the
@@ -1154,6 +1292,7 @@ impl PatternOp {
         assert_eq!(program.offsets.len(), program.steps.len());
         Self {
             program: Arc::new(program),
+            probe_key: Vec::new(),
             run: RunState::default(),
             shared_prefix_len: 0,
             stats: PatternStats::default(),
@@ -1389,18 +1528,14 @@ impl PatternOp {
         let shared_len = self.shared_prefix_len;
         let Self {
             program,
-            run:
-                RunState {
-                    neg_buffers,
-                    neg_state,
-                    state,
-                    floor,
-                },
+            probe_key,
+            run: RunState { negs, state, floor },
             stats,
             ..
         } = self;
         let steps = &program.steps;
         let negations = &program.negations;
+        let plans = &program.neg_plans;
         let n = steps.len();
         // What this event starts expires at `t + within`; an extension
         // expires with its prefix, which the floor already covers.
@@ -1431,10 +1566,10 @@ impl PatternOp {
                 if n == 1 {
                     let mut ctx = NegCtx {
                         negations,
-                        neg_buffers,
-                        neg_state: neg_state.as_mut_slice(),
+                        plans,
+                        negs,
+                        probe_key,
                         stats: &mut *stats,
-                        positive_count: n,
                     };
                     match complete_candidate(cand, &mut ctx, trailing, within) {
                         Verdict::Rejected => {}
@@ -1479,10 +1614,10 @@ impl PatternOp {
                     if i + 1 == n {
                         let mut ctx = NegCtx {
                             negations,
-                            neg_buffers,
-                            neg_state: neg_state.as_mut_slice(),
+                            plans,
+                            negs,
+                            probe_key,
                             stats: &mut *stats,
-                            positive_count: n,
                         };
                         match complete_candidate(cand, &mut ctx, trailing, within) {
                             Verdict::Rejected => {}
@@ -1542,13 +1677,8 @@ impl PatternOp {
         let collect = self.program.collect_provenance;
         let Self {
             program,
-            run:
-                RunState {
-                    neg_buffers,
-                    neg_state,
-                    state,
-                    floor,
-                },
+            probe_key,
+            run: RunState { negs, state, floor },
             stats,
             ..
         } = self;
@@ -1570,10 +1700,10 @@ impl PatternOp {
         if i + 1 == n {
             let mut ctx = NegCtx {
                 negations: &program.negations,
-                neg_buffers,
-                neg_state: neg_state.as_mut_slice(),
+                plans: &program.neg_plans,
+                negs,
+                probe_key,
                 stats: &mut *stats,
-                positive_count: n,
             };
             match complete_candidate(cand, &mut ctx, trailing, within) {
                 Verdict::Rejected => {}
@@ -1599,6 +1729,7 @@ impl PatternOp {
     /// `within` horizon.
     fn feed_negations(&mut self, event: &Event) {
         let t = event.time();
+        let within = self.program.within;
         for i in 0..self.program.negations.len() {
             if self.program.negations[i].type_id != event.type_id {
                 continue;
@@ -1606,17 +1737,17 @@ impl PatternOp {
             if self.program.negations[i].position == NegPosition::After {
                 self.reject_pending(i, event);
             }
-            let within = self.program.within;
-            let buf = &mut self.run.neg_buffers[i];
-            buf.push_back(event.clone());
-            // Prune by horizon; advancing the sequence base marks the
-            // evicted entries' index records stale.
-            let mut evicted = 0;
-            while buf.front().is_some_and(|e| e.time() + within < t) {
+            let buf = &mut self.run.negs[i];
+            buf.events.push_back(event.clone());
+            // Prune by horizon, saturating like every horizon test: an
+            // unbounded `within` keeps everything.
+            while buf
+                .events
+                .front()
+                .is_some_and(|e| e.time().saturating_add(within) < t)
+            {
                 buf.pop_front();
-                evicted += 1;
             }
-            self.run.neg_state[i].base += evicted;
             self.run.floor = self.run.floor.min(t.saturating_add(within));
         }
     }
@@ -1945,6 +2076,7 @@ mod tests {
     use crate::nfa::PatternBuilder;
     use caesar_events::{AttrType, PartitionId, Schema, SchemaRegistry};
     use caesar_query::ast::{BinOp, Expr};
+    use proptest::test_runner::TestRng;
 
     fn registry() -> SchemaRegistry {
         let mut reg = SchemaRegistry::new();
@@ -2109,26 +2241,26 @@ mod tests {
         assert_eq!(out.len(), 1);
     }
 
+    /// A binding layout placing `vars` (`(name, type)`) at event slots
+    /// `0, 1, ...`.
+    fn layout(reg: &SchemaRegistry, vars: &[(&str, &str)]) -> BindingLayout {
+        let var = |(slot, (name, ty)): (usize, &(&str, &str))| LayoutVar {
+            name: (*name).into(),
+            type_id: reg.lookup(ty).unwrap(),
+            source: SlotSource::EventSlot(slot as u8),
+        };
+        BindingLayout {
+            vars: vars.iter().enumerate().map(var).collect(),
+        }
+    }
+
     /// The Figure 3 query-2 shape: SEQ(NOT P p1, P p2) WHERE
     /// p1.sec + 30 = p2.sec AND p1.vid = p2.vid — a car with no position
     /// report 30 seconds earlier is "new".
-    fn leading_negation_pattern(reg: &SchemaRegistry) -> PatternOp {
+    fn figure_three(reg: &SchemaRegistry, within: Time) -> PatternOp {
         let tid_p = reg.lookup("P").unwrap();
         // Binding: slot 0 = p2 (the only positive), slot 1 = negated p1.
-        let layout = BindingLayout {
-            vars: vec![
-                LayoutVar {
-                    name: "p2".into(),
-                    type_id: tid_p,
-                    source: SlotSource::EventSlot(0),
-                },
-                LayoutVar {
-                    name: "p1".into(),
-                    type_id: tid_p,
-                    source: SlotSource::EventSlot(1),
-                },
-            ],
-        };
+        let layout = layout(reg, &[("p2", "P"), ("p1", "P")]);
         let pred_sec = CompiledExpr::compile(
             &Expr::bin(
                 BinOp::Eq,
@@ -2148,9 +2280,13 @@ mod tests {
         PatternBuilder::new(reg.lookup("M").unwrap())
             .then(tid_p)
             .not_before(tid_p, vec![pred_sec, pred_vid])
-            .within(60)
+            .within(within)
             .offsets(vec![0])
             .build()
+    }
+
+    fn leading_negation_pattern(reg: &SchemaRegistry) -> PatternOp {
+        figure_three(reg, 60)
     }
 
     #[test]
@@ -2170,11 +2306,11 @@ mod tests {
         assert_eq!(out.len(), 1);
     }
 
-    /// The persistent negation index must be invisible: `live` keeps
-    /// its incrementally maintained index (accumulating stale entries
-    /// across horizon evictions and resets); `fresh` is serde
-    /// round-tripped every step, which drops the transient index so the
-    /// next probe rebuilds it from the buffer alone. Outputs and every
+    /// The keyed negation index must be invisible: `live` keeps its
+    /// incrementally maintained index (unlinking entries across horizon
+    /// evictions and resets); `fresh` is serde round-tripped every step,
+    /// which drops the transient index and recompiles the probe plans,
+    /// so the next probe indexes the buffer afresh. Outputs and every
     /// counter except `eval_errors` must match exactly.
     #[test]
     fn negation_index_survives_evictions_and_restores() {
@@ -2185,8 +2321,7 @@ mod tests {
         let mut out_fresh = Vec::new();
         // Same-time runs of 8 cars, with per-car gaps so some reports
         // are "new" (no report 30s earlier) and some are not; long
-        // enough that the `within = 60` horizon evicts buffer entries
-        // and marks their index records stale.
+        // enough that the `within = 60` horizon evicts indexed entries.
         for step in 0..10u64 {
             let t = step * 30;
             let batch: Vec<Event> = (0..8)
@@ -2213,9 +2348,201 @@ mod tests {
         assert_eq!(live.stats.partials_created, fresh.stats.partials_created);
         assert!(live.stats.negation_rejections > 0, "rejections exercised");
         assert!(
-            live.run.neg_state.iter().any(|st| st.index.is_some()),
+            !live.run.negs[0].index.links.is_empty(),
             "index path exercised"
         );
+    }
+
+    /// A twin of `op` whose probes always scan — the fallback inside
+    /// `NegCtx::violates`, the reference a keyed probe must equal.
+    fn scanning(mut op: PatternOp) -> PatternOp {
+        let scan = |check: &NegationCheck| NegPlan {
+            residual: check.predicates.clone(),
+            ..NegPlan::default()
+        };
+        let plans = op.program.negations.iter().map(scan).collect();
+        Arc::make_mut(&mut op.program).neg_plans = plans;
+        op
+    }
+
+    /// A join value of every kind a key meets: Int (one whose `+ 1`
+    /// overflows), Str, Bool, Float (equal to an Int when whole) and
+    /// Null.
+    fn join_value(rng: &mut TestRng) -> Value {
+        match rng.below(10) {
+            0..=2 => Value::Int(rng.below(3) as i64),
+            3 => Value::Int(i64::MAX),
+            4 => Value::str(["x", "y"][rng.below(2) as usize]),
+            5 => Value::Bool(rng.below(2) == 1),
+            6 => Value::Float(rng.below(3) as f64),
+            7 => Value::Float(0.5),
+            _ => Value::Null,
+        }
+    }
+
+    /// Exactness of the keyed probe: on random buffers, a keyed operator
+    /// and its scanning twin produce the same outputs and the same
+    /// `matches`, `negation_rejections`, `partials_created` — with two
+    /// key components (attribute to attribute, and an arithmetic
+    /// negated side that errors on overflow and on non-numbers) plus a
+    /// residual conjunct, join values of every kind, evictions, watermark
+    /// advances and snapshot restores, for a leading and a between
+    /// negation, and again with every key hashing alike.
+    #[test]
+    fn keyed_probe_equals_the_full_scan() {
+        let mut reg = SchemaRegistry::new();
+        let abc = [
+            ("a", AttrType::Int),
+            ("b", AttrType::Int),
+            ("c", AttrType::Int),
+        ];
+        for ty in ["N", "Q", "O"] {
+            reg.register(Schema::new(ty, &abc)).unwrap();
+        }
+        let (n, q) = (reg.lookup("N").unwrap(), reg.lookup("Q").unwrap());
+        let bin = |op, l, r| Expr::bin(op, l, r);
+        let plus_one = |e| bin(BinOp::Add, e, Expr::int(1));
+        // SEQ(NOT N n, Q q) WHERE n.a = q.a AND n.b + 1 = q.b AND n.c < q.c
+        let lay = layout(&reg, &[("q", "Q"), ("n", "N")]);
+        let preds = [
+            bin(BinOp::Eq, Expr::attr("n", "a"), Expr::attr("q", "a")),
+            bin(
+                BinOp::Eq,
+                plus_one(Expr::attr("n", "b")),
+                Expr::attr("q", "b"),
+            ),
+            bin(BinOp::Lt, Expr::attr("n", "c"), Expr::attr("q", "c")),
+        ];
+        let compiled = preds.map(|p| CompiledExpr::compile(&p, &lay, &reg).unwrap());
+        let leading = PatternBuilder::new(reg.lookup("O").unwrap())
+            .then(q)
+            .not_before(n, compiled.to_vec())
+            .within(3)
+            .offsets(vec![0])
+            .build();
+        // SEQ(Q q1, NOT N n, Q q2) WHERE q1.a = n.a AND n.b + 1 = q2.b
+        //   AND n.c != q1.c
+        let lay = layout(&reg, &[("q1", "Q"), ("q2", "Q"), ("n", "N")]);
+        let preds = [
+            bin(BinOp::Eq, Expr::attr("q1", "a"), Expr::attr("n", "a")),
+            bin(
+                BinOp::Eq,
+                plus_one(Expr::attr("n", "b")),
+                Expr::attr("q2", "b"),
+            ),
+            bin(BinOp::Ne, Expr::attr("n", "c"), Expr::attr("q1", "c")),
+        ];
+        let compiled = preds.map(|p| CompiledExpr::compile(&p, &lay, &reg).unwrap());
+        let between = PatternBuilder::new(reg.lookup("O").unwrap())
+            .then(q)
+            .then(q)
+            .not_between(0, n, compiled.to_vec())
+            .within(3)
+            .offsets(vec![0, 3])
+            .build();
+        for template in [leading, between] {
+            assert_eq!(template.program.neg_plans[0].key.len(), 2);
+            assert_eq!(template.program.neg_plans[0].stored, 1);
+            assert_eq!(template.program.neg_plans[0].residual.len(), 1);
+            for collide in [false, true] {
+                COLLIDE.with(|c| c.set(collide));
+                let (mut examined, mut scanned, mut unkeyed) = (0, 0, false);
+                for seed in 0..150 {
+                    let mut keyed = template.clone();
+                    let mut scan = scanning(template.clone());
+                    let rng = &mut TestRng::from_seed(seed);
+                    let (mut out_keyed, mut out_scan) = (Vec::new(), Vec::new());
+                    let mut t = 0;
+                    for _ in 0..120 {
+                        t += rng.below(2);
+                        let ty = if rng.below(2) == 0 { n } else { q };
+                        let attrs: Vec<Value> = (0..3).map(|_| join_value(rng)).collect();
+                        let e = Event::simple(ty, t, PartitionId(0), attrs);
+                        keyed.process(&e, &mut out_keyed);
+                        scan.process(&e, &mut out_scan);
+                        unkeyed |= keyed.run.negs[0].index.unkeyed.is_some();
+                        match rng.below(40) {
+                            0 => {
+                                keyed.advance_time(t, &mut out_keyed);
+                                scan.advance_time(t, &mut out_scan);
+                            }
+                            1 => keyed = serde::from_bytes(&serde::to_bytes(&keyed)).unwrap(),
+                            _ => {}
+                        }
+                    }
+                    let case = format!("seed {seed}, collide {collide}");
+                    assert_eq!(out_keyed, out_scan, "{case}");
+                    let (k, s) = (keyed.stats, scan.stats);
+                    assert_eq!(k.matches, s.matches, "{case}");
+                    assert_eq!(k.negation_rejections, s.negation_rejections, "{case}");
+                    assert_eq!(k.partials_created, s.partials_created, "{case}");
+                    examined += keyed.run.negs[0].index.examined;
+                    scanned += scan.run.negs[0].index.examined;
+                }
+                assert!(examined < scanned, "the keyed path answered probes");
+                assert!(unkeyed, "the unkeyed chain was exercised");
+            }
+        }
+        COLLIDE.with(|c| c.set(false));
+    }
+
+    /// ROADMAP item 6's bound for the Figure 3 negation, in work units
+    /// the index counts itself: with one vehicle reporting every tick, a
+    /// probe examines at most the one report that can match (30 ticks
+    /// earlier), whatever the `WITHIN` horizon — a per-vehicle bucket
+    /// would examine about `WITHIN - 30`.
+    #[test]
+    fn negation_probe_work_is_bounded_by_what_can_match() {
+        let reg = registry();
+        for within in [60, 240] {
+            let mut p = figure_three(&reg, within);
+            let mut out = Vec::new();
+            for t in 0..2_000 {
+                p.process(&pr(&reg, t, 7), &mut out);
+            }
+            let ix = &p.run.negs[0].index;
+            println!(
+                "WITHIN {within}: {} probes examined {} entries",
+                ix.probes, ix.examined
+            );
+            assert_eq!(ix.probes, 2_000);
+            assert_eq!(p.stats.negation_rejections, 2_000 - 30);
+            assert!(ix.examined <= ix.probes, "WITHIN {within}");
+        }
+    }
+
+    /// The `run_state_bytes` gauge counts the negation index: a state
+    /// whose buffer was probed, and so indexed, reports more heap than
+    /// a twin holding the same buffer unprobed.
+    #[test]
+    fn probed_state_counts_its_index_bytes() {
+        let reg = registry();
+        let (a, c) = (reg.lookup("A").unwrap(), reg.lookup("C").unwrap());
+        // SEQ(NOT C c, A a) WHERE c.v = a.v
+        let join = CompiledExpr::compile(
+            &Expr::bin(BinOp::Eq, Expr::attr("c", "v"), Expr::attr("a", "v")),
+            &layout(&reg, &[("a", "A"), ("c", "C")]),
+            &reg,
+        )
+        .unwrap();
+        let build = || {
+            PatternBuilder::new(reg.lookup("M").unwrap())
+                .then(a)
+                .not_before(c, vec![join.clone()])
+                .within(100)
+                .offsets(vec![0])
+                .build()
+        };
+        let (mut probed, mut unprobed) = (build(), build());
+        let mut out = Vec::new();
+        for t in 0..50 {
+            let e = ev(&reg, "C", t, t as i64);
+            probed.process(&e, &mut out);
+            unprobed.process(&e, &mut out);
+        }
+        probed.process(&ev(&reg, "A", 50, 7), &mut out);
+        assert!(out.is_empty(), "C(7) at t = 7 vetoes A(7)");
+        assert!(probed.run().heap_bytes() > unprobed.run().heap_bytes());
     }
 
     #[test]

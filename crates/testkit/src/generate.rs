@@ -207,15 +207,35 @@ fn gen_subsumable_pair(rng: &mut TestRng, vars: &[String]) -> (Expr, Expr) {
     )
 }
 
-/// A predicate on the negated variable `neg_var` (possibly joining a
-/// positive variable — still only one negated variable referenced).
-fn gen_neg_pred(rng: &mut TestRng, neg_var: &str, vars: &[String]) -> Expr {
-    if chance(rng, 0.5) {
-        Expr::bin(*pick(rng, &CMPS), attr_of(rng, neg_var), small_const(rng))
-    } else {
+/// One or two conjuncts on the negated variable `neg_var`, each
+/// possibly joining a positive variable (still only one negated
+/// variable referenced): a comparison with a constant or with an
+/// attribute, or an equality join `n.a = v.b` / `n.a + k = v.b` (either
+/// way round) — the shapes the engine's negation index keys on, so two
+/// of them make a composite key.
+fn gen_neg_preds(rng: &mut TestRng, neg_var: &str, vars: &[String]) -> Vec<Expr> {
+    let conjunct = |rng: &mut TestRng| {
         let v = pick(rng, vars).clone();
-        Expr::bin(*pick(rng, &CMPS), attr_of(rng, neg_var), attr_of(rng, &v))
-    }
+        let neg = attr_of(rng, neg_var);
+        match rng.below(4) {
+            0 => Expr::bin(*pick(rng, &CMPS), neg, small_const(rng)),
+            1 => Expr::bin(*pick(rng, &CMPS), neg, attr_of(rng, &v)),
+            k => {
+                let neg = if k == 2 {
+                    neg
+                } else {
+                    Expr::bin(BinOp::Add, neg, small_const(rng))
+                };
+                let pos = attr_of(rng, &v);
+                if chance(rng, 0.5) {
+                    Expr::bin(BinOp::Eq, neg, pos)
+                } else {
+                    Expr::bin(BinOp::Eq, pos, neg)
+                }
+            }
+        }
+    };
+    (0..1 + rng.below(2)).map(|_| conjunct(rng)).collect()
 }
 
 fn gen_derive_arg(rng: &mut TestRng, vars: &[String]) -> Expr {
@@ -472,7 +492,7 @@ fn gen_processing(
     };
 
     // WHERE: 0–2 positive-only conjuncts, possibly a subsumable pair,
-    // plus an optional predicate on the negated variable.
+    // plus optionally one or two conjuncts on the negated variable.
     let mut conjuncts: Vec<Expr> = Vec::new();
     if chance(rng, config.subsumable_bias) {
         let (tight, loose) = gen_subsumable_pair(rng, &vars);
@@ -485,7 +505,7 @@ fn gen_processing(
     }
     if let Some(n) = &neg_var {
         if chance(rng, 0.6) {
-            conjuncts.push(gen_neg_pred(rng, n, &vars));
+            conjuncts.extend(gen_neg_preds(rng, n, &vars));
         }
     }
     let where_clause = Expr::conjoin(conjuncts);

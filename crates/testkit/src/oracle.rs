@@ -567,12 +567,12 @@ impl Oracle {
                 }
             }
             for slot in &mut qs.seen {
-                slot.retain(|e| e.time() + spec.within >= watermark);
+                slot.retain(|e| e.time().saturating_add(spec.within) >= watermark);
             }
             for buf in &mut qs.negbuf {
                 while buf
                     .front()
-                    .is_some_and(|e| e.time() + spec.within < watermark)
+                    .is_some_and(|e| e.time().saturating_add(spec.within) < watermark)
                 {
                     buf.pop_front();
                 }
@@ -652,7 +652,7 @@ fn feed(
         qs.negbuf[ni].push_back(ev.clone());
         while qs.negbuf[ni]
             .front()
-            .is_some_and(|e| e.time() + spec.within < t)
+            .is_some_and(|e| e.time().saturating_add(spec.within) < t)
         {
             qs.negbuf[ni].pop_front();
         }

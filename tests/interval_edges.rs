@@ -202,6 +202,44 @@ fn between_negation_boundaries_are_exclusive() {
     assert_eq!(report.outputs_of("Guard"), 2);
 }
 
+/// An unbounded horizon — what a query without `WITHIN` inherits from
+/// `Caesar::builder().within(Time::MAX)` — keeps every negated event, so
+/// a leading negation still vetoes a positive arbitrarily long after
+/// it. `time + within` overflows there, so the buffer's horizon test
+/// must saturate like every other one, in the engine and the oracle.
+#[test]
+fn leading_negation_with_an_unbounded_horizon_keeps_every_veto() {
+    let model = r#"
+        MODEL u DEFAULT main
+        CONTEXT main {
+            DERIVE Fresh(b.v) PATTERN SEQ(NOT A a, B b) WHERE a.v = b.v
+        }
+    "#;
+    let mut sys = system(model, Time::MAX);
+    let with_v = |sys: &CaesarSystem, ty: &str, t: Time, v: i64| {
+        let builder = sys.event(ty, t).unwrap().partition(PartitionId(0));
+        builder.attr("v", v).unwrap().build().unwrap()
+    };
+    let events = vec![
+        with_v(&sys, "A", 1, 1),
+        with_v(&sys, "B", 2, 1), // A(1)@1 before it: veto
+        with_v(&sys, "B", 3, 2), // no A(2) before it: Fresh(2)
+        with_v(&sys, "A", 1_000, 2),
+        with_v(&sys, "B", 1_000_000, 1), // A(1)@1 is still buffered: veto
+        with_v(&sys, "B", 1_000_001, 3), // Fresh(3)
+        with_v(&sys, "B", 1_000_002, 2), // A(2)@1000: veto
+    ];
+    for e in &events {
+        sys.ingest(e.clone()).unwrap();
+    }
+    sys.finish();
+    assert_eq!(rendered(&sys), ["Fresh(2)@0", "Fresh(3)@0"]);
+
+    let parsed = caesar::query::parser::parse_model(model).unwrap();
+    let oracle = caesar_testkit::oracle::Oracle::build(&parsed, &sys.registry, Time::MAX).unwrap();
+    assert_eq!(oracle.run(&events).outputs, sys.engine.collected_outputs);
+}
+
 /// Out-of-order arrival inside the configured slack is repaired before
 /// the distributor, so a disordered stream computes exactly what its
 /// sorted counterpart does — including across a window boundary.
