@@ -45,7 +45,7 @@ use crate::nfa::{NfaProgram, NfaStep};
 use caesar_events::{Event, Interval, Provenance, Time, TypeId, Value};
 use negation::NegCtx;
 use serde::{Deserialize, Serialize};
-use state::{MatchState, Pending};
+use state::{MatchState, PartialRef, Pending};
 use std::sync::Arc;
 
 pub use crate::nfa::{NegPosition, NegationCheck};
@@ -258,6 +258,130 @@ fn assemble_match(match_type: TypeId, cand: Candidate<'_>, collect: bool) -> Eve
 /// Provenance of a pass-through match: the triggering event itself.
 fn passthrough_provenance(event: &Event) -> Arc<Provenance> {
     Arc::new(Provenance::from_steps([(event.type_id, event.occurrence)]))
+}
+
+/// Where the prefix of a candidate comes from.
+#[derive(Debug, Clone, Copy)]
+enum Prefix<'p> {
+    /// Nowhere: the event starts a partial match at step 0.
+    Empty,
+    /// A partial match held by the state the routine extends.
+    Own(PartialRef),
+    /// A full prefix held by a [`SharedGroup`], crossing its boundary.
+    Shared(&'p [Event]),
+}
+
+/// The step routine: a sequence's steps with the run state and negation
+/// bundle they extend, borrowed apart from the operator that owns them —
+/// a [`PatternOp`] or a [`SharedGroup`]. Every partial match is made in
+/// [`offer`](Self::offer), whether it is created, extended from the
+/// state's own partial or crossed over from a group's full prefix, so
+/// shared and unshared execution agree because they run the same code.
+struct Steps<'a> {
+    steps: &'a [NfaStep],
+    within: Time,
+    /// `(match type, collect provenance)` of a pattern, whose complete
+    /// candidates are checked and emitted, parked or dropped; `None` for
+    /// a shared group, whose complete candidates are full prefixes kept
+    /// at its last level.
+    emits: Option<(TypeId, bool)>,
+    /// Whether a complete candidate waits for a trailing negation.
+    trailing: bool,
+    state: &'a mut MatchState,
+    floor: &'a mut Time,
+    ctx: NegCtx<'a>,
+}
+
+impl Steps<'_> {
+    /// Offers `event` at every step from `lowest` up whose type it has,
+    /// longest prefix first, so a partial is never extended by the
+    /// event that made it.
+    fn feed<S: MatchSink>(&mut self, lowest: usize, event: &Event, out: &mut S) {
+        for i in (lowest..self.steps.len()).rev() {
+            if self.steps[i].type_id != event.type_id {
+                continue;
+            }
+            if i == 0 {
+                self.offer(0, Prefix::Empty, event, out);
+                continue;
+            }
+            // Take the shorter partials out to extend them without
+            // aliasing.
+            let refs = std::mem::take(&mut self.state.levels[i - 1]);
+            for &r in &refs {
+                self.offer(i, Prefix::Own(r), event, out);
+            }
+            self.state.levels[i - 1] = refs;
+        }
+    }
+
+    /// Offers `event` as step `i` after `prefix`. A candidate survives a
+    /// strictly increasing time and a bounded span (sequences require
+    /// both) and step `i`'s predicates; a complete one is then emitted,
+    /// parked or rejected ([`complete_candidate`]), and whatever must be
+    /// kept is stored through [`PartialStore::insert`].
+    ///
+    /// [`PartialStore::insert`]: state::PartialStore::insert
+    fn offer<S: MatchSink>(&mut self, i: usize, prefix: Prefix<'_>, event: &Event, out: &mut S) {
+        let Steps {
+            steps,
+            within,
+            emits,
+            trailing,
+            state,
+            floor,
+            ctx,
+        } = self;
+        let events = match prefix {
+            Prefix::Empty => &[],
+            Prefix::Own(r) => state.store.events(r),
+            Prefix::Shared(events) => events,
+        };
+        if let (Some(first), Some(last)) = (events.first(), events.last()) {
+            let t = event.time();
+            if !(last.time() < t && t.saturating_sub(first.time()) <= *within) {
+                return;
+            }
+        }
+        let cand = Candidate {
+            prefix: events,
+            tail: event,
+        };
+        if !steps[i]
+            .predicates
+            .iter()
+            .all(|p| p.matches_in(&cand, &mut ctx.stats.eval_errors))
+        {
+            return;
+        }
+        ctx.stats.partials_created += 1;
+        let complete = i + 1 == steps.len();
+        let deadline = match *emits {
+            Some((match_type, collect)) if complete => {
+                match complete_candidate(cand, ctx, *trailing, *within) {
+                    Verdict::Rejected => return,
+                    Verdict::Emit => {
+                        out.emit(assemble_match(match_type, cand, collect));
+                        ctx.stats.matches += 1;
+                        return;
+                    }
+                    Verdict::Park { deadline } => Some(deadline),
+                }
+            }
+            // A shared group's match is a full prefix.
+            _ => {
+                ctx.stats.matches += u64::from(complete);
+                None
+            }
+        };
+        // What is stored expires with its first event.
+        **floor = (**floor).min(cand.first().time().saturating_add(*within));
+        let r = state.store.insert(prefix, event);
+        match deadline {
+            Some(deadline) => state.pending.push(Pending { r, deadline }),
+            None => state.levels[i].push(r),
+        }
+    }
 }
 
 impl PatternOp {
@@ -516,14 +640,21 @@ impl PatternOp {
             return;
         }
 
-        // 2. Extend partial matches, longest prefix first so a new
-        //    partial is never re-extended by the event that created it.
-        let t = event.time();
-        let within = self.program.within;
+        // 2. Offer the event at every step of its type. Levels at or
+        //    below a shared prefix live in the group's state: the
+        //    owning `SharedGroup` creates and extends them, and the
+        //    boundary step is taken by `cross_boundary` alone.
+        let lowest = match self.shared_prefix_len {
+            0 => 0,
+            len => len + 1,
+        };
+        self.routine().feed(lowest, event, out);
+    }
+
+    /// The step routine over this operator's program and bound run
+    /// state.
+    fn routine(&mut self) -> Steps<'_> {
         let trailing = self.has_trailing_negation();
-        let match_type = self.program.match_type.expect("sequence mode");
-        let collect = self.program.collect_provenance;
-        let shared_len = self.shared_prefix_len;
         let Self {
             program,
             probe_key,
@@ -531,110 +662,21 @@ impl PatternOp {
             stats,
             ..
         } = self;
-        let steps = &program.steps;
-        let negations = &program.negations;
-        let plans = &program.neg_plans;
-        let n = steps.len();
-        // What this event starts expires at `t + within`; an extension
-        // expires with its prefix, which the floor already covers.
-        let started = t.saturating_add(within);
-        for i in (0..n).rev() {
-            // Levels below the shared prefix live in the group's state:
-            // the owning `SharedGroup` creates and extends them, and the
-            // boundary step is taken by `cross_boundary` alone.
-            if shared_len > 0 && i <= shared_len {
-                break;
-            }
-            if steps[i].type_id != event.type_id {
-                continue;
-            }
-            if i == 0 {
-                let cand = Candidate {
-                    prefix: &[],
-                    tail: event,
-                };
-                let passed = steps[0]
-                    .predicates
-                    .iter()
-                    .all(|p| p.matches_in(&cand, &mut stats.eval_errors));
-                if !passed {
-                    continue;
-                }
-                stats.partials_created += 1;
-                if n == 1 {
-                    let mut ctx = NegCtx {
-                        negations,
-                        plans,
-                        negs,
-                        probe_key,
-                        stats: &mut *stats,
-                    };
-                    match complete_candidate(cand, &mut ctx, trailing, within) {
-                        Verdict::Rejected => {}
-                        Verdict::Emit => {
-                            out.emit(assemble_match(match_type, cand, collect));
-                            stats.matches += 1;
-                        }
-                        Verdict::Park { deadline } => {
-                            let r = state.alloc_single(event);
-                            state.pending.push(Pending { r, deadline });
-                            *floor = (*floor).min(started);
-                        }
-                    }
-                } else {
-                    let r = state.alloc_single(event);
-                    state.levels[0].push(r);
-                    *floor = (*floor).min(started);
-                }
-            } else {
-                // Take the shorter partials out to extend them without
-                // aliasing; sequences require strictly increasing times
-                // and a bounded total span.
-                let refs = std::mem::take(&mut state.levels[i - 1]);
-                for &pr in &refs {
-                    let prefix = state.store.events(pr);
-                    let last_t = prefix.last().expect("non-empty").time();
-                    if !(last_t < t && t.saturating_sub(prefix[0].time()) <= within) {
-                        continue;
-                    }
-                    let cand = Candidate {
-                        prefix,
-                        tail: event,
-                    };
-                    if !steps[i]
-                        .predicates
-                        .iter()
-                        .all(|p| p.matches_in(&cand, &mut stats.eval_errors))
-                    {
-                        continue;
-                    }
-                    stats.partials_created += 1;
-                    if i + 1 == n {
-                        let mut ctx = NegCtx {
-                            negations,
-                            plans,
-                            negs,
-                            probe_key,
-                            stats: &mut *stats,
-                        };
-                        match complete_candidate(cand, &mut ctx, trailing, within) {
-                            Verdict::Rejected => {}
-                            Verdict::Emit => {
-                                out.emit(assemble_match(match_type, cand, collect));
-                                stats.matches += 1;
-                            }
-                            Verdict::Park { deadline } => {
-                                let r = state.alloc_extended(pr, event);
-                                state.pending.push(Pending { r, deadline });
-                            }
-                        }
-                    } else {
-                        let r = state.alloc_extended(pr, event);
-                        state.levels[i].push(r);
-                    }
-                }
-                state.levels[i - 1] = refs;
-            }
+        let match_type = program.match_type.expect("sequence mode");
+        Steps {
+            steps: &program.steps,
+            within: program.within,
+            emits: Some((match_type, program.collect_provenance)),
+            trailing,
+            state,
+            floor,
+            ctx: NegCtx {
+                negations: &program.negations,
+                plans: &program.neg_plans,
+                negs,
+                probe_key,
+                stats,
+            },
         }
     }
 
@@ -646,79 +688,17 @@ impl PatternOp {
     /// is the `(prefix, event)` candidate: each one tried counts as one
     /// unit of `events_processed` and yields at most one match.
     pub fn cross_boundary(&mut self, group: &SharedGroup, event: &Event, out: &mut Vec<Event>) {
+        let i = self.shared_prefix_len;
         debug_assert_eq!(
-            self.program.steps[self.shared_prefix_len].type_id, event.type_id,
+            self.program.steps[i].type_id, event.type_id,
             "routed by the boundary step's type"
         );
-        for prefix in group.full_prefixes() {
-            self.stats.events_processed += 1;
-            self.extend_from_shared(prefix, event, out);
-        }
-    }
-
-    /// One boundary extension. Mirrors the extension arm of
-    /// `process_event` exactly — same guards, predicates, counters, and
-    /// verdict handling — so shared execution reproduces unshared
-    /// outputs byte for byte.
-    fn extend_from_shared(&mut self, prefix: &[Event], event: &Event, out: &mut Vec<Event>) {
-        let i = self.shared_prefix_len;
-        debug_assert!(i >= 1 && prefix.len() == i, "boundary needs a full prefix");
-        let t = event.time();
-        let within = self.program.within;
-        let last_t = prefix.last().expect("non-empty prefix").time();
-        if !(last_t < t && t.saturating_sub(prefix[0].time()) <= within) {
-            return;
-        }
         self.ensure_shape();
-        let trailing = self.has_trailing_negation();
-        let match_type = self.program.match_type.expect("sequence mode");
-        let collect = self.program.collect_provenance;
-        let Self {
-            program,
-            probe_key,
-            run: RunState { negs, state, floor },
-            stats,
-            ..
-        } = self;
-        let n = program.steps.len();
-        // The prefix came from the group's state, not this one's floor.
-        let expires = prefix[0].time().saturating_add(within);
-        let cand = Candidate {
-            prefix,
-            tail: event,
-        };
-        if !program.steps[i]
-            .predicates
-            .iter()
-            .all(|p| p.matches_in(&cand, &mut stats.eval_errors))
-        {
-            return;
-        }
-        stats.partials_created += 1;
-        if i + 1 == n {
-            let mut ctx = NegCtx {
-                negations: &program.negations,
-                plans: &program.neg_plans,
-                negs,
-                probe_key,
-                stats: &mut *stats,
-            };
-            match complete_candidate(cand, &mut ctx, trailing, within) {
-                Verdict::Rejected => {}
-                Verdict::Emit => {
-                    out.push(assemble_match(match_type, cand, collect));
-                    stats.matches += 1;
-                }
-                Verdict::Park { deadline } => {
-                    let r = state.adopt_candidate(prefix, event);
-                    state.pending.push(Pending { r, deadline });
-                    *floor = (*floor).min(expires);
-                }
-            }
-        } else {
-            let r = state.adopt_candidate(prefix, event);
-            state.levels[i].push(r);
-            *floor = (*floor).min(expires);
+        let mut routine = self.routine();
+        for prefix in group.full_prefixes() {
+            debug_assert_eq!(prefix.len(), i, "boundary needs a full prefix");
+            routine.ctx.stats.events_processed += 1;
+            routine.offer(i, Prefix::Shared(prefix), event, out);
         }
     }
 

@@ -2,8 +2,9 @@
 //! of a sequence prefix several patterns agree on, once, and its
 //! members take the boundary step from its full prefixes.
 
+use super::negation::NegCtx;
 use super::state::RunState;
-use super::{Candidate, PatternStats};
+use super::{PatternStats, Steps};
 use crate::nfa::NfaStep;
 use caesar_events::{Event, Time};
 use serde::{Deserialize, Serialize};
@@ -148,65 +149,32 @@ impl SharedGroup {
     /// this event is never extended by it at the boundary (sequences
     /// require strictly increasing times).
     pub fn advance(&mut self, event: &Event) {
-        let t = event.time();
-        let within = self.within;
         self.stats.events_processed += 1;
         self.run.ensure_shape(self.steps.len(), 0);
         let SharedGroup {
             steps,
-            run: RunState { state, floor, .. },
+            within,
+            run: RunState { negs, state, floor },
             stats,
             ..
         } = self;
-        let l = steps.len();
-        for i in (0..l).rev() {
-            if steps[i].type_id != event.type_id {
-                continue;
-            }
-            if i == 0 {
-                let cand = Candidate {
-                    prefix: &[],
-                    tail: event,
-                };
-                if !steps[0]
-                    .predicates
-                    .iter()
-                    .all(|p| p.matches_in(&cand, &mut stats.eval_errors))
-                {
-                    continue;
-                }
-                stats.partials_created += 1;
-                stats.matches += u64::from(l == 1);
-                let r = state.alloc_single(event);
-                state.levels[0].push(r);
-                *floor = (*floor).min(t.saturating_add(within));
-            } else {
-                let refs = std::mem::take(&mut state.levels[i - 1]);
-                for &pr in &refs {
-                    let prefix = state.store.events(pr);
-                    let last_t = prefix.last().expect("non-empty").time();
-                    if !(last_t < t && t.saturating_sub(prefix[0].time()) <= within) {
-                        continue;
-                    }
-                    let cand = Candidate {
-                        prefix,
-                        tail: event,
-                    };
-                    if !steps[i]
-                        .predicates
-                        .iter()
-                        .all(|p| p.matches_in(&cand, &mut stats.eval_errors))
-                    {
-                        continue;
-                    }
-                    stats.partials_created += 1;
-                    stats.matches += u64::from(i + 1 == l);
-                    let r = state.alloc_extended(pr, event);
-                    state.levels[i].push(r);
-                }
-                state.levels[i - 1] = refs;
-            }
-        }
+        let mut routine = Steps {
+            steps,
+            within: *within,
+            emits: None,
+            trailing: false,
+            state,
+            floor,
+            ctx: NegCtx {
+                negations: &[],
+                plans: &[],
+                negs,
+                probe_key: &mut Vec::new(),
+                stats,
+            },
+        };
+        // A group emits nothing: its full prefixes stay at its last level.
+        routine.feed(0, event, &mut Vec::new());
     }
 
     /// The full prefixes (level `prefix_len − 1`) currently held, in
@@ -237,5 +205,93 @@ impl SharedGroup {
     /// Discards all prefix state (context termination).
     pub fn reset(&mut self) {
         self.run.reset();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::registry;
+    use super::*;
+    use crate::nfa::PatternBuilder;
+    use caesar_events::{PartitionId, Value};
+    use proptest::test_runner::TestRng;
+
+    /// A member whose `SEQ(A, B)` prefix a group builds — fed as the
+    /// combined plan feeds it: its own chain first, then the boundary
+    /// crossing, then the group's advance — emits exactly what the
+    /// unshared pattern emits, in the same order, with the same
+    /// `matches` and `negation_rejections`; the partials the unshared
+    /// pattern creates are the member's plus the group's. Leading,
+    /// between and trailing negations, watermark advances included.
+    #[test]
+    fn member_through_a_group_matches_the_unshared_pattern() {
+        let reg = registry();
+        let [a, b, c, p] = ["A", "B", "C", "P"].map(|ty| reg.lookup(ty).unwrap());
+        let seq = || {
+            PatternBuilder::new(reg.lookup("M").unwrap())
+                .then(a)
+                .then(b)
+                .then(c)
+        };
+        let templates = [
+            seq().not_before(p, vec![]),
+            seq().not_between(1, p, vec![]),
+            seq().not_after(p, vec![]),
+        ];
+        for template in templates {
+            let template = template.within(6).offsets(vec![0, 1, 2]).build();
+            let (mut emitted, mut rejected) = (0, 0);
+            for seed in 0..100 {
+                let mut plain = template.clone();
+                let mut member = template.clone();
+                member.set_shared_prefix_len(2);
+                let members = (0..2).map(|plan| SharedMember {
+                    plan,
+                    pattern_pos: 0,
+                });
+                let mut group =
+                    SharedGroup::new(template.steps()[..2].to_vec(), 6, false, members.collect());
+                let rng = &mut TestRng::from_seed(seed);
+                let (mut out_plain, mut out_shared) = (Vec::new(), Vec::new());
+                let mut t = 0;
+                for _ in 0..80 {
+                    t += rng.below(3);
+                    let ty = [a, b, c, p][rng.below(4) as usize];
+                    let attrs = if ty == p {
+                        vec![Value::Int(0), Value::Int(0)]
+                    } else {
+                        vec![Value::Int(0)]
+                    };
+                    let e = Event::simple(ty, t, PartitionId(0), attrs);
+                    plain.process(&e, &mut out_plain);
+                    if ty == p {
+                        member.process(&e, &mut out_shared);
+                    }
+                    if ty == c {
+                        member.cross_boundary(&group, &e, &mut out_shared);
+                    }
+                    if ty == a || ty == b {
+                        group.advance(&e);
+                    }
+                    if rng.below(10) == 0 {
+                        plain.advance_time(t, &mut out_plain);
+                        member.advance_time(t, &mut out_shared);
+                        group.advance_time(t);
+                    }
+                }
+                plain.advance_time(Time::MAX, &mut out_plain);
+                member.advance_time(Time::MAX, &mut out_shared);
+                assert_eq!(out_plain, out_shared, "seed {seed}");
+                let (s, m, g) = (plain.stats, member.stats, group.stats);
+                assert_eq!(s.matches, m.matches, "seed {seed}");
+                assert_eq!(s.negation_rejections, m.negation_rejections);
+                assert_eq!(s.partials_created, m.partials_created + g.partials_created);
+                (emitted, rejected) = (emitted + s.matches, rejected + s.negation_rejections);
+            }
+            assert!(
+                emitted > 0 && rejected > 0,
+                "{emitted} emitted, {rejected} rejected"
+            );
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! [`RunState`] of a pattern operator or a shared-prefix group.
 
 use super::negation::NegBuffer;
-use super::{NegPosition, NegationCheck};
+use super::{NegPosition, NegationCheck, Prefix};
 use caesar_events::{Event, Time};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
@@ -65,14 +65,6 @@ pub(super) struct PartialStore {
 }
 
 impl PartialStore {
-    /// Runs `f` on one slot's event vector, keeping `event_cap` exact.
-    fn grow(&mut self, index: u32, f: impl FnOnce(&mut Vec<Event>)) {
-        let events = &mut self.slots[index as usize].events;
-        let before = events.capacity();
-        f(events);
-        self.event_cap += events.capacity() - before;
-    }
-
     /// Allocates an empty slot, recycling from the free list when
     /// possible.
     fn alloc(&mut self) -> PartialRef {
@@ -140,45 +132,37 @@ impl PartialStore {
         (slot.live && slot.generation == r.generation).then_some(slot.events.as_slice())
     }
 
-    /// Appends one event to a live partial.
-    fn push_event(&mut self, r: PartialRef, ev: &Event) {
-        let slot = &self.slots[r.index as usize];
-        debug_assert!(slot.live && slot.generation == r.generation);
-        self.grow(r.index, |events| events.push(ev.clone()));
-    }
-
-    /// Fills a live slot with a borrowed prefix plus `tail` — the
-    /// shared-prefix boundary copies group-owned prefixes into a
-    /// member's own slab through this.
-    fn fill(&mut self, r: PartialRef, prefix: &[Event], tail: &Event) {
-        let slot = &self.slots[r.index as usize];
-        debug_assert!(slot.live && slot.generation == r.generation);
-        self.grow(r.index, |events| {
-            events.reserve(prefix.len() + 1);
-            events.extend_from_slice(prefix);
-            events.push(tail.clone());
-        });
-    }
-
-    /// Fills `dst` with `src`'s events plus `tail` (slot-to-slot copy
-    /// without tearing a borrow through `&mut self`).
-    fn copy_extend(&mut self, src: PartialRef, dst: PartialRef, tail: &Event) {
-        let (si, di) = (src.index as usize, dst.index as usize);
-        assert_ne!(si, di, "alloc returned a live slot");
-        let (src_slot, dst_slot): (&Slot, &mut Slot) = if si < di {
-            let (head, rest) = self.slots.split_at_mut(di);
-            (&head[si], &mut rest[0])
-        } else {
-            let (head, rest) = self.slots.split_at_mut(si);
-            (&rest[0], &mut head[di])
+    /// Stores a candidate — `prefix` followed by `tail` — as a new
+    /// partial: the slab's one constructor, whichever prefix the step
+    /// routine extended.
+    pub(super) fn insert(&mut self, prefix: Prefix<'_>, tail: &Event) -> PartialRef {
+        let r = self.alloc();
+        let di = r.index as usize;
+        let (src, dst): (&[Event], &mut Vec<Event>) = match prefix {
+            Prefix::Empty => (&[], &mut self.slots[di].events),
+            Prefix::Shared(events) => (events, &mut self.slots[di].events),
+            Prefix::Own(src) => {
+                // Slot-to-slot copy without tearing a borrow through
+                // `&mut self`.
+                let si = src.index as usize;
+                assert_ne!(si, di, "alloc returned a live slot");
+                let (src_slot, dst_slot) = if si < di {
+                    let (head, rest) = self.slots.split_at_mut(di);
+                    (&head[si], &mut rest[0])
+                } else {
+                    let (head, rest) = self.slots.split_at_mut(si);
+                    (&rest[0], &mut head[di])
+                };
+                debug_assert!(src_slot.live && src_slot.generation == src.generation);
+                (src_slot.events.as_slice(), &mut dst_slot.events)
+            }
         };
-        debug_assert!(src_slot.live && src_slot.generation == src.generation);
-        debug_assert!(dst_slot.live && dst_slot.generation == dst.generation);
-        let before = dst_slot.events.capacity();
-        dst_slot.events.reserve(src_slot.events.len() + 1);
-        dst_slot.events.extend_from_slice(&src_slot.events);
-        dst_slot.events.push(tail.clone());
-        self.event_cap += dst_slot.events.capacity() - before;
+        let before = dst.capacity();
+        dst.reserve(src.len() + 1);
+        dst.extend_from_slice(src);
+        dst.push(tail.clone());
+        self.event_cap += dst.capacity() - before;
+        r
     }
 }
 
@@ -199,30 +183,6 @@ pub(super) struct MatchState {
     pub(super) levels: Vec<Vec<PartialRef>>,
     pub(super) pending: Vec<Pending>,
     pub(super) store: PartialStore,
-}
-
-impl MatchState {
-    /// Allocates a copy of `prefix`'s events extended by `tail`.
-    pub(super) fn alloc_extended(&mut self, prefix: PartialRef, tail: &Event) -> PartialRef {
-        let r = self.store.alloc();
-        self.store.copy_extend(prefix, r, tail);
-        r
-    }
-
-    /// Allocates a single-event partial.
-    pub(super) fn alloc_single(&mut self, event: &Event) -> PartialRef {
-        let r = self.store.alloc();
-        self.store.push_event(r, event);
-        r
-    }
-
-    /// Allocates a partial from a borrowed prefix plus `tail` (the
-    /// shared-prefix boundary crossing).
-    pub(super) fn adopt_candidate(&mut self, prefix: &[Event], tail: &Event) -> PartialRef {
-        let r = self.store.alloc();
-        self.store.fill(r, prefix, tail);
-        r
-    }
 }
 
 // Wire-compatible with the pre-pool representation — two consecutive

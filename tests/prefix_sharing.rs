@@ -17,6 +17,8 @@
 //!   non-matches, boundary completion where `prefix_len == arity - 1`,
 //!   context termination mid-prefix, `WITHIN` expiry) produces a
 //!   byte-identical output multiset with sharing on and off;
+//! * boundary crossings that a member's negation rejects, emits, or
+//!   parks until a later event rejects it or its horizon matures it;
 //! * a randomized sweep (proptest) holds the same equivalence over
 //!   arbitrary interleavings of signal and pattern events;
 //! * the dispatch edges: a member whose negation or private suffix
@@ -68,6 +70,25 @@ const THREE_QUERY_MODEL: &str = r#"
         DERIVE LongC(a.v, c.v) PATTERN SEQ(A a, B b, C c) WHERE c.v > 1 WITHIN 12
         DERIVE LongD(a.v, d.v) PATTERN SEQ(A a, B b, D d) WHERE d.v < 3 WITHIN 12
         DERIVE Short(a.v, b.v) PATTERN SEQ(A a, B b) WITHIN 12
+    }
+"#;
+
+/// Three members of one `SEQ(A, B)` group, each with a negation of its
+/// own: a leading one joined to the prefix (`Lead`), one between the
+/// boundary step and the last (`Mid`) and a trailing one joined to the
+/// last step (`Tail`). Every completion crosses the group's boundary, so
+/// the boundary's rejections, emissions and parked matches are the
+/// members' own.
+const NEGATION_MODEL: &str = r#"
+    MODEL m DEFAULT idle
+    CONTEXT idle {
+        INITIATE CONTEXT busy PATTERN Go
+    }
+    CONTEXT busy {
+        TERMINATE CONTEXT busy PATTERN Stop
+        DERIVE Lead(a.v, c.v) PATTERN SEQ(NOT D x, A a, B b, C c) WHERE x.v = a.v WITHIN 12
+        DERIVE Mid(a.v, c.v) PATTERN SEQ(A a, B b, NOT D y, C c) WITHIN 12
+        DERIVE Tail(a.v, c.v) PATTERN SEQ(A a, B b, C c, NOT D z) WHERE z.v = c.v WITHIN 12
     }
 "#;
 
@@ -189,6 +210,13 @@ fn groups_form_with_expected_shape() {
         "adding arity-2 Short caps the common prefix at min(arity) - 1 = 1"
     );
 
+    let (negated, _) = build(NEGATION_MODEL);
+    assert_eq!(
+        installed_groups(&negated, true),
+        vec![(2, 3, true)],
+        "negations stay with the members; the positive prefix is shared"
+    );
+
     // An engine that does not share installs nothing.
     assert!(installed_groups(&two, false).is_empty());
 }
@@ -301,6 +329,51 @@ fn boundary_completion_short_query_matches_unshared() {
     assert_eq!(*report.outputs_by_type.get("Short").unwrap(), 3);
 }
 
+/// Boundary crossings under negation: each `C` is tried against the
+/// group's full prefixes, and what happens next is the member's own
+/// negation at work — a rejection (`Lead` by a buffered `D` before its
+/// `A`, `Mid` by a `D` between `B` and `C`), an emission, or a park
+/// (`Tail`) that a later `D` rejects or the partition's next
+/// transaction matures.
+#[test]
+fn boundary_crossings_under_negation_match_unshared() {
+    let reg = input_registry();
+    let events = vec![
+        event(&reg, "Go", 1, 0, 0),
+        event(&reg, "D", 2, 0, 5),
+        event(&reg, "A", 3, 0, 5),
+        event(&reg, "B", 4, 0, 0),
+        // (A@3, B@4) + C@5: Lead rejected by D@2 (x.v = a.v = 5), Mid
+        // emitted, Tail parked until 17.
+        event(&reg, "C", 5, 0, 1),
+        // Vetoes Mid for every later C of (A@3, B@4); misses Tail's
+        // z.v = 1.
+        event(&reg, "D", 6, 0, 9),
+        // (A@3, B@4) + C@7: Lead and Mid rejected, Tail parked until 19.
+        event(&reg, "C", 7, 0, 9),
+        // z.v = c.v = 9 inside (7, 19]: the second Tail is rejected.
+        event(&reg, "D", 8, 0, 9),
+        event(&reg, "A", 10, 0, 7),
+        event(&reg, "B", 11, 0, 7),
+        // Three full prefixes meet C@12, and each Tail parks until 24.
+        // (A@3, B@4): Lead and Mid rejected. (A@3, B@11): Lead
+        // rejected, Mid emitted. (A@10, B@11): Lead and Mid emitted.
+        event(&reg, "C", 12, 0, 1),
+        // The partition's watermark passes 17: Tail (5, 1) of C@5
+        // matures.
+        event(&reg, "A", 18, 0, 0),
+        // Past 24: the three Tails of C@12 mature. C@30 extends
+        // nothing — (A@10, B@11) spans 20 > WITHIN 12.
+        event(&reg, "C", 30, 0, 3),
+        event(&reg, "Stop", 31, 0, 0),
+    ];
+    let (report, _) = assert_equivalent(NEGATION_MODEL, &events, counted());
+    let fired = |name: &str| report.outputs_by_type.get(name).copied();
+    assert_eq!(fired("Lead"), Some(1));
+    assert_eq!(fired("Mid"), Some(3));
+    assert_eq!(fired("Tail"), Some(4));
+}
+
 fn stream_from_choices(reg: &SchemaRegistry, raw: &[(u8, u64, i64, u32)]) -> Vec<Event> {
     let mut t: Time = 0;
     raw.iter()
@@ -328,6 +401,7 @@ proptest! {
         let events = stream_from_choices(&reg, &raw);
         assert_equivalent(THREE_QUERY_MODEL, &events, EngineConfig::default());
         assert_equivalent(TWO_QUERY_MODEL, &events, EngineConfig::default());
+        assert_equivalent(NEGATION_MODEL, &events, EngineConfig::default());
     }
 }
 
