@@ -342,6 +342,8 @@ pub struct ChainScratch {
     work: Vec<(usize, Event)>,
     /// Pattern-match scratch of [`run_chain_from`].
     matches: Vec<Event>,
+    /// Matured trailing-negation matches of [`advance_chain_time`].
+    matured: Vec<Event>,
     /// Row-tagged pattern output of the pattern-major path.
     items: Vec<(u32, Event)>,
     /// Per-match suffix output of the pattern-major path.
@@ -356,9 +358,8 @@ pub struct ChainScratch {
 }
 
 impl ChainScratch {
-    /// Runs one event through `ops[start..]` reusing this scratch's
-    /// traversal buffers — [`run_chain`] without the per-call
-    /// allocations.
+    /// Runs one event through `ops[start..]` — the per-event chain
+    /// walk — reusing this scratch's traversal buffers.
     pub fn run_one(
         &mut self,
         ops: &mut [Op],
@@ -379,14 +380,6 @@ impl ChainScratch {
     }
 }
 
-/// Executes one event through a chain of operators (index 0 = bottom).
-///
-/// The pattern operator may fan one input out to several matches, so
-/// execution walks a small work stack of `(next_op_index, event)` pairs.
-pub fn run_chain(ops: &mut [Op], event: &Event, table: &ContextTable, out: &mut ChainOutput) {
-    run_suffix(ops, 0, event.clone(), table, out);
-}
-
 /// Advances time on all stateful operators of a chain, collecting any
 /// matured trailing-negation matches through the rest of the chain.
 /// Returns the earliest deadline of the state left behind.
@@ -395,17 +388,24 @@ pub fn advance_chain_time(
     watermark: Time,
     table: &ContextTable,
     out: &mut ChainOutput,
+    scratch: &mut ChainScratch,
 ) -> Time {
     // Only patterns hold time-sensitive state; matured matches must flow
     // through the operators above the pattern.
     let mut next = Time::MAX;
+    let ChainScratch {
+        work,
+        matches,
+        matured,
+        ..
+    } = scratch;
     for idx in 0..ops.len() {
-        let mut matured = Vec::new();
-        if let Op::Pattern(p) = &mut ops[idx] {
-            next = next.min(p.advance_time(watermark, &mut matured));
-        }
-        for m in matured {
-            run_suffix(ops, idx + 1, m, table, out);
+        let Op::Pattern(p) = &mut ops[idx] else {
+            continue;
+        };
+        next = next.min(p.advance_time(watermark, matured));
+        for m in matured.drain(..) {
+            run_chain_from(ops, idx + 1, m, table, out, work, matches);
         }
     }
     next
@@ -414,7 +414,7 @@ pub fn advance_chain_time(
 /// Executes a same-`(partition, time)` run of events — given as a
 /// selection vector of row indices into `events` — through a chain.
 ///
-/// Semantically identical to calling [`run_chain`] once per selected
+/// Semantically identical to calling [`ChainScratch::run_one`] once per selected
 /// event in selection order — outputs and every operator counter; the
 /// differential batch-equivalence suite holds it to byte identity on
 /// exactly that claim — but with the per-event costs amortized over the
@@ -492,7 +492,7 @@ fn reverse_row_groups(items: &mut [(u32, Event)]) {
 /// [`run_chain_batch`], also used directly by the combined plan's
 /// plan-major path (the row tags key the cross-plan output merge).
 ///
-/// Semantically identical to running [`run_chain`] once per selected
+/// Semantically identical to running [`ChainScratch::run_one`] once per selected
 /// event in selection order, with each output and transition tagged by
 /// the input row that produced it. Dispatches per chain shape:
 /// stage-major chains go through [`run_chain_batch_selected`],
@@ -595,7 +595,7 @@ pub fn chain_is_stage_major(ops: &[Op]) -> bool {
 /// derived) once a projection runs or the chain ends. Surviving events
 /// are appended to `out` tagged with their source row index, which
 /// doubles as the input position for cross-plan merge ordering. Outputs
-/// and operator counters are identical to running [`run_chain`] once
+/// and operator counters are identical to running [`ChainScratch::run_one`] once
 /// per selected event in order.
 pub fn run_chain_batch_selected(
     ops: &mut [Op],
@@ -681,29 +681,13 @@ pub fn run_chain_batch_selected(
     }
 }
 
-fn run_suffix(
-    ops: &mut [Op],
-    start: usize,
-    event: Event,
-    table: &ContextTable,
-    out: &mut ChainOutput,
-) {
-    run_chain_from(
-        ops,
-        start,
-        event,
-        table,
-        out,
-        &mut Vec::new(),
-        &mut Vec::new(),
-    );
-}
-
-/// Executes one event through the chain starting at operator `start`,
-/// reusing caller-provided traversal buffers (the batched hot path
-/// hoists these allocations out of its per-event loop). `work` must be
-/// empty on entry; both buffers are fully drained before returning.
-pub fn run_chain_from(
+/// Executes one event through the chain starting at operator `start`
+/// (index 0 = bottom), reusing a [`ChainScratch`]'s traversal buffers.
+/// The pattern operator may fan one input out to several matches, so
+/// execution walks a small work stack of `(next_op_index, event)` pairs.
+/// `work` must be empty on entry; both buffers are fully drained before
+/// returning.
+fn run_chain_from(
     ops: &mut [Op],
     start: usize,
     event: Event,
@@ -770,6 +754,11 @@ mod tests {
     use crate::expr::{BindingLayout, LayoutVar, SlotSource};
     use caesar_events::{AttrType, PartitionId, Schema, SchemaRegistry};
     use caesar_query::ast::{BinOp, Expr};
+
+    /// One event through the whole chain, per-event entry point.
+    fn run_chain(ops: &mut [Op], event: &Event, table: &ContextTable, out: &mut ChainOutput) {
+        ChainScratch::default().run_one(ops, 0, event.clone(), table, out);
+    }
 
     fn registry() -> SchemaRegistry {
         let mut reg = SchemaRegistry::new();

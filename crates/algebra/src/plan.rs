@@ -11,8 +11,7 @@
 use crate::context_table::{ContextTable, Transition};
 use crate::nfa::NfaStep;
 use crate::ops::{
-    advance_chain_time, run_chain, run_chain_batch, run_chain_batch_items, ChainOutput,
-    ChainScratch, Op,
+    advance_chain_time, run_chain_batch, run_chain_batch_items, ChainOutput, ChainScratch, Op,
 };
 use crate::pattern::{RunState, SharedGroup};
 use caesar_events::{Event, Time, TypeId};
@@ -49,8 +48,14 @@ pub struct QueryPlan {
 
 impl QueryPlan {
     /// Feeds one event through the chain.
-    pub fn process(&mut self, event: &Event, table: &ContextTable, out: &mut PlanOutput) {
-        run_chain(&mut self.ops, event, table, out);
+    pub fn process(
+        &mut self,
+        event: &Event,
+        table: &ContextTable,
+        out: &mut PlanOutput,
+        scratch: &mut ChainScratch,
+    ) {
+        scratch.run_one(&mut self.ops, 0, event.clone(), table, out);
     }
 
     /// Feeds a same-`(partition, time)` run of events through the
@@ -90,11 +95,12 @@ impl QueryPlan {
         watermark: Time,
         table: &ContextTable,
         out: &mut PlanOutput,
+        scratch: &mut ChainScratch,
     ) -> Time {
         if !self.needs_advance() {
             return Time::MAX;
         }
-        advance_chain_time(&mut self.ops, watermark, table, out)
+        advance_chain_time(&mut self.ops, watermark, table, out, scratch)
     }
 
     /// Returns `true` if any operator holds time-sensitive state —
@@ -328,6 +334,9 @@ struct CombinedScratch {
     /// Matches produced by shared-prefix boundary crossings, before they
     /// resume the member chain above the pattern.
     boundary: Vec<Event>,
+    /// One member plan's output of a watermark advance, before its
+    /// matured matches cascade downstream.
+    matured: ChainOutput,
 }
 
 impl CombinedScratch {
@@ -787,13 +796,14 @@ impl CombinedPlan {
             scratch,
             ..
         } = self;
-        let mut matured = PlanOutput::default();
+        let mut matured = std::mem::take(&mut scratch.matured);
         for idx in 0..plans.len() {
             if !plans[idx].needs_advance() {
                 continue;
             }
             matured.clear();
-            next = next.min(plans[idx].advance_time(watermark, table, &mut matured));
+            let plan = &mut plans[idx];
+            next = next.min(plan.advance_time(watermark, table, &mut matured, &mut scratch.chain));
             out.transitions.append(&mut matured.transitions);
             // Feed matured matches to downstream members, one full
             // cascade per match (the per-event order).
@@ -804,6 +814,7 @@ impl CombinedPlan {
                 Self::cascade(plans, routes, table, out, scratch);
             }
         }
+        scratch.matured = matured;
         next
     }
 

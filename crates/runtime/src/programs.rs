@@ -632,12 +632,17 @@ impl ProgramTemplate {
         run: &mut PartitionRun,
         transitions: &mut Vec<Transition>,
     ) {
-        let Self { deriving, sink, .. } = self;
+        let Self {
+            deriving,
+            sink,
+            scratch,
+            ..
+        } = self;
         sink.clear();
         for plan in deriving.iter_mut() {
             for ev in run.feedback.iter().chain(events.iter()) {
                 if plan.consumes(ev.type_id) {
-                    plan.process(ev, table, sink);
+                    plan.process(ev, table, sink, scratch);
                 }
             }
         }
@@ -671,7 +676,7 @@ impl ProgramTemplate {
         for plan in deriving.iter_mut() {
             for ev in &run.feedback {
                 if plan.consumes(ev.type_id) {
-                    plan.process(ev, table, sink);
+                    plan.process(ev, table, sink, scratch);
                 }
             }
             plan.process_batch(events, table, sink, scratch);
@@ -686,13 +691,16 @@ impl ProgramTemplate {
     /// derivation updates the table.
     pub fn run_private_derivation(&mut self, events: &[Event], table: &ContextTable) {
         let Self {
-            redundant, sink, ..
+            redundant,
+            sink,
+            scratch,
+            ..
         } = self;
         sink.clear();
         for plan in redundant.iter_mut() {
             for ev in events {
                 if plan.consumes(ev.type_id) {
-                    plan.process(ev, table, sink);
+                    plan.process(ev, table, sink, scratch);
                 }
             }
             sink.clear();
@@ -832,20 +840,29 @@ impl ProgramTemplate {
         table: &ContextTable,
         out: &mut PlanOutput,
     ) -> Time {
+        let Self {
+            deriving,
+            processing,
+            redundant,
+            sink,
+            scratch,
+            ..
+        } = self;
         let mut next = Time::MAX;
-        for plan in &mut self.deriving {
+        sink.clear();
+        for plan in deriving {
             // Transitions matter; pass-through matches are discarded
             // (see `run_derivation`).
-            let mut sink = PlanOutput::default();
-            next = next.min(plan.advance_time(watermark, table, &mut sink));
+            next = next.min(plan.advance_time(watermark, table, sink, scratch));
             out.transitions.append(&mut sink.transitions);
+            sink.events.clear();
         }
-        for combined in &mut self.processing {
+        for combined in processing {
             next = next.min(combined.advance_time(watermark, table, out));
         }
-        for plan in &mut self.redundant {
-            let mut discard = PlanOutput::default();
-            next = next.min(plan.advance_time(watermark, table, &mut discard));
+        for plan in redundant {
+            next = next.min(plan.advance_time(watermark, table, sink, scratch));
+            sink.clear();
         }
         next
     }
