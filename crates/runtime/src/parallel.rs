@@ -10,7 +10,7 @@
 use crate::engine::{Engine, EngineConfig, RunReport};
 use caesar_events::{Event, EventError, EventStream, OutputRecord, SchemaRegistry};
 use caesar_optimizer::optimizer::OptimizedProgram;
-use crossbeam::channel;
+use std::sync::mpsc;
 
 /// Events per run on a shard channel.
 const RUN_EVENTS: usize = 256;
@@ -75,7 +75,7 @@ pub fn run_sharded_full(
         for _ in 0..shards {
             // Shard channels carry runs of up to `RUN_EVENTS` events:
             // one send/recv per run instead of per event.
-            let (tx, rx) = channel::bounded::<Vec<Event>>(CHANNEL_RUNS);
+            let (tx, rx) = mpsc::sync_channel::<Vec<Event>>(CHANNEL_RUNS);
             senders.push(tx);
             let program = program.clone();
             handles.push(scope.spawn(move || -> ShardResult {

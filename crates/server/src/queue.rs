@@ -1,11 +1,10 @@
 //! A bounded MPSC queue with *observable* admission control.
 //!
-//! The vendored crossbeam shim only offers blocking `send`/`recv`, but
-//! the server boundary needs more than that: a non-blocking admission
-//! probe (reject-with-typed-error when a tenant's ingest queue is
-//! full), a bounded-wait push (slow-consumer throttling with a deadline
-//! instead of a wedge), and a depth high-water mark for the `/metrics`
-//! endpoint. This queue is a plain `Mutex<VecDeque>` + two condvars —
+//! The server boundary needs more than a `std::sync::mpsc` channel
+//! offers: a non-blocking admission probe (reject-with-typed-error when
+//! a tenant's ingest queue is full), a bounded-wait push (slow-consumer
+//! throttling with a deadline instead of a wedge), and a depth
+//! high-water mark for the `/metrics` endpoint. This queue is a plain `Mutex<VecDeque>` + two condvars —
 //! nothing clever, but every property the protocol layer promises
 //! (never a silent drop, never an unbounded buffer) is enforced here.
 
