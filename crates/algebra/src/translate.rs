@@ -124,12 +124,6 @@ impl TranslationOutput {
     pub fn plan_for(&self, context: &str) -> Option<&CombinedPlan> {
         self.combined.iter().find(|c| c.context == context)
     }
-
-    /// Total number of individual query plans.
-    #[must_use]
-    pub fn query_plan_count(&self) -> usize {
-        self.combined.iter().map(CombinedPlan::len).sum()
-    }
 }
 
 /// Translates a Phase-1 query set into executable combined plans,

@@ -67,7 +67,7 @@ pub mod prelude {
         Time, Value, VecStream,
     };
     pub use caesar_optimizer::OptimizerConfig;
-    pub use caesar_query::{CaesarModel, ModelBuilder};
+    pub use caesar_query::CaesarModel;
     pub use caesar_runtime::{
         Consistency, EngineConfig, EngineConfigBuilder, ExecutionMode, MetricsSnapshot,
         ObservabilityLevel, RunReport,
@@ -185,8 +185,8 @@ impl CaesarBuilder {
         self
     }
 
-    /// Sets the model directly (e.g. from
-    /// [`ModelBuilder`](caesar_query::ModelBuilder)).
+    /// Sets the model directly (e.g. one parsed with
+    /// [`caesar_query::parse_model`]).
     #[must_use]
     pub fn model(mut self, model: CaesarModel) -> Self {
         self.model = Some(model);

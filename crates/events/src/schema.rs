@@ -297,12 +297,6 @@ impl SchemaRegistry {
         &self.symbols
     }
 
-    /// Mutable access for interning further strings (e.g. predicate
-    /// constants) into the shared table.
-    pub fn symbols_mut(&mut self) -> &mut SymbolTable {
-        &mut self.symbols
-    }
-
     /// The interned symbol of a registered type's name.
     #[must_use]
     pub fn type_symbol(&self, id: TypeId) -> Symbol {

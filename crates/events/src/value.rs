@@ -46,19 +46,6 @@ impl Value {
         }
     }
 
-    /// Returns the numeric payload as a float (ints coerce losslessly
-    /// for the magnitudes used by the benchmarks).
-    pub fn as_float(&self) -> Result<f64, EventError> {
-        match self {
-            Value::Int(i) => Ok(*i as f64),
-            Value::Float(f) => Ok(*f),
-            other => Err(EventError::TypeMismatch {
-                expected: "Float",
-                found: other.type_name(),
-            }),
-        }
-    }
-
     /// Returns the boolean payload.
     pub fn as_bool(&self) -> Result<bool, EventError> {
         match self {

@@ -27,15 +27,6 @@ pub struct ThresholdBound {
     pub inclusive: bool,
 }
 
-impl ThresholdBound {
-    /// The *ordering key* of the window bound this threshold induces on a
-    /// monotonically increasing signal: a higher lower-bound fires later.
-    #[must_use]
-    pub fn order_key(&self) -> f64 {
-        self.value
-    }
-}
-
 /// Compile-time window description of one context, extracted from the
 /// deriving queries: the threshold that initiates it and the threshold
 /// that terminates it, both over the same signal attribute.

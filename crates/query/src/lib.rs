@@ -16,8 +16,6 @@
 //! * [`queryset`] — Phase 1 of the translation pipeline (§4.2):
 //!   CAESAR model → machine-readable query set with mandatory `CONTEXT`
 //!   clauses.
-//! * [`builder`] — a fluent programmatic API for constructing models
-//!   without going through text.
 //! * [`pretty`] — prints queries and models back to parseable text.
 
 #![warn(missing_docs)]
@@ -25,7 +23,6 @@
 #![deny(deprecated)]
 
 pub mod ast;
-pub mod builder;
 pub mod dot;
 pub mod error;
 pub mod lexer;
@@ -35,7 +32,6 @@ pub mod pretty;
 pub mod queryset;
 
 pub use ast::{BinOp, ContextAction, DeriveClause, EventQuery, Expr, Pattern, QueryId};
-pub use builder::{ContextBuilder, ModelBuilder, QueryBuilder};
 pub use dot::model_to_dot;
 pub use error::QueryError;
 pub use model::{CaesarModel, ContextDef};

@@ -57,17 +57,6 @@ impl Router {
         self.plans_suspended += (program.processing.len() - active.len()) as u64;
     }
 
-    /// Mean events per routing decision — how far one context lookup
-    /// amortizes (1.0 when every transaction holds one event).
-    #[must_use]
-    pub fn events_per_decision(&self) -> f64 {
-        if self.batches_routed == 0 {
-            0.0
-        } else {
-            self.events_routed as f64 / self.batches_routed as f64
-        }
-    }
-
     /// Fraction of plan-batch pairs suspended so far.
     #[must_use]
     pub fn suspension_ratio(&self) -> f64 {

@@ -19,7 +19,6 @@ use std::time::Duration;
 /// A blocking protocol client over one TCP connection.
 pub struct Client {
     stream: TcpStream,
-    max_frame_len: usize,
     /// Output events stashed from `OUTPUTS` frames read while waiting
     /// for control replies (subscribed connections only).
     pub outputs: Vec<Event>,
@@ -37,15 +36,9 @@ impl Client {
         let _ = stream.set_nodelay(true);
         Ok(Self {
             stream,
-            max_frame_len: DEFAULT_MAX_FRAME,
             outputs: Vec::new(),
             records: Vec::new(),
         })
-    }
-
-    /// Caps how large a frame this client will accept.
-    pub fn set_max_frame_len(&mut self, max: usize) {
-        self.max_frame_len = max;
     }
 
     /// Bounds how long [`recv`](Self::recv) blocks (`None` = forever).
@@ -65,7 +58,7 @@ impl Client {
 
     /// Reads the next response frame; `Ok(None)` is a clean close.
     pub fn recv(&mut self) -> Result<Option<Response>, FrameError> {
-        match read_frame(&mut self.stream, self.max_frame_len)? {
+        match read_frame(&mut self.stream, DEFAULT_MAX_FRAME)? {
             None => Ok(None),
             Some(body) => Response::decode(&body).map(Some),
         }
@@ -124,10 +117,5 @@ impl Client {
     /// Takes the stashed emission/retraction ledger, leaving it empty.
     pub fn take_records(&mut self) -> Vec<OutputRecord> {
         std::mem::take(&mut self.records)
-    }
-
-    /// Half-closes the write side (EOF to the server's reader).
-    pub fn shutdown_write(&mut self) -> io::Result<()> {
-        self.stream.shutdown(std::net::Shutdown::Write)
     }
 }
