@@ -333,9 +333,10 @@ impl ChainOutput {
     }
 }
 
-/// Reusable traversal buffers for batched chain execution. All buffers
-/// are empty between calls — holding one per plan (or per partition)
-/// hoists every per-transaction allocation out of the hot loop.
+/// Reusable traversal buffers for chain execution — per event, batched
+/// and on watermark advances. All buffers are empty between calls —
+/// holding one per plan (or per partition) hoists every per-transaction
+/// allocation out of the hot loop.
 #[derive(Debug, Clone, Default)]
 pub struct ChainScratch {
     /// Work stack of [`run_chain_from`].
@@ -414,11 +415,11 @@ pub fn advance_chain_time(
 /// Executes a same-`(partition, time)` run of events — given as a
 /// selection vector of row indices into `events` — through a chain.
 ///
-/// Semantically identical to calling [`ChainScratch::run_one`] once per selected
-/// event in selection order — outputs and every operator counter; the
-/// differential batch-equivalence suite holds it to byte identity on
-/// exactly that claim — but with the per-event costs amortized over the
-/// run:
+/// Semantically identical to calling [`ChainScratch::run_one`] once per
+/// selected event in selection order — outputs and every operator
+/// counter; the differential batch-equivalence suite holds it to byte
+/// identity on exactly that claim — but with the per-event costs
+/// amortized over the run:
 ///
 /// * a context window at the chain bottom probes the context table once
 ///   for the whole run (admission depends only on partition and time,
@@ -492,9 +493,9 @@ fn reverse_row_groups(items: &mut [(u32, Event)]) {
 /// [`run_chain_batch`], also used directly by the combined plan's
 /// plan-major path (the row tags key the cross-plan output merge).
 ///
-/// Semantically identical to running [`ChainScratch::run_one`] once per selected
-/// event in selection order, with each output and transition tagged by
-/// the input row that produced it. Dispatches per chain shape:
+/// Semantically identical to running [`ChainScratch::run_one`] once per
+/// selected event in selection order, with each output and transition
+/// tagged by the input row that produced it. Dispatches per chain shape:
 /// stage-major chains go through [`run_chain_batch_selected`],
 /// pattern-bottom chains run the pattern batch-at-a-time with only the
 /// matches walking the suffix, and everything else falls back to a
@@ -595,8 +596,8 @@ pub fn chain_is_stage_major(ops: &[Op]) -> bool {
 /// derived) once a projection runs or the chain ends. Surviving events
 /// are appended to `out` tagged with their source row index, which
 /// doubles as the input position for cross-plan merge ordering. Outputs
-/// and operator counters are identical to running [`ChainScratch::run_one`] once
-/// per selected event in order.
+/// and operator counters are identical to running
+/// [`ChainScratch::run_one`] once per selected event in order.
 pub fn run_chain_batch_selected(
     ops: &mut [Op],
     events: &[Event],

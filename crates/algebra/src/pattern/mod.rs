@@ -31,10 +31,13 @@
 //! serialize the *event lists* the refs resolve to, so the pool layout
 //! (slot order, free list, generations) is invisible on the wire.
 //!
-//! Module map: `mod.rs` holds the operator and the candidate bindings;
-//! `state.rs` the slab and the detachable run state; `negation.rs` the
-//! negation buffers, their keyed index and probe plans; `shared.rs` the
-//! shared-prefix group.
+//! One step routine (`Steps`) extends every partial match — a
+//! pattern's own, and a shared group's on both sides of its boundary.
+//!
+//! Module map: `mod.rs` holds the operator, the candidate bindings and
+//! the step routine; `state.rs` the slab and the detachable run state;
+//! `negation.rs` the negation buffers, their keyed index and probe
+//! plans; `shared.rs` the shared-prefix group.
 
 mod negation;
 mod shared;
@@ -198,23 +201,19 @@ pub struct PatternOp {
 }
 
 /// Runs non-trailing negation checks on a complete candidate and
-/// decides its fate. The candidate stays borrowed — storage happens at
-/// the call site only for [`Verdict::Park`].
-fn complete_candidate(
-    cand: Candidate<'_>,
-    ctx: &mut NegCtx<'_>,
-    trailing: bool,
-    within: Time,
-) -> Verdict {
+/// decides its fate: a trailing negation parks it. The candidate stays
+/// borrowed — storage happens at the call site only for
+/// [`Verdict::Park`].
+fn complete_candidate(cand: Candidate<'_>, ctx: &mut NegCtx<'_>, within: Time) -> Verdict {
+    let mut trailing = false;
     for i in 0..ctx.negations.len() {
-        let position = ctx.negations[i].position;
-        if position == NegPosition::After {
-            continue;
-        }
-        let (lo, hi) = match position {
+        let (lo, hi) = match ctx.negations[i].position {
             NegPosition::Before => (None, Some(cand.first().time())),
             NegPosition::Between(k) => (Some(cand.get(k).time()), Some(cand.get(k + 1).time())),
-            NegPosition::After => unreachable!(),
+            NegPosition::After => {
+                trailing = true;
+                continue;
+            }
         };
         if ctx.violates(i, cand, lo, hi) {
             ctx.stats.negation_rejections += 1;
@@ -285,8 +284,6 @@ struct Steps<'a> {
     /// a shared group, whose complete candidates are full prefixes kept
     /// at its last level.
     emits: Option<(TypeId, bool)>,
-    /// Whether a complete candidate waits for a trailing negation.
-    trailing: bool,
     state: &'a mut MatchState,
     floor: &'a mut Time,
     ctx: NegCtx<'a>,
@@ -327,7 +324,6 @@ impl Steps<'_> {
             steps,
             within,
             emits,
-            trailing,
             state,
             floor,
             ctx,
@@ -358,7 +354,7 @@ impl Steps<'_> {
         let complete = i + 1 == steps.len();
         let deadline = match *emits {
             Some((match_type, collect)) if complete => {
-                match complete_candidate(cand, ctx, *trailing, *within) {
+                match complete_candidate(cand, ctx, *within) {
                     Verdict::Rejected => return,
                     Verdict::Emit => {
                         out.emit(assemble_match(match_type, cand, collect));
@@ -557,15 +553,6 @@ impl PatternOp {
             .push(predicate);
     }
 
-    /// Whether the pattern has a trailing negation (delayed emission).
-    #[must_use]
-    pub fn has_trailing_negation(&self) -> bool {
-        self.program
-            .negations
-            .iter()
-            .any(|n| n.position == NegPosition::After)
-    }
-
     /// Number of live partial matches (for memory metrics).
     #[must_use]
     pub fn live_partials(&self) -> usize {
@@ -654,7 +641,6 @@ impl PatternOp {
     /// The step routine over this operator's program and bound run
     /// state.
     fn routine(&mut self) -> Steps<'_> {
-        let trailing = self.has_trailing_negation();
         let Self {
             program,
             probe_key,
@@ -667,7 +653,6 @@ impl PatternOp {
             steps: &program.steps,
             within: program.within,
             emits: Some((match_type, program.collect_provenance)),
-            trailing,
             state,
             floor,
             ctx: NegCtx {

@@ -28,9 +28,10 @@ pub struct SharedMember {
 /// `prefix_sharing`); the group builds prefix partials *once* on
 /// its own `MatchState` slab, and each full prefix crosses into a
 /// member's private state through
-/// [`PatternOp::cross_boundary`](super::PatternOp::cross_boundary) — after which the member's own
-/// levels, negations, and emission logic run unchanged, so shared
-/// execution is output-identical to unshared execution.
+/// [`PatternOp::cross_boundary`](super::PatternOp::cross_boundary).
+/// The group's advance, the crossing and the member's own levels run
+/// one step routine, so shared execution is output-identical to
+/// unshared execution.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SharedGroup {
     /// The shared steps (types + interned-identical predicates).
@@ -162,7 +163,6 @@ impl SharedGroup {
             steps,
             within: *within,
             emits: None,
-            trailing: false,
             state,
             floor,
             ctx: NegCtx {
