@@ -48,7 +48,7 @@ use crate::nfa::{NfaProgram, NfaStep};
 use caesar_events::{Event, Interval, Provenance, Time, TypeId, Value};
 use negation::NegCtx;
 use serde::{Deserialize, Serialize};
-use state::{MatchState, PartialRef, Pending};
+use state::{MatchState, PartialRef, PartialStore, Pending};
 use std::sync::Arc;
 
 pub use crate::nfa::{NegPosition, NegationCheck};
@@ -270,9 +270,23 @@ enum Prefix<'p> {
     Shared(&'p [Event]),
 }
 
-/// The step routine: a sequence's steps with the run state and negation
-/// bundle they extend, borrowed apart from the operator that owns them —
-/// a [`PatternOp`] or a [`SharedGroup`]. Every partial match is made in
+impl<'p> Prefix<'p> {
+    /// The prefix's events; an own partial resolves in `store`.
+    fn events<'s>(self, store: &'s PartialStore) -> &'s [Event]
+    where
+        'p: 's,
+    {
+        match self {
+            Prefix::Empty => &[],
+            Prefix::Own(r) => store.events(r),
+            Prefix::Shared(events) => events,
+        }
+    }
+}
+
+/// The step routine: a sequence's steps and negation checks with the
+/// run state they extend, borrowed apart from the operator that owns
+/// them — a [`PatternOp`] or a [`SharedGroup`]. Every partial match is made in
 /// [`offer`](Self::offer), whether it is created, extended from the
 /// state's own partial or crossed over from a group's full prefix, so
 /// shared and unshared execution agree because they run the same code.
@@ -284,9 +298,12 @@ struct Steps<'a> {
     /// a shared group, whose complete candidates are full prefixes kept
     /// at its last level.
     emits: Option<(TypeId, bool)>,
-    state: &'a mut MatchState,
-    floor: &'a mut Time,
-    ctx: NegCtx<'a>,
+    negations: &'a [NegationCheck],
+    plans: &'a [NegPlan],
+    /// Scratch for a probe's positives-side key.
+    probe_key: &'a mut Vec<Value>,
+    stats: &'a mut PatternStats,
+    run: &'a mut RunState,
 }
 
 impl Steps<'_> {
@@ -304,11 +321,11 @@ impl Steps<'_> {
             }
             // Take the shorter partials out to extend them without
             // aliasing.
-            let refs = std::mem::take(&mut self.state.levels[i - 1]);
+            let refs = std::mem::take(&mut self.run.state.levels[i - 1]);
             for &r in &refs {
                 self.offer(i, Prefix::Own(r), event, out);
             }
-            self.state.levels[i - 1] = refs;
+            self.run.state.levels[i - 1] = refs;
         }
     }
 
@@ -316,7 +333,9 @@ impl Steps<'_> {
     /// strictly increasing time and a bounded span (sequences require
     /// both) and step `i`'s predicates; a complete one is then emitted,
     /// parked or rejected ([`complete_candidate`]), and whatever must be
-    /// kept is stored through [`PartialStore::insert`].
+    /// kept is stored through [`PartialStore::insert`]. The run state is
+    /// shaped by the first candidate past the span guard, so a boundary
+    /// crossing that extends nothing leaves a detached state as it was.
     ///
     /// [`PartialStore::insert`]: state::PartialStore::insert
     fn offer<S: MatchSink>(&mut self, i: usize, prefix: Prefix<'_>, event: &Event, out: &mut S) {
@@ -324,41 +343,47 @@ impl Steps<'_> {
             steps,
             within,
             emits,
-            state,
-            floor,
-            ctx,
+            negations,
+            plans,
+            probe_key,
+            stats,
+            run,
         } = self;
-        let events = match prefix {
-            Prefix::Empty => &[],
-            Prefix::Own(r) => state.store.events(r),
-            Prefix::Shared(events) => events,
-        };
+        let events = prefix.events(&run.state.store);
         if let (Some(first), Some(last)) = (events.first(), events.last()) {
             let t = event.time();
             if !(last.time() < t && t.saturating_sub(first.time()) <= *within) {
                 return;
             }
         }
+        run.ensure_shape(steps.len(), negations.len());
         let cand = Candidate {
-            prefix: events,
+            prefix: prefix.events(&run.state.store),
             tail: event,
         };
         if !steps[i]
             .predicates
             .iter()
-            .all(|p| p.matches_in(&cand, &mut ctx.stats.eval_errors))
+            .all(|p| p.matches_in(&cand, &mut stats.eval_errors))
         {
             return;
         }
-        ctx.stats.partials_created += 1;
+        stats.partials_created += 1;
         let complete = i + 1 == steps.len();
         let deadline = match *emits {
             Some((match_type, collect)) if complete => {
-                match complete_candidate(cand, ctx, *within) {
+                let mut ctx = NegCtx {
+                    negations,
+                    plans,
+                    negs: &mut run.negs,
+                    probe_key,
+                    stats,
+                };
+                match complete_candidate(cand, &mut ctx, *within) {
                     Verdict::Rejected => return,
                     Verdict::Emit => {
                         out.emit(assemble_match(match_type, cand, collect));
-                        ctx.stats.matches += 1;
+                        stats.matches += 1;
                         return;
                     }
                     Verdict::Park { deadline } => Some(deadline),
@@ -366,16 +391,16 @@ impl Steps<'_> {
             }
             // A shared group's match is a full prefix.
             _ => {
-                ctx.stats.matches += u64::from(complete);
+                stats.matches += u64::from(complete);
                 None
             }
         };
         // What is stored expires with its first event.
-        **floor = (**floor).min(cand.first().time().saturating_add(*within));
-        let r = state.store.insert(prefix, event);
+        run.floor = run.floor.min(cand.first().time().saturating_add(*within));
+        let r = run.state.store.insert(prefix, event);
         match deadline {
-            Some(deadline) => state.pending.push(Pending { r, deadline }),
-            None => state.levels[i].push(r),
+            Some(deadline) => run.state.pending.push(Pending { r, deadline }),
+            None => run.state.levels[i].push(r),
         }
     }
 }
@@ -644,7 +669,7 @@ impl PatternOp {
         let Self {
             program,
             probe_key,
-            run: RunState { negs, state, floor },
+            run,
             stats,
             ..
         } = self;
@@ -653,15 +678,11 @@ impl PatternOp {
             steps: &program.steps,
             within: program.within,
             emits: Some((match_type, program.collect_provenance)),
-            state,
-            floor,
-            ctx: NegCtx {
-                negations: &program.negations,
-                plans: &program.neg_plans,
-                negs,
-                probe_key,
-                stats,
-            },
+            negations: &program.negations,
+            plans: &program.neg_plans,
+            probe_key,
+            stats,
+            run,
         }
     }
 
@@ -678,11 +699,10 @@ impl PatternOp {
             self.program.steps[i].type_id, event.type_id,
             "routed by the boundary step's type"
         );
-        self.ensure_shape();
         let mut routine = self.routine();
         for prefix in group.full_prefixes() {
             debug_assert_eq!(prefix.len(), i, "boundary needs a full prefix");
-            routine.ctx.stats.events_processed += 1;
+            routine.stats.events_processed += 1;
             routine.offer(i, Prefix::Shared(prefix), event, out);
         }
     }

@@ -2,7 +2,6 @@
 //! of a sequence prefix several patterns agree on, once, and its
 //! members take the boundary step from its full prefixes.
 
-use super::negation::NegCtx;
 use super::state::RunState;
 use super::{PatternStats, Steps};
 use crate::nfa::NfaStep;
@@ -152,26 +151,15 @@ impl SharedGroup {
     pub fn advance(&mut self, event: &Event) {
         self.stats.events_processed += 1;
         self.run.ensure_shape(self.steps.len(), 0);
-        let SharedGroup {
-            steps,
-            within,
-            run: RunState { negs, state, floor },
-            stats,
-            ..
-        } = self;
         let mut routine = Steps {
-            steps,
-            within: *within,
+            steps: &self.steps,
+            within: self.within,
             emits: None,
-            state,
-            floor,
-            ctx: NegCtx {
-                negations: &[],
-                plans: &[],
-                negs,
-                probe_key: &mut Vec::new(),
-                stats,
-            },
+            negations: &[],
+            plans: &[],
+            probe_key: &mut Vec::new(),
+            stats: &mut self.stats,
+            run: &mut self.run,
         };
         // A group emits nothing: its full prefixes stay at its last level.
         routine.feed(0, event, &mut Vec::new());
