@@ -9,8 +9,17 @@
 //!
 //! Beyond the bits, each entry keeps the current window's span so the
 //! `(t_i, t_t]` admission semantics of Definition 1 can be honoured, and
-//! an *epoch* counter identifying window instances (used by the context
-//! history to expire partial matches, §6.2 "Context Processing").
+//! an *epoch* counter identifying window instances. Nothing outside this
+//! module's tests reads the epoch: the context history expires partial
+//! matches by the open windows' initiation times
+//! ([`PartitionContexts::open_span`]).
+//!
+//! A row does not outlive its differences from the startup row: once a
+//! partition's windows are back to the default one alone and no closed
+//! span admits a later time, the engine's sweep removes the row
+//! ([`ContextTable::release`]), and the partition's next transition
+//! re-creates it from the startup row. A re-created row restarts its
+//! epochs and `W.time`, which no reader observes.
 
 use caesar_events::{PartitionId, PartitionMap, Time, WindowSpan, TIME_MAX};
 use serde::{Deserialize, Serialize};
@@ -195,6 +204,16 @@ impl PartitionContexts {
         self.bits |= 1 << bit;
     }
 
+    /// Whether the row answers every `holds` and `admits` query at or
+    /// after `watermark` as the startup row does: only the default
+    /// window is open and no closed window's span is left. The default
+    /// window then opened before `watermark` (or at genesis): whatever
+    /// closed when it reopened left a span, which
+    /// [`ContextTable::expire`] clears only once `watermark` passed it.
+    fn idle(&self) -> bool {
+        self.bits == 1 << self.default_bit && self.slots.iter().all(|slot| slot.recent.is_none())
+    }
+
     fn close_slot(&mut self, bit: u8, t: Time) {
         let slot = &mut self.slots[bit as usize];
         let initiated = if slot.genesis { 0 } else { slot.initiated };
@@ -328,7 +347,40 @@ impl ContextTable {
         cleared
     }
 
-    /// Number of partitions materialized so far.
+    /// Clears partition `p`'s closed spans as [`expire`](Self::expire)
+    /// does and, if the row then answers as the startup row does at
+    /// every time from `watermark` on — the default window alone,
+    /// opened before `watermark`, no span left — removes it: reads
+    /// borrow the startup row, and the partition's next transition
+    /// re-creates it. The caller vouches that `p` holds no run state,
+    /// the only reader of an open window's initiation time. Returns
+    /// whether anything was cleared or removed.
+    pub fn release(&mut self, p: PartitionId, watermark: Time) -> bool {
+        let cleared = self.expire(p, watermark);
+        let idle = self
+            .partitions
+            .get(&p.0)
+            .is_some_and(PartitionContexts::idle);
+        if idle {
+            self.partitions.remove(&p.0);
+        }
+        cleared || idle
+    }
+
+    /// `W.time` of partition `p`'s row, if it has one.
+    #[must_use]
+    pub fn updated(&self, p: PartitionId) -> Option<Time> {
+        self.partitions.get(&p.0).map(PartitionContexts::time)
+    }
+
+    /// Every row's partition and `W.time`, in no particular order.
+    pub fn rows(&self) -> impl Iterator<Item = (PartitionId, Time)> + '_ {
+        self.partitions
+            .iter()
+            .map(|(&id, pc)| (PartitionId(id), pc.time))
+    }
+
+    /// Number of rows: partitions not back at the startup state.
     #[must_use]
     pub fn materialized_partitions(&self) -> usize {
         self.partitions.len()
@@ -463,6 +515,76 @@ mod tests {
         );
         assert!(t.expire(P, 21));
         assert!(!t.admits(P, CONGESTION, 20), "recent span collected");
+    }
+
+    /// A row is released exactly when it is back at the startup state
+    /// from the watermark on — default window alone, opened before the
+    /// watermark, no span left — and a released row cannot be observed:
+    /// it answered `holds` and `admits` as the startup row does at every
+    /// later time, and after further transitions the re-created row
+    /// answers them as the kept one does (window starts agree from the
+    /// watermark on, the only initiation times partial matches there
+    /// can be compared with).
+    #[test]
+    fn a_released_row_answers_as_the_startup_row() {
+        use proptest::test_runner::TestRng;
+        let startup = table();
+        let transition = |rng: &mut TestRng, time: Time| Transition {
+            kind: if rng.below(2) == 0 {
+                TransitionKind::Initiate
+            } else {
+                TransitionKind::Terminate
+            },
+            context_bit: rng.below(3) as u8,
+            time,
+            partition: P,
+        };
+        let agree = |a: &PartitionContexts, b: &PartitionContexts, from: Time| {
+            (0..3u8).all(|bit| {
+                let start =
+                    |pc: &PartitionContexts| pc.open_span(bit).map(|w| w.initiated.max(from));
+                a.holds(bit) == b.holds(bit)
+                    && start(a) == start(b)
+                    && (from..from + 12).all(|t| a.admits(bit, t) == b.admits(bit, t))
+            })
+        };
+        let mut released = 0;
+        for seed in 0..2_000 {
+            let rng = &mut TestRng::from_seed(seed);
+            let mut t = table();
+            let mut time = 0;
+            for _ in 0..1 + rng.below(8) {
+                time += rng.below(3);
+                t.apply(transition(rng, time));
+            }
+            let watermark = 1 + rng.below(time + 4);
+            let mut kept_table = t.clone();
+            kept_table.expire(P, watermark);
+            let kept = kept_table.partition(P).clone();
+            let default = &kept.slots[CLEAR as usize];
+            let idle = kept.bits == 1 << CLEAR
+                && (default.genesis || default.initiated < watermark)
+                && kept.slots.iter().all(|slot| slot.recent.is_none());
+            t.release(P, watermark);
+            assert_eq!(t.materialized_partitions() == 0, idle, "seed {seed}");
+            if !idle {
+                continue;
+            }
+            released += 1;
+            assert!(agree(&kept, startup.partition(P), watermark), "seed {seed}");
+            let mut time = watermark;
+            for _ in 0..rng.below(6) {
+                time += rng.below(3);
+                let next = transition(rng, time);
+                t.apply(next);
+                kept_table.apply(next);
+                assert!(
+                    agree(t.partition(P), kept_table.partition(P), watermark),
+                    "seed {seed}: re-created row diverged at {time}"
+                );
+            }
+        }
+        assert!(released > 100, "only {released} rows released");
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!
 //! Expiry follows global time, state is per partition: one worklist of
 //! `(deadline, partition)` entries, advanced with the scheduler's
-//! progress, prunes the run state and clears the closed context spans
-//! of partitions that have gone quiet (`Engine::sweep_to`); the
+//! progress, prunes the run state, clears the closed context spans and
+//! releases the startup-state context rows of partitions that have gone
+//! quiet (`Engine::sweep_to`); the
 //! partition a transaction executes in walks its own state only when
 //! something it holds fell due.
 
@@ -576,6 +577,7 @@ impl Engine {
             spec_replayed: 0,
         });
         fork.adopt(partitions);
+        fork.enter_rows();
         fork
     }
 
@@ -677,6 +679,7 @@ impl Engine {
         self.bound = None;
         self.run_state_bytes = 0;
         self.adopt(state.partitions);
+        self.enter_rows();
         if let Some(id) = state.bound {
             self.bind(id);
         }
@@ -782,24 +785,46 @@ impl Engine {
         }
     }
 
+    /// Enters every context row in the worklist under its `W.time`, as
+    /// the transition that last updated it did: a restored or forked
+    /// engine then releases the rows the original releases.
+    fn enter_rows(&mut self) {
+        let horizon = self.template.horizon;
+        let entries = self
+            .table
+            .rows()
+            .map(|(p, t)| Reverse((t.saturating_add(horizon), p.0)));
+        self.worklist.extend(entries);
+    }
+
     /// Advances the expiry worklist to global progress `watermark`. A
-    /// stored record's live entry, once due, is re-entered if the record
-    /// took part in a transaction since; otherwise it clears the
-    /// partition's closed context spans ([`ContextTable::expire`]) and
+    /// live entry, once due, is re-entered if its partition was active
+    /// since — its record took part in a transaction, or, without a
+    /// record, its context row was updated; otherwise it clears the
+    /// partition's closed context spans ([`ContextTable::expire`]),
     /// prunes the record in place, without binding it
-    /// ([`ProgramTemplate::expire`]). So a record is pruned at the first
-    /// sweep past its latest transaction plus the program's horizon,
-    /// whatever the history of its entries — a restored engine prunes
-    /// when the original does. Other entries clear spans (no record) or
-    /// are stale; the bound partition is left to its own transactions.
+    /// ([`ProgramTemplate::expire`]), and, once the partition holds no
+    /// run state, releases its row if that is back at the startup state
+    /// ([`ContextTable::release`]). So a record is pruned, and a row
+    /// released, at the first sweep past the partition's latest
+    /// transaction (a row's latest update) plus the program's horizon,
+    /// whatever the history of its entries — a restored engine, which
+    /// enters its records and rows afresh, prunes and releases when the
+    /// original does. Stale entries are skipped. The bound partition is
+    /// left to its own transactions: its due entry clears its spans and
+    /// releases its row when nothing is bound, else comes back at the
+    /// next sweep, after a transaction has either stored what it holds
+    /// or made it active.
     ///
     /// Sound because no later event of any partition precedes the
     /// watermark (the scheduler's progress; for the speculative fork,
     /// its settled core's): a partial whose horizon ended before it is
     /// never extended, a negated event that old never falls strictly
     /// between a later match's positives, a span closed before it admits
-    /// nothing later. Parked matches and leading-negation buffers, which
-    /// the partition's own watermark decides, are not touched.
+    /// nothing later, and a row holding only a default window opened
+    /// before it admits and holds at every later time what the startup
+    /// row does. Parked matches and leading-negation buffers, which the
+    /// partition's own watermark decides, are not touched.
     fn sweep_to(&mut self, watermark: Time) {
         if self
             .worklist
@@ -818,15 +843,36 @@ impl Engine {
             self.worklist.pop();
             let partition = PartitionId(id);
             if let Some((_, run)) = self.bound.as_mut().filter(|(bound, _)| *bound == id) {
-                if run.queued == Some(due) {
-                    run.queued = None;
+                // Without a live entry of its own, the entry is its row's
+                // (a restored engine enters rows apart from records).
+                if run.queued.is_some_and(|queued| queued != due) {
+                    continue;
+                }
+                run.queued = None;
+                if run.touched.saturating_add(horizon) >= watermark {
+                    // Active since it was entered.
+                    schedule(&mut self.worklist, horizon, id, run);
+                    continue;
+                }
+                if self.template.bound_bytes(run).is_none() {
+                    cleared |= self.table.release(partition, watermark);
+                } else {
                     cleared |= self.table.expire(partition, watermark);
+                    self.worklist.push(Reverse((watermark, id)));
+                    run.queued = Some(watermark);
                 }
                 continue;
             }
             let Some(run) = self.partitions.get_mut(&id) else {
-                // A partition that keeps no run state closed a window.
-                cleared |= self.table.expire(partition, watermark);
+                // No run state: the row is due one horizon after its
+                // latest update.
+                match self.table.updated(partition) {
+                    Some(t) if t.saturating_add(horizon) >= watermark => {
+                        self.worklist.push(Reverse((t.saturating_add(horizon), id)));
+                    }
+                    Some(_) => cleared |= self.table.release(partition, watermark),
+                    None => {}
+                }
                 continue;
             };
             if run.queued != Some(due) {
@@ -844,6 +890,7 @@ impl Engine {
             self.run_state_bytes += run.bytes();
             if run.is_empty() {
                 self.partitions.remove(&id);
+                cleared |= self.table.release(partition, watermark);
             }
         }
         self.obs.add(CounterId::ExpiredStates, emptied as u64);

@@ -186,8 +186,9 @@ pub enum CounterId {
     /// Transactions that took the batch fast path.
     BatchedTransactions,
     /// Sweeps of the expiry worklist that freed anything: an operator's
-    /// run state or a closed context window's span (the name predates
-    /// the worklist; it counted periodic context-table collections).
+    /// run state, a closed context window's span or a context row (the
+    /// name predates the worklist; it counted periodic context-table
+    /// collections).
     GcRuns,
     /// Operator run states the expiry sweeps emptied and recycled.
     ExpiredStates,

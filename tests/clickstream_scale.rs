@@ -15,9 +15,11 @@
 //!   within the longest `WITHIN` horizon hold any — as few after `4n`
 //!   sessions as after `n` — none once the stream drains, and none for
 //!   a partition that only saw events no pattern retains, and
-//! * nothing the engine keeps — scheduler buffer, run state, snapshot
-//!   bytes — grows with the number of partitions the stream has merely
-//!   passed through.
+//! * nothing the engine keeps — scheduler buffer, run state, context
+//!   rows, snapshot bytes — grows with the number of partitions the
+//!   stream has merely passed through, even ones that switched context
+//!   and went quiet, and a restored engine releases the rows the
+//!   uninterrupted one releases.
 //!
 //! This is also the regression test for the sparse partition
 //! structures: scattered ids near `u32::MAX` would OOM any
@@ -210,25 +212,7 @@ fn run_state_is_held_only_where_state_is_live() {
 #[test]
 fn run_state_is_independent_of_stream_length() {
     let held_after = |sessions: usize| {
-        let config = ClickConfig {
-            users: 1_000_000,
-            sessions,
-            coverage_floor: sessions,
-            scatter_ids: true,
-            mean_gap: 6,
-            ..ClickConfig::default()
-        };
-        let registry = clickstream_registry();
-        let (events, _) = generate(&config, &registry);
-        let workload = Workload {
-            seed: config.seed,
-            model: clickstream_model(1),
-            registry,
-            events,
-            default_within: DEFAULT_WITHIN,
-            reorder_slack: 0,
-            output_types: output_types(1),
-        };
+        let workload = click_workload(&one_session_per_user(sessions));
         let (optimized, _, registry) = build_programs(&workload).expect("build");
         let config = EngineConfig::builder()
             .observability(ObservabilityLevel::Counters)
@@ -241,15 +225,22 @@ fn run_state_is_independent_of_stream_length() {
         (
             counters["partitions_with_state"],
             counters["run_state_bytes"],
+            counters["partitions_materialized"],
         )
     };
     // A session every 6 ticks and a 240-tick horizon: ≈ 40 sessions'
-    // partitions can be live, whatever the stream's length.
+    // partitions can be live, whatever the stream's length — and only
+    // those keep a context row: the others are back at the startup
+    // state, which the sweep releases.
     for sessions in [5_000, 20_000] {
-        let (held, bytes) = held_after(sessions);
+        let (held, bytes, rows) = held_after(sessions);
         assert!(
             held <= 96 && bytes <= 256 * 1024,
             "{sessions} sessions over as many partitions: {held} hold {bytes} B of run state"
+        );
+        assert!(
+            rows <= 96,
+            "{sessions} sessions over as many partitions: {rows} context rows"
         );
     }
 }
@@ -263,18 +254,15 @@ fn run_state_is_independent_of_stream_length() {
 fn engine_state_is_independent_of_partitions_passed_through() {
     let (workload, _) = scale_workload();
     let (optimized, _, registry) = build_programs(&workload).expect("build");
-    let ty = registry
-        .lookup("CaptchaOk")
-        .expect("clickstream input type");
-    let like = workload.events.iter().find(|e| e.type_id == ty);
-    let attrs = like.expect("type occurs in the stream").attrs.to_vec();
+    let captcha = stream_event(&workload, &registry, "CaptchaOk");
     let snapshot_bytes_after = |n: u32| {
         let mut engine = Engine::new(optimized.clone(), &registry, EngineConfig::default());
         for i in 0..n {
             // Two partitions per timestamp, ids spread over the u32 space.
             let partition = PartitionId(i.wrapping_mul(0x9e37_79b1));
-            let event = Event::simple(ty, Time::from(i / 2), partition, attrs.clone());
-            engine.ingest(event).expect("in-order stream");
+            engine
+                .ingest(captcha(Time::from(i / 2), partition))
+                .expect("in-order stream");
         }
         // The scheduler holds the last timestamp's two events, not a
         // queue per partition seen.
@@ -287,4 +275,224 @@ fn engine_state_is_independent_of_partitions_passed_through() {
         small.abs_diff(large) <= 1024,
         "snapshot grew with partitions passed through: {small} B after 1 000, {large} B after 32 000"
     );
+}
+
+/// The same bound over partitions that each switched context and went
+/// quiet: a `BotAlarm` opens `bot_suspect`, the `CaptchaOk` a tick later
+/// reopens the default `browsing`. Once progress has passed a row's last
+/// update by the program's longest `WITHIN`, the row is back at the
+/// startup state and the sweep releases it, so the rows left are those
+/// of the last horizon's partitions — as many after 32 000 as after
+/// 1 000.
+#[test]
+fn engine_state_is_independent_of_partitions_that_switched_context() {
+    let (workload, _) = scale_workload();
+    let (optimized, _, registry) = build_programs(&workload).expect("build");
+    let alarm = stream_event(&workload, &registry, "BotAlarm");
+    let captcha = stream_event(&workload, &registry, "CaptchaOk");
+    let after = |n: u32| {
+        let config = EngineConfig::builder()
+            .observability(ObservabilityLevel::Counters)
+            .build();
+        let mut engine = Engine::new(optimized.clone(), &registry, config);
+        for i in 0..n {
+            let partition = PartitionId(i.wrapping_mul(0x9e37_79b1));
+            let t = 2 * Time::from(i);
+            engine.ingest(alarm(t, partition)).expect("in-order stream");
+            engine
+                .ingest(captcha(t + 1, partition))
+                .expect("in-order stream");
+        }
+        assert_eq!(engine.partitions_with_state(), 0);
+        let rows = engine.metrics_snapshot().counters["partitions_materialized"];
+        (rows, serde::to_bytes(&engine.snapshot_state()).len())
+    };
+    let ((small_rows, small), (large_rows, large)) = (after(1_000), after(32_000));
+    assert!(
+        small_rows == large_rows && large_rows <= ABANDON_WITHIN / 2 + 2,
+        "context rows grew with partitions that switched context: \
+         {small_rows} after 1 000, {large_rows} after 32 000"
+    );
+    assert!(
+        small.abs_diff(large) <= 1024,
+        "snapshot grew with partitions that switched context: \
+         {small} B after 1 000, {large} B after 32 000"
+    );
+}
+
+/// A clickstream run snapshotted mid-stream and restored into a fresh
+/// engine ends where the uninterrupted run ends: the same context rows
+/// (a restored row is entered in the expiry worklist under its
+/// `W.time`, so the sweep releases it when the original's does), the
+/// same run state, the same final snapshot, byte for byte.
+#[test]
+fn restored_engine_releases_the_rows_the_uninterrupted_one_releases() {
+    let workload = click_workload(&one_session_per_user(5_000));
+    let (optimized, _, registry) = build_programs(&workload).expect("build");
+    let config = EngineConfig::builder()
+        .observability(ObservabilityLevel::Counters)
+        .build();
+    let fresh = || Engine::new(optimized.clone(), &registry, config);
+    let state = |engine: &Engine| {
+        let counters = engine.metrics_snapshot().counters;
+        (
+            counters["partitions_materialized"],
+            counters["partitions_with_state"],
+            serde::to_bytes(&engine.snapshot_state()).len(),
+        )
+    };
+    let (head, tail) = workload.events.split_at(workload.events.len() / 2);
+    let mut uninterrupted = fresh();
+    for event in head {
+        uninterrupted
+            .ingest(event.clone())
+            .expect("in-order stream");
+    }
+    let snapshot = uninterrupted.snapshot_state();
+    assert!(
+        uninterrupted.context_table().materialized_partitions() > 0,
+        "the snapshot carries context rows"
+    );
+    let mut restored = fresh();
+    restored.restore_state(snapshot).expect("same program");
+    for event in tail {
+        uninterrupted
+            .ingest(event.clone())
+            .expect("in-order stream");
+        restored.ingest(event.clone()).expect("in-order stream");
+    }
+    let (rows, held, bytes) = state(&uninterrupted);
+    assert!(rows <= 96, "{rows} context rows at the end of the stream");
+    assert_eq!(state(&restored), (rows, held, bytes));
+    uninterrupted.finish();
+    restored.finish();
+    assert_eq!(state(&restored), state(&uninterrupted));
+}
+
+/// The soak of ROADMAP item 2(d): a million sessions over scattered
+/// partitions, streamed in chunks so the stream itself is never held,
+/// leave the engine holding what the last `ABANDON_WITHIN` ticks' few
+/// dozen sessions hold — context rows, run state and resident memory do
+/// not grow with the stream. The RSS figure is this process's `VmHWM`
+/// after ingest minus its `VmRSS` before, as the ledger measures, so run
+/// it alone: `cargo test --release --test clickstream_scale --
+/// --ignored --exact a_million_sessions_keep_engine_state_bounded`.
+#[test]
+#[ignore = "soak: a million sessions, run on its own in release"]
+fn a_million_sessions_keep_engine_state_bounded() {
+    const SESSIONS: usize = 1_000_000;
+    const CHUNK: usize = 2_000;
+    let chunk_config = |seed: u64| ClickConfig {
+        users: 1_000_000,
+        sessions: CHUNK,
+        seed,
+        scatter_ids: true,
+        mean_gap: 6,
+        ..ClickConfig::default()
+    };
+    let first = click_workload(&chunk_config(0));
+    let (optimized, _, registry) = build_programs(&first).expect("build");
+    let config = EngineConfig::builder()
+        .observability(ObservabilityLevel::Counters)
+        .build();
+    let mut engine = Engine::new(optimized, &registry, config);
+    let mut chunk = first.events;
+    let before = proc_status_kib("VmRSS");
+    let (mut offset, mut events, mut ceiling) = (0, 0, (0, 0, 0));
+    for seed in 0..(SESSIONS / CHUNK) as u64 {
+        if seed > 0 {
+            chunk = generate(&chunk_config(seed), &first.registry).0;
+        }
+        // Each chunk starts after the last one ends, so a user's
+        // sessions never overlap across chunks either.
+        let end = chunk.last().map_or(0, Event::time);
+        for event in chunk.drain(..) {
+            let t = event.time() + offset;
+            engine
+                .ingest(Event::simple(
+                    event.type_id,
+                    t,
+                    event.partition,
+                    event.attrs.to_vec(),
+                ))
+                .expect("in-order stream");
+            events += 1;
+            if events % 1_024 == 0 {
+                let counters = engine.metrics_snapshot().counters;
+                let [rows, held, bytes] = [
+                    "partitions_materialized",
+                    "partitions_with_state",
+                    "run_state_bytes",
+                ]
+                .map(|name| counters[name]);
+                ceiling = (
+                    ceiling.0.max(rows),
+                    ceiling.1.max(held),
+                    ceiling.2.max(bytes),
+                );
+            }
+        }
+        offset += end;
+    }
+    let growth_kib = proc_status_kib("VmHWM").saturating_sub(before);
+    eprintln!(
+        "{SESSIONS} sessions, {events} events: at most {} context rows, {} partitions \
+         holding {} B of run state; RSS growth {growth_kib} KiB",
+        ceiling.0, ceiling.1, ceiling.2
+    );
+    assert!(ceiling.0 <= 96, "{} context rows", ceiling.0);
+    assert!(ceiling.1 <= 96, "{} partitions hold run state", ceiling.1);
+    assert!(ceiling.2 <= 512 * 1024, "{} B of run state", ceiling.2);
+    assert!(growth_kib <= 8 * 1024, "RSS grew by {growth_kib} KiB");
+}
+
+/// `sessions` sessions of distinct users, ids scattered over the `u32`
+/// space, one every 6 ticks.
+fn one_session_per_user(sessions: usize) -> ClickConfig {
+    ClickConfig {
+        users: 1_000_000,
+        sessions,
+        coverage_floor: sessions,
+        scatter_ids: true,
+        mean_gap: 6,
+        ..ClickConfig::default()
+    }
+}
+
+/// A clickstream workload of the replication-1 model over `config`'s
+/// stream.
+fn click_workload(config: &ClickConfig) -> Workload {
+    let registry = clickstream_registry();
+    let (events, _) = generate(config, &registry);
+    Workload {
+        seed: config.seed,
+        model: clickstream_model(1),
+        registry,
+        events,
+        default_within: DEFAULT_WITHIN,
+        reorder_slack: 0,
+        output_types: output_types(1),
+    }
+}
+
+/// An event of type `name` at `(t, p)`, its payload borrowed from the
+/// stream.
+fn stream_event(
+    workload: &Workload,
+    registry: &SchemaRegistry,
+    name: &str,
+) -> impl Fn(Time, PartitionId) -> Event {
+    let ty = registry.lookup(name).expect("clickstream input type");
+    let like = workload.events.iter().find(|e| e.type_id == ty);
+    let attrs = like.expect("type occurs in the stream").attrs.to_vec();
+    move |t, p| Event::simple(ty, t, p, attrs.clone())
+}
+
+/// A `/proc/self/status` field in KiB.
+fn proc_status_kib(field: &str) -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status.lines().find(|l| l.starts_with(field));
+    let kib = line.and_then(|l| l.split_whitespace().nth(1));
+    kib.and_then(|v| v.parse().ok())
+        .expect("a VmRSS / VmHWM line")
 }
