@@ -15,7 +15,7 @@
 
 use crate::context_table::{ContextTable, Transition, TransitionKind};
 use crate::expr::CompiledExpr;
-use crate::pattern::PatternOp;
+use crate::pattern::{PatternOp, StateSlots};
 use caesar_events::{Event, Time, TypeId, Value};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -339,10 +339,8 @@ impl ChainOutput {
 /// allocation out of the hot loop.
 #[derive(Debug, Clone, Default)]
 pub struct ChainScratch {
-    /// Work stack of [`run_chain_from`].
-    work: Vec<(usize, Event)>,
-    /// Pattern-match scratch of [`run_chain_from`].
-    matches: Vec<Event>,
+    /// Buffers of [`run_chain_from`].
+    walk: WalkBuffers,
     /// Matured trailing-negation matches of [`advance_chain_time`].
     matured: Vec<Event>,
     /// Row-tagged pattern output of the pattern-major path.
@@ -360,7 +358,8 @@ pub struct ChainScratch {
 
 impl ChainScratch {
     /// Runs one event through `ops[start..]` — the per-event chain
-    /// walk — reusing this scratch's traversal buffers.
+    /// walk — reusing this scratch's traversal buffers; a pattern takes
+    /// its run state from `slots`.
     pub fn run_one(
         &mut self,
         ops: &mut [Op],
@@ -368,45 +367,38 @@ impl ChainScratch {
         event: Event,
         table: &ContextTable,
         out: &mut ChainOutput,
+        slots: &mut StateSlots,
     ) {
-        run_chain_from(
-            ops,
-            start,
-            event,
-            table,
-            out,
-            &mut self.work,
-            &mut self.matches,
-        );
+        run_chain_from(ops, start, event, table, out, &mut self.walk, slots);
     }
 }
 
-/// Advances time on all stateful operators of a chain, collecting any
-/// matured trailing-negation matches through the rest of the chain.
-/// Returns the earliest deadline of the state left behind.
+/// Advances time on the stateful operators of a chain that hold state
+/// in `slots`, collecting any matured trailing-negation matches through
+/// the rest of the chain. Returns the earliest deadline of the state
+/// left behind.
 pub fn advance_chain_time(
     ops: &mut [Op],
     watermark: Time,
     table: &ContextTable,
     out: &mut ChainOutput,
     scratch: &mut ChainScratch,
+    slots: &mut StateSlots,
 ) -> Time {
     // Only patterns hold time-sensitive state; matured matches must flow
     // through the operators above the pattern.
     let mut next = Time::MAX;
-    let ChainScratch {
-        work,
-        matches,
-        matured,
-        ..
-    } = scratch;
+    let ChainScratch { walk, matured, .. } = scratch;
     for idx in 0..ops.len() {
         let Op::Pattern(p) = &mut ops[idx] else {
             continue;
         };
-        next = next.min(p.advance_time(watermark, matured));
+        let Some(run) = slots.held_mut(p.slot()) else {
+            continue;
+        };
+        next = next.min(p.advance_time(run, watermark, matured));
         for m in matured.drain(..) {
-            run_chain_from(ops, idx + 1, m, table, out, work, matches);
+            run_chain_from(ops, idx + 1, m, table, out, walk, slots);
         }
     }
     next
@@ -441,6 +433,7 @@ pub fn run_chain_batch(
     table: &ContextTable,
     out: &mut ChainOutput,
     scratch: &mut ChainScratch,
+    slots: &mut StateSlots,
 ) {
     debug_assert!(
         sel.first().is_none_or(|&f| {
@@ -462,6 +455,7 @@ pub fn run_chain_batch(
         sel,
         table,
         scratch,
+        slots,
         &mut items,
         &mut transitions,
     );
@@ -500,12 +494,14 @@ fn reverse_row_groups(items: &mut [(u32, Event)]) {
 /// pattern-bottom chains run the pattern batch-at-a-time with only the
 /// matches walking the suffix, and everything else falls back to a
 /// per-row loop over the shared traversal buffers.
+#[allow(clippy::too_many_arguments)] // the chain, its input and its three sinks' buffers
 pub fn run_chain_batch_items(
     ops: &mut [Op],
     events: &[Event],
     sel: &mut Vec<u32>,
     table: &ContextTable,
     scratch: &mut ChainScratch,
+    slots: &mut StateSlots,
     out: &mut Vec<(u32, Event)>,
     transitions: &mut Vec<(u32, Transition)>,
 ) {
@@ -525,20 +521,14 @@ pub fn run_chain_batch_items(
         start = 1;
     }
     let ChainScratch {
-        work,
-        matches,
+        walk,
         items,
         chain_out,
         ..
     } = scratch;
-    if matches!(ops[start], Op::Pattern(_)) {
+    if let Op::Pattern(p) = &mut ops[start] {
         items.clear();
-        {
-            let Op::Pattern(p) = &mut ops[start] else {
-                unreachable!()
-            };
-            p.process_batch(events, sel, items);
-        }
+        p.process_batch(slots.get(p.slot()), events, sel, items);
         reverse_row_groups(items);
         if start + 1 == ops.len() {
             out.append(items);
@@ -546,7 +536,7 @@ pub fn run_chain_batch_items(
         }
         for (row, m) in items.drain(..) {
             chain_out.clear();
-            run_chain_from(ops, start + 1, m, table, chain_out, work, matches);
+            run_chain_from(ops, start + 1, m, table, chain_out, walk, slots);
             out.extend(chain_out.events.drain(..).map(|e| (row, e)));
             transitions.extend(chain_out.transitions.drain(..).map(|t| (row, t)));
         }
@@ -554,15 +544,8 @@ pub fn run_chain_batch_items(
     }
     for &row in sel.iter() {
         chain_out.clear();
-        run_chain_from(
-            ops,
-            start,
-            events[row as usize].clone(),
-            table,
-            chain_out,
-            work,
-            matches,
-        );
+        let event = events[row as usize].clone();
+        run_chain_from(ops, start, event, table, chain_out, walk, slots);
         out.extend(chain_out.events.drain(..).map(|e| (row, e)));
         transitions.extend(chain_out.transitions.drain(..).map(|t| (row, t)));
     }
@@ -682,21 +665,33 @@ pub fn run_chain_batch_selected(
     }
 }
 
+/// The buffers of [`run_chain_from`], both empty between calls.
+#[derive(Debug, Clone, Default)]
+struct WalkBuffers {
+    /// Work stack of `(next_op_index, event)` pairs.
+    work: Vec<(usize, Event)>,
+    /// One pattern step's matches.
+    matches: Vec<Event>,
+}
+
 /// Executes one event through the chain starting at operator `start`
-/// (index 0 = bottom), reusing a [`ChainScratch`]'s traversal buffers.
-/// The pattern operator may fan one input out to several matches, so
-/// execution walks a small work stack of `(next_op_index, event)` pairs.
-/// `work` must be empty on entry; both buffers are fully drained before
-/// returning.
+/// (index 0 = bottom), reusing `buffers`; a pattern takes its run state
+/// from `slots`. The pattern operator may fan one input out to several
+/// matches, so execution walks a small work stack of `(next_op_index,
+/// event)` pairs.
 fn run_chain_from(
     ops: &mut [Op],
     start: usize,
     event: Event,
     table: &ContextTable,
     out: &mut ChainOutput,
-    work: &mut Vec<(usize, Event)>,
-    scratch: &mut Vec<Event>,
+    buffers: &mut WalkBuffers,
+    slots: &mut StateSlots,
 ) {
+    let WalkBuffers {
+        work,
+        matches: scratch,
+    } = buffers;
     debug_assert!(work.is_empty());
     work.push((start, event));
     while let Some((idx, ev)) = work.pop() {
@@ -707,7 +702,7 @@ fn run_chain_from(
         match &mut ops[idx] {
             Op::Pattern(p) => {
                 scratch.clear();
-                p.process(&ev, scratch);
+                p.process(slots.get(p.slot()), &ev, scratch);
                 for m in scratch.drain(..) {
                     work.push((idx + 1, m));
                 }
@@ -756,9 +751,21 @@ mod tests {
     use caesar_events::{AttrType, PartitionId, Schema, SchemaRegistry};
     use caesar_query::ast::{BinOp, Expr};
 
-    /// One event through the whole chain, per-event entry point.
+    /// One event through the whole chain, per-event entry point; a
+    /// stateful pattern keeps its state in `slots`.
+    fn run_chain_in(
+        ops: &mut [Op],
+        event: &Event,
+        table: &ContextTable,
+        out: &mut ChainOutput,
+        slots: &mut StateSlots,
+    ) {
+        ChainScratch::default().run_one(ops, 0, event.clone(), table, out, slots);
+    }
+
+    /// [`run_chain_in`] for a chain whose patterns keep nothing.
     fn run_chain(ops: &mut [Op], event: &Event, table: &ContextTable, out: &mut ChainOutput) {
-        ChainScratch::default().run_one(ops, 0, event.clone(), table, out);
+        run_chain_in(ops, event, table, out, &mut StateSlots::default());
     }
 
     fn registry() -> SchemaRegistry {
@@ -952,6 +959,7 @@ mod tests {
             table,
             &mut batched,
             &mut scratch,
+            &mut StateSlots::default(),
         );
         assert_eq!(per_event.events, batched.events);
         assert_eq!(per_event.transitions, batched.transitions);
@@ -1047,7 +1055,16 @@ mod tests {
         let mut out = ChainOutput::default();
         let mut sel: Vec<u32> = (0..events.len() as u32).collect();
         let mut scratch = ChainScratch::default();
-        run_chain_batch(&mut ops, &events, &mut sel, &table, &mut out, &mut scratch);
+        let slots = &mut StateSlots::default();
+        run_chain_batch(
+            &mut ops,
+            &events,
+            &mut sel,
+            &table,
+            &mut out,
+            &mut scratch,
+            slots,
+        );
         assert!(out.is_empty());
         let Op::ContextWindow(cw) = &ops[0] else {
             unreachable!()
@@ -1080,12 +1097,13 @@ mod tests {
         let table = ContextTable::new(1, 0);
         let p_ty = reg.lookup("P").unwrap();
         let out_ty = reg.lookup("Out").unwrap();
-        let seq = crate::nfa::PatternBuilder::new(out_ty)
+        let mut seq = crate::nfa::PatternBuilder::new(out_ty)
             .then(p_ty)
             .then(p_ty)
             .within(100)
             .offsets(vec![0, 1])
             .build();
+        seq.set_slot(0);
         let mut ops_a = vec![Op::Pattern(seq), Op::Filter(speed_filter(&reg, 40))];
         let mut ops_b = ops_a.clone();
         // Run 1 stores four partials; every run-2 event then completes
@@ -1097,9 +1115,10 @@ mod tests {
         let mut per_event = ChainOutput::default();
         let mut batched = ChainOutput::default();
         let mut scratch = ChainScratch::default();
+        let (mut slots_a, mut slots_b) = (StateSlots::default(), StateSlots::default());
         for run in &runs {
             for e in run {
-                run_chain(&mut ops_a, e, &table, &mut per_event);
+                run_chain_in(&mut ops_a, e, &table, &mut per_event, &mut slots_a);
             }
             let mut sel: Vec<u32> = (0..run.len() as u32).collect();
             run_chain_batch(
@@ -1109,6 +1128,7 @@ mod tests {
                 &table,
                 &mut batched,
                 &mut scratch,
+                &mut slots_b,
             );
         }
         assert!(per_event.events.len() > 4, "multi-match rows exercised");

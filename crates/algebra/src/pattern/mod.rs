@@ -17,7 +17,7 @@
 //!   watermark passes that horizon.
 //!
 //! State management: partial matches are pruned by the `within` horizon,
-//! and [`PatternOp::reset`] / [`PatternOp::expire_started_at_or_before`]
+//! and [`RunState::reset`] / [`RunState::expire_started_at_or_before`]
 //! implement the context-history lifecycle of §6.2 (partial matches are
 //! discarded when their context window ends).
 //!
@@ -34,10 +34,14 @@
 //! One step routine (`Steps`) extends every partial match — a
 //! pattern's own, and a shared group's on both sides of its boundary.
 //!
+//! An operator holds no partial match itself: its methods take the
+//! [`RunState`] of the partition they run for, which a transaction hands
+//! each stateful operator by slot number ([`StateSlots`]).
+//!
 //! Module map: `mod.rs` holds the operator, the candidate bindings and
-//! the step routine; `state.rs` the slab and the detachable run state;
-//! `negation.rs` the negation buffers, their keyed index and probe
-//! plans; `shared.rs` the shared-prefix group.
+//! the step routine; `state.rs` the slab, the run state and a
+//! partition's slots of them; `negation.rs` the negation buffers, their
+//! keyed index and probe plans; `shared.rs` the shared-prefix group.
 
 mod negation;
 mod shared;
@@ -54,7 +58,7 @@ use std::sync::Arc;
 pub use crate::nfa::{NegPosition, NegationCheck};
 pub(crate) use negation::NegPlan;
 pub use shared::{SharedGroup, SharedMember};
-pub use state::RunState;
+pub use state::{RunState, RunStates, StateSlots};
 
 /// Counters exposed for metrics and cost-model calibration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -174,9 +178,8 @@ enum Verdict {
     Park { deadline: Time },
 }
 
-/// The pattern operator: an [`NfaProgram`] and its counters — one per
-/// engine — plus the [`RunState`] of whichever
-/// partition is currently bound (its own, when used standalone).
+/// The pattern operator: an [`NfaProgram`], its counters and its slot
+/// number — one per engine. The [`RunState`] it extends is the caller's.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PatternOp {
     /// The compiled program (steps, negations, horizon, output shape).
@@ -188,9 +191,10 @@ pub struct PatternOp {
     /// Scratch for a probe's positives-side key, reused across probes.
     #[serde(skip)]
     probe_key: Vec<Value>,
-    /// The run state of the bound partition (the operator's own, when
-    /// nothing detaches it).
-    run: RunState,
+    /// Where a partition's [`RunState`] for this operator sits among the
+    /// program's ([`StateSlots`]); `None` for a standalone or stateless
+    /// operator.
+    slot: Option<u32>,
     /// Number of leading steps owned by a [`SharedGroup`]: this operator
     /// never creates or extends partials below that level — the combined
     /// plan crosses the boundary via
@@ -441,30 +445,28 @@ impl PatternOp {
         Self {
             program: Arc::new(program),
             probe_key: Vec::new(),
-            run: RunState::default(),
+            slot: None,
             shared_prefix_len: 0,
             stats: PatternStats::default(),
         }
     }
 
-    /// Sizes the bound run state to this program (see
-    /// [`RunState::ensure_shape`]).
-    fn ensure_shape(&mut self) {
-        self.run
-            .ensure_shape(self.program.steps.len(), self.program.negations.len());
-    }
-
-    /// The bound run state — the runtime's attachment point: it swaps a
-    /// partition's stored state in here when the partition's turn comes
-    /// and back out when another's does.
-    pub fn run_mut(&mut self) -> &mut RunState {
-        &mut self.run
-    }
-
-    /// Read access to the bound run state.
+    /// The operator's run-state slot in its program.
     #[must_use]
-    pub fn run(&self) -> &RunState {
-        &self.run
+    pub fn slot(&self) -> Option<u32> {
+        self.slot
+    }
+
+    /// Numbers the operator's run-state slot (the program does, once).
+    pub fn set_slot(&mut self, slot: u32) {
+        self.slot = Some(slot);
+    }
+
+    /// Whether the operator can keep anything between events: a single
+    /// step without negations emits or drops each candidate at once.
+    #[must_use]
+    pub fn keeps_state(&self) -> bool {
+        self.program.steps.len() > 1 || !self.program.negations.is_empty()
     }
 
     /// Event types this pattern consumes (positive and negated).
@@ -583,42 +585,10 @@ impl PatternOp {
             .push(predicate);
     }
 
-    /// Number of live partial matches (for memory metrics).
-    #[must_use]
-    pub fn live_partials(&self) -> usize {
-        self.run.live_partials()
-    }
-
-    /// Total pool allocations served from the free list — how many
-    /// `Vec` allocations the slab saved.
-    #[must_use]
-    pub fn pool_reused(&self) -> u64 {
-        self.run.pool_reused()
-    }
-
-    /// High-water mark of live pooled partials.
-    #[must_use]
-    pub fn pool_peak(&self) -> usize {
-        self.run.pool_peak()
-    }
-
-    /// The bound run state's [`RunState::pool_consistent`].
-    #[must_use]
-    pub fn pool_consistent(&self) -> bool {
-        self.run.pool_consistent()
-    }
-
-    /// Returns `true` if the operator holds any time-sensitive state —
-    /// when `false`, advancing the watermark is a no-op, so suspended
-    /// idle plans can be skipped entirely.
-    #[must_use]
-    pub fn has_state(&self) -> bool {
-        self.run.has_state()
-    }
-
-    /// Processes one input event, appending emitted match events to `out`.
-    pub fn process(&mut self, event: &Event, out: &mut Vec<Event>) {
-        self.process_event(event, out);
+    /// Processes one input event against `run`, appending emitted match
+    /// events to `out`.
+    pub fn process(&mut self, run: &mut RunState, event: &Event, out: &mut Vec<Event>) {
+        self.process_event(run, event, out);
     }
 
     /// Processes a same-`(partition, time)` run of rows, appending
@@ -628,22 +598,28 @@ impl PatternOp {
     /// are those of the per-event path: the rows take it one by one, and
     /// the row tags are what the combined plan's plan-major merge keys
     /// on.
-    pub fn process_batch(&mut self, events: &[Event], sel: &[u32], out: &mut Vec<(u32, Event)>) {
+    pub fn process_batch(
+        &mut self,
+        run: &mut RunState,
+        events: &[Event],
+        sel: &[u32],
+        out: &mut Vec<(u32, Event)>,
+    ) {
         for &row in sel {
             let mut sink = RowTagged { row, out };
-            self.process_event(&events[row as usize], &mut sink);
+            self.process_event(run, &events[row as usize], &mut sink);
         }
     }
 
     /// The shared per-event engine behind [`process`](Self::process) and
     /// [`process_batch`](Self::process_batch).
-    fn process_event<S: MatchSink>(&mut self, event: &Event, out: &mut S) {
+    fn process_event<S: MatchSink>(&mut self, run: &mut RunState, event: &Event, out: &mut S) {
         self.stats.events_processed += 1;
-        self.ensure_shape();
+        run.ensure_shape(self.program.steps.len(), self.program.negations.len());
 
         // 1. Feed negation buffers and check pending (trailing-negation)
         //    matches against the new event.
-        self.feed_negations(event);
+        self.feed_negations(run, event);
 
         if self.is_passthrough() {
             if self.program.steps[0].type_id == event.type_id {
@@ -665,16 +641,14 @@ impl PatternOp {
             0 => 0,
             len => len + 1,
         };
-        self.routine().feed(lowest, event, out);
+        self.routine(run).feed(lowest, event, out);
     }
 
-    /// The step routine over this operator's program and bound run
-    /// state.
-    fn routine(&mut self) -> Steps<'_> {
+    /// The step routine over this operator's program and `run`.
+    fn routine<'a>(&'a mut self, run: &'a mut RunState) -> Steps<'a> {
         let Self {
             program,
             probe_key,
-            run,
             stats,
             ..
         } = self;
@@ -694,18 +668,25 @@ impl PatternOp {
     /// Crosses the shared-prefix boundary: tries `event` — whose type is
     /// that of step `shared_prefix_len`, which the combined plan's
     /// routing table guarantees — against every full prefix `group`
-    /// holds, emitting completed matches to `out` or storing the new
-    /// partials in this operator's own state. The operator's input here
-    /// is the `(prefix, event)` candidate: each one tried counts as one
+    /// holds in `prefixes`, emitting completed matches to `out` or
+    /// storing the new partials in `run`. The operator's input here is
+    /// the `(prefix, event)` candidate: each one tried counts as one
     /// unit of `events_processed` and yields at most one match.
-    pub fn cross_boundary(&mut self, group: &SharedGroup, event: &Event, out: &mut Vec<Event>) {
+    pub fn cross_boundary(
+        &mut self,
+        run: &mut RunState,
+        group: &SharedGroup,
+        prefixes: &RunState,
+        event: &Event,
+        out: &mut Vec<Event>,
+    ) {
         let i = self.shared_prefix_len;
         debug_assert_eq!(
             self.program.steps[i].type_id, event.type_id,
             "routed by the boundary step's type"
         );
-        let mut routine = self.routine();
-        for prefix in group.full_prefixes() {
+        let mut routine = self.routine(run);
+        for prefix in group.full_prefixes(prefixes) {
             debug_assert_eq!(prefix.len(), i, "boundary needs a full prefix");
             routine.stats.events_processed += 1;
             routine.offer(i, Prefix::Shared(prefix), event, out);
@@ -715,7 +696,7 @@ impl PatternOp {
     /// Feeds negation buffers with a matching event, rejecting pending
     /// trailing-negation matches and pruning each touched buffer by the
     /// `within` horizon.
-    fn feed_negations(&mut self, event: &Event) {
+    fn feed_negations(&mut self, run: &mut RunState, event: &Event) {
         let t = event.time();
         let within = self.program.within;
         for i in 0..self.program.negations.len() {
@@ -723,9 +704,9 @@ impl PatternOp {
                 continue;
             }
             if self.program.negations[i].position == NegPosition::After {
-                self.reject_pending(i, event);
+                self.reject_pending(run, i, event);
             }
-            let buf = &mut self.run.negs[i];
+            let buf = &mut run.negs[i];
             buf.events.push_back(event.clone());
             // Prune by horizon, saturating like every horizon test: an
             // unbounded `within` keeps everything.
@@ -736,18 +717,13 @@ impl PatternOp {
             {
                 buf.pop_front();
             }
-            self.run.floor = self.run.floor.min(t.saturating_add(within));
+            run.floor = run.floor.min(t.saturating_add(within));
         }
     }
 
     /// Drops pending trailing-negation matches invalidated by `event`.
-    fn reject_pending(&mut self, check: usize, event: &Event) {
-        let Self {
-            program,
-            run,
-            stats,
-            ..
-        } = self;
+    fn reject_pending(&mut self, run: &mut RunState, check: usize, event: &Event) {
+        let Self { program, stats, .. } = self;
         let MatchState { pending, store, .. } = &mut run.state;
         let neg = &program.negations[check];
         let t = event.time();
@@ -776,16 +752,21 @@ impl PatternOp {
         stats.negation_rejections += (before - pending.len()) as u64;
     }
 
-    /// Advances the partition's own watermark: emits matured
-    /// trailing-negation matches and prunes state older than the
+    /// Advances the partition's own watermark on its `run`: emits
+    /// matured trailing-negation matches and prunes state older than the
     /// `within` horizon ([`RunState::expire`]). Returns the earliest
     /// deadline of what is left ([`RunState::floor`]).
-    pub fn advance_time(&mut self, watermark: Time, out: &mut Vec<Event>) -> Time {
+    pub fn advance_time(
+        &mut self,
+        run: &mut RunState,
+        watermark: Time,
+        out: &mut Vec<Event>,
+    ) -> Time {
         // Emit pending matches whose no-negation horizon fully passed.
         let match_type = self.program.match_type;
         let collect = self.program.collect_provenance;
         {
-            let MatchState { pending, store, .. } = &mut self.run.state;
+            let MatchState { pending, store, .. } = &mut run.state;
             let stats = &mut self.stats;
             pending.retain(|pm| {
                 if pm.deadline < watermark {
@@ -804,24 +785,9 @@ impl PatternOp {
             });
         }
         let program = &self.program;
-        self.run
-            .expire(watermark, program.within, &program.negations, true);
-        self.run.floor
-    }
-
-    /// Discards all partial state — the context window this pattern
-    /// belongs to ended, so its context history can be "safely
-    /// discarded" (§6.2).
-    pub fn reset(&mut self) {
-        self.run.reset();
-    }
-
-    /// Expires partial matches whose first event is at or before `t` —
-    /// used when an *original* context window ends while its grouped
-    /// windows continue (Figure 7: "when the third window begins, the
-    /// partial results within the first window expire").
-    pub fn expire_started_at_or_before(&mut self, t: Time) {
-        self.run.expire_started_at_or_before(t);
+        let negations = program.negations.iter().map(|n| n.position);
+        run.expire(watermark, program.within, negations, true);
+        run.floor
     }
 }
 
@@ -832,6 +798,113 @@ mod tests {
     use crate::nfa::PatternBuilder;
     use caesar_events::{AttrType, PartitionId, Schema, SchemaRegistry};
     use caesar_query::ast::{BinOp, Expr};
+    use std::ops::{Deref, DerefMut};
+
+    /// A pattern operator with the run state of its one partition.
+    #[derive(Debug, Clone)]
+    pub(super) struct Solo {
+        pub(super) op: PatternOp,
+        pub(super) run: RunState,
+    }
+
+    impl From<PatternOp> for Solo {
+        fn from(op: PatternOp) -> Self {
+            Solo {
+                op,
+                run: RunState::default(),
+            }
+        }
+    }
+
+    impl Deref for Solo {
+        type Target = PatternOp;
+        fn deref(&self) -> &PatternOp {
+            &self.op
+        }
+    }
+
+    impl DerefMut for Solo {
+        fn deref_mut(&mut self) -> &mut PatternOp {
+            &mut self.op
+        }
+    }
+
+    impl Solo {
+        pub(super) fn process(&mut self, event: &Event, out: &mut Vec<Event>) {
+            self.op.process(&mut self.run, event, out);
+        }
+
+        pub(super) fn process_batch(
+            &mut self,
+            events: &[Event],
+            sel: &[u32],
+            out: &mut Vec<(u32, Event)>,
+        ) {
+            self.op.process_batch(&mut self.run, events, sel, out);
+        }
+
+        pub(super) fn advance_time(&mut self, watermark: Time, out: &mut Vec<Event>) -> Time {
+            self.op.advance_time(&mut self.run, watermark, out)
+        }
+
+        pub(super) fn cross_boundary(
+            &mut self,
+            group: &Group,
+            event: &Event,
+            out: &mut Vec<Event>,
+        ) {
+            self.op
+                .cross_boundary(&mut self.run, &group.group, &group.run, event, out);
+        }
+
+        pub(super) fn reset(&mut self) {
+            self.run.reset();
+        }
+
+        pub(super) fn expire_started_at_or_before(&mut self, t: Time) {
+            self.run.expire_started_at_or_before(t);
+        }
+
+        pub(super) fn live_partials(&self) -> usize {
+            self.run.live_partials()
+        }
+
+        pub(super) fn pool_reused(&self) -> u64 {
+            self.run.pool_reused()
+        }
+
+        pub(super) fn pool_peak(&self) -> usize {
+            self.run.pool_peak()
+        }
+
+        pub(super) fn pool_consistent(&self) -> bool {
+            self.run.pool_consistent()
+        }
+
+        /// The operator and its state through a snapshot's bytes.
+        pub(super) fn round_trip(&self) -> Solo {
+            Solo {
+                op: serde::from_bytes(&serde::to_bytes(&self.op)).unwrap(),
+                run: serde::from_bytes(&serde::to_bytes(&self.run)).unwrap(),
+            }
+        }
+    }
+
+    /// A shared-prefix group with the run state of its one partition.
+    pub(super) struct Group {
+        pub(super) group: SharedGroup,
+        pub(super) run: RunState,
+    }
+
+    impl Group {
+        pub(super) fn advance(&mut self, event: &Event) {
+            self.group.advance(&mut self.run, event);
+        }
+
+        pub(super) fn advance_time(&mut self, watermark: Time) -> Time {
+            self.group.advance_time(&mut self.run, watermark)
+        }
+    }
 
     pub(super) fn registry() -> SchemaRegistry {
         let mut reg = SchemaRegistry::new();
@@ -875,7 +948,7 @@ mod tests {
     #[test]
     fn passthrough_filters_by_type() {
         let reg = registry();
-        let mut p = PatternOp::passthrough(reg.lookup("A").unwrap());
+        let mut p = Solo::from(PatternOp::passthrough(reg.lookup("A").unwrap()));
         let mut out = Vec::new();
         p.process(&ev(&reg, "A", 1, 10), &mut out);
         p.process(&ev(&reg, "B", 2, 20), &mut out);
@@ -884,13 +957,14 @@ mod tests {
         assert_eq!(p.stats.events_processed, 2);
     }
 
-    fn seq_ab(reg: &SchemaRegistry, within: Time) -> PatternOp {
+    fn seq_ab(reg: &SchemaRegistry, within: Time) -> Solo {
         PatternBuilder::new(reg.lookup("M").unwrap())
             .then(reg.lookup("A").unwrap())
             .then(reg.lookup("B").unwrap())
             .within(within)
             .offsets(vec![0, 1])
             .build()
+            .into()
     }
 
     #[test]
@@ -978,14 +1052,16 @@ mod tests {
             &reg,
         )
         .unwrap();
-        let mut p = PatternBuilder::new(reg.lookup("M").unwrap())
-            .then(tid_a)
-            .filter(p0)
-            .then(tid_b)
-            .filter(p1)
-            .within(100)
-            .offsets(vec![0, 1])
-            .build();
+        let mut p = Solo::from(
+            PatternBuilder::new(reg.lookup("M").unwrap())
+                .then(tid_a)
+                .filter(p0)
+                .then(tid_b)
+                .filter(p1)
+                .within(100)
+                .offsets(vec![0, 1])
+                .build(),
+        );
         let mut out = Vec::new();
         p.process(&ev(&reg, "A", 1, 3), &mut out); // fails a.v > 5
         assert_eq!(p.live_partials(), 0);
@@ -1012,7 +1088,7 @@ mod tests {
     /// The Figure 3 query-2 shape: SEQ(NOT P p1, P p2) WHERE
     /// p1.sec + 30 = p2.sec AND p1.vid = p2.vid — a car with no position
     /// report 30 seconds earlier is "new".
-    pub(super) fn figure_three(reg: &SchemaRegistry, within: Time) -> PatternOp {
+    pub(super) fn figure_three(reg: &SchemaRegistry, within: Time) -> Solo {
         let tid_p = reg.lookup("P").unwrap();
         // Binding: slot 0 = p2 (the only positive), slot 1 = negated p1.
         let layout = layout(reg, &[("p2", "P"), ("p1", "P")]);
@@ -1038,9 +1114,10 @@ mod tests {
             .within(within)
             .offsets(vec![0])
             .build()
+            .into()
     }
 
-    pub(super) fn leading_negation_pattern(reg: &SchemaRegistry) -> PatternOp {
+    pub(super) fn leading_negation_pattern(reg: &SchemaRegistry) -> Solo {
         figure_three(reg, 60)
     }
 
@@ -1067,13 +1144,15 @@ mod tests {
         let tid_a = reg.lookup("A").unwrap();
         let tid_b = reg.lookup("B").unwrap();
         let tid_c = reg.lookup("C").unwrap();
-        let mut p = PatternBuilder::new(reg.lookup("M").unwrap())
-            .then(tid_a)
-            .then(tid_b)
-            .not_between(0, tid_c, vec![])
-            .within(100)
-            .offsets(vec![0, 1])
-            .build();
+        let mut p = Solo::from(
+            PatternBuilder::new(reg.lookup("M").unwrap())
+                .then(tid_a)
+                .then(tid_b)
+                .not_between(0, tid_c, vec![])
+                .within(100)
+                .offsets(vec![0, 1])
+                .build(),
+        );
         let mut out = Vec::new();
         p.process(&ev(&reg, "A", 1, 0), &mut out);
         p.process(&ev(&reg, "C", 2, 0), &mut out);
@@ -1090,12 +1169,14 @@ mod tests {
         let reg = registry();
         let tid_a = reg.lookup("A").unwrap();
         let tid_c = reg.lookup("C").unwrap();
-        let mut p = PatternBuilder::new(reg.lookup("M").unwrap())
-            .then(tid_a)
-            .not_after(tid_c, vec![])
-            .within(10)
-            .offsets(vec![0])
-            .build();
+        let mut p = Solo::from(
+            PatternBuilder::new(reg.lookup("M").unwrap())
+                .then(tid_a)
+                .not_after(tid_c, vec![])
+                .within(10)
+                .offsets(vec![0])
+                .build(),
+        );
         let mut out = Vec::new();
         // First A: a C arrives inside the horizon → rejected.
         p.process(&ev(&reg, "A", 1, 0), &mut out);
@@ -1147,14 +1228,15 @@ mod tests {
     #[test]
     fn three_element_sequence() {
         let reg = registry();
-        let mut p = ["A", "B", "C"]
+        let mut p: Solo = ["A", "B", "C"]
             .iter()
             .fold(PatternBuilder::new(reg.lookup("M").unwrap()), |b, ty| {
                 b.then(reg.lookup(ty).unwrap())
             })
             .within(100)
             .offsets(vec![0, 1, 2])
-            .build();
+            .build()
+            .into();
         let mut out = Vec::new();
         for (ty, t) in [("A", 1), ("B", 2), ("C", 3), ("B", 4), ("C", 5)] {
             p.process(&ev(&reg, ty, t, 0), &mut out);
@@ -1249,10 +1331,11 @@ mod tests {
         // Refill one hole → recycled slot with bumped generation.
         p.process(&ev(&reg, "A", 10, 99), &mut out);
         assert!(p.pool_reused() > 0, "slab is fragmented and recycled");
-        let bytes = serde::to_bytes(&p);
-        let mut restored: PatternOp = serde::from_bytes(&bytes).unwrap();
+        let bytes = serde::to_bytes(&p.run);
+        let mut restored = p.clone();
+        restored.run = serde::from_bytes(&bytes).unwrap();
         assert_eq!(
-            serde::to_bytes(&restored),
+            serde::to_bytes(&restored.run),
             bytes,
             "pool layout must be invisible on the wire"
         );

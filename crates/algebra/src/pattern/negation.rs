@@ -469,10 +469,11 @@ impl Slots for AllSlots<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{ev, figure_three, layout, leading_negation_pattern, pr, registry};
+    use super::super::tests::{
+        ev, figure_three, layout, leading_negation_pattern, pr, registry, Solo,
+    };
     use super::*;
     use crate::nfa::PatternBuilder;
-    use crate::pattern::PatternOp;
     use caesar_events::{AttrType, PartitionId, Schema, SchemaRegistry};
     use caesar_query::ast::Expr;
     use proptest::test_runner::TestRng;
@@ -508,7 +509,7 @@ mod tests {
                 live.reset();
                 fresh.reset();
             }
-            fresh = serde::from_bytes(&serde::to_bytes(&fresh)).unwrap();
+            fresh = fresh.round_trip();
         }
         assert!(!out_live.is_empty());
         assert_eq!(out_live, out_fresh, "outputs must be byte-identical");
@@ -527,7 +528,7 @@ mod tests {
 
     /// A twin of `op` whose probes always scan — the fallback inside
     /// `NegCtx::violates`, the reference a keyed probe must equal.
-    fn scanning(mut op: PatternOp) -> PatternOp {
+    fn scanning(mut op: Solo) -> Solo {
         let scan = |check: &NegationCheck| NegPlan {
             residual: check.predicates.clone(),
             ..NegPlan::default()
@@ -592,6 +593,7 @@ mod tests {
             .within(3)
             .offsets(vec![0])
             .build();
+        let leading = Solo::from(leading);
         // SEQ(Q q1, NOT N n, Q q2) WHERE q1.a = n.a AND n.b + 1 = q2.b
         //   AND n.c != q1.c
         let lay = layout(&reg, &[("q1", "Q"), ("q2", "Q"), ("n", "N")]);
@@ -612,7 +614,7 @@ mod tests {
             .within(3)
             .offsets(vec![0, 3])
             .build();
-        for template in [leading, between] {
+        for template in [leading, Solo::from(between)] {
             assert_eq!(template.program.neg_plans[0].key.len(), 2);
             assert_eq!(template.program.neg_plans[0].stored, 1);
             assert_eq!(template.program.neg_plans[0].residual.len(), 1);
@@ -638,7 +640,7 @@ mod tests {
                                 keyed.advance_time(t, &mut out_keyed);
                                 scan.advance_time(t, &mut out_scan);
                             }
-                            1 => keyed = serde::from_bytes(&serde::to_bytes(&keyed)).unwrap(),
+                            1 => keyed = keyed.round_trip(),
                             _ => {}
                         }
                     }
@@ -698,12 +700,14 @@ mod tests {
         )
         .unwrap();
         let build = || {
-            PatternBuilder::new(reg.lookup("M").unwrap())
-                .then(a)
-                .not_before(c, vec![join.clone()])
-                .within(100)
-                .offsets(vec![0])
-                .build()
+            Solo::from(
+                PatternBuilder::new(reg.lookup("M").unwrap())
+                    .then(a)
+                    .not_before(c, vec![join.clone()])
+                    .within(100)
+                    .offsets(vec![0])
+                    .build(),
+            )
         };
         let (mut probed, mut unprobed) = (build(), build());
         let mut out = Vec::new();
@@ -714,6 +718,6 @@ mod tests {
         }
         probed.process(&ev(&reg, "A", 50, 7), &mut out);
         assert!(out.is_empty(), "C(7) at t = 7 vetoes A(7)");
-        assert!(probed.run().heap_bytes() > unprobed.run().heap_bytes());
+        assert!(probed.run.bytes() > unprobed.run.bytes());
     }
 }

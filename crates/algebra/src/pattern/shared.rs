@@ -25,8 +25,9 @@ pub struct SharedMember {
 /// The optimizer groups sequence patterns of one combined plan whose
 /// leading steps agree on event type and interned step predicates (see
 /// `prefix_sharing`); the group builds prefix partials *once* on
-/// its own `MatchState` slab, and each full prefix crosses into a
-/// member's private state through
+/// its own run state (levels `0..prefix_len`, no negations — members own
+/// theirs), and each full prefix crosses into a member's private state
+/// through
 /// [`PatternOp::cross_boundary`](super::PatternOp::cross_boundary).
 /// The group's advance, the crossing and the member's own levels run
 /// one step routine, so shared execution is output-identical to
@@ -44,9 +45,9 @@ pub struct SharedGroup {
     /// table before advancing, mirroring the members' gating.
     gated: bool,
     members: Vec<SharedMember>,
-    /// The bound run state: prefix partials, levels `0..prefix_len`
-    /// (no negations — members own theirs).
-    run: RunState,
+    /// The group's run-state slot in its program (see
+    /// [`PatternOp::slot`](super::PatternOp::slot)).
+    slot: Option<u32>,
     /// Counters of the shared prefix work: `events_processed` counts
     /// [`advance`](Self::advance) calls, `matches` full prefixes built.
     pub stats: PatternStats,
@@ -71,7 +72,7 @@ impl SharedGroup {
             within,
             gated,
             members,
-            run: RunState::default(),
+            slot: None,
             stats: PatternStats::default(),
             admitted: 0,
             dropped: 0,
@@ -120,37 +121,25 @@ impl SharedGroup {
         !self.gated || window_holds
     }
 
-    /// Live prefix partials across all levels.
+    /// The group's run-state slot in its program.
     #[must_use]
-    pub fn live_partials(&self) -> usize {
-        self.run.live_partials()
+    pub fn slot(&self) -> Option<u32> {
+        self.slot
     }
 
-    /// Whether any prefix state is held.
-    #[must_use]
-    pub fn has_state(&self) -> bool {
-        self.run.has_state()
+    /// Numbers the group's run-state slot (the program does, once).
+    pub fn set_slot(&mut self, slot: u32) {
+        self.slot = Some(slot);
     }
 
-    /// The bound run state (see [`PatternOp::run_mut`](super::PatternOp::run_mut)).
-    pub fn run_mut(&mut self) -> &mut RunState {
-        &mut self.run
-    }
-
-    /// Read access to the bound run state.
-    #[must_use]
-    pub fn run(&self) -> &RunState {
-        &self.run
-    }
-
-    /// Advances the shared prefix levels with one external event —
-    /// creation at level 0, extension below the boundary. Runs *after*
-    /// the members processed the event, so a full prefix completed by
-    /// this event is never extended by it at the boundary (sequences
-    /// require strictly increasing times).
-    pub fn advance(&mut self, event: &Event) {
+    /// Advances the shared prefix levels in `run` with one external
+    /// event — creation at level 0, extension below the boundary. Runs
+    /// *after* the members processed the event, so a full prefix
+    /// completed by this event is never extended by it at the boundary
+    /// (sequences require strictly increasing times).
+    pub fn advance(&mut self, run: &mut RunState, event: &Event) {
         self.stats.events_processed += 1;
-        self.run.ensure_shape(self.steps.len(), 0);
+        run.ensure_shape(self.steps.len(), 0);
         let mut routine = Steps {
             steps: &self.steps,
             within: self.within,
@@ -159,17 +148,17 @@ impl SharedGroup {
             plans: &[],
             probe_key: &mut Vec::new(),
             stats: &mut self.stats,
-            run: &mut self.run,
+            run,
         };
         // A group emits nothing: its full prefixes stay at its last level.
         routine.feed(0, event, &mut Vec::new());
     }
 
-    /// The full prefixes (level `prefix_len − 1`) currently held, in
+    /// The full prefixes (level `prefix_len − 1`) `run` holds, in
     /// creation order — the boundary feed of
     /// [`PatternOp::cross_boundary`](super::PatternOp::cross_boundary).
-    pub(super) fn full_prefixes(&self) -> impl Iterator<Item = &[Event]> + '_ {
-        let state = &self.run.state;
+    pub(super) fn full_prefixes<'a>(&self, run: &'a RunState) -> impl Iterator<Item = &'a [Event]> {
+        let state = &run.state;
         // No level exists until the first event sized the state.
         let top = state.levels.get(self.steps.len() - 1);
         top.into_iter()
@@ -183,22 +172,17 @@ impl SharedGroup {
         self.within
     }
 
-    /// Prunes prefixes older than the `within` horizon; returns the
-    /// earliest deadline of what is left ([`RunState::floor`]).
-    pub fn advance_time(&mut self, watermark: Time) -> Time {
-        self.run.expire(watermark, self.within, &[], true);
-        self.run.floor
-    }
-
-    /// Discards all prefix state (context termination).
-    pub fn reset(&mut self) {
-        self.run.reset();
+    /// Prunes `run`'s prefixes older than the `within` horizon; returns
+    /// the earliest deadline of what is left ([`RunState::floor`]).
+    pub fn advance_time(&self, run: &mut RunState, watermark: Time) -> Time {
+        run.expire(watermark, self.within, [], true);
+        run.floor
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::registry;
+    use super::super::tests::{registry, Group, Solo};
     use super::*;
     use crate::nfa::PatternBuilder;
     use caesar_events::{PartitionId, Value};
@@ -230,15 +214,18 @@ mod tests {
             let template = template.within(6).offsets(vec![0, 1, 2]).build();
             let (mut emitted, mut rejected) = (0, 0);
             for seed in 0..100 {
-                let mut plain = template.clone();
-                let mut member = template.clone();
+                let mut plain = Solo::from(template.clone());
+                let mut member = Solo::from(template.clone());
                 member.set_shared_prefix_len(2);
                 let members = (0..2).map(|plan| SharedMember {
                     plan,
                     pattern_pos: 0,
                 });
-                let mut group =
-                    SharedGroup::new(template.steps()[..2].to_vec(), 6, false, members.collect());
+                let steps = template.steps()[..2].to_vec();
+                let mut group = Group {
+                    group: SharedGroup::new(steps, 6, false, members.collect()),
+                    run: RunState::default(),
+                };
                 let rng = &mut TestRng::from_seed(seed);
                 let (mut out_plain, mut out_shared) = (Vec::new(), Vec::new());
                 let mut t = 0;
@@ -270,7 +257,7 @@ mod tests {
                 plain.advance_time(Time::MAX, &mut out_plain);
                 member.advance_time(Time::MAX, &mut out_shared);
                 assert_eq!(out_plain, out_shared, "seed {seed}");
-                let (s, m, g) = (plain.stats, member.stats, group.stats);
+                let (s, m, g) = (plain.stats, member.stats, group.group.stats);
                 assert_eq!(s.matches, m.matches, "seed {seed}");
                 assert_eq!(s.negation_rejections, m.negation_rejections);
                 assert_eq!(s.partials_created, m.partials_created + g.partials_created);

@@ -1,10 +1,12 @@
 //! Pooled partial-match state: the generation-indexed slab
 //! ([`PartialStore`]), the per-level ref lists and parked matches that
-//! resolve into it ([`MatchState`]), and the detachable per-partition
-//! [`RunState`] of a pattern operator or a shared-prefix group.
+//! resolve into it ([`MatchState`]), the per-partition [`RunState`] of a
+//! pattern operator or a shared-prefix group, a partition's slots of
+//! them ([`RunStates`]), and the workspace a transaction reaches its
+//! partition's slots through ([`StateSlots`]).
 
 use super::negation::NegBuffer;
-use super::{NegPosition, NegationCheck, Prefix};
+use super::{NegPosition, Prefix};
 use caesar_events::{Event, Time};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
@@ -243,13 +245,12 @@ impl Deserialize for MatchState {
 /// probe plans, counters) is the same for every partition and lives
 /// once, in the operator.
 ///
-/// The value is *detachable*: an operator owns one resident run state
-/// (`run_mut`), and the runtime swaps a partition's stored state in
-/// when the partition's turn comes and back out when another's does.
-/// The default value is the empty state of *any* operator — the per-level
-/// and per-negation vectors are sized on first use — so a partition
-/// with no live partial match stores nothing, and an emptied state can
-/// be recycled for another operator or partition.
+/// An operator holds none: a transaction hands each stateful operator
+/// its partition's value, by the operator's slot number
+/// ([`StateSlots`]). The default value is the empty state of *any*
+/// operator — the per-level and per-negation vectors are sized on first
+/// use — so a partition with no live partial match stores nothing, and
+/// an emptied state can be recycled for another operator or partition.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunState {
     /// Negation buffers and their keyed indexes, parallel to the
@@ -260,6 +261,13 @@ pub struct RunState {
     /// A lower bound on the earliest deadline of anything held (see
     /// [`floor`](Self::floor)).
     pub(super) floor: Time,
+    /// Listed in the running transaction's reached slots.
+    #[serde(skip)]
+    reached: bool,
+    /// [`bytes`](Self::bytes) as last counted into its partition's
+    /// [`RunStates`] (0 while not held).
+    #[serde(skip)]
+    counted: usize,
 }
 
 impl Default for RunState {
@@ -268,6 +276,8 @@ impl Default for RunState {
             negs: Vec::new(),
             state: MatchState::default(),
             floor: Time::MAX,
+            reached: false,
+            counted: 0,
         }
     }
 }
@@ -301,7 +311,7 @@ impl RunState {
         &mut self,
         watermark: Time,
         within: Time,
-        negations: &[NegationCheck],
+        negations: impl IntoIterator<Item = NegPosition>,
         own: bool,
     ) {
         let dead = |t: Time| t.saturating_add(within) < watermark;
@@ -322,8 +332,8 @@ impl RunState {
                 true
             });
         }
-        for (buf, check) in self.negs.iter_mut().zip(negations) {
-            if own || check.position != NegPosition::Before {
+        for (buf, position) in self.negs.iter_mut().zip(negations) {
+            if own || position != NegPosition::Before {
                 while buf.events.front().is_some_and(|e| dead(e.time())) {
                     buf.pop_front();
                 }
@@ -386,12 +396,12 @@ impl RunState {
         self.state.store.live
     }
 
-    /// Capacity-based estimate of the heap bytes behind this value, in
-    /// O(levels + negations): the slab's event capacity is tracked as
-    /// it grows and each negation index reads its capacities, so
-    /// nothing is summed by a walk.
+    /// Capacity-based estimate of the bytes behind a stored value — the
+    /// box and its heap — in O(levels + negations): the slab's event
+    /// capacity is tracked as it grows and each negation index reads
+    /// its capacities, so nothing is summed by a walk.
     #[must_use]
-    pub fn heap_bytes(&self) -> usize {
+    pub fn bytes(&self) -> usize {
         use std::mem::size_of;
         let MatchState {
             levels,
@@ -406,6 +416,7 @@ impl RunState {
             + store.event_cap * size_of::<Event>()
             + self.negs.capacity() * size_of::<NegBuffer>()
             + self.negs.iter().map(NegBuffer::heap_bytes).sum::<usize>()
+            + size_of::<Self>()
     }
 
     /// Slab allocations served from the free list since the last
@@ -435,6 +446,7 @@ impl RunState {
         debug_assert!(!self.has_state(), "recycling a live run state");
         self.state.store.peak = 0;
         self.floor = Time::MAX;
+        self.counted = 0;
     }
 
     /// Verifies the generation-index invariant: every partial ref held
@@ -505,7 +517,7 @@ impl RunState {
     /// used when an *original* context window ends while its grouped
     /// windows continue (Figure 7: "when the third window begins, the
     /// partial results within the first window expire").
-    pub(super) fn expire_started_at_or_before(&mut self, t: Time) {
+    pub fn expire_started_at_or_before(&mut self, t: Time) {
         let MatchState {
             levels,
             pending,
@@ -522,5 +534,318 @@ impl RunState {
             level.retain(|&r| keep(r));
         }
         pending.retain(|pm| keep(pm.r));
+    }
+}
+
+/// Cap on the free list of emptied run states: enough to absorb the
+/// churn of windows closing and reopening, small enough that a burst of
+/// short-lived partitions does not pin its slabs.
+const SPARE_RUN_STATES: usize = 1024;
+
+/// The run states one stream partition holds: slot `i` belongs to its
+/// program's stateful operator `i` and is empty unless that operator
+/// holds something there. Empty, without slots, while nothing is held.
+#[derive(Debug, Clone, Default)]
+pub struct RunStates {
+    slots: Vec<Option<Box<RunState>>>,
+    /// Occupied slots.
+    held: usize,
+    /// Summed [`RunState::bytes`] of the occupied slots.
+    bytes: usize,
+}
+
+impl RunStates {
+    /// True when no slot holds a state.
+    #[must_use]
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.held == 0
+    }
+
+    /// Capacity-based size of the slot vector and the states it holds,
+    /// kept as slots fill and empty.
+    #[must_use]
+    #[inline]
+    pub fn bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<Option<Box<RunState>>>() + self.bytes
+    }
+
+    /// The held states, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = &RunState> {
+        self.slots.iter().flatten().map(|state| &**state)
+    }
+
+    /// Applies `f` to every held state, recycling those it empties into
+    /// `spare` (a free list of [`StateSlots`]), and recounts the held
+    /// states and their bytes. Returns how many states emptied.
+    pub fn retain(
+        &mut self,
+        spare: &mut StateSlots,
+        mut f: impl FnMut(usize, &mut RunState),
+    ) -> usize {
+        let (mut emptied, mut held, mut bytes) = (0, 0, 0);
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let Some(state) = slot else { continue };
+            f(i, state);
+            if state.has_state() {
+                if spare.sizes {
+                    state.counted = state.bytes();
+                }
+                (held, bytes) = (held + 1, bytes + state.counted);
+            } else if let Some(state) = slot.take() {
+                emptied += 1;
+                spare.recycle(i, state);
+            }
+        }
+        (self.held, self.bytes) = (held, bytes);
+        if held == 0 {
+            self.slots = Vec::new();
+        }
+        emptied
+    }
+
+    /// Overwrites these states with a copy of `src`'s, in place down to
+    /// the slabs ([`RunState::copy_from`]), taking new states from and
+    /// returning emptied ones to `spare`: overwriting a partition's
+    /// states again and again allocates nothing once they have seen
+    /// their largest shape.
+    pub fn copy_from(&mut self, src: &RunStates, spare: &mut StateSlots) {
+        let len = self.slots.len().max(src.slots.len());
+        self.slots.resize_with(len, || None);
+        for (i, held) in self.slots.iter_mut().enumerate() {
+            match src.slots.get(i).and_then(Option::as_deref) {
+                Some(from) => {
+                    let held = held.get_or_insert_with(|| spare.fresh(i));
+                    held.copy_from(from);
+                    held.reached = false;
+                }
+                None => held.take().into_iter().for_each(|mut emptied| {
+                    emptied.reset();
+                    spare.recycle(i, emptied);
+                }),
+            }
+        }
+        self.retain(spare, |_, _| {});
+    }
+}
+
+impl Serialize for RunStates {
+    fn serialize(&self, out: &mut Serializer) {
+        self.slots.serialize(out);
+    }
+}
+
+impl Deserialize for RunStates {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, serde::Error> {
+        let mut states = RunStates {
+            slots: Vec::deserialize(de)?,
+            ..RunStates::default()
+        };
+        let counting = &mut StateSlots {
+            sizes: true,
+            ..StateSlots::default()
+        };
+        states.retain(counting, |_, _| {});
+        Ok(states)
+    }
+}
+
+/// The workspace a transaction reaches its partition's run states
+/// through: the partition's [`RunStates`] move in at
+/// [`enter`](Self::enter) and back out at [`leave`](Self::leave), and a
+/// stateful operator asks for its own slot by number. A slot is
+/// *reached* the first time the transaction asks for it mutably; only
+/// reached slots are examined at `leave` — their slab counters folded,
+/// those left empty recycled — so what a transaction costs there is
+/// what it touched, not the size of the program.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct StateSlots {
+    /// Slots per partition: the program's stateful operators.
+    len: usize,
+    /// Largest slab high-water mark folded so far — the most partial
+    /// matches one operator held in one partition. Part of a snapshot:
+    /// a recovered run reports the uninterrupted run's peak.
+    peak: usize,
+    /// The states of the partition whose transaction runs.
+    #[serde(skip)]
+    states: RunStates,
+    /// Slots reached since `enter`, each once.
+    #[serde(skip)]
+    reached: Vec<u32>,
+    /// Per slot, the state its operator last emptied, shaped for it —
+    /// what a new state there is taken from first: handing an operator
+    /// a state shaped for another reshapes and regrows its vectors.
+    #[serde(skip)]
+    idle: Vec<Option<Box<RunState>>>,
+    /// Other emptied run states (their slabs keep their capacity).
+    #[serde(skip)]
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<RunState>>,
+    /// What a stateless pattern runs on: it never keeps anything.
+    #[serde(skip)]
+    stateless: RunState,
+    /// Slab allocations served from a free list, folded so far.
+    #[serde(skip)]
+    reused: u64,
+    /// Keep the partitions' [`RunStates::bytes`] as transactions end
+    /// (only a state-size gauge reads them).
+    #[serde(skip)]
+    sizes: bool,
+}
+
+impl StateSlots {
+    /// A workspace for a program of `len` stateful operators.
+    #[must_use]
+    pub fn new(len: usize) -> Self {
+        Self {
+            len,
+            ..Self::default()
+        }
+    }
+
+    /// Keeps [`RunStates::bytes`] up to date at every
+    /// [`leave`](Self::leave) from now on, or stops.
+    pub fn count_sizes(&mut self, on: bool) {
+        self.sizes = on;
+    }
+
+    /// Moves a partition's states in for one transaction; returns how
+    /// many slots it holds.
+    #[inline]
+    pub fn enter(&mut self, states: &mut RunStates) -> usize {
+        debug_assert!(self.states.is_empty() && self.reached.is_empty());
+        if !states.is_empty() {
+            std::mem::swap(&mut self.states, states);
+        }
+        self.states.held
+    }
+
+    /// Ends the transaction: examines each reached slot — folds its
+    /// slab counters, recycles it if it emptied, re-counts its bytes
+    /// when [counting](Self::count_sizes) — and moves the states back.
+    /// Returns `(slots reached, slots examined)`.
+    pub fn leave(&mut self, states: &mut RunStates) -> (usize, usize) {
+        let reached = self.reached.len();
+        let mut examined = 0;
+        for k in 0..reached {
+            examined += 1;
+            let slot = self.reached[k] as usize;
+            let held = &mut self.states.slots[slot];
+            let state = held.as_mut().expect("a reached slot holds a state");
+            state.reached = false;
+            self.reused += state.take_pool_reused();
+            self.peak = self.peak.max(state.pool_peak());
+            if self.sizes {
+                self.states.bytes -= state.counted;
+                state.counted = if state.has_state() { state.bytes() } else { 0 };
+                self.states.bytes += state.counted;
+            }
+            if !state.has_state() {
+                self.states.held -= 1;
+                let emptied = held.take().expect("held");
+                self.recycle(slot, emptied);
+            }
+        }
+        self.reached.clear();
+        if self.states.held > 0 {
+            std::mem::swap(&mut self.states, states);
+        } else {
+            // Nothing held: the partition's record keeps no slots, and
+            // the cleared vector stays here for the next transaction.
+            self.states.slots.clear();
+            self.states.bytes = 0;
+            debug_assert!(states.is_empty());
+        }
+        (reached, examined)
+    }
+
+    /// Operator `slot`'s state in the running transaction, created
+    /// empty if the partition holds none there; `None` is a stateless
+    /// pattern's.
+    #[inline]
+    pub fn get(&mut self, slot: Option<u32>) -> &mut RunState {
+        let Some(slot) = slot else {
+            return &mut self.stateless;
+        };
+        let i = slot as usize;
+        if !matches!(self.states.slots.get(i), Some(Some(_))) {
+            return self.create(i);
+        }
+        let state = self.states.slots[i].as_deref_mut().expect("held");
+        if !state.reached {
+            state.reached = true;
+            self.reached.push(slot);
+        }
+        state
+    }
+
+    /// Gives empty slot `i` a state, reached.
+    #[inline(never)]
+    fn create(&mut self, i: usize) -> &mut RunState {
+        if self.states.slots.len() <= i {
+            let len = (i + 1).max(self.len);
+            self.states.slots.resize_with(len, || None);
+        }
+        let fresh = self.fresh(i);
+        self.states.held += 1;
+        self.reached.push(i as u32);
+        self.states.slots[i].insert(fresh)
+    }
+
+    /// Operator `slot`'s state, if the partition holds one — reached, as
+    /// the caller may change it.
+    pub fn held_mut(&mut self, slot: Option<u32>) -> Option<&mut RunState> {
+        self.peek(slot)?;
+        Some(self.get(slot))
+    }
+
+    /// Read access to operator `slot`'s state, if the partition holds
+    /// one; not reached.
+    #[must_use]
+    pub fn peek(&self, slot: Option<u32>) -> Option<&RunState> {
+        let slot = self.states.slots.get(slot? as usize)?;
+        slot.as_deref()
+    }
+
+    /// Moves operator `slot`'s state out, to be read beside another
+    /// operator's; [`put`](Self::put) returns it.
+    pub fn take(&mut self, slot: Option<u32>) -> Option<Box<RunState>> {
+        self.states.slots.get_mut(slot? as usize)?.take()
+    }
+
+    /// Returns a state moved out by [`take`](Self::take).
+    pub fn put(&mut self, slot: Option<u32>, state: Box<RunState>) {
+        let slot = slot.expect("taken from a slot") as usize;
+        self.states.slots[slot] = Some(state);
+    }
+
+    /// `(slab allocations served from a free list, largest slab
+    /// high-water mark)` over every transaction so far.
+    #[must_use]
+    pub fn pool_stats(&self) -> (u64, usize) {
+        (self.reused, self.peak)
+    }
+
+    /// A new state for `slot`, reached: the one its operator last
+    /// emptied, else one from the free list, else a new one.
+    fn fresh(&mut self, slot: usize) -> Box<RunState> {
+        let idle = self.idle.get_mut(slot).and_then(Option::take);
+        let mut state = idle.or_else(|| self.spare.pop()).unwrap_or_default();
+        state.reached = true;
+        state
+    }
+
+    /// Takes an emptied state of `slot` back, for its operator or the
+    /// free list.
+    fn recycle(&mut self, slot: usize, mut state: Box<RunState>) {
+        state.recycle();
+        if self.idle.len() <= slot {
+            self.idle.resize_with(slot + 1, || None);
+        }
+        match &mut self.idle[slot] {
+            idle @ None => *idle = Some(state),
+            Some(_) if self.spare.len() < SPARE_RUN_STATES => self.spare.push(state),
+            Some(_) => {}
+        }
     }
 }

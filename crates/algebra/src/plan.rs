@@ -13,7 +13,7 @@ use crate::nfa::NfaStep;
 use crate::ops::{
     advance_chain_time, run_chain_batch, run_chain_batch_items, ChainOutput, ChainScratch, Op,
 };
-use crate::pattern::{RunState, SharedGroup};
+use crate::pattern::{SharedGroup, StateSlots};
 use caesar_events::{Event, Time, TypeId};
 use caesar_query::ast::QueryId;
 use caesar_query::queryset::CompiledQuery;
@@ -47,15 +47,17 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Feeds one event through the chain.
+    /// Feeds one event through the chain; its pattern's run state is
+    /// the one in `slots`.
     pub fn process(
         &mut self,
         event: &Event,
         table: &ContextTable,
         out: &mut PlanOutput,
         scratch: &mut ChainScratch,
+        slots: &mut StateSlots,
     ) {
-        scratch.run_one(&mut self.ops, 0, event.clone(), table, out);
+        scratch.run_one(&mut self.ops, 0, event.clone(), table, out, slots);
     }
 
     /// Feeds a same-`(partition, time)` run of events through the
@@ -72,6 +74,7 @@ impl QueryPlan {
         table: &ContextTable,
         out: &mut PlanOutput,
         scratch: &mut ChainScratch,
+        slots: &mut StateSlots,
     ) {
         // The selection buffer lives in the scratch too; it is taken out
         // so the chain may borrow the rest.
@@ -84,33 +87,8 @@ impl QueryPlan {
                 .filter(|(_, e)| self.consumes(e.type_id))
                 .map(|(i, _)| i as u32),
         );
-        run_chain_batch(&mut self.ops, events, &mut sel, table, out, scratch);
+        run_chain_batch(&mut self.ops, events, &mut sel, table, out, scratch, slots);
         scratch.sel = sel;
-    }
-
-    /// Advances the watermark on stateful operators; returns the
-    /// earliest deadline of the state left behind.
-    pub fn advance_time(
-        &mut self,
-        watermark: Time,
-        table: &ContextTable,
-        out: &mut PlanOutput,
-        scratch: &mut ChainScratch,
-    ) -> Time {
-        if !self.needs_advance() {
-            return Time::MAX;
-        }
-        advance_chain_time(&mut self.ops, watermark, table, out, scratch)
-    }
-
-    /// Returns `true` if any operator holds time-sensitive state —
-    /// watermark advances on stateless plans are no-ops and skipped.
-    #[must_use]
-    pub fn needs_advance(&self) -> bool {
-        self.ops.iter().any(|op| match op {
-            Op::Pattern(p) => p.has_state(),
-            _ => false,
-        })
     }
 
     /// Returns `true` if the plan consumes events of `type_id`.
@@ -139,45 +117,19 @@ impl QueryPlan {
         self.context_window_position() == Some(0)
     }
 
-    /// The resident run state of the pattern operator at chain slot
-    /// `op` — where the runtime binds a partition's stored state for
-    /// the duration of one transaction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ops[op]` is not a pattern.
-    pub fn run_state_mut(&mut self, op: usize) -> &mut RunState {
-        match &mut self.ops[op] {
-            Op::Pattern(p) => p.run_mut(),
-            other => panic!("{} holds no run state", other.tag()),
-        }
-    }
-
-    /// Read access to [`run_state_mut`](Self::run_state_mut)'s value.
-    #[must_use]
-    pub fn run_state(&self, op: usize) -> &RunState {
-        match &self.ops[op] {
-            Op::Pattern(p) => p.run(),
-            other => panic!("{} holds no run state", other.tag()),
-        }
-    }
-
-    /// Discards all partial state of the plan's stateful operators —
-    /// called when the plan's context window ends (§6.2).
-    pub fn reset_state(&mut self) {
-        for op in &mut self.ops {
-            if let Op::Pattern(p) = op {
-                p.reset();
-            }
-        }
-    }
-
-    /// Expires partial matches started at or before `t` (context history
-    /// expiry for grouped windows, Figure 7).
-    pub fn expire_history(&mut self, t: Time) {
-        for op in &mut self.ops {
-            if let Op::Pattern(p) = op {
-                p.expire_started_at_or_before(t);
+    /// Discards the partial state the plan's stateful operators hold in
+    /// `slots` as its context window ends (§6.2): all of it, or — while
+    /// grouped windows continue (Figure 7) — the partial matches started
+    /// at or before `started_by`.
+    pub fn discard_history(&self, started_by: Option<Time>, slots: &mut StateSlots) {
+        for op in &self.ops {
+            let Op::Pattern(p) = op else { continue };
+            let Some(run) = slots.held_mut(p.slot()) else {
+                continue;
+            };
+            match started_by {
+                None => run.reset(),
+                Some(t) => run.expire_started_at_or_before(t),
             }
         }
     }
@@ -193,18 +145,6 @@ impl QueryPlan {
             self.context,
             chain.join(" -> ")
         )
-    }
-
-    /// Live partial-match count across stateful operators.
-    #[must_use]
-    pub fn live_partials(&self) -> usize {
-        self.ops
-            .iter()
-            .map(|op| match op {
-                Op::Pattern(p) => p.live_partials(),
-                _ => 0,
-            })
-            .sum()
     }
 }
 
@@ -343,6 +283,7 @@ impl CombinedScratch {
     /// Runs `event` through `ops[start..]` of member `plan`: the
     /// chain's transitions and derived events move to `out`, and the
     /// derived events queue for the members after `plan`.
+    #[allow(clippy::too_many_arguments)] // one member chain step, its sinks and its slots
     fn run_member(
         &mut self,
         ops: &mut [Op],
@@ -351,10 +292,11 @@ impl CombinedScratch {
         plan: usize,
         table: &ContextTable,
         out: &mut PlanOutput,
+        slots: &mut StateSlots,
     ) {
         self.inner.clear();
         self.chain
-            .run_one(ops, start, event, table, &mut self.inner);
+            .run_one(ops, start, event, table, &mut self.inner, slots);
         out.transitions.append(&mut self.inner.transitions);
         for derived in self.inner.events.drain(..) {
             out.events.push(derived.clone());
@@ -496,16 +438,10 @@ impl CombinedPlan {
         &self.shared
     }
 
-    /// The resident run state of shared-prefix group `group` (see
-    /// [`QueryPlan::run_state_mut`]).
-    pub fn group_run_mut(&mut self, group: usize) -> &mut RunState {
-        self.shared[group].run_mut()
-    }
-
-    /// Read access to [`group_run_mut`](Self::group_run_mut)'s value.
-    #[must_use]
-    pub fn group_run(&self, group: usize) -> &RunState {
-        self.shared[group].run()
+    /// The installed shared-prefix groups, to number their run-state
+    /// slots.
+    pub fn shared_groups_mut(&mut self) -> &mut [SharedGroup] {
+        &mut self.shared
     }
 
     /// Returns `true` if the combined plan consumes `type_id` from the
@@ -515,10 +451,16 @@ impl CombinedPlan {
         self.routes.get(type_id.index()).is_some_and(|r| r.external)
     }
 
-    /// Feeds one external event through the combined plan. Derived events
-    /// flow to downstream member plans *and* to `out.events` (they are
-    /// part of the output stream).
-    pub fn process(&mut self, event: &Event, table: &ContextTable, out: &mut PlanOutput) {
+    /// Feeds one external event through the combined plan, its operators'
+    /// run states in `slots`. Derived events flow to downstream member
+    /// plans *and* to `out.events` (they are part of the output stream).
+    pub fn process(
+        &mut self,
+        event: &Event,
+        table: &ContextTable,
+        out: &mut PlanOutput,
+        slots: &mut StateSlots,
+    ) {
         let Self {
             plans,
             shared,
@@ -536,6 +478,7 @@ impl CombinedPlan {
             table,
             out,
             scratch,
+            slots,
         );
     }
 
@@ -557,6 +500,7 @@ impl CombinedPlan {
         table: &ContextTable,
         out: &mut PlanOutput,
         scratch: &mut CombinedScratch,
+        slots: &mut StateSlots,
     ) {
         debug_assert!(scratch.work.is_empty());
         let Some(route) = routes.get(event.type_id.index()) else {
@@ -570,27 +514,35 @@ impl CombinedPlan {
         for m in &route.members {
             let plan = &mut plans[m.plan];
             if m.feed {
-                scratch.run_member(&mut plan.ops, 0, event.clone(), m.plan, table, out);
+                scratch.run_member(&mut plan.ops, 0, event.clone(), m.plan, table, out, slots);
             }
             let Some((g, pos)) = m.boundary else { continue };
-            if !shared[g].open(holds) {
+            let group = &shared[g];
+            if !group.open(holds) {
                 continue;
             }
+            // A group that holds nothing has no full prefix to cross.
+            let Some(prefixes) = slots.take(group.slot()) else {
+                continue;
+            };
             let mut crossed = std::mem::take(&mut scratch.boundary);
             debug_assert!(crossed.is_empty());
             if let Op::Pattern(p) = &mut plan.ops[pos] {
-                p.cross_boundary(&shared[g], event, &mut crossed);
+                let run = slots.get(p.slot());
+                p.cross_boundary(run, group, &prefixes, event, &mut crossed);
             }
+            slots.put(group.slot(), prefixes);
             for matched in crossed.drain(..) {
-                scratch.run_member(&mut plan.ops, pos + 1, matched, m.plan, table, out);
+                let ops = &mut plan.ops;
+                scratch.run_member(ops, pos + 1, matched, m.plan, table, out, slots);
             }
             scratch.boundary = crossed;
         }
-        Self::cascade(plans, routes, table, out, scratch);
+        Self::cascade(plans, routes, table, out, scratch, slots);
         for g in &route.groups {
             let group = &mut shared[g.group];
             if g.advance && group.open(holds) {
-                group.advance(event);
+                group.advance(slots.get(group.slot()), event);
             }
         }
     }
@@ -604,13 +556,15 @@ impl CombinedPlan {
         table: &ContextTable,
         out: &mut PlanOutput,
         scratch: &mut CombinedScratch,
+        slots: &mut StateSlots,
     ) {
         while let Some((start, ev)) = scratch.work.pop() {
             let Some(route) = routes.get(ev.type_id.index()) else {
                 continue;
             };
             for m in route.members.iter().filter(|m| m.plan >= start && m.feed) {
-                scratch.run_member(&mut plans[m.plan].ops, 0, ev.clone(), m.plan, table, out);
+                let ops = &mut plans[m.plan].ops;
+                scratch.run_member(ops, 0, ev.clone(), m.plan, table, out, slots);
             }
         }
     }
@@ -629,7 +583,13 @@ impl CombinedPlan {
     /// state allocates nothing.
     ///
     /// [`process`]: CombinedPlan::process
-    pub fn process_batch(&mut self, events: &[Event], table: &ContextTable, out: &mut PlanOutput) {
+    pub fn process_batch(
+        &mut self,
+        events: &[Event],
+        table: &ContextTable,
+        out: &mut PlanOutput,
+        slots: &mut StateSlots,
+    ) {
         // Distinct externally consumed types of the transaction (almost
         // always exactly 1).
         let mut types = std::mem::take(&mut self.scratch.types);
@@ -644,9 +604,9 @@ impl CombinedPlan {
             return;
         }
         if types.iter().all(|t| self.routes[t.index()].plan_major) {
-            self.process_batch_plan_major(events, &types, table, out);
+            self.process_batch_plan_major(events, &types, table, out, slots);
         } else {
-            self.process_batch_event_major(events, &types, table, out);
+            self.process_batch_event_major(events, &types, table, out, slots);
         }
         self.scratch.types = types;
     }
@@ -667,6 +627,7 @@ impl CombinedPlan {
         types: &[TypeId],
         table: &ContextTable,
         out: &mut PlanOutput,
+        slots: &mut StateSlots,
     ) {
         let Self {
             plans,
@@ -697,6 +658,7 @@ impl CombinedPlan {
                 &mut scratch.sels[idx],
                 table,
                 &mut scratch.chain,
+                slots,
                 outs,
                 trans,
             );
@@ -732,7 +694,7 @@ impl CombinedPlan {
             // plan-major legality guarantees no member consuming them
             // also consumed the external run, so their state still sees
             // inputs in per-event order.
-            Self::cascade(plans, routes, table, out, scratch);
+            Self::cascade(plans, routes, table, out, scratch, slots);
         }
         // Cursor walks must have drained every sink: each output's row
         // tag is a selected row of `types`-membership, all visited.
@@ -751,6 +713,7 @@ impl CombinedPlan {
         types: &[TypeId],
         table: &ContextTable,
         out: &mut PlanOutput,
+        slots: &mut StateSlots,
     ) {
         let Self {
             plans,
@@ -773,23 +736,25 @@ impl CombinedPlan {
                 table,
                 out,
                 scratch,
+                slots,
             );
         }
     }
 
-    /// Advances the watermark on all member plans, feeding any matured
-    /// matches to downstream consumers. Shared-prefix groups prune their
-    /// partials by the same horizon. Returns the earliest deadline of
-    /// the state left behind — a cascade only feeds later members, so
-    /// each is walked after everything it could receive.
-    pub fn advance_time(
+    /// Advances member `idx`'s watermark on its state in `slots`,
+    /// feeding any matured matches to downstream consumers, one full
+    /// cascade per match (the per-event order). Returns the earliest
+    /// deadline of the state left behind — a cascade only feeds later
+    /// members, so a walk in member order visits each after everything
+    /// it could receive.
+    pub fn advance_member(
         &mut self,
+        idx: usize,
         watermark: Time,
         table: &ContextTable,
         out: &mut PlanOutput,
+        slots: &mut StateSlots,
     ) -> Time {
-        let groups = self.shared.iter_mut();
-        let mut next = groups.fold(Time::MAX, |next, g| next.min(g.advance_time(watermark)));
         let Self {
             plans,
             routes,
@@ -797,47 +762,30 @@ impl CombinedPlan {
             ..
         } = self;
         let mut matured = std::mem::take(&mut scratch.matured);
-        for idx in 0..plans.len() {
-            if !plans[idx].needs_advance() {
-                continue;
-            }
-            matured.clear();
-            let plan = &mut plans[idx];
-            next = next.min(plan.advance_time(watermark, table, &mut matured, &mut scratch.chain));
-            out.transitions.append(&mut matured.transitions);
-            // Feed matured matches to downstream members, one full
-            // cascade per match (the per-event order).
-            for derived in matured.events.drain(..) {
-                out.events.push(derived.clone());
-                debug_assert!(scratch.work.is_empty());
-                scratch.work.push((idx + 1, derived));
-                Self::cascade(plans, routes, table, out, scratch);
-            }
+        matured.clear();
+        let (ops, chain) = (&mut plans[idx].ops, &mut scratch.chain);
+        let next = advance_chain_time(ops, watermark, table, &mut matured, chain, slots);
+        out.transitions.append(&mut matured.transitions);
+        for derived in matured.events.drain(..) {
+            out.events.push(derived.clone());
+            debug_assert!(scratch.work.is_empty());
+            scratch.work.push((idx + 1, derived));
+            Self::cascade(plans, routes, table, out, scratch, slots);
         }
         scratch.matured = matured;
         next
     }
 
-    /// Resets the partial state of every member plan (context window
-    /// ended) and of every shared-prefix group.
-    pub fn reset_state(&mut self) {
-        for p in &mut self.plans {
-            p.reset_state();
-        }
-        for g in &mut self.shared {
-            g.reset();
-        }
-    }
-
-    /// Resets the *gated* shared-prefix groups — called when this plan's
-    /// context window terminates. Gated members are scoped to exactly
-    /// that window (eligibility forbids extra bits), so their private
-    /// state is reset at the same moment; ungated groups mirror their
-    /// window-free members and keep their state.
-    pub fn reset_shared_gated(&mut self) {
-        for g in &mut self.shared {
-            if g.gated() {
-                g.reset();
+    /// Resets the *gated* shared-prefix groups' state in `slots` —
+    /// called when this plan's context window terminates. Gated members
+    /// are scoped to exactly that window (eligibility forbids extra
+    /// bits), so their private state is reset at the same moment;
+    /// ungated groups mirror their window-free members and keep their
+    /// state.
+    pub fn reset_shared_gated(&self, slots: &mut StateSlots) {
+        for g in self.shared.iter().filter(|g| g.gated()) {
+            if let Some(run) = slots.held_mut(g.slot()) {
+                run.reset();
             }
         }
     }
@@ -939,7 +887,7 @@ mod tests {
     use super::*;
     use crate::expr::CompiledExpr;
     use crate::ops::{ContextWindowOp, ProjectOp};
-    use crate::pattern::PatternOp;
+    use crate::pattern::{PatternOp, RunState};
     use caesar_events::{AttrType, PartitionId, Schema, SchemaRegistry, Value};
     use caesar_query::ast::{EventQuery, Pattern};
 
@@ -1015,7 +963,12 @@ mod tests {
 
         let table = ContextTable::new(1, 0);
         let mut out = PlanOutput::default();
-        combined.process(&in_event(&reg, 5, 42), &table, &mut out);
+        combined.process(
+            &in_event(&reg, 5, 42),
+            &table,
+            &mut out,
+            &mut StateSlots::default(),
+        );
         // Both the intermediate and the final derived event are output.
         assert_eq!(out.events.len(), 2);
         let types: Vec<TypeId> = out.events.iter().map(|e| e.type_id).collect();
@@ -1034,7 +987,12 @@ mod tests {
         let mut combined = CombinedPlan::new("c".into(), 0, vec![p2, p1]);
         let table = ContextTable::new(1, 0);
         let mut out = PlanOutput::default();
-        combined.process(&in_event(&reg, 5, 42), &table, &mut out);
+        combined.process(
+            &in_event(&reg, 5, 42),
+            &table,
+            &mut out,
+            &mut StateSlots::default(),
+        );
         assert_eq!(out.events.len(), 1, "only Mid; Final not produced");
     }
 
@@ -1051,11 +1009,11 @@ mod tests {
         let mut out_a = PlanOutput::default();
         for e in &events {
             if per_event.consumes_external(e.type_id) {
-                per_event.process(e, &table, &mut out_a);
+                per_event.process(e, &table, &mut out_a, &mut StateSlots::default());
             }
         }
         let mut out_b = PlanOutput::default();
-        batched.process_batch(&events, &table, &mut out_b);
+        batched.process_batch(&events, &table, &mut out_b, &mut StateSlots::default());
         assert_eq!(out_a.events, out_b.events);
         assert_eq!(out_a.transitions, out_b.transitions);
     }
@@ -1074,7 +1032,14 @@ mod tests {
         // Mixed batch: only the two In events are consumed.
         let events = vec![in_event(&reg, 5, 1), mid, in_event(&reg, 5, 2)];
         let mut out = PlanOutput::default();
-        plan.process_batch(&events, &table, &mut out, &mut ChainScratch::default());
+        let slots = &mut StateSlots::default();
+        plan.process_batch(
+            &events,
+            &table,
+            &mut out,
+            &mut ChainScratch::default(),
+            slots,
+        );
         assert_eq!(out.events.len(), 2);
         assert_eq!(out.events[0].attrs[0], Value::Int(1));
         assert_eq!(out.events[1].attrs[0], Value::Int(2));
@@ -1146,6 +1111,12 @@ mod tests {
             false,
             vec![member(0), member(1)],
         )]);
+        combined.shared_groups_mut()[0].set_slot(0);
+        for (slot, plan) in (1..).zip(&mut combined.plans) {
+            if let Op::Pattern(p) = &mut plan.ops[0] {
+                p.set_slot(slot);
+            }
+        }
 
         // The bytes are the five persistent fields and nothing else.
         let bytes = serde::to_bytes(&combined);
@@ -1172,10 +1143,11 @@ mod tests {
             })
             .collect();
         let (mut out_a, mut out_b) = (PlanOutput::default(), PlanOutput::default());
+        let (mut slots_a, mut slots_b) = (StateSlots::default(), StateSlots::default());
         for e in &stream {
             assert!(restored.consumes_external(e.type_id));
-            combined.process(e, &table, &mut out_a);
-            restored.process(e, &table, &mut out_b);
+            combined.process(e, &table, &mut out_a, &mut slots_a);
+            restored.process(e, &table, &mut out_b, &mut slots_b);
         }
         assert_eq!(out_a.events.len(), 3, "(1,2), (1,4), (3,4)");
         assert_eq!(out_a.events, out_b.events);
@@ -1192,12 +1164,13 @@ mod tests {
         let in_ty = reg.lookup("In").unwrap();
         let mid_ty = reg.lookup("Mid").unwrap();
         // A 2-element sequence keeps partials.
-        let seq = crate::nfa::PatternBuilder::new(reg.lookup("Final").unwrap())
+        let mut seq = crate::nfa::PatternBuilder::new(reg.lookup("Final").unwrap())
             .then(in_ty)
             .then(mid_ty)
             .within(1000)
             .offsets(vec![0, 1])
             .build();
+        seq.set_slot(0);
         let plan = QueryPlan {
             query_id: QueryId(0),
             context: "c".into(),
@@ -1211,9 +1184,11 @@ mod tests {
         let mut combined = CombinedPlan::new("c".into(), 0, vec![plan]);
         let table = ContextTable::new(1, 0);
         let mut out = PlanOutput::default();
-        combined.process(&in_event(&reg, 1, 7), &table, &mut out);
-        assert_eq!(combined.plans[0].live_partials(), 1);
-        combined.reset_state();
-        assert_eq!(combined.plans[0].live_partials(), 0);
+        let mut slots = StateSlots::default();
+        combined.process(&in_event(&reg, 1, 7), &table, &mut out, &mut slots);
+        let live = |slots: &StateSlots| slots.peek(Some(0)).map_or(0, RunState::live_partials);
+        assert_eq!(live(&slots), 1);
+        combined.plans[0].discard_history(None, &mut slots);
+        assert_eq!(live(&slots), 0);
     }
 }

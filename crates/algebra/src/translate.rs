@@ -632,6 +632,20 @@ mod tests {
     use caesar_query::parser::parse_model;
     use caesar_query::queryset::QuerySet;
 
+    /// Numbers the run-state slots of `plan`'s patterns, one each, and
+    /// returns the slots they run on.
+    fn numbered(plan: &mut crate::plan::CombinedPlan) -> crate::pattern::StateSlots {
+        let patterns = plan.plans.iter_mut().flat_map(|p| &mut p.ops);
+        let mut n = 0;
+        for op in patterns {
+            if let Op::Pattern(p) = op {
+                p.set_slot(n);
+                n += 1;
+            }
+        }
+        crate::pattern::StateSlots::new(n as usize)
+    }
+
     fn lr_registry() -> SchemaRegistry {
         let mut reg = SchemaRegistry::new();
         reg.register(Schema::new(
@@ -800,6 +814,7 @@ mod tests {
             .find(|c| c.context == "congestion")
             .unwrap();
         let mut sink = crate::plan::PlanOutput::default();
+        let mut slots = numbered(plan);
         // A car reporting at t=30 with no prior report is new → toll.
         let e = Event::simple(
             pr_tid,
@@ -812,7 +827,7 @@ mod tests {
                 Value::str("travel"),
             ],
         );
-        plan.process(&e, &table, &mut sink);
+        plan.process(&e, &table, &mut sink, &mut slots);
         let tolls: Vec<&Event> = sink
             .events
             .iter()
@@ -835,7 +850,7 @@ mod tests {
                 Value::str("travel"),
             ],
         );
-        plan.process(&e2, &table, &mut sink);
+        plan.process(&e2, &table, &mut sink, &mut slots);
         assert!(sink.events.iter().all(|e| e.type_id != toll_tid));
     }
 
@@ -859,6 +874,7 @@ mod tests {
             .find(|c| c.context == "congestion")
             .unwrap();
         let mut sink = crate::plan::PlanOutput::default();
+        let mut slots = numbered(plan);
         let e = Event::simple(
             pr_tid,
             30,
@@ -870,7 +886,7 @@ mod tests {
                 Value::str("exit"),
             ],
         );
-        plan.process(&e, &table, &mut sink);
+        plan.process(&e, &table, &mut sink, &mut slots);
         assert!(sink.events.iter().all(|ev| ev.type_id != toll_tid));
     }
 
@@ -886,6 +902,7 @@ mod tests {
             .find(|c| c.context == "congestion")
             .unwrap();
         let mut sink = crate::plan::PlanOutput::default();
+        let mut slots = numbered(plan);
         let e = Event::simple(
             pr_tid,
             30,
@@ -897,7 +914,7 @@ mod tests {
                 Value::str("travel"),
             ],
         );
-        plan.process(&e, &table, &mut sink);
+        plan.process(&e, &table, &mut sink, &mut slots);
         assert!(
             sink.events.is_empty(),
             "congestion plan inactive in clear context"
@@ -915,8 +932,9 @@ mod tests {
             .find(|c| c.context == "clear")
             .unwrap();
         let mut sink = crate::plan::PlanOutput::default();
+        let mut slots = numbered(clear_plan);
         let e = Event::simple(msc_tid, 100, PartitionId(0), vec![Value::Int(3)]);
-        clear_plan.process(&e, &table, &mut sink);
+        clear_plan.process(&e, &table, &mut sink, &mut slots);
         assert_eq!(sink.transitions.len(), 2);
         use crate::context_table::TransitionKind;
         assert_eq!(sink.transitions[0].kind, TransitionKind::Initiate);

@@ -1,8 +1,8 @@
 //! Property-based pool-recycling invariants.
 //!
 //! The pattern operator stores partial matches in a generation-indexed
-//! slab ([`PatternOp::pool_consistent`] checks its structural
-//! invariants). These properties drive a stateful sequence pattern with
+//! slab of the caller's [`RunState`] ([`RunState::pool_consistent`]
+//! checks its structural invariants). These properties drive a stateful sequence pattern with
 //! trailing negation through adversarial interleavings of feeds,
 //! watermark advances, window closes (reset) and history expiry
 //! (retraction cycles), asserting after every step that
@@ -15,13 +15,13 @@
 //!    speculative splice — changes nothing observable: outputs stay
 //!    equal to a never-snapshotted twin, so no match can ever assemble
 //!    from a stale (freed-and-reused) partial, and
-//! 3. the same holds when one operator serves several partitions by
-//!    swapping their detached [`RunState`]s in and out, with emptied
-//!    states (slab capacity and bumped generations included) recycled
-//!    from one partition to the next.
+//! 3. the same holds when one operator serves several partitions
+//!    through their slots ([`StateSlots`] entered and left per
+//!    transaction), with emptied states (slab capacity and bumped
+//!    generations included) recycled from one partition to the next.
 
 use caesar_algebra::nfa::PatternBuilder;
-use caesar_algebra::pattern::{PatternOp, RunState};
+use caesar_algebra::pattern::{PatternOp, RunState, RunStates, StateSlots};
 use caesar_events::{AttrType, Event, PartitionId, Schema, SchemaRegistry, Time, TypeId, Value};
 use proptest::prelude::*;
 
@@ -72,8 +72,8 @@ proptest! {
         // `live` is snapshot/restored mid-stream (slab re-pooled, like a
         // speculative splice); `twin` never is. Byte-for-byte equal
         // outputs prove slab layout is unobservable.
-        let mut live = pattern(&reg);
-        let mut twin = pattern(&reg);
+        let (mut live_op, mut twin_op) = (pattern(&reg), pattern(&reg));
+        let (mut live, mut twin) = (RunState::default(), RunState::default());
         let mut t: Time = 1;
         let mut out_live: Vec<Event> = Vec::new();
         let mut out_twin: Vec<Event> = Vec::new();
@@ -85,15 +85,15 @@ proptest! {
                     t += arg % 2;
                     let ty = if kind == 0 { a } else { b };
                     let ev = event(ty, t, arg as i64);
-                    live.process(&ev, &mut out_live);
-                    twin.process(&ev, &mut out_twin);
+                    live_op.process(&mut live, &ev, &mut out_live);
+                    twin_op.process(&mut twin, &ev, &mut out_twin);
                 }
                 // Watermark advance: emits matured pending matches,
                 // expires window-exceeded partials.
                 2 => {
                     t += arg;
-                    live.advance_time(t, &mut out_live);
-                    twin.advance_time(t, &mut out_twin);
+                    live_op.advance_time(&mut live, t, &mut out_live);
+                    twin_op.advance_time(&mut twin, t, &mut out_twin);
                 }
                 // History expiry (grouped-window retraction cycle).
                 3 => {
@@ -122,18 +122,19 @@ proptest! {
             prop_assert_eq!(live.live_partials(), twin.live_partials());
         }
         // Drain: everything still parked must mature identically.
-        live.advance_time(t + 100, &mut out_live);
-        twin.advance_time(t + 100, &mut out_twin);
+        live_op.advance_time(&mut live, t + 100, &mut out_live);
+        twin_op.advance_time(&mut twin, t + 100, &mut out_twin);
         prop_assert_eq!(out_live, out_twin);
         live.reset();
         prop_assert!(live.pool_consistent());
         prop_assert_eq!(live.live_partials(), 0);
     }
 
-    /// One shared operator, three partitions bound one at a time the way
-    /// the runtime does it (swap in, run, swap out; a state that emptied
-    /// goes to a free list the next new state is taken from), against
-    /// one private never-swapped operator per partition.
+    /// One shared operator, three partitions taking turns the way the
+    /// runtime runs them (their slots entered, the operator handed its
+    /// slot, the slots left; a state that emptied goes to a free list
+    /// the next new state is taken from), against one private operator
+    /// and state per partition.
     #[test]
     fn recycled_run_states_never_leak_across_partitions(
         script in prop::collection::vec((0usize..3, 0u8..=4, 0u64..8), 1..120)
@@ -142,47 +143,56 @@ proptest! {
         let a = reg.lookup("A").unwrap();
         let b = reg.lookup("B").unwrap();
         let mut shared = pattern(&reg);
-        let mut held: Vec<Option<Box<RunState>>> = vec![None, None, None];
-        let mut spare: Vec<Box<RunState>> = Vec::new();
-        let mut twins = [pattern(&reg), pattern(&reg), pattern(&reg)];
+        shared.set_slot(0);
+        let slot = shared.slot();
+        let mut slots = StateSlots::new(1);
+        let mut held: [RunStates; 3] = Default::default();
+        let mut twin_op = pattern(&reg);
+        let mut twins: [RunState; 3] = Default::default();
         let mut out_shared: [Vec<Event>; 3] = Default::default();
         let mut out_twins: [Vec<Event>; 3] = Default::default();
         let mut t: Time = 1;
         for (step, &(p, kind, arg)) in script.iter().enumerate() {
-            if let Some(state) = &mut held[p] {
-                std::mem::swap(shared.run_mut(), &mut **state);
-            }
-            for (op, out) in [(&mut shared, &mut out_shared[p]), (&mut twins[p], &mut out_twins[p])] {
-                match kind {
-                    0 | 1 => {
-                        let ty = if kind == 0 { a } else { b };
-                        op.process(&event(ty, t + arg % 2, arg as i64), out);
+            slots.enter(&mut held[p]);
+            let twin = &mut twins[p];
+            let (out, twin_out) = (&mut out_shared[p], &mut out_twins[p]);
+            match kind {
+                0 | 1 => {
+                    let ty = if kind == 0 { a } else { b };
+                    let e = event(ty, t + arg % 2, arg as i64);
+                    shared.process(slots.get(slot), &e, out);
+                    twin_op.process(twin, &e, twin_out);
+                }
+                2 => {
+                    if let Some(run) = slots.held_mut(slot) {
+                        shared.advance_time(run, t + arg, out);
                     }
-                    2 => {
-                        op.advance_time(t + arg, out);
+                    twin_op.advance_time(twin, t + arg, twin_out);
+                }
+                3 => {
+                    let cutoff = t.saturating_sub(arg);
+                    if let Some(run) = slots.held_mut(slot) {
+                        run.expire_started_at_or_before(cutoff);
                     }
-                    3 => op.expire_started_at_or_before(t.saturating_sub(arg)),
-                    _ => op.reset(),
+                    twin.expire_started_at_or_before(cutoff);
+                }
+                _ => {
+                    if let Some(run) = slots.held_mut(slot) {
+                        run.reset();
+                    }
+                    twin.reset();
                 }
             }
             t += if kind == 2 { arg } else { arg % 2 };
-            prop_assert!(shared.pool_consistent(), "bound state, step {}", step);
-            match (shared.has_state(), held[p].take()) {
-                (true, state) => {
-                    let mut state = state.or_else(|| spare.pop()).unwrap_or_default();
-                    std::mem::swap(shared.run_mut(), &mut *state);
-                    held[p] = Some(state);
-                }
-                (false, state) => {
-                    shared.run_mut().recycle();
-                    spare.extend(state);
-                }
+            if let Some(state) = slots.peek(slot) {
+                prop_assert!(state.pool_consistent(), "entered state, step {}", step);
             }
-            prop_assert!(!shared.has_state(), "operator is empty between transactions");
-            prop_assert!(held.iter().flatten().all(|s| s.pool_consistent() && s.has_state()));
-            prop_assert!(spare.iter().all(|s| s.pool_consistent() && !s.has_state()));
+            slots.leave(&mut held[p]);
+            for states in &held {
+                prop_assert!(states.iter().all(|s| s.pool_consistent() && s.has_state()));
+            }
             prop_assert_eq!(&out_shared, &out_twins, "outputs diverged at step {}", step);
-            let live: usize = held[p].as_ref().map_or(0, |s| s.live_partials());
+            let live: usize = held[p].iter().map(RunState::live_partials).sum();
             prop_assert_eq!(live, twins[p].live_partials());
         }
     }

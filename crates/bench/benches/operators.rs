@@ -5,7 +5,7 @@
 use caesar_algebra::expr::{BindingLayout, CompiledExpr, LayoutVar, SlotSource};
 use caesar_algebra::nfa::PatternBuilder;
 use caesar_algebra::ops::{FilterOp, ProjectOp};
-use caesar_algebra::pattern::PatternOp;
+use caesar_algebra::pattern::{PatternOp, RunState};
 use caesar_events::{AttrType, Event, PartitionId, Schema, SchemaRegistry, Value};
 use caesar_query::ast::{BinOp, Expr};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
@@ -62,9 +62,9 @@ fn bench_passthrough(c: &mut Criterion) {
     group.bench_function("passthrough_10k_events", |b| {
         b.iter(|| {
             let mut p = PatternOp::passthrough(reg.lookup("R").unwrap());
-            let mut out = Vec::new();
+            let (mut run, mut out) = (RunState::default(), Vec::new());
             for e in &stream {
-                p.process(black_box(e), &mut out);
+                p.process(&mut run, black_box(e), &mut out);
             }
             black_box(out.len())
         })
@@ -107,10 +107,10 @@ fn bench_sequence(c: &mut Criterion) {
                 .within(50)
                 .offsets(vec![0, 3])
                 .build();
-            let mut out = Vec::new();
+            let (mut run, mut out) = (RunState::default(), Vec::new());
             for e in &stream {
-                p.process(black_box(e), &mut out);
-                p.advance_time(e.time(), &mut out);
+                p.process(&mut run, black_box(e), &mut out);
+                p.advance_time(&mut run, e.time(), &mut out);
             }
             black_box(out.len())
         })
@@ -147,10 +147,10 @@ fn bench_sequence(c: &mut Criterion) {
                 .within(60)
                 .offsets(vec![0])
                 .build();
-            let mut out = Vec::new();
+            let (mut run, mut out) = (RunState::default(), Vec::new());
             for e in &stream {
-                p.process(black_box(e), &mut out);
-                p.advance_time(e.time(), &mut out);
+                p.process(&mut run, black_box(e), &mut out);
+                p.advance_time(&mut run, e.time(), &mut out);
             }
             black_box(out.len())
         })

@@ -67,15 +67,21 @@ impl std::error::Error for CodecError {}
 
 /// Appends one encoded event to `buf`.
 pub fn encode(event: &Event, buf: &mut BytesMut) {
-    // Reserve the length slot, fill afterwards.
-    let len_pos = buf.len();
-    buf.put_u32_le(0);
-    let body_start = buf.len();
-    buf.put_u32_le(event.type_id.0);
-    buf.put_u64_le(event.occurrence.start);
-    buf.put_u64_le(event.occurrence.end);
-    buf.put_u32_le(event.partition.0);
-    buf.put_u16_le(event.attrs.len() as u16);
+    // One pass: size the event, reserve once, write the fixed header as
+    // one slice — its length prefix is known up front.
+    let attrs: usize = event.attrs.iter().map(value_len).sum();
+    let steps = event.provenance.as_ref().map(|p| p.steps.as_slice());
+    let provenance = steps.map_or(0, |steps| 2 + steps.len() * 20);
+    let body = HEADER_LEN - 4 + attrs + provenance;
+    buf.reserve(4 + body);
+    let mut header = [0u8; HEADER_LEN];
+    header[0..4].copy_from_slice(&(body as u32).to_le_bytes());
+    header[4..8].copy_from_slice(&event.type_id.0.to_le_bytes());
+    header[8..16].copy_from_slice(&event.occurrence.start.to_le_bytes());
+    header[16..24].copy_from_slice(&event.occurrence.end.to_le_bytes());
+    header[24..28].copy_from_slice(&event.partition.0.to_le_bytes());
+    header[28..30].copy_from_slice(&(event.attrs.len() as u16).to_le_bytes());
+    buf.put_slice(&header);
     for value in event.attrs.iter() {
         match value {
             Value::Null => buf.put_u8(0),
@@ -98,16 +104,28 @@ pub fn encode(event: &Event, buf: &mut BytesMut) {
             }
         }
     }
-    if let Some(prov) = &event.provenance {
-        buf.put_u16_le(prov.steps.len() as u16);
-        for step in &prov.steps {
+    if let Some(steps) = steps {
+        buf.put_u16_le(steps.len() as u16);
+        for step in steps {
             buf.put_u32_le(step.type_id.0);
             buf.put_u64_le(step.occurrence.start);
             buf.put_u64_le(step.occurrence.end);
         }
     }
-    let body_len = (buf.len() - body_start) as u32;
-    buf[len_pos..len_pos + 4].copy_from_slice(&body_len.to_le_bytes());
+}
+
+/// Bytes of the fixed header: the length prefix, type id, occurrence,
+/// partition and attribute count.
+const HEADER_LEN: usize = 30;
+
+/// Encoded bytes of one attribute value: its tag and payload.
+fn value_len(value: &Value) -> usize {
+    match value {
+        Value::Null => 1,
+        Value::Int(_) | Value::Float(_) => 9,
+        Value::Bool(_) => 2,
+        Value::Str(s) => 5 + s.len(),
+    }
 }
 
 /// Encodes a single event into a standalone byte vector. Because the

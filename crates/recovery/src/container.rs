@@ -54,8 +54,14 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CAESNAP\0";
 ///   the state names the bound partition (the worklist itself is
 ///   rebuilt from the records on restore);
 /// * 7 — the filter and projection operators in `EngineState.template`
-///   lost their two vectorized-kernel row counters.
-pub const SNAPSHOT_VERSION: u32 = 7;
+///   lost their two vectorized-kernel row counters;
+/// * 8 — operators hold no run state: each pattern and shared-prefix
+///   group in `EngineState.template` carries its run-state slot number
+///   instead of an (always empty) resident state, the program carries
+///   its deriving-plan routing table and per-bit termination index,
+///   the engine's per-type counters are vectors indexed by type, and
+///   `EngineState` no longer names a bound partition.
+pub const SNAPSHOT_VERSION: u32 = 8;
 /// Fixed header length in bytes.
 const HEADER_LEN: usize = 40;
 

@@ -261,16 +261,11 @@ pub struct EngineState {
     template: ProgramTemplate,
     default_bit: u8,
     partitions: PartitionMap<PartitionRun>,
-    /// The partition bound into the program when the snapshot was taken
-    /// (its record, if it holds anything, is in `partitions`): the
-    /// restored engine binds it again, so it is left to its own
-    /// transactions as it was, not swept as a stored record.
-    bound: Option<u32>,
     scheduler: TimeDrivenScheduler,
     router: Router,
     type_names: BTreeMap<TypeId, String>,
-    outputs_by_type: BTreeMap<TypeId, u64>,
-    inputs_by_type: BTreeMap<TypeId, u64>,
+    outputs_by_type: Vec<u64>,
+    inputs_by_type: Vec<u64>,
     events_in: u64,
     events_out: u64,
     transitions_applied: u64,
@@ -384,28 +379,22 @@ pub struct Engine {
     config: EngineConfig,
     table: ContextTable,
     /// The one executing program: plans, operator counters, router
-    /// gates. Its stateful operators hold the run
-    /// state of the `bound` partition and of no other.
+    /// gates. Its operators hold no run state: a transaction hands them
+    /// its partition's.
     template: ProgramTemplate,
     default_bit: u8,
     /// Run state of the partitions that hold any (a live partial, a
     /// parked match, a buffered negated event, queued feedback), keyed
-    /// by (sparse) partition id; a partition without is absent, and so
-    /// is the `bound` one. A hash map — a partition switch is one
-    /// remove and at most one insert — so the one walk whose order is
-    /// observable, `finish`, sorts the ids (a snapshot encodes the map
-    /// key-sorted).
+    /// by (sparse) partition id; a partition without is absent. A hash
+    /// map — a transaction looks its partition up once — so the one
+    /// walk whose order is observable, `finish`, sorts the ids (a
+    /// snapshot encodes the map key-sorted).
     partitions: PartitionMap<PartitionRun>,
     /// The expiry worklist, earliest first: `(d, p)` once what `p` held
     /// when entered — run state, closed context spans — is dead at `d`.
     /// One entry per record is live ([`PartitionRun::queued`]); stale
     /// ones are skipped when popped ([`sweep_to`](Self::sweep_to)).
     worklist: BinaryHeap<Reverse<(Time, u32)>>,
-    /// The partition whose run state is bound into `template` — the
-    /// last one that executed a transaction — with its record. It
-    /// stays bound until another partition's turn, so a run of
-    /// transactions in one partition binds once.
-    bound: Option<(u32, PartitionRun)>,
     /// Sum of the stored records' [`PartitionRun::bytes`].
     run_state_bytes: usize,
     /// The router's selection buffer, reused across transactions.
@@ -416,8 +405,10 @@ pub struct Engine {
     scheduler: TimeDrivenScheduler,
     router: Router,
     type_names: BTreeMap<TypeId, String>,
-    outputs_by_type: BTreeMap<TypeId, u64>,
-    inputs_by_type: BTreeMap<TypeId, u64>,
+    /// Output events by type, indexed by [`TypeId::index`].
+    outputs_by_type: Vec<u64>,
+    /// Input events by type, indexed by [`TypeId::index`].
+    inputs_by_type: Vec<u64>,
     events_in: u64,
     events_out: u64,
     transitions_applied: u64,
@@ -483,11 +474,14 @@ impl Engine {
                 }
             }
         }
-        let template = ProgramTemplate::build(
+        let mut template = ProgramTemplate::build(
             program.translation.combined,
             config.sharing.then_some(&program.sharing),
             config.mode,
         );
+        template
+            .slots
+            .count_sizes(config.observability.counters_enabled());
         let default_bit = program.translation.default_bit;
         let table = ContextTable::new(program.translation.context_names.len(), default_bit);
         let type_names = registry
@@ -502,15 +496,14 @@ impl Engine {
             default_bit,
             partitions: PartitionMap::default(),
             worklist: BinaryHeap::new(),
-            bound: None,
             run_state_bytes: 0,
             active: Vec::new(),
             scratch: Scratch::default(),
             scheduler: TimeDrivenScheduler::new(),
             router: Router::new(),
             type_names,
-            outputs_by_type: BTreeMap::new(),
-            inputs_by_type: BTreeMap::new(),
+            outputs_by_type: Vec::new(),
+            inputs_by_type: Vec::new(),
             events_in: 0,
             events_out: 0,
             transitions_applied: 0,
@@ -538,7 +531,6 @@ impl Engine {
     /// buffer — it is fed in settled order; no observability; outputs
     /// captured by transaction so they can be emitted, not collected).
     fn fork_core(&self) -> Box<Engine> {
-        let (template, partitions) = self.unbound_program();
         let mut fork = Box::new(Engine {
             config: EngineConfig {
                 consistency: Consistency::Strict,
@@ -548,12 +540,11 @@ impl Engine {
                 ..self.config
             },
             table: self.table.clone(),
-            template,
+            template: self.template.clone(),
             default_bit: self.default_bit,
             run_state_bytes: 0,
             partitions: PartitionMap::default(),
             worklist: BinaryHeap::new(),
-            bound: None,
             active: Vec::new(),
             scratch: Scratch::default(),
             scheduler: self.scheduler.clone(),
@@ -576,7 +567,7 @@ impl Engine {
             spec_rebuilds: 0,
             spec_replayed: 0,
         });
-        fork.adopt(partitions);
+        fork.adopt(self.partitions.clone());
         fork.enter_rows();
         fork
     }
@@ -624,14 +615,12 @@ impl Engine {
             self.speculation_settled(),
             "snapshot of a speculative engine requires settle() first"
         );
-        let (template, partitions) = self.unbound_program();
         EngineState {
             config: self.config,
             table: self.table.clone(),
-            template,
+            template: self.template.clone(),
             default_bit: self.default_bit,
-            partitions,
-            bound: self.bound.as_ref().map(|(id, _)| *id),
+            partitions: self.partitions.clone(),
             scheduler: self.scheduler.clone(),
             router: self.router.clone(),
             type_names: self.type_names.clone(),
@@ -673,16 +662,14 @@ impl Engine {
         }
         self.table = state.table;
         self.template = state.template;
+        let sizes = self.config.observability.counters_enabled();
+        self.template.slots.count_sizes(sizes);
         self.default_bit = state.default_bit;
         self.partitions.clear();
         self.worklist.clear();
-        self.bound = None;
         self.run_state_bytes = 0;
         self.adopt(state.partitions);
         self.enter_rows();
-        if let Some(id) = state.bound {
-            self.bind(id);
-        }
         self.scheduler = state.scheduler;
         self.router = state.router;
         self.type_names = state.type_names;
@@ -706,62 +693,11 @@ impl Engine {
         Ok(())
     }
 
-    /// Partitions the engine currently holds run state for, and the
-    /// capacity-based size of that state — O(stateful operators): the
-    /// stored records are counted and summed as they change, only the
-    /// bound partition is looked at.
-    fn state_size(&self) -> (usize, usize) {
-        let bound = self.bound.as_ref();
-        let bound_bytes = bound.and_then(|(_, run)| self.template.bound_bytes(run));
-        (
-            self.partitions.len() + usize::from(bound_bytes.is_some()),
-            self.run_state_bytes + bound_bytes.unwrap_or(0),
-        )
-    }
-
-    /// Partitions the engine currently holds run state for.
+    /// Partitions the engine currently holds run state for — counted as
+    /// records come and go, like the `run_state_bytes` gauge.
     #[must_use]
     pub fn partitions_with_state(&self) -> usize {
-        self.state_size().0
-    }
-
-    /// Copies of the program and the per-partition run state with
-    /// nothing bound: what a snapshot stores and a fork starts from.
-    pub(crate) fn unbound_program(&self) -> (ProgramTemplate, PartitionMap<PartitionRun>) {
-        let mut template = self.template.clone();
-        let mut partitions = self.partitions.clone();
-        if let Some((id, run)) = &self.bound {
-            let mut run = run.clone();
-            template.unbind(&mut run);
-            if !run.is_empty() {
-                partitions.insert(*id, run);
-            }
-        }
-        (template, partitions)
-    }
-
-    /// Makes `id` the bound partition, unless it already is. A
-    /// partition that holds no run state starts from the empty record,
-    /// which allocates nothing and is only stored if something is left
-    /// in it when another partition's turn comes.
-    fn bind(&mut self, id: u32) {
-        if self.bound.as_ref().is_some_and(|(bound, _)| *bound == id) {
-            return;
-        }
-        self.unbind();
-        let mut run = self.partitions.remove(&id).unwrap_or_default();
-        self.run_state_bytes -= run.bytes();
-        self.template.bind(&mut run);
-        self.bound = Some((id, run));
-    }
-
-    /// Moves the bound partition's run state out of the program and
-    /// stores what is left of it.
-    fn unbind(&mut self) {
-        if let Some((id, mut run)) = self.bound.take() {
-            self.template.unbind(&mut run);
-            self.store(id, run);
-        }
+        self.partitions.len()
     }
 
     /// Stores a partition's record unless it is empty, making sure it
@@ -780,7 +716,6 @@ impl Engine {
     fn adopt(&mut self, partitions: PartitionMap<PartitionRun>) {
         for (id, mut run) in partitions {
             run.queued = None;
-            run.refresh_bytes();
             self.store(id, run);
         }
     }
@@ -802,19 +737,14 @@ impl Engine {
     /// since — its record took part in a transaction, or, without a
     /// record, its context row was updated; otherwise it clears the
     /// partition's closed context spans ([`ContextTable::expire`]),
-    /// prunes the record in place, without binding it
-    /// ([`ProgramTemplate::expire`]), and, once the partition holds no
-    /// run state, releases its row if that is back at the startup state
-    /// ([`ContextTable::release`]). So a record is pruned, and a row
+    /// prunes the record in place ([`ProgramTemplate::expire`]), and,
+    /// once the partition holds no run state, releases its row if that
+    /// is back at the startup state ([`ContextTable::release`]). So a record is pruned, and a row
     /// released, at the first sweep past the partition's latest
     /// transaction (a row's latest update) plus the program's horizon,
     /// whatever the history of its entries — a restored engine, which
     /// enters its records and rows afresh, prunes and releases when the
-    /// original does. Stale entries are skipped. The bound partition is
-    /// left to its own transactions: its due entry clears its spans and
-    /// releases its row when nothing is bound, else comes back at the
-    /// next sweep, after a transaction has either stored what it holds
-    /// or made it active.
+    /// original does. Stale entries are skipped.
     ///
     /// Sound because no later event of any partition precedes the
     /// watermark (the scheduler's progress; for the speculative fork,
@@ -842,27 +772,6 @@ impl Engine {
             }
             self.worklist.pop();
             let partition = PartitionId(id);
-            if let Some((_, run)) = self.bound.as_mut().filter(|(bound, _)| *bound == id) {
-                // Without a live entry of its own, the entry is its row's
-                // (a restored engine enters rows apart from records).
-                if run.queued.is_some_and(|queued| queued != due) {
-                    continue;
-                }
-                run.queued = None;
-                if run.touched.saturating_add(horizon) >= watermark {
-                    // Active since it was entered.
-                    schedule(&mut self.worklist, horizon, id, run);
-                    continue;
-                }
-                if self.template.bound_bytes(run).is_none() {
-                    cleared |= self.table.release(partition, watermark);
-                } else {
-                    cleared |= self.table.expire(partition, watermark);
-                    self.worklist.push(Reverse((watermark, id)));
-                    run.queued = Some(watermark);
-                }
-                continue;
-            }
             let Some(run) = self.partitions.get_mut(&id) else {
                 // No run state: the row is due one horizon after its
                 // latest update.
@@ -909,7 +818,7 @@ impl Engine {
     #[must_use]
     pub fn gather_stats(&self) -> Observations {
         let mut obs = Observations {
-            inputs_by_type: self.inputs_by_type.clone(),
+            inputs_by_type: by_type(&self.inputs_by_type).collect(),
             progress: self.scheduler.progress(),
             ..Observations::default()
         };
@@ -965,7 +874,7 @@ impl Engine {
 
     fn ingest_one_ordered(&mut self, event: Event) -> Result<(), EventError> {
         self.events_in += 1;
-        *self.inputs_by_type.entry(event.type_id).or_insert(0) += 1;
+        count(&mut self.inputs_by_type, event.type_id);
         let span = self.obs.span_start();
         let before = self.scheduler.progress();
         self.scheduler.ingest(event)?;
@@ -1041,16 +950,15 @@ impl Engine {
         // trailing outputs are emitted in.
         let final_mark = self.scheduler.progress().saturating_add(1_000_000);
         let mut out = PlanOutput::default();
-        self.unbind();
         let mut holding: Vec<(u32, PartitionRun)> = self.partitions.drain().collect();
         holding.sort_unstable_by_key(|(id, _)| *id);
         for (id, mut run) in holding {
             self.run_state_bytes -= run.bytes();
-            self.template.bind(&mut run);
-            self.bound = Some((id, run));
+            self.template.slots.enter(&mut run.states);
             self.template
                 .advance_time(final_mark, &self.table, &mut out);
-            self.unbind();
+            self.template.slots.leave(&mut run.states);
+            self.store(id, run);
             // The trailing outputs of a partition belong to no
             // transaction: they are accounted under the end of time.
             self.account_outputs(PartitionId(id), Time::MAX, &out);
@@ -1078,7 +986,10 @@ impl Engine {
 
     /// Executes one stream transaction: derivation, transition
     /// application (with context-history maintenance), routing,
-    /// processing, the partition's watermark advance.
+    /// processing, the partition's watermark advance. The partition's
+    /// record is looked up once; its run states are handed to the
+    /// operators the transaction reaches and, at its end, only those
+    /// are examined ([`StateSlots::leave`](caesar_algebra::pattern::StateSlots::leave)).
     fn execute(&mut self, txn: StreamTransaction<'_>) {
         let StreamTransaction {
             time: t,
@@ -1086,12 +997,15 @@ impl Engine {
             events,
         } = txn;
 
-        // The program executes with this partition's run state bound
-        // (a no-op when the previous transaction was this partition's).
-        self.bind(partition.0);
-        let run = &mut self.bound.as_mut().expect("bound above").1;
+        let id = partition.0;
+        let mut fresh = None;
+        let stored = self.partitions.get_mut(&id);
+        let had_record = stored.is_some();
+        let run = stored.unwrap_or_else(|| fresh.insert(PartitionRun::default()));
+        self.run_state_bytes -= run.bytes();
         run.touched = t;
         let programs = &mut self.template;
+        let held = programs.slots.enter(&mut run.states);
 
         let mut out = std::mem::take(&mut self.scratch.out);
         let batched = events.len() >= BATCH_MIN_EVENTS;
@@ -1103,21 +1017,13 @@ impl Engine {
 
         // Baseline overhead: per-query private re-derivation.
         if self.config.mode == Mode::ContextIndependent {
-            if batched {
-                programs.run_private_derivation_batch(events, &self.table);
-            } else {
-                programs.run_private_derivation(events, &self.table);
-            }
+            programs.run_private_derivation(events, &self.table, batched);
         }
 
         // Phase 1: context derivation (before any processing at t).
         let span = self.obs.span_start();
         let mut transitions = std::mem::take(&mut self.scratch.transitions);
-        if batched {
-            programs.run_derivation_batch(events, &self.table, run, &mut transitions);
-        } else {
-            programs.run_derivation(events, &self.table, run, &mut transitions);
-        }
+        programs.run_derivation(events, &self.table, run, &mut transitions, batched);
         self.obs.span_end(Stage::Derivation, span);
         let span = self.obs.span_start();
         // Windows closing at time t still admit events carrying exactly
@@ -1144,7 +1050,7 @@ impl Engine {
         }
         if !closed_bits.is_empty() {
             // A stateless partition needs an entry too: for its spans.
-            schedule(&mut self.worklist, programs.horizon, partition.0, run);
+            schedule(&mut self.worklist, programs.horizon, id, run);
         }
         self.scratch.transitions = transitions;
         self.obs.span_end(Stage::Transitions, span);
@@ -1165,11 +1071,7 @@ impl Engine {
         self.obs.span_end(Stage::Router, span);
         self.obs.tick_contexts(&active, programs.processing.len());
         let span = self.obs.span_start();
-        if batched {
-            programs.run_processing_batch(events, &self.table, &active, run, &mut out);
-        } else {
-            programs.run_processing(events, &self.table, &active, run, &mut out);
-        }
+        programs.run_processing(events, &self.table, &active, run, &mut out, batched);
         self.active = active;
         self.obs.span_end(Stage::Processing, span);
 
@@ -1194,6 +1096,22 @@ impl Engine {
             run.next = run.next.min(t.saturating_add(programs.min_within));
         }
 
+        let (reached, examined) = programs.slots.leave(&mut run.states);
+        self.obs.add(CounterId::RunSlotsHeld, held as u64);
+        self.obs.add(CounterId::RunSlotsReached, reached as u64);
+        self.obs.add(CounterId::RunSlotsExamined, examined as u64);
+        self.run_state_bytes += run.bytes();
+        if run.is_empty() {
+            if had_record {
+                self.partitions.remove(&id);
+            }
+        } else {
+            schedule(&mut self.worklist, programs.horizon, id, run);
+            if let Some(fresh) = fresh {
+                self.partitions.insert(id, fresh);
+            }
+        }
+
         self.account_outputs(partition, t, &out);
         out.clear();
         self.scratch.out = out;
@@ -1206,7 +1124,7 @@ impl Engine {
         }
         self.events_out += out.events.len() as u64;
         for e in &out.events {
-            *self.outputs_by_type.entry(e.type_id).or_insert(0) += 1;
+            count(&mut self.outputs_by_type, e.type_id);
         }
         if self.config.collect_outputs {
             self.collected_outputs.extend(out.events.iter().cloned());
@@ -1222,17 +1140,11 @@ impl Engine {
     /// In place ([`ProgramTemplate::copy_run`],
     /// [`ContextTable::copy_partition`]).
     fn copy_partition_from(&mut self, core: &Engine, p: PartitionId) {
-        if self.bound.as_ref().is_some_and(|(id, _)| *id == p.0) {
-            self.unbind();
-        }
         let mut run = self.partitions.remove(&p.0).unwrap_or_default();
         self.run_state_bytes -= run.bytes();
         let empty = PartitionRun::default();
-        let (src, bound) = match &core.bound {
-            Some((id, run)) if *id == p.0 => (run, true),
-            _ => (core.partitions.get(&p.0).unwrap_or(&empty), false),
-        };
-        self.template.copy_run(&core.template, src, bound, &mut run);
+        let src = core.partitions.get(&p.0).unwrap_or(&empty);
+        self.template.copy_run(src, &mut run);
         self.store(p.0, run);
         self.table.copy_partition(&core.table, p);
     }
@@ -1329,7 +1241,7 @@ impl Engine {
         // partitions take turns, never computed by a walk over them.
         if self.obs.counters_enabled() {
             let (reused, peak) = self.template.pool_stats();
-            let (with_state, bytes) = self.state_size();
+            let (with_state, bytes) = (self.partitions.len(), self.run_state_bytes);
             let gauges = [
                 ("spec_pool_reuse", reused),
                 ("partials_peak", peak as u64),
@@ -1353,17 +1265,10 @@ impl Engine {
             events_in: self.events_in,
             events_out: self.events_out,
             transitions_applied: self.transitions_applied,
-            outputs_by_type: self
-                .outputs_by_type
-                .iter()
+            outputs_by_type: by_type(&self.outputs_by_type)
                 .map(|(tid, n)| {
-                    (
-                        self.type_names
-                            .get(tid)
-                            .cloned()
-                            .unwrap_or_else(|| tid.to_string()),
-                        *n,
-                    )
+                    let name = self.type_names.get(&tid);
+                    (name.cloned().unwrap_or_else(|| tid.to_string()), n)
                 })
                 .collect(),
             plans_fed: self.router.plans_fed,
@@ -1371,6 +1276,20 @@ impl Engine {
             peak_partials: self.template.pool_stats().1,
         }
     }
+}
+
+/// Counts one event of type `t` in a per-type vector.
+fn count(counts: &mut Vec<u64>, t: TypeId) {
+    if counts.len() <= t.index() {
+        counts.resize(t.index() + 1, 0);
+    }
+    counts[t.index()] += 1;
+}
+
+/// The types a per-type vector counted, ascending, with their counts.
+fn by_type(counts: &[u64]) -> impl Iterator<Item = (TypeId, u64)> + '_ {
+    let counted = counts.iter().enumerate().filter(|(_, &n)| n > 0);
+    counted.map(|(i, &n)| (TypeId(i as u32), n))
 }
 
 /// Enters partition `id` in the expiry worklist unless it has a live

@@ -471,7 +471,6 @@ mod tests {
     use super::*;
     use crate::engine::{EngineConfig, ExecutionMode as Mode};
     use crate::obs::ObservabilityLevel;
-    use crate::programs::PartitionRun;
     use caesar_events::{SchemaRegistry, Value};
     use std::collections::BTreeMap;
 
@@ -754,8 +753,7 @@ mod tests {
     /// Every partial-slab slot of the settled core satisfies the
     /// generation-index invariants.
     fn pools_consistent(engine: &Engine) -> bool {
-        let (_, partitions) = engine.unbound_program();
-        let mut states = partitions.values().flat_map(PartitionRun::states);
+        let mut states = engine.partitions.values().flat_map(|run| run.states.iter());
         states.all(|state| state.pool_consistent())
     }
 

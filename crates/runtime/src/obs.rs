@@ -192,6 +192,13 @@ pub enum CounterId {
     GcRuns,
     /// Operator run states the expiry sweeps emptied and recycled.
     ExpiredStates,
+    /// Run-state slots partitions held as their transactions began.
+    RunSlotsHeld,
+    /// Run-state slots transactions reached (asked to change), once each.
+    RunSlotsReached,
+    /// Run-state slots examined at transaction end: at most the slots
+    /// held plus reached, whatever the size of the program.
+    RunSlotsExamined,
     /// Checkpoints written (recovery-layer registry).
     CheckpointsWritten,
     /// Events appended to the write-ahead log (recovery-layer registry).
@@ -230,12 +237,15 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in snapshot order.
-    pub const ALL: [CounterId; 17] = [
+    pub const ALL: [CounterId; 20] = [
         CounterId::EventsIngested,
         CounterId::TransactionsExecuted,
         CounterId::BatchedTransactions,
         CounterId::GcRuns,
         CounterId::ExpiredStates,
+        CounterId::RunSlotsHeld,
+        CounterId::RunSlotsReached,
+        CounterId::RunSlotsExamined,
         CounterId::CheckpointsWritten,
         CounterId::WalEventsAppended,
         CounterId::ConnectionsAccepted,
@@ -259,6 +269,9 @@ impl CounterId {
             CounterId::BatchedTransactions => "batched_transactions",
             CounterId::GcRuns => "gc_runs",
             CounterId::ExpiredStates => "expired_states",
+            CounterId::RunSlotsHeld => "run_slots_held",
+            CounterId::RunSlotsReached => "run_slots_reached",
+            CounterId::RunSlotsExamined => "run_slots_examined",
             CounterId::CheckpointsWritten => "checkpoints_written",
             CounterId::WalEventsAppended => "wal_events_appended",
             CounterId::ConnectionsAccepted => "connections_accepted",

@@ -5,13 +5,20 @@
 //! events of different road segments. The paper keeps *one* set of
 //! query plans and, per partition, only the context bit vector and the
 //! context history; so does the engine: a [`ProgramTemplate`] holds the
-//! plans — compiled data, every operator counter, the
-//! router gates — once, and a [`PartitionRun`] holds what one partition
-//! keeps between transactions: the [`RunState`] of each stateful
-//! operator that has live state there, and the derived-event feedback
-//! queue. The engine binds a partition's run state into the program
-//! when the partition's turn comes ([`ProgramTemplate::bind`]) and
-//! unbinds it when another's does.
+//! plans — compiled data, every operator counter, the router gates and
+//! the routing tables — once, and a [`PartitionRun`] holds what one
+//! partition keeps between transactions: the [`RunState`](caesar_algebra::pattern::RunState) of each
+//! stateful operator that has live state there, in that operator's
+//! slot ([`RunStates`]), and the derived-event feedback queue.
+//!
+//! No operator holds run state. The program numbers its stateful
+//! operators (patterns that can keep anything, shared-prefix groups)
+//! once, and a transaction moves its partition's slots into the
+//! program's [`StateSlots`] ([`StateSlots::enter`]), where each operator
+//! the transaction reaches finds its own by number; at
+//! [`StateSlots::leave`] only the slots it reached are examined.
+//! A transaction therefore touches the state its events reach, never
+//! every operator of the program.
 //!
 //! The template construction also realizes two execution-strategy
 //! decisions:
@@ -28,8 +35,8 @@
 //!   without moving context windows: Figure 11(b)'s non-optimized plan.
 
 use caesar_algebra::context_table::{ContextTable, PartitionContexts, Transition};
-use caesar_algebra::ops::{ChainScratch, Op};
-use caesar_algebra::pattern::{NegationCheck, RunState};
+use caesar_algebra::ops::{advance_chain_time, ChainScratch, Op};
+use caesar_algebra::pattern::{NegPosition, RunStates, StateSlots};
 use caesar_algebra::plan::{CombinedPlan, PlanOutput, QueryPlan};
 use caesar_events::{Event, PartitionId, Time, TypeId};
 use caesar_optimizer::install_prefix_sharing;
@@ -83,9 +90,14 @@ pub struct ProgramTemplate {
     /// Derived types some deriving plan consumes — the only derived
     /// events worth queueing as feedback.
     feedback_types: Vec<TypeId>,
-    /// The stateful operators, in the order a non-empty
-    /// [`PartitionRun`]'s state vector lists them.
-    stateful: Vec<StatefulOp>,
+    /// The routing table of the deriving plans, indexed by
+    /// [`TypeId::index`]: the plans that consume the type, ascending.
+    derivers: Vec<Vec<u32>>,
+    /// Per context bit, the plans whose context window holds it — what
+    /// the window's termination resets or expires ([`scoped_plans`]).
+    scoped: Vec<Vec<(Option<usize>, usize)>>,
+    /// The run-state slots, in walk order ([`number_slots`]).
+    stateful: Vec<Slot>,
     /// The shortest `within` horizon of a stateful operator: whatever a
     /// transaction at `t` adds expires at `t + min_within` or later.
     pub min_within: Time,
@@ -93,19 +105,13 @@ pub struct ProgramTemplate {
     /// a partition holds that any sweep can free is dead once progress
     /// passes its last transaction by this much.
     pub horizon: Time,
-    /// Slab allocations served from a free list, over all partitions.
+    /// Where the running transaction's operators find their run states,
+    /// with the free list of emptied ones and the slab counters.
+    pub(crate) slots: StateSlots,
+    /// The deriving plans a transaction's events reach (always empty
+    /// between calls).
     #[serde(skip)]
-    pool_reused: u64,
-    /// Largest slab high-water mark seen: the most partial matches any
-    /// one operator held live in any one partition. Part of the
-    /// snapshot — a recovered run reports the uninterrupted run's peak.
-    pool_peak: usize,
-    /// Free list of emptied run states (slabs keep their capacity).
-    /// Boxed: a box moves between here and a [`PartitionRun`] slot as a
-    /// pointer, its allocation reused.
-    #[serde(skip)]
-    #[allow(clippy::vec_box)]
-    spare: Vec<Box<RunState>>,
+    reach: Vec<u32>,
     /// Reusable output sink of the run methods (always empty between
     /// calls).
     #[serde(skip)]
@@ -146,7 +152,7 @@ impl ProgramTemplate {
             }
         }
         let ExecutingPlans {
-            deriving,
+            mut deriving,
             mut processing,
             fanout,
         } = executing_plans(combined, sharing.unwrap_or_default());
@@ -205,7 +211,15 @@ impl ProgramTemplate {
             .collect();
         feedback_types.sort_unstable();
         feedback_types.dedup();
-        let stateful = StatefulOp::index(&deriving, &processing, &redundant);
+        let mut derivers: Vec<Vec<u32>> = Vec::new();
+        for (i, plan) in deriving.iter().enumerate() {
+            for t in plan.input_types.iter().map(|t| t.index()) {
+                derivers.resize_with(derivers.len().max(t + 1), Vec::new);
+                derivers[t].push(i as u32);
+            }
+        }
+        let scoped = scoped_plans(&deriving, &processing);
+        let stateful = number_slots(&mut deriving, &mut processing, &mut redundant);
 
         let mut template = Self {
             deriving,
@@ -215,16 +229,17 @@ impl ProgramTemplate {
             mode,
             gates,
             feedback_types,
+            derivers,
+            scoped,
+            slots: StateSlots::new(stateful.len()),
             stateful,
             min_within: Time::MAX,
             horizon: 0,
-            pool_reused: 0,
-            pool_peak: 0,
-            spare: Vec::new(),
+            reach: Vec::new(),
             sink: PlanOutput::default(),
             scratch: ChainScratch::default(),
         };
-        let withins = template.stateful.iter().map(|at| at.horizon(&template).0);
+        let withins = template.stateful.iter().map(|slot| slot.within);
         let finite = |within: Time| if within == Time::MAX { 0 } else { within };
         (template.min_within, template.horizon) = withins
             .fold((Time::MAX, 0), |(min, max), within| {
@@ -240,31 +255,20 @@ impl ProgramTemplate {
     }
 }
 
-/// Cap on the engine-level free list of emptied run states: enough to
-/// absorb the churn of windows closing and reopening, small enough
-/// that a burst of short-lived partitions does not pin its slabs.
-const SPARE_RUN_STATES: usize = 1024;
-
-/// The mutable run state of one stream partition: per stateful
-/// operator of the program (in [`ProgramTemplate`] binding order) its
-/// detached [`RunState`], if it holds any, plus the derived-event
-/// feedback queue. The engine keeps a record only for partitions where
-/// one of the two is non-empty — a partition with no live partial
-/// match costs nothing here.
+/// The mutable run state of one stream partition: the [`RunState`](caesar_algebra::pattern::RunState)s its
+/// stateful operators hold there, by slot ([`RunStates`]), plus the
+/// derived-event feedback queue. The engine keeps a record only for
+/// partitions where one of the two is non-empty — a partition with no
+/// live partial match costs nothing here.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PartitionRun {
-    /// Empty, or one entry per stateful operator.
-    states: Vec<Option<Box<RunState>>>,
+    pub(crate) states: RunStates,
     /// Derived events awaiting the next transaction's derivation pass
     /// (deriving queries over derived event types see producer outputs
     /// one transaction later, which keeps transactions acyclic).
     feedback: Vec<Event>,
-    /// Heap estimate as of the last unbind — the partition's share of
-    /// the engine's `run_state_bytes` gauge.
-    #[serde(skip)]
-    bytes: usize,
     /// A lower bound on the earliest deadline of anything the states
-    /// hold ([`RunState::floor`]): the partition's own watermark finds
+    /// hold ([`RunState::floor`](caesar_algebra::pattern::RunState::floor)): the partition's own watermark finds
     /// nothing due until it passes this.
     pub next: Time,
     /// Time of the partition's latest transaction: nothing held was
@@ -280,9 +284,8 @@ pub struct PartitionRun {
 impl Default for PartitionRun {
     fn default() -> Self {
         Self {
-            states: Vec::new(),
+            states: RunStates::default(),
             feedback: Vec::new(),
-            bytes: 0,
             next: Time::MAX,
             touched: 0,
             queued: None,
@@ -297,353 +300,220 @@ impl PartitionRun {
         self.states.is_empty() && self.feedback.is_empty()
     }
 
-    /// The detached run states held (test and introspection support).
-    pub fn states(&self) -> impl Iterator<Item = &RunState> {
-        self.states.iter().flatten().map(|b| &**b)
-    }
-
-    /// The partition's share of the `run_state_bytes` gauge, as of the
-    /// last unbind (or [`refresh_bytes`](Self::refresh_bytes)).
+    /// The partition's share of the `run_state_bytes` gauge: a
+    /// capacity-based estimate kept as states fill and empty, so
+    /// reading it walks nothing.
     #[must_use]
     pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Recomputes the capacity-based heap estimate — O(stateful ops),
-    /// each operator's slab footprint being tracked as it grows.
-    pub fn refresh_bytes(&mut self) -> usize {
-        self.bytes = if self.is_empty() {
-            0
-        } else {
-            Self::record_bytes(self.states.capacity(), &self.feedback, self.states())
-        };
-        self.bytes
-    }
-
-    /// Heap estimate of a non-empty record with `slots` state slots
-    /// holding `states`.
-    fn record_bytes<'a>(
-        slots: usize,
-        feedback: &Vec<Event>,
-        states: impl Iterator<Item = &'a RunState>,
-    ) -> usize {
-        use std::mem::size_of;
-        size_of::<Self>()
-            + slots * size_of::<Option<Box<RunState>>>()
-            + feedback.capacity() * size_of::<Event>()
-            + states
-                .map(|s| size_of::<RunState>() + s.heap_bytes())
-                .sum::<usize>()
+        if self.is_empty() {
+            return 0;
+        }
+        std::mem::size_of::<Self>()
+            + self.feedback.capacity() * std::mem::size_of::<Event>()
+            + self.states.bytes()
     }
 }
 
-/// Where one stateful operator sits in the program. The template
-/// indexes them once, so a transaction's bind and unbind touch the
-/// stateful operators alone instead of walking every chain.
+/// One run-state slot of the program: whose it is, and what a sweep
+/// needs to prune the state there — the operator's `within` horizon
+/// and negation positions.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Slot {
+    owner: Owner,
+    within: Time,
+    negations: Vec<NegPosition>,
+}
+
+/// The stateful operator a run-state slot belongs to.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-enum StatefulOp {
-    /// Pattern at `deriving[plan].ops[op]`.
-    Deriving { plan: usize, op: usize },
+enum Owner {
+    /// The pattern of `deriving[plan]`.
+    Deriving(usize),
     /// Shared-prefix group `group` of `processing[combined]`.
     Group { combined: usize, group: usize },
-    /// Pattern at `processing[combined].plans[plan].ops[op]`.
-    Member {
-        combined: usize,
-        plan: usize,
-        op: usize,
-    },
-    /// Pattern at `redundant[plan].ops[op]`.
-    Redundant { plan: usize, op: usize },
+    /// The pattern of `processing[combined].plans[plan]`.
+    Member { combined: usize, plan: usize },
+    /// The pattern of `redundant[plan]`.
+    Redundant(usize),
 }
 
-impl StatefulOp {
-    /// Every stateful operator of a program, in binding order.
-    fn index(
-        deriving: &[QueryPlan],
-        processing: &[CombinedPlan],
-        redundant: &[QueryPlan],
-    ) -> Vec<Self> {
-        fn patterns(plan: &QueryPlan) -> impl Iterator<Item = usize> + '_ {
-            let ops = plan.ops.iter().enumerate();
-            ops.filter(|(_, op)| op.is_pattern()).map(|(i, _)| i)
-        }
-        let mut index = Vec::new();
-        for (plan, p) in deriving.iter().enumerate() {
-            index.extend(patterns(p).map(|op| Self::Deriving { plan, op }));
-        }
-        for (combined, c) in processing.iter().enumerate() {
-            let groups = 0..c.shared_groups().len();
-            index.extend(groups.map(|group| Self::Group { combined, group }));
-            for (plan, p) in c.plans.iter().enumerate() {
-                index.extend(patterns(p).map(|op| Self::Member { combined, plan, op }));
+/// Numbers every stateful operator of a program — a pattern that can
+/// keep anything between events, a shared-prefix group — with its
+/// run-state slot, in the order a watermark walks them: the deriving
+/// plans, then per combined plan its groups and its members, then the
+/// redundant plans.
+fn number_slots(
+    deriving: &mut [QueryPlan],
+    processing: &mut [CombinedPlan],
+    redundant: &mut [QueryPlan],
+) -> Vec<Slot> {
+    fn pattern(plan: &mut QueryPlan, owner: Owner, slots: &mut Vec<Slot>) {
+        for op in &mut plan.ops {
+            let Op::Pattern(p) = op else { continue };
+            if p.keeps_state() {
+                p.set_slot(slots.len() as u32);
+                let negations = p.negations().iter().map(|n| n.position).collect();
+                let within = p.within();
+                slots.push(Slot {
+                    owner,
+                    within,
+                    negations,
+                });
             }
-        }
-        for (plan, p) in redundant.iter().enumerate() {
-            index.extend(patterns(p).map(|op| Self::Redundant { plan, op }));
-        }
-        index
-    }
-
-    /// The operator's resident run state.
-    fn resident<'a>(
-        self,
-        deriving: &'a mut [QueryPlan],
-        processing: &'a mut [CombinedPlan],
-        redundant: &'a mut [QueryPlan],
-    ) -> &'a mut RunState {
-        match self {
-            Self::Deriving { plan, op } => deriving[plan].run_state_mut(op),
-            Self::Group { combined, group } => processing[combined].group_run_mut(group),
-            Self::Member { combined, plan, op } => {
-                processing[combined].plans[plan].run_state_mut(op)
-            }
-            Self::Redundant { plan, op } => redundant[plan].run_state_mut(op),
         }
     }
-
-    /// The operator's `within` horizon and negation checks — what
-    /// [`RunState::expire`] needs to prune one of its detached states.
-    fn horizon(self, program: &ProgramTemplate) -> (Time, &[NegationCheck]) {
-        fn pattern(plan: &QueryPlan, op: usize) -> (Time, &[NegationCheck]) {
-            match &plan.ops[op] {
-                Op::Pattern(p) => (p.within(), p.negations()),
-                other => unreachable!("{} indexed as a pattern", other.tag()),
-            }
+    let mut slots = Vec::new();
+    for (plan, p) in deriving.iter_mut().enumerate() {
+        pattern(p, Owner::Deriving(plan), &mut slots);
+    }
+    for (combined, c) in processing.iter_mut().enumerate() {
+        for (group, g) in c.shared_groups_mut().iter_mut().enumerate() {
+            g.set_slot(slots.len() as u32);
+            let (owner, within) = (Owner::Group { combined, group }, g.within());
+            slots.push(Slot {
+                owner,
+                within,
+                negations: Vec::new(),
+            });
         }
-        match self {
-            Self::Deriving { plan, op } => pattern(&program.deriving[plan], op),
-            Self::Group { combined, group } => (
-                program.processing[combined].shared_groups()[group].within(),
-                &[],
-            ),
-            Self::Member { combined, plan, op } => {
-                pattern(&program.processing[combined].plans[plan], op)
-            }
-            Self::Redundant { plan, op } => pattern(&program.redundant[plan], op),
+        for (plan, p) in c.plans.iter_mut().enumerate() {
+            pattern(p, Owner::Member { combined, plan }, &mut slots);
         }
     }
-
-    /// Read access to the operator's resident run state.
-    fn resident_ref(self, program: &ProgramTemplate) -> &RunState {
-        match self {
-            Self::Deriving { plan, op } => program.deriving[plan].run_state(op),
-            Self::Group { combined, group } => program.processing[combined].group_run(group),
-            Self::Member { combined, plan, op } => {
-                program.processing[combined].plans[plan].run_state(op)
-            }
-            Self::Redundant { plan, op } => program.redundant[plan].run_state(op),
-        }
+    for (plan, p) in redundant.iter_mut().enumerate() {
+        pattern(p, Owner::Redundant(plan), &mut slots);
     }
+    slots
 }
 
-/// Execution: the template *is* the engine's one executing program.
-/// A stream transaction runs the phases below against the shared
-/// operators, with its partition's [`PartitionRun`] bound.
+/// Per context bit, the plans whose context window holds it:
+/// `(Some(c), p)` names `processing[c].plans[p]`, `(None, p)` names
+/// `deriving[p]`.
+fn scoped_plans(
+    deriving: &[QueryPlan],
+    processing: &[CombinedPlan],
+) -> Vec<Vec<(Option<usize>, usize)>> {
+    let members = processing.iter().enumerate().flat_map(|(c, combined)| {
+        combined
+            .plans
+            .iter()
+            .enumerate()
+            .map(move |(p, plan)| (Some(c), p, plan))
+    });
+    let derivers = deriving.iter().enumerate().map(|(p, plan)| (None, p, plan));
+    let mut scoped: Vec<Vec<_>> = Vec::new();
+    for (combined, p, plan) in members.chain(derivers) {
+        let Some(Op::ContextWindow(cw)) = plan.ops.iter().find(|o| o.is_context_window()) else {
+            continue;
+        };
+        for bit in cw.bits().map(usize::from) {
+            if scoped.len() <= bit {
+                scoped.resize_with(bit + 1, Vec::new);
+            }
+            scoped[bit].push((combined, p));
+        }
+    }
+    scoped
+}
+
+/// Execution: the template *is* the engine's one executing program. A
+/// stream transaction runs the phases below between
+/// [`StateSlots::enter`] and [`StateSlots::leave`] of its partition's
+/// states: the stateful operators it reaches find theirs in `slots`.
 impl ProgramTemplate {
-    /// Swaps the partition's stored run states into their operators.
-    /// The partition stays bound — consecutive transactions of one
-    /// partition pay nothing — until [`unbind`](Self::unbind), which
-    /// must come before any other partition binds.
-    pub fn bind(&mut self, run: &mut PartitionRun) {
-        let Self {
-            deriving,
-            processing,
-            redundant,
-            stateful,
-            ..
-        } = self;
-        for (at, held) in stateful.iter().zip(&mut run.states) {
-            if let Some(held) = held {
-                std::mem::swap(at.resident(deriving, processing, redundant), &mut **held);
-            }
-        }
-    }
-
-    /// Moves every operator's live run state back into the partition's
-    /// record, leaving the operators empty. A state that emptied during
-    /// the transaction is not stored: its slab goes to the free list
-    /// the next new state is taken from, so steady-state churn (windows
-    /// closing and reopening, sessions ending and starting) allocates
-    /// nothing. Folds the slabs' reuse counts and high-water marks into
-    /// the engine-level pool counters — here, at partition switch, not
-    /// per transaction — and the stored states' floors into the
-    /// record's [`next`](PartitionRun::next).
-    pub fn unbind(&mut self, run: &mut PartitionRun) {
-        let Self {
-            deriving,
-            processing,
-            redundant,
-            stateful,
-            spare,
-            pool_reused,
-            pool_peak,
-            ..
-        } = self;
-        let mut any_held = false;
-        run.next = Time::MAX;
-        for (i, at) in stateful.iter().enumerate() {
-            let resident = at.resident(deriving, processing, redundant);
-            let stored = run.states.get_mut(i).and_then(Option::take);
-            // The common case: nothing was bound here and the operator
-            // allocated and buffered nothing since its last recycle.
-            if stored.is_none() && resident.pool_peak() == 0 && !resident.has_state() {
-                continue;
-            }
-            *pool_reused += resident.take_pool_reused();
-            *pool_peak = (*pool_peak).max(resident.pool_peak());
-            if resident.has_state() {
-                run.next = run.next.min(resident.floor());
-                let mut stored = stored.or_else(|| spare.pop()).unwrap_or_default();
-                std::mem::swap(resident, &mut *stored);
-                if run.states.is_empty() {
-                    run.states.resize_with(stateful.len(), || None);
-                }
-                run.states[i] = Some(stored);
-                any_held = true;
-            } else {
-                resident.recycle();
-                // `stored` is what was resident at bind time: empty too.
-                if spare.len() < SPARE_RUN_STATES {
-                    spare.extend(stored);
-                }
-            }
-        }
-        if !any_held {
-            run.states.clear();
-        }
-        run.refresh_bytes();
-    }
-
     /// Overwrites `dst`, a stored record of this program, with a copy
-    /// of one partition's run state in `from` — another engine's
-    /// instance of the same program, which is not touched: `src` is
-    /// the partition's record there, and `bound` says whether it is
-    /// the bound one (its live states then sit in `from`'s operators,
-    /// as [`unbind`](Self::unbind) would move them out). In place, down
-    /// to the slabs ([`RunState::copy_from`]), and through this
-    /// program's free list like any other state that comes or goes:
-    /// overwriting a record again and again allocates nothing once it
-    /// has seen its largest shape.
-    pub fn copy_run(
-        &mut self,
-        from: &ProgramTemplate,
-        src: &PartitionRun,
-        bound: bool,
-        dst: &mut PartitionRun,
-    ) {
-        let spare = &mut self.spare;
+    /// of `src`, a record of another engine's instance of the same
+    /// program. In place, down to the slabs, and through this program's
+    /// free list like any other state that comes or goes
+    /// ([`RunStates::copy_from`]).
+    pub fn copy_run(&mut self, src: &PartitionRun, dst: &mut PartitionRun) {
         dst.feedback.clone_from(&src.feedback);
-        dst.states.resize_with(from.stateful.len(), || None);
-        (dst.next, dst.touched) = (Time::MAX, src.touched);
-        let mut any_held = false;
-        for (i, (at, held)) in from.stateful.iter().zip(&mut dst.states).enumerate() {
-            let state = if bound {
-                Some(at.resident_ref(from)).filter(|r| r.has_state())
-            } else {
-                src.states.get(i).and_then(Option::as_deref)
-            };
-            if let Some(state) = state {
-                let held = held.get_or_insert_with(|| spare.pop().unwrap_or_default());
-                held.copy_from(state);
-                dst.next = dst.next.min(state.floor());
-                any_held = true;
-            } else if let Some(mut emptied) = held.take() {
-                emptied.reset();
-                emptied.recycle();
-                if spare.len() < SPARE_RUN_STATES {
-                    spare.push(emptied);
-                }
-            }
-        }
-        if !any_held {
-            dst.states.clear();
-        }
-        dst.refresh_bytes();
+        dst.states.copy_from(&src.states, &mut self.slots);
+        (dst.next, dst.touched) = (src.next, src.touched);
     }
 
-    /// Prunes a stored record in place, without binding it, by global
-    /// progress `watermark` ([`RunState::expire`]: parked matches and
-    /// leading-negation buffers wait for the partition's own
-    /// transactions). A state left empty goes to the free list the next
-    /// new state is taken from. Returns how many states emptied.
+    /// Prunes a stored record in place by global progress `watermark`
+    /// ([`RunState::expire`](caesar_algebra::pattern::RunState::expire): parked matches and leading-negation
+    /// buffers wait for the partition's own transactions). A state left
+    /// empty goes to the free list the next new state is taken from.
+    /// Returns how many states emptied.
     pub fn expire(&mut self, run: &mut PartitionRun, watermark: Time) -> usize {
-        let mut emptied = 0;
-        run.next = Time::MAX;
-        for (at, slot) in self.stateful.iter().zip(&mut run.states) {
-            let Some(state) = slot else { continue };
-            let (within, negations) = at.horizon(self);
-            state.expire(watermark, within, negations, false);
+        let Self {
+            stateful, slots, ..
+        } = self;
+        let mut next = Time::MAX;
+        let emptied = run.states.retain(slots, |slot, state| {
+            let Slot {
+                within, negations, ..
+            } = &stateful[slot];
+            state.expire(watermark, *within, negations.iter().copied(), false);
             if state.has_state() {
-                run.next = run.next.min(state.floor());
-            } else if let Some(mut state) = slot.take() {
-                emptied += 1;
-                state.recycle();
-                if self.spare.len() < SPARE_RUN_STATES {
-                    self.spare.push(state);
-                }
+                next = next.min(state.floor());
             }
-        }
-        if run.states.iter().all(Option::is_none) {
-            run.states.clear();
-        }
-        run.refresh_bytes();
+        });
+        run.next = next;
         emptied
     }
 
-    /// Heap estimate of the bound partition's record as
-    /// [`unbind`](Self::unbind) would leave it, `None` if it would be
-    /// empty — what the state-size gauges add for the one partition
-    /// that is not in the engine's map.
-    #[must_use]
-    pub fn bound_bytes(&self, run: &PartitionRun) -> Option<usize> {
-        let live = || {
-            let residents = self.stateful.iter().map(|at| at.resident_ref(self));
-            residents.filter(|r| r.has_state())
-        };
-        if live().next().is_none() && run.feedback.is_empty() {
-            return None;
-        }
-        let slots = self.stateful.len();
-        Some(PartitionRun::record_bytes(slots, &run.feedback, live()))
-    }
-
-    /// Partial-pool efficacy across all partitions so far, the bound
-    /// one included: `(slab slots reused from a free list, largest slab
-    /// high-water mark)`. The second is the engine's peak-partials
-    /// figure: a maximum of maxima, so it does not depend on when
-    /// partitions took turns — a run restored from a snapshot that
-    /// carries it reports what the uninterrupted run does.
+    /// Partial-pool efficacy across all partitions so far: `(slab slots
+    /// reused from a free list, largest slab high-water mark)`. The
+    /// second is the engine's peak-partials figure: a maximum of
+    /// maxima, so it does not depend on when partitions took turns — a
+    /// run restored from a snapshot that carries it reports what the
+    /// uninterrupted run does.
     #[must_use]
     pub fn pool_stats(&self) -> (u64, usize) {
-        let residents = self.stateful.iter().map(|at| at.resident_ref(self));
-        residents.fold((self.pool_reused, self.pool_peak), |(reused, peak), r| {
-            (reused + r.pool_reused(), peak.max(r.pool_peak()))
-        })
+        self.slots.pool_stats()
     }
 
-    /// Phase 1 of a transaction: context derivation. All input events run
-    /// through the deriving plans of currently active contexts (their
+    /// Phase 1 of a transaction: context derivation. The partition's
+    /// feedback and the input events run through the deriving plans
+    /// that consume them — routed by type, in plan order (their
     /// pushed-down context windows gate inactive ones); appends the
     /// requested transitions to `transitions` in plan/chain order.
+    /// `batched` sends the events through each plan's batch entry point,
+    /// amortizing the context-window probe; feedback events carry
+    /// earlier timestamps than the transaction, so they stay per-event
+    /// and run ahead — the same plan-major order, hence identical
+    /// transitions.
     pub fn run_derivation(
         &mut self,
         events: &[Event],
         table: &ContextTable,
         run: &mut PartitionRun,
         transitions: &mut Vec<Transition>,
+        batched: bool,
     ) {
         let Self {
             deriving,
+            derivers,
+            reach,
             sink,
             scratch,
+            slots,
             ..
         } = self;
+        // The plans some event reaches, ascending: the plan-major order
+        // of a walk over all.
+        reach.clear();
+        for ev in run.feedback.iter().chain(events) {
+            reach.extend(derivers.get(ev.type_id.index()).into_iter().flatten());
+        }
+        if reach.len() > 1 {
+            reach.sort_unstable();
+            reach.dedup();
+        }
         sink.clear();
-        for plan in deriving.iter_mut() {
-            for ev in run.feedback.iter().chain(events.iter()) {
+        for &plan in reach.iter() {
+            let plan = &mut deriving[plan as usize];
+            let singles = if batched { &[] } else { events };
+            for ev in run.feedback.iter().chain(singles) {
                 if plan.consumes(ev.type_id) {
-                    plan.process(ev, table, sink, scratch);
+                    plan.process(ev, table, sink, scratch, slots);
                 }
+            }
+            if batched {
+                plan.process_batch(events, table, sink, scratch, slots);
             }
         }
         run.feedback.clear();
@@ -653,71 +523,34 @@ impl ProgramTemplate {
         transitions.append(&mut sink.transitions);
     }
 
-    /// Batched [`run_derivation`](Self::run_derivation): the
-    /// transaction's events go through each deriving plan's batch entry
-    /// point, amortizing the context-window probe. Feedback events carry
-    /// earlier timestamps than the transaction, so they stay per-event
-    /// and run ahead of the batch — the same plan-major order as the
-    /// per-event path, hence identical transitions.
-    pub fn run_derivation_batch(
+    /// The baseline's redundant derivation work: every processing query
+    /// privately re-evaluates its context's deriving conditions on every
+    /// event, per event or through the batch entry points. Outputs and
+    /// transitions are discarded — only the canonical derivation updates
+    /// the table.
+    pub fn run_private_derivation(
         &mut self,
         events: &[Event],
         table: &ContextTable,
-        run: &mut PartitionRun,
-        transitions: &mut Vec<Transition>,
+        batched: bool,
     ) {
         let Self {
-            deriving,
-            sink,
-            scratch,
-            ..
-        } = self;
-        sink.clear();
-        for plan in deriving.iter_mut() {
-            for ev in &run.feedback {
-                if plan.consumes(ev.type_id) {
-                    plan.process(ev, table, sink, scratch);
-                }
-            }
-            plan.process_batch(events, table, sink, scratch);
-        }
-        run.feedback.clear();
-        transitions.append(&mut sink.transitions);
-    }
-
-    /// The baseline's redundant derivation work: every processing query
-    /// privately re-evaluates its context's deriving conditions on every
-    /// event. Outputs and transitions are discarded — only the canonical
-    /// derivation updates the table.
-    pub fn run_private_derivation(&mut self, events: &[Event], table: &ContextTable) {
-        let Self {
             redundant,
             sink,
             scratch,
+            slots,
             ..
         } = self;
-        sink.clear();
         for plan in redundant.iter_mut() {
-            for ev in events {
-                if plan.consumes(ev.type_id) {
-                    plan.process(ev, table, sink, scratch);
+            if batched {
+                plan.process_batch(events, table, sink, scratch, slots);
+            } else {
+                for ev in events {
+                    if plan.consumes(ev.type_id) {
+                        plan.process(ev, table, sink, scratch, slots);
+                    }
                 }
             }
-            sink.clear();
-        }
-    }
-
-    /// Batched [`run_private_derivation`](Self::run_private_derivation).
-    pub fn run_private_derivation_batch(&mut self, events: &[Event], table: &ContextTable) {
-        let Self {
-            redundant,
-            sink,
-            scratch,
-            ..
-        } = self;
-        sink.clear();
-        for plan in redundant.iter_mut() {
-            plan.process_batch(events, table, sink, scratch);
             sink.clear();
         }
     }
@@ -725,8 +558,10 @@ impl ProgramTemplate {
     /// Phase 2 of a transaction: context processing. In context-aware
     /// mode the router has already selected active plans (`active` holds
     /// indices into `processing`); in the baseline every plan runs.
-    /// Derived events a deriving plan consumes are also queued as
-    /// feedback for the partition's next derivation pass.
+    /// `batched` makes one batch call per active combined plan, which
+    /// iterates plan-major like the per-event path, so outputs come out
+    /// in the same order. Derived events a deriving plan consumes are
+    /// also queued as feedback for the partition's next derivation pass.
     pub fn run_processing(
         &mut self,
         events: &[Event],
@@ -734,35 +569,26 @@ impl ProgramTemplate {
         active: &[usize],
         run: &mut PartitionRun,
         out: &mut PlanOutput,
+        batched: bool,
     ) {
-        self.sink.clear();
+        let Self {
+            processing,
+            sink,
+            slots,
+            ..
+        } = self;
+        sink.clear();
         for &idx in active {
-            let plan = &mut self.processing[idx];
+            let plan = &mut processing[idx];
+            if batched {
+                plan.process_batch(events, table, sink, slots);
+                continue;
+            }
             for ev in events {
                 if plan.consumes_external(ev.type_id) {
-                    plan.process(ev, table, &mut self.sink);
+                    plan.process(ev, table, sink, slots);
                 }
             }
-        }
-        self.emit_processed(run, out);
-    }
-
-    /// Batched [`run_processing`](Self::run_processing): one batch call
-    /// per active combined plan. The external-consumption filter and the
-    /// derived-event feedback loop live inside
-    /// [`CombinedPlan::process_batch`], which iterates plan-major like
-    /// the per-event path, so outputs come out in the same order.
-    pub fn run_processing_batch(
-        &mut self,
-        events: &[Event],
-        table: &ContextTable,
-        active: &[usize],
-        run: &mut PartitionRun,
-        out: &mut PlanOutput,
-    ) {
-        self.sink.clear();
-        for &idx in active {
-            self.processing[idx].process_batch(events, table, &mut self.sink);
         }
         self.emit_processed(run, out);
     }
@@ -788,20 +614,23 @@ impl ProgramTemplate {
     }
 
     /// Context-history maintenance after a window of `bit` terminated in
-    /// the bound partition (§6.2 "Context Processing"):
+    /// the executing partition (§6.2 "Context Processing"), for the
+    /// plans whose window holds `bit`:
     /// * plans scoped to `bit` alone discard their partial matches;
     /// * shared plans spanning other still-open member windows only
     ///   expire partials that started before every still-open member
     ///   window began (Figure 7's grouped-window expiry).
     pub fn on_context_terminated(&mut self, bit: u8, partition: PartitionId, table: &ContextTable) {
-        fn reset_or_expire(plan: &mut QueryPlan, bit: u8, pc: &PartitionContexts) {
+        fn reset_or_expire(
+            plan: &QueryPlan,
+            bit: u8,
+            pc: &PartitionContexts,
+            slots: &mut StateSlots,
+        ) {
             let Some(Op::ContextWindow(cw)) = plan.ops.iter().find(|o| o.is_context_window())
             else {
                 return;
             };
-            if !cw.bits().any(|b| b == bit) {
-                return;
-            }
             // Earliest start among the member windows still open
             // (other than the terminated one).
             let earliest: Option<Time> = cw
@@ -809,31 +638,36 @@ impl ProgramTemplate {
                 .filter(|&b| b != bit && pc.holds(b))
                 .filter_map(|b| pc.open_span(b).map(|w| w.initiated))
                 .min();
-            match earliest {
-                None => plan.reset_state(),
-                Some(earliest) => plan.expire_history(earliest),
-            }
+            plan.discard_history(earliest, slots);
         }
         let pc = table.partition(partition);
-        for c in &mut self.processing {
-            // Gated shared-prefix groups are scoped to exactly the
-            // combined plan's context window, like their members.
-            if c.context_bit == bit {
-                c.reset_shared_gated();
-            }
-            for plan in &mut c.plans {
-                reset_or_expire(plan, bit, pc);
-            }
+        let Self {
+            deriving,
+            processing,
+            scoped,
+            slots,
+            ..
+        } = self;
+        // Gated shared-prefix groups are scoped to exactly the combined
+        // plan's context window, like their members.
+        for c in processing.iter().filter(|c| c.context_bit == bit) {
+            c.reset_shared_gated(slots);
         }
-        for plan in &mut self.deriving {
-            reset_or_expire(plan, bit, pc);
+        for &(combined, p) in scoped.get(usize::from(bit)).into_iter().flatten() {
+            let plan = match combined {
+                Some(c) => &processing[c].plans[p],
+                None => &deriving[p],
+            };
+            reset_or_expire(plan, bit, pc, slots);
         }
     }
 
-    /// Advances the bound partition's own watermark on every plan
-    /// (pruning partial state and flushing matured trailing-negation
-    /// matches through the chains); returns the earliest deadline of
-    /// what the partition still holds.
+    /// Advances the executing partition's own watermark on every
+    /// stateful operator that holds state there — visiting its slots in
+    /// walk order, each when the walk reaches it, so a state a cascade
+    /// created further on is walked too — pruning partial state and
+    /// flushing matured trailing-negation matches through the chains;
+    /// returns the earliest deadline of what the partition still holds.
     pub fn advance_time(
         &mut self,
         watermark: Time,
@@ -844,25 +678,38 @@ impl ProgramTemplate {
             deriving,
             processing,
             redundant,
+            stateful,
             sink,
             scratch,
+            slots,
             ..
         } = self;
         let mut next = Time::MAX;
         sink.clear();
-        for plan in deriving {
+        for (slot, at) in stateful.iter().enumerate() {
+            if slots.peek(Some(slot as u32)).is_none() {
+                continue;
+            }
+            let ops = match at.owner {
+                Owner::Deriving(plan) => &mut deriving[plan].ops,
+                Owner::Redundant(plan) => &mut redundant[plan].ops,
+                Owner::Group { combined, group } => {
+                    let group = &processing[combined].shared_groups()[group];
+                    next = next.min(group.advance_time(slots.get(Some(slot as u32)), watermark));
+                    continue;
+                }
+                Owner::Member { combined, plan } => {
+                    let combined = &mut processing[combined];
+                    next = next.min(combined.advance_member(plan, watermark, table, out, slots));
+                    continue;
+                }
+            };
             // Transitions matter; pass-through matches are discarded
-            // (see `run_derivation`).
-            next = next.min(plan.advance_time(watermark, table, sink, scratch));
+            // (see `run_derivation`). Redundant clones request none.
+            next = next.min(advance_chain_time(
+                ops, watermark, table, sink, scratch, slots,
+            ));
             out.transitions.append(&mut sink.transitions);
-            sink.events.clear();
-        }
-        for combined in processing {
-            next = next.min(combined.advance_time(watermark, table, out));
-        }
-        for plan in redundant {
-            next = next.min(plan.advance_time(watermark, table, sink, scratch));
-            sink.clear();
         }
         next
     }
@@ -1034,7 +881,9 @@ mod tests {
         );
         let mut run = PartitionRun::default();
         let mut transitions = Vec::new();
-        template.run_derivation(&[spike], &table, &mut run, &mut transitions);
+        template.slots.enter(&mut run.states);
+        template.run_derivation(&[spike], &table, &mut run, &mut transitions, false);
+        template.slots.leave(&mut run.states);
         assert_eq!(transitions.len(), 2, "switch = terminate + initiate");
     }
 
@@ -1046,14 +895,22 @@ mod tests {
         let mut active = Vec::new();
         template.active_processing(PartitionId(0), 5, &table, &mut active);
         let mut run = PartitionRun::default();
-        template.run_processing(&[reading(&reg, 5, 3)], &table, &active, &mut run, &mut out);
+        template.slots.enter(&mut run.states);
+        template.run_processing(
+            &[reading(&reg, 5, 3)],
+            &table,
+            &active,
+            &mut run,
+            &mut out,
+            false,
+        );
         // Ping fires in idle; Heavy (busy) suspended.
         let ping = reg.lookup("Ping").unwrap();
         assert!(out.events.iter().all(|e| e.type_id == ping));
         assert_eq!(out.events.len(), 1);
         // No deriving plan consumes Ping: nothing queues as feedback,
         // and these stateless plans leave nothing to store.
-        template.unbind(&mut run);
+        template.slots.leave(&mut run.states);
         assert!(run.is_empty());
     }
 
@@ -1069,10 +926,18 @@ mod tests {
         let mut active = Vec::new();
         template.active_processing(PartitionId(0), 5, &table, &mut active);
         let mut run = PartitionRun::default();
-        template.run_processing(&[reading(&reg, 5, 50)], &table, &active, &mut run, &mut out);
+        template.slots.enter(&mut run.states);
+        template.run_processing(
+            &[reading(&reg, 5, 50)],
+            &table,
+            &active,
+            &mut run,
+            &mut out,
+            false,
+        );
         table.partition_mut(PartitionId(0)).terminate(busy_bit, 6);
         template.on_context_terminated(busy_bit, PartitionId(0), &table);
-        template.unbind(&mut run);
+        template.slots.leave(&mut run.states);
         assert!(run.is_empty());
     }
 }

@@ -19,7 +19,13 @@
 //!   rows, snapshot bytes — grows with the number of partitions the
 //!   stream has merely passed through, even ones that switched context
 //!   and went quiet, and a restored engine releases the rows the
-//!   uninterrupted one releases.
+//!   uninterrupted one releases, and
+//! * ending a transaction costs what the transaction touched: the
+//!   run-state slots examined at its end are no more than the slots its
+//!   partition held plus the slots it reached, the same whether or not
+//!   the program carries queries the stream never reaches, and a
+//!   snapshot taken between two transactions of one mid-session
+//!   partition resumes exactly.
 //!
 //! This is also the regression test for the sparse partition
 //! structures: scattered ids near `u32::MAX` would OOM any
@@ -31,6 +37,7 @@ use caesar::clickstream::{
     ABANDON_WITHIN, DEFAULT_WITHIN,
 };
 use caesar::prelude::*;
+use caesar::query::parse_model;
 use caesar_runtime::{run_mode_full, Engine, ModeSpec};
 use caesar_testkit::{build_programs, canonical, Workload};
 use std::collections::BTreeSet;
@@ -367,6 +374,170 @@ fn restored_engine_releases_the_rows_the_uninterrupted_one_releases() {
     uninterrupted.finish();
     restored.finish();
     assert_eq!(state(&restored), state(&uninterrupted));
+}
+
+/// ROADMAP item 6's bound on ending a transaction: it examines only
+/// the run-state slots its partition held or it reached, so the same
+/// sessions cost the same per transaction under `clickstream_model(2)`
+/// and under that model plus 24 sequence queries (four of them
+/// context-deriving) on event types the stream never carries — a
+/// program with more than twice the stateful operators.
+#[test]
+fn transaction_end_work_is_independent_of_queries_the_stream_never_reaches() {
+    let mut workload = click_workload(&one_session_per_user(2_000));
+    workload.model = clickstream_model(2);
+    for ghost in ["Ghost0", "Ghost1", "Ghost2"] {
+        let schema = Schema::new(ghost, &[("v", AttrType::Int)]);
+        workload.registry.register(schema).expect("fresh type");
+    }
+    let mut extended = workload.clone();
+    let mut ghosts = String::new();
+    for context in ["browsing", "engaged", "abandoning", "bot_suspect"] {
+        let mut queries = String::new();
+        for i in 0..5 {
+            queries += &format!(
+                "DERIVE {context}Ghost{i}(a.v, c.v) PATTERN SEQ(Ghost0 a, NOT Ghost2 n, Ghost1 c) \
+                 WHERE c.v > {i} WITHIN {}\n",
+                10 + 7 * i
+            );
+        }
+        let switch = if context == "browsing" {
+            "engaged"
+        } else {
+            "browsing"
+        };
+        queries += &format!("SWITCH CONTEXT {switch} PATTERN SEQ(Ghost1 a, Ghost0 b) WITHIN 9\n");
+        ghosts += &format!("CONTEXT {context} {{ {queries} }}\n");
+    }
+    let ghosts = parse_model(&format!("MODEL ghosts DEFAULT browsing {ghosts}")).expect("valid");
+    for (context, more) in extended.model.contexts.iter_mut().zip(ghosts.contexts) {
+        assert_eq!(context.name, more.name);
+        context.processing.extend(more.processing);
+        context.deriving.extend(more.deriving);
+    }
+    let run = |workload: &Workload| {
+        let (optimized, _, registry) = build_programs(workload).expect("build");
+        let plans: usize = optimized
+            .translation
+            .combined
+            .iter()
+            .map(|c| c.plans.len())
+            .sum();
+        let config = EngineConfig::builder()
+            .observability(ObservabilityLevel::Counters)
+            .build();
+        let mut engine = Engine::new(optimized, &registry, config);
+        for event in &workload.events {
+            engine.ingest(event.clone()).expect("in-order stream");
+        }
+        let report = engine.finish();
+        let counters = report.metrics.counters.clone();
+        let [txns, held, reached, examined] = [
+            "transactions_executed",
+            "run_slots_held",
+            "run_slots_reached",
+            "run_slots_examined",
+        ]
+        .map(|name| counters[name]);
+        (plans, report.outputs_by_type, txns, held, reached, examined)
+    };
+    let (plans, outputs, txns, held, reached, examined) = run(&workload);
+    let (more_plans, more_outputs, more_txns, more_held, more_reached, more_examined) =
+        run(&extended);
+    assert!(more_plans >= plans + 20, "{plans} → {more_plans} plans");
+    // Derived type ids differ between the two programs; names do not.
+    assert!(!outputs.is_empty() && outputs == more_outputs);
+    assert_eq!(txns, more_txns);
+    assert!(
+        reached > 0 && examined > 0,
+        "transactions reached run state"
+    );
+    for (held, reached, examined) in [
+        (held, reached, examined),
+        (more_held, more_reached, more_examined),
+    ] {
+        assert!(
+            examined <= held + reached,
+            "{examined} slots examined over {txns} transactions, which held {held} and reached {reached}"
+        );
+    }
+    assert_eq!(
+        (held, reached, examined),
+        (more_held, more_reached, more_examined),
+        "slots held, reached and examined over {txns} transactions"
+    );
+}
+
+/// A clickstream run snapshotted between two transactions of one
+/// partition in the middle of its session — the partition that last
+/// executed, whose state an engine that kept it in the operators would
+/// have held outside its records — and restored into a fresh engine
+/// finishes like the uninterrupted run: the same outputs in the same
+/// order, the same `peak_partials`, the same partitions holding run
+/// state and the same run-state bytes.
+#[test]
+fn snapshot_between_two_transactions_of_one_session_resumes_identically() {
+    let workload = click_workload(&one_session_per_user(3_000));
+    let events = &workload.events;
+    // The first event whose predecessor in the stream is its own
+    // partition's at an earlier time, with more of that session to come:
+    // ingesting it executes the predecessor's transaction, and the
+    // snapshot falls before the partition's next one.
+    let cut = (1..events.len())
+        .find(|&i| {
+            let (prev, next) = (&events[i - 1], &events[i]);
+            let p = next.partition;
+            prev.partition == p
+                && prev.time() < next.time()
+                && events[..i - 1].iter().any(|e| e.partition == p)
+                && events[i + 1..].iter().any(|e| e.partition == p)
+        })
+        .expect("a session with consecutive transactions")
+        + 1;
+    let (optimized, _, registry) = build_programs(&workload).expect("build");
+    let config = EngineConfig::builder()
+        .observability(ObservabilityLevel::Counters)
+        .collect_outputs(true)
+        .build();
+    let fresh = || Engine::new(optimized.clone(), &registry, config);
+    let gauges = |engine: &Engine| {
+        let counters = engine.metrics_snapshot().counters;
+        (
+            engine.partitions_with_state(),
+            counters["partitions_with_state"],
+            counters["run_state_bytes"],
+        )
+    };
+    let mut uninterrupted = fresh();
+    for event in &events[..cut] {
+        uninterrupted
+            .ingest(event.clone())
+            .expect("in-order stream");
+    }
+    assert!(
+        uninterrupted.partitions_with_state() > 0,
+        "mid-session state"
+    );
+    let bytes = serde::to_bytes(&uninterrupted.snapshot_state());
+    let mut restored = fresh();
+    restored
+        .restore_state(serde::from_bytes(&bytes).expect("decodes"))
+        .expect("same program");
+    assert_eq!(gauges(&restored).0, gauges(&uninterrupted).0);
+    for event in &events[cut..] {
+        uninterrupted
+            .ingest(event.clone())
+            .expect("in-order stream");
+        restored.ingest(event.clone()).expect("in-order stream");
+    }
+    let (a, b) = (uninterrupted.finish(), restored.finish());
+    assert!(a.events_out > 0);
+    assert_eq!(
+        caesar::events::encode_all(&uninterrupted.collected_outputs),
+        caesar::events::encode_all(&restored.collected_outputs),
+    );
+    assert_eq!(a.peak_partials, b.peak_partials);
+    assert_eq!(gauges(&uninterrupted), gauges(&restored));
 }
 
 /// The soak of ROADMAP item 2(d): a million sessions over scattered

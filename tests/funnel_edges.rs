@@ -273,11 +273,14 @@ fn second_session_after_the_row_was_released() {
     );
 }
 
-/// A partition still executing when its entry falls due — the stream
+/// A partition that executed last when its row falls due — the stream
 /// went quiet for longer than the longest `WITHIN` — keeps its row
 /// while it holds a partial, and releases it once that partial is gone:
-/// user 1's View@25 opens a BrowsePath partial that its own CaptchaOk@300
-/// (a no-op in browsing) prunes. Nothing matches.
+/// user 1's View@25 opens a BrowsePath partial whose horizon progress
+/// has passed by the time CaptchaOk@300 arrives, so the sweep to 300
+/// prunes it from the stored record and releases the row in the same
+/// pass (the executing partition is swept like any other; none is left
+/// to its own next transaction). Nothing matches.
 #[test]
 fn a_partial_held_across_a_quiet_stretch_releases_its_row_later() {
     let reg = registry();
@@ -293,15 +296,15 @@ fn a_partial_held_across_a_quiet_stretch_releases_its_row_later() {
     let oracle = oracle_run(&workload).expect("oracle");
     assert!(oracle.outputs.is_empty());
     check_workload(&workload).unwrap_or_else(|failure| panic!("{failure}"));
-    assert_eq!(rows_after_each_event(&workload), [0, 1, 1, 1, 1, 0]);
+    assert_eq!(rows_after_each_event(&workload), [0, 1, 1, 0, 0, 0]);
 }
 
 /// A row is released one horizon after its latest transition, whatever
 /// entry brings the sweep to it — so a restored engine, which enters
 /// the row afresh under that time, releases it on the same ingest.
-/// User 1's CartAdd@10 enters it under 250; the SessionEnd@100 that
-/// makes the row idle finds that entry taken, and when it falls due
-/// (the ingest of View@260) the row, updated since, is due at 340.
+/// User 1's CartAdd@10 enters it under 250 and the SessionEnd@100 that
+/// makes the row idle under 340; when the first falls due (the ingest
+/// of View@260) the row, updated since, is due at 340.
 #[test]
 fn a_row_is_released_one_horizon_after_its_latest_transition() {
     let reg = registry();
