@@ -262,8 +262,8 @@ impl Op {
     /// A uniform read-out of the operator's counters for the
     /// observability layer; `None` for operators that count nothing
     /// (`CI_c` / `CT_c`, which fire on every match unconditionally).
-    /// Every counter is identical across the per-event and batch entry
-    /// points.
+    /// Every counter is the same whether a transaction's events run as
+    /// one slice or one per slice.
     #[must_use]
     pub fn observation(&self) -> Option<OpObservation> {
         match self {
@@ -333,8 +333,8 @@ impl ChainOutput {
     }
 }
 
-/// Reusable traversal buffers for chain execution — per event, batched
-/// and on watermark advances. All buffers are empty between calls —
+/// Reusable traversal buffers for chain execution — over a transaction's
+/// events and on watermark advances. All buffers are empty between calls —
 /// holding one per plan (or per partition) hoists every per-transaction
 /// allocation out of the hot loop.
 #[derive(Debug, Clone, Default)]
@@ -352,7 +352,7 @@ pub struct ChainScratch {
     /// Companion transition sink of the wrapper.
     sink_transitions: Vec<(u32, Transition)>,
     /// Selection-vector buffer for callers that build the initial
-    /// selection themselves (`QueryPlan::process_batch`).
+    /// selection themselves (`QueryPlan::process`).
     pub(crate) sel: Vec<u32>,
 }
 
@@ -417,9 +417,6 @@ pub fn advance_chain_time(
 ///   for the whole run (admission depends only on partition and time,
 ///   both constant within a stream transaction), short-circuiting every
 ///   event at once while its context is suspended;
-/// * a stage-major chain (filters / projections / windows /
-///   pass-through patterns) narrows the *selection vector* stage by
-///   stage (see [`run_chain_batch_selected`]);
 /// * a chain whose (post-window) bottom is a pattern runs the pattern
 ///   over the whole selection ([`PatternOp::process_batch`]), and only
 ///   the matches — typically far fewer than the inputs — walk the
@@ -429,7 +426,7 @@ pub fn advance_chain_time(
 pub fn run_chain_batch(
     ops: &mut [Op],
     events: &[Event],
-    sel: &mut Vec<u32>,
+    sel: &[u32],
     table: &ContextTable,
     out: &mut ChainOutput,
     scratch: &mut ChainScratch,
@@ -489,16 +486,15 @@ fn reverse_row_groups(items: &mut [(u32, Event)]) {
 ///
 /// Semantically identical to running [`ChainScratch::run_one`] once per
 /// selected event in selection order, with each output and transition
-/// tagged by the input row that produced it. Dispatches per chain shape:
-/// stage-major chains go through [`run_chain_batch_selected`],
-/// pattern-bottom chains run the pattern batch-at-a-time with only the
-/// matches walking the suffix, and everything else falls back to a
-/// per-row loop over the shared traversal buffers.
+/// tagged by the input row that produced it. A pattern-bottom chain
+/// runs the pattern over the whole selection with only the matches
+/// walking the suffix; any other chain walks row by row over the shared
+/// traversal buffers.
 #[allow(clippy::too_many_arguments)] // the chain, its input and its three sinks' buffers
 pub fn run_chain_batch_items(
     ops: &mut [Op],
     events: &[Event],
-    sel: &mut Vec<u32>,
+    sel: &[u32],
     table: &ContextTable,
     scratch: &mut ChainScratch,
     slots: &mut StateSlots,
@@ -506,11 +502,6 @@ pub fn run_chain_batch_items(
     transitions: &mut Vec<(u32, Transition)>,
 ) {
     if sel.is_empty() {
-        return;
-    }
-    if chain_is_stage_major(ops) {
-        // Stage-major chains cannot contain CI/CT: no transitions.
-        run_chain_batch_selected(ops, events, sel, table, out);
         return;
     }
     let mut start = 0;
@@ -548,120 +539,6 @@ pub fn run_chain_batch_items(
         run_chain_from(ops, start, event, table, chain_out, walk, slots);
         out.extend(chain_out.events.drain(..).map(|e| (row, e)));
         transitions.extend(chain_out.transitions.drain(..).map(|t| (row, t)));
-    }
-}
-
-/// An operator a batch can flow through stage by stage: maps each input
-/// to at most one output, preserves order, and touches no cross-event
-/// state. A pass-through pattern without negation qualifies — it is a
-/// pure type filter (see [`PatternOp::passthrough_type`]).
-fn stage_major_op(op: &Op) -> bool {
-    match op {
-        Op::Filter(_) | Op::Project(_) | Op::ContextWindow(_) => true,
-        Op::Pattern(p) => p.passthrough_type().is_some(),
-        Op::ContextInit(_) | Op::ContextTerm(_) => false,
-    }
-}
-
-/// True when the whole chain past an optional bottom context window is
-/// stage-major — the precondition of [`run_chain_batch_selected`].
-#[must_use]
-pub fn chain_is_stage_major(ops: &[Op]) -> bool {
-    let start = usize::from(matches!(ops.first(), Some(Op::ContextWindow(_))));
-    ops[start..].iter().all(stage_major_op)
-}
-
-/// Stage-major chain execution over a selection vector.
-///
-/// The caller must have checked [`chain_is_stage_major`]; the selected
-/// rows must share one `(partition, time)`. Each stage narrows the
-/// selection in place, and events are only materialized (cloned or
-/// derived) once a projection runs or the chain ends. Surviving events
-/// are appended to `out` tagged with their source row index, which
-/// doubles as the input position for cross-plan merge ordering. Outputs
-/// and operator counters are identical to running
-/// [`ChainScratch::run_one`] once per selected event in order.
-pub fn run_chain_batch_selected(
-    ops: &mut [Op],
-    events: &[Event],
-    sel: &mut Vec<u32>,
-    table: &ContextTable,
-    out: &mut Vec<(u32, Event)>,
-) {
-    if sel.is_empty() {
-        return;
-    }
-    let mut start = 0;
-    if let Some(Op::ContextWindow(cw)) = ops.first_mut() {
-        if !cw.admits_run(&events[sel[0] as usize], sel.len() as u64, table) {
-            sel.clear();
-            return;
-        }
-        start = 1;
-    }
-    // Owned `(row, event)` pairs once a projection has materialized
-    // derived events; before that the selection vector alone carries
-    // the state.
-    let mut items: Option<Vec<(u32, Event)>> = None;
-    for op in &mut ops[start..] {
-        match (op, &mut items) {
-            (Op::Pattern(p), None) => {
-                let ty = p
-                    .passthrough_type()
-                    .expect("chain_is_stage_major checked by caller");
-                p.stats.events_processed += sel.len() as u64;
-                sel.retain(|&i| events[i as usize].type_id == ty);
-                p.stats.matches += sel.len() as u64;
-            }
-            (Op::Pattern(p), Some(items)) => {
-                let ty = p
-                    .passthrough_type()
-                    .expect("chain_is_stage_major checked by caller");
-                p.stats.events_processed += items.len() as u64;
-                items.retain(|(_, e)| e.type_id == ty);
-                p.stats.matches += items.len() as u64;
-            }
-            (Op::Filter(f), None) => sel.retain(|&i| f.accepts(&events[i as usize])),
-            (Op::Filter(f), Some(items)) => items.retain(|(_, e)| f.accepts(e)),
-            (Op::Project(p), None) => {
-                let derive = |&i: &u32| p.project(&events[i as usize]).map(|d| (i, d));
-                items = Some(sel.iter().filter_map(derive).collect());
-            }
-            (Op::Project(p), Some(items)) => {
-                items.retain_mut(|(_, e)| match p.project(e) {
-                    Some(derived) => {
-                        *e = derived;
-                        true
-                    }
-                    None => false,
-                });
-            }
-            (Op::ContextWindow(cw), None) => {
-                // Filters preserve (partition, time), so mid-chain
-                // windows also decide whole runs.
-                if !cw.admits_run(&events[sel[0] as usize], sel.len() as u64, table) {
-                    sel.clear();
-                    return;
-                }
-            }
-            (Op::ContextWindow(cw), Some(items)) => {
-                if !cw.admits_run(&items[0].1, items.len() as u64, table) {
-                    items.clear();
-                    return;
-                }
-            }
-            (Op::ContextInit(_) | Op::ContextTerm(_), _) => {
-                unreachable!("chain_is_stage_major checked by caller")
-            }
-        }
-        let exhausted = items.as_ref().map_or(sel.is_empty(), Vec::is_empty);
-        if exhausted {
-            return;
-        }
-    }
-    match items {
-        None => out.extend(sel.iter().map(|&i| (i, events[i as usize].clone()))),
-        Some(mut produced) => out.append(&mut produced),
     }
 }
 
@@ -751,7 +628,7 @@ mod tests {
     use caesar_events::{AttrType, PartitionId, Schema, SchemaRegistry};
     use caesar_query::ast::{BinOp, Expr};
 
-    /// One event through the whole chain, per-event entry point; a
+    /// One event through the whole chain by the per-event walker; a
     /// stateful pattern keeps its state in `slots`.
     fn run_chain_in(
         ops: &mut [Op],
@@ -950,12 +827,12 @@ mod tests {
             run_chain(&mut ops, e, table, &mut per_event);
         }
         let mut batched = ChainOutput::default();
-        let mut sel: Vec<u32> = (0..events.len() as u32).collect();
+        let sel: Vec<u32> = (0..events.len() as u32).collect();
         let mut scratch = ChainScratch::default();
         run_chain_batch(
             &mut batched_ops,
             events,
-            &mut sel,
+            &sel,
             table,
             &mut batched,
             &mut scratch,
@@ -963,31 +840,18 @@ mod tests {
         );
         assert_eq!(per_event.events, batched.events);
         assert_eq!(per_event.transitions, batched.transitions);
-        for (a, b) in ops.iter().zip(batched_ops.iter()) {
-            match (a, b) {
-                (Op::Filter(x), Op::Filter(y)) => {
-                    let counts = |f: &FilterOp| (f.evaluated, f.accepted, f.eval_errors);
-                    assert_eq!(counts(x), counts(y));
-                }
-                (Op::Project(x), Op::Project(y)) => {
-                    assert_eq!((x.projected, x.eval_errors), (y.projected, y.eval_errors));
-                }
-                (Op::ContextWindow(x), Op::ContextWindow(y)) => {
-                    assert_eq!((x.admitted, x.dropped), (y.admitted, y.dropped));
-                }
-                _ => {}
-            }
-        }
+        let counters = |ops: &[Op]| ops.iter().map(Op::observation).collect::<Vec<_>>();
+        assert_eq!(counters(&ops), counters(&batched_ops));
         batched_ops
     }
 
     #[test]
-    fn batch_chain_matches_per_event_stage_loop() {
+    fn batch_chain_matches_per_event_without_pattern() {
         let reg = registry();
         let mut table = ContextTable::new(2, 0);
         table.partition_mut(PartitionId(0)).initiate(1, 5);
         let out_ty = reg.lookup("Out").unwrap();
-        // CW -> Filter -> Project: all stage-eligible, window hoisted.
+        // CW -> Filter -> Project: one window probe, then row by row.
         let ops = vec![
             Op::ContextWindow(ContextWindowOp::new(1)),
             Op::Filter(speed_filter(&reg, 40)),
@@ -1008,7 +872,7 @@ mod tests {
         assert_batch_equivalent(ops, &events, &table);
     }
 
-    /// Conjuncts run in declaration order on both entry points: a first
+    /// Conjuncts run in declaration order on both paths: a first
     /// conjunct that errors on every row (division by zero) is counted
     /// once per row, even though a cheaper second conjunct would reject
     /// most rows without an error.
@@ -1033,7 +897,8 @@ mod tests {
         let reg = registry();
         let mut table = ContextTable::new(2, 0);
         table.partition_mut(PartitionId(0)).initiate(1, 0);
-        // CW -> Pattern -> Filter: pattern forces the event-major path.
+        // CW -> pass-through Pattern -> Filter: the pattern runs over the
+        // whole selection, and each match walks the filter.
         let ops = vec![
             Op::ContextWindow(ContextWindowOp::new(1)),
             Op::Pattern(PatternOp::passthrough(reg.lookup("P").unwrap())),
@@ -1053,13 +918,13 @@ mod tests {
         ];
         let events: Vec<Event> = (0..4).map(|i| pev(&reg, 9, i, 50)).collect();
         let mut out = ChainOutput::default();
-        let mut sel: Vec<u32> = (0..events.len() as u32).collect();
+        let sel: Vec<u32> = (0..events.len() as u32).collect();
         let mut scratch = ChainScratch::default();
         let slots = &mut StateSlots::default();
         run_chain_batch(
             &mut ops,
             &events,
-            &mut sel,
+            &sel,
             &table,
             &mut out,
             &mut scratch,
@@ -1120,11 +985,11 @@ mod tests {
             for e in run {
                 run_chain_in(&mut ops_a, e, &table, &mut per_event, &mut slots_a);
             }
-            let mut sel: Vec<u32> = (0..run.len() as u32).collect();
+            let sel: Vec<u32> = (0..run.len() as u32).collect();
             run_chain_batch(
                 &mut ops_b,
                 run,
-                &mut sel,
+                &sel,
                 &table,
                 &mut batched,
                 &mut scratch,

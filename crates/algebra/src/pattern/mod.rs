@@ -553,23 +553,6 @@ impl PatternOp {
         self.shared_prefix_len = len;
     }
 
-    /// The single consumed type of a pass-through pattern without
-    /// negation, or `None`. Such a pattern is a pure type filter —
-    /// [`process`] emits the input unchanged exactly when the type
-    /// matches, touching no state — so a batch may be filtered
-    /// stage-major with identical outputs and counters.
-    ///
-    /// [`process`]: PatternOp::process
-    #[must_use]
-    pub fn passthrough_type(&self) -> Option<TypeId> {
-        if self.is_passthrough() && self.program.negations.is_empty() && !self.collect_provenance()
-        {
-            Some(self.program.steps[0].type_id)
-        } else {
-            None
-        }
-    }
-
     /// Attribute offsets of the positive steps in the combined match
     /// event (offset 0 for pass-through patterns).
     #[must_use]
@@ -1270,7 +1253,7 @@ mod tests {
         assert!(p.pool_consistent());
     }
 
-    /// The batched entry point must be invisible: same outputs (in the
+    /// A run of rows must be invisible: same outputs (in the
     /// same per-row order) and the same counters, evaluation errors
     /// included, as feeding the run event-at-a-time.
     #[test]

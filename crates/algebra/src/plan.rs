@@ -47,28 +47,14 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Feeds one event through the chain; its pattern's run state is
-    /// the one in `slots`.
-    pub fn process(
-        &mut self,
-        event: &Event,
-        table: &ContextTable,
-        out: &mut PlanOutput,
-        scratch: &mut ChainScratch,
-        slots: &mut StateSlots,
-    ) {
-        scratch.run_one(&mut self.ops, 0, event.clone(), table, out, slots);
-    }
-
     /// Feeds a same-`(partition, time)` run of events through the
-    /// chain, skipping events the plan does not consume. Equivalent to
-    /// calling [`process`] once per consumed event, but the bottom
+    /// chain, its pattern's run state in `slots`, skipping events the
+    /// plan does not consume: outputs and counters are those of the
+    /// events walking the chain one by one, but the bottom
     /// context-window probe (if any) and the traversal buffers amortize
     /// over the run (a selection vector means unconsumed events are
     /// skipped without copying).
-    ///
-    /// [`process`]: QueryPlan::process
-    pub fn process_batch(
+    pub fn process(
         &mut self,
         events: &[Event],
         table: &ContextTable,
@@ -87,7 +73,7 @@ impl QueryPlan {
                 .filter(|(_, e)| self.consumes(e.type_id))
                 .map(|(i, _)| i as u32),
         );
-        run_chain_batch(&mut self.ops, events, &mut sel, table, out, scratch, slots);
+        run_chain_batch(&mut self.ops, events, &sel, table, out, scratch, slots);
         scratch.sel = sel;
     }
 
@@ -158,7 +144,7 @@ impl QueryPlan {
 /// plans and the installed [`SharedGroup`]s (rebuilt whenever those
 /// change and after deserialization; never part of the serialized
 /// form). Every traversal — the external pass, the derived-event
-/// cascade, both batch paths and the watermark flush — reads it:
+/// cascade, the plan-major pass and the watermark flush — reads it:
 ///
 /// * a member plan's chain runs for the types its *own* operators
 ///   mention; for a member of a shared-prefix group those are the steps
@@ -253,18 +239,12 @@ struct GroupRoute {
 struct CombinedScratch {
     /// Shared chain-traversal buffers.
     chain: ChainScratch,
-    /// Distinct externally consumed types of the transaction.
-    types: Vec<TypeId>,
-    /// Per-member selection vectors of the plan-major pass.
-    sels: Vec<Vec<u32>>,
-    /// Per-member row-tagged outputs of the plan-major pass.
-    plan_outs: Vec<Vec<(u32, Event)>>,
-    /// Per-member row-tagged transitions of the plan-major pass.
-    plan_trans: Vec<Vec<(u32, Transition)>>,
-    /// Per-member cursors into `plan_outs` during the per-row merge.
-    cursors: Vec<usize>,
-    /// Per-member cursors into `plan_trans`.
-    tcursors: Vec<usize>,
+    /// The transaction's rows of externally consumed types.
+    rows: Vec<u32>,
+    /// The members the plan-major pass runs, ascending.
+    members: Vec<usize>,
+    /// Per-member buffers of the plan-major pass, by plan index.
+    lanes: Vec<Lane>,
     /// Worklist of derived events cascading to downstream members:
     /// `(producer plan index + 1, event)` — derived events are only
     /// offered to later plans (topological order prevents cycles).
@@ -277,6 +257,22 @@ struct CombinedScratch {
     /// One member plan's output of a watermark advance, before its
     /// matured matches cascade downstream.
     matured: ChainOutput,
+}
+
+/// One member plan's buffers in a plan-major pass (empty, cursors at
+/// zero, between calls).
+#[derive(Debug, Clone, Default)]
+struct Lane {
+    /// The rows routed to the member.
+    sel: Vec<u32>,
+    /// Row-tagged outputs of its chain.
+    outs: Vec<(u32, Event)>,
+    /// Row-tagged transitions of its chain.
+    trans: Vec<(u32, Transition)>,
+    /// The merge's cursor into `outs`.
+    cursor: usize,
+    /// The merge's cursor into `trans`.
+    tcursor: usize,
 }
 
 impl CombinedScratch {
@@ -451,46 +447,14 @@ impl CombinedPlan {
         self.routes.get(type_id.index()).is_some_and(|r| r.external)
     }
 
-    /// Feeds one external event through the combined plan, its operators'
-    /// run states in `slots`. Derived events flow to downstream member
-    /// plans *and* to `out.events` (they are part of the output stream).
-    pub fn process(
-        &mut self,
-        event: &Event,
-        table: &ContextTable,
-        out: &mut PlanOutput,
-        slots: &mut StateSlots,
-    ) {
-        let Self {
-            plans,
-            shared,
-            routes,
-            context_bit,
-            scratch,
-            ..
-        } = self;
-        Self::process_one(
-            plans,
-            shared,
-            routes,
-            *context_bit,
-            event,
-            table,
-            out,
-            scratch,
-            slots,
-        );
-    }
-
-    /// The per-event traversal behind [`process`](Self::process) and the
-    /// event-major batch path, in the order the type's [`Route`] lists:
+    /// One event's traversal, in the order its type's [`Route`] lists:
     /// each member plan that uses the event runs its chain and then
     /// tries its shared-prefix boundary — the exact chain position where
     /// unshared execution would have completed those matches — then the
     /// derived events cascade to downstream members, and finally the
     /// shared prefixes advance (after the members, so a prefix completed
     /// by this event is never also extended by it).
-    #[allow(clippy::too_many_arguments)] // split borrows of `self`, so batch loops can hold the event slice
+    #[allow(clippy::too_many_arguments)] // split borrows of `self`, so the row loop can hold the event slice
     fn process_one(
         plans: &mut [QueryPlan],
         shared: &mut [SharedGroup],
@@ -570,147 +534,20 @@ impl CombinedPlan {
     }
 
     /// Feeds a same-`(partition, time)` run of external events through
-    /// the combined plan. Equivalent to calling [`process`] once per
-    /// consumed event in slice order — member plans see the exact same
-    /// event sequence and `out` receives the exact same outputs — but
-    /// executed *plan-major* where that is unobservable (no member fed
-    /// the run also consumes member-produced events, no shared group is
-    /// reached): each member plan consumes the whole run before the next
-    /// starts (one context-window probe per run, a selection vector of
-    /// its rows), and the per-plan
-    /// outputs are merged back into per-event order by their input-row
-    /// tags. All buffers come from the plan's scratch, so the steady
-    /// state allocates nothing.
-    ///
-    /// [`process`]: CombinedPlan::process
-    pub fn process_batch(
+    /// the combined plan, its operators' run states in `slots`. Derived
+    /// events flow to downstream member plans *and* to `out.events`
+    /// (they are part of the output stream). Member plans see, and
+    /// `out` receives, exactly what walking each consumed event through
+    /// the members one by one (`process_one`) in slice order gives; where
+    /// that is unobservable — no row's type feeds a member that also
+    /// consumes member-produced events or reaches a shared group — and
+    /// there is more than one row to reorder, the rows run
+    /// *plan-major* instead (`process_plan_major`).
+    /// For a single row the two orders coincide. All buffers come from
+    /// the plan's scratch, so the steady state allocates nothing.
+    pub fn process(
         &mut self,
         events: &[Event],
-        table: &ContextTable,
-        out: &mut PlanOutput,
-        slots: &mut StateSlots,
-    ) {
-        // Distinct externally consumed types of the transaction (almost
-        // always exactly 1).
-        let mut types = std::mem::take(&mut self.scratch.types);
-        types.clear();
-        for e in events {
-            if self.consumes_external(e.type_id) && !types.contains(&e.type_id) {
-                types.push(e.type_id);
-            }
-        }
-        if types.is_empty() {
-            self.scratch.types = types;
-            return;
-        }
-        if types.iter().all(|t| self.routes[t.index()].plan_major) {
-            self.process_batch_plan_major(events, &types, table, out, slots);
-        } else {
-            self.process_batch_event_major(events, &types, table, out, slots);
-        }
-        self.scratch.types = types;
-    }
-
-    /// The batched hot path: each member plan consumes its selection of
-    /// the run batch-at-a-time into row-tagged sinks; the merge then
-    /// walks the input rows with one cursor per member, replaying the
-    /// per-event emission order exactly — for each row, member plans in
-    /// topological order, then the LIFO cascade of derived events
-    /// through downstream members (see [`process`]). The per-plan sinks
-    /// are already row-ordered (selections ascend), so the merge is a
-    /// linear cursor walk with no sort.
-    ///
-    /// [`process`]: CombinedPlan::process
-    fn process_batch_plan_major(
-        &mut self,
-        events: &[Event],
-        types: &[TypeId],
-        table: &ContextTable,
-        out: &mut PlanOutput,
-        slots: &mut StateSlots,
-    ) {
-        let Self {
-            plans,
-            routes,
-            scratch,
-            ..
-        } = self;
-        let n = plans.len();
-        scratch.sels.resize_with(n, Vec::new);
-        scratch.plan_outs.resize_with(n, Vec::new);
-        scratch.plan_trans.resize_with(n, Vec::new);
-        scratch.sels.iter_mut().for_each(Vec::clear);
-        for (row, e) in events.iter().enumerate() {
-            if types.contains(&e.type_id) {
-                for m in &routes[e.type_id.index()].members {
-                    scratch.sels[m.plan].push(row as u32);
-                }
-            }
-        }
-        for (idx, plan) in plans.iter_mut().enumerate() {
-            let outs = &mut scratch.plan_outs[idx];
-            let trans = &mut scratch.plan_trans[idx];
-            outs.clear();
-            trans.clear();
-            run_chain_batch_items(
-                &mut plan.ops,
-                events,
-                &mut scratch.sels[idx],
-                table,
-                &mut scratch.chain,
-                slots,
-                outs,
-                trans,
-            );
-        }
-        scratch.cursors.clear();
-        scratch.cursors.resize(n, 0);
-        scratch.tcursors.clear();
-        scratch.tcursors.resize(n, 0);
-        debug_assert!(scratch.work.is_empty());
-        for (row_idx, e) in events.iter().enumerate() {
-            if !types.contains(&e.type_id) {
-                continue;
-            }
-            let row = row_idx as u32;
-            for idx in 0..n {
-                while let Some((r, ev)) = scratch.plan_outs[idx].get(scratch.cursors[idx]) {
-                    if *r != row {
-                        break;
-                    }
-                    out.events.push(ev.clone());
-                    scratch.work.push((idx + 1, ev.clone()));
-                    scratch.cursors[idx] += 1;
-                }
-                while let Some((r, t)) = scratch.plan_trans[idx].get(scratch.tcursors[idx]) {
-                    if *r != row {
-                        break;
-                    }
-                    out.transitions.push(*t);
-                    scratch.tcursors[idx] += 1;
-                }
-            }
-            // Cascade this row's derived events to downstream members —
-            // plan-major legality guarantees no member consuming them
-            // also consumed the external run, so their state still sees
-            // inputs in per-event order.
-            Self::cascade(plans, routes, table, out, scratch, slots);
-        }
-        // Cursor walks must have drained every sink: each output's row
-        // tag is a selected row of `types`-membership, all visited.
-        debug_assert!((0..n).all(|i| scratch.cursors[i] == scratch.plan_outs[i].len()));
-        debug_assert!((0..n).all(|i| scratch.tcursors[i] == scratch.plan_trans[i].len()));
-    }
-
-    /// Event-major execution for the transactions where plan-major
-    /// reordering would be observable — identical traversal to
-    /// [`process`] per event, but reusing the plan's scratch buffers.
-    ///
-    /// [`process`]: CombinedPlan::process
-    fn process_batch_event_major(
-        &mut self,
-        events: &[Event],
-        types: &[TypeId],
         table: &ContextTable,
         out: &mut PlanOutput,
         slots: &mut StateSlots,
@@ -723,22 +560,123 @@ impl CombinedPlan {
             scratch,
             ..
         } = self;
-        for event in events {
-            if !types.contains(&event.type_id) {
-                continue;
+        let mut rows = std::mem::take(&mut scratch.rows);
+        rows.clear();
+        let mut plan_major = true;
+        for (row, e) in events.iter().enumerate() {
+            if let Some(route) = routes.get(e.type_id.index()).filter(|r| r.external) {
+                rows.push(row as u32);
+                plan_major &= route.plan_major;
             }
-            Self::process_one(
-                plans,
-                shared,
-                routes,
-                *context_bit,
-                event,
-                table,
-                out,
-                scratch,
-                slots,
-            );
         }
+        if plan_major && rows.len() > 1 {
+            Self::process_plan_major(plans, routes, events, &rows, table, out, scratch, slots);
+        } else {
+            for &row in &rows {
+                let event = &events[row as usize];
+                Self::process_one(
+                    plans,
+                    shared,
+                    routes,
+                    *context_bit,
+                    event,
+                    table,
+                    out,
+                    scratch,
+                    slots,
+                );
+            }
+        }
+        scratch.rows = rows;
+    }
+
+    /// Plan-major execution of the consumed `rows`: each member plan
+    /// they route to consumes its selection of them into row-tagged
+    /// sinks, in ascending plan index; the merge then walks the rows
+    /// with one cursor per such member, replaying the per-event
+    /// emission order exactly — for each row, member plans in
+    /// topological order, then the LIFO cascade of derived events
+    /// through downstream members (see
+    /// [`process_one`](Self::process_one)). The sinks are already
+    /// row-ordered (selections ascend), so the merge is a linear cursor
+    /// walk with no sort, and members no row routes to are never
+    /// visited.
+    #[allow(clippy::too_many_arguments)] // split borrows of `self`, the rows and the sinks
+    fn process_plan_major(
+        plans: &mut [QueryPlan],
+        routes: &[Route],
+        events: &[Event],
+        rows: &[u32],
+        table: &ContextTable,
+        out: &mut PlanOutput,
+        scratch: &mut CombinedScratch,
+        slots: &mut StateSlots,
+    ) {
+        if scratch.lanes.len() < plans.len() {
+            scratch.lanes.resize_with(plans.len(), Lane::default);
+        }
+        let mut members = std::mem::take(&mut scratch.members);
+        members.clear();
+        for &row in rows {
+            for m in &routes[events[row as usize].type_id.index()].members {
+                let sel = &mut scratch.lanes[m.plan].sel;
+                if sel.is_empty() {
+                    members.push(m.plan);
+                }
+                sel.push(row);
+            }
+        }
+        members.sort_unstable();
+        for &idx in &members {
+            let lane = &mut scratch.lanes[idx];
+            run_chain_batch_items(
+                &mut plans[idx].ops,
+                events,
+                &lane.sel,
+                table,
+                &mut scratch.chain,
+                slots,
+                &mut lane.outs,
+                &mut lane.trans,
+            );
+            lane.sel.clear();
+        }
+        debug_assert!(scratch.work.is_empty());
+        for &row in rows {
+            for &idx in &members {
+                let lane = &mut scratch.lanes[idx];
+                while let Some((r, ev)) = lane.outs.get(lane.cursor) {
+                    if *r != row {
+                        break;
+                    }
+                    out.events.push(ev.clone());
+                    scratch.work.push((idx + 1, ev.clone()));
+                    lane.cursor += 1;
+                }
+                while let Some((r, t)) = lane.trans.get(lane.tcursor) {
+                    if *r != row {
+                        break;
+                    }
+                    out.transitions.push(*t);
+                    lane.tcursor += 1;
+                }
+            }
+            // Cascade this row's derived events to downstream members —
+            // plan-major legality guarantees no member consuming them
+            // also consumed the external run, so their state still sees
+            // inputs in per-event order.
+            Self::cascade(plans, routes, table, out, scratch, slots);
+        }
+        // Cursor walks must have drained every sink: each output's row
+        // tag is one of `rows`, all visited.
+        for &idx in &members {
+            let lane = &mut scratch.lanes[idx];
+            debug_assert!(lane.cursor == lane.outs.len() && lane.tcursor == lane.trans.len());
+            lane.outs.clear();
+            lane.trans.clear();
+            (lane.cursor, lane.tcursor) = (0, 0);
+        }
+        scratch.members = members;
     }
 
     /// Advances member `idx`'s watermark on its state in `slots`,
@@ -886,7 +824,7 @@ impl Deserialize for CombinedPlan {
 mod tests {
     use super::*;
     use crate::expr::CompiledExpr;
-    use crate::ops::{ContextWindowOp, ProjectOp};
+    use crate::ops::{ContextWindowOp, OpObservation, ProjectOp};
     use crate::pattern::{PatternOp, RunState};
     use caesar_events::{AttrType, PartitionId, Schema, SchemaRegistry, Value};
     use caesar_query::ast::{EventQuery, Pattern};
@@ -964,7 +902,7 @@ mod tests {
         let table = ContextTable::new(1, 0);
         let mut out = PlanOutput::default();
         combined.process(
-            &in_event(&reg, 5, 42),
+            &[in_event(&reg, 5, 42)],
             &table,
             &mut out,
             &mut StateSlots::default(),
@@ -988,7 +926,7 @@ mod tests {
         let table = ContextTable::new(1, 0);
         let mut out = PlanOutput::default();
         combined.process(
-            &in_event(&reg, 5, 42),
+            &[in_event(&reg, 5, 42)],
             &table,
             &mut out,
             &mut StateSlots::default(),
@@ -996,30 +934,72 @@ mod tests {
         assert_eq!(out.events.len(), 1, "only Mid; Final not produced");
     }
 
+    /// Every operator counter of a combined plan's members, in plan
+    /// and chain order.
+    fn counters(plan: &CombinedPlan) -> Vec<OpObservation> {
+        let ops = plan.plans.iter().flat_map(|p| p.ops.iter());
+        ops.filter_map(Op::observation).collect()
+    }
+
+    /// Runs each transaction of `txns` through one clone of `plan` as
+    /// one slice and through another one event per slice: outputs, their
+    /// order and every operator counter must agree.
+    fn assert_slice_equivalent(plan: &CombinedPlan, txns: &[Vec<Event>]) -> PlanOutput {
+        let (mut whole, mut single) = (plan.clone(), plan.clone());
+        let (mut out_a, mut out_b) = (PlanOutput::default(), PlanOutput::default());
+        let (mut slots_a, mut slots_b) = (StateSlots::default(), StateSlots::default());
+        let table = ContextTable::new(1, 0);
+        for txn in txns {
+            whole.process(txn, &table, &mut out_a, &mut slots_a);
+            for e in txn {
+                single.process(std::slice::from_ref(e), &table, &mut out_b, &mut slots_b);
+            }
+        }
+        assert_eq!(out_a.events, out_b.events);
+        assert_eq!(out_a.transitions, out_b.transitions);
+        assert_eq!(counters(&whole), counters(&single));
+        out_a
+    }
+
+    /// In -> Mid -> Final: no member fed `In` consumes a derived type,
+    /// so a many-row transaction runs plan-major.
     #[test]
-    fn combined_batch_matches_per_event() {
+    fn plan_major_slice_matches_one_event_slices() {
         let reg = registry();
         let p1 = relay_plan(&reg, 0, "In", "Mid");
         let p2 = relay_plan(&reg, 1, "Mid", "Final");
-        let mut per_event = CombinedPlan::new("c".into(), 0, vec![p1, p2]);
-        let mut batched = per_event.clone();
-        let table = ContextTable::new(1, 0);
-        let events: Vec<Event> = (0..6).map(|i| in_event(&reg, 5, i)).collect();
+        let combined = CombinedPlan::new("c".into(), 0, vec![p1, p2]);
+        assert!(combined.routes[reg.lookup("In").unwrap().index()].plan_major);
+        let txn: Vec<Event> = (0..6).map(|i| in_event(&reg, 5, i)).collect();
+        let out = assert_slice_equivalent(&combined, &[txn]);
+        assert_eq!(out.events.len(), 12);
+    }
 
-        let mut out_a = PlanOutput::default();
-        for e in &events {
-            if per_event.consumes_external(e.type_id) {
-                per_event.process(e, &table, &mut out_a, &mut StateSlots::default());
-            }
+    /// `SEQ(In, Mid)` is fed `In` and consumes the `Mid` a relay derives
+    /// from it, so the rows must interleave event by event: plan-major is
+    /// illegal for `In`.
+    #[test]
+    fn event_major_slice_matches_one_event_slices() {
+        let reg = registry();
+        let relay = relay_plan(&reg, 0, "In", "Mid");
+        let mut seq = seq_plan(&reg, 1, "Mid", "Final");
+        if let Op::Pattern(p) = &mut seq.ops[0] {
+            p.set_slot(0);
         }
-        let mut out_b = PlanOutput::default();
-        batched.process_batch(&events, &table, &mut out_b, &mut StateSlots::default());
-        assert_eq!(out_a.events, out_b.events);
-        assert_eq!(out_a.transitions, out_b.transitions);
+        let combined = CombinedPlan::new("c".into(), 0, vec![relay, seq]);
+        assert!(!combined.routes[reg.lookup("In").unwrap().index()].plan_major);
+        let txns: Vec<Vec<Event>> = (1..4)
+            .map(|t| (0..3).map(|v| in_event(&reg, t, v)).collect())
+            .collect();
+        let out = assert_slice_equivalent(&combined, &txns);
+        assert!(out
+            .events
+            .iter()
+            .any(|e| e.type_id == reg.lookup("Final").unwrap()));
     }
 
     #[test]
-    fn query_plan_batch_skips_unconsumed_types() {
+    fn query_plan_skips_unconsumed_types() {
         let reg = registry();
         let mut plan = relay_plan(&reg, 0, "In", "Mid");
         let table = ContextTable::new(1, 0);
@@ -1033,7 +1013,7 @@ mod tests {
         let events = vec![in_event(&reg, 5, 1), mid, in_event(&reg, 5, 2)];
         let mut out = PlanOutput::default();
         let slots = &mut StateSlots::default();
-        plan.process_batch(
+        plan.process(
             &events,
             &table,
             &mut out,
@@ -1146,6 +1126,7 @@ mod tests {
         let (mut slots_a, mut slots_b) = (StateSlots::default(), StateSlots::default());
         for e in &stream {
             assert!(restored.consumes_external(e.type_id));
+            let e = std::slice::from_ref(e);
             combined.process(e, &table, &mut out_a, &mut slots_a);
             restored.process(e, &table, &mut out_b, &mut slots_b);
         }
@@ -1185,7 +1166,7 @@ mod tests {
         let table = ContextTable::new(1, 0);
         let mut out = PlanOutput::default();
         let mut slots = StateSlots::default();
-        combined.process(&in_event(&reg, 1, 7), &table, &mut out, &mut slots);
+        combined.process(&[in_event(&reg, 1, 7)], &table, &mut out, &mut slots);
         let live = |slots: &StateSlots| slots.peek(Some(0)).map_or(0, RunState::live_partials);
         assert_eq!(live(&slots), 1);
         combined.plans[0].discard_history(None, &mut slots);

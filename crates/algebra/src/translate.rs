@@ -827,7 +827,7 @@ mod tests {
                 Value::str("travel"),
             ],
         );
-        plan.process(&e, &table, &mut sink, &mut slots);
+        plan.process(std::slice::from_ref(&e), &table, &mut sink, &mut slots);
         let tolls: Vec<&Event> = sink
             .events
             .iter()
@@ -850,7 +850,7 @@ mod tests {
                 Value::str("travel"),
             ],
         );
-        plan.process(&e2, &table, &mut sink, &mut slots);
+        plan.process(std::slice::from_ref(&e2), &table, &mut sink, &mut slots);
         assert!(sink.events.iter().all(|e| e.type_id != toll_tid));
     }
 
@@ -886,7 +886,7 @@ mod tests {
                 Value::str("exit"),
             ],
         );
-        plan.process(&e, &table, &mut sink, &mut slots);
+        plan.process(std::slice::from_ref(&e), &table, &mut sink, &mut slots);
         assert!(sink.events.iter().all(|ev| ev.type_id != toll_tid));
     }
 
@@ -914,7 +914,7 @@ mod tests {
                 Value::str("travel"),
             ],
         );
-        plan.process(&e, &table, &mut sink, &mut slots);
+        plan.process(std::slice::from_ref(&e), &table, &mut sink, &mut slots);
         assert!(
             sink.events.is_empty(),
             "congestion plan inactive in clear context"
@@ -934,7 +934,7 @@ mod tests {
         let mut sink = crate::plan::PlanOutput::default();
         let mut slots = numbered(clear_plan);
         let e = Event::simple(msc_tid, 100, PartitionId(0), vec![Value::Int(3)]);
-        clear_plan.process(&e, &table, &mut sink, &mut slots);
+        clear_plan.process(std::slice::from_ref(&e), &table, &mut sink, &mut slots);
         assert_eq!(sink.transitions.len(), 2);
         use crate::context_table::TransitionKind;
         assert_eq!(sink.transitions[0].kind, TransitionKind::Initiate);

@@ -141,9 +141,7 @@ pub fn run_mode_full(
 /// snapshot/restore leg. Every optimized leg runs with the eligible
 /// shared-prefix groups installed; exactly one leg turns
 /// [`EngineConfig::sharing`] off, which keeps the private-pattern path
-/// under the oracle. No leg picks the operators' per-event or batch
-/// entry points: the engine chooses by transaction size, and the sweeps
-/// assert both were taken.
+/// under the oracle.
 /// (`caesar-testkit` layers two *served* legs on top — the same
 /// workload round-tripped through a loopback `caesar-server` instance,
 /// strict and speculative — which live there because the runtime cannot

@@ -4,11 +4,10 @@
 //! collection (Figures 8 and 9 of the paper).
 //!
 //! There is one ingest path: events enter one at a time, and the
-//! scheduler groups them into stream transactions. Whether a
-//! transaction runs through the operators' per-event or batch entry
-//! points is decided by its size ([`BATCH_MIN_EVENTS`]), not by
-//! configuration; the two are equivalent by construction (each
-//! operator's tests pin it).
+//! scheduler groups them into stream transactions. Each plan takes a
+//! transaction as one slice of events; a slice gives the outputs and
+//! operator counters of its events fed one at a time (each operator's
+//! tests pin it).
 //!
 //! Expiry follows global time, state is per partition: one worklist of
 //! `(deadline, partition)` entries, advanced with the scheduler's
@@ -33,6 +32,7 @@ use caesar_events::{
 use caesar_optimizer::optimizer::OptimizedProgram;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 use std::time::Instant;
@@ -43,14 +43,6 @@ use speculate::Speculation;
 
 /// Execution mode of the engine.
 pub type ExecutionMode = Mode;
-
-/// Transactions with at least this many events run through the
-/// operators' batch entry points (plan-major execution, one
-/// context-window probe per run, selection vectors); smaller ones take
-/// the per-event entry points, where that setup would be pure overhead.
-/// Dispatch only — outputs and operator counters are identical either
-/// way.
-pub const BATCH_MIN_EVENTS: usize = 8;
 
 /// Engine configuration.
 ///
@@ -390,11 +382,8 @@ pub struct Engine {
     /// walk whose order is observable, `finish`, sorts the ids (a
     /// snapshot encodes the map key-sorted).
     partitions: PartitionMap<PartitionRun>,
-    /// The expiry worklist, earliest first: `(d, p)` once what `p` held
-    /// when entered — run state, closed context spans — is dead at `d`.
-    /// One entry per record is live ([`PartitionRun::queued`]); stale
-    /// ones are skipped when popped ([`sweep_to`](Self::sweep_to)).
-    worklist: BinaryHeap<Reverse<(Time, u32)>>,
+    /// The expiry worklist ([`sweep_to`](Self::sweep_to)).
+    worklist: Worklist,
     /// Sum of the stored records' [`PartitionRun::bytes`].
     run_state_bytes: usize,
     /// The router's selection buffer, reused across transactions.
@@ -495,7 +484,7 @@ impl Engine {
             template,
             default_bit,
             partitions: PartitionMap::default(),
-            worklist: BinaryHeap::new(),
+            worklist: Worklist::default(),
             run_state_bytes: 0,
             active: Vec::new(),
             scratch: Scratch::default(),
@@ -544,7 +533,7 @@ impl Engine {
             default_bit: self.default_bit,
             run_state_bytes: 0,
             partitions: PartitionMap::default(),
-            worklist: BinaryHeap::new(),
+            worklist: Worklist::default(),
             active: Vec::new(),
             scratch: Scratch::default(),
             scheduler: self.scheduler.clone(),
@@ -700,13 +689,31 @@ impl Engine {
         self.partitions.len()
     }
 
+    /// Partitions the engine keeps anything for: a record or a context
+    /// row.
+    #[must_use]
+    pub fn partitions_kept(&self) -> usize {
+        let rowless = self.partitions.keys().map(|&id| PartitionId(id));
+        let rowless = rowless.filter(|&p| self.table.updated(p).is_none());
+        self.table.materialized_partitions() + rowless.count()
+    }
+
+    /// Entries in the expiry worklist: at most one per partition, and
+    /// never more than [`partitions_kept`](Self::partitions_kept) right
+    /// after a transaction's sweep.
+    #[must_use]
+    pub fn expiry_entries(&self) -> usize {
+        self.worklist.heap.len()
+    }
+
     /// Stores a partition's record unless it is empty, making sure it
     /// has a worklist entry.
-    fn store(&mut self, id: u32, mut run: PartitionRun) {
+    fn store(&mut self, id: u32, run: PartitionRun) {
         if run.is_empty() {
             return;
         }
-        schedule(&mut self.worklist, self.template.horizon, id, &mut run);
+        let due = run.touched.saturating_add(self.template.horizon);
+        self.worklist.enter(id, due);
         self.run_state_bytes += run.bytes();
         self.partitions.insert(id, run);
     }
@@ -714,26 +721,25 @@ impl Engine {
     /// Stores the records of a snapshot or of the engine a fork is taken
     /// from, each entered in this engine's worklist afresh.
     fn adopt(&mut self, partitions: PartitionMap<PartitionRun>) {
-        for (id, mut run) in partitions {
-            run.queued = None;
+        for (id, run) in partitions {
             self.store(id, run);
         }
     }
 
     /// Enters every context row in the worklist under its `W.time`, as
     /// the transition that last updated it did: a restored or forked
-    /// engine then releases the rows the original releases.
+    /// engine then releases the rows the original releases. A partition
+    /// with a record keeps the entry [`store`](Self::store) gave it,
+    /// under its latest transaction, which no `W.time` follows.
     fn enter_rows(&mut self) {
         let horizon = self.template.horizon;
-        let entries = self
-            .table
-            .rows()
-            .map(|(p, t)| Reverse((t.saturating_add(horizon), p.0)));
-        self.worklist.extend(entries);
+        for (p, t) in self.table.rows() {
+            self.worklist.enter(p.0, t.saturating_add(horizon));
+        }
     }
 
-    /// Advances the expiry worklist to global progress `watermark`. A
-    /// live entry, once due, is re-entered if its partition was active
+    /// Advances the expiry worklist to global progress `watermark`. An
+    /// entry, once due, is re-entered if its partition was active
     /// since — its record took part in a transaction, or, without a
     /// record, its context row was updated; otherwise it clears the
     /// partition's closed context spans ([`ContextTable::expire`]),
@@ -744,7 +750,7 @@ impl Engine {
     /// transaction (a row's latest update) plus the program's horizon,
     /// whatever the history of its entries — a restored engine, which
     /// enters its records and rows afresh, prunes and releases when the
-    /// original does. Stale entries are skipped.
+    /// original does.
     ///
     /// Sound because no later event of any partition precedes the
     /// watermark (the scheduler's progress; for the speculative fork,
@@ -756,41 +762,29 @@ impl Engine {
     /// row does. Parked matches and leading-negation buffers, which the
     /// partition's own watermark decides, are not touched.
     fn sweep_to(&mut self, watermark: Time) {
-        if self
-            .worklist
-            .peek()
-            .is_none_or(|Reverse((due, _))| *due >= watermark)
-        {
+        if !self.worklist.due_before(watermark) {
             return;
         }
         let span = self.obs.span_start();
         let (mut emptied, mut cleared) = (0, false);
         let horizon = self.template.horizon;
-        while let Some(&Reverse((due, id))) = self.worklist.peek() {
-            if due >= watermark {
-                break;
-            }
-            self.worklist.pop();
+        while let Some(id) = self.worklist.pop_before(watermark) {
             let partition = PartitionId(id);
             let Some(run) = self.partitions.get_mut(&id) else {
                 // No run state: the row is due one horizon after its
                 // latest update.
                 match self.table.updated(partition) {
                     Some(t) if t.saturating_add(horizon) >= watermark => {
-                        self.worklist.push(Reverse((t.saturating_add(horizon), id)));
+                        self.worklist.enter(id, t.saturating_add(horizon));
                     }
                     Some(_) => cleared |= self.table.release(partition, watermark),
                     None => {}
                 }
                 continue;
             };
-            if run.queued != Some(due) {
-                continue;
-            }
-            run.queued = None;
             if run.touched.saturating_add(horizon) >= watermark {
                 // Active since it was entered.
-                schedule(&mut self.worklist, horizon, id, run);
+                self.worklist.enter(id, run.touched.saturating_add(horizon));
                 continue;
             }
             cleared |= self.table.expire(partition, watermark);
@@ -1008,22 +1002,18 @@ impl Engine {
         let held = programs.slots.enter(&mut run.states);
 
         let mut out = std::mem::take(&mut self.scratch.out);
-        let batched = events.len() >= BATCH_MIN_EVENTS;
         self.obs.inc(CounterId::TransactionsExecuted);
-        if batched {
-            self.obs.inc(CounterId::BatchedTransactions);
-        }
         self.obs.observe_batch_size(events.len() as u64);
 
         // Baseline overhead: per-query private re-derivation.
         if self.config.mode == Mode::ContextIndependent {
-            programs.run_private_derivation(events, &self.table, batched);
+            programs.run_private_derivation(events, &self.table);
         }
 
         // Phase 1: context derivation (before any processing at t).
         let span = self.obs.span_start();
         let mut transitions = std::mem::take(&mut self.scratch.transitions);
-        programs.run_derivation(events, &self.table, run, &mut transitions, batched);
+        programs.run_derivation(events, &self.table, run, &mut transitions);
         self.obs.span_end(Stage::Derivation, span);
         let span = self.obs.span_start();
         // Windows closing at time t still admit events carrying exactly
@@ -1048,16 +1038,19 @@ impl Engine {
                 closed_bits.push(self.default_bit);
             }
         }
+        // The partition's entry, if it needs one, is due one horizon
+        // after this transaction.
+        let due = t.saturating_add(programs.horizon);
         if !closed_bits.is_empty() {
             // A stateless partition needs an entry too: for its spans.
-            schedule(&mut self.worklist, programs.horizon, id, run);
+            self.worklist.enter(id, due);
         }
         self.scratch.transitions = transitions;
         self.obs.span_end(Stage::Transitions, span);
 
         // Phase 2: context-aware routing + processing. Routing is one
-        // decision per transaction in either mode; the batch path also
-        // evaluates each active plan once over the whole event slice.
+        // decision per transaction in either mode, and each active plan
+        // runs once over the whole event slice.
         let span = self.obs.span_start();
         let mut active = std::mem::take(&mut self.active);
         self.router.select(
@@ -1071,7 +1064,7 @@ impl Engine {
         self.obs.span_end(Stage::Router, span);
         self.obs.tick_contexts(&active, programs.processing.len());
         let span = self.obs.span_start();
-        programs.run_processing(events, &self.table, &active, run, &mut out, batched);
+        programs.run_processing(events, &self.table, &active, run, &mut out);
         self.active = active;
         self.obs.span_end(Stage::Processing, span);
 
@@ -1102,11 +1095,12 @@ impl Engine {
         self.obs.add(CounterId::RunSlotsExamined, examined as u64);
         self.run_state_bytes += run.bytes();
         if run.is_empty() {
+            // An entry the record had stays: it is the row's now.
             if had_record {
                 self.partitions.remove(&id);
             }
         } else {
-            schedule(&mut self.worklist, programs.horizon, id, run);
+            self.worklist.enter(id, due);
             if let Some(fresh) = fresh {
                 self.partitions.insert(id, fresh);
             }
@@ -1292,19 +1286,49 @@ fn by_type(counts: &[u64]) -> impl Iterator<Item = (TypeId, u64)> + '_ {
     counted.map(|(i, &n)| (TypeId(i as u32), n))
 }
 
-/// Enters partition `id` in the expiry worklist unless it has a live
-/// entry, under the time everything it holds that a sweep may free is
-/// dead: its latest transaction plus the program's longest horizon.
-fn schedule(
-    worklist: &mut BinaryHeap<Reverse<(Time, u32)>>,
-    horizon: Time,
-    id: u32,
-    run: &mut PartitionRun,
-) {
-    if run.queued.is_none() {
-        let due = run.touched.saturating_add(horizon);
-        worklist.push(Reverse((due, id)));
-        run.queued = Some(due);
+/// The expiry worklist: `(d, p)` entries, earliest first, once what `p`
+/// held when entered — run state, closed context spans, its context row
+/// — is dead at `d`. A partition has at most one entry. It outlives the
+/// partition's record: a record a transaction empties leaves it to the
+/// context row, and the partition's next record finds it there.
+#[derive(Debug, Default)]
+struct Worklist {
+    heap: BinaryHeap<Reverse<(Time, u32)>>,
+    /// Each entered partition's deadline.
+    queued: PartitionMap<Time>,
+}
+
+impl Worklist {
+    /// Enters partition `id` under `due` unless it has an entry.
+    fn enter(&mut self, id: u32, due: Time) {
+        if let Entry::Vacant(slot) = self.queued.entry(id) {
+            slot.insert(due);
+            self.heap.push(Reverse((due, id)));
+        }
+    }
+
+    /// Whether an entry is due before `watermark`.
+    fn due_before(&self, watermark: Time) -> bool {
+        self.heap
+            .peek()
+            .is_some_and(|Reverse((due, _))| *due < watermark)
+    }
+
+    /// Removes the earliest entry if it is due before `watermark`, and
+    /// returns its partition.
+    fn pop_before(&mut self, watermark: Time) -> Option<u32> {
+        if !self.due_before(watermark) {
+            return None;
+        }
+        let Reverse((due, id)) = self.heap.pop()?;
+        let queued = self.queued.remove(&id);
+        debug_assert_eq!(queued, Some(due), "one entry per partition");
+        Some(id)
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.queued.clear();
     }
 }
 

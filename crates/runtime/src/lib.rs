@@ -40,7 +40,7 @@ pub mod txn;
 pub use driver::{run_mode, run_mode_full, standard_matrix, ModeSpec};
 pub use engine::{
     Consistency, Engine, EngineConfig, EngineConfigBuilder, EngineState, ExecutionMode,
-    RestoreError, RunReport, BATCH_MIN_EVENTS,
+    RestoreError, RunReport,
 };
 pub use obs::{CounterId, Histogram, MetricsRegistry, MetricsSnapshot, ObservabilityLevel, Stage};
 pub use parallel::{merge_reports, run_sharded, run_sharded_full, run_sharded_with_outputs};

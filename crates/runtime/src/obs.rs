@@ -129,7 +129,7 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Every stage, in pipeline order.
+    /// Every stage, in pipeline (and declaration) order.
     pub const ALL: [Stage; 10] = [
         Stage::Distributor,
         Stage::Reorder,
@@ -160,19 +160,9 @@ impl Stage {
         }
     }
 
+    /// Position in [`ALL`](Self::ALL) (declaration order).
     fn index(self) -> usize {
-        match self {
-            Stage::Distributor => 0,
-            Stage::Reorder => 1,
-            Stage::Scheduler => 2,
-            Stage::Derivation => 3,
-            Stage::Transitions => 4,
-            Stage::Router => 5,
-            Stage::Processing => 6,
-            Stage::AdvanceTime => 7,
-            Stage::CheckpointWrite => 8,
-            Stage::WalAppend => 9,
-        }
+        self as usize
     }
 }
 
@@ -183,8 +173,6 @@ pub enum CounterId {
     EventsIngested,
     /// Stream transactions executed.
     TransactionsExecuted,
-    /// Transactions that took the batch fast path.
-    BatchedTransactions,
     /// Sweeps of the expiry worklist that freed anything: an operator's
     /// run state, a closed context window's span or a context row (the
     /// name predates the worklist; it counted periodic context-table
@@ -237,10 +225,9 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in snapshot order.
-    pub const ALL: [CounterId; 20] = [
+    pub const ALL: [CounterId; 19] = [
         CounterId::EventsIngested,
         CounterId::TransactionsExecuted,
-        CounterId::BatchedTransactions,
         CounterId::GcRuns,
         CounterId::ExpiredStates,
         CounterId::RunSlotsHeld,
@@ -266,7 +253,6 @@ impl CounterId {
         match self {
             CounterId::EventsIngested => "events_ingested",
             CounterId::TransactionsExecuted => "transactions_executed",
-            CounterId::BatchedTransactions => "batched_transactions",
             CounterId::GcRuns => "gc_runs",
             CounterId::ExpiredStates => "expired_states",
             CounterId::RunSlotsHeld => "run_slots_held",

@@ -18,7 +18,10 @@
 //! the transaction reaches finds its own by number; at
 //! [`StateSlots::leave`] only the slots it reached are examined.
 //! A transaction therefore touches the state its events reach, never
-//! every operator of the program.
+//! every operator of the program. Each phase hands a plan the whole
+//! transaction as one slice ([`QueryPlan::process`],
+//! [`CombinedPlan::process`]); the partition's feedback events, which
+//! carry earlier timestamps, run ahead of it as one-event slices.
 //!
 //! The template construction also realizes two execution-strategy
 //! decisions:
@@ -274,11 +277,6 @@ pub struct PartitionRun {
     /// Time of the partition's latest transaction: nothing held was
     /// added later.
     pub touched: Time,
-    /// The deadline of the partition's live entry in the engine's
-    /// expiry worklist, if it has one. Process-local: a restored or
-    /// forked engine enters its records afresh.
-    #[serde(skip)]
-    pub queued: Option<Time>,
 }
 
 impl Default for PartitionRun {
@@ -288,7 +286,6 @@ impl Default for PartitionRun {
             feedback: Vec::new(),
             next: Time::MAX,
             touched: 0,
-            queued: None,
         }
     }
 }
@@ -471,18 +468,14 @@ impl ProgramTemplate {
     /// that consume them — routed by type, in plan order (their
     /// pushed-down context windows gate inactive ones); appends the
     /// requested transitions to `transitions` in plan/chain order.
-    /// `batched` sends the events through each plan's batch entry point,
-    /// amortizing the context-window probe; feedback events carry
-    /// earlier timestamps than the transaction, so they stay per-event
-    /// and run ahead — the same plan-major order, hence identical
-    /// transitions.
+    /// Feedback events carry earlier timestamps than the transaction,
+    /// so each runs ahead of it, as a slice of its own.
     pub fn run_derivation(
         &mut self,
         events: &[Event],
         table: &ContextTable,
         run: &mut PartitionRun,
         transitions: &mut Vec<Transition>,
-        batched: bool,
     ) {
         let Self {
             deriving,
@@ -506,15 +499,13 @@ impl ProgramTemplate {
         sink.clear();
         for &plan in reach.iter() {
             let plan = &mut deriving[plan as usize];
-            let singles = if batched { &[] } else { events };
-            for ev in run.feedback.iter().chain(singles) {
+            for ev in &run.feedback {
                 if plan.consumes(ev.type_id) {
+                    let ev = std::slice::from_ref(ev);
                     plan.process(ev, table, sink, scratch, slots);
                 }
             }
-            if batched {
-                plan.process_batch(events, table, sink, scratch, slots);
-            }
+            plan.process(events, table, sink, scratch, slots);
         }
         run.feedback.clear();
         // Deriving queries have no DERIVE clause: their chain output is
@@ -525,15 +516,9 @@ impl ProgramTemplate {
 
     /// The baseline's redundant derivation work: every processing query
     /// privately re-evaluates its context's deriving conditions on every
-    /// event, per event or through the batch entry points. Outputs and
-    /// transitions are discarded — only the canonical derivation updates
-    /// the table.
-    pub fn run_private_derivation(
-        &mut self,
-        events: &[Event],
-        table: &ContextTable,
-        batched: bool,
-    ) {
+    /// event. Outputs and transitions are discarded — only the canonical
+    /// derivation updates the table.
+    pub fn run_private_derivation(&mut self, events: &[Event], table: &ContextTable) {
         let Self {
             redundant,
             sink,
@@ -542,15 +527,7 @@ impl ProgramTemplate {
             ..
         } = self;
         for plan in redundant.iter_mut() {
-            if batched {
-                plan.process_batch(events, table, sink, scratch, slots);
-            } else {
-                for ev in events {
-                    if plan.consumes(ev.type_id) {
-                        plan.process(ev, table, sink, scratch, slots);
-                    }
-                }
-            }
+            plan.process(events, table, sink, scratch, slots);
             sink.clear();
         }
     }
@@ -558,10 +535,8 @@ impl ProgramTemplate {
     /// Phase 2 of a transaction: context processing. In context-aware
     /// mode the router has already selected active plans (`active` holds
     /// indices into `processing`); in the baseline every plan runs.
-    /// `batched` makes one batch call per active combined plan, which
-    /// iterates plan-major like the per-event path, so outputs come out
-    /// in the same order. Derived events a deriving plan consumes are
-    /// also queued as feedback for the partition's next derivation pass.
+    /// Derived events a deriving plan consumes are also queued as
+    /// feedback for the partition's next derivation pass.
     pub fn run_processing(
         &mut self,
         events: &[Event],
@@ -569,7 +544,6 @@ impl ProgramTemplate {
         active: &[usize],
         run: &mut PartitionRun,
         out: &mut PlanOutput,
-        batched: bool,
     ) {
         let Self {
             processing,
@@ -579,16 +553,7 @@ impl ProgramTemplate {
         } = self;
         sink.clear();
         for &idx in active {
-            let plan = &mut processing[idx];
-            if batched {
-                plan.process_batch(events, table, sink, slots);
-                continue;
-            }
-            for ev in events {
-                if plan.consumes_external(ev.type_id) {
-                    plan.process(ev, table, sink, slots);
-                }
-            }
+            processing[idx].process(events, table, sink, slots);
         }
         self.emit_processed(run, out);
     }
@@ -882,7 +847,7 @@ mod tests {
         let mut run = PartitionRun::default();
         let mut transitions = Vec::new();
         template.slots.enter(&mut run.states);
-        template.run_derivation(&[spike], &table, &mut run, &mut transitions, false);
+        template.run_derivation(&[spike], &table, &mut run, &mut transitions);
         template.slots.leave(&mut run.states);
         assert_eq!(transitions.len(), 2, "switch = terminate + initiate");
     }
@@ -896,14 +861,7 @@ mod tests {
         template.active_processing(PartitionId(0), 5, &table, &mut active);
         let mut run = PartitionRun::default();
         template.slots.enter(&mut run.states);
-        template.run_processing(
-            &[reading(&reg, 5, 3)],
-            &table,
-            &active,
-            &mut run,
-            &mut out,
-            false,
-        );
+        template.run_processing(&[reading(&reg, 5, 3)], &table, &active, &mut run, &mut out);
         // Ping fires in idle; Heavy (busy) suspended.
         let ping = reg.lookup("Ping").unwrap();
         assert!(out.events.iter().all(|e| e.type_id == ping));
@@ -927,14 +885,7 @@ mod tests {
         template.active_processing(PartitionId(0), 5, &table, &mut active);
         let mut run = PartitionRun::default();
         template.slots.enter(&mut run.states);
-        template.run_processing(
-            &[reading(&reg, 5, 50)],
-            &table,
-            &active,
-            &mut run,
-            &mut out,
-            false,
-        );
+        template.run_processing(&[reading(&reg, 5, 50)], &table, &active, &mut run, &mut out);
         table.partition_mut(PartitionId(0)).terminate(busy_bit, 6);
         template.on_context_terminated(busy_bit, PartitionId(0), &table);
         template.slots.leave(&mut run.states);

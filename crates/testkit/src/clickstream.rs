@@ -19,7 +19,6 @@ use caesar_clickstream::{
 };
 use caesar_events::generator::rng;
 use caesar_events::max_lateness;
-use caesar_runtime::BATCH_MIN_EVENTS;
 use rand::Rng;
 
 /// Derives a clickstream differential workload from a seed: a random
@@ -53,10 +52,10 @@ pub fn clickstream_workload_from_seed(seed: u64) -> Workload {
     };
     let registry = clickstream_registry();
     let (mut events, _) = generate(&config, &registry);
-    // Scripted sessions never put `BATCH_MIN_EVENTS` events into one
-    // transaction, so half the workloads repeat a few views in place:
-    // same user, same timestamp, arriving together — the same-time
-    // runs that take the operators' batch entry points.
+    // Scripted sessions put few events into a transaction, so
+    // half the workloads repeat a few views in place: same user, same
+    // timestamp, arriving together — transactions of 8 to 12 events,
+    // where a combined plan may run plan-major.
     if r.gen_bool(0.5) {
         let view = registry.lookup("View").expect("registered");
         for _ in 0..r.gen_range(1..4) {
@@ -67,7 +66,7 @@ pub fn clickstream_workload_from_seed(seed: u64) -> Workload {
                 break;
             }
             let at = views[r.gen_range(0..views.len())];
-            let copies = r.gen_range(BATCH_MIN_EVENTS..BATCH_MIN_EVENTS + 5);
+            let copies = r.gen_range(8..13);
             let burst = vec![events[at].clone(); copies - 1];
             events.splice(at..at, burst);
         }

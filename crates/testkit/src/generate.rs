@@ -55,7 +55,7 @@ pub struct GenConfig {
     /// (two bounds on the same attribute, one implying the other).
     pub subsumable_bias: f64,
     /// Chance the next event reuses the current timestamp (dense
-    /// same-time runs are the batched hot path's regime).
+    /// same-time runs make many-event transactions).
     pub same_time_bias: f64,
     /// Fraction of adjacent swaps applied to the stream, producing
     /// bounded out-of-order arrival.

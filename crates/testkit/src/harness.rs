@@ -19,48 +19,10 @@ use caesar_events::{codec, Event, OutputRecord, SchemaRegistry};
 use caesar_optimizer::{OptimizedProgram, Optimizer, OptimizerConfig};
 use caesar_query::{pretty, QuerySet};
 use caesar_runtime::{
-    run_mode_full, standard_matrix, Consistency, EngineConfig, ModeSpec, ObservabilityLevel,
-    RunReport,
+    run_mode_full, standard_matrix, Consistency, EngineConfig, ModeSpec, RunReport,
 };
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::AddAssign;
-
-/// The transactions the matrix's `Counters` leg executed, and how many
-/// of them the engine sent through the operators' batch entry points
-/// (it picks by transaction size). No leg forces either entry point, so
-/// a sweep sums these and asserts `0 < batched < executed`: both paths
-/// ran under the oracle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EntryPaths {
-    /// `transactions_executed`.
-    pub executed: u64,
-    /// `batched_transactions`.
-    pub batched: u64,
-}
-
-impl EntryPaths {
-    fn of(report: &RunReport) -> Self {
-        let counter = |name: &str| report.metrics.counters.get(name).copied().unwrap_or(0);
-        Self {
-            executed: counter("transactions_executed"),
-            batched: counter("batched_transactions"),
-        }
-    }
-
-    /// True when both entry points ran: `0 < batched < executed`.
-    #[must_use]
-    pub fn both_taken(&self) -> bool {
-        0 < self.batched && self.batched < self.executed
-    }
-}
-
-impl AddAssign for EntryPaths {
-    fn add_assign(&mut self, other: Self) {
-        self.executed += other.executed;
-        self.batched += other.batched;
-    }
-}
 
 /// A differential divergence: everything needed to reproduce it.
 #[derive(Debug, Clone)]
@@ -253,14 +215,13 @@ pub(crate) fn compare_leg(
     Ok(())
 }
 
-/// Runs every matrix leg of `workload` against an explicit oracle run;
-/// returns the `Counters` leg's [`EntryPaths`]. The mutation
-/// smoke-check passes a deliberately wrong oracle here and expects an
-/// `Err`.
+/// Runs every matrix leg of `workload` against an explicit oracle run.
+/// The mutation smoke-check passes a deliberately wrong oracle here and
+/// expects an `Err`.
 pub fn check_workload_against(
     workload: &Workload,
     oracle_run: &OracleRun,
-) -> Result<EntryPaths, DiffFailure> {
+) -> Result<(), DiffFailure> {
     let fail = |leg: &str, detail: String| DiffFailure {
         seed: workload.seed,
         leg: leg.to_string(),
@@ -270,7 +231,6 @@ pub fn check_workload_against(
     };
     let (optimized, unoptimized, registry) =
         build_programs(workload).map_err(|e| fail("build", e))?;
-    let mut paths = EntryPaths::default();
     for spec in standard_matrix(workload.reorder_slack, workload.events.len()) {
         let program = if spec.optimized {
             &optimized
@@ -281,11 +241,8 @@ pub fn check_workload_against(
             .map_err(|e| fail(&spec.label, format!("engine error: {e}")))?;
         compare_leg(workload, &spec, &report, &outputs, &records, oracle_run)
             .map_err(|detail| fail(&spec.label, detail))?;
-        if spec.config.observability == ObservabilityLevel::Counters {
-            paths = EntryPaths::of(&report);
-        }
     }
-    Ok(paths)
+    Ok(())
 }
 
 /// The provenance differential: the engine in timestamp-collecting mode
@@ -335,8 +292,7 @@ pub fn check_workload_provenance(workload: &Workload) -> Result<(), DiffFailure>
 
 /// The full differential check: reference-oracle run, then every leg of
 /// the standard mode matrix, byte-identical outputs and equal counters.
-/// Returns the `Counters` leg's [`EntryPaths`].
-pub fn check_workload(workload: &Workload) -> Result<EntryPaths, DiffFailure> {
+pub fn check_workload(workload: &Workload) -> Result<(), DiffFailure> {
     let oracle_run = oracle_run(workload).map_err(|e| DiffFailure {
         seed: workload.seed,
         leg: "oracle".into(),

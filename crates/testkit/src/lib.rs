@@ -53,7 +53,7 @@ pub use clickstream::clickstream_workload_from_seed;
 pub use generate::{workload_from_seed, workload_strategy, GenConfig, Workload};
 pub use harness::{
     build_programs, canonical, check_workload, check_workload_against, check_workload_provenance,
-    fold_records, mutated_oracle_run, oracle_run, shrink_workload, DiffFailure, EntryPaths,
+    fold_records, mutated_oracle_run, oracle_run, shrink_workload, DiffFailure,
 };
 pub use oracle::{Mutation, Oracle, OracleBuildError, OracleRun};
 pub use served::{

@@ -1,19 +1,19 @@
-//! The batch entry points against the traffic oracle.
+//! Dense transactions against the traffic oracle.
 //!
-//! The engine runs a transaction through the operators' batch entry
-//! points (plan-major execution, one context-window probe per run,
-//! selection vectors) when it holds at least `BATCH_MIN_EVENTS` events,
-//! and through the per-event entry points otherwise. Each operator's
-//! own tests pin the two as equivalent; this test holds a run whose
-//! dense traffic takes the batch entry points against the Linear Road
-//! oracle directly, so the batched path is *correct*, not merely
+//! Every plan takes a transaction as one slice of events; a combined
+//! plan may run a many-event slice plan-major (each member over its
+//! rows before the next, one context-window probe per run, selection
+//! vectors). Each operator's own tests pin a slice as equivalent to its
+//! events fed one per slice; this test holds a run of dense traffic —
+//! transactions of many position reports — against the Linear Road
+//! oracle directly, so the many-event path is *correct*, not merely
 //! self-consistent.
 
 use caesar::linear_road::{expected_outputs, LinearRoadConfig, TrafficSim};
 use caesar::prelude::*;
 
 /// Dense Linear Road traffic: long same-(partition, time) runs of
-/// position reports, the regime of the batch entry points.
+/// position reports.
 #[test]
 fn batched_run_matches_oracle() {
     let mut sim = TrafficSim::new(LinearRoadConfig {
@@ -37,9 +37,13 @@ fn batched_run_matches_oracle() {
     let report = system
         .run_stream(&mut VecStream::new(events))
         .expect("stream is in order");
+    // Transactions of more than 8 events: those past the histogram's
+    // 8-event bucket.
+    let sizes = &report.metrics.batch_sizes;
+    let past_8 = sizes.bounds.partition_point(|&b| b <= 8);
     assert!(
-        report.metrics.counters["batched_transactions"] > 0,
-        "dense traffic must take the batch entry points"
+        sizes.counts[past_8..].iter().sum::<u64>() > 0,
+        "dense traffic must have transactions of more than 8 events"
     );
     assert!(report.outputs_of("TollNotification") > 0);
     assert_eq!(report.outputs_of("ZeroToll"), oracle.zero_tolls);

@@ -617,6 +617,51 @@ fn a_million_sessions_keep_engine_state_bounded() {
     assert!(growth_kib <= 8 * 1024, "RSS grew by {growth_kib} KiB");
 }
 
+/// The expiry worklist enters a partition once, however often its
+/// record comes and goes: after every ingest of a clickstream stream
+/// (the benchmark's sparse shape — Zipf-skewed returning users, one or
+/// two views a session) it holds no more entries than there are
+/// partitions with a record or a context row.
+#[test]
+fn the_expiry_worklist_holds_one_entry_per_kept_partition() {
+    let config = ClickConfig {
+        users: 1_000_000,
+        sessions: 5_000,
+        coverage_floor: 4_800,
+        zipf_s: 1.2,
+        seed: 1,
+        min_views: 1,
+        max_views: 2,
+        mean_gap: 6,
+        scatter_ids: true,
+        ..ClickConfig::default()
+    };
+    let registry = clickstream_registry();
+    let (events, _) = generate(&config, &registry);
+    let workload = Workload {
+        seed: config.seed,
+        model: clickstream_model(2),
+        registry,
+        events,
+        default_within: DEFAULT_WITHIN,
+        reorder_slack: 0,
+        output_types: output_types(2),
+    };
+    let (optimized, _, registry) = build_programs(&workload).expect("build");
+    let mut engine = Engine::new(optimized, &registry, EngineConfig::default());
+    let mut peak = 0;
+    for (i, event) in workload.events.into_iter().enumerate() {
+        engine.ingest(event).expect("in-order stream");
+        let (entries, kept) = (engine.expiry_entries(), engine.partitions_kept());
+        assert!(
+            entries <= kept,
+            "after event {i}: {entries} entries, {kept} partitions kept"
+        );
+        peak = peak.max(entries);
+    }
+    assert!(peak > 0, "the stream enters partitions");
+}
+
 /// `sessions` sessions of distinct users, ids scattered over the `u32`
 /// space, one every 6 ticks.
 fn one_session_per_user(sessions: usize) -> ClickConfig {

@@ -1,7 +1,6 @@
 //! Observability equivalence: turning metrics collection on must never
-//! change what the engine computes. The same stream — whose
-//! transactions take both the operators' per-event and batch entry
-//! points — runs under every observability level; outputs must be
+//! change what the engine computes. The same stream — transactions of
+//! 3 and 8 events — runs under every observability level; outputs must be
 //! byte-identical and every stream-derived counter — report totals,
 //! per-operator in/out, per-query roll-ups, per-context admission —
 //! must agree exactly. Only the measurement side (counters, span
@@ -46,8 +45,7 @@ fn build(level: ObservabilityLevel) -> CaesarSystem {
 }
 
 /// Deterministic stream with same-timestamp runs, several partitions and
-/// a few context switches. Every third tick's readings stop short of
-/// the batch entry points' size threshold, so both entry points run.
+/// a few context switches.
 fn events(sys: &CaesarSystem) -> Vec<Event> {
     let mut out = Vec::new();
     for t in 1..=120u64 {
@@ -74,10 +72,8 @@ fn events(sys: &CaesarSystem) -> Vec<Event> {
                 .unwrap();
             out.push(e);
         }
-        // Marks feed the SEQ query. They ride a different partition so
-        // Reading transactions stay pure: the stage-major batch path
-        // only engages when every plan consuming a transaction is
-        // stage-major, and a sequence pattern is not.
+        // Marks feed the SEQ query. They ride a different partition, so
+        // a Reading transaction holds readings alone.
         if t % 10 == 7 {
             let e = sys
                 .event("Mark", t)
@@ -89,8 +85,8 @@ fn events(sys: &CaesarSystem) -> Vec<Event> {
                 .unwrap();
             out.push(e);
         }
-        // A same-timestamp run of readings per tick, wide enough to
-        // clear `BATCH_MIN_EVENTS` except on every third tick.
+        // A same-timestamp run of readings per tick: 8 events, 3 on
+        // every third tick.
         let run = if t % 3 == 0 { 3 } else { 8 };
         for k in 0..run {
             let e = sys
@@ -168,13 +164,6 @@ fn levels_and_modes_agree_byte_for_byte() {
             derived,
             stream_derived(&candidate.report.metrics),
             "{level:?}: stream-derived metrics diverged"
-        );
-        // Both operator entry points ran.
-        let counter = |name: &str| candidate.report.metrics.counters[name];
-        let batched = counter("batched_transactions");
-        assert!(
-            0 < batched && batched < counter("transactions_executed"),
-            "{level:?}: {batched} batched transactions"
         );
     }
 }

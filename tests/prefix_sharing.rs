@@ -37,7 +37,7 @@ use caesar::optimizer::{OptimizedProgram, Optimizer};
 use caesar::prelude::*;
 use caesar::query::QuerySet;
 use caesar::runtime::programs::{Mode, ProgramTemplate};
-use caesar::runtime::{run_mode_full, Engine, ModeSpec, RunReport, BATCH_MIN_EVENTS};
+use caesar::runtime::{run_mode_full, Engine, ModeSpec, RunReport};
 use caesar_testkit::canonical;
 use proptest::prelude::*;
 
@@ -254,25 +254,14 @@ fn crafted_stream(reg: &SchemaRegistry) -> Vec<Event> {
     ]
 }
 
-/// `counted()` config: the engine counts its transactions, and those
-/// that took the operators' batch entry points.
+/// The engine at `ObservabilityLevel::Counters`.
 fn counted() -> EngineConfig {
     EngineConfig::builder()
         .observability(ObservabilityLevel::Counters)
         .build()
 }
 
-/// `(batched_transactions, transactions_executed)` of a run.
-fn entry_paths(report: &RunReport) -> (u64, u64) {
-    let counter = |name: &str| report.metrics.counters[name];
-    (
-        counter("batched_transactions"),
-        counter("transactions_executed"),
-    )
-}
-
-/// The crafted stream's transactions are all smaller than
-/// `BATCH_MIN_EVENTS`: every one takes the per-event entry points.
+/// The crafted stream, one or two events per transaction.
 #[test]
 fn crafted_stream_matches_unshared_per_event() {
     let reg = input_registry();
@@ -280,27 +269,19 @@ fn crafted_stream_matches_unshared_per_event() {
     let (report, outputs) = assert_equivalent(TWO_QUERY_MODEL, &events, counted());
     assert_eq!(report.events_out, 4, "LongC ×2, LongD ×2");
     assert_eq!(outputs.len(), 4);
-    assert_eq!(entry_paths(&report).0, 0);
 }
 
-/// The crafted stream with every event repeated `BATCH_MIN_EVENTS`
-/// times in place: every transaction takes the batch entry points. (The
-/// name is older than the removal of the vectorized predicate kernels;
-/// the batch entry points are what it exercises.)
+/// The crafted stream with every event repeated 8 times in place: every
+/// transaction holds at least 8 events.
 #[test]
-fn crafted_stream_matches_unshared_batched_and_vectorized() {
+fn crafted_stream_matches_unshared_dense() {
     let reg = input_registry();
     let dense: Vec<Event> = crafted_stream(&reg)
         .into_iter()
-        .flat_map(|e| std::iter::repeat_n(e, BATCH_MIN_EVENTS))
+        .flat_map(|e| std::iter::repeat_n(e, 8))
         .collect();
     let (report, _) = assert_equivalent(TWO_QUERY_MODEL, &dense, counted());
     assert!(report.events_out > 4);
-    let (batched, executed) = entry_paths(&report);
-    assert!(
-        batched > 0 && batched == executed,
-        "{batched} of {executed}"
-    );
 }
 
 #[test]
@@ -400,7 +381,7 @@ proptest! {
         let reg = input_registry();
         let events = stream_from_choices(&reg, &raw);
         assert_equivalent(THREE_QUERY_MODEL, &events, EngineConfig::default());
-        assert_equivalent(TWO_QUERY_MODEL, &events, EngineConfig::default());
+        assert_equivalent(TWO_QUERY_MODEL, &events, counted());
         assert_equivalent(NEGATION_MODEL, &events, EngineConfig::default());
     }
 }
