@@ -25,7 +25,7 @@ use std::sync::Arc;
 pub struct FilterOp {
     /// Conjunction of compiled predicates (all must hold), evaluated in
     /// declaration order. Shared across plan clones (the optimizer's
-    /// search, the baseline's redundant derivers); rewrites
+    /// search, the baseline's private re-derivers); rewrites
     /// copy-on-write before execution starts.
     pub predicates: Arc<Vec<CompiledExpr>>,
     /// Evaluation errors (counted as non-matches).

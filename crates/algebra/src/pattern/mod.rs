@@ -183,8 +183,8 @@ enum Verdict {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PatternOp {
     /// The compiled program (steps, negations, horizon, output shape).
-    /// Behind an [`Arc`]: the optimizer and the baseline's redundant
-    /// derivers clone operators; the program is immutable after
+    /// Behind an [`Arc`]: the optimizer and the baseline's private
+    /// re-derivers clone operators; the program is immutable after
     /// optimization, so clones share it and the rare pre-execution
     /// mutators copy-on-write.
     program: Arc<NfaProgram>,

@@ -106,10 +106,7 @@ fn main() {
     );
     ablate(
         "- workload sharing",
-        OptimizerConfig {
-            share_workloads: false,
-            ..full_opt
-        },
+        full_opt,
         engine_ca.to_builder().sharing(false).build(),
     );
     ablate(

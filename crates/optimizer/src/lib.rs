@@ -22,7 +22,9 @@
 //! * [`search`] — greedy (context-aware) vs. exhaustive (Selinger-style
 //!   dynamic program over operator subsets) plan search, the subject of
 //!   Figure 11(a).
-//! * [`optimizer`] — the pipeline gluing it all together.
+//! * [`optimizer`] — the pipeline gluing it all together, and the
+//!   program it emits for execution: CAESAR's or a §7 baseline's
+//!   ([`Mode`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,7 +44,7 @@ pub use grouping::{
 pub use mqo::{
     bell_number, executing_plans, find_sharing, stirling2, ExecutingPlans, SharedWorkload,
 };
-pub use optimizer::{OptimizedProgram, Optimizer, OptimizerConfig};
+pub use optimizer::{Mode, OptimizedProgram, Optimizer, OptimizerConfig};
 pub use pushdown::{
     merge_adjacent_filters, push_down_context_window, push_predicates_into_pattern,
 };

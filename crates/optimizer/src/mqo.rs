@@ -97,6 +97,9 @@ pub struct ExecutingPlans {
     /// Fan-out per representative query id (members sharing its
     /// execution, including itself).
     pub fanout: BTreeMap<QueryId, usize>,
+    /// Router gates: per processing plan, the union of its members'
+    /// context window bits, ascending. An empty gate is always open.
+    pub gates: Vec<Vec<u8>>,
 }
 
 /// Applies `sharing` to the translated combined plans (pass an empty
@@ -149,11 +152,29 @@ pub fn executing_plans(combined: Vec<CombinedPlan>, sharing: &[SharedWorkload]) 
             processing.push(CombinedPlan::new(c.context, c.context_bit, kept_processing));
         }
     }
+    let gates = processing.iter().map(window_bits).collect();
     ExecutingPlans {
         deriving,
         processing,
         fanout,
+        gates,
     }
+}
+
+/// The context bits of every member's context window, ascending.
+fn window_bits(combined: &CombinedPlan) -> Vec<u8> {
+    let windows = combined
+        .plans
+        .iter()
+        .flat_map(|p| &p.ops)
+        .filter_map(|op| match op {
+            Op::ContextWindow(cw) => Some(cw),
+            _ => None,
+        });
+    let mut bits: Vec<u8> = windows.flat_map(|cw| cw.bits()).collect();
+    bits.sort_unstable();
+    bits.dedup();
+    bits
 }
 
 fn widen_context_window(plan: &mut QueryPlan, extra: &[u8]) {

@@ -9,23 +9,27 @@
 //!    identical query),
 //! 5. context window grouping over the subsumption-derived window specs
 //!    of the deriving queries (Listing 1).
+//!
+//! [`OptimizedProgram::executing`] then emits the plans an engine runs:
+//! CAESAR's context-aware program, or one of the §7 baselines.
 
 use crate::grouping::{group_windows, install_prefix_sharing, GroupingResult, UserWindow};
-use crate::mqo::{executing_plans, find_sharing, total_savings, SharedWorkload};
+use crate::mqo::{executing_plans, find_sharing, total_savings, ExecutingPlans, SharedWorkload};
 use crate::pushdown::{
     merge_adjacent_filters, push_down_context_window, push_predicates_into_pattern,
 };
 use crate::subsume::{derive_window_specs, window_relation, WindowRelation, WindowSpec};
 use caesar_algebra::cost::{plan_cost, Stats};
 use caesar_algebra::translate::TranslationOutput;
-use caesar_algebra::{CombinedPlan, Op};
+use caesar_algebra::{CombinedPlan, Op, QueryPlan};
 use caesar_events::SchemaRegistry;
 use caesar_query::ast::QueryId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Which optimizations to apply. Disabling everything yields the
-/// "non-optimized query plan" baseline of Figure 11(b).
+/// Which optimizations to apply. Disabling everything and executing
+/// the program as [`Mode::BusyWait`] yields the "non-optimized query
+/// plan" baseline of Figure 11(b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OptimizerConfig {
     /// Push context windows to the bottom of every chain (§5.2).
@@ -34,9 +38,6 @@ pub struct OptimizerConfig {
     pub merge_filters: bool,
     /// Install eagerly-evaluable conjuncts as pattern step predicates.
     pub push_predicates: bool,
-    /// Detect structurally identical queries and execute them once
-    /// (§5.3).
-    pub share_workloads: bool,
 }
 
 impl Default for OptimizerConfig {
@@ -45,7 +46,6 @@ impl Default for OptimizerConfig {
             push_down_context_windows: true,
             merge_filters: true,
             push_predicates: true,
-            share_workloads: true,
         }
     }
 }
@@ -58,9 +58,30 @@ impl OptimizerConfig {
             push_down_context_windows: false,
             merge_filters: false,
             push_predicates: false,
-            share_workloads: false,
         }
     }
+}
+
+/// Which program [`OptimizedProgram::executing`] emits: CAESAR's, or
+/// one of the §7 baselines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub enum Mode {
+    /// CAESAR: suspension by context, derivation shared per context.
+    #[default]
+    ContextAware,
+    /// Baseline: all queries always active; each processing query
+    /// re-derives its context privately; context windows are pushed to
+    /// the chain bottom, so pattern state stays window-scoped and
+    /// results match CAESAR exactly.
+    ContextIndependent,
+    /// Pure busy-waiting, the "non-optimized query plan" of Figure
+    /// 11(b): all queries always active, no private re-derivation, and
+    /// context windows left where the plans put them — a SASE-style
+    /// engine taken literally, where every event traverses pattern and
+    /// filter before a mid-chain window drops out-of-context *matches*.
+    /// Pattern state is stream-scoped, so results may differ at window
+    /// boundaries (§3.2).
+    BusyWait,
 }
 
 /// The CAESAR optimizer.
@@ -90,6 +111,55 @@ pub struct OptimizedProgram {
 }
 
 impl OptimizedProgram {
+    /// The plans an engine executes in `mode`, with workload sharing
+    /// (§5.3) applied when `share` is set.
+    ///
+    /// * [`Mode::ContextAware`]: a sharing program also installs every
+    ///   shared-prefix group [`install_prefix_sharing`] finds eligible;
+    ///   each processing plan is gated by its context windows.
+    /// * [`Mode::ContextIndependent`] (§7, state of the art \[34, 5\]):
+    ///   every gate is open, context windows sit at the chain bottom
+    ///   (with no router, that keeps pattern state window-scoped), and
+    ///   every processing query gets a private clone of each deriving
+    ///   plan of its context, appended to `deriving` with its context
+    ///   operators stripped: it re-evaluates the derivation condition on
+    ///   every event and requests no transition.
+    /// * [`Mode::BusyWait`]: every gate is open and nothing else changes.
+    ///
+    /// Neither baseline installs shared prefixes: they model an engine
+    /// without the §5 optimizer.
+    #[must_use]
+    pub fn executing(self, mode: Mode, share: bool) -> ExecutingPlans {
+        let mut combined = self.translation.combined;
+        // A semantic requirement, not an optimization: with every gate
+        // open, only a window below the pattern keeps its state
+        // window-scoped (busy-waiting gives that up on purpose).
+        if mode == Mode::ContextIndependent {
+            for p in combined.iter_mut().flat_map(|c| &mut c.plans) {
+                push_down_context_window(p);
+            }
+        }
+        let sharing = if share { &self.sharing[..] } else { &[] };
+        let mut plans = executing_plans(combined, sharing);
+        match mode {
+            Mode::ContextAware => {
+                if share {
+                    for cp in &mut plans.processing {
+                        install_prefix_sharing(cp);
+                    }
+                }
+                return plans;
+            }
+            Mode::ContextIndependent => {
+                let private = private_derivers(&plans);
+                plans.deriving.extend(private);
+            }
+            Mode::BusyWait => {}
+        }
+        plans.gates.iter_mut().for_each(Vec::clear);
+        plans
+    }
+
     /// Queries whose execution is saved by sharing.
     #[must_use]
     pub fn shared_savings(&self) -> usize {
@@ -154,6 +224,33 @@ impl OptimizedProgram {
     }
 }
 
+/// The context-independent baseline's re-derivers: per processing
+/// query, a clone of each deriving plan of its context without the
+/// context operators (`CI_c`, `CT_c` and the context window).
+fn private_derivers(plans: &ExecutingPlans) -> Vec<QueryPlan> {
+    let mut private = Vec::new();
+    for c in &plans.processing {
+        let derivers: Vec<&QueryPlan> = plans
+            .deriving
+            .iter()
+            .filter(|d| d.context == c.context)
+            .collect();
+        for _query in &c.plans {
+            for &deriver in &derivers {
+                let mut clone = deriver.clone();
+                clone.ops.retain(|op| {
+                    !matches!(
+                        op,
+                        Op::ContextInit(_) | Op::ContextTerm(_) | Op::ContextWindow(_)
+                    )
+                });
+                private.push(clone);
+            }
+        }
+    }
+    private
+}
+
 impl Optimizer {
     /// Creates an optimizer with the given configuration and statistics.
     #[must_use]
@@ -184,16 +281,12 @@ impl Optimizer {
             }
         }
 
-        let sharing = if self.config.share_workloads {
-            let all: Vec<&caesar_query::queryset::CompiledQuery> = translation
-                .combined
-                .iter()
-                .flat_map(|c| c.plans.iter().map(|p| p.source.as_ref()))
-                .collect();
-            find_sharing(&all)
-        } else {
-            Vec::new()
-        };
+        let all: Vec<&caesar_query::queryset::CompiledQuery> = translation
+            .combined
+            .iter()
+            .flat_map(|c| c.plans.iter().map(|p| p.source.as_ref()))
+            .collect();
+        let sharing = find_sharing(&all);
 
         // Subsumption analysis over the deriving queries → window specs
         // → grouping.
@@ -330,7 +423,8 @@ mod tests {
             .flat_map(|c| c.plans.iter().map(|p| p.explain()))
             .collect();
         assert_eq!(before, after);
-        assert!(program.sharing.is_empty());
+        // The sharing analysis is not a pass: it always runs.
+        assert_eq!(program.shared_savings(), 1);
     }
 
     #[test]

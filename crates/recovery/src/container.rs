@@ -60,8 +60,12 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CAESNAP\0";
 ///   instead of an (always empty) resident state, the program carries
 ///   its deriving-plan routing table and per-bit termination index,
 ///   the engine's per-type counters are vectors indexed by type, and
-///   `EngineState` no longer names a bound partition.
-pub const SNAPSHOT_VERSION: u32 = 8;
+///   `EngineState` no longer names a bound partition;
+/// * 9 — the program in `EngineState.template` lost its mode and its
+///   redundant plans: a context-independent program carries its
+///   private re-derivers among its deriving plans (their run-state
+///   slots among theirs) and open (empty) router gates.
+pub const SNAPSHOT_VERSION: u32 = 9;
 /// Fixed header length in bytes.
 const HEADER_LEN: usize = 40;
 

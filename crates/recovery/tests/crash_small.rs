@@ -201,10 +201,11 @@ fn foreign_snapshot_version_is_a_version_error() {
     // v4: the batching, kernel-switch and queueing-clock configuration
     // fields; v5: the periodic GC's clock and the context table's
     // expiry set; v6: the filter and projection kernel row counters;
-    // v7: operators' resident run states and the bound partition —
-    // none of which this build's payload decoder can read).
-    assert_eq!(caesar_recovery::SNAPSHOT_VERSION, 8);
-    for foreign in [caesar_recovery::SNAPSHOT_VERSION + 1, 7, 6, 5, 4, 3, 2] {
+    // v7: operators' resident run states and the bound partition;
+    // v8: the program's mode and redundant plans — none of which this
+    // build's payload decoder can read).
+    assert_eq!(caesar_recovery::SNAPSHOT_VERSION, 9);
+    for foreign in [caesar_recovery::SNAPSHOT_VERSION + 1, 8, 7, 6, 5, 4, 3, 2] {
         data[8..12].copy_from_slice(&foreign.to_le_bytes());
         fs::write(&snap, &data).expect("rewrite");
 

@@ -9,7 +9,7 @@
 //! re-implementing the run loop per leg. Each leg carries a label so a
 //! divergence names the exact mode that produced it.
 
-use crate::engine::{Consistency, Engine, EngineConfig, RunReport};
+use crate::engine::{Consistency, Engine, EngineConfig, ExecutionMode, RunReport};
 use crate::obs::ObservabilityLevel;
 use crate::parallel::run_sharded_full;
 use caesar_events::{
@@ -139,9 +139,10 @@ pub fn run_mode_full(
 /// are checked twice: settled outputs byte-identical, and the folded
 /// record stream identical to the settled outputs), plus a mid-stream
 /// snapshot/restore leg. Every optimized leg runs with the eligible
-/// shared-prefix groups installed; exactly one leg turns
-/// [`EngineConfig::sharing`] off, which keeps the private-pattern path
-/// under the oracle.
+/// shared-prefix groups installed; exactly one leg runs the paper's §7
+/// baseline program (context-independent, [`EngineConfig::sharing`]
+/// off), which keeps the private-pattern path and the optimizer-emitted
+/// baseline under the oracle.
 /// (`caesar-testkit` layers two *served* legs on top — the same
 /// workload round-tripped through a loopback `caesar-server` instance,
 /// strict and speculative — which live there because the runtime cannot
@@ -166,7 +167,13 @@ pub fn standard_matrix(slack: Time, n_events: usize) -> Vec<ModeSpec> {
                 base().observability(ObservabilityLevel::Counters).build(),
             )
         },
-        seq("seq/unshared", base().sharing(false).build()),
+        seq(
+            "seq/unshared",
+            base()
+                .sharing(false)
+                .mode(ExecutionMode::ContextIndependent)
+                .build(),
+        ),
         ModeSpec {
             restart_after: Some(n_events / 2),
             ..seq("seq/restart-midstream", base().build())

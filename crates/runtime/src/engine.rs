@@ -18,7 +18,7 @@
 //! something it holds fell due.
 
 use crate::obs::{CounterId, MetricsRegistry, MetricsSnapshot, ObservabilityLevel, Stage};
-use crate::programs::{Mode, PartitionRun, ProgramTemplate};
+use crate::programs::{PartitionRun, ProgramTemplate};
 use crate::router::Router;
 use crate::scheduler::TimeDrivenScheduler;
 use crate::stats::Observations;
@@ -41,8 +41,9 @@ mod speculate;
 pub use speculate::Consistency;
 use speculate::Speculation;
 
-/// Execution mode of the engine.
-pub type ExecutionMode = Mode;
+/// Which program the engine executes: CAESAR's or a §7 baseline
+/// (the optimizer emits it, [`OptimizedProgram::executing`]).
+pub type ExecutionMode = caesar_optimizer::Mode;
 
 /// Engine configuration.
 ///
@@ -62,10 +63,11 @@ pub type ExecutionMode = Mode;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub struct EngineConfig {
-    /// Context-aware (CAESAR) or context-independent (baseline).
+    /// Context-aware (CAESAR) or a baseline program (see
+    /// [`ExecutionMode`]).
     pub mode: ExecutionMode,
-    /// Execute shared workloads once (requires the optimizer's sharing
-    /// analysis; ignored — treated as non-shared — if it found nothing).
+    /// Execute shared workloads once (the optimizer's sharing analysis;
+    /// nothing to share if it found nothing).
     pub sharing: bool,
     /// Disorder tolerance of the distributor in ticks: events are held
     /// in a bounded reordering buffer and released once the stream's
@@ -100,7 +102,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            mode: Mode::ContextAware,
+            mode: ExecutionMode::ContextAware,
             sharing: true,
             reorder_slack: 0,
             collect_outputs: false,
@@ -463,16 +465,12 @@ impl Engine {
                 }
             }
         }
-        let mut template = ProgramTemplate::build(
-            program.translation.combined,
-            config.sharing.then_some(&program.sharing),
-            config.mode,
-        );
+        let default_bit = program.translation.default_bit;
+        let table = ContextTable::new(program.translation.context_names.len(), default_bit);
+        let mut template = ProgramTemplate::build(program.executing(config.mode, config.sharing));
         template
             .slots
             .count_sizes(config.observability.counters_enabled());
-        let default_bit = program.translation.default_bit;
-        let table = ContextTable::new(program.translation.context_names.len(), default_bit);
         let type_names = registry
             .iter()
             .map(|(id, s)| (id, s.name.to_string()))
@@ -808,7 +806,10 @@ impl Engine {
     /// [`Observations`], from which
     /// [`Observations::to_stats`] produces cost-model statistics for
     /// re-optimization with observed rates, activities and
-    /// selectivities.
+    /// selectivities. Every deriving plan is visited, a
+    /// context-independent program's private re-derivers included: a
+    /// filter or pattern rate observed by one of them replaces the one
+    /// of the query it clones (it was evaluated on every event).
     #[must_use]
     pub fn gather_stats(&self) -> Observations {
         let mut obs = Observations {
@@ -1005,11 +1006,6 @@ impl Engine {
         self.obs.inc(CounterId::TransactionsExecuted);
         self.obs.observe_batch_size(events.len() as u64);
 
-        // Baseline overhead: per-query private re-derivation.
-        if self.config.mode == Mode::ContextIndependent {
-            programs.run_private_derivation(events, &self.table);
-        }
-
         // Phase 1: context derivation (before any processing at t).
         let span = self.obs.span_start();
         let mut transitions = std::mem::take(&mut self.scratch.transitions);
@@ -1049,8 +1045,8 @@ impl Engine {
         self.obs.span_end(Stage::Transitions, span);
 
         // Phase 2: context-aware routing + processing. Routing is one
-        // decision per transaction in either mode, and each active plan
-        // runs once over the whole event slice.
+        // decision per transaction, and each active plan runs once over
+        // the whole event slice.
         let span = self.obs.span_start();
         let mut active = std::mem::take(&mut self.active);
         self.router.select(
@@ -1151,7 +1147,10 @@ impl Engine {
     /// per shared-prefix group), per-query and per-context-window
     /// accounting. The operator walk is always populated (operators
     /// count unconditionally); counters, gauges, histograms, ticks and
-    /// spans honour the configured [`ObservabilityLevel`].
+    /// spans honour the configured [`ObservabilityLevel`]. Every
+    /// deriving plan is walked, so a context-independent program's
+    /// private re-derivers count their work under the query they clone
+    /// (their operator indices exclude the stripped context operators).
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.obs.snapshot();
@@ -1358,7 +1357,7 @@ mod tests {
     use super::*;
     use caesar_algebra::translate::{translate_query_set, TranslateOptions};
     use caesar_events::{AttrType, PartitionId, Schema, Value, VecStream};
-    use caesar_optimizer::{Optimizer, OptimizerConfig};
+    use caesar_optimizer::{Mode, Optimizer, OptimizerConfig};
     use caesar_query::parser::parse_model;
     use caesar_query::queryset::QuerySet;
 
@@ -1676,9 +1675,11 @@ mod tests {
     #[test]
     fn busy_wait_baseline_neither_suspends_nor_rederives() {
         let (mut engine, reg) = build_engine(Mode::BusyWait);
-        assert!(engine.template.redundant.is_empty());
         let (ci, _) = build_engine(Mode::ContextIndependent);
-        assert!(!ci.template.redundant.is_empty());
+        // Two switch queries; the baseline adds a private re-deriver for
+        // the one processing query of congestion.
+        assert_eq!(engine.template.deriving.len(), 2);
+        assert_eq!(ci.template.deriving.len(), 3);
         let mut stream = VecStream::new(vec![
             pr(&reg, 1, 1, "travel", 0),
             pr(&reg, 2, 2, "travel", 0),

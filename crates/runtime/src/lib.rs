@@ -10,11 +10,9 @@
 //! * [`router`] — the context-aware stream router: batches flow only to
 //!   the query plans of currently active contexts; suspended plans
 //!   receive nothing (no busy waiting).
-//! * [`programs`] — the engine's one executing program and the thin
-//!   per-partition run state bound to it per transaction, including the
-//!   context-independent baseline construction (every query always
-//!   active, each processing query re-deriving its context) and
-//!   shared-workload execution.
+//! * [`programs`] — the engine's one executing program, built from the
+//!   plans the optimizer emits (CAESAR's or a §7 baseline's), and the
+//!   thin per-partition run state bound to it per transaction.
 //! * [`engine`] — the full engine: distributor → scheduler → derivation →
 //!   transition application → routing → processing, with context-history
 //!   maintenance and garbage collection.

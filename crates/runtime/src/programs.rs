@@ -23,72 +23,36 @@
 //! [`CombinedPlan::process`]); the partition's feedback events, which
 //! carry earlier timestamps, run ahead of it as one-event slices.
 //!
-//! The template construction also realizes two execution-strategy
-//! decisions:
-//!
-//! * **Workload sharing** (§5.3): the optimizer's
-//!   [`executing_plans`] keeps one *representative* plan per set of
-//!   structurally identical queries, and a sharing context-aware engine
-//!   installs every eligible shared-prefix group on what remains.
-//! * **Context-independent baseline** (§7, state of the art \[34, 5\]):
-//!   every plan stays active all the time, and every processing query
-//!   carries private clones of its context's deriving queries — the
-//!   re-derivation work a context-unaware engine performs per query.
-//!   [`Mode::BusyWait`] is the same baseline without the clones and
-//!   without moving context windows: Figure 11(b)'s non-optimized plan.
+//! Which program runs — CAESAR's or a §7 baseline, with or without
+//! workload sharing — is the optimizer's decision
+//! ([`OptimizedProgram::executing`](caesar_optimizer::OptimizedProgram::executing)):
+//! the template executes the plans it is given, one way.
 
 use caesar_algebra::context_table::{ContextTable, PartitionContexts, Transition};
 use caesar_algebra::ops::{advance_chain_time, ChainScratch, Op};
 use caesar_algebra::pattern::{NegPosition, RunStates, StateSlots};
 use caesar_algebra::plan::{CombinedPlan, PlanOutput, QueryPlan};
 use caesar_events::{Event, PartitionId, Time, TypeId};
-use caesar_optimizer::install_prefix_sharing;
-use caesar_optimizer::mqo::{executing_plans, ExecutingPlans, SharedWorkload};
+use caesar_optimizer::mqo::ExecutingPlans;
 use caesar_query::ast::QueryId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Whether the engine runs context-aware or as the baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Mode {
-    /// CAESAR: suspension by context, derivation shared per context.
-    #[default]
-    ContextAware,
-    /// Baseline: all queries always active; each processing query
-    /// re-derives its context privately; context windows are pushed to
-    /// the chain bottom, so pattern state stays window-scoped and
-    /// results match CAESAR exactly.
-    ContextIndependent,
-    /// Pure busy-waiting, the "non-optimized query plan" of Figure
-    /// 11(b): all queries always active, no private re-derivation, and
-    /// context windows left where the plans put them — a SASE-style
-    /// engine taken literally, where every event traverses pattern and
-    /// filter before a mid-chain window drops out-of-context *matches*.
-    /// Pattern state is stream-scoped, so results may differ at window
-    /// boundaries (§3.2).
-    BusyWait,
-}
 
 /// The program every partition's transactions execute (see the module
 /// docs): built once per engine, never cloned per partition.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProgramTemplate {
-    /// Context-deriving plans (flattened across contexts).
+    /// Context-deriving plans (flattened across contexts), including
+    /// the private re-derivers of a context-independent program.
     pub deriving: Vec<QueryPlan>,
     /// Per-context combined plans of the processing queries.
     pub processing: Vec<CombinedPlan>,
     /// Fan-out per representative query id (members sharing its
     /// execution, including itself).
     pub fanout: BTreeMap<QueryId, usize>,
-    /// Redundant deriving clones of the baseline (empty in CAESAR mode):
-    /// one clone of each deriving plan per processing query of its
-    /// context, with the transition operators stripped.
-    pub redundant: Vec<QueryPlan>,
-    /// Execution mode.
-    pub mode: Mode,
     /// Router gates: per processing plan, the union of its members'
     /// context window bits (the router's per-transaction lookup is then
-    /// O(active bits)).
+    /// O(active bits)); an empty gate is always open.
     gates: Vec<Vec<u8>>,
     /// Derived types some deriving plan consumes — the only derived
     /// events worth queueing as feedback.
@@ -119,93 +83,23 @@ pub struct ProgramTemplate {
     /// calls).
     #[serde(skip)]
     sink: PlanOutput,
-    /// Reusable chain-traversal buffers shared by the deriving and
-    /// redundant plans (the combined plans carry their own).
+    /// Reusable chain-traversal buffers of the deriving plans (the
+    /// combined plans carry their own).
     #[serde(skip)]
     scratch: ChainScratch,
 }
 
 impl ProgramTemplate {
-    /// Builds a template from translated combined plans.
-    ///
-    /// `sharing` is the optimizer's workload-sharing analysis, `None`
-    /// when the engine does not share at all (`EngineConfig::sharing`
-    /// off): every query then keeps a private plan and no shared-prefix
-    /// group is installed.
-    ///
-    /// A sharing, context-aware engine installs every shared-prefix
-    /// group the optimizer finds eligible ([`install_prefix_sharing`]);
-    /// the baselines never do — they model an engine without the §5
-    /// optimizer, and the re-derivation clones share nothing anyway.
+    /// Builds a template from the plans the optimizer emits for
+    /// execution.
     #[must_use]
-    pub fn build(
-        mut combined: Vec<CombinedPlan>,
-        sharing: Option<&[SharedWorkload]>,
-        mode: Mode,
-    ) -> Self {
-        // Pattern state is scoped to the context window. In
-        // context-aware mode the batch-level router provides that
-        // scoping even for unoptimized chains; the baseline has no
-        // router, so the context window MUST sit below the pattern —
-        // this is a semantic requirement here, not an optimization.
-        // (The busy-waiting baseline gives that up on purpose.)
-        if mode == Mode::ContextIndependent {
-            for p in combined.iter_mut().flat_map(|c| &mut c.plans) {
-                caesar_optimizer::pushdown::push_down_context_window(p);
-            }
-        }
+    pub fn build(plans: ExecutingPlans) -> Self {
         let ExecutingPlans {
             mut deriving,
             mut processing,
             fanout,
-        } = executing_plans(combined, sharing.unwrap_or_default());
-        if sharing.is_some() && mode == Mode::ContextAware {
-            for cp in &mut processing {
-                install_prefix_sharing(cp);
-            }
-        }
-
-        // Baseline re-derivation clones: per processing query, each
-        // deriving plan of the same context, transitions stripped (the
-        // canonical deriving plans still maintain the real table).
-        let mut redundant = Vec::new();
-        if mode == Mode::ContextIndependent {
-            for c in &processing {
-                let context_derivers: Vec<&QueryPlan> =
-                    deriving.iter().filter(|d| d.context == c.context).collect();
-                for _query in &c.plans {
-                    for d in &context_derivers {
-                        let mut clone = (*d).clone();
-                        clone
-                            .ops
-                            .retain(|op| !matches!(op, Op::ContextInit(_) | Op::ContextTerm(_)));
-                        // The baseline evaluates the derivation condition
-                        // itself regardless of context state: drop the
-                        // context window too.
-                        clone.ops.retain(|op| !op.is_context_window());
-                        redundant.push(clone);
-                    }
-                }
-            }
-        }
-
-        let gates = processing
-            .iter()
-            .map(|c| {
-                let windows = c
-                    .plans
-                    .iter()
-                    .flat_map(|p| &p.ops)
-                    .filter_map(|op| match op {
-                        Op::ContextWindow(cw) => Some(cw),
-                        _ => None,
-                    });
-                let mut bits: Vec<u8> = windows.flat_map(|cw| cw.bits()).collect();
-                bits.sort_unstable();
-                bits.dedup();
-                bits
-            })
-            .collect();
+            gates,
+        } = plans;
         let mut feedback_types: Vec<TypeId> = processing
             .iter()
             .flat_map(|c| &c.plans)
@@ -222,14 +116,12 @@ impl ProgramTemplate {
             }
         }
         let scoped = scoped_plans(&deriving, &processing);
-        let stateful = number_slots(&mut deriving, &mut processing, &mut redundant);
+        let stateful = number_slots(&mut deriving, &mut processing);
 
         let mut template = Self {
             deriving,
             processing,
             fanout,
-            redundant,
-            mode,
             gates,
             feedback_types,
             derivers,
@@ -330,20 +222,13 @@ enum Owner {
     Group { combined: usize, group: usize },
     /// The pattern of `processing[combined].plans[plan]`.
     Member { combined: usize, plan: usize },
-    /// The pattern of `redundant[plan]`.
-    Redundant(usize),
 }
 
 /// Numbers every stateful operator of a program — a pattern that can
 /// keep anything between events, a shared-prefix group — with its
 /// run-state slot, in the order a watermark walks them: the deriving
-/// plans, then per combined plan its groups and its members, then the
-/// redundant plans.
-fn number_slots(
-    deriving: &mut [QueryPlan],
-    processing: &mut [CombinedPlan],
-    redundant: &mut [QueryPlan],
-) -> Vec<Slot> {
+/// plans, then per combined plan its groups and its members.
+fn number_slots(deriving: &mut [QueryPlan], processing: &mut [CombinedPlan]) -> Vec<Slot> {
     fn pattern(plan: &mut QueryPlan, owner: Owner, slots: &mut Vec<Slot>) {
         for op in &mut plan.ops {
             let Op::Pattern(p) = op else { continue };
@@ -376,9 +261,6 @@ fn number_slots(
         for (plan, p) in c.plans.iter_mut().enumerate() {
             pattern(p, Owner::Member { combined, plan }, &mut slots);
         }
-    }
-    for (plan, p) in redundant.iter_mut().enumerate() {
-        pattern(p, Owner::Redundant(plan), &mut slots);
     }
     slots
 }
@@ -514,27 +396,9 @@ impl ProgramTemplate {
         transitions.append(&mut sink.transitions);
     }
 
-    /// The baseline's redundant derivation work: every processing query
-    /// privately re-evaluates its context's deriving conditions on every
-    /// event. Outputs and transitions are discarded — only the canonical
-    /// derivation updates the table.
-    pub fn run_private_derivation(&mut self, events: &[Event], table: &ContextTable) {
-        let Self {
-            redundant,
-            sink,
-            scratch,
-            slots,
-            ..
-        } = self;
-        for plan in redundant.iter_mut() {
-            plan.process(events, table, sink, scratch, slots);
-            sink.clear();
-        }
-    }
-
-    /// Phase 2 of a transaction: context processing. In context-aware
-    /// mode the router has already selected active plans (`active` holds
-    /// indices into `processing`); in the baseline every plan runs.
+    /// Phase 2 of a transaction: context processing. The router has
+    /// already selected the active plans (`active` holds indices into
+    /// `processing`).
     /// Derived events a deriving plan consumes are also queued as
     /// feedback for the partition's next derivation pass.
     pub fn run_processing(
@@ -642,7 +506,6 @@ impl ProgramTemplate {
         let Self {
             deriving,
             processing,
-            redundant,
             stateful,
             sink,
             scratch,
@@ -657,7 +520,6 @@ impl ProgramTemplate {
             }
             let ops = match at.owner {
                 Owner::Deriving(plan) => &mut deriving[plan].ops,
-                Owner::Redundant(plan) => &mut redundant[plan].ops,
                 Owner::Group { combined, group } => {
                     let group = &processing[combined].shared_groups()[group];
                     next = next.min(group.advance_time(slots.get(Some(slot as u32)), watermark));
@@ -670,7 +532,7 @@ impl ProgramTemplate {
                 }
             };
             // Transitions matter; pass-through matches are discarded
-            // (see `run_derivation`). Redundant clones request none.
+            // (see `run_derivation`).
             next = next.min(advance_chain_time(
                 ops, watermark, table, sink, scratch, slots,
             ));
@@ -682,7 +544,7 @@ impl ProgramTemplate {
     /// Fills `active` with the indices of the processing plans whose
     /// gate admits time `t` at `partition` — the context-aware router's
     /// batch-level selection, one context-table lookup per transaction.
-    /// In the baseline modes every plan is selected.
+    /// A plan with an empty gate is always selected.
     pub fn active_processing(
         &self,
         partition: PartitionId,
@@ -691,13 +553,9 @@ impl ProgramTemplate {
         active: &mut Vec<usize>,
     ) {
         active.clear();
-        if self.mode != Mode::ContextAware {
-            active.extend(0..self.processing.len());
-            return;
-        }
         let pc = table.partition(partition);
         for (idx, bits) in self.gates.iter().enumerate() {
-            if bits.iter().any(|&b| pc.admits(b, t)) {
+            if bits.is_empty() || bits.iter().any(|&b| pc.admits(b, t)) {
                 active.push(idx);
             }
         }
@@ -709,7 +567,7 @@ mod tests {
     use super::*;
     use caesar_algebra::translate::{translate_query_set, TranslateOptions};
     use caesar_events::{AttrType, Schema, SchemaRegistry, Value};
-    use caesar_optimizer::{Optimizer, OptimizerConfig};
+    use caesar_optimizer::{Mode, Optimizer};
     use caesar_query::parser::parse_model;
     use caesar_query::queryset::QuerySet;
 
@@ -739,13 +597,8 @@ mod tests {
         let t = translate_query_set(&qs, &mut reg, &TranslateOptions::default()).unwrap();
         let names = t.context_names.clone();
         let default_bit = t.default_bit;
-        let cfg = OptimizerConfig {
-            share_workloads: share,
-            ..OptimizerConfig::default()
-        };
-        let program = Optimizer::new(cfg, Default::default()).optimize(t, &reg);
-        let sharing = program.sharing.clone();
-        let template = ProgramTemplate::build(program.translation.combined, Some(&sharing), mode);
+        let program = Optimizer::default().optimize(t, &reg);
+        let template = ProgramTemplate::build(program.executing(mode, share));
         (template, reg, names, default_bit)
     }
 
@@ -765,7 +618,6 @@ mod tests {
         // Processing: Ping in idle, Ping in busy, Heavy in busy.
         let total: usize = template.processing.iter().map(CombinedPlan::len).sum();
         assert_eq!(total, 3);
-        assert!(template.redundant.is_empty());
     }
 
     #[test]
@@ -799,17 +651,18 @@ mod tests {
     }
 
     #[test]
-    fn baseline_builds_redundant_derivers() {
+    fn baseline_appends_private_rederivers() {
         let (template, ..) = setup(false, Mode::ContextIndependent);
-        // idle has 1 processing query × 1 deriver; busy has 2 × 1.
-        assert_eq!(template.redundant.len(), 3);
-        for r in &template.redundant {
+        // Two switch queries, then the private clones: idle has 1
+        // processing query × 1 deriver; busy has 2 × 1.
+        assert_eq!(template.deriving.len(), 2 + 3);
+        for r in &template.deriving[2..] {
             assert!(
                 !r.ops
                     .iter()
                     .any(|o| matches!(o, Op::ContextInit(_) | Op::ContextTerm(_))
                         || o.is_context_window()),
-                "redundant clones must not mutate context state"
+                "private re-derivers must not touch context state"
             );
         }
     }

@@ -33,10 +33,11 @@
 
 use caesar::algebra::translate::{translate_query_set, TranslateOptions};
 use caesar::events::{AttrType, Event, PartitionId, Schema, SchemaRegistry, Value};
+use caesar::optimizer::Mode;
 use caesar::optimizer::{OptimizedProgram, Optimizer};
 use caesar::prelude::*;
 use caesar::query::QuerySet;
-use caesar::runtime::programs::{Mode, ProgramTemplate};
+use caesar::runtime::programs::ProgramTemplate;
 use caesar::runtime::{run_mode_full, Engine, ModeSpec, RunReport};
 use caesar_testkit::canonical;
 use proptest::prelude::*;
@@ -119,11 +120,7 @@ fn build(src: &str) -> (OptimizedProgram, SchemaRegistry) {
 /// `(prefix_len, member_count, gated)` of every shared group an engine
 /// with `EngineConfig::sharing == sharing` installs for `program`.
 fn installed_groups(program: &OptimizedProgram, sharing: bool) -> Vec<(usize, usize, bool)> {
-    let template = ProgramTemplate::build(
-        program.translation.combined.clone(),
-        sharing.then_some(&program.sharing),
-        Mode::ContextAware,
-    );
+    let template = ProgramTemplate::build(program.clone().executing(Mode::ContextAware, sharing));
     template
         .processing
         .iter()
