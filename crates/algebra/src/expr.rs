@@ -9,11 +9,11 @@
 
 use caesar_events::{AttrType, Event, EventError, Schema, SchemaRegistry, TypeId, Value};
 use caesar_query::ast::{BinOp, Expr};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Where a pattern variable's attribute values live at evaluation time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum SlotSource {
     /// The variable is the `i`-th event of a multi-event binding
     /// (used inside the pattern operator).
@@ -25,7 +25,7 @@ pub enum SlotSource {
 }
 
 /// One variable of a binding layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LayoutVar {
     /// Variable name.
     pub name: String,
@@ -46,7 +46,7 @@ pub struct LayoutVar {
 ///
 /// A single-variable pass-through plan is simply a combined layout with
 /// one variable at offset 0.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BindingLayout {
     /// The variables, in pattern order.
     pub vars: Vec<LayoutVar>,
@@ -150,7 +150,7 @@ impl From<EventError> for EvalError {
 
 /// A compiled expression: attribute references resolved to
 /// `(slot, attribute index)` pairs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum CompiledExpr {
     /// Literal.
     Const(Value),

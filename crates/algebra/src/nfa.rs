@@ -33,11 +33,11 @@
 use crate::expr::CompiledExpr;
 use crate::pattern::{NegPlan, PatternOp};
 use caesar_events::{Time, TypeId};
-use serde::{Deserialize, Deserializer, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Where a negated element sits relative to the positive steps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum NegPosition {
     /// Before the first positive step (leading `NOT`).
     Before,
@@ -48,7 +48,7 @@ pub enum NegPosition {
 }
 
 /// One negation constraint of a sequence pattern.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct NegationCheck {
     /// Type of the forbidden event.
     pub type_id: TypeId,
@@ -61,7 +61,7 @@ pub struct NegationCheck {
 }
 
 /// One positive step of the compiled automaton.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct NfaStep {
     /// Event type the step matches.
     pub type_id: TypeId,
@@ -90,25 +90,10 @@ pub struct NfaProgram {
     /// emitted match (the opt-in provenance execution mode).
     pub collect_provenance: bool,
     /// How each negation check probes its buffer, compiled from the
-    /// checks by [`new`](Self::new) — when the program is built or
-    /// restored, never per probe — and never serialized.
+    /// checks by [`new`](Self::new) — when the program is built, never
+    /// per probe — and derived from them, so left out of the encoding.
     #[serde(skip)]
     pub(crate) neg_plans: Vec<NegPlan>,
-}
-
-// The wire carries the serialized fields in declaration order; a
-// restored program compiles its probe plans afresh.
-impl Deserialize for NfaProgram {
-    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, serde::Error> {
-        Ok(Self::new(
-            Vec::deserialize(de)?,
-            Vec::deserialize(de)?,
-            Time::deserialize(de)?,
-            Option::deserialize(de)?,
-            Vec::deserialize(de)?,
-            bool::deserialize(de)?,
-        ))
-    }
 }
 
 impl NfaProgram {
@@ -142,7 +127,7 @@ impl NfaProgram {
 }
 
 /// Dense reference to an interned predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PredicateId(pub u32);
 
 /// Interns compiled predicates by their canonical serialized form.

@@ -12,16 +12,21 @@
 //!
 //! [`Op`] composes these with [`PatternOp`]
 //! into an executable operator and provides chain execution.
+//!
+//! Operators derive `Serialize` only: their encoding is a program's
+//! fingerprint, never read back. The counters are process metrics and
+//! left out of it (`#[serde(skip)]`), so the encoding does not change
+//! as the program runs.
 
 use crate::context_table::{ContextTable, Transition, TransitionKind};
 use crate::expr::CompiledExpr;
 use crate::pattern::{PatternOp, StateSlots};
 use caesar_events::{Event, Time, TypeId, Value};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// `Fl_θ` — the filter operator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FilterOp {
     /// Conjunction of compiled predicates (all must hold), evaluated in
     /// declaration order. Shared across plan clones (the optimizer's
@@ -29,10 +34,13 @@ pub struct FilterOp {
     /// copy-on-write before execution starts.
     pub predicates: Arc<Vec<CompiledExpr>>,
     /// Evaluation errors (counted as non-matches).
+    #[serde(skip)]
     pub eval_errors: u64,
     /// Events evaluated (statistics gatherer input, §6.1).
+    #[serde(skip)]
     pub evaluated: u64,
     /// Events accepted.
+    #[serde(skip)]
     pub accepted: u64,
 }
 
@@ -85,7 +93,7 @@ impl FilterOp {
 
 /// `PR_{A,E}` — the projection operator: computes the derived event's
 /// attributes from the match event.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ProjectOp {
     /// The derived (output) event type.
     pub output_type: TypeId,
@@ -93,8 +101,10 @@ pub struct ProjectOp {
     /// (see [`FilterOp::predicates`]).
     pub args: Arc<Vec<CompiledExpr>>,
     /// Evaluation errors (events dropped).
+    #[serde(skip)]
     pub eval_errors: u64,
     /// Derived events emitted.
+    #[serde(skip)]
     pub projected: u64,
 }
 
@@ -144,15 +154,17 @@ impl ProjectOp {
 /// extra member contexts in `extra_bits`: the event is admitted when any
 /// member context's window covers it — exactly the union of the grouped
 /// windows the shared query spans.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ContextWindowOp {
     /// Bit of the guarding context.
     pub context_bit: u8,
     /// Additional member-context bits of a shared workload.
     pub extra_bits: Vec<u8>,
     /// Events admitted.
+    #[serde(skip)]
     pub admitted: u64,
     /// Events dropped because the context did not hold.
+    #[serde(skip)]
     pub dropped: u64,
 }
 
@@ -203,21 +215,21 @@ impl ContextWindowOp {
 }
 
 /// `CI_c` — context initiation: a match becomes an `Initiate` transition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ContextInitOp {
     /// Bit of the context to initiate.
     pub context_bit: u8,
 }
 
 /// `CT_c` — context termination: a match becomes a `Terminate` transition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ContextTermOp {
     /// Bit of the context to terminate.
     pub context_bit: u8,
 }
 
 /// One operator of a query plan chain.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub enum Op {
     /// Pattern matching (chain source).
     Pattern(PatternOp),

@@ -55,7 +55,7 @@ struct KeyPart {
 }
 
 /// How one negation check probes its buffer, compiled once from the
-/// check's conjuncts when its program is built or restored
+/// check's conjuncts when its program is built
 /// ([`NfaProgram::new`]): every conjunct that [`split_equality`] splits
 /// into `negated side = positives side` is one component of a composite
 /// key, the others are residual. A plan without a key component scans.

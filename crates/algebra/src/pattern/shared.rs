@@ -6,12 +6,12 @@ use super::state::RunState;
 use super::{PatternStats, Steps};
 use crate::nfa::NfaStep;
 use caesar_events::{Event, Time};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One pattern participating in a [`SharedGroup`]: the index of its
 /// query plan within the combined plan and the pattern operator's
 /// position in that plan's chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SharedMember {
     /// Index of the member's query plan in `CombinedPlan::plans`.
     pub plan: usize,
@@ -32,7 +32,7 @@ pub struct SharedMember {
 /// The group's advance, the crossing and the member's own levels run
 /// one step routine, so shared execution is output-identical to
 /// unshared execution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SharedGroup {
     /// The shared steps (types + interned-identical predicates).
     steps: Vec<NfaStep>,
@@ -50,14 +50,17 @@ pub struct SharedGroup {
     slot: Option<u32>,
     /// Counters of the shared prefix work: `events_processed` counts
     /// [`advance`](Self::advance) calls, `matches` full prefixes built.
+    #[serde(skip)]
     pub stats: PatternStats,
     /// Events a gated group's window probe admitted — one count per
     /// event routed to the group, whether it advanced the prefix, was
     /// tried at members' boundaries, or both. The members' own context
     /// windows never see these events, so the context's observed
     /// activity needs the group's verdicts (always 0 when ungated).
+    #[serde(skip)]
     pub admitted: u64,
     /// Events the probe dropped because the context did not hold.
+    #[serde(skip)]
     pub dropped: u64,
 }
 

@@ -658,38 +658,32 @@ impl Deserialize for RunStates {
 /// reached slots are examined at `leave` — their slab counters folded,
 /// those left empty recycled — so what a transaction costs there is
 /// what it touched, not the size of the program.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StateSlots {
     /// Slots per partition: the program's stateful operators.
     len: usize,
     /// Largest slab high-water mark folded so far — the most partial
-    /// matches one operator held in one partition. Part of a snapshot:
-    /// a recovered run reports the uninterrupted run's peak.
+    /// matches one operator held in one partition. Part of a snapshot
+    /// ([`restore_peak`](Self::restore_peak)): a recovered run reports
+    /// the uninterrupted run's peak.
     peak: usize,
     /// The states of the partition whose transaction runs.
-    #[serde(skip)]
     states: RunStates,
     /// Slots reached since `enter`, each once.
-    #[serde(skip)]
     reached: Vec<u32>,
     /// Per slot, the state its operator last emptied, shaped for it —
     /// what a new state there is taken from first: handing an operator
     /// a state shaped for another reshapes and regrows its vectors.
-    #[serde(skip)]
     idle: Vec<Option<Box<RunState>>>,
     /// Other emptied run states (their slabs keep their capacity).
-    #[serde(skip)]
     #[allow(clippy::vec_box)]
     spare: Vec<Box<RunState>>,
     /// What a stateless pattern runs on: it never keeps anything.
-    #[serde(skip)]
     stateless: RunState,
     /// Slab allocations served from a free list, folded so far.
-    #[serde(skip)]
     reused: u64,
     /// Keep the partitions' [`RunStates::bytes`] as transactions end
     /// (only a state-size gauge reads them).
-    #[serde(skip)]
     sizes: bool,
 }
 
@@ -824,6 +818,11 @@ impl StateSlots {
     #[must_use]
     pub fn pool_stats(&self) -> (u64, usize) {
         (self.reused, self.peak)
+    }
+
+    /// Sets the largest slab high-water mark to a snapshot's.
+    pub fn restore_peak(&mut self, peak: usize) {
+        self.peak = peak;
     }
 
     /// A new state for `slot`, reached: the one its operator last

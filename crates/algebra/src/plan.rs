@@ -17,14 +17,14 @@ use crate::pattern::{SharedGroup, StateSlots};
 use caesar_events::{Event, Time, TypeId};
 use caesar_query::ast::QueryId;
 use caesar_query::queryset::CompiledQuery;
-use serde::{Deserialize, Deserializer, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Re-export: the output sink of plan execution.
 pub type PlanOutput = ChainOutput;
 
 /// One query's executable operator chain (`ops\[0\]` is the bottom).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct QueryPlan {
     /// The compiled query this plan executes.
     pub query_id: QueryId,
@@ -142,9 +142,9 @@ impl QueryPlan {
 /// An event reaches only the operators that can use it. The plan keeps
 /// one routing table, `TypeId →` route, derived from the member
 /// plans and the installed [`SharedGroup`]s (rebuilt whenever those
-/// change and after deserialization; never part of the serialized
-/// form). Every traversal — the external pass, the derived-event
-/// cascade, the plan-major pass and the watermark flush — reads it:
+/// change; never part of the plan's encoding). Every traversal — the
+/// external pass, the derived-event cascade, the plan-major pass and
+/// the watermark flush — reads it:
 ///
 /// * a member plan's chain runs for the types its *own* operators
 ///   mention; for a member of a shared-prefix group those are the steps
@@ -233,8 +233,8 @@ struct GroupRoute {
 }
 
 /// Reusable per-transaction buffers of a [`CombinedPlan`]. Every buffer
-/// is empty between calls, so skipping it on snapshots (and cloning it
-/// along with the plan) is free and harmless.
+/// is empty between calls, so leaving it out of the encoding (and
+/// cloning it along with the plan) is free and harmless.
 #[derive(Debug, Clone, Default)]
 struct CombinedScratch {
     /// Shared chain-traversal buffers.
@@ -783,43 +783,6 @@ impl CombinedPlan {
     }
 }
 
-// The routing table is derived data: absent from the bytes, rebuilt
-// here. Snapshots come from disk, so the group members are checked
-// before anything indexes by them.
-impl Deserialize for CombinedPlan {
-    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, serde::Error> {
-        let context = String::deserialize(de)?;
-        let context_bit = u8::deserialize(de)?;
-        let plans = Vec::<QueryPlan>::deserialize(de)?;
-        let external_inputs = Vec::<TypeId>::deserialize(de)?;
-        let shared = Vec::<SharedGroup>::deserialize(de)?;
-        for group in &shared {
-            for m in group.members() {
-                let op = plans.get(m.plan).and_then(|p| p.ops.get(m.pattern_pos));
-                let delegated = match op {
-                    Some(Op::Pattern(p)) if p.arity() > group.prefix_len() => p.shared_prefix_len(),
-                    _ => 0,
-                };
-                if delegated != group.prefix_len() {
-                    return Err(serde::Error::custom(
-                        "shared-prefix member does not point at a pattern delegating the group's prefix",
-                    ));
-                }
-            }
-        }
-        let routes = build_routes(&plans, &external_inputs, &shared);
-        Ok(Self {
-            context,
-            context_bit,
-            plans,
-            external_inputs,
-            shared,
-            routes,
-            scratch: CombinedScratch::default(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1064,7 +1027,7 @@ mod tests {
     }
 
     #[test]
-    fn routing_table_is_rebuilt_not_serialized() {
+    fn routing_table_is_not_in_the_encoding() {
         use crate::pattern::SharedMember;
         use serde::Serializer;
         let mut reg = registry();
@@ -1108,35 +1071,22 @@ mod tests {
         combined.shared.serialize(&mut fields);
         assert_eq!(bytes, fields.into_bytes());
 
-        // A deserialized plan routes like the one it was written from.
-        let mut restored: CombinedPlan = serde::from_bytes(&bytes).unwrap();
+        // Nor are the operators' counters: running the plan leaves its
+        // encoding as it was.
         let table = ContextTable::new(1, 0);
-        let stream: Vec<Event> = [("In", 1), ("Mid", 2), ("In", 3), ("Final", 4)]
-            .into_iter()
-            .map(|(ty, t)| {
-                Event::simple(
-                    reg.lookup(ty).unwrap(),
-                    t,
-                    PartitionId(0),
-                    vec![Value::Int(t as i64)],
-                )
-            })
-            .collect();
-        let (mut out_a, mut out_b) = (PlanOutput::default(), PlanOutput::default());
-        let (mut slots_a, mut slots_b) = (StateSlots::default(), StateSlots::default());
-        for e in &stream {
-            assert!(restored.consumes_external(e.type_id));
-            let e = std::slice::from_ref(e);
-            combined.process(e, &table, &mut out_a, &mut slots_a);
-            restored.process(e, &table, &mut out_b, &mut slots_b);
+        let mut out = PlanOutput::default();
+        let mut slots = StateSlots::default();
+        for (ty, t) in [("In", 1), ("Mid", 2), ("Final", 4)] {
+            let e = Event::simple(
+                reg.lookup(ty).unwrap(),
+                t,
+                PartitionId(0),
+                vec![Value::Int(t as i64)],
+            );
+            combined.process(&[e], &table, &mut out, &mut slots);
         }
-        assert_eq!(out_a.events.len(), 3, "(1,2), (1,4), (3,4)");
-        assert_eq!(out_a.events, out_b.events);
-
-        // A member reference that points nowhere is refused, not indexed.
-        let mut broken = combined.clone();
-        broken.plans.pop();
-        assert!(serde::from_bytes::<CombinedPlan>(&serde::to_bytes(&broken)).is_err());
+        assert_eq!(out.events.len(), 2, "(1,2), (1,4)");
+        assert_eq!(serde::to_bytes(&combined), bytes);
     }
 
     #[test]

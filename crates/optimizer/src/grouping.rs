@@ -20,12 +20,11 @@ use caesar_algebra::pattern::{SharedGroup, SharedMember};
 use caesar_algebra::{CombinedPlan, Op};
 use caesar_events::{Time, TypeId};
 use caesar_query::ast::QueryId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A user-defined context window with compile-time-ordered bounds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserWindow {
     /// The context this window belongs to.
     pub context: String,
@@ -59,7 +58,7 @@ impl UserWindow {
 }
 
 /// A grouped (non-overlapping) context window produced by Listing 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupedWindow {
     /// Order key of the slice start.
     pub start: f64,
@@ -73,7 +72,7 @@ pub struct GroupedWindow {
 }
 
 /// Output of the grouping algorithm.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GroupingResult {
     /// All grouped windows, sorted by start key. Windows that overlapped
     /// nothing pass through as single-origin groups ("context windows

@@ -14,11 +14,10 @@
 use caesar_algebra::{CombinedPlan, Op, QueryPlan};
 use caesar_query::ast::{EventQuery, QueryId};
 use caesar_query::queryset::CompiledQuery;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A set of structurally identical queries sharing one execution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SharedWorkload {
     /// The query whose plan actually executes.
     pub representative: QueryId,

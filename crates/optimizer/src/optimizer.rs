@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 /// Which optimizations to apply. Disabling everything and executing
 /// the program as [`Mode::BusyWait`] yields the "non-optimized query
 /// plan" baseline of Figure 11(b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptimizerConfig {
     /// Push context windows to the bottom of every chain (§5.2).
     pub push_down_context_windows: bool,

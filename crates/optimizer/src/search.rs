@@ -10,10 +10,8 @@
 //! cost while being exponentially faster to *find* — exactly the gap
 //! Figure 11(a) plots.
 
-use serde::{Deserialize, Serialize};
-
 /// A reorderable operator: per-input-event cost and selectivity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatorSpec {
     /// CPU cost per input event.
     pub cost: f64,
@@ -22,7 +20,7 @@ pub struct OperatorSpec {
 }
 
 /// Result of a plan search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchResult {
     /// Operator evaluation order (indices into the input).
     pub order: Vec<usize>,

@@ -12,12 +12,11 @@
 
 use caesar_events::Value;
 use caesar_query::ast::{BinOp, ContextAction, EventQuery, Expr, QueryId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A one-sided threshold constraint `attr OP value` extracted from a
 /// deriving query's `WHERE` clause.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdBound {
     /// Comparison direction: `true` for `>` / `>=` (lower bound).
     pub is_lower: bool,
@@ -30,7 +29,7 @@ pub struct ThresholdBound {
 /// Compile-time window description of one context, extracted from the
 /// deriving queries: the threshold that initiates it and the threshold
 /// that terminates it, both over the same signal attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowSpec {
     /// The context name.
     pub context: String,
@@ -45,7 +44,7 @@ pub struct WindowSpec {
 }
 
 /// Relationship between two context windows (Definition 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowRelation {
     /// For each window of the first type there is an overlapping window
     /// of the second type.

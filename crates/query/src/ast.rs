@@ -6,12 +6,12 @@
 //! filtering (`WHERE`) and context window specification (`CONTEXT`).
 
 use caesar_events::Value;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of a query within one compiled query set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct QueryId(pub u32);
 
 impl QueryId {
@@ -31,7 +31,7 @@ impl fmt::Display for QueryId {
 /// What a context-deriving query does when its pattern matches (§3.4):
 /// initiate a new window, terminate an existing one, or switch
 /// (terminate current + initiate new, for non-overlapping sequences).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum ContextAction {
     /// `INITIATE CONTEXT c` — starts window `w_c` (may overlap others).
     Initiate(String),
@@ -67,7 +67,7 @@ impl ContextAction {
 ///
 /// Arguments are full expressions: `DERIVE TollNotification(p.vid, p.sec, 5)`
 /// mixes attribute references and constants (Figure 3, query 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DeriveClause {
     /// Name of the derived (complex) event type.
     pub event_type: String,
@@ -77,7 +77,7 @@ pub struct DeriveClause {
 
 /// An event pattern (`PATTERN` clause, grammar Figure 4):
 /// `Patt := NOT? EventType Var? | SEQ( (Patt ,?)+ )`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum Pattern {
     /// A (possibly negated) single event of a named type, optionally
     /// bound to a variable.
@@ -177,7 +177,7 @@ impl Pattern {
 
 /// Binary operators of the expression grammar (Figure 4):
 /// `+ - * / = ≠ > ≥ < ≤ AND OR`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum BinOp {
     /// `+`
     Add,
@@ -242,7 +242,7 @@ impl BinOp {
 }
 
 /// An expression (`Expr` of Figure 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Expr {
     /// A literal constant.
     Const(Value),
@@ -363,7 +363,7 @@ impl Expr {
 ///
 /// Exactly one of `action` (context-deriving query) or `derive`
 /// (context-processing query) is set; validation enforces this.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EventQuery {
     /// Optional human-readable name.
     pub name: Option<String>,

@@ -8,12 +8,11 @@
 
 use crate::ast::{ContextAction, EventQuery, Expr, Pattern};
 use crate::error::QueryError;
-use serde::{Deserialize, Serialize};
 
 /// One context type (Definition 1): a name plus the workloads of
 /// context-deriving queries `Q_d` and context-processing queries `Q_p`
 /// appropriate in this context.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContextDef {
     /// Context name (e.g. `congestion`).
     pub name: String,
@@ -43,7 +42,7 @@ impl ContextDef {
 }
 
 /// A validated CAESAR model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaesarModel {
     /// Application name.
     pub name: String,

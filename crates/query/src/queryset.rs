@@ -14,10 +14,10 @@
 use crate::ast::{EventQuery, QueryId};
 use crate::error::QueryError;
 use crate::model::CaesarModel;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A query with its mandatory context, as produced by Phase 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CompiledQuery {
     /// Unique id within the set.
     pub id: QueryId,
@@ -41,7 +41,7 @@ impl CompiledQuery {
 
 /// The machine-readable query set: every query carries a mandatory
 /// `CONTEXT` clause.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuerySet {
     /// Application name (from the model).
     pub name: String,

@@ -64,8 +64,13 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CAESNAP\0";
 /// * 9 — the program in `EngineState.template` lost its mode and its
 ///   redundant plans: a context-independent program carries its
 ///   private re-derivers among its deriving plans (their run-state
-///   slots among theirs) and open (empty) router gates.
-pub const SNAPSHOT_VERSION: u32 = 9;
+///   slots among theirs) and open (empty) router gates;
+/// * 10 — the snapshot no longer carries the program; restore checks
+///   its fingerprint. `EngineState` lost `template`, `type_names` and
+///   `default_bit` and gained the program's fingerprint and the slab
+///   high-water mark; the operator counters are the process's and a
+///   restored engine starts them at zero.
+pub const SNAPSHOT_VERSION: u32 = 10;
 /// Fixed header length in bytes.
 const HEADER_LEN: usize = 40;
 

@@ -6,8 +6,7 @@ use caesar_events::{AttrType, Event};
 use caesar_recovery::{
     crash_and_recover, read_snapshot, snapshot_path, CheckpointManager, RecoveryError,
 };
-use caesar_runtime::Engine;
-use caesar_runtime::EngineConfig;
+use caesar_runtime::{Engine, EngineConfig, RestoreError};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,6 +23,18 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+const MODEL: &str = r#"
+    MODEL traffic DEFAULT clear
+    CONTEXT clear {
+        SWITCH CONTEXT congestion PATTERN ManySlowCars
+    }
+    CONTEXT congestion {
+        SWITCH CONTEXT clear PATTERN FewFastCars
+        DERIVE TollNotification(p.vid, p.sec, 5)
+            PATTERN PositionReport p WHERE p.lane != "exit"
+    }
+"#;
+
 fn builder() -> CaesarBuilder {
     Caesar::builder()
         .schema(
@@ -36,19 +47,7 @@ fn builder() -> CaesarBuilder {
         )
         .schema("ManySlowCars", &[("seg", AttrType::Int)])
         .schema("FewFastCars", &[("seg", AttrType::Int)])
-        .model_text(
-            r#"
-            MODEL traffic DEFAULT clear
-            CONTEXT clear {
-                SWITCH CONTEXT congestion PATTERN ManySlowCars
-            }
-            CONTEXT congestion {
-                SWITCH CONTEXT clear PATTERN FewFastCars
-                DERIVE TollNotification(p.vid, p.sec, 5)
-                    PATTERN PositionReport p WHERE p.lane != "exit"
-            }
-        "#,
-        )
+        .model_text(MODEL)
         .engine_config(EngineConfig::builder().collect_outputs(true).build())
 }
 
@@ -202,10 +201,11 @@ fn foreign_snapshot_version_is_a_version_error() {
     // fields; v5: the periodic GC's clock and the context table's
     // expiry set; v6: the filter and projection kernel row counters;
     // v7: operators' resident run states and the bound partition;
-    // v8: the program's mode and redundant plans — none of which this
-    // build's payload decoder can read).
-    assert_eq!(caesar_recovery::SNAPSHOT_VERSION, 9);
-    for foreign in [caesar_recovery::SNAPSHOT_VERSION + 1, 8, 7, 6, 5, 4, 3, 2] {
+    // v8: the program's mode and redundant plans; v9: the program
+    // itself — none of which this build's payload decoder can read).
+    let current = caesar_recovery::SNAPSHOT_VERSION;
+    assert_eq!(current, 10);
+    for foreign in [current + 1, 9, 8, 7, 6, 5, 4, 3, 2] {
         data[8..12].copy_from_slice(&foreign.to_le_bytes());
         fs::write(&snap, &data).expect("rewrite");
 
@@ -214,7 +214,7 @@ fn foreign_snapshot_version_is_a_version_error() {
                 found, expected, ..
             }) => {
                 assert_eq!(found, foreign);
-                assert_eq!(expected, caesar_recovery::SNAPSHOT_VERSION);
+                assert_eq!(expected, current);
             }
             other => panic!("expected VersionMismatch, got {other:?}"),
         }
@@ -248,7 +248,21 @@ fn snapshot_from_different_model_is_incompatible() {
         .engine;
     assert!(matches!(
         CheckpointManager::resume(&dir, 0, &mut other),
-        Err(RecoveryError::Incompatible(_))
+        Err(RecoveryError::Incompatible(RestoreError::ConfigMismatch))
     ));
+
+    // So must one built from the same model with one WHERE constant
+    // changed: same shape, another program. It is left as built.
+    let edited = MODEL.replace(r#"!= "exit""#, r#"!= "travel""#);
+    let mut other = builder()
+        .model_text(&edited)
+        .build()
+        .expect("model builds")
+        .engine;
+    assert!(matches!(
+        CheckpointManager::resume(&dir, 0, &mut other),
+        Err(RecoveryError::Incompatible(RestoreError::ProgramMismatch))
+    ));
+    assert_eq!(other.events_in(), 0);
     let _ = fs::remove_dir_all(&dir);
 }

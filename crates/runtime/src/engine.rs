@@ -244,20 +244,26 @@ impl RunReport {
     }
 }
 
-/// A snapshot of every live field of an [`Engine`], taken by
-/// [`Engine::snapshot_state`] and applied by [`Engine::restore_state`].
-/// No field holds a wall-clock reading.
+/// The state of an [`Engine`] — context table, run states, scheduler,
+/// router, reorder buffer, counts — taken by [`Engine::snapshot_state`]
+/// and applied by [`Engine::restore_state`]. Not its program: the
+/// engine a snapshot restores into runs the one it was built from, and
+/// the snapshot carries that program's
+/// [`fingerprint`](ProgramTemplate::fingerprint) to check it is the
+/// same. No field holds a wall-clock reading.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineState {
     /// Configuration the snapshot was taken under (checked on restore).
     pub config: EngineConfig,
+    /// Fingerprint of the program the snapshot was taken from.
+    program: u64,
     table: ContextTable,
-    template: ProgramTemplate,
-    default_bit: u8,
     partitions: PartitionMap<PartitionRun>,
+    /// The largest slab high-water mark so far
+    /// ([`RunReport::peak_partials`]).
+    peak_partials: usize,
     scheduler: TimeDrivenScheduler,
     router: Router,
-    type_names: BTreeMap<TypeId, String>,
     outputs_by_type: Vec<u64>,
     inputs_by_type: Vec<u64>,
     events_in: u64,
@@ -282,21 +288,9 @@ impl EngineState {
 pub enum RestoreError {
     /// The engine was built with a different configuration.
     ConfigMismatch,
-    /// The snapshot's program has a different number of plans — it was
-    /// taken from a different model or optimizer setting.
-    ProgramMismatch {
-        /// Plans in the running engine's template.
-        expected: usize,
-        /// Plans in the snapshot's template.
-        found: usize,
-    },
-    /// The snapshot's context table has a different width.
-    ContextMismatch {
-        /// Context count of the running engine.
-        expected: usize,
-        /// Context count of the snapshot.
-        found: usize,
-    },
+    /// The engine runs a different program: another model, optimizer
+    /// setting or execution mode.
+    ProgramMismatch,
 }
 
 impl fmt::Display for RestoreError {
@@ -308,14 +302,10 @@ impl fmt::Display for RestoreError {
                     "snapshot was taken under a different engine configuration"
                 )
             }
-            RestoreError::ProgramMismatch { expected, found } => write!(
+            RestoreError::ProgramMismatch => write!(
                 f,
-                "snapshot program has {found} plans, engine expects {expected} \
+                "snapshot was taken from a different program \
                  (different model or optimizer settings?)"
-            ),
-            RestoreError::ContextMismatch { expected, found } => write!(
-                f,
-                "snapshot has {found} context types, engine expects {expected}"
             ),
         }
     }
@@ -376,7 +366,6 @@ pub struct Engine {
     /// gates. Its operators hold no run state: a transaction hands them
     /// its partition's.
     template: ProgramTemplate,
-    default_bit: u8,
     /// Run state of the partitions that hold any (a live partial, a
     /// parked match, a buffered negated event, queued feedback), keyed
     /// by (sparse) partition id; a partition without is absent. A hash
@@ -465,8 +454,8 @@ impl Engine {
                 }
             }
         }
-        let default_bit = program.translation.default_bit;
-        let table = ContextTable::new(program.translation.context_names.len(), default_bit);
+        let translation = &program.translation;
+        let table = ContextTable::new(translation.context_names.len(), translation.default_bit);
         let mut template = ProgramTemplate::build(program.executing(config.mode, config.sharing));
         template
             .slots
@@ -480,7 +469,6 @@ impl Engine {
             config,
             table,
             template,
-            default_bit,
             partitions: PartitionMap::default(),
             worklist: Worklist::default(),
             run_state_bytes: 0,
@@ -528,7 +516,6 @@ impl Engine {
             },
             table: self.table.clone(),
             template: self.template.clone(),
-            default_bit: self.default_bit,
             run_state_bytes: 0,
             partitions: PartitionMap::default(),
             worklist: Worklist::default(),
@@ -586,11 +573,12 @@ impl Engine {
         self.scheduler.buffered()
     }
 
-    /// Captures every live field into a serializable [`EngineState`].
-    /// Restoring the state into a freshly built engine and replaying the
-    /// post-snapshot suffix of the stream reproduces the uninterrupted
-    /// run exactly (same outputs, same counters) — only wall-clock
-    /// metrics differ.
+    /// Captures the engine's state into a serializable [`EngineState`].
+    /// Restoring it into an engine built from the same program and
+    /// replaying the post-snapshot suffix of the stream reproduces the
+    /// uninterrupted run exactly (same outputs, same report counts);
+    /// the operator counters, like the observability registry, are the
+    /// process's and start over.
     ///
     /// Speculative state (the overlay fork, the unsettled events and
     /// the unconfirmed emissions) is *excluded* by design: call
@@ -604,13 +592,12 @@ impl Engine {
         );
         EngineState {
             config: self.config,
+            program: self.template.fingerprint(),
             table: self.table.clone(),
-            template: self.template.clone(),
-            default_bit: self.default_bit,
             partitions: self.partitions.clone(),
+            peak_partials: self.template.pool_stats().1,
             scheduler: self.scheduler.clone(),
             router: self.router.clone(),
-            type_names: self.type_names.clone(),
             outputs_by_type: self.outputs_by_type.clone(),
             inputs_by_type: self.inputs_by_type.clone(),
             events_in: self.events_in,
@@ -622,36 +609,26 @@ impl Engine {
         }
     }
 
-    /// Replaces the engine's live state with a snapshot.
+    /// Replaces the engine's state with a snapshot; the engine keeps
+    /// its program.
     ///
     /// The engine must have been built from the same model, optimizer
     /// settings and [`EngineConfig`] as the snapshotted one — verified
-    /// structurally (config equality, plan count, context-table width)
-    /// before anything is overwritten, so a failed restore leaves the
-    /// engine untouched.
+    /// (config equality, program fingerprint, context layout) before
+    /// anything is overwritten, so a failed restore leaves the engine
+    /// untouched.
     pub fn restore_state(&mut self, state: EngineState) -> Result<(), RestoreError> {
         if !state.config.semantics_eq(&self.config) {
             return Err(RestoreError::ConfigMismatch);
         }
-        let expected_plans = self.template.plan_count();
-        let found_plans = state.template.plan_count();
-        if expected_plans != found_plans {
-            return Err(RestoreError::ProgramMismatch {
-                expected: expected_plans,
-                found: found_plans,
-            });
-        }
-        if state.table.num_contexts() != self.table.num_contexts() {
-            return Err(RestoreError::ContextMismatch {
-                expected: self.table.num_contexts(),
-                found: state.table.num_contexts(),
-            });
+        let layout = |t: &ContextTable| (t.num_contexts(), t.default_bit());
+        if state.program != self.template.fingerprint()
+            || layout(&state.table) != layout(&self.table)
+        {
+            return Err(RestoreError::ProgramMismatch);
         }
         self.table = state.table;
-        self.template = state.template;
-        let sizes = self.config.observability.counters_enabled();
-        self.template.slots.count_sizes(sizes);
-        self.default_bit = state.default_bit;
+        self.template.slots.restore_peak(state.peak_partials);
         self.partitions.clear();
         self.worklist.clear();
         self.run_state_bytes = 0;
@@ -659,7 +636,6 @@ impl Engine {
         self.enter_rows();
         self.scheduler = state.scheduler;
         self.router = state.router;
-        self.type_names = state.type_names;
         self.outputs_by_type = state.outputs_by_type;
         self.inputs_by_type = state.inputs_by_type;
         self.events_in = state.events_in;
@@ -1023,15 +999,16 @@ impl Engine {
             // CI_c removes the default window as a side effect (§4.1)
             // without emitting a Terminate — the default context's plans
             // must still discard their window-scoped state.
+            let default_bit = self.table.default_bit();
             let default_was_open = transition.kind == TransitionKind::Initiate
-                && transition.context_bit != self.default_bit
-                && self.table.holds(partition, self.default_bit);
+                && transition.context_bit != default_bit
+                && self.table.holds(partition, default_bit);
             self.table.apply(transition);
             self.transitions_applied += 1;
             if transition.kind == TransitionKind::Terminate {
                 closed_bits.push(transition.context_bit);
-            } else if default_was_open && !self.table.holds(partition, self.default_bit) {
-                closed_bits.push(self.default_bit);
+            } else if default_was_open && !self.table.holds(partition, default_bit) {
+                closed_bits.push(default_bit);
             }
         }
         // The partition's entry, if it needs one, is due one horizon
@@ -1552,8 +1529,42 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn restore_rejects_a_different_program() {
+        // The same model with one WHERE constant changed: same plans,
+        // same contexts, another program.
+        let (mut engine, reg) = build_engine(Mode::ContextAware);
+        engine.ingest(marker(&reg, "ManySlowCars", 5, 0)).unwrap();
+        engine.ingest(pr(&reg, 6, 1, "travel", 0)).unwrap();
+        let state = engine.snapshot_state();
+        let edited = TRAFFIC.replace(r#"!= "exit""#, r#"!= "travel""#);
+        let config = EngineConfig::default();
+        let (mut other, _) = build_model_engine(&edited, Mode::ContextAware, config);
+        let before = serde::to_bytes(&other.snapshot_state());
+        assert_eq!(
+            other.restore_state(state.clone()),
+            Err(RestoreError::ProgramMismatch)
+        );
+        assert_eq!(
+            serde::to_bytes(&other.snapshot_state()),
+            before,
+            "untouched"
+        );
+        let (mut same, _) = build_engine(Mode::ContextAware);
+        same.restore_state(state).unwrap();
+        assert_eq!(same.events_in(), 2);
+    }
+
     pub(super) fn build_engine_with(mode: Mode, config: EngineConfig) -> (Engine, SchemaRegistry) {
-        let model = parse_model(TRAFFIC).unwrap();
+        build_model_engine(TRAFFIC, mode, config)
+    }
+
+    fn build_model_engine(
+        text: &str,
+        mode: Mode,
+        config: EngineConfig,
+    ) -> (Engine, SchemaRegistry) {
+        let model = parse_model(text).unwrap();
         let qs = QuerySet::from_model(&model).unwrap();
         let mut reg = registry();
         let t = translate_query_set(&qs, &mut reg, &TranslateOptions::default()).unwrap();

@@ -40,7 +40,7 @@ use std::collections::BTreeMap;
 
 /// The program every partition's transactions execute (see the module
 /// docs): built once per engine, never cloned per partition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ProgramTemplate {
     /// Context-deriving plans (flattened across contexts), including
     /// the private re-derivers of a context-independent program.
@@ -74,6 +74,7 @@ pub struct ProgramTemplate {
     pub horizon: Time,
     /// Where the running transaction's operators find their run states,
     /// with the free list of emptied ones and the slab counters.
+    #[serde(skip)]
     pub(crate) slots: StateSlots,
     /// The deriving plans a transaction's events reach (always empty
     /// between calls).
@@ -143,10 +144,18 @@ impl ProgramTemplate {
         template
     }
 
-    /// Total number of executing plans (deriving + processing).
+    /// FNV-1a over the program's encoding, which leaves out what
+    /// changes as it runs — the operator counters, the run-state
+    /// workspace, the scratch buffers: equal for two engines built from
+    /// one model, optimizer setting and configuration, and fixed over
+    /// an engine's life. A snapshot carries it in place of the program.
     #[must_use]
-    pub fn plan_count(&self) -> usize {
-        self.deriving.len() + self.processing.iter().map(CombinedPlan::len).sum::<usize>()
+    pub fn fingerprint(&self) -> u64 {
+        serde::to_bytes(self)
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
     }
 }
 
@@ -206,7 +215,7 @@ impl PartitionRun {
 /// One run-state slot of the program: whose it is, and what a sweep
 /// needs to prune the state there — the operator's `within` horizon
 /// and negation positions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct Slot {
     owner: Owner,
     within: Time,
@@ -214,7 +223,7 @@ struct Slot {
 }
 
 /// The stateful operator a run-state slot belongs to.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 enum Owner {
     /// The pattern of `deriving[plan]`.
     Deriving(usize),

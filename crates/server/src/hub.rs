@@ -16,9 +16,8 @@
 use crate::protocol::{push_events, OUTPUTS, RETRACT};
 use crate::queue::{BoundedQueue, PushError};
 use caesar_events::Event;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The outbound half of one client connection: a bounded queue of
@@ -113,13 +112,19 @@ impl OutputHub {
     /// Registers a connection; the returned id unsubscribes it.
     pub(crate) fn subscribe(&self, out: Arc<ConnectionOut>) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.subscribers.lock().push(Subscriber { id, out });
+        self.subscribers
+            .lock()
+            .expect("subscribers poisoned")
+            .push(Subscriber { id, out });
         id
     }
 
     /// Removes one subscription (connection closed or errored).
     pub(crate) fn unsubscribe(&self, id: u64) {
-        self.subscribers.lock().retain(|s| s.id != id);
+        self.subscribers
+            .lock()
+            .expect("subscribers poisoned")
+            .retain(|s| s.id != id);
     }
 
     /// Sends one `OUTPUTS` frame to every live subscriber; subscribers
@@ -150,7 +155,7 @@ impl OutputHub {
     /// Fans one pre-encoded frame body out to every live subscriber:
     /// cloned for all but the last, which takes the body itself.
     fn publish_body(&self, body: Vec<u8>) {
-        let mut subs = self.subscribers.lock();
+        let mut subs = self.subscribers.lock().expect("subscribers poisoned");
         let mut left = subs.len();
         let mut body = Some(body);
         subs.retain(|s| {

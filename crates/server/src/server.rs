@@ -37,12 +37,11 @@ use crate::protocol::{
 use crate::signal;
 use crate::tenant::{shard_snapshot_path, AdmissionError, DrainOutcome, Tenant, TenantConfig};
 use caesar_runtime::{CounterId, EngineState, MetricsRegistry, ObservabilityLevel};
-use parking_lot::Mutex;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -121,7 +120,7 @@ impl Shared {
     }
 
     pub(crate) fn inc(&self, id: CounterId) {
-        self.metrics.lock().inc(id);
+        self.metrics.lock().expect("metrics poisoned").inc(id);
     }
 
     pub(crate) fn stopping(&self) -> bool {
@@ -134,7 +133,7 @@ impl Shared {
         let mut s = String::with_capacity(1024);
         s.push_str("{\"server\":{");
         {
-            let reg = self.metrics.lock();
+            let reg = self.metrics.lock().expect("metrics poisoned");
             for (i, id) in CounterId::ALL.iter().enumerate() {
                 if i > 0 {
                     s.push(',');
@@ -224,18 +223,27 @@ impl Server {
             signal::install_drain_handler();
         }
 
-        let mut tenants = Vec::with_capacity(config.tenants.len());
+        // Every tenant's engines are built and restored before any
+        // tenant starts: a refused snapshot fails the start.
+        let mut built = Vec::with_capacity(config.tenants.len());
         for tc in config.tenants.drain(..) {
             let resume = match &config.checkpoint_dir {
                 Some(dir) => load_resume(&dir.join(&tc.name), tc.shards.max(1))?,
                 None => None,
             };
-            tenants.push(Arc::new(Tenant::start(
-                tc,
-                resume,
-                config.subscriber_timeout,
-            )));
+            let engines = Tenant::engines(&tc, resume).map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("tenant `{}`: {e}", tc.name),
+                )
+            })?;
+            built.push((tc, engines));
         }
+        let timeout = config.subscriber_timeout;
+        let tenants = built
+            .into_iter()
+            .map(|(tc, engines)| Arc::new(Tenant::start(tc, engines, timeout)))
+            .collect();
 
         let listener = TcpListener::bind(&config.listen)?;
         listener.set_nonblocking(true)?;

@@ -36,10 +36,9 @@ use caesar_optimizer::OptimizedProgram;
 use caesar_runtime::{
     merge_reports, Consistency, Engine, EngineConfig, EngineState, MetricsSnapshot, RunReport,
 };
-use parking_lot::Mutex;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -198,16 +197,43 @@ pub(crate) struct Tenant {
 }
 
 impl Tenant {
-    /// Spawns the tenant's router and, with more than one shard, the
-    /// shard workers. `resume` holds one
-    /// restored [`EngineState`] per shard (all or nothing — validated
-    /// by the caller).
+    /// Builds one engine per shard of `config`, each restored from its
+    /// resume state when there is one (all or nothing — validated by
+    /// the caller). A state an engine refuses fails the set.
+    pub(crate) fn engines(
+        config: &TenantConfig,
+        resume: Option<Vec<EngineState>>,
+    ) -> Result<Vec<Engine>, String> {
+        let mut engine_config = config.engine_config;
+        engine_config.collect_outputs = true;
+        let shards = config.shards.max(1);
+        let mut resume = resume.map(Vec::into_iter);
+        let mut engines = Vec::with_capacity(shards);
+        for shard in 0..shards {
+            let mut engine = Engine::new(config.program.clone(), &config.registry, engine_config);
+            if let Some(state) = resume.as_mut().and_then(Iterator::next) {
+                engine
+                    .restore_state(state)
+                    .map_err(|e| format!("shard {shard}: resume failed: {e}"))?;
+                // Outputs collected before the snapshot were already
+                // delivered by the previous incarnation; never replay
+                // them.
+                engine.collected_outputs.clear();
+            }
+            engines.push(engine);
+        }
+        Ok(engines)
+    }
+
+    /// Spawns the tenant's router over its shard engines
+    /// ([`engines`](Self::engines)) and, with more than one shard, the
+    /// shard workers.
     pub(crate) fn start(
         config: TenantConfig,
-        resume: Option<Vec<EngineState>>,
+        engines: Vec<Engine>,
         publish_timeout: Duration,
     ) -> Self {
-        let shards = config.shards.max(1);
+        let shards = engines.len();
         let inner = Arc::new(TenantInner {
             queue: BoundedQueue::new(config.queue_capacity),
             failure: Mutex::new(None),
@@ -216,30 +242,18 @@ impl Tenant {
             shard_runs: AtomicU64::new(0),
         });
         let hub = Arc::new(OutputHub::new(publish_timeout));
-        let mut engine_config = config.engine_config;
-        engine_config.collect_outputs = true;
 
-        let mut resume_states: Vec<Option<EngineState>> = match resume {
-            Some(states) => states.into_iter().map(Some).collect(),
-            None => (0..shards).map(|_| None).collect(),
-        };
-        debug_assert_eq!(resume_states.len(), shards);
-        resume_states.resize_with(shards, || None);
-
-        let name = config.name.clone();
         let router_inner = Arc::clone(&inner);
         let router_hub = Arc::clone(&hub);
         let router = std::thread::spawn(move || {
-            let registry = Arc::new(config.registry);
             let mut links = Vec::with_capacity(shards);
             let mut workers = Vec::new();
-            for state in resume_states {
-                let program = config.program.clone();
+            for engine in engines {
                 let (hub, inner) = (Arc::clone(&router_hub), Arc::clone(&router_inner));
+                let shard = Shard::new(engine, hub, inner);
                 if shards == 1 {
                     // Nothing to route, so no thread to hand over to:
                     // the router executes the one shard itself.
-                    let shard = Shard::new(program, &registry, engine_config, state, hub, inner);
                     links.push(ShardLink::Inline(Box::new(shard)));
                     continue;
                 }
@@ -247,10 +261,8 @@ impl Tenant {
                 // shard falls this far behind.
                 let queue = Arc::new(BoundedQueue::<ShardMsg>::new(SHARD_QUEUE_RUNS));
                 let rx = Arc::clone(&queue);
-                let registry = Arc::clone(&registry);
                 workers.push(std::thread::spawn(move || {
-                    let mut shard =
-                        Shard::new(program, &registry, engine_config, state, hub, inner);
+                    let mut shard = shard;
                     while let Some(msg) = rx.pop() {
                         shard.handle(msg);
                     }
@@ -261,7 +273,7 @@ impl Tenant {
         });
 
         Self {
-            name,
+            name: config.name,
             shards,
             inner,
             hub,
@@ -271,7 +283,7 @@ impl Tenant {
     }
 
     fn check_live(&self) -> Result<(), AdmissionError> {
-        if let Some(failure) = self.inner.failure.lock().clone() {
+        if let Some(failure) = self.inner.failure.lock().expect("failure poisoned").clone() {
             return Err(AdmissionError::Internal(failure));
         }
         if self.finished.load(Ordering::Acquire) {
@@ -316,7 +328,7 @@ impl Tenant {
     /// (final watermark push) and returns the merged totals. A second
     /// call observes [`AdmissionError::Finished`].
     pub(crate) fn finish(&self) -> Result<TenantReport, AdmissionError> {
-        if let Some(failure) = self.inner.failure.lock().clone() {
+        if let Some(failure) = self.inner.failure.lock().expect("failure poisoned").clone() {
             return Err(AdmissionError::Internal(failure));
         }
         if self.finished.swap(true, Ordering::AcqRel) {
@@ -407,11 +419,11 @@ impl Tenant {
                 ..DrainOutcome::default()
             }
         };
-        if let Some(handle) = self.router.lock().take() {
+        if let Some(handle) = self.router.lock().expect("router poisoned").take() {
             let _ = handle.join();
         }
         if outcome.error.is_none() {
-            outcome.error = self.inner.failure.lock().clone();
+            outcome.error = self.inner.failure.lock().expect("failure poisoned").clone();
         }
         outcome
     }
@@ -615,27 +627,10 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(
-        program: OptimizedProgram,
-        registry: &SchemaRegistry,
-        config: EngineConfig,
-        resume: Option<EngineState>,
-        hub: Arc<OutputHub>,
-        inner: Arc<TenantInner>,
-    ) -> Self {
-        let mut engine = Engine::new(program, registry, config);
-        if let Some(state) = resume {
-            if let Err(e) = engine.restore_state(state) {
-                let mut failure = inner.failure.lock();
-                failure.get_or_insert_with(|| format!("resume failed: {e}"));
-            }
-            // Outputs collected before the snapshot were already delivered
-            // by the previous incarnation; never replay them.
-            let _ = std::mem::take(&mut engine.collected_outputs);
-        }
+    fn new(engine: Engine, hub: Arc<OutputHub>, inner: Arc<TenantInner>) -> Self {
         Self {
+            speculative: engine.config().consistency == Consistency::Speculative,
             engine,
-            speculative: config.consistency == Consistency::Speculative,
             finish_report: None,
             hub,
             inner,
@@ -681,7 +676,14 @@ impl Shard {
     fn handle(&mut self, msg: ShardMsg) {
         match msg {
             ShardMsg::Run(events) => {
-                if self.finish_report.is_some() || self.inner.failure.lock().is_some() {
+                if self.finish_report.is_some()
+                    || self
+                        .inner
+                        .failure
+                        .lock()
+                        .expect("failure poisoned")
+                        .is_some()
+                {
                     return;
                 }
                 let engine = &mut self.engine;
@@ -692,7 +694,7 @@ impl Shard {
                 // failing one derived is still delivered.
                 self.publish();
                 if let Err(e) = result {
-                    let mut failure = self.inner.failure.lock();
+                    let mut failure = self.inner.failure.lock().expect("failure poisoned");
                     failure.get_or_insert_with(|| e.to_string());
                 }
             }

@@ -9,7 +9,9 @@
 
 mod common;
 
-use caesar_server::{signal, Client, ErrorCode, Request, Response, Server, ServerConfig};
+use caesar_server::{
+    signal, Client, ErrorCode, Request, Response, Server, ServerConfig, TenantConfig,
+};
 use std::time::Duration;
 
 fn served_config(name: &str, shards: usize) -> ServerConfig {
@@ -170,6 +172,40 @@ fn partial_checkpoint_set_refuses_resume() {
     .err()
     .expect("partial snapshot set must refuse to start");
     assert!(err.to_string().contains("partial"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn incompatible_checkpoint_refuses_resume() {
+    let dir = common::scratch_dir("incompatible");
+    // Checkpoint a drain of the fixture model...
+    let handle = Server::start(ServerConfig {
+        checkpoint_dir: Some(dir.clone()),
+        ..served_config("traffic", 2)
+    })
+    .unwrap();
+    let mut client = subscribe_and_ingest(handle.addr(), "traffic", &common::gen_events(60, 2));
+    handle.shutdown();
+    assert!(client.drain_to_shutdown().unwrap());
+    assert!(handle.join().tenants[0].1.checkpointed);
+
+    // ...and restart with the same-shape model, one WHERE constant
+    // changed: another program, so the start itself fails.
+    let edited = common::MODEL.replace(r#"!= "exit""#, r#"!= "travel""#);
+    let (program, registry, _) = common::builder()
+        .model_text(&edited)
+        .build_program()
+        .expect("edited model builds");
+    let mut tenant = TenantConfig::new("traffic", program, registry);
+    tenant.shards = 2;
+    let err = Server::start(ServerConfig {
+        checkpoint_dir: Some(dir.clone()),
+        tenants: vec![tenant],
+        ..ServerConfig::default()
+    })
+    .err()
+    .expect("a snapshot of another program must refuse to start");
+    assert!(err.to_string().contains("different program"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

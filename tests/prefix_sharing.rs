@@ -474,10 +474,10 @@ fn derived_type_in_the_suffix_still_cascades() {
     assert_eq!(report.outputs_by_type.get("Late"), Some(&1));
 }
 
-/// Snapshot → bytes → `restore_state` with a prefix half built: the
-/// routing table is not in the bytes (the algebra crate pins that), so
-/// the restored plan must have rebuilt it to dispatch the rest of the
-/// stream exactly like the uninterrupted run.
+/// Snapshot → bytes → `restore_state` with a prefix half built: no plan
+/// is in the bytes, so the restored engine's own program — its routing
+/// table included — must dispatch the rest of the stream exactly like
+/// the uninterrupted run from the snapshot's state alone.
 #[test]
 fn restore_mid_prefix_dispatches_identically() {
     let (program, reg) = build(TWO_QUERY_MODEL);
