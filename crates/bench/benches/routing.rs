@@ -51,9 +51,7 @@ fn bench_engine_throughput(c: &mut Criterion) {
                     OptimizerConfig::default(),
                     EngineConfig::builder().mode(mode).build(),
                 );
-                let report = system
-                    .run_stream(&mut VecStream::new(events.clone()))
-                    .unwrap();
+                let report = system.run_stream(events.clone()).unwrap();
                 black_box(report.events_out)
             })
         });

@@ -131,7 +131,9 @@ fn main() {
     );
     println!(
         "note: the optimizer passes change cost, never results, so toll counts \
-         match across those rows; the busy-wait row keeps stream-scoped pattern \
-         state and could differ at window boundaries (§3.2)."
+         match across those rows; the busy-wait row runs full CAESAR's program \
+         with every router gate open, so it ablates suspension alone: its \
+         windows stay pushed down below the patterns, pattern state stays \
+         window-scoped and its toll count matches too."
     );
 }

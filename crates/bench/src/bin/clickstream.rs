@@ -44,7 +44,7 @@ use caesar_clickstream::{
 use caesar_core::prelude::*;
 use caesar_optimizer::{OptimizedProgram, Optimizer};
 use caesar_query::QuerySet;
-use caesar_runtime::{run_mode_full, ModeSpec};
+use caesar_runtime::{run_mode, ModeSpec};
 use std::time::Instant;
 
 /// Model replications per workload row (5 queries each → 10 and 15
@@ -115,7 +115,7 @@ fn timed_run(
         restart_after: None,
     };
     let start = Instant::now();
-    let (report, _, _) = run_mode_full(program, reg, &spec, events).expect("bench run");
+    let (report, _, _) = run_mode(program, reg, &spec, events).expect("bench run");
     (report.events_out, start.elapsed().as_secs_f64())
 }
 

@@ -243,10 +243,8 @@ mod tests {
         let mut shared = build_system(&config, true);
         let mut plain = build_system(&config, false);
         let events = overlap_stream(&config, &shared);
-        let rs = shared
-            .run_stream(&mut VecStream::new(events.clone()))
-            .unwrap();
-        let rp = plain.run_stream(&mut VecStream::new(events)).unwrap();
+        let rs = shared.run_stream(events.clone()).unwrap();
+        let rp = plain.run_stream(events).unwrap();
         for j in 0..config.queries_per_context {
             let ty = format!("Out{j}");
             assert!(rs.outputs_of(&ty) > 0, "{ty} produced nothing");
@@ -269,10 +267,8 @@ mod tests {
         let mut shared = build_system(&config, true);
         let mut plain = build_system(&config, false);
         let events = overlap_stream(&config, &shared);
-        let rs = shared
-            .run_stream(&mut VecStream::new(events.clone()))
-            .unwrap();
-        let rp = plain.run_stream(&mut VecStream::new(events)).unwrap();
+        let rs = shared.run_stream(events.clone()).unwrap();
+        let rp = plain.run_stream(events).unwrap();
         for j in 0..config.queries_per_context {
             let ty = format!("Out{j}");
             assert_eq!(rs.outputs_of(&ty), rp.outputs_of(&ty), "{ty}");
@@ -291,7 +287,7 @@ mod tests {
         };
         let mut system = build_system(&config, true);
         let events = overlap_stream(&config, &system);
-        let report = system.run_stream(&mut VecStream::new(events)).unwrap();
+        let report = system.run_stream(events).unwrap();
         // Readings continue through the tail; pairs must only have
         // formed inside the single window.
         assert!(report.outputs_of("Out0") > 0);

@@ -602,7 +602,6 @@ pub fn generate(config: &ClickConfig, registry: &SchemaRegistry) -> (Vec<Event>,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caesar_core::prelude::*;
 
     #[test]
     fn model_shape_and_replication() {
@@ -743,7 +742,7 @@ mod tests {
         };
         let (events, summary) = generate(&config, &reg);
         let mut system = clickstream_builder(1).build().unwrap();
-        let report = system.run_stream(&mut VecStream::new(events)).unwrap();
+        let report = system.run_stream(events).unwrap();
         assert!(summary.buyer_sessions > 0 && summary.bot_sessions > 0);
         assert!(report.outputs_of("BrowsePath") > 0);
         assert!(report.outputs_of("Conversion") >= summary.buyer_sessions as u64);

@@ -51,9 +51,7 @@
 #![deny(deprecated)]
 
 use caesar_algebra::translate::{translate_query_set, TranslateError, TranslateOptions};
-use caesar_events::{
-    AttrType, EventBuilder, EventError, EventStream, Schema, SchemaRegistry, Time,
-};
+use caesar_events::{AttrType, Event, EventBuilder, EventError, Schema, SchemaRegistry, Time};
 use caesar_optimizer::{Optimizer, OptimizerConfig};
 use caesar_query::{parse_model, CaesarModel, QueryError};
 use caesar_runtime::{Engine, EngineConfig, RunReport};
@@ -63,8 +61,7 @@ use std::fmt;
 pub mod prelude {
     pub use crate::{Caesar, CaesarBuilder, CaesarError, CaesarSystem};
     pub use caesar_events::{
-        AttrType, Event, EventBuilder, EventStream, Interval, PartitionId, Schema, SchemaRegistry,
-        Time, Value, VecStream,
+        AttrType, Event, EventBuilder, Interval, PartitionId, Schema, SchemaRegistry, Time, Value,
     };
     pub use caesar_optimizer::OptimizerConfig;
     pub use caesar_query::CaesarModel;
@@ -219,13 +216,9 @@ impl CaesarBuilder {
     /// engine construction.
     pub fn build(self) -> Result<CaesarSystem, CaesarError> {
         let engine_config = self.engine_config;
-        let (program, registry, explain) = self.build_program()?;
+        let (program, registry) = self.optimize()?;
         let engine = Engine::new(program, &registry, engine_config);
-        Ok(CaesarSystem {
-            engine,
-            registry,
-            explain,
-        })
+        Ok(CaesarSystem { engine, registry })
     }
 
     /// Builds just the optimized program (translation + optimization)
@@ -235,10 +228,21 @@ impl CaesarBuilder {
     ///
     /// This is the entry point for hosts that instantiate *several*
     /// engines from one model — e.g. `caesar-server`, which builds one
-    /// engine per shard of a tenant's partition-hash-sharded runtime.
+    /// engine per shard of a tenant's partition-hash-sharded runtime —
+    /// and for `caesar explain`, which prints the report.
     pub fn build_program(
-        mut self,
+        self,
     ) -> Result<(caesar_optimizer::OptimizedProgram, SchemaRegistry, String), CaesarError> {
+        let (program, registry) = self.optimize()?;
+        let explain = program.explain();
+        Ok((program, registry, explain))
+    }
+
+    /// Translation and optimization, without rendering the explain
+    /// report: [`build`](Self::build) has no use for it.
+    fn optimize(
+        mut self,
+    ) -> Result<(caesar_optimizer::OptimizedProgram, SchemaRegistry), CaesarError> {
         if let Some(e) = self.errors.pop() {
             return Err(e);
         }
@@ -251,8 +255,7 @@ impl CaesarBuilder {
             translate_query_set(&query_set, &mut self.registry, &self.translate_options)?;
         let optimizer = Optimizer::new(self.optimizer_config, Default::default());
         let program = optimizer.optimize(translation, &self.registry);
-        let explain = program.explain();
-        Ok((program, self.registry, explain))
+        Ok((program, self.registry))
     }
 }
 
@@ -263,8 +266,6 @@ pub struct CaesarSystem {
     pub engine: Engine,
     /// The schema registry (inputs + derived + match types).
     pub registry: SchemaRegistry,
-    /// The optimizer's explain report captured at build time.
-    pub explain: String,
 }
 
 impl CaesarSystem {
@@ -274,13 +275,17 @@ impl CaesarSystem {
     }
 
     /// Ingests one event.
-    pub fn ingest(&mut self, event: caesar_events::Event) -> Result<(), CaesarError> {
+    pub fn ingest(&mut self, event: Event) -> Result<(), CaesarError> {
         Ok(self.engine.ingest(event)?)
     }
 
-    /// Runs a whole stream.
-    pub fn run_stream(&mut self, stream: &mut dyn EventStream) -> Result<RunReport, CaesarError> {
-        Ok(self.engine.run_stream(stream)?)
+    /// Ingests every event of `events`, then finishes the run
+    /// ([`Engine::run_stream`]).
+    pub fn run_stream(
+        &mut self,
+        events: impl IntoIterator<Item = Event>,
+    ) -> Result<RunReport, CaesarError> {
+        Ok(self.engine.run_stream(events)?)
     }
 
     /// Finishes the run and returns the report.
@@ -323,8 +328,9 @@ mod tests {
 
     #[test]
     fn end_to_end_builder_flow() {
+        let (_, _, explain) = traffic_builder().build_program().unwrap();
+        assert!(explain.contains("estimated cost"));
         let mut system = traffic_builder().build().unwrap();
-        assert!(system.explain.contains("estimated cost"));
         let switch = system
             .event("ManySlowCars", 5)
             .unwrap()

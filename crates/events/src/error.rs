@@ -49,15 +49,6 @@ pub enum EventError {
     },
     /// A type was registered twice with conflicting schemas.
     DuplicateType(String),
-    /// A sharded run lost a worker mid-stream. The distributor drains the
-    /// rest of the input (so the count is exact) instead of silently
-    /// stopping; `cause` is the worker's underlying error, rendered.
-    ShardsAborted {
-        /// Events that were never delivered to any shard.
-        unprocessed: u64,
-        /// The error that killed the worker.
-        cause: String,
-    },
 }
 
 impl fmt::Display for EventError {
@@ -91,10 +82,6 @@ impl fmt::Display for EventError {
             EventError::DuplicateType(name) => {
                 write!(f, "event type '{name}' registered twice with conflicting schema")
             }
-            EventError::ShardsAborted { unprocessed, cause } => write!(
-                f,
-                "sharded run aborted ({unprocessed} events left unprocessed): {cause}"
-            ),
         }
     }
 }

@@ -21,6 +21,11 @@
 //!   through, over one cheap hasher of the sparse partition id.
 //! * [`generator`] — seeded synthetic-stream utilities (rate curves and
 //!   window-placement distributions) shared by the workload substrates.
+//!
+//! There is no stream type. An input stream (§2) is a time-ordered
+//! sequence of events that its host pushes one at a time into the
+//! runtime's `Engine::ingest`, as the paper pushes events to the
+//! distributor (§6.1); a finite one is a `Vec<Event>`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,7 +40,6 @@ pub mod queue;
 pub mod record;
 pub mod reorder;
 pub mod schema;
-pub mod stream;
 pub mod time;
 pub mod value;
 
@@ -50,6 +54,5 @@ pub use queue::PartitionedQueues;
 pub use record::OutputRecord;
 pub use reorder::{max_lateness, ReorderBuffer};
 pub use schema::{AttrId, AttrType, Schema, SchemaRegistry, Symbol, SymbolTable, TypeId};
-pub use stream::{EventStream, MergedStream, VecStream};
 pub use time::{Interval, Time, WindowSpan, TIME_MAX};
 pub use value::Value;

@@ -118,9 +118,7 @@ mod tests {
         let events = sim.generate();
         let oracle = expected_outputs(&events, sim.registry());
         for mut system in [caesar_system(1), baseline_system(1)] {
-            let report = system
-                .run_stream(&mut VecStream::new(events.clone()))
-                .unwrap();
+            let report = system.run_stream(events.clone()).unwrap();
             assert_eq!(report.outputs_of("TollNotification"), oracle.real_tolls);
             assert_eq!(report.outputs_of("ZeroToll"), oracle.zero_tolls);
         }

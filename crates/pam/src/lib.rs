@@ -400,7 +400,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        let report = system.run_stream(&mut VecStream::new(events)).unwrap();
+        let report = system.run_stream(events).unwrap();
         let has_exercise = schedules.iter().any(|s| !s.exercise.is_empty());
         if has_exercise {
             assert!(

@@ -11,10 +11,8 @@
 
 use crate::engine::{Consistency, Engine, EngineConfig, ExecutionMode, RunReport};
 use crate::obs::ObservabilityLevel;
-use crate::parallel::run_sharded_full;
-use caesar_events::{
-    Event, EventError, OutputRecord, ReorderBuffer, SchemaRegistry, Time, VecStream,
-};
+use crate::parallel::run_sharded;
+use caesar_events::{Event, EventError, OutputRecord, ReorderBuffer, SchemaRegistry, Time};
 use caesar_optimizer::OptimizedProgram;
 
 /// One cell of the execution-mode matrix.
@@ -52,24 +50,14 @@ impl ModeSpec {
 }
 
 /// Runs `events` through `program` under `spec`, returning the run
-/// report and the collected outputs. `collect_outputs` is forced on —
-/// the whole point of a driver leg is comparing outputs.
-pub fn run_mode(
-    program: &OptimizedProgram,
-    registry: &SchemaRegistry,
-    spec: &ModeSpec,
-    events: &[Event],
-) -> Result<(RunReport, Vec<Event>), EventError> {
-    run_mode_full(program, registry, spec, events).map(|(report, outputs, _)| (report, outputs))
-}
-
-/// [`run_mode`], additionally returning the leg's speculative output
+/// report, the collected outputs and the leg's speculative output
 /// records — empty unless the spec's consistency is
-/// [`Consistency::Speculative`]. Folding the records (each retraction
-/// cancels one prior emission of the same event) must reproduce the
-/// settled outputs exactly; the testkit's differential harness asserts
-/// that equality on every speculative leg.
-pub fn run_mode_full(
+/// [`Consistency::Speculative`]. `collect_outputs` is forced on — the
+/// whole point of a driver leg is comparing outputs. Folding the
+/// records (each retraction cancels one prior emission of the same
+/// event) must reproduce the settled outputs exactly; the testkit's
+/// differential harness asserts that equality on every speculative leg.
+pub fn run_mode(
     program: &OptimizedProgram,
     registry: &SchemaRegistry,
     spec: &ModeSpec,
@@ -78,7 +66,7 @@ pub fn run_mode_full(
     let mut config = spec.config;
     config.collect_outputs = true;
     if spec.shards > 0 {
-        // The sharded entry point wants an ordered stream. Settling the
+        // The sharded entry point refuses an unordered stream. Settling the
         // arrivals through a reorder buffer — not a plain stable sort —
         // pins the exact sequential-leg semantics: ties release in
         // arrival order *and* events beyond the slack are dropped under
@@ -86,13 +74,7 @@ pub fn run_mode_full(
         // beyond-slack stragglers the sequential legs count and drop
         // (see `tests/sharded_settlement.rs`).
         let (settled, _late_dropped) = ReorderBuffer::settle_stream(config.reorder_slack, events);
-        return run_sharded_full(
-            program,
-            registry,
-            config,
-            spec.shards,
-            &mut VecStream::new(settled),
-        );
+        return run_sharded(program, registry, config, spec.shards, settled);
     }
     let mut engine = Engine::new(program.clone(), registry, config);
     let mut earlier_records = Vec::new();

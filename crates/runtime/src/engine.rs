@@ -26,8 +26,8 @@ use crate::txn::StreamTransaction;
 use caesar_algebra::context_table::{ContextTable, Transition, TransitionKind};
 use caesar_algebra::plan::PlanOutput;
 use caesar_events::{
-    Event, EventError, EventStream, OutputRecord, PartitionId, PartitionMap, ReorderBuffer,
-    SchemaRegistry, Time, TypeId,
+    Event, EventError, OutputRecord, PartitionId, PartitionMap, ReorderBuffer, SchemaRegistry,
+    Time, TypeId,
 };
 use caesar_optimizer::optimizer::OptimizedProgram;
 use serde::{Deserialize, Serialize};
@@ -937,9 +937,16 @@ impl Engine {
         }
     }
 
-    /// Convenience: runs an entire stream through the engine.
-    pub fn run_stream(&mut self, stream: &mut dyn EventStream) -> Result<RunReport, EventError> {
-        while let Some(event) = stream.next_event() {
+    /// Convenience: ingests every event of `events`, then finishes.
+    ///
+    /// # Errors
+    /// The first error [`Engine::ingest`] returns: an event older than
+    /// the reorder slack allows is [`EventError::OutOfOrder`].
+    pub fn run_stream(
+        &mut self,
+        events: impl IntoIterator<Item = Event>,
+    ) -> Result<RunReport, EventError> {
+        for event in events {
             self.ingest(event)?;
         }
         Ok(self.finish())
@@ -1308,32 +1315,11 @@ impl Worklist {
     }
 }
 
-/// Builds, optimizes and runs a model against a stream in one call —
-/// the simplest end-to-end entry point (the facade crate re-exports a
-/// richer builder).
-pub fn run_model(
-    model: &caesar_query::model::CaesarModel,
-    registry: &mut SchemaRegistry,
-    optimizer: &caesar_optimizer::Optimizer,
-    config: EngineConfig,
-    stream: &mut dyn EventStream,
-) -> Result<RunReport, Box<dyn std::error::Error>> {
-    let query_set = caesar_query::queryset::QuerySet::from_model(model)?;
-    let translation = caesar_algebra::translate::translate_query_set(
-        &query_set,
-        registry,
-        &caesar_algebra::translate::TranslateOptions::default(),
-    )?;
-    let program = optimizer.optimize(translation, registry);
-    let mut engine = Engine::new(program, registry, config);
-    Ok(engine.run_stream(stream)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use caesar_algebra::translate::{translate_query_set, TranslateOptions};
-    use caesar_events::{AttrType, PartitionId, Schema, Value, VecStream};
+    use caesar_events::{AttrType, PartitionId, Schema, Value};
     use caesar_optimizer::{Mode, Optimizer, OptimizerConfig};
     use caesar_query::parser::parse_model;
     use caesar_query::queryset::QuerySet;
@@ -1581,15 +1567,15 @@ mod tests {
     #[test]
     fn tolls_only_during_congestion() {
         let (mut engine, reg) = build_engine(Mode::ContextAware);
-        let mut stream = VecStream::new(vec![
+        let stream = vec![
             pr(&reg, 1, 1, "travel", 0),        // clear: no toll
             marker(&reg, "ManySlowCars", 5, 0), // switch to congestion
             pr(&reg, 6, 2, "travel", 0),        // congestion: toll
             pr(&reg, 7, 3, "exit", 0),          // exit lane: no toll
             marker(&reg, "FewFastCars", 10, 0), // back to clear
             pr(&reg, 11, 4, "travel", 0),       // clear again: no toll
-        ]);
-        let report = engine.run_stream(&mut stream).unwrap();
+        ];
+        let report = engine.run_stream(stream).unwrap();
         assert_eq!(report.outputs_of("TollNotification"), 1);
         assert_eq!(report.transitions_applied, 4, "two switches");
         assert_eq!(report.events_in, 6);
@@ -1600,35 +1586,35 @@ mod tests {
         // The congestion window is (t_i, t_t]: an event at the switch
         // timestamp still belongs to clear.
         let (mut engine, reg) = build_engine(Mode::ContextAware);
-        let mut stream = VecStream::new(vec![
+        let stream = vec![
             marker(&reg, "ManySlowCars", 5, 0),
             pr(&reg, 5, 9, "travel", 0),
-        ]);
-        let report = engine.run_stream(&mut stream).unwrap();
+        ];
+        let report = engine.run_stream(stream).unwrap();
         assert_eq!(report.outputs_of("TollNotification"), 0);
     }
 
     #[test]
     fn termination_timestamp_still_tolled() {
         let (mut engine, reg) = build_engine(Mode::ContextAware);
-        let mut stream = VecStream::new(vec![
+        let stream = vec![
             marker(&reg, "ManySlowCars", 5, 0),
             marker(&reg, "FewFastCars", 10, 0),
             pr(&reg, 10, 9, "travel", 0), // at t_t: within (5, 10]
-        ]);
-        let report = engine.run_stream(&mut stream).unwrap();
+        ];
+        let report = engine.run_stream(stream).unwrap();
         assert_eq!(report.outputs_of("TollNotification"), 1);
     }
 
     #[test]
     fn partitions_have_independent_contexts() {
         let (mut engine, reg) = build_engine(Mode::ContextAware);
-        let mut stream = VecStream::new(vec![
+        let stream = vec![
             marker(&reg, "ManySlowCars", 5, 0), // only partition 0 congested
             pr(&reg, 6, 1, "travel", 0),
             pr(&reg, 6, 2, "travel", 1), // partition 1 still clear
-        ]);
-        let report = engine.run_stream(&mut stream).unwrap();
+        ];
+        let report = engine.run_stream(stream).unwrap();
         assert_eq!(report.outputs_of("TollNotification"), 1);
     }
 
@@ -1645,9 +1631,9 @@ mod tests {
             ]
         };
         let (mut ca, reg_a) = build_engine(Mode::ContextAware);
-        let ra = ca.run_stream(&mut VecStream::new(events(&reg_a))).unwrap();
+        let ra = ca.run_stream(events(&reg_a)).unwrap();
         let (mut ci, reg_b) = build_engine(Mode::ContextIndependent);
-        let rb = ci.run_stream(&mut VecStream::new(events(&reg_b))).unwrap();
+        let rb = ci.run_stream(events(&reg_b)).unwrap();
         assert_eq!(
             ra.outputs_of("TollNotification"),
             rb.outputs_of("TollNotification"),
@@ -1659,12 +1645,12 @@ mod tests {
     fn context_aware_mode_suspends_plans() {
         let (mut engine, reg) = build_engine(Mode::ContextAware);
         // Stay in clear the whole time: the congestion plan never runs.
-        let mut stream = VecStream::new(vec![
+        let stream = vec![
             pr(&reg, 1, 1, "travel", 0),
             pr(&reg, 2, 2, "travel", 0),
             pr(&reg, 3, 3, "travel", 0),
-        ]);
-        let report = engine.run_stream(&mut stream).unwrap();
+        ];
+        let report = engine.run_stream(stream).unwrap();
         assert_eq!(report.plans_fed, 0, "no processing plan active in clear");
         assert_eq!(report.plans_suspended, 3);
     }
@@ -1672,11 +1658,8 @@ mod tests {
     #[test]
     fn baseline_never_suspends() {
         let (mut engine, reg) = build_engine(Mode::ContextIndependent);
-        let mut stream = VecStream::new(vec![
-            pr(&reg, 1, 1, "travel", 0),
-            pr(&reg, 2, 2, "travel", 0),
-        ]);
-        let report = engine.run_stream(&mut stream).unwrap();
+        let stream = vec![pr(&reg, 1, 1, "travel", 0), pr(&reg, 2, 2, "travel", 0)];
+        let report = engine.run_stream(stream).unwrap();
         assert_eq!(report.plans_suspended, 0);
         assert_eq!(report.plans_fed, 2);
         // ...and still computes nothing out of context.
@@ -1691,11 +1674,8 @@ mod tests {
         // the one processing query of congestion.
         assert_eq!(engine.template.deriving.len(), 2);
         assert_eq!(ci.template.deriving.len(), 3);
-        let mut stream = VecStream::new(vec![
-            pr(&reg, 1, 1, "travel", 0),
-            pr(&reg, 2, 2, "travel", 0),
-        ]);
-        let report = engine.run_stream(&mut stream).unwrap();
+        let stream = vec![pr(&reg, 1, 1, "travel", 0), pr(&reg, 2, 2, "travel", 0)];
+        let report = engine.run_stream(stream).unwrap();
         assert_eq!(report.plans_suspended, 0);
         assert_eq!(report.plans_fed, 2);
     }
@@ -1706,25 +1686,5 @@ mod tests {
         engine.ingest(pr(&reg, 10, 1, "travel", 0)).unwrap();
         let err = engine.ingest(pr(&reg, 5, 2, "travel", 0)).unwrap_err();
         assert!(matches!(err, EventError::OutOfOrder { .. }));
-    }
-
-    #[test]
-    fn run_model_facade_works() {
-        let model = parse_model(TRAFFIC).unwrap();
-        let mut reg = registry();
-        let optimizer = Optimizer::default();
-        let events = vec![
-            marker(&reg, "ManySlowCars", 5, 0),
-            pr(&reg, 6, 2, "travel", 0),
-        ];
-        let report = run_model(
-            &model,
-            &mut reg,
-            &optimizer,
-            EngineConfig::default(),
-            &mut VecStream::new(events),
-        )
-        .unwrap();
-        assert_eq!(report.outputs_of("TollNotification"), 1);
     }
 }

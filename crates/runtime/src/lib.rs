@@ -16,6 +16,8 @@
 //! * [`engine`] — the full engine: distributor → scheduler → derivation →
 //!   transition application → routing → processing, with context-history
 //!   maintenance and garbage collection.
+//! * [`parallel`] — a sharded run: one engine per partition subset of a
+//!   time-ordered `Vec<Event>`, each on a scoped thread.
 //! * [`obs`] — the observability layer: a metrics registry of named
 //!   counters, fixed-bucket histograms and span-style stage timers,
 //!   gated by [`obs::ObservabilityLevel`] and snapshotted into every
@@ -35,13 +37,13 @@ pub mod scheduler;
 pub mod stats;
 pub mod txn;
 
-pub use driver::{run_mode, run_mode_full, standard_matrix, ModeSpec};
+pub use driver::{run_mode, standard_matrix, ModeSpec};
 pub use engine::{
     Consistency, Engine, EngineConfig, EngineConfigBuilder, EngineState, ExecutionMode,
     RestoreError, RunReport,
 };
 pub use obs::{CounterId, Histogram, MetricsRegistry, MetricsSnapshot, ObservabilityLevel, Stage};
-pub use parallel::{merge_reports, run_sharded, run_sharded_full, run_sharded_with_outputs};
+pub use parallel::{merge_reports, run_sharded};
 pub use programs::PartitionRun;
 pub use router::Router;
 pub use scheduler::TimeDrivenScheduler;

@@ -18,9 +18,7 @@ use caesar_algebra::translate::{translate_query_set, TranslateOptions};
 use caesar_events::{codec, Event, OutputRecord, SchemaRegistry};
 use caesar_optimizer::{OptimizedProgram, Optimizer, OptimizerConfig};
 use caesar_query::{pretty, QuerySet};
-use caesar_runtime::{
-    run_mode_full, standard_matrix, Consistency, EngineConfig, ModeSpec, RunReport,
-};
+use caesar_runtime::{run_mode, standard_matrix, Consistency, EngineConfig, ModeSpec, RunReport};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -237,7 +235,7 @@ pub fn check_workload_against(
         } else {
             &unoptimized
         };
-        let (report, outputs, records) = run_mode_full(program, &registry, &spec, &workload.events)
+        let (report, outputs, records) = run_mode(program, &registry, &spec, &workload.events)
             .map_err(|e| fail(&spec.label, format!("engine error: {e}")))?;
         compare_leg(workload, &spec, &report, &outputs, &records, oracle_run)
             .map_err(|detail| fail(&spec.label, detail))?;
@@ -282,7 +280,7 @@ pub fn check_workload_provenance(workload: &Workload) -> Result<(), DiffFailure>
         (unopt_spec, &unoptimized),
     ];
     for (spec, program) in legs {
-        let (report, outputs, records) = run_mode_full(program, &registry, &spec, &workload.events)
+        let (report, outputs, records) = run_mode(program, &registry, &spec, &workload.events)
             .map_err(|e| fail(&spec.label, format!("engine error: {e}")))?;
         compare_leg(workload, &spec, &report, &outputs, &records, &oracle_run)
             .map_err(|detail| fail(&spec.label, detail))?;

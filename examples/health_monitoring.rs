@@ -56,9 +56,7 @@ fn main() {
         .build()
         .expect("PAM model builds");
 
-    let report = system
-        .run_stream(&mut VecStream::new(events))
-        .expect("in-order stream");
+    let report = system.run_stream(events).expect("in-order stream");
 
     println!("--- outputs ---");
     for (ty, n) in &report.outputs_by_type {

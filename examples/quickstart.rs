@@ -12,20 +12,21 @@
 use caesar::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut system = Caesar::builder()
-        .schema(
-            "PositionReport",
-            &[
-                ("vid", AttrType::Int),
-                ("sec", AttrType::Int),
-                ("lane", AttrType::Str),
-            ],
-        )
-        .schema("ManySlowCars", &[("seg", AttrType::Int)])
-        .schema("FewFastCars", &[("seg", AttrType::Int)])
-        .within(60)
-        .model_text(
-            r#"
+    let builder = || {
+        Caesar::builder()
+            .schema(
+                "PositionReport",
+                &[
+                    ("vid", AttrType::Int),
+                    ("sec", AttrType::Int),
+                    ("lane", AttrType::Str),
+                ],
+            )
+            .schema("ManySlowCars", &[("seg", AttrType::Int)])
+            .schema("FewFastCars", &[("seg", AttrType::Int)])
+            .within(60)
+            .model_text(
+                r#"
             MODEL traffic DEFAULT clear
             CONTEXT clear {
                 SWITCH CONTEXT congestion PATTERN ManySlowCars
@@ -40,10 +41,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     PATTERN NewTravelingCar p
             }
         "#,
-        )
-        .build()?;
+            )
+    };
 
-    println!("--- optimizer explain ---\n{}", system.explain);
+    let (_, _, explain) = builder().build_program()?;
+    println!("--- optimizer explain ---\n{explain}");
+    let mut system = builder().build()?;
 
     // Car 7 cruises from t=0; congestion starts at t=45; car 9 enters
     // the congested segment at t=60 (its first report) and is tolled;
@@ -69,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mk_report(60, 9, "travel", &system),
         mk_report(90, 9, "travel", &system), // not new: no toll
     ];
-    let report = system.run_stream(&mut VecStream::new(events))?;
+    let report = system.run_stream(events)?;
     println!("--- run report ---");
     println!("events in:            {}", report.events_in);
     println!(

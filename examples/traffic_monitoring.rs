@@ -108,9 +108,7 @@ fn main() {
     ] {
         let mut system = build_system(mode, 1);
         let start = Instant::now();
-        let report = system
-            .run_stream(&mut VecStream::new(events.clone()))
-            .expect("in-order stream");
+        let report = system.run_stream(events.clone()).expect("in-order stream");
         let run_time = start.elapsed();
         println!(
             "{label}: zero={} real={} warn={} | suspended plan-batches={} | run time {:.2} ms",

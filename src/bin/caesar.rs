@@ -11,11 +11,12 @@
 //!                [--consistency strict|speculative]
 //! ```
 
-use caesar::cli::{build_system, run, serve, RunOptions, ServeOptions, TenantSpec};
+use caesar::cli::{explain_program, run, serve, RunOptions, ServeOptions, TenantSpec};
 use caesar::prelude::*;
 use caesar::query::dot::model_to_dot;
 use caesar::query::parse_model;
 use caesar::query::pretty::model_to_string;
+use std::fmt::Display;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -25,13 +26,31 @@ fn main() -> ExitCode {
             print!("{output}");
             ExitCode::SUCCESS
         }
-        Err(message) => {
+        Err(Failure::Usage(message)) => {
             eprintln!("error: {message}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
+        Err(Failure::Run(message)) => {
+            eprintln!("error: {message}");
+            ExitCode::FAILURE
+        }
     }
+}
+
+/// Why a command failed. Only a command line that cannot be read is
+/// answered with the usage text; a model that does not parse, an
+/// unreadable file or a failed run is reported alone.
+enum Failure {
+    /// A missing or unknown command, flag or flag value.
+    Usage(String),
+    /// Anything that went wrong after the command line was read.
+    Run(String),
+}
+
+fn failed(e: impl Display) -> Failure {
+    Failure::Run(e.to_string())
 }
 
 const USAGE: &str = "usage:
@@ -129,26 +148,34 @@ fn check_flags(flags: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn dispatch(args: &[String]) -> Result<String, String> {
-    let command = args.first().ok_or("no command given")?;
-    check_flags(&args[1..])?;
+fn dispatch(args: &[String]) -> Result<String, Failure> {
+    let command = args
+        .first()
+        .ok_or_else(|| Failure::Usage("no command given".into()))?;
+    check_flags(&args[1..]).map_err(Failure::Usage)?;
     let flag = |name: &str| -> Option<&str> {
         args.windows(2)
             .find(|w| w[0] == name)
             .map(|w| w[1].as_str())
     };
-    let read = |name: &str| -> Result<String, String> {
-        let path = flag(name).ok_or_else(|| format!("missing {name} FILE"))?;
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+    let read = |name: &str| -> Result<String, Failure> {
+        let path = flag(name).ok_or_else(|| Failure::Usage(format!("missing {name} FILE")))?;
+        std::fs::read_to_string(path).map_err(|e| failed(format!("cannot read {path}: {e}")))
     };
     let mut options = RunOptions::default();
     if let Some(w) = flag("--within") {
-        options.within = w.parse().map_err(|e| format!("--within: {e}"))?;
+        options.within = w
+            .parse()
+            .map_err(|e| Failure::Usage(format!("--within: {e}")))?;
     }
     options.mode = match flag("--mode") {
         None | Some("ca") => ExecutionMode::ContextAware,
         Some("ci") => ExecutionMode::ContextIndependent,
-        Some(other) => return Err(format!("--mode: unknown mode '{other}' (ca|ci)")),
+        Some(other) => {
+            return Err(Failure::Usage(format!(
+                "--mode: unknown mode '{other}' (ca|ci)"
+            )));
+        }
     };
     if args.iter().any(|a| a == "--no-sharing") {
         options.sharing = false;
@@ -159,10 +186,12 @@ fn dispatch(args: &[String]) -> Result<String, String> {
     if let Some(n) = flag("--checkpoint-every-events") {
         options.checkpoint_every = n
             .parse()
-            .map_err(|e| format!("--checkpoint-every-events: {e}"))?;
+            .map_err(|e| Failure::Usage(format!("--checkpoint-every-events: {e}")))?;
     }
     if let Some(n) = flag("--shards") {
-        options.shards = n.parse().map_err(|e| format!("--shards: {e}"))?;
+        options.shards = n
+            .parse()
+            .map_err(|e| Failure::Usage(format!("--shards: {e}")))?;
     }
     options.explain = args.iter().any(|a| a == "--explain");
     options.metrics = args.iter().any(|a| a == "--metrics");
@@ -172,12 +201,12 @@ fn dispatch(args: &[String]) -> Result<String, String> {
     if let Some(level) = flag("--consistency") {
         options.consistency = level
             .parse()
-            .map_err(|e: String| format!("--consistency: {e}"))?;
+            .map_err(|e: String| Failure::Usage(format!("--consistency: {e}")))?;
     }
     options.observability = match flag("--observability") {
         Some(level) => level
             .parse()
-            .map_err(|e: String| format!("--observability: {e}"))?,
+            .map_err(|e: String| Failure::Usage(format!("--observability: {e}")))?,
         // Asking for metrics output without picking a level means the
         // most detailed one.
         None if options.metrics || options.metrics_json.is_some() => ObservabilityLevel::Spans,
@@ -187,7 +216,7 @@ fn dispatch(args: &[String]) -> Result<String, String> {
     match command.as_str() {
         "check" => {
             let model_text = read("--model")?;
-            let model = parse_model(&model_text).map_err(|e| e.to_string())?;
+            let model = parse_model(&model_text).map_err(failed)?;
             Ok(format!(
                 "model '{}' is valid: {} contexts, {} queries\n\n{}",
                 model.name,
@@ -198,20 +227,19 @@ fn dispatch(args: &[String]) -> Result<String, String> {
         }
         "dot" => {
             let model_text = read("--model")?;
-            let model = parse_model(&model_text).map_err(|e| e.to_string())?;
+            let model = parse_model(&model_text).map_err(failed)?;
             Ok(model_to_dot(&model))
         }
         "explain" => {
             options.model_text = read("--model")?;
             options.schema_text = read("--schema")?;
-            let system = build_system(&options).map_err(|e| e.to_string())?;
-            Ok(system.explain)
+            explain_program(&options).map_err(failed)
         }
         "run" => {
             options.model_text = read("--model")?;
             options.schema_text = read("--schema")?;
             options.events_text = read("--events")?;
-            run(&options).map_err(|e| e.to_string())
+            run(&options).map_err(failed)
         }
         "serve" => {
             let mut serve_options = ServeOptions {
@@ -225,15 +253,17 @@ fn dispatch(args: &[String]) -> Result<String, String> {
                 if w[0] != "--tenant" {
                     continue;
                 }
-                let (name, files) = w[1].split_once('=').ok_or_else(|| {
-                    format!("--tenant '{}' needs NAME=MODEL_FILE,SCHEMA_FILE", w[1])
-                })?;
-                let (model_path, schema_path) = files.split_once(',').ok_or_else(|| {
-                    format!("--tenant '{}' needs NAME=MODEL_FILE,SCHEMA_FILE", w[1])
-                })?;
+                let malformed = || {
+                    Failure::Usage(format!(
+                        "--tenant '{}' needs NAME=MODEL_FILE,SCHEMA_FILE",
+                        w[1]
+                    ))
+                };
+                let (name, files) = w[1].split_once('=').ok_or_else(malformed)?;
+                let (model_path, schema_path) = files.split_once(',').ok_or_else(malformed)?;
                 let read_file = |path: &str| {
                     std::fs::read_to_string(path)
-                        .map_err(|e| format!("tenant '{name}': cannot read {path}: {e}"))
+                        .map_err(|e| failed(format!("tenant '{name}': cannot read {path}: {e}")))
                 };
                 serve_options.tenants.push(TenantSpec {
                     name: name.to_string(),
@@ -248,10 +278,11 @@ fn dispatch(args: &[String]) -> Result<String, String> {
                 serve_options.metrics_listen = Some(addr.to_string());
             }
             if let Some(n) = flag("--queue-capacity") {
-                serve_options.queue_capacity =
-                    n.parse().map_err(|e| format!("--queue-capacity: {e}"))?;
+                serve_options.queue_capacity = n
+                    .parse()
+                    .map_err(|e| Failure::Usage(format!("--queue-capacity: {e}")))?;
             }
-            let handle = serve(&serve_options).map_err(|e| e.to_string())?;
+            let handle = serve(&serve_options).map_err(failed)?;
             println!("listening on {}", handle.addr());
             if let Some(addr) = handle.metrics_addr() {
                 println!("metrics on http://{addr}/metrics");
@@ -266,9 +297,9 @@ fn dispatch(args: &[String]) -> Result<String, String> {
             if summary.clean() {
                 Ok(rendered)
             } else {
-                Err(rendered)
+                Err(Failure::Run(rendered))
             }
         }
-        other => Err(format!("unknown command '{other}'")),
+        other => Err(Failure::Usage(format!("unknown command '{other}'"))),
     }
 }

@@ -243,14 +243,29 @@ pub fn engine_config(options: &RunOptions) -> EngineConfig {
         .build()
 }
 
-/// Builds a system from the model + schema texts in `options`.
-pub fn build_system(options: &RunOptions) -> Result<CaesarSystem, CliError> {
+/// The builder the model + schema texts in `options` describe.
+fn builder(options: &RunOptions) -> Result<CaesarBuilder, CliError> {
     let schemas = parse_schema_file(&options.schema_text)?;
-    let builder = apply_schemas(Caesar::builder(), &schemas)
+    Ok(apply_schemas(Caesar::builder(), &schemas)
         .model_text(&options.model_text)
         .within(options.within)
-        .engine_config(engine_config(options));
-    builder.build().map_err(|e| CliError::System(e.to_string()))
+        .engine_config(engine_config(options)))
+}
+
+/// Builds a system from the model + schema texts in `options`.
+pub fn build_system(options: &RunOptions) -> Result<CaesarSystem, CliError> {
+    builder(options)?
+        .build()
+        .map_err(|e| CliError::System(e.to_string()))
+}
+
+/// The optimizer's explain report for the model + schema texts in
+/// `options` (`caesar explain`), rendered from the optimized program.
+pub fn explain_program(options: &RunOptions) -> Result<String, CliError> {
+    let (_, _, explain) = builder(options)?
+        .build_program()
+        .map_err(|e| CliError::System(e.to_string()))?;
+    Ok(explain)
 }
 
 /// Runs the events through a freshly built system and renders the
@@ -273,7 +288,7 @@ pub fn run(options: &RunOptions) -> Result<String, CliError> {
         report
     } else if options.shards <= 1 {
         system
-            .run_stream(&mut VecStream::new(events))
+            .run_stream(events)
             .map_err(|e| CliError::System(e.to_string()))?
     } else {
         // Sharded execution needs the raw program; rebuild through the

@@ -37,7 +37,7 @@ fn gathered_stats_reflect_the_stream() {
     let mut registry = lr_registry();
     let program = lr_program(&mut registry);
     let mut engine = Engine::new(program, &registry, EngineConfig::default());
-    let _ = engine.run_stream(&mut VecStream::new(events)).unwrap();
+    let _ = engine.run_stream(events).unwrap();
     let obs = engine.gather_stats();
 
     // Position reports dominate the input.
@@ -66,9 +66,7 @@ fn reoptimizing_with_observed_stats_preserves_results() {
     let mut registry = lr_registry();
     let program = lr_program(&mut registry);
     let mut engine = Engine::new(program, &registry, EngineConfig::default());
-    let first = engine
-        .run_stream(&mut VecStream::new(events.clone()))
-        .unwrap();
+    let first = engine.run_stream(events.clone()).unwrap();
     let observed = engine.gather_stats().to_stats();
 
     // Adaptive loop: re-translate and re-optimize with observed stats.
@@ -85,7 +83,7 @@ fn reoptimizing_with_observed_stats_preserves_results() {
         Optimizer::new(OptimizerConfig::default(), observed).optimize(translation, &registry2);
     assert!(program2.cost_after <= program2.cost_before);
     let mut engine2 = Engine::new(program2, &registry2, EngineConfig::default());
-    let second = engine2.run_stream(&mut VecStream::new(events)).unwrap();
+    let second = engine2.run_stream(events).unwrap();
     assert_eq!(
         first.outputs_of("TollNotification"),
         second.outputs_of("TollNotification")
@@ -100,12 +98,12 @@ fn sharded_execution_matches_oracle() {
     let mut registry = lr_registry();
     let program = lr_program(&mut registry);
     for shards in [1usize, 2, 5] {
-        let report = run_sharded(
+        let (report, _, _) = run_sharded(
             &program,
             &registry,
             EngineConfig::default(),
             shards,
-            &mut VecStream::new(events.clone()),
+            events.clone(),
         )
         .unwrap();
         assert_eq!(
@@ -159,7 +157,7 @@ fn gathered_stats_aggregate_over_partitions() {
             push(&sys, "Mark", t, 9, 1);
         }
     }
-    sys.run_stream(&mut VecStream::new(events)).unwrap();
+    sys.run_stream(events).unwrap();
     sys.finish();
     let obs = sys.engine.gather_stats();
 

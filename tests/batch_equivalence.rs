@@ -34,9 +34,7 @@ fn batched_run_matches_oracle() {
             .observability(ObservabilityLevel::Counters)
             .build(),
     );
-    let report = system
-        .run_stream(&mut VecStream::new(events))
-        .expect("stream is in order");
+    let report = system.run_stream(events).expect("stream is in order");
     // Transactions of more than 8 events: those past the histogram's
     // 8-event bucket.
     let sizes = &report.metrics.batch_sizes;

@@ -1,6 +1,7 @@
 //! The `caesar` binary's argument handling: an unknown flag or an
 //! unknown `--mode` value stops the run with the usage text and a
-//! non-zero exit instead of silently running something else, while the
+//! non-zero exit instead of silently running something else, an error
+//! past the command line is reported without the usage text, and the
 //! flags a served deployment passes (`--tenant`, `--listen`,
 //! `--metrics-listen`, `--shards`) are accepted.
 
@@ -100,6 +101,24 @@ fn unknown_flags_and_modes_are_rejected_with_usage() {
         ]),
         "unknown flag '--bogus'",
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_model_that_fails_to_parse_is_reported_without_usage() {
+    let (dir, files) = inputs("unparsable");
+    std::fs::write(&files[0], "MODEL broken").unwrap();
+    for command in ["run", "explain"] {
+        let [model, schema, events] = &files;
+        let output = caesar(&[
+            command, "--model", model, "--schema", schema, "--events", events,
+        ]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{stderr}");
+        assert!(stderr.starts_with("error: query error"), "{stderr}");
+        assert!(!stderr.contains("usage:"), "{stderr}");
+        assert!(output.stdout.is_empty());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

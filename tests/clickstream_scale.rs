@@ -38,7 +38,7 @@ use caesar::clickstream::{
 };
 use caesar::prelude::*;
 use caesar::query::parse_model;
-use caesar_runtime::{run_mode_full, Engine, ModeSpec};
+use caesar_runtime::{run_mode, Engine, ModeSpec};
 use caesar_testkit::{build_programs, canonical, Workload};
 use std::collections::BTreeSet;
 
@@ -92,7 +92,7 @@ fn sharded_equals_sequential_at_100k_partitions() {
         .observability(ObservabilityLevel::Counters)
         .build();
 
-    let (seq_report, seq_outputs, _) = run_mode_full(
+    let (seq_report, seq_outputs, _) = run_mode(
         &optimized,
         &registry,
         &ModeSpec::sequential("scale/seq", engine_config),
@@ -107,7 +107,7 @@ fn sharded_equals_sequential_at_100k_partitions() {
         restart_after: None,
     };
     let (shard_report, shard_outputs, _) =
-        run_mode_full(&optimized, &registry, &sharded_spec, &workload.events).expect("sharded run");
+        run_mode(&optimized, &registry, &sharded_spec, &workload.events).expect("sharded run");
 
     assert_eq!(seq_report.events_in, shard_report.events_in);
     assert_eq!(seq_report.events_out, shard_report.events_out);

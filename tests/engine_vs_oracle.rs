@@ -20,9 +20,7 @@ fn check_against_oracle(config: LinearRoadConfig, mode: ExecutionMode, optimized
     let events = sim.generate();
     let oracle = expected_outputs(&events, sim.registry());
     let mut system = lr_system(mode, optimized, 1);
-    let report = system
-        .run_stream(&mut VecStream::new(events))
-        .expect("stream is in order");
+    let report = system.run_stream(events).expect("stream is in order");
     assert_eq!(
         report.outputs_of("ZeroToll"),
         oracle.zero_tolls,
@@ -99,9 +97,7 @@ fn replicated_workload_multiplies_outputs() {
     let oracle = expected_outputs(&events, sim.registry());
 
     let mut system = lr_system(ExecutionMode::ContextAware, true, 3);
-    let report = system
-        .run_stream(&mut VecStream::new(events))
-        .expect("in order");
+    let report = system.run_stream(events).expect("in order");
     // Base copies plus suffixed replicas must each match the oracle.
     assert_eq!(report.outputs_of("TollNotification"), oracle.real_tolls);
     assert_eq!(report.outputs_of("TollNotification_1"), oracle.real_tolls);
@@ -122,9 +118,7 @@ fn sharing_does_not_change_results() {
             .engine_config(EngineConfig::builder().sharing(sharing).build())
             .build()
             .unwrap();
-        system
-            .run_stream(&mut VecStream::new(events.clone()))
-            .unwrap()
+        system.run_stream(events.clone()).unwrap()
     };
     let shared = run(true);
     let non_shared = run(false);

@@ -25,16 +25,14 @@ use caesar::clickstream::{
     DEFAULT_WITHIN,
 };
 use caesar::prelude::*;
-use caesar_runtime::{run_mode_full, Engine, ModeSpec};
+use caesar_runtime::{run_mode, Engine, ModeSpec};
 use caesar_testkit::{build_programs, canonical, check_workload, oracle_run, Workload};
 
 /// Runs `events` (one partition, time-ordered) through the replication-1
 /// clickstream model and returns the run report.
 fn run(events: Vec<Event>) -> RunReport {
     let mut system = clickstream_builder(1).build().expect("model builds");
-    system
-        .run_stream(&mut VecStream::new(events))
-        .expect("stream is in order")
+    system.run_stream(events).expect("stream is in order")
 }
 
 fn ev(system_reg: &SchemaRegistry, ty: &str, t: Time, attrs: &[i64]) -> Event {
@@ -244,7 +242,7 @@ fn second_session_after_the_row_was_released() {
     const _: () = assert!(40 + ABANDON_WITHIN < 290);
     let (optimized, _, registry) = build_programs(&workload).expect("build");
     let spec = ModeSpec::sequential("release/seq", EngineConfig::default());
-    let (_, outputs, _) = run_mode_full(&optimized, &registry, &spec, &workload.events).unwrap();
+    let (_, outputs, _) = run_mode(&optimized, &registry, &spec, &workload.events).unwrap();
     let rendered: Vec<String> = outputs
         .iter()
         .map(|e| {

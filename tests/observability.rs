@@ -113,7 +113,7 @@ struct Run {
 fn run(level: ObservabilityLevel) -> Run {
     let mut sys = build(level);
     let stream = events(&sys);
-    sys.run_stream(&mut VecStream::new(stream)).unwrap();
+    sys.run_stream(stream).unwrap();
     let report = sys.finish();
     let outputs = std::mem::take(&mut sys.engine.collected_outputs);
     Run { outputs, report }
@@ -344,7 +344,7 @@ fn metric_totals_match_the_per_partition_counter_engine() {
         lr = lr.schema(&schema.name, &attrs);
     }
     let mut lr = lr.engine_config(config).build().unwrap();
-    lr.run_stream(&mut VecStream::new(events)).unwrap();
+    lr.run_stream(events).unwrap();
     assert_eq!(
         pinned(&lr.finish()),
         [
@@ -368,7 +368,7 @@ fn metric_totals_match_the_per_partition_counter_engine() {
     };
     let (events, summary) = generate(&click_config, &clicks.registry);
     assert!(summary.partitions_touched > 1_000);
-    clicks.run_stream(&mut VecStream::new(events)).unwrap();
+    clicks.run_stream(events).unwrap();
     let report = clicks.finish();
     // 4 000 sessions over 50 000 users: most partitions go quiet, and
     // global progress, not their next session, expires what they hold.

@@ -1,7 +1,9 @@
 //! Out-of-order ingestion: a shuffled (bounded-disorder) Linear Road
 //! stream through an engine with `reorder_slack` must produce exactly
-//! the ordered run's results; without slack the same stream is rejected.
+//! the ordered run's results; without slack the same stream is rejected
+//! with a typed error.
 
+use caesar::events::EventError;
 use caesar::linear_road::{build_lr_system, expected_outputs, LinearRoadConfig, TrafficSim};
 use caesar::prelude::*;
 use rand::seq::SliceRandom;
@@ -42,7 +44,7 @@ fn reorder_slack_repairs_bounded_disorder() {
             .build(),
     );
     let report = system
-        .run_stream(&mut ShuffledStream(shuffled.into_iter()))
+        .run_stream(shuffled)
         .expect("slack covers the disorder");
     assert_eq!(report.outputs_of("TollNotification"), oracle.real_tolls);
     assert_eq!(report.outputs_of("ZeroToll"), oracle.zero_tolls);
@@ -68,22 +70,11 @@ fn without_slack_disorder_is_rejected() {
         OptimizerConfig::default(),
         EngineConfig::default(), // slack 0
     );
-    let mut failed = false;
-    for e in shuffled {
-        if system.ingest(e).is_err() {
-            failed = true;
-            break;
-        }
-    }
-    assert!(failed, "out-of-order stream must be rejected without slack");
-}
-
-/// Helper: an `EventStream` over a pre-shuffled vector (VecStream
-/// requires order, so this wraps a plain iterator).
-struct ShuffledStream(std::vec::IntoIter<Event>);
-
-impl EventStream for ShuffledStream {
-    fn next_event(&mut self) -> Option<Event> {
-        self.0.next()
-    }
+    let err = system
+        .run_stream(shuffled)
+        .expect_err("out-of-order stream must be rejected without slack");
+    assert!(
+        matches!(err, CaesarError::Event(EventError::OutOfOrder { .. })),
+        "{err}"
+    );
 }

@@ -53,7 +53,7 @@ fn run(
         .collect();
     let mut engine = Engine::new(program, &registry, engine);
     let report = engine
-        .run_stream(&mut VecStream::new(events.to_vec()))
+        .run_stream(events.to_vec())
         .expect("stream is in order");
     let operators = &report.metrics.operators;
     let queries = &report.metrics.queries;

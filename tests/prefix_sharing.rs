@@ -38,7 +38,7 @@ use caesar::optimizer::{OptimizedProgram, Optimizer};
 use caesar::prelude::*;
 use caesar::query::QuerySet;
 use caesar::runtime::programs::ProgramTemplate;
-use caesar::runtime::{run_mode_full, Engine, ModeSpec, RunReport};
+use caesar::runtime::{run_mode, Engine, ModeSpec, RunReport};
 use caesar_testkit::canonical;
 use proptest::prelude::*;
 
@@ -145,8 +145,7 @@ fn run_leg(
     config: EngineConfig,
 ) -> (RunReport, Vec<Event>) {
     let spec = ModeSpec::sequential("prefix-sharing-test", config);
-    let (report, outputs, _records) =
-        run_mode_full(program, reg, &spec, events).expect("engine run");
+    let (report, outputs, _records) = run_mode(program, reg, &spec, events).expect("engine run");
     (report, outputs)
 }
 

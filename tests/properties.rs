@@ -222,11 +222,11 @@ proptest! {
         };
         let mut ca = build(ExecutionMode::ContextAware);
         let events_ca = mk_events(&ca, &script, &mut t);
-        let report_ca = ca.run_stream(&mut VecStream::new(events_ca)).unwrap();
+        let report_ca = ca.run_stream(events_ca).unwrap();
         t = 0;
         let mut ci = build(ExecutionMode::ContextIndependent);
         let events_ci = mk_events(&ci, &script, &mut t);
-        let report_ci = ci.run_stream(&mut VecStream::new(events_ci)).unwrap();
+        let report_ci = ci.run_stream(events_ci).unwrap();
         prop_assert_eq!(report_ca.outputs_of("Pair"), report_ci.outputs_of("Pair"));
         prop_assert_eq!(report_ca.outputs_of("Fresh"), report_ci.outputs_of("Fresh"));
         prop_assert_eq!(report_ca.transitions_applied, report_ci.transitions_applied);

@@ -26,7 +26,7 @@ use caesar::events::{
 use caesar::optimizer::{OptimizedProgram, Optimizer};
 use caesar::prelude::*;
 use caesar::query::QuerySet;
-use caesar::runtime::{run_mode_full, ModeSpec};
+use caesar::runtime::{run_mode, ModeSpec};
 
 const MODEL: &str = r#"
     MODEL m DEFAULT idle
@@ -97,7 +97,7 @@ fn run(
             .build(),
     );
     let (_report, outputs, _records) =
-        run_mode_full(program, reg, &spec, &stream(reg)).expect("engine run");
+        run_mode(program, reg, &spec, &stream(reg)).expect("engine run");
     outputs
 }
 

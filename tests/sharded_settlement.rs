@@ -4,17 +4,17 @@
 //! under the same global watermark.
 //!
 //! Regression: the sharded leg used to order its input with a plain
-//! stable sort (`VecStream::from_unsorted`), which silently resurrected
-//! beyond-slack stragglers the sequential legs count and drop — the
-//! sort has no watermark, so a straggler that arrived hopelessly late
-//! was quietly slotted back into position and processed. The driver now
+//! stable sort, which silently resurrected beyond-slack stragglers the
+//! sequential legs count and drop — the sort has no watermark, so a
+//! straggler that arrived hopelessly late was quietly slotted back into
+//! position and processed. The driver now
 //! pre-settles the arrival stream through a [`ReorderBuffer`]
 //! (`ReorderBuffer::settle_stream`), so both legs see the same drops
 //! and the same tie order.
 
 use caesar::events::{Event, PartitionId, Value};
 use caesar::prelude::*;
-use caesar::runtime::{run_mode_full, ModeSpec};
+use caesar::runtime::{run_mode, ModeSpec};
 use caesar_testkit::canonical;
 
 const MODEL: &str = r#"
@@ -103,9 +103,9 @@ fn sharded_leg_drops_and_ties_like_the_sequential_leg() {
     };
 
     let (seq_report, seq_outputs, _) =
-        run_mode_full(&program, &registry, &seq, &events).expect("sequential run");
+        run_mode(&program, &registry, &seq, &events).expect("sequential run");
     let (sh_report, sh_outputs, _) =
-        run_mode_full(&program, &registry, &sharded, &events).expect("sharded run");
+        run_mode(&program, &registry, &sharded, &events).expect("sharded run");
 
     // The straggler is dropped, not processed: 10 arrivals, 9 ingested.
     assert_eq!(seq_report.events_in, 9, "sequential drops the straggler");
@@ -150,9 +150,9 @@ fn tie_order_matches_without_drops() {
         restart_after: None,
     };
     let (seq_report, seq_outputs, _) =
-        run_mode_full(&program, &registry, &seq, &events).expect("sequential run");
+        run_mode(&program, &registry, &seq, &events).expect("sequential run");
     let (sh_report, sh_outputs, _) =
-        run_mode_full(&program, &registry, &sharded, &events).expect("sharded run");
+        run_mode(&program, &registry, &sharded, &events).expect("sharded run");
     assert_eq!(seq_report.events_in, events.len() as u64, "nothing drops");
     assert_eq!(sh_report.events_in, seq_report.events_in);
     assert_eq!(canonical(&sh_outputs), canonical(&seq_outputs));
